@@ -1258,7 +1258,7 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Response {
         vm.run_main()
     };
     if vm.opts.profile {
-        flush.set_delta(vm.profile.clone());
+        flush.set_delta(std::mem::take(&mut vm.profile));
     }
     vm.flush_trace();
     if let FlushOutcome::Failed(e) = flush.flush() {

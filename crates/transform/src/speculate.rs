@@ -203,7 +203,13 @@ pub struct SpecMap {
 impl SpecMap {
     /// The guard whose conditional branch is `br` in `func`, if any.
     pub fn guard_at(&self, func: FuncId, br: InstId) -> Option<&GuardInfo> {
-        self.by_br.get(&(func, br)).map(|&i| &self.guards[i])
+        self.ordinal_at(func, br).map(|i| &self.guards[i])
+    }
+
+    /// Index into [`SpecMap::guards`] of the guard whose conditional
+    /// branch is `br` in `func`, if any.
+    pub fn ordinal_at(&self, func: FuncId, br: InstId) -> Option<usize> {
+        self.by_br.get(&(func, br)).copied()
     }
 
     /// Number of emitted guards.

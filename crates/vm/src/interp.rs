@@ -19,6 +19,7 @@ use lpat_core::{
     Value,
 };
 
+use crate::counters::Counters;
 use crate::error::{ExecError, TrapKind};
 use crate::mem::Memory;
 use crate::profile::ProfileData;
@@ -163,8 +164,12 @@ pub struct Vm<'m> {
     pub opts: VmOptions,
     /// Captured program output.
     pub output: String,
-    /// Collected profile (when `opts.profile`).
+    /// Collected profile (when `opts.profile`). The engines record into
+    /// private counter slabs; those are folded in here whenever
+    /// `run_main`, `run_function` or one of their `_jit` / `_tiered`
+    /// forms returns, `Ok` or `Err` — read it between runs.
     pub profile: ProfileData,
+    pub(crate) counters: Counters,
     /// Total instructions executed.
     pub insts_executed: u64,
     /// Executed-instruction histogram, indexed by
@@ -234,6 +239,7 @@ impl<'m> Vm<'m> {
             opts,
             output: String::new(),
             profile: ProfileData::default(),
+            counters: Counters::default(),
             insts_executed: 0,
             opcode_counts: [0; Inst::NUM_OPCODES],
             tier_stats: crate::tier::TierStats::default(),
@@ -279,6 +285,7 @@ impl<'m> Vm<'m> {
         emitted: u64,
         retracted: u64,
     ) {
+        self.counters.size_guards(map.len());
         self.spec = if map.is_empty() { None } else { Some(map) };
         self.spec_stats.emitted = emitted;
         self.spec_stats.retracted = retracted;
@@ -289,14 +296,27 @@ impl<'m> Vm<'m> {
         self.spec.as_deref()
     }
 
-    /// Record one guard execution and decide its direction. `actual` is
+    /// Fold the counter slabs into [`Vm::profile`]; every run entry point
+    /// ends here, whether the run returned a value, trapped or ran dry.
+    pub(crate) fn drain_counters(&mut self) {
+        self.counters
+            .drain_into(self.spec.as_deref(), &mut self.profile);
+    }
+
+    /// What profiling allocated and recorded so far.
+    pub fn profile_stats(&self) -> crate::counters::ProfileStats {
+        self.counters.stats()
+    }
+
+    /// Record one guard execution and decide its direction. `guard` is
+    /// its ordinal in the installed overlay, `actual`
     /// the evaluated guard condition; the `spec.guard` fault site can
     /// force the fail side (modeling 100% misspeculation) without
     /// touching the condition's dataflow value, so forced failures stay
     /// observationally equivalent across engines. Shared by the
     /// interpreter and the JIT so counters and the persisted guard
     /// profile are engine-independent.
-    pub(crate) fn guard_check(&mut self, gid: u32, actual: bool) -> bool {
+    pub(crate) fn guard_check(&mut self, guard: u32, actual: bool) -> bool {
         let pass = match lpat_core::faultpoint!("spec.guard") {
             Some(lpat_core::FaultAction::Delay(d)) => {
                 std::thread::sleep(d);
@@ -311,7 +331,7 @@ impl<'m> Vm<'m> {
             self.spec_stats.failed += 1;
         }
         if self.opts.profile {
-            self.profile.record_guard(gid, !pass);
+            self.counters.guard(guard, !pass);
         }
         pass
     }
@@ -481,6 +501,12 @@ impl<'m> Vm<'m> {
         f: FuncId,
         args: Vec<VmValue>,
     ) -> Result<Option<VmValue>, ExecError> {
+        let result = self.interp_loop(f, args);
+        self.drain_counters();
+        result
+    }
+
+    fn interp_loop(&mut self, f: FuncId, args: Vec<VmValue>) -> Result<Option<VmValue>, ExecError> {
         let mut stack: Vec<Frame> = Vec::new();
         self.push_frame(&mut stack, f, args, vec![])?;
         loop {
@@ -621,8 +647,7 @@ impl<'m> Vm<'m> {
             ));
         }
         if self.opts.profile {
-            self.profile.record_call(f);
-            self.profile.record_block(f, func.entry());
+            self.counters.enter(self.m, f);
         }
         let mut regs = self.interp_reg_pool.pop().unwrap_or_default();
         regs.clear();
@@ -700,8 +725,7 @@ impl<'m> Vm<'m> {
             fr.regs[iid.index()] = Some(v);
         }
         if self.opts.profile {
-            self.profile.record_edge(fr.func, from, to);
-            self.profile.record_block(fr.func, to);
+            self.counters.edge_between(fr.func, from, to);
         }
         fr.block = to;
         fr.idx = 0;
@@ -786,13 +810,9 @@ impl<'m> Vm<'m> {
                 // branch, record the outcome (and honor a forced failure).
                 // The interpreter needs no deoptimization — it already
                 // *is* the deoptimized tier; the slow path is just taken.
-                let guard = self
-                    .spec
-                    .as_ref()
-                    .and_then(|s| s.guard_at(fid, iid))
-                    .map(|g| g.id);
+                let guard = self.spec.as_ref().and_then(|s| s.ordinal_at(fid, iid));
                 let c = match guard {
-                    Some(gid) => self.guard_check(gid, c),
+                    Some(g) => self.guard_check(g as u32, c),
                     None => c,
                 };
                 let t = if c { *then_bb } else { *else_bb };
@@ -919,7 +939,7 @@ impl<'m> Vm<'m> {
             }
             Inst::Call { callee, args } | Inst::Invoke { callee, args, .. } => {
                 if self.opts.profile {
-                    self.profile.record_callsite(fid, iid);
+                    self.counters.site(fid, iid.index());
                 }
                 let target = self.resolve_callee(fr, *callee)?;
                 let argv: Vec<VmValue> = args
@@ -1079,6 +1099,10 @@ impl<'m> Vm<'m> {
         trace::counter_keyed("vm.spec.passed", s.passed);
         trace::counter_keyed("vm.spec.failed", s.failed);
         trace::counter_keyed("vm.spec.deopts", s.deopts);
+        let p = self.profile_stats();
+        trace::counter_keyed("vm.profile.funcs", p.funcs);
+        trace::counter_keyed("vm.profile.slots", p.slots);
+        trace::counter_keyed("vm.profile.nonzero", p.nonzero);
         let h = self.mem.stats();
         trace::counter("heap.allocs", h.allocs);
         trace::counter("heap.frees", h.frees);

@@ -38,9 +38,10 @@ use std::rc::Rc;
 
 use lpat_core::trace;
 use lpat_core::{
-    BinOp, BlockId, CmpPred, Const, FuncId, Inst, InstId, IntKind, Module, Type, TypeId, Value,
+    BinOp, BlockId, CmpPred, Const, FuncId, Inst, IntKind, Module, Type, TypeId, Value,
 };
 
+use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
 use crate::interp::Vm;
 use crate::mem::Memory;
@@ -68,14 +69,16 @@ pub(crate) enum MemKind {
 }
 
 /// A CFG edge: φ-moves then a jump target. `from`/`to` are the source
-/// block indices, kept so translated dispatch can record the same edge
-/// profile the interpreter would.
+/// block indices and `slot` the edge's place in the function's counter
+/// slab, resolved here so translated dispatch records the same edge
+/// profile the interpreter would with one indexed add.
 #[derive(Clone, Debug)]
 pub(crate) struct Edge {
     pub(crate) copies: Vec<(u32, Slot)>,
     pub(crate) target: usize,
     pub(crate) from: u32,
     pub(crate) to: u32,
+    pub(crate) slot: u32,
 }
 
 /// One translated instruction.
@@ -147,7 +150,8 @@ pub(crate) enum LowOp {
     VaArg {
         dst: u32,
     },
-    /// A speculation guard: a conditional branch whose `then` edge is the
+    /// A speculation guard (`gid` is its ordinal in the installed
+    /// overlay): a conditional branch whose `then` edge is the
     /// speculated fast path. Identical to [`LowOp::CondBr`] in fuel and
     /// histogram accounting, plus guard bookkeeping; a failed guard
     /// reports [`Flow::Deopt`] after taking the fail edge.
@@ -220,7 +224,7 @@ pub fn translate(m: &Module, fid: FuncId) -> Result<LowFunc, ExecError> {
 /// Translate `fid` with an optional speculation overlay: conditional
 /// branches registered in `spec` lower to [`LowOp::Guard`] instead of
 /// [`LowOp::CondBr`], so guard failures can report [`Flow::Deopt`] with
-/// their guard id. With `spec = None` this is exactly [`translate`].
+/// their guard ordinal. With `spec = None` this is exactly [`translate`].
 pub(crate) fn translate_spec(
     m: &Module,
     fid: FuncId,
@@ -254,6 +258,7 @@ pub(crate) fn translate_spec(
     // Pass 2: emit.
     let mut code: Vec<LowOp> = Vec::with_capacity(pc);
     let mut edges: Vec<Edge> = Vec::new();
+    let layout = EdgeLayout::new(f);
     let make_edge = |m: &Module,
                      edges: &mut Vec<Edge>,
                      from: BlockId,
@@ -275,6 +280,7 @@ pub(crate) fn translate_spec(
             target: block_pc[to.index()],
             from: from.index() as u32,
             to: to.index() as u32,
+            slot: layout.slot(from.index() as u32, to.index() as u32),
         });
         Ok(edges.len() - 1)
     };
@@ -368,9 +374,9 @@ pub(crate) fn translate_spec(
                 } => {
                     let t = make_edge(m, &mut edges, b, then_bb)?;
                     let fe = make_edge(m, &mut edges, b, else_bb)?;
-                    match spec.and_then(|s| s.guard_at(fid, iid)) {
+                    match spec.and_then(|s| s.ordinal_at(fid, iid)) {
                         Some(g) => LowOp::Guard {
-                            gid: g.id,
+                            gid: g as u32,
                             c: slot_of(cond)?,
                             t,
                             f: fe,
@@ -748,8 +754,7 @@ impl<'m> Vm<'m> {
     ) -> Result<JitFrame, ExecError> {
         let lf = self.ensure_translated(f)?;
         if self.opts.profile {
-            self.profile.record_call(f);
-            self.profile.record_block(f, self.module().func(f).entry());
+            self.counters.enter(self.module(), f);
         }
         let mut regs = self.jit_reg_pool.pop().unwrap_or_default();
         regs.clear();
@@ -810,10 +815,7 @@ impl<'m> Vm<'m> {
         }
         fr.pc = edge.target;
         if self.opts.profile {
-            let from = BlockId::from_index(edge.from as usize);
-            let to = BlockId::from_index(edge.to as usize);
-            self.profile.record_edge(fr.func, from, to);
-            self.profile.record_block(fr.func, to);
+            self.counters.edge(fr.func, edge.slot, edge.to);
         }
         if self.tier_native_on && edge.to <= edge.from {
             // A loop back-edge on the JIT tier is a tier-3 hotness event.
@@ -1049,8 +1051,7 @@ pub(crate) fn exec_low(
             if vm.opts.profile {
                 // Before callee resolution, like the interpreter: a failed
                 // resolution still counts the site.
-                vm.profile
-                    .record_callsite(fr.func, InstId::from_index(*site as usize));
+                vm.counters.site(fr.func, *site as usize);
             }
             let target = match callee {
                 Callee::Direct(f) => *f,

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod error;
 pub mod interp;
 pub mod jit;
@@ -34,6 +35,7 @@ pub mod store;
 pub mod tier;
 pub mod value;
 
+pub use counters::ProfileStats;
 pub use error::{ExecError, TrapKind};
 pub use interp::{SpecStats, Vm, VmOptions};
 pub use pgo::{reoptimize, PgoOptions, PgoReport};

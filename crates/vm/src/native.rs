@@ -51,8 +51,9 @@ use lpat_codegen::fast::{
     Home, Src,
 };
 use lpat_core::trace;
-use lpat_core::{BlockId, FuncId, InstId, IntKind};
+use lpat_core::{FuncId, IntKind};
 
+use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, Vm};
 use crate::jit::{Flow, JitFrame};
@@ -77,12 +78,13 @@ struct NOp {
     imm: u32,
 }
 
-/// A decoded edge: φ-copies (already sequentialised by the encoder) and
-/// the decoded-index branch target.
+/// A decoded edge: φ-copies (already sequentialised by the encoder), the
+/// decoded-index branch target, and where a traversal is counted: the
+/// edge's slot in the function's counter slab and the block it enters.
 struct NatEdge {
     copies: Vec<FastCopy>,
     target: u32,
-    from: u32,
+    slot: u32,
     to: u32,
 }
 
@@ -108,8 +110,10 @@ pub(crate) struct NatCode {
 
 /// Decode the word buffer into the dense dispatch form. Accounting words
 /// disappear into the following op's `acct` tag; branch targets are
-/// remapped from word indices to decoded indices.
-fn decode(ff: FastFunc) -> NatCode {
+/// remapped from word indices to decoded indices, and each edge gets its
+/// counter slot (a VM-side table: the emitted words do not change).
+fn decode(ff: FastFunc, f: &lpat_core::Function) -> NatCode {
+    let layout = EdgeLayout::new(f);
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
     let mut pending: u16 = 0;
@@ -152,7 +156,7 @@ fn decode(ff: FastFunc) -> NatCode {
         .map(|e| NatEdge {
             copies: e.copies,
             target: word_to_dec[e.target as usize],
-            from: e.from,
+            slot: layout.slot(e.from, e.to),
             to: e.to,
         })
         .collect();
@@ -343,7 +347,7 @@ impl<'m> Vm<'m> {
             guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
         };
         match translate_fast(m, f, &env) {
-            Ok(ff) => Ok(decode(ff)),
+            Ok(ff) => Ok(decode(ff, m.func(f))),
             Err(e) => Err(ExecError::trap(
                 TrapKind::Invalid,
                 format!("native backend: {e}"),
@@ -370,8 +374,7 @@ impl<'m> Vm<'m> {
             }
         }
         if self.opts.profile {
-            self.profile.record_call(f);
-            self.profile.record_block(f, self.module().func(f).entry());
+            self.counters.enter(self.module(), f);
         }
         let mut slots = self.native_slot_pool.pop().unwrap_or_default();
         slots.clear();
@@ -505,10 +508,7 @@ pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, 
     }
     fr.pc = edge.target as usize;
     if vm.opts.profile {
-        let from = BlockId::from_index(edge.from as usize);
-        let to = BlockId::from_index(edge.to as usize);
-        vm.profile.record_edge(fr.func, from, to);
-        vm.profile.record_block(fr.func, to);
+        vm.counters.edge(fr.func, edge.slot, edge.to);
     }
 }
 
@@ -675,8 +675,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
             enc::CALLD => {
                 let call = &code.calls[op.imm as usize];
                 if vm.opts.profile {
-                    vm.profile
-                        .record_callsite(fr.func, InstId::from_index(call.desc.site as usize));
+                    vm.counters.site(fr.func, call.desc.site as usize);
                 }
                 let target = match &call.desc.callee {
                     FastCallee::Direct(f) => *f,

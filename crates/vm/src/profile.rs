@@ -6,6 +6,10 @@
 //! *paths* (traces) within them. [`ProfileData::hot_loops`] and
 //! [`form_trace`] reproduce that region-then-trace strategy.
 //!
+//! The engines count in dense slabs (`counters.rs`); [`ProfileData`] is
+//! the sparse form those are drained into when a run returns, and the
+//! only one that is stored, merged or read from a file.
+//!
 //! Profiles are the unit the lifelong store persists across runs:
 //! [`ProfileData::to_bytes`]/[`ProfileData::from_bytes`] give them a
 //! deterministic binary form, and [`ProfileData::merge_saturating`] folds
@@ -35,25 +39,6 @@ pub struct ProfileData {
 }
 
 impl ProfileData {
-    pub(crate) fn record_block(&mut self, f: FuncId, b: BlockId) {
-        *self.block_counts.entry((f, b)).or_insert(0) += 1;
-    }
-    pub(crate) fn record_edge(&mut self, f: FuncId, from: BlockId, to: BlockId) {
-        *self.edge_counts.entry((f, from, to)).or_insert(0) += 1;
-    }
-    pub(crate) fn record_call(&mut self, f: FuncId) {
-        *self.call_counts.entry(f).or_insert(0) += 1;
-    }
-    pub(crate) fn record_callsite(&mut self, caller: FuncId, site: InstId) {
-        *self.callsite_counts.entry((caller, site)).or_insert(0) += 1;
-    }
-    pub(crate) fn record_guard(&mut self, id: u32, failed: bool) {
-        *self.guard_exec_counts.entry(id).or_insert(0) += 1;
-        if failed {
-            *self.guard_misspec_counts.entry(id).or_insert(0) += 1;
-        }
-    }
-
     /// Times one guard executed.
     pub fn guard_exec(&self, id: u32) -> u64 {
         self.guard_exec_counts.get(&id).copied().unwrap_or(0)
@@ -337,15 +322,14 @@ mod tests {
         let mut p = ProfileData::default();
         let f = FuncId::from_index(0);
         let g = FuncId::from_index(3);
-        p.record_block(f, BlockId::from_index(1));
-        p.record_block(f, BlockId::from_index(1));
-        p.record_block(g, BlockId::from_index(0));
-        p.record_edge(f, BlockId::from_index(0), BlockId::from_index(1));
-        p.record_call(g);
-        p.record_callsite(f, InstId::from_index(7));
-        p.record_guard(11, false);
-        p.record_guard(11, true);
-        p.record_guard(42, false);
+        let (b0, b1) = (BlockId::from_index(0), BlockId::from_index(1));
+        p.block_counts.insert((f, b1), 2);
+        p.block_counts.insert((g, b0), 1);
+        p.edge_counts.insert((f, b0, b1), 1);
+        p.call_counts.insert(g, 1);
+        p.callsite_counts.insert((f, InstId::from_index(7)), 1);
+        p.guard_exec_counts.extend([(11, 2), (42, 1)]);
+        p.guard_misspec_counts.insert(11, 1);
         p
     }
 
@@ -402,8 +386,8 @@ mod tests {
         a.guard_misspec_counts.insert(7, u64::MAX - 1);
         a.guard_exec_counts.insert(7, u64::MAX);
         let mut b = ProfileData::default();
-        b.record_guard(7, true);
-        b.record_guard(7, true);
+        b.guard_exec_counts.insert(7, 2);
+        b.guard_misspec_counts.insert(7, 2);
         a.merge_saturating(&b);
         assert_eq!(a.guard_misspec(7), u64::MAX);
         assert_eq!(a.guard_exec(7), u64::MAX);

@@ -326,9 +326,12 @@ impl<'m> Vm<'m> {
         );
         self.pending_native_osr = None;
         let mut stack: Vec<TFrame> = Vec::new();
-        self.push_mixed(&mut stack, f, args, Vec::new(), mode)?;
         let mut seg = TierSegments::new(matches!(mode, MixedMode::Tiered { .. }));
-        self.mixed_loop(&mut stack, mode, &mut seg)
+        let result = self
+            .push_mixed(&mut stack, f, args, Vec::new(), mode)
+            .and_then(|()| self.mixed_loop(&mut stack, mode, &mut seg));
+        self.drain_counters();
+        result
     }
 
     fn mixed_loop(

@@ -388,7 +388,7 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
             if profiling {
                 lifetime.profile.merge_saturating(&vm.profile);
                 lifetime.runs = lifetime.runs.saturating_add(1);
-                flush.set_delta(vm.profile.clone());
+                flush.set_delta(std::mem::take(&mut vm.profile));
                 // The store merges this run's delta under its lock; a
                 // Locked/Io failure skips persisting this one run.
                 match flush.flush() {
@@ -424,6 +424,17 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                     for (name, n) in top {
                         diag.dump(&format!("  {name:<14} {n:>12}"));
                     }
+                }
+                // What collecting the profile allocated and recorded (all
+                // zero without `--profile` / `--cache-dir`).
+                let p = vm.profile_stats();
+                diag.dump("[profile] counters:");
+                for (name, n) in [
+                    ("vm.profile.funcs", p.funcs),
+                    ("vm.profile.slots", p.slots),
+                    ("vm.profile.nonzero", p.nonzero),
+                ] {
+                    diag.dump(&format!("  {name:<18} {n:>8}"));
                 }
                 if use_tiered {
                     diag.dump("\n[tier]");

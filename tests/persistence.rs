@@ -22,7 +22,9 @@ use std::process::Command;
 
 use lpat::bytecode::write_module;
 use lpat::core::Module;
-use lpat::vm::{module_hash, reoptimize, PgoOptions, ProfileData, Store, Vm, VmOptions};
+use lpat::vm::{
+    module_hash, reoptimize, FlushGuard, PgoOptions, ProfileData, Store, Vm, VmOptions,
+};
 
 /// A program with a clearly hot call pair inside a loop whose trip count
 /// we can scale; `main` returns 0 so subprocess success is unambiguous.
@@ -169,6 +171,53 @@ fn two_runs_store_exactly_doubled_counts() {
     for (k, v) in &single.callsite_counts {
         assert_eq!(stored.profile.callsite_counts.get(k), Some(&(v * 2)));
     }
+}
+
+/// A run that does not end cleanly still reaches the store. The engines'
+/// counters are folded into `Vm::profile` when the run returns `Err` too,
+/// and the guard persists what it was handed even when nobody calls
+/// `flush` (the early-return path): fuel running dry in machine code must
+/// store the bytes the reference interpreter collects at the same fuel.
+#[test]
+fn flush_guard_persists_the_profile_of_a_run_that_ran_dry() {
+    let m = build(1_000_000);
+    let hash = module_hash(&m);
+    let run = |native: bool| {
+        let opts = VmOptions {
+            profile: true,
+            fuel: Some(200_000),
+            tier_up: 0,
+            native_up: native.then_some(0),
+            ..VmOptions::default()
+        };
+        let mut vm = Vm::new(&m, opts).expect("vm");
+        let r = if native {
+            vm.run_main_tiered()
+        } else {
+            vm.run_main()
+        };
+        assert!(r.is_err(), "200k instructions cannot finish this loop");
+        if native {
+            assert!(vm.tier_stats.native_insts > 100_000, "{:?}", vm.tier_stats);
+        }
+        std::mem::take(&mut vm.profile)
+    };
+    let reference = run(false);
+    assert!(!reference.is_empty());
+
+    let cache = fresh_dir("flush-ran-dry");
+    let store = Store::open(&cache).expect("open");
+    {
+        let mut flush = FlushGuard::new(Some(&store), hash);
+        flush.set_delta(run(true));
+    }
+    let stored = store
+        .load_profile(hash)
+        .expect("load")
+        .value
+        .expect("the dropped guard flushed");
+    assert_eq!(stored.runs, 1);
+    assert_eq!(stored.profile.to_bytes(), reference.to_bytes());
 }
 
 #[test]

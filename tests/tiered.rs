@@ -55,9 +55,21 @@ fn observe_full(
     warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
 ) -> Observed {
+    observe_fueled(m, engine, tier_up, native_up, warm, spec, 20_000_000)
+}
+
+fn observe_fueled(
+    m: &lpat::core::Module,
+    engine: &str,
+    tier_up: u64,
+    native_up: Option<u64>,
+    warm: Option<&lpat::vm::ProfileData>,
+    spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
+    fuel: u64,
+) -> Observed {
     let opts = VmOptions {
         profile: true,
-        fuel: Some(20_000_000),
+        fuel: Some(fuel),
         tier_up,
         native_up,
         ..VmOptions::default()
@@ -217,16 +229,8 @@ fn warm_start_promotes_hot_functions_eagerly() {
 // ---------------------------------------------------------------------
 
 fn trap_case(src: &str, expect: TrapKind) {
-    let m = lpat::asm::parse_module("t", src).unwrap();
-    m.verify().unwrap_or_else(|e| panic!("{e:?}"));
-    let reference = observe(&m, "interp", 0, None);
+    let reference = same_in_every_engine(&parse(src), 20_000_000);
     assert_eq!(reference.outcome, Err(expect));
-    for t in THRESHOLDS {
-        let tiered = observe(&m, "tiered", t, None);
-        assert_eq!(reference, tiered, "trap case diverged at tier_up={t}");
-        let native = observe_native(&m, t, t);
-        assert_eq!(reference, native, "trap case diverged at native_up={t}");
-    }
 }
 
 #[test]
@@ -354,6 +358,216 @@ x:
         let native = observe_native(&m, t, t);
         assert_eq!(reference, native, "invoke case diverged at native_up={t}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Profile recording: the engines count in index-addressed slabs that are
+// folded into `Vm::profile` when a run returns. Edge identity and the
+// drain must hold in every engine and on every way out of a run.
+// ---------------------------------------------------------------------
+
+/// `m` under every engine configuration — full JIT, and the tiered engine
+/// at each threshold with and without the machine-code tier — each of
+/// which must observe what the reference interpreter (returned) observes
+/// at the same fuel, down to the bytes of the profile the store persists.
+fn same_in_every_engine(m: &lpat::core::Module, fuel: u64) -> Observed {
+    let reference = observe_fueled(m, "interp", 0, None, None, None, fuel);
+    let check = |what: String, got: Observed| {
+        assert_eq!(
+            reference.profile.to_bytes(),
+            got.profile.to_bytes(),
+            "{what}: profile bytes"
+        );
+        assert_eq!(reference, got, "{what}");
+    };
+    check(
+        "jit".into(),
+        observe_fueled(m, "jit", 0, None, None, None, fuel),
+    );
+    for t in THRESHOLDS {
+        for native_up in [None, Some(t)] {
+            check(
+                format!("tier_up={t} native_up={native_up:?}"),
+                observe_fueled(m, "tiered", t, native_up, None, None, fuel),
+            );
+        }
+    }
+    reference
+}
+
+fn parse(src: &str) -> lpat::core::Module {
+    let m = lpat::asm::parse_module("t", src).unwrap();
+    m.verify().unwrap_or_else(|e| panic!("{e:?}"));
+    m
+}
+
+/// A traversal counts once, under the single `(from, to)` key it has,
+/// when one terminator names a block several times: a `condbr` with both
+/// arms on one block, a `switch` with several cases (and the default) on
+/// one target. Invoke normal/unwind edges land beside them. And a slot
+/// that was never bumped must not surface as a zero-count entry.
+#[test]
+fn duplicate_successors_count_once_under_one_key() {
+    let m = parse(
+        "
+define void @maybe_throw(int %i) {
+e:
+  %c = seteq int %i, 253
+  br bool %c, label %t, label %ok
+t:
+  unwind
+ok:
+  ret void
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %l ]
+  %s = phi int [ 0, %e ], [ %s2, %l ]
+  %c = setlt int %i, 300
+  br bool %c, label %body, label %x
+body:
+  %odd = rem int %i, 2
+  %isodd = seteq int %odd, 1
+  br bool %isodd, label %same, label %same
+same:
+  %r = rem int %i, 5
+  switch int %r, label %other [ int 0, label %hit int 1, label %hit int 2, label %other int 3, label %three ]
+hit:
+  br label %l
+three:
+  invoke void @maybe_throw(int %i) to label %l unwind label %caught
+other:
+  br label %l
+l:
+  %k = phi int [ 1, %hit ], [ 3, %three ], [ 0, %other ]
+  %s2 = add int %s, %k
+  %i2 = add int %i, 1
+  br label %h
+caught:
+  ret int -1
+x:
+  ret int %s
+}",
+    );
+    let seen = same_in_every_engine(&m, 20_000_000);
+    // The invoke at i = 253 throws: 254 iterations reach `same`.
+    assert_eq!(seen.outcome, Ok(-1));
+    let main = m.func_by_name("main").unwrap();
+    let block = |n: usize| lpat::core::BlockId::from_index(n);
+    let (body, same, hit, three, other, l, caught) = (
+        block(2),
+        block(3),
+        block(4),
+        block(5),
+        block(6),
+        block(7),
+        block(8),
+    );
+    let edge = |a, b| seen.profile.edge_count(main, a, b);
+    assert_eq!(edge(body, same), 254);
+    assert_eq!(seen.profile.block_count(main, same), 254);
+    assert_eq!(edge(same, hit), 102); // i % 5 in {0, 1}
+    assert_eq!(edge(same, other), 101); // 2 by case, 4 by default
+    assert_eq!(edge(same, three), 51);
+    assert_eq!(edge(three, l), 50);
+    assert_eq!(edge(three, caught), 1);
+    let p = &seen.profile;
+    let zero = |n: &u64| *n == 0;
+    assert!(
+        !(p.block_counts.values().any(zero)
+            || p.edge_counts.values().any(zero)
+            || p.call_counts.values().any(zero)
+            || p.callsite_counts.values().any(zero)),
+        "a zero-count slot surfaced: {p:?}"
+    );
+    // `x` never ran and `t` ran once: absent and present, not zero.
+    assert!(!p.block_counts.contains_key(&(main, block(9))));
+
+    // Without instrumentation nothing is recorded at all.
+    let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
+    vm.run_main_tiered().unwrap();
+    assert!(vm.profile.is_empty());
+    assert_eq!(vm.profile_stats(), lpat::vm::ProfileStats::default());
+}
+
+/// The slabs are drained on every way out of a run, not only on a clean
+/// return: fuel running dry inside a hot (machine-code) loop, a trap
+/// inside a translated frame, and an `unwind` escaping `main` each leave
+/// the bytes the reference interpreter leaves at the same fuel.
+#[test]
+fn profile_is_drained_on_every_exit_path() {
+    let hot_loop = parse(
+        "
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %b ]
+  %c = setgt int %i, -1
+  br bool %c, label %b, label %x
+b:
+  %i2 = add int %i, 1
+  br label %h
+x:
+  ret int 0
+}",
+    );
+    let seen = same_in_every_engine(&hot_loop, 10_000);
+    assert_eq!(seen.outcome, Err(TrapKind::OutOfFuel));
+    assert_eq!(seen.fuel_left, Some(0));
+    let main = hot_loop.func_by_name("main").unwrap();
+    let h = lpat::core::BlockId::from_index(1);
+    assert!(seen.profile.block_count(main, h) > 2_000);
+
+    let trap_in_callee = parse(
+        "
+define int @inv(int %d) {
+e:
+  %q = div int 1000, %d
+  ret int %q
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 100, %e ], [ %i2, %h ]
+  %q = call int @inv(int %i)
+  %i2 = sub int %i, 1
+  br label %h
+}",
+    );
+    let seen = same_in_every_engine(&trap_in_callee, 20_000_000);
+    assert_eq!(seen.outcome, Err(TrapKind::DivByZero));
+    let inv = trap_in_callee.func_by_name("inv").unwrap();
+    assert_eq!(seen.profile.call_counts[&inv], 101);
+
+    let escaping_unwind = parse(
+        "
+define void @thrower(int %i) {
+e:
+  %c = seteq int %i, 120
+  br bool %c, label %t, label %ok
+t:
+  unwind
+ok:
+  ret void
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  call void @thrower(int %i)
+  %i2 = add int %i, 1
+  br label %h
+}",
+    );
+    let seen = same_in_every_engine(&escaping_unwind, 20_000_000);
+    assert_eq!(seen.outcome, Err(TrapKind::UncaughtUnwind));
+    let thrower = escaping_unwind.func_by_name("thrower").unwrap();
+    assert_eq!(seen.profile.call_counts[&thrower], 121);
 }
 
 // ---------------------------------------------------------------------

@@ -344,3 +344,43 @@ fn stats_prints_opcode_histogram() {
         "missing metrics table:\n{stderr}"
     );
 }
+
+/// What profiling allocated and recorded is readable from `--stats` and
+/// from the metrics export: three keyed counters, kept at zero when the
+/// run was not instrumented, and the same at `--jobs` 1 and 8.
+#[test]
+fn stats_and_metrics_carry_the_profile_counters() {
+    let dir = tmpdir("trace-profile-counters");
+    let prog = write_program(&dir);
+    let run = |profile: bool, jobs: &str| {
+        let metrics_out = dir.join(format!("metrics-{profile}-{jobs}.json"));
+        let mut c = lpatc();
+        c.args(["run", prog.to_str().unwrap(), "--stats", "--jobs", jobs])
+            .args(["--metrics-out", metrics_out.to_str().unwrap()])
+            .args(["--trace-clock", "virtual"]);
+        if profile {
+            c.arg("--profile");
+        }
+        let out = c.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains("[profile] counters:"), "{stderr}");
+        (stderr, read(&metrics_out))
+    };
+    let (stderr, metrics) = run(false, "1");
+    for key in ["vm.profile.funcs", "vm.profile.slots", "vm.profile.nonzero"] {
+        assert!(
+            metrics.contains(&format!("\"{key}\":0")),
+            "{key} must be kept at zero: {metrics}"
+        );
+        let row = stderr.lines().find(|l| l.trim().starts_with(key));
+        assert!(
+            row.is_some_and(|l| l.trim().ends_with(" 0")),
+            "{key}:\n{stderr}"
+        );
+    }
+    let (_, metrics) = run(true, "1");
+    // main, a, b, c, d and fib all ran.
+    assert!(metrics.contains("\"vm.profile.funcs\":6"), "{metrics}");
+    assert!(!metrics.contains("\"vm.profile.nonzero\":0"), "{metrics}");
+    assert_eq!(metrics, run(true, "8").1, "metrics differ across --jobs");
+}
