@@ -117,6 +117,54 @@ x:
     }
 
     #[test]
+    fn code_size_is_a_function_of_the_module() {
+        // Ten arguments, all used in the outer loop's body after the inner
+        // loop, so every one crosses a back edge and is extended to the
+        // last one: ten intervals `[0, last back edge]` for the allocator
+        // to order. Argument k is used k + 1 times, so which ones it
+        // spills shows in the code size. The scan order is
+        // (start, end, value number).
+        let params: Vec<String> = (0..10).map(|k| format!("int %a{k}")).collect();
+        let mut src = format!("define int @main({}) {{\n", params.join(", "));
+        src.push_str(
+            "e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ], [ %i2, %b ]
+  %s = phi int [ 0, %e ], [ %s, %h ], [ %t9_9, %b ]
+  %i2 = add int %i, 1
+  %c = setlt int %i2, %a0
+  br bool %c, label %h, label %b
+b:
+",
+        );
+        let mut acc = String::from("%s");
+        for k in 0..10 {
+            for u in 0..=k {
+                src.push_str(&format!("  %t{k}_{u} = add int {acc}, %a{k}\n"));
+                acc = format!("%t{k}_{u}");
+            }
+        }
+        src.push_str(
+            "  %c2 = setlt int %t9_9, %a1
+  br bool %c2, label %h, label %x
+x:
+  ret int %t9_9
+}
+",
+        );
+        let m = lpat_asm::parse_module("t", &src).unwrap();
+        m.verify().unwrap();
+        for target in [&Cisc32 as &dyn Target, &Risc32] {
+            let first = compile_module(&m, target).code_size;
+            for _ in 1..100 {
+                let again = compile_module(&m, target).code_size;
+                assert_eq!(again, first, "{}", target.name());
+            }
+        }
+    }
+
+    #[test]
     fn globals_count_in_data_section() {
         let (cisc, _, _) = sizes(
             "

@@ -1,7 +1,5 @@
 //! IR → machine-IR lowering with linear-scan register allocation.
 
-use std::collections::HashMap;
-
 use lpat_core::{BinOp, Const, FuncId, Function, Inst, InstId, Module, Type, Value};
 
 use crate::mir::{Loc, MFunc, MInst, MKind, PReg, Src};
@@ -22,18 +20,19 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
             ..MFunc::default()
         };
     }
-    let (locs, spill_slots) = allocate(m, f, budget);
+    let params = f.num_params();
+    let (locs, spill_slots) = allocate(f, budget);
     let mut static_alloca = 0u32;
 
-    // Pre-scan static allocas so they become frame offsets.
-    let mut alloca_offsets: HashMap<InstId, u32> = HashMap::new();
+    // Pre-scan static allocas so they become frame offsets (by arena slot).
+    let mut alloca_offsets = vec![0u32; f.num_inst_slots()];
     for iid in f.inst_ids_in_order() {
         if let Inst::Alloca {
             elem_ty,
             count: None,
         } = f.inst(iid)
         {
-            alloca_offsets.insert(iid, static_alloca);
+            alloca_offsets[iid.index()] = static_alloca;
             static_alloca += m.types.size_of(*elem_ty).max(1) as u32;
             static_alloca = (static_alloca + 7) & !7;
         }
@@ -42,8 +41,8 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
 
     let src_of = |v: Value| -> Src {
         match v {
-            Value::Inst(i) => Src::Loc(locs[&ValKey::Inst(i)]),
-            Value::Arg(n) => Src::Loc(locs[&ValKey::Arg(n)]),
+            Value::Inst(i) => Src::Loc(locs[inst_num(params, i)]),
+            Value::Arg(n) => Src::Loc(locs[n as usize]),
             Value::Const(c) => match m.consts.get(c) {
                 Const::Bool(b) => Src::Imm(*b as i64),
                 Const::Int { value, .. } => Src::Imm(*value),
@@ -57,7 +56,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
             },
         }
     };
-    let dst_of = |i: InstId| -> Option<Loc> { locs.get(&ValKey::Inst(i)).copied() };
+    let dst_of = |i: InstId| -> Option<Loc> { Some(locs[inst_num(params, i)]) };
 
     let mut blocks: Vec<Vec<MInst>> = Vec::with_capacity(f.num_blocks());
     for b in f.block_ids() {
@@ -72,7 +71,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
         let insts = f.block_insts(b);
         for (pos, &iid) in insts.iter().enumerate() {
             let is_last = pos + 1 == insts.len();
-            let inst = f.inst(iid).clone();
+            let inst = f.inst(iid);
             // φ-copies belong at the *end* of predecessors; before emitting
             // a terminator, emit copies for every successor φ.
             if is_last && inst.is_terminator() {
@@ -89,43 +88,43 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
             match inst {
                 Inst::Phi { .. } => {} // handled at predecessor ends
                 Inst::Bin { op, lhs, rhs } => out.push(MInst::new(
-                    MKind::Bin(op),
+                    MKind::Bin(*op),
                     dst_of(iid),
-                    vec![src_of(lhs), src_of(rhs)],
+                    vec![src_of(*lhs), src_of(*rhs)],
                 )),
                 Inst::Cmp { pred, lhs, rhs } => out.push(MInst::new(
-                    MKind::Cmp(pred),
+                    MKind::Cmp(*pred),
                     dst_of(iid),
-                    vec![src_of(lhs), src_of(rhs)],
+                    vec![src_of(*lhs), src_of(*rhs)],
                 )),
                 Inst::Cast { val, .. } => {
-                    out.push(MInst::new(MKind::Cast, dst_of(iid), vec![src_of(val)]))
+                    out.push(MInst::new(MKind::Cast, dst_of(iid), vec![src_of(*val)]))
                 }
                 Inst::Load { ptr } => {
                     let size = first_class_size(m, f.inst_ty(iid));
                     out.push(MInst::new(
                         MKind::Load(size),
                         dst_of(iid),
-                        vec![src_of(ptr)],
+                        vec![src_of(*ptr)],
                     ));
                 }
                 Inst::Store { val, ptr } => {
-                    let size = first_class_size(m, m.value_type(f, val));
+                    let size = first_class_size(m, m.value_type(f, *val));
                     out.push(MInst::new(
                         MKind::Store(size),
                         None,
-                        vec![src_of(val), src_of(ptr)],
+                        vec![src_of(*val), src_of(*ptr)],
                     ));
                 }
                 Inst::Gep { ptr, indices } => {
-                    lower_gep(m, f, ptr, &indices, &src_of, dst_of(iid), &mut out);
+                    lower_gep(m, f, *ptr, indices, &src_of, dst_of(iid), &mut out);
                 }
                 Inst::Alloca { count: None, .. } => {
                     // Static alloca: address = frame base + offset.
                     out.push(MInst::new(
                         MKind::Lea {
                             scale: 0,
-                            disp: alloca_offsets[&iid] as i64,
+                            disp: alloca_offsets[iid.index()] as i64,
                         },
                         dst_of(iid),
                         vec![Src::Imm(0)],
@@ -136,7 +135,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
                     out.push(MInst::new(
                         MKind::Bin(BinOp::Sub),
                         dst_of(iid),
-                        vec![Src::Imm(0), src_of(c)],
+                        vec![Src::Imm(0), src_of(*c)],
                     ));
                 }
                 Inst::Malloc { count, .. } => {
@@ -144,7 +143,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
                     out.push(MInst::new(MKind::Call { nargs }, dst_of(iid), vec![]));
                 }
                 Inst::Free(p) => {
-                    out.push(MInst::new(MKind::Call { nargs: 1 }, None, vec![src_of(p)]));
+                    out.push(MInst::new(MKind::Call { nargs: 1 }, None, vec![src_of(*p)]));
                 }
                 Inst::VaArg { .. } => {
                     out.push(MInst::new(MKind::Load(4), dst_of(iid), vec![Src::Imm(0)]));
@@ -184,27 +183,22 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
                     out.push(MInst::new(
                         MKind::CondJump(then_bb.index()),
                         None,
-                        vec![src_of(cond)],
+                        vec![src_of(*cond)],
                     ));
                     if else_bb.index() != b.index() + 1 {
                         out.push(MInst::new(MKind::Jump(else_bb.index()), None, vec![]));
                     }
                 }
-                Inst::Switch {
-                    val,
-                    cases,
-                    default,
-                } => {
+                Inst::Switch { val, cases, .. } => {
                     out.push(MInst::new(
                         MKind::JumpTable(cases.len()),
                         None,
-                        vec![src_of(val)],
+                        vec![src_of(*val)],
                     ));
-                    let _ = default;
                 }
                 Inst::Ret(v) => {
                     let srcs = v.map(|v| vec![src_of(v)]).unwrap_or_default();
-                    out.push(MInst::new(MKind::Mov, None, srcs.clone()));
+                    out.push(MInst::new(MKind::Mov, None, srcs));
                     out.push(MInst::new(MKind::Epilogue, None, vec![]));
                     out.push(MInst::new(MKind::Ret, None, vec![]));
                 }
@@ -306,105 +300,109 @@ fn lower_gep(
 // Linear-scan register allocation
 // ----------------------------------------------------------------------
 
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-enum ValKey {
-    Inst(InstId),
-    Arg(u32),
+/// Every SSA value of a function has a *value number*: parameter `n` is
+/// `n`, the instruction in arena slot `i` is `params + i`. All the
+/// allocator's tables are `Vec`s indexed by it.
+fn inst_num(params: usize, i: InstId) -> usize {
+    params + i.index()
 }
 
-/// Compute locations for every SSA value; returns the map and the number
-/// of spill slots used.
-fn allocate(m: &Module, f: &Function, budget: RegBudget) -> (HashMap<ValKey, Loc>, u32) {
-    let _ = m;
-    // Linear indices.
-    let mut index: HashMap<InstId, usize> = HashMap::new();
+/// The value number of `v`; constants have none.
+fn val_num(params: usize, v: Value) -> Option<usize> {
+    match v {
+        Value::Arg(n) => Some(n as usize),
+        Value::Inst(i) => Some(inst_num(params, i)),
+        Value::Const(_) => None,
+    }
+}
+
+/// Compute a location for every SSA value, by value number (unlinked
+/// arena slots keep a placeholder nobody reads); returns the table and the
+/// number of spill slots used.
+///
+/// Linear scan over live intervals `[start, end]` in linear instruction
+/// positions (parameters are defined at 0, linked instructions at 1.. in
+/// layout order). Values are scanned in `(start, end, value number)`
+/// order, which is total, so the result is a function of the IR alone.
+/// One pass over the body builds the intervals, a binary search per value
+/// over the back-edge positions extends the loop-carried ones, and the
+/// scan keeps at most `budget.gprs` intervals active: O(n log n).
+fn allocate(f: &Function, budget: RegBudget) -> (Vec<Loc>, u32) {
+    let params = f.num_params();
+    let n_vals = params + f.num_inst_slots();
+    let mut start = vec![0usize; n_vals];
+    let mut end = vec![0usize; n_vals];
+    let mut order: Vec<usize> = (0..params).collect();
     for (i, iid) in f.inst_ids_in_order().enumerate() {
-        index.insert(iid, i + 1); // 0 reserved for args
+        let v = inst_num(params, iid);
+        start[v] = i + 1;
+        end[v] = i + 1;
+        order.push(v);
     }
-    // Intervals.
-    let mut start: HashMap<ValKey, usize> = HashMap::new();
-    let mut end: HashMap<ValKey, usize> = HashMap::new();
-    for a in 0..f.num_params() as u32 {
-        start.insert(ValKey::Arg(a), 0);
-        end.insert(ValKey::Arg(a), 0);
-    }
-    for iid in f.inst_ids_in_order() {
-        let i = index[&iid];
-        start.insert(ValKey::Inst(iid), i);
-        end.insert(ValKey::Inst(iid), i);
+    // Position of each block's terminator, and of the terminators that
+    // are sources of a back edge; blocks are visited in layout order, so
+    // the latter come out sorted.
+    let mut term_pos: Vec<Option<usize>> = vec![None; f.num_blocks()];
+    let mut back_edges: Vec<usize> = Vec::new();
+    for b in f.block_ids() {
+        let Some(t) = f.terminator(b) else { continue };
+        let pos = start[inst_num(params, t)];
+        term_pos[b.index()] = Some(pos);
+        let succs = f.inst(t).successors();
+        if succs.iter().any(|s| s.index() <= b.index()) {
+            back_edges.push(pos);
+        }
     }
     // Uses extend intervals; φ-uses extend to the predecessor's terminator.
-    let term_index: HashMap<lpat_core::BlockId, usize> = f
-        .block_ids()
-        .filter_map(|b| f.terminator(b).map(|t| (b, index[&t])))
-        .collect();
-    for b in f.block_ids() {
-        for &iid in f.block_insts(b) {
-            let at = index[&iid];
-            match f.inst(iid) {
-                Inst::Phi { incoming } => {
-                    for (v, pb) in incoming {
-                        let key = match v {
-                            Value::Inst(d) => ValKey::Inst(*d),
-                            Value::Arg(n) => ValKey::Arg(*n),
-                            _ => continue,
-                        };
-                        let upto = term_index.get(pb).copied().unwrap_or(at);
-                        let e = end.entry(key).or_insert(0);
-                        *e = (*e).max(upto);
+    for iid in f.inst_ids_in_order() {
+        let at = start[inst_num(params, iid)];
+        match f.inst(iid) {
+            Inst::Phi { incoming } => {
+                for (v, pb) in incoming {
+                    if let Some(v) = val_num(params, *v) {
+                        let upto = term_pos[pb.index()].unwrap_or(at);
+                        end[v] = end[v].max(upto);
                     }
                 }
-                other => other.for_each_operand(|v| {
-                    let key = match v {
-                        Value::Inst(d) => ValKey::Inst(d),
-                        Value::Arg(n) => ValKey::Arg(n),
-                        _ => return,
-                    };
-                    let e = end.entry(key).or_insert(0);
-                    *e = (*e).max(at);
-                }),
             }
+            other => other.for_each_operand(|v| {
+                if let Some(v) = val_num(params, v) {
+                    end[v] = end[v].max(at);
+                }
+            }),
         }
     }
     // Any value whose range crosses a loop back edge is conservatively
     // extended to the last back-edge source: values live around a loop
     // must not share registers with loop-local ones. This errs towards
     // more spills, which is safe for the size model.
-    let mut back_edge_max: usize = 0;
-    for b in f.block_ids() {
-        if f.successors(b).into_iter().any(|s| s.index() <= b.index()) {
-            back_edge_max = back_edge_max.max(term_index.get(&b).copied().unwrap_or(0));
-        }
-    }
-    let keys: Vec<ValKey> = start.keys().copied().collect();
-    for k in keys {
-        let s = start[&k];
-        let e = end[&k];
-        if e > s && s < back_edge_max && e >= s {
-            // Live across a region containing back edges: extend.
-            if e < back_edge_max && crosses_back_edge(f, &index, k, s, e) {
-                end.insert(k, back_edge_max);
+    if let Some(&last) = back_edges.last() {
+        for &v in &order {
+            let (s, e) = (start[v], end[v]);
+            if s < e && e < last {
+                let next = back_edges.partition_point(|&t| t < s);
+                if back_edges[next] <= e {
+                    end[v] = last;
+                }
             }
         }
     }
 
-    // Sort by start; linear scan.
-    let mut vals: Vec<ValKey> = start.keys().copied().collect();
-    vals.sort_by_key(|k| (start[k], end[k]));
-    let mut active: Vec<(ValKey, usize, PReg)> = Vec::new(); // (val, end, reg)
+    order.sort_unstable_by_key(|&v| (start[v], end[v], v));
+    let mut active: Vec<(usize, usize, PReg)> = Vec::new(); // (val, end, reg)
     let mut free: Vec<PReg> = (0..budget.gprs).rev().map(PReg).collect();
-    let mut locs: HashMap<ValKey, Loc> = HashMap::new();
+    let mut locs = vec![Loc::Slot(0); n_vals];
     let mut spill_slots = 0u32;
-    for k in vals {
-        let s = start[&k];
-        let e = end[&k];
-        if e <= s && !matches!(k, ValKey::Arg(_)) {
+    for v in order {
+        let s = start[v];
+        let e = end[v];
+        if e <= s && v >= params {
             // Dead value: give it a register transiently if available,
             // else a slot; it costs nothing either way.
             if let Some(r) = free.last() {
-                locs.insert(k, Loc::Reg(*r));
+                locs[v] = Loc::Reg(*r);
             } else {
-                locs.insert(k, Loc::Slot(spill_slots * 8));
+                locs[v] = Loc::Slot(spill_slots * 8);
                 spill_slots += 1;
             }
             continue;
@@ -419,8 +417,8 @@ fn allocate(m: &Module, f: &Function, budget: RegBudget) -> (HashMap<ValKey, Loc
             }
         });
         if let Some(r) = free.pop() {
-            active.push((k, e, r));
-            locs.insert(k, Loc::Reg(r));
+            active.push((v, e, r));
+            locs[v] = Loc::Reg(r);
         } else {
             // Spill the interval with the furthest end.
             let (pos, &(vk, ve, vr)) = active
@@ -429,38 +427,15 @@ fn allocate(m: &Module, f: &Function, budget: RegBudget) -> (HashMap<ValKey, Loc
                 .max_by_key(|(_, &(_, ae, _))| ae)
                 .expect("active non-empty when out of registers");
             if ve > e {
-                locs.insert(vk, Loc::Slot(spill_slots * 8));
+                locs[vk] = Loc::Slot(spill_slots * 8);
                 spill_slots += 1;
-                active[pos] = (k, e, vr);
-                locs.insert(k, Loc::Reg(vr));
+                active[pos] = (v, e, vr);
+                locs[v] = Loc::Reg(vr);
             } else {
-                locs.insert(k, Loc::Slot(spill_slots * 8));
+                locs[v] = Loc::Slot(spill_slots * 8);
                 spill_slots += 1;
             }
         }
     }
     (locs, spill_slots)
-}
-
-/// Does the value's live range span a loop back edge?
-fn crosses_back_edge(
-    f: &Function,
-    index: &HashMap<InstId, usize>,
-    _k: ValKey,
-    s: usize,
-    e: usize,
-) -> bool {
-    for b in f.block_ids() {
-        for succ in f.successors(b) {
-            if succ.index() <= b.index() {
-                if let Some(t) = f.terminator(b) {
-                    let ti = index[&t];
-                    if s <= ti && ti <= e {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lpat_analysis::PreservedAnalyses;
-use lpat_core::{Const, FuncId, Inst, Module, Value};
+use lpat_core::{BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
 
 use crate::fpm::{FuncUnit, FunctionPass};
 use crate::pm::PassEffect;
@@ -64,7 +64,7 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
     // 1. Constant-fold conditional branches and switches.
     {
         let f = &*u.func;
-        let mut patches: Vec<(lpat_core::InstId, Inst)> = Vec::new();
+        let mut patches: Vec<(BlockId, InstId, Inst)> = Vec::new();
         for b in f.block_ids() {
             let Some(t) = f.terminator(b) else { continue };
             match f.inst(t) {
@@ -75,17 +75,13 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
                 } => {
                     if let Const::Bool(v) = u.consts.get(*c) {
                         let target = if *v { *then_bb } else { *else_bb };
-                        let dropped = if *v { *else_bb } else { *then_bb };
-                        patches.push((t, Inst::Br(target)));
-                        // φ fix happens when the edge disappears; record by
-                        // rewriting below.
-                        let _ = dropped;
+                        patches.push((b, t, Inst::Br(target)));
                     }
                 }
                 Inst::CondBr {
                     then_bb, else_bb, ..
                 } if then_bb == else_bb => {
-                    patches.push((t, Inst::Br(*then_bb)));
+                    patches.push((b, t, Inst::Br(*then_bb)));
                 }
                 Inst::Switch {
                     val: Value::Const(c),
@@ -97,7 +93,7 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
                         .find(|(cc, _)| cc == c)
                         .map(|(_, b)| *b)
                         .unwrap_or(*default);
-                    patches.push((t, Inst::Br(target)));
+                    patches.push((b, t, Inst::Br(target)));
                 }
                 _ => {}
             }
@@ -107,28 +103,23 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
             // Removing an edge b -> dropped requires dropping b's entry
             // from dropped's φs. Compute old edges per patch.
             let f = &*u.func;
-            let mut phi_fixes: Vec<(lpat_core::BlockId, lpat_core::BlockId)> = Vec::new();
-            for (t, new_term) in &patches {
-                let old_succs = f.inst(*t).successors();
+            let mut phi_fixes: Vec<(BlockId, BlockId)> = Vec::new();
+            for (block, t, new_term) in &patches {
                 let new_succs = new_term.successors();
-                let block = f
-                    .block_ids()
-                    .find(|&b| f.terminator(b) == Some(*t))
-                    .expect("terminator has a block");
                 // One φ entry must go per lost edge *occurrence* (duplicate
                 // edges count separately).
-                let mut targets: Vec<lpat_core::BlockId> = old_succs.clone();
+                let mut targets: Vec<BlockId> = f.inst(*t).successors();
                 for s in new_succs {
                     if let Some(pos) = targets.iter().position(|&x| x == s) {
                         targets.remove(pos);
                     }
                 }
                 for s in targets {
-                    phi_fixes.push((s, block));
+                    phi_fixes.push((s, *block));
                 }
             }
             let fm = &mut *u.func;
-            for (t, new_term) in patches {
+            for (_, t, new_term) in patches {
                 *fm.inst_mut(t) = new_term;
             }
             for (s, pred) in phi_fixes {
@@ -150,65 +141,116 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
 
     // 3. Merge a block into its unique successor when that successor has a
     //    unique predecessor (splice the chain).
-    let mut merged = 0;
-    loop {
-        let f = &*u.func;
-        let preds = f.predecessors();
-        let mut candidate = None;
-        for b in f.block_ids() {
-            let Some(t) = f.terminator(b) else { continue };
-            if let Inst::Br(s) = f.inst(t) {
-                let s = *s;
-                if s != b && preds[s.index()].len() == 1 && s != f.entry() {
-                    candidate = Some((b, t, s));
-                    break;
-                }
-            }
-        }
-        let Some((b, t, s)) = candidate else { break };
-        merged += 1;
-        // φs in s have exactly one incoming (from b): replace by value.
-        let f = &*u.func;
-        let s_insts = f.block_insts(s).to_vec();
-        let mut replacements: Vec<(lpat_core::InstId, Value)> = Vec::new();
-        let mut keep: Vec<lpat_core::InstId> = Vec::new();
-        for iid in s_insts {
-            match f.inst(iid) {
-                Inst::Phi { incoming } => {
-                    assert_eq!(incoming.len(), 1, "single-pred block phi arity");
-                    replacements.push((iid, incoming[0].0));
-                }
-                _ => keep.push(iid),
-            }
-        }
-        let fm = &mut *u.func;
-        for (iid, v) in &replacements {
-            fm.replace_all_uses(Value::Inst(*iid), *v);
-        }
-        // Splice: b's insts minus terminator + s's kept insts.
-        let mut b_insts = fm.block_insts(b).to_vec();
-        b_insts.retain(|&i| i != t);
-        b_insts.extend(keep);
-        fm.set_block_insts(b, b_insts);
-        fm.set_block_insts(s, Vec::new());
-        // Successors of the old s now have pred b instead of s.
-        let n = fm.num_inst_slots();
-        for i in 0..n {
-            let iid = lpat_core::InstId::from_index(i);
-            if let Inst::Phi { incoming } = fm.inst_mut(iid) {
-                for (_, pb) in incoming {
-                    if *pb == s {
-                        *pb = b;
-                    }
-                }
-            }
-        }
-        // Drop the now-empty s.
-        let keep_mask: Vec<bool> = (0..fm.num_blocks()).map(|i| i != s.index()).collect();
-        fm.retain_blocks(&keep_mask);
-    }
+    let merged = merge_chains(u.func);
 
     (folded, removed, merged)
+}
+
+/// Splice every maximal chain `head → s1 → s2 → …`, where each link is a
+/// `Br` into a block with that one predecessor, into `head`; returns the
+/// number of blocks merged away.
+///
+/// A merge changes no other block's predecessor count, so which blocks
+/// merge is decided from one `predecessors()` and the result does not
+/// depend on the order of the merges. The chains are found first, then
+/// the instruction lists are spliced, and the two renames a merge calls
+/// for — a merged block's φs become their single incoming value, and φs
+/// downstream name `head` where they named the merged block — are applied
+/// to the arena in one sweep, followed by one `retain_blocks`.
+fn merge_chains(f: &mut Function) -> usize {
+    let preds = f.predecessors();
+    let entry = f.entry();
+    let n = f.num_blocks();
+    // `next[b]`: the block spliced after `b`. `tail[h]`: the last block of
+    // the chain `h` heads, so that absorbing a head met earlier in layout
+    // order skips to the end of its chain in one step.
+    let mut next: Vec<Option<BlockId>> = vec![None; n];
+    let mut absorbed = vec![false; n];
+    let mut tail: Vec<BlockId> = f.block_ids().collect();
+    let mut merged = 0;
+    for head in f.block_ids() {
+        if absorbed[head.index()] {
+            continue;
+        }
+        let mut last = head;
+        while let Some(&Inst::Br(s)) = f.terminator(last).map(|t| f.inst(t)) {
+            if s == head || s == entry || preds[s.index()].len() != 1 {
+                break;
+            }
+            next[last.index()] = Some(s);
+            absorbed[s.index()] = true;
+            last = tail[s.index()];
+            merged += 1;
+        }
+        tail[head.index()] = last;
+    }
+    if merged == 0 {
+        return 0;
+    }
+
+    // Splice: the head's instructions minus each `Br`, then each merged
+    // block's non-φ instructions. Its φs have exactly one incoming value
+    // and are replaced by it.
+    let mut into: Vec<Option<BlockId>> = vec![None; n];
+    let mut replaced: Vec<Option<Value>> = vec![None; f.num_inst_slots()];
+    for head in f.block_ids() {
+        if absorbed[head.index()] || next[head.index()].is_none() {
+            continue;
+        }
+        let mut insts = f.block_insts(head).to_vec();
+        let mut b = head;
+        while let Some(s) = next[b.index()] {
+            insts.pop();
+            for &iid in f.block_insts(s) {
+                match f.inst(iid) {
+                    Inst::Phi { incoming } => {
+                        assert_eq!(incoming.len(), 1, "single-pred block phi arity");
+                        replaced[iid.index()] = Some(incoming[0].0);
+                    }
+                    _ => insts.push(iid),
+                }
+            }
+            into[s.index()] = Some(head);
+            b = s;
+        }
+        f.set_block_insts(head, insts);
+    }
+
+    for i in 0..f.num_inst_slots() {
+        let inst = f.inst_mut(InstId::from_index(i));
+        inst.map_operands(|v| resolve(&mut replaced, v));
+        if let Inst::Phi { incoming } = inst {
+            for (_, pb) in incoming {
+                if let Some(Some(head)) = into.get(pb.index()) {
+                    *pb = *head;
+                }
+            }
+        }
+    }
+    let keep: Vec<bool> = into.iter().map(Option::is_none).collect();
+    f.retain_blocks(&keep);
+    merged
+}
+
+/// The value `v` stands for once every replaced φ is gone. A replacement
+/// may itself be a replaced φ (of a block merged further up the same
+/// chain, or in another one); the final value is cached along the path
+/// walked, so a long run of forwarding φs is not walked once per use.
+fn resolve(replaced: &mut [Option<Value>], v: Value) -> Value {
+    let step = |replaced: &[Option<Value>], v: Value| match v {
+        Value::Inst(i) => replaced[i.index()].map(|r| (i, r)),
+        _ => None,
+    };
+    let mut fin = v;
+    while let Some((_, r)) = step(replaced, fin) {
+        fin = r;
+    }
+    let mut cur = v;
+    while let Some((i, r)) = step(replaced, cur) {
+        replaced[i.index()] = Some(fin);
+        cur = r;
+    }
+    fin
 }
 
 #[cfg(test)]
@@ -285,6 +327,190 @@ m2:
         let fid = m.func_by_name("f").unwrap();
         assert_eq!(m.func(fid).num_blocks(), 1);
         assert_eq!(m.func(fid).num_insts(), 4);
+    }
+
+    /// The cases below print the same text under the implementation that
+    /// merged one block per CFG rescan; the expected strings were captured
+    /// from it.
+    fn check(src: &str, expected: &str) {
+        let text = opt(src).display();
+        let body = text.split_once("define").expect("one function").1;
+        assert_eq!(body.trim(), expected.trim(), "\n{text}");
+    }
+
+    #[test]
+    fn merges_a_long_chain_whose_tail_was_found_first() {
+        // Layout order meets %a (which absorbs %b, %c, %d) before %j, the
+        // block that absorbs %a: five blocks end up in %j.
+        check(
+            "
+define int @f(int %x, bool %k) {
+e:
+  br bool %k, label %j, label %s
+a:
+  %va = add int %vj, 1
+  br label %b
+b:
+  %vb = add int %va, 2
+  br label %c
+c:
+  %vc = add int %vb, 3
+  br label %d
+d:
+  %vd = add int %vc, 4
+  ret int %vd
+s:
+  br label %j
+j:
+  %vj = phi int [ 1, %e ], [ 2, %s ]
+  br label %a
+}",
+            "
+int @f(int %a0, bool %a1) {
+bb0:
+  br bool %a1, label %bb2, label %bb1
+bb1:
+  br label %bb2
+bb2:
+  %t10 = phi int [ 1, %bb0 ], [ 2, %bb1 ]
+  %t1 = add int %t10, 1
+  %t3 = add int %t1, 2
+  %t5 = add int %t3, 3
+  %t7 = add int %t5, 4
+  ret int %t7
+}",
+        );
+    }
+
+    #[test]
+    fn phi_of_a_merged_block_naming_a_phi_of_another_resolves_through() {
+        // %p2 (in %s2) is replaced by %p1 (in %s1), itself replaced by %v;
+        // %s2's chain comes first in layout order, %s1's second, and %s3
+        // adds a third hop within one chain.
+        check(
+            "
+define int @f(int %x, bool %k) {
+e:
+  br bool %k, label %h1, label %o
+j:
+  br label %s2
+s2:
+  %p2 = phi int [ %p1, %j ]
+  br label %s3
+s3:
+  %p3 = phi int [ %p2, %s2 ]
+  %r = add int %p3, %p1
+  ret int %r
+h1:
+  %v = add int %x, 1
+  br label %s1
+s1:
+  %p1 = phi int [ %v, %h1 ]
+  br bool %k, label %j, label %o2
+o:
+  ret int 0
+o2:
+  ret int %p1
+}",
+            "
+int @f(int %a0, bool %a1) {
+bb0:
+  br bool %a1, label %bb2, label %bb3
+bb1:
+  %t5 = add int %t7, %t7
+  ret int %t5
+bb2:
+  %t7 = add int %a0, 1
+  br bool %a1, label %bb1, label %bb4
+bb3:
+  ret int 0
+bb4:
+  ret int %t7
+}",
+        );
+    }
+
+    #[test]
+    fn successors_of_a_merged_tail_name_the_head_in_their_phis() {
+        check(
+            "
+define int @f(int %x, bool %k) {
+e:
+  br bool %k, label %h, label %m
+h:
+  %a = add int %x, 1
+  br label %s1
+s1:
+  %b = add int %a, 2
+  br label %s2
+s2:
+  %c = add int %b, 3
+  br bool %k, label %m, label %n
+n:
+  br label %m
+m:
+  %p = phi int [ 0, %e ], [ %c, %s2 ], [ %b, %n ]
+  ret int %p
+}",
+            "
+int @f(int %a0, bool %a1) {
+bb0:
+  br bool %a1, label %bb1, label %bb3
+bb1:
+  %t1 = add int %a0, 1
+  %t3 = add int %t1, 2
+  %t5 = add int %t3, 3
+  br bool %a1, label %bb3, label %bb2
+bb2:
+  br label %bb3
+bb3:
+  %t8 = phi int [ 0, %bb0 ], [ %t5, %bb1 ], [ %t3, %bb2 ]
+  ret int %t8
+}",
+        );
+    }
+
+    #[test]
+    fn self_loop_branch_is_left_alone() {
+        check(
+            "
+define int @f(int %x, bool %k) {
+e:
+  br bool %k, label %l, label %x
+l:
+  br label %l
+x:
+  ret int %x
+}",
+            "
+int @f(int %a0, bool %a1) {
+bb0:
+  br bool %a1, label %bb1, label %bb2
+bb1:
+  br label %bb1
+bb2:
+  ret int %a0
+}",
+        );
+    }
+
+    #[test]
+    fn entry_is_never_merged_into_its_predecessor() {
+        // %a branches to the entry, whose only predecessor it is.
+        check(
+            "
+define void @f() {
+e:
+  br label %a
+a:
+  br label %e
+}",
+            "
+void @f() {
+bb0:
+  br label %bb0
+}",
+        );
     }
 
     #[test]
