@@ -141,391 +141,6 @@ pub fn kb(bytes: usize) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 
-/// A minimal JSON value, produced by [`parse_json`]. Just enough to
-/// validate the benchmark artifacts this crate emits (no external
-/// dependencies allowed in this workspace).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (parsed as f64).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    pub fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document (strict enough for our own artifacts).
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    let v = json_value(b, &mut i)?;
-    json_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(v)
-}
-
-fn json_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn json_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    json_ws(b, i);
-    match b.get(*i) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *i += 1;
-            let mut fields = Vec::new();
-            json_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                json_ws(b, i);
-                let k = match json_value(b, i)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                json_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}", i = *i));
-                }
-                *i += 1;
-                fields.push((k, json_value(b, i)?));
-                json_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}", i = *i)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            json_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(json_value(b, i)?);
-                json_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}", i = *i)),
-                }
-            }
-        }
-        Some(b'"') => {
-            *i += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*i) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *i += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'u') => {
-                                let hex = b.get(*i + 1..*i + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                *i += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *i += 1;
-                    }
-                    Some(_) => {
-                        let start = *i;
-                        while *i < b.len() && b[*i] != b'"' && b[*i] != b'\\' {
-                            *i += 1;
-                        }
-                        s.push_str(
-                            std::str::from_utf8(&b[start..*i]).map_err(|_| "invalid UTF-8")?,
-                        );
-                    }
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *i;
-            *i += 1;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                *i += 1;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()
-                .and_then(|t| t.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        Some(_) => {
-            for (lit, v) in [
-                ("null", Json::Null),
-                ("true", Json::Bool(true)),
-                ("false", Json::Bool(false)),
-            ] {
-                if b[*i..].starts_with(lit.as_bytes()) {
-                    *i += lit.len();
-                    return Ok(v);
-                }
-            }
-            Err(format!("unexpected byte at {i}", i = *i))
-        }
-    }
-}
-
-/// Validate a `BENCH_vm.json` document against the `lpat-bench-vm/v3`
-/// schema (v2 plus the machine-code tier: the full-native `native` and
-/// three-tier `tiered_native` engines with native translation/promotion/
-/// OSR/instruction counters, and the native-vs-JIT and
-/// three-tier-vs-two-tier geomeans). Earlier schema tags are rejected
-/// outright — a v1/v2 file has no native rows and must be regenerated.
-/// Used by `vmperf` to self-check its output and by the CI smoke job to
-/// validate the committed artifact.
-pub fn validate_vm_bench(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-vm/v3") {
-        return Err("schema must be \"lpat-bench-vm/v3\"".into());
-    }
-    for key in ["scale", "reps"] {
-        doc.get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
-    }
-    let workloads = doc
-        .get("workloads")
-        .and_then(Json::arr)
-        .ok_or("missing 'workloads' array")?;
-    if workloads.is_empty() {
-        return Err("'workloads' must be non-empty".into());
-    }
-    for w in workloads {
-        let name = w
-            .get("name")
-            .and_then(Json::str)
-            .ok_or("workload missing 'name'")?;
-        let engines = w
-            .get("engines")
-            .ok_or_else(|| format!("{name}: missing 'engines'"))?;
-        for eng in [
-            "interp",
-            "jit",
-            "native",
-            "tiered",
-            "tiered_warm",
-            "tiered_native",
-            "tiered_spec",
-        ] {
-            let e = engines
-                .get(eng)
-                .ok_or_else(|| format!("{name}: missing engine '{eng}'"))?;
-            for field in ["wall_ms", "insts", "insts_per_sec"] {
-                e.get(field)
-                    .and_then(Json::num)
-                    .ok_or_else(|| format!("{name}.{eng}: missing numeric '{field}'"))?;
-            }
-            if eng != "interp" {
-                e.get("translate_ms")
-                    .and_then(Json::num)
-                    .ok_or_else(|| format!("{name}.{eng}: missing 'translate_ms'"))?;
-            }
-            if eng.starts_with("tiered") {
-                for field in ["promoted", "osr", "warmed"] {
-                    e.get(field)
-                        .and_then(Json::num)
-                        .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
-                }
-            }
-            if eng == "native" || eng == "tiered_native" {
-                for field in [
-                    "native_translate_ms",
-                    "native_promoted",
-                    "native_osr",
-                    "native_insts",
-                ] {
-                    e.get(field)
-                        .and_then(Json::num)
-                        .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
-                }
-            }
-            if eng == "tiered_spec" {
-                for field in ["guards", "guard_passed", "guard_failed", "deopts"] {
-                    e.get(field)
-                        .and_then(Json::num)
-                        .ok_or_else(|| format!("{name}.{eng}: missing '{field}'"))?;
-                }
-            }
-        }
-    }
-    for key in [
-        "geomean_speedup_tiered_vs_interp",
-        "geomean_speedup_warm_vs_cold",
-        "geomean_speedup_spec_warm_vs_cold",
-        "geomean_speedup_native_vs_jit",
-        "geomean_speedup_tiered_native_vs_tiered",
-    ] {
-        doc.get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
-    }
-    Ok(())
-}
-
-/// Validate a `BENCH_serve.json` document against the
-/// `lpat-bench-serve/v2` schema: a `servebench` load-generation run
-/// against `lpatd` with at least 8 concurrent clients, client-side
-/// latency percentiles, the server-side log-linear quantiles lifted
-/// from the scraped stats (`server_quantiles`), and the server's own
-/// `serve.*` counters plus quantile telemetry (the shed/error
-/// evidence). Used by `servebench` to self-check its output and by the
-/// CI smoke job to validate the committed artifact.
-pub fn validate_serve_bench(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    if doc.get("schema").and_then(Json::str) != Some("lpat-bench-serve/v2") {
-        return Err("schema must be \"lpat-bench-serve/v2\"".into());
-    }
-    for key in [
-        "clients",
-        "requests_per_client",
-        "workers",
-        "queue_depth",
-        "duration_ms",
-        "requests",
-        "ok",
-        "errors",
-        "busy",
-        "requests_per_sec",
-        "cache_hits",
-        "cache_misses",
-        "cache_hit_rate",
-    ] {
-        doc.get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
-    }
-    let clients = doc.get("clients").and_then(Json::num).unwrap_or(0.0);
-    if clients < 8.0 {
-        return Err(format!(
-            "'clients' must be >= 8 (concurrency is the point), got {clients}"
-        ));
-    }
-    if doc.get("errors").and_then(Json::num).unwrap_or(0.0) < 1.0 {
-        return Err("'errors' must be >= 1 (the hostile-request mix must register)".into());
-    }
-    let lat = doc.get("latency_ms").ok_or("missing 'latency_ms' object")?;
-    for key in ["p50", "p90", "p99", "max"] {
-        lat.get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("latency_ms: missing numeric '{key}'"))?;
-    }
-    // Server-side quantiles lifted out of the scraped stats: pure service
-    // time next to the client's wall-clock view; the gap is the queue.
-    let sq = doc
-        .get("server_quantiles")
-        .ok_or("missing 'server_quantiles' object")?;
-    for hist in ["latency_us", "queue_wait_us"] {
-        let h = sq
-            .get(hist)
-            .ok_or_else(|| format!("server_quantiles: missing '{hist}' object"))?;
-        for key in ["count", "p50", "p90", "p99", "max"] {
-            h.get(key)
-                .and_then(Json::num)
-                .ok_or_else(|| format!("server_quantiles.{hist}: missing numeric '{key}'"))?;
-        }
-    }
-    // The server's own counters, scraped over the wire via the Stats op:
-    // this is where the shed evidence lives even when every client-side
-    // Busy was retried away.
-    let server = doc.get("server").ok_or("missing 'server' object")?;
-    if server.get("schema").and_then(Json::str) != Some("lpat-serve-stats/v2") {
-        return Err("server.schema must be \"lpat-serve-stats/v2\"".into());
-    }
-    for key in [
-        "requests",
-        "ok",
-        "errors",
-        "busy",
-        "shed_queue",
-        "busy_tenant",
-    ] {
-        server
-            .get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("server: missing numeric '{key}'"))?;
-    }
-    server
-        .get("quantiles")
-        .ok_or("server: missing 'quantiles' object")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,141 +235,6 @@ mod tests {
                 g.len()
             );
         }
-    }
-
-    #[test]
-    fn json_parser_handles_the_shapes_we_emit() {
-        let doc = r#"{"a": 1.5, "b": [true, null, "x\n\"y\""], "c": {"d": -3e2}}"#;
-        let v = parse_json(doc).unwrap();
-        assert_eq!(v.get("a").and_then(Json::num), Some(1.5));
-        let b = v.get("b").and_then(Json::arr).unwrap();
-        assert_eq!(b[0], Json::Bool(true));
-        assert_eq!(b[1], Json::Null);
-        assert_eq!(b[2].str(), Some("x\n\"y\""));
-        assert_eq!(
-            v.get("c").and_then(|c| c.get("d")).and_then(Json::num),
-            Some(-300.0)
-        );
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn vm_bench_validator_accepts_good_and_rejects_bad() {
-        let good = r#"{
-  "schema": "lpat-bench-vm/v3", "scale": 0, "reps": 3,
-  "workloads": [
-    {"name": "w", "engines": {
-      "interp": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000},
-      "jit": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1},
-      "native": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                 "native_translate_ms": 0.1, "native_promoted": 2, "native_osr": 0,
-                 "native_insts": 10},
-      "tiered": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                 "promoted": 2, "warmed": 0, "osr": 1},
-      "tiered_warm": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0},
-      "tiered_native": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                        "promoted": 2, "warmed": 0, "osr": 1,
-                        "native_translate_ms": 0.1, "native_promoted": 1, "native_osr": 1,
-                        "native_insts": 5},
-      "tiered_spec": {"wall_ms": 1, "insts": 10, "insts_per_sec": 10000, "translate_ms": 0.1,
-                      "promoted": 2, "warmed": 2, "osr": 0,
-                      "guards": 1, "guard_passed": 9, "guard_failed": 1, "deopts": 1}
-    }}
-  ],
-  "geomean_speedup_tiered_vs_interp": 1.8,
-  "geomean_speedup_warm_vs_cold": 1.1,
-  "geomean_speedup_spec_warm_vs_cold": 1.4,
-  "geomean_speedup_native_vs_jit": 1.3,
-  "geomean_speedup_tiered_native_vs_tiered": 1.2
-}"#;
-        validate_vm_bench(good).unwrap();
-        assert!(validate_vm_bench("{}").is_err());
-        // Earlier schema tags must be rejected: v1/v2 files lack the
-        // machine-code-tier rows and must be regenerated, not trusted.
-        assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v3", "lpat-bench-vm/v1")).is_err());
-        assert!(validate_vm_bench(&good.replace("lpat-bench-vm/v3", "lpat-bench-vm/v2")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"tiered\":", "\"other\":")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"native\":", "\"other\":")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"promoted\": 2,", "")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"native_promoted\": 2,", "")).is_err());
-        assert!(validate_vm_bench(&good.replace("\"guards\": 1,", "")).is_err());
-        assert!(validate_vm_bench(
-            &good.replace("\"geomean_speedup_spec_warm_vs_cold\": 1.4", "\"x\": 1")
-        )
-        .is_err());
-        assert!(validate_vm_bench(
-            &good.replace("\"geomean_speedup_native_vs_jit\": 1.3", "\"x\": 1")
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn committed_bench_vm_artifact_is_valid() {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_vm.json");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (regenerate with vmperf)", path.display()));
-        validate_vm_bench(&text).unwrap_or_else(|e| panic!("committed BENCH_vm.json: {e}"));
-    }
-
-    #[test]
-    fn serve_bench_validator_accepts_good_and_rejects_bad() {
-        let good = r#"{
-  "schema": "lpat-bench-serve/v2",
-  "clients": 8, "requests_per_client": 40, "workers": 2, "queue_depth": 2,
-  "duration_ms": 1234.5, "requests": 320, "ok": 290, "errors": 20, "busy": 10,
-  "requests_per_sec": 259.2,
-  "cache_hits": 250, "cache_misses": 40, "cache_hit_rate": 0.862,
-  "latency_ms": {"p50": 1.2, "p90": 4.5, "p99": 20.1, "max": 55.0},
-  "server_quantiles": {
-    "latency_us": {"count": 290, "p50": 900, "p90": 3800, "p99": 18000, "max": 52000},
-    "queue_wait_us": {"count": 321, "p50": 120, "p90": 900, "p99": 4100, "max": 9000}
-  },
-  "server": {"schema": "lpat-serve-stats/v2",
-             "requests": 321, "ok": 290, "errors": 20, "busy": 11,
-             "shed_queue": 9, "busy_tenant": 2,
-             "quantiles": {"latency_us": {}, "queue_wait_us": {}}}
-}"#;
-        validate_serve_bench(good).unwrap();
-        assert!(validate_serve_bench("{}").is_err());
-        // Fewer than 8 clients defeats the point of a concurrency bench.
-        assert!(validate_serve_bench(&good.replace("\"clients\": 8", "\"clients\": 4")).is_err());
-        // The hostile-request mix must register as errors.
-        assert!(validate_serve_bench(&good.replace("\"errors\": 20,", "\"errors\": 0,")).is_err());
-        assert!(validate_serve_bench(&good.replace("\"shed_queue\": 9,", "")).is_err());
-        assert!(validate_serve_bench(&good.replace("\"p99\": 20.1,", "")).is_err());
-        // v2 additions must be present: the lifted server-side quantiles,
-        // the stats schema tag, and the embedded telemetry section.
-        assert!(validate_serve_bench(&good.replace("\"server_quantiles\"", "\"sq\"")).is_err());
-        assert!(validate_serve_bench(&good.replace(
-            "\"queue_wait_us\": {\"count\": 321",
-            "\"queue_wait_us\": {\"n\": 321"
-        ))
-        .is_err());
-        assert!(
-            validate_serve_bench(&good.replace("lpat-serve-stats/v2", "lpat-serve-stats/v1"))
-                .is_err()
-        );
-        assert!(validate_serve_bench(&good.replace("\"quantiles\":", "\"histograms\":")).is_err());
-        // Pre-telemetry v1 artifacts are rejected outright.
-        assert!(
-            validate_serve_bench(&good.replace("lpat-bench-serve/v2", "lpat-bench-serve/v1"))
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn committed_bench_serve_artifact_is_valid() {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_serve.json");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (regenerate with servebench)", path.display()));
-        validate_serve_bench(&text).unwrap_or_else(|e| panic!("committed BENCH_serve.json: {e}"));
     }
 
     #[test]

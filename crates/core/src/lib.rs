@@ -65,6 +65,7 @@ pub mod print;
 pub mod trace;
 pub mod types;
 pub mod verify;
+pub mod wire;
 
 pub use builder::FuncBuilder;
 pub use constant::{Const, ConstId, ConstPool, FuncId, GlobalId};

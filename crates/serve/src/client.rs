@@ -6,6 +6,8 @@ use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use lpat_core::hash::splitmix64;
+
 use crate::net::Conn;
 use crate::proto::{
     backoff_delay, decode_response, encode_request, read_frame, write_frame, Addr, ProtoError,
@@ -55,15 +57,6 @@ impl RetryPolicy {
             .map(|x| x >> 32);
         d + Duration::from_nanos(extra_ns.unwrap_or(0))
     }
-}
-
-/// SplitMix64: a tiny, high-quality mixer — one multiply-xor-shift chain
-/// per draw, no state beyond the input. Plenty for retry jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-process counter so two retry loops in one process jitter

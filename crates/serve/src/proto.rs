@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use lpat_core::fault::FaultAction;
 use lpat_core::faultpoint;
+use lpat_core::wire::{Cursor, Malformed};
 
 /// Protocol version spoken by this build. A peer with a different version
 /// is rejected at decode with [`ProtoError::Version`].
@@ -383,72 +384,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
         .map_err(|e| ProtoError::Io(e.to_string()))
 }
 
-// -- cursor helpers -------------------------------------------------------
+// -- payload helpers ------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ProtoError::Malformed(format!("truncated {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ProtoError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, ProtoError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// `u8`-length-prefixed UTF-8 string (names, tenants, classes).
-    fn str8(&mut self, what: &str) -> Result<String, ProtoError> {
-        let n = self.u8(what)? as usize;
-        let raw = self.take(n, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| ProtoError::Malformed(format!("{what} is not UTF-8")))
-    }
-
-    /// `u32`-length-prefixed byte payload. The declared length is bounded
-    /// by the frame we already accepted, so `take` catches any lie.
-    fn bytes32(&mut self, what: &str) -> Result<Vec<u8>, ProtoError> {
-        let n = self.u32(what)? as usize;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    fn finish(&self, what: &str) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(ProtoError::Malformed(format!(
-                "{} trailing byte(s) after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+impl From<Malformed> for ProtoError {
+    fn from(e: Malformed) -> ProtoError {
+        ProtoError::Malformed(e.0)
     }
 }
 
@@ -605,7 +545,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     }
     let resp = match c.u8("status")? {
         0 => {
-            let exit = i32::from_le_bytes(c.take(4, "exit code")?.try_into().unwrap());
+            let exit = c.u32("exit code")? as i32;
             let insts = c.u64("instruction count")?;
             let cache_hit = c.u8("cache flag")? != 0;
             let output = c.bytes32("output")?;

@@ -242,7 +242,7 @@ impl ServerStats {
 
     /// Render the counters and quantile telemetry as a stable
     /// `lpat-serve-stats/v2` JSON object (the `Stats` op's response body;
-    /// `servebench` and `lpatc remote top` consume it).
+    /// `lpbench`'s `serve-mixed` and `lpatc remote top` consume it).
     pub fn render_json(&self) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut w = trace::JsonWriter::new();
@@ -1110,32 +1110,40 @@ pub(crate) fn process(engine: &Engine, req: &Request, deadline: Instant) -> Resp
     }
 }
 
-/// Parse the request's module payload: bytecode by magic, miniC by flag,
-/// textual IR otherwise — the same auto-detection as `lpatc`, minus the
-/// filename heuristics (the wire has a flag instead).
+/// Load a module from any of its three shapes — bytecode by its `LPAT`
+/// magic, miniC source when `minic` says so, textual IR otherwise — and
+/// verify it. The one door for the daemon's requests and `lpatc`'s files:
+/// nothing reaches an optimizer or an engine unverified.
+///
+/// # Errors
+///
+/// The reader's, front end's or parser's message, or `verifier: …`.
+pub fn load_module(name: &str, bytes: &[u8], minic: bool) -> Result<Module, String> {
+    let m = if bytes.starts_with(b"LPAT") {
+        lpat_bytecode::read_module(name, bytes).map_err(|e| e.to_string())?
+    } else {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| "module is not LPAT bytecode and not UTF-8 text")?;
+        if minic {
+            lpat_minic::compile(name, text).map_err(|e| e.to_string())?
+        } else {
+            lpat_asm::parse_module(name, text).map_err(|e| e.to_string())?
+        }
+    };
+    m.verify().map_err(|e| format!("verifier: {}", e[0]))?;
+    Ok(m)
+}
+
+/// [`load_module`] on the request's payload: the wire carries a flag where
+/// `lpatc` has a file extension.
 fn parse_module(req: &Request) -> Result<Module, Response> {
     let name = if req.name.is_empty() {
         "module"
     } else {
         req.name.as_str()
     };
-    let m = if req.module.starts_with(b"LPAT") {
-        lpat_bytecode::read_module(name, &req.module)
-            .map_err(|e| Response::err(ErrClass::BadModule, e.to_string()))?
-    } else {
-        let text = std::str::from_utf8(&req.module)
-            .map_err(|_| Response::err(ErrClass::BadModule, "module payload is not UTF-8"))?;
-        if req.flags & FLAG_MINIC != 0 {
-            lpat_minic::compile(name, text)
-                .map_err(|e| Response::err(ErrClass::BadModule, e.to_string()))?
-        } else {
-            lpat_asm::parse_module(name, text)
-                .map_err(|e| Response::err(ErrClass::BadModule, e.to_string()))?
-        }
-    };
-    m.verify()
-        .map_err(|e| Response::err(ErrClass::BadModule, format!("verifier: {}", e[0])))?;
-    Ok(m)
+    load_module(name, &req.module, req.flags & FLAG_MINIC != 0)
+        .map_err(|e| Response::err(ErrClass::BadModule, e))
 }
 
 /// Run the function pipeline (and optionally the link-time pipeline) in

@@ -51,8 +51,8 @@
 //! of a store write loses at most the in-flight delta, never the
 //! accumulated store, and never leaves a file to quarantine.
 //!
-//! Journal record framing: `[len: u32][crc32(payload): u32][payload]`,
-//! little-endian, behind an 8-byte `LPWJ` + version header. An intent
+//! Journal record framing: `lpat_core::wire` records (`[len][crc32]
+//! [payload]`) behind an 8-byte `LPWJ` + version header. An intent
 //! payload is `tag=1, seq: u64, op: u8, hash: u64, data_len: u32,
 //! data_crc: u32, final_name, temp_name` (names length-prefixed); a
 //! commit payload is `tag=2, seq: u64`. A torn journal tail (crash during
@@ -79,6 +79,7 @@ use lpat_bytecode::container::{
 use lpat_core::fault::{self, FaultAction, FaultPlan};
 use lpat_core::hash::{crc32, fnv1a64};
 use lpat_core::trace;
+use lpat_core::wire::{push_record, records, Cursor};
 use lpat_core::Module;
 
 use crate::profile::ProfileData;
@@ -651,9 +652,7 @@ impl Store {
             rec.extend_from_slice(&JOURNAL_MAGIC);
             rec.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
         }
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+        push_record(&mut rec, payload);
         // One write call per record: appends from a crashed writer are
         // either wholly present or caught by the CRC as a torn tail.
         std::io::Write::write_all(&mut f, &rec).map_err(|e| io("append journal", e))?;
@@ -928,31 +927,19 @@ impl IntentRec {
     }
 
     fn decode(p: &[u8]) -> Option<IntentRec> {
-        let mut off = 1usize; // tag already checked
-        let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = p.get(*off..*off + n)?;
-            *off += n;
-            Some(s)
+        let mut c = Cursor::new(p.get(1..)?); // tag already checked
+        let name = |c: &mut Cursor| {
+            let n = usize::from(c.u16("name length").ok()?);
+            String::from_utf8(c.take(n, "name").ok()?.to_vec()).ok()
         };
-        let seq = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?);
-        let op = take(&mut off, 1)?[0];
-        let hash = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?);
-        let data_len = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let data_crc = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let mut names = [String::new(), String::new()];
-        for slot in &mut names {
-            let n = u16::from_le_bytes(take(&mut off, 2)?.try_into().ok()?) as usize;
-            *slot = String::from_utf8(take(&mut off, n)?.to_vec()).ok()?;
-        }
-        let [final_name, temp_name] = names;
         Some(IntentRec {
-            seq,
-            op,
-            hash,
-            data_len,
-            data_crc,
-            final_name,
-            temp_name,
+            seq: c.u64("seq").ok()?,
+            op: c.u8("op").ok()?,
+            hash: c.u64("hash").ok()?,
+            data_len: c.u32("data length").ok()?,
+            data_crc: c.u32("data crc").ok()?,
+            final_name: name(&mut c)?,
+            temp_name: name(&mut c)?,
         })
     }
 }
@@ -1007,32 +994,24 @@ impl Store {
         let jpath = self.journal_path();
         let data = std::fs::read(&jpath).unwrap_or_default();
         let mut pending: BTreeMap<u64, IntentRec> = BTreeMap::new();
-        let mut pos = 0usize;
-        if data.len() >= 8 && data[..4] == JOURNAL_MAGIC {
-            pos = 8; // version field currently informational
-        }
+        // The version field is currently informational.
+        let body = match data.strip_prefix(&JOURNAL_MAGIC) {
+            Some(rest) if rest.len() >= 4 => &rest[4..],
+            _ => &data[..],
+        };
         // Parse until the first torn or nonsense record: everything after
         // a torn tail was never durable, so it describes nothing.
-        while pos + 8 <= data.len() {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if len > JOURNAL_MAX_REC || pos + 8 + len as usize > data.len() {
-                break; // torn tail
-            }
-            let payload = &data[pos + 8..pos + 8 + len as usize];
-            if crc32(payload) != crc {
-                break; // torn tail
-            }
-            pos += 8 + len as usize;
+        for payload in records(body, JOURNAL_MAX_REC) {
             match payload.first() {
                 Some(&REC_INTENT) => {
                     if let Some(it) = IntentRec::decode(payload) {
                         pending.insert(it.seq, it);
                     }
                 }
-                Some(&REC_COMMIT) if payload.len() >= 9 => {
-                    let seq = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-                    pending.remove(&seq);
+                Some(&REC_COMMIT) => {
+                    if let Ok(seq) = Cursor::new(&payload[1..]).u64("seq") {
+                        pending.remove(&seq);
+                    }
                 }
                 _ => {} // unknown tag: ignore (forward compatibility)
             }
@@ -1140,22 +1119,23 @@ impl DenyRecord {
     }
 
     fn decode(b: &[u8]) -> Option<DenyRecord> {
-        if b.len() != DENY_LEN || b[..4] != DENY_MAGIC {
+        if b.len() != DENY_LEN {
             return None;
         }
-        let crc = u32::from_le_bytes(b[DENY_LEN - 4..].try_into().ok()?);
-        if crc32(&b[..DENY_LEN - 4]) != crc {
-            return None;
-        }
-        if u32::from_le_bytes(b[4..8].try_into().ok()?) != DENY_VERSION {
+        let (body, crc) = b.split_at(DENY_LEN - 4);
+        let mut c = Cursor::new(body);
+        if Cursor::new(crc).u32("crc").ok()? != crc32(body)
+            || c.take(4, "magic").ok()? != DENY_MAGIC
+            || c.u32("version").ok()? != DENY_VERSION
+        {
             return None;
         }
         Some(DenyRecord {
-            hash: u64::from_le_bytes(b[8..16].try_into().ok()?),
-            count: u32::from_le_bytes(b[16..20].try_into().ok()?),
-            denied: b[20] != 0,
-            first_unix_ms: u64::from_le_bytes(b[21..29].try_into().ok()?),
-            last_unix_ms: u64::from_le_bytes(b[29..37].try_into().ok()?),
+            hash: c.u64("hash").ok()?,
+            count: c.u32("count").ok()?,
+            denied: c.u8("denied").ok()? != 0,
+            first_unix_ms: c.u64("first crash").ok()?,
+            last_unix_ms: c.u64("last crash").ok()?,
         })
     }
 }

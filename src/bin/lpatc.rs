@@ -692,9 +692,9 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
                 .duration_since(std::time::SystemTime::UNIX_EPOCH)
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(0);
-            // SplitMix64-style mix of time and pid; `| 1` keeps it
-            // nonzero (zero means "daemon, assign one").
-            (nanos ^ (u64::from(std::process::id()) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+            // Time and pid, mixed; `| 1` keeps it nonzero (zero means
+            // "daemon, assign one").
+            lpat::core::hash::splitmix64(nanos ^ (u64::from(std::process::id()) << 32)) | 1
         }
     };
     diag.note(&format!("[remote] request id {:#018x}", req.request_id));
@@ -1064,18 +1064,8 @@ fn load(path: &str) -> Result<Module, String> {
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("module");
-    if bytes.starts_with(b"LPAT") {
-        return lpat::bytecode::read_module(name, &bytes).map_err(|e| format!("{path}: {e}"));
-    }
-    let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not UTF-8"))?;
-    let m = if path.ends_with(".mc") || path.ends_with(".c") {
-        lpat::minic::compile(name, &text).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        lpat::asm::parse_module(name, &text).map_err(|e| format!("{path}: {e}"))?
-    };
-    m.verify()
-        .map_err(|e| format!("{path}: verifier: {}", e[0]))?;
-    Ok(m)
+    let minic = path.ends_with(".mc") || path.ends_with(".c");
+    lpat::serve::server::load_module(name, &bytes, minic).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Write the module per `-o` / `--emit` (default: text to stdout).

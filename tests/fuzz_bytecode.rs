@@ -10,25 +10,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lpat::bytecode::format::{write_varint, MAGIC, VERSION};
 use lpat::bytecode::{read_module, write_module};
+use lpat::core::hash::SplitMix64;
 use lpat::vm::{Vm, VmOptions};
 
-/// SplitMix64 — deterministic, dependency-free (same generator as
-/// `tests/properties.rs`).
-struct Rng(u64);
+/// Bounded draws over the workspace's SplitMix64.
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed)
+        Rng(SplitMix64(seed))
     }
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next()
     }
     fn usize(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
+        self.0.below(bound as u64) as usize
     }
 }
 
@@ -73,13 +69,11 @@ fn must_not_panic(buf: &[u8], what: &str) {
     );
 }
 
-#[test]
-fn mutated_modules_never_panic_the_reader() {
-    let corpus = corpus();
+/// ~8k mutated images across the corpus (the remaining ~2k of the
+/// issue's 10k budget are the truncation and hostile-header tests).
+fn mutants(corpus: &[Vec<u8>]) -> impl Iterator<Item = Vec<u8>> + '_ {
     let mut rng = Rng::new(0x17a7_f00d);
-    // ~8k mutated images across the corpus (the remaining ~2k of the
-    // issue's 10k budget are the truncation and hostile-header tests).
-    for i in 0..8_000u64 {
+    (0..8_000).map(move |_| {
         let mut buf = corpus[rng.usize(corpus.len())].clone();
         for _ in 0..=rng.usize(4) {
             match if buf.is_empty() { 3 } else { rng.usize(4) } {
@@ -103,8 +97,41 @@ fn mutated_modules_never_panic_the_reader() {
                 }
             }
         }
+        buf
+    })
+}
+
+#[test]
+fn mutated_modules_never_panic_the_reader() {
+    for (i, buf) in mutants(&corpus()).enumerate() {
         must_not_panic(&buf, &format!("mutation iteration {i}"));
     }
+}
+
+/// Decoding is not verifying: some mutants decode into modules the
+/// verifier rejects (mistyped operands, a shift on a non-integer). The
+/// reader lets those through by design; `lpatc` must not run them.
+#[test]
+fn lpatc_refuses_to_run_bytecode_the_verifier_rejects() {
+    let unverifiable = mutants(&corpus())
+        .find(|buf| read_module("fuzz", buf).is_ok_and(|m| m.verify().is_err()))
+        .expect("some mutant decodes and fails the verifier");
+    let path = std::env::temp_dir().join(format!("lpat-fuzz-unverified-{}.bc", std::process::id()));
+    std::fs::write(&path, &unverifiable).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lpatc"))
+        .arg("run")
+        .arg(&path)
+        .output()
+        .expect("spawn lpatc");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("verifier:"), "stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "ran before refusing: {:?}",
+        out.stdout
+    );
 }
 
 #[test]

@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use lpat::bytecode::write_module;
+use lpat::core::hash::SplitMix64;
 use lpat::core::Module;
 use lpat::vm::{
     module_hash, reoptimize, FlushGuard, PgoOptions, ProfileData, Store, Vm, VmOptions,
@@ -431,18 +432,13 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
 
 #[test]
 fn mutated_store_containers_never_panic() {
-    // Same SplitMix64 generator as tests/fuzz_bytecode.rs.
-    struct Rng(u64);
+    struct Rng(SplitMix64);
     impl Rng {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next()
         }
         fn usize(&mut self, bound: usize) -> usize {
-            (self.next() % bound.max(1) as u64) as usize
+            self.0.below(bound as u64) as usize
         }
     }
 
@@ -458,7 +454,7 @@ fn mutated_store_containers_never_panic() {
         std::fs::read(store.reopt_path(hash)).unwrap(),
     ];
 
-    let mut rng = Rng(0xcafe_f00d);
+    let mut rng = Rng(SplitMix64(0xcafe_f00d));
     for i in 0..2_000u32 {
         let mut buf = seeds[rng.usize(seeds.len())].clone();
         for _ in 0..=rng.usize(4) {

@@ -9,25 +9,22 @@
 //!
 //! Build with `--features slow-tests` to multiply the case counts.
 
+use lpat::core::hash::SplitMix64;
 use lpat::core::{inst::Value, BinOp, CmpPred, IntKind, Linkage, Module};
 use lpat::vm::{ExecError, Vm, VmOptions, VmValue};
 
 /// Deterministic 64-bit generator (SplitMix64).
-struct Rng(u64);
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed)
+        Rng(SplitMix64(seed))
     }
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next()
     }
     fn usize(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
+        self.0.below(bound as u64) as usize
     }
     fn i32(&mut self) -> i32 {
         self.next() as i32

@@ -23,6 +23,7 @@ use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use lpat::core::hash::SplitMix64;
 use lpat::serve::{
     encode_request, Addr, Client, ErrClass, Op, Request, Response, RetryPolicy, Server,
     ServerConfig,
@@ -78,23 +79,6 @@ fn expect_ok(resp: &Response) -> (i32, &[u8]) {
 // ---------------------------------------------------------------------------
 // 1. Protocol robustness: socket-level fuzzing against a live server.
 // ---------------------------------------------------------------------------
-
-/// SplitMix64 — tiny deterministic PRNG, no dependencies.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 fn raw_tcp(addr: &Addr) -> TcpStream {
     let Addr::Tcp(hp) = addr else {
