@@ -30,11 +30,13 @@
 //!   `lpatd` daemon (`serve.accept`, `serve.decode`, `serve.worker`,
 //!   `serve.deadline` — one per layer of the request path; each must be
 //!   absorbed as a structured per-request error, never a daemon crash),
-//!   and the store's write-ahead journal (`store.journal` — hit once per
-//!   step of a journaled write, in order: 1 intent append, 2 temp write,
-//!   3 temp fsync, 4 rename, 5 commit append; `@N` therefore selects the
-//!   exact crash point, and `delay=...@N` plus an external SIGKILL is how
-//!   the chaos tests park a worker *between* two durability steps).
+//!   and the store's profile traffic (`store.journal` — hit once per
+//!   durability step, in order: 1 before the log append, 2 before the log
+//!   fsync, then, in a run that compacts, 3 before the base's temp write,
+//!   4 before its rename, 5 before the log is retired; `@N` therefore
+//!   selects the exact crash point, and `delay=...@N` plus an external
+//!   SIGKILL is how the chaos tests park a worker *between* two
+//!   durability steps).
 //! * `action` — `panic` (the site panics), `abort` (the site calls
 //!   `std::process::abort()`, modeling a stack smash or allocator abort
 //!   that no `catch_unwind` can absorb — only process-level supervision

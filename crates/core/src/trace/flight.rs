@@ -222,7 +222,7 @@ fn flight_header() -> [u8; 6] {
 /// A bounded ring of the most recent trace events, spilled incrementally
 /// to a file. Install with [`install_flight_recorder`]; every event any
 /// record site pushes is then appended as a [`crate::wire`] record (the
-/// framing the store's write-ahead journal uses) after a `"LPFR"`
+/// framing the store's profile delta log uses) after a `"LPFR"`
 /// header. Plain `write(2)` per
 /// event — the data reaches the page cache, so it survives `SIGKILL`
 /// and `abort(3)`; only a machine crash can lose the tail. A supervisor

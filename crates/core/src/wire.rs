@@ -1,8 +1,9 @@
 //! The workspace's one fixed-width wire toolkit, shared by every
 //! hand-laid-out format outside the bytecode container: a bounds-checked
 //! little-endian [`Cursor`] (LPRQ/LPRS payloads, the LPTB trace blob, LPFR
-//! events, LPWJ and LPDY records) and the checksummed record frame of the
-//! append-only files ([`push_record`] / [`records`]: LPWJ, LPFR).
+//! events, LPPL and LPDY records) and the checksummed record frame of the
+//! append-only files ([`push_record`] / [`records`]: the store's LPPL
+//! profile delta log, the LPFR flight spill).
 //!
 //! `lpat_bytecode::format::Reader` is deliberately a different type: its
 //! integers are varints, its counts go through `bounded_count`, and its

@@ -763,6 +763,7 @@ fn handle_request(shared: &Arc<Shared>, mut req: Request) -> Response {
     drop(adm);
     let mut queued = trace::span("serve", "queued");
     queued.arg("rid", rid.to_string());
+    let is_run = matches!(req.op, Op::Run);
     let (tx, rx) = mpsc::channel();
     let job = Job {
         req,
@@ -786,7 +787,23 @@ fn handle_request(shared: &Arc<Shared>, mut req: Request) -> Response {
     }
     let wait = deadline.saturating_duration_since(Instant::now()) + RESPONSE_GRACE;
     match rx.recv_timeout(wait) {
-        Ok(resp) => resp,
+        Ok(resp) => {
+            // Counted here, from the answer, and not where the run
+            // executes: under process isolation that is a worker
+            // subprocess with counters of its own.
+            if let (true, Response::Ok { cache_hit, .. }) = (is_run, &resp) {
+                if *cache_hit {
+                    engine
+                        .stats
+                        .bump(&engine.stats.cache_hits, "serve.cache_hits");
+                } else if engine.store.is_some() {
+                    engine
+                        .stats
+                        .bump(&engine.stats.cache_misses, "serve.cache_misses");
+                }
+            }
+            resp
+        }
         Err(_) => Response::err(
             ErrClass::Deadline,
             "request abandoned: no response within deadline",
@@ -1206,25 +1223,17 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Response {
     // uncached run; they never fail the request.
     let mut cache_hit = false;
     let store = engine.store.as_ref();
+    // Profiles are keyed to the module actually executed.
+    let mut run_hash = module_hash(&m);
     if let Some(store) = store {
-        let source_hash = module_hash(&m);
-        if let Ok(loaded) = store.shard(source_hash).load_reopt(source_hash, &m.name) {
+        if let Ok(loaded) = store.shard(run_hash).load_reopt(run_hash, &m.name) {
             if let Some(r) = loaded.value {
                 m = r;
                 cache_hit = true;
+                run_hash = module_hash(&m);
             }
         }
     }
-    if cache_hit {
-        engine
-            .stats
-            .bump(&engine.stats.cache_hits, "serve.cache_hits");
-    } else if store.is_some() {
-        engine
-            .stats
-            .bump(&engine.stats.cache_misses, "serve.cache_misses");
-    }
-    let run_hash = module_hash(&m);
     let run_store = store.map(|s| s.shard(run_hash));
     // Every daemon-side run is fuel-bounded: the request's ask, or the
     // server default — never unlimited.
@@ -1314,6 +1323,12 @@ fn do_reopt(engine: &Engine, req: &Request, deadline: Instant) -> Response {
     }
     let source_hash = module_hash(&m);
     let shard = store.shard(source_hash);
+    // Idle-time work belongs here: fold the runs logged since the last
+    // reopt into the base profile. A failure leaves the log, which the
+    // load below still reads.
+    if shard.compact(source_hash).is_err() {
+        trace::counter("serve.compact_failures", 1);
+    }
     let mut profile = ProfileData::default();
     let mut runs = 0u64;
     match shard.load_profile(source_hash) {

@@ -21,6 +21,12 @@ use lpat_analysis::{DomTree, LoopInfo};
 use lpat_bytecode::format::{write_varint, DecodeError, Reader};
 use lpat_core::{BlockId, FuncId, InstId, Module};
 
+/// `table[key] += n`, saturating.
+fn add<K: std::hash::Hash + Eq>(table: &mut HashMap<K, u64>, key: K, n: u64) {
+    let c = table.entry(key).or_insert(0);
+    *c = c.saturating_add(n);
+}
+
 /// Execution counts collected by the engine.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileData {
@@ -109,28 +115,22 @@ impl ProfileData {
     /// detection, never wrap back to cold.
     pub fn merge_saturating(&mut self, other: &ProfileData) {
         for (k, &v) in &other.block_counts {
-            let c = self.block_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.block_counts, *k, v);
         }
         for (k, &v) in &other.edge_counts {
-            let c = self.edge_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.edge_counts, *k, v);
         }
         for (k, &v) in &other.call_counts {
-            let c = self.call_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.call_counts, *k, v);
         }
         for (k, &v) in &other.callsite_counts {
-            let c = self.callsite_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.callsite_counts, *k, v);
         }
         for (k, &v) in &other.guard_exec_counts {
-            let c = self.guard_exec_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.guard_exec_counts, *k, v);
         }
         for (k, &v) in &other.guard_misspec_counts {
-            let c = self.guard_misspec_counts.entry(*k).or_insert(0);
-            *c = c.saturating_add(v);
+            add(&mut self.guard_misspec_counts, *k, v);
         }
     }
 
@@ -202,46 +202,61 @@ impl ProfileData {
     ///
     /// Returns a [`DecodeError`] on malformed input.
     pub fn from_bytes(buf: &[u8]) -> Result<ProfileData, DecodeError> {
-        let mut r = Reader::new(buf);
         let mut p = ProfileData::default();
+        p.merge_bytes(buf)?;
+        Ok(p)
+    }
+
+    /// Decode [`ProfileData::to_bytes`] output straight into `self` with
+    /// saturating addition: `merge_saturating(&from_bytes(buf)?)` without
+    /// the maps in between, which is what folding a log of run deltas
+    /// spends its time on.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on malformed input; `self` then holds
+    /// whatever part of `buf` decoded before the damage, so a caller that
+    /// needs all or nothing folds into a scratch profile first.
+    pub fn merge_bytes(&mut self, buf: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(buf);
         let n = r.bounded_count("block profile entry", 3)?;
         for _ in 0..n {
             let f = FuncId::from_index(r.vusize()?);
             let b = BlockId::from_index(r.vusize()?);
-            p.block_counts.insert((f, b), r.varint()?);
+            add(&mut self.block_counts, (f, b), r.varint()?);
         }
         let n = r.bounded_count("edge profile entry", 4)?;
         for _ in 0..n {
             let f = FuncId::from_index(r.vusize()?);
             let a = BlockId::from_index(r.vusize()?);
             let b = BlockId::from_index(r.vusize()?);
-            p.edge_counts.insert((f, a, b), r.varint()?);
+            add(&mut self.edge_counts, (f, a, b), r.varint()?);
         }
         let n = r.bounded_count("call profile entry", 2)?;
         for _ in 0..n {
             let f = FuncId::from_index(r.vusize()?);
-            p.call_counts.insert(f, r.varint()?);
+            add(&mut self.call_counts, f, r.varint()?);
         }
         let n = r.bounded_count("call-site profile entry", 3)?;
         for _ in 0..n {
             let f = FuncId::from_index(r.vusize()?);
             let i = InstId::from_index(r.vusize()?);
-            p.callsite_counts.insert((f, i), r.varint()?);
+            add(&mut self.callsite_counts, (f, i), r.varint()?);
         }
-        for table in [&mut p.guard_exec_counts, &mut p.guard_misspec_counts] {
+        for table in [&mut self.guard_exec_counts, &mut self.guard_misspec_counts] {
             let n = r.bounded_count("guard profile entry", 2)?;
             for _ in 0..n {
                 let id = r.varint()?;
                 if id > u32::MAX as u64 {
                     return Err(DecodeError("guard id out of range".into()));
                 }
-                table.insert(id as u32, r.varint()?);
+                add(table, id as u32, r.varint()?);
             }
         }
         if !r.at_end() {
             return Err(DecodeError("trailing bytes after profile".into()));
         }
-        Ok(p)
+        Ok(())
     }
 
     /// Hot call sites (count ≥ threshold), hottest first.

@@ -27,49 +27,65 @@
 //! | concurrent writer persists   | [`StoreError::Locked`]         | skip persisting this run |
 //! | I/O failure                  | [`StoreError::Io`]             | surface; cache untouched |
 //!
-//! Writes are atomic (temp file + fsync + rename into place), so a kill at
-//! any byte leaves the old version or the new one, never a mix. Concurrent
-//! invocations serialize on a lock file with a bounded, deterministic
-//! retry-with-backoff schedule (the clock is injectable for tests); locks
-//! record their holder's PID and are broken *immediately* once the holder
-//! is dead (with [`Store::lock_stale_after`] as the fallback when
-//! liveness cannot be determined).
+//! Whole files — base profiles, reoptimized modules, deny records,
+//! `--profile-out` files — are replaced by one `atomic_replace` (temp
+//! file, fsync, rename, directory fsync), so a kill at any byte leaves the
+//! old version or the new one, never a mix; [`Store::open`] sweeps, under
+//! the lock, the temp a killed writer left. Writers serialize on a lock
+//! file with a bounded, deterministic retry-with-backoff schedule (the
+//! clock is injectable for tests); locks record their holder's PID and are
+//! broken *immediately* once the holder is dead (with
+//! [`Store::lock_stale_after`] as the fallback when liveness cannot be
+//! determined).
 //!
-//! # Write-ahead journal
+//! # Profile delta log
 //!
-//! Cache-directory writes are additionally journaled: before the
-//! temp+rename dance, a checksummed *intent* record (sequence number, op
-//! kind, module hash, final + temp file names, payload length + CRC) is
-//! appended to the store's `journal` file and fsynced; after the rename a
-//! matching *commit* record follows. [`Store::open`] runs a recovery scan
-//! over the journal (when it can take the lock without waiting): an
-//! uncommitted intent whose temp file survived intact is **replayed**
-//! (renamed into place — the delta is durable even though the writer
-//! died), anything else is **rolled back** (torn temp removed, old
-//! version untouched), the journal is truncated, and orphaned `.wal-*` /
-//! `.tmp-*` files are swept. The upshot: a SIGKILL at *any* byte offset
-//! of a store write loses at most the in-flight delta, never the
-//! accumulated store, and never leaves a file to quarantine.
+//! Collection in the field is cheap and the expensive work waits for idle
+//! time (§3.5–§3.6): a run does not rewrite the lifetime profile, it
+//! appends its delta. `profile-<hash>.lpp` is the LPCF *base*;
+//! `profile-<hash>.log` beside it is append-only (DESIGN.md §14):
 //!
-//! Journal record framing: `lpat_core::wire` records (`[len][crc32]
-//! [payload]`) behind an 8-byte `LPWJ` + version header. An intent
-//! payload is `tag=1, seq: u64, op: u8, hash: u64, data_len: u32,
-//! data_crc: u32, final_name, temp_name` (names length-prefixed); a
-//! commit payload is `tag=2, seq: u64`. A torn journal tail (crash during
-//! the intent append itself) fails the CRC and is ignored — nothing had
-//! happened yet.
+//! ```text
+//! "LPPL"  version: u32  epoch: u64  crc32(those 16 bytes): u32
+//! [len: u32][crc32(payload): u32][payload] ...     lpat_core::wire records
+//! payload = module_hash: u64, ProfileData::to_bytes()        one per run
+//! ```
 //!
-//! All I/O paths carry `lpat_core::fault` sites (`store.read`,
-//! `store.write`, `store.lock`, and `store.journal` — the latter hit once
-//! per journaled-write step: 1 intent append, 2 temp write, 3 temp fsync,
-//! 4 rename, 5 commit append) so every row of the recovery matrix is
-//! testable under the `--inject-faults` grammar, including kill-at-step
-//! crash points (`store.journal:delay=...@N` parks the writer *between*
-//! two durability steps for an external SIGKILL).
+//! [`Store::record_run`] takes the lock, appends one record with a single
+//! `write`, fsyncs the log once, and returns: the delta is durable.
+//! [`Store::load_profile`] takes no lock and returns base ⊕ the log's
+//! CRC-valid prefix; saturating addition commutes, so that is the profile
+//! a read-merge-rewrite per run would have stored. A writer killed
+//! mid-append leaves a torn tail that fails its CRC: readers ignore it and
+//! the next appender cuts it off, so a kill at *any* byte loses at most
+//! the in-flight delta and leaves nothing to quarantine. A log with a bad
+//! header, a record keyed to another module or a payload that does not
+//! decode is quarantined like a bad base, and the base alone is used.
+//!
+//! **Compaction** folds the log into the base and removes it: at idle time
+//! ([`Store::compact`], from `lpatc reopt` and the daemon's `Reopt` op),
+//! and in the appender once the log passes a couple of KiB, so a reader's
+//! fold stays bounded under traffic that never reoptimizes. The base's
+//! `meta` carries a *watermark* — the epoch of the log it folded and how
+//! many of its bytes — and a new log takes the epoch after its base's. A
+//! reader skips the folded prefix of a log of the watermark's epoch, all
+//! of an older log, none of a newer one; so a kill between the base's
+//! rename and the log's removal double-counts nothing, and because the
+//! log is read *before* the base, a compaction racing a read shows only
+//! as (old log, new base), which the same rule resolves.
+//!
+//! All I/O paths carry `lpat_core::fault` sites: `store.read` (per file
+//! read), `store.write` (per append or whole-file write), `store.lock`,
+//! and `store.journal`, hit once per durability step of profile traffic —
+//! 1 before the log append, 2 before the log fsync, 3 before compaction's
+//! temp write, 4 before its rename, 5 before the log is removed — so
+//! `store.journal:delay=...@N` parks a writer *between* two steps for an
+//! external SIGKILL: killed before step 1 the in-flight delta is lost,
+//! before 2–5 it is kept, and before 5 the new base and the old log
+//! coexist and read back without a double count.
 
-use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,6 +113,26 @@ fn file_label(path: &Path) -> String {
     path.file_name()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string())
+}
+
+/// Run one file operation under a `store` / `"<verb> <file>"` span; a
+/// failure's class becomes the span's `error` argument.
+fn traced<T>(
+    verb: &str,
+    path: &Path,
+    op: impl FnOnce(&mut trace::Span) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let name = if trace::enabled() {
+        format!("{verb} {}", file_label(path))
+    } else {
+        String::new()
+    };
+    let mut sp = trace::span("store", name);
+    let r = op(&mut sp);
+    if let Err(e) = &r {
+        sp.arg("error", e.class());
+    }
+    r
 }
 
 /// Classified store failure. See the module-level recovery matrix.
@@ -166,6 +202,10 @@ fn container_err(e: ContainerError) -> StoreError {
         ContainerError::Version(found) => StoreError::VersionMismatch { found },
         other => StoreError::ChecksumFail(other.to_string()),
     }
+}
+
+fn io_err(what: &str, e: std::io::Error) -> StoreError {
+    StoreError::Io(format!("{what}: {e}"))
 }
 
 /// Record of one bad file moved aside during a load.
@@ -260,13 +300,11 @@ impl Store {
             faults: None,
             clock: Box::new(RealClock),
         };
-        // Crash recovery: resolve any journaled writes a killed process
-        // left incomplete — but only if the lock is free right now. A held
-        // lock means a live writer owns the journal tail; its in-flight op
-        // is not ours to resolve, and whoever opens the store next (or the
-        // next recovery pass) will see a committed journal anyway.
-        if let Some(guard) = store.try_lock_once() {
-            store.recover_journal_locked();
+        // Sweep the temp files a killed writer left — but only if the lock
+        // is free right now. A held lock means a live writer may own one
+        // of them; whoever opens the store next sweeps what it leaves.
+        if let Ok(Some(guard)) = store.try_lock_once() {
+            store.sweep_temps_locked();
             drop(guard);
         }
         Ok(store)
@@ -283,9 +321,15 @@ impl Store {
         &self.dir
     }
 
-    /// Path of the profile artifact for a module hash.
+    /// Path of the base profile artifact for a module hash. Runs recorded
+    /// since the last compaction are in the log beside it, not here: read
+    /// a profile through [`Store::load_profile`].
     pub fn profile_path(&self, module_hash: u64) -> PathBuf {
         self.dir.join(format!("profile-{module_hash:016x}.lpp"))
+    }
+
+    fn log_path(&self, module_hash: u64) -> PathBuf {
+        self.dir.join(format!("profile-{module_hash:016x}.log"))
     }
 
     /// Path of the reoptimized-bytecode artifact for a module hash.
@@ -298,77 +342,12 @@ impl Store {
         self.dir.join(format!("deny-{payload_hash:016x}.lpd"))
     }
 
-    /// Path of the write-ahead journal.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal")
-    }
-
-    fn fault(&self, site: &str) -> Option<FaultAction> {
-        self.faults
-            .as_deref()
-            .map(|p| p.next(site))
-            .unwrap_or_else(|| fault::global().and_then(|p| p.next(site)))
-    }
-
     // -- reading ---------------------------------------------------------
 
-    /// Read + validate a container file. Classifies but does not recover.
-    fn read_validated(
-        &self,
-        path: &Path,
-        kind: [u8; 4],
-        expected_hash: u64,
-    ) -> Result<Container, StoreError> {
-        let mut sp = if trace::enabled() {
-            Some(trace::span("store", format!("read {}", file_label(path))))
-        } else {
-            None
-        };
-        let r = self.read_validated_inner(path, kind, expected_hash);
-        if let (Some(sp), Err(e)) = (&mut sp, &r) {
-            sp.arg("error", e.class());
-        }
-        r
-    }
-
-    fn read_validated_inner(
-        &self,
-        path: &Path,
-        kind: [u8; 4],
-        expected_hash: u64,
-    ) -> Result<Container, StoreError> {
-        match self.fault("store.read") {
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(_) => return Err(StoreError::Io("injected fault at site 'store.read'".into())),
-            None => {}
-        }
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
-            Err(e) => return Err(StoreError::Io(format!("read {}: {e}", path.display()))),
-        };
-        let c = read_container(&bytes).map_err(container_err)?;
-        if c.kind != kind {
-            return Err(StoreError::ChecksumFail(format!(
-                "container kind {:?}, expected {:?}",
-                String::from_utf8_lossy(&c.kind),
-                String::from_utf8_lossy(&kind),
-            )));
-        }
-        let meta = c
-            .section("meta")
-            .ok_or_else(|| StoreError::ChecksumFail("missing meta section".into()))?;
-        if meta.len() < 8 {
-            return Err(StoreError::ChecksumFail("short meta section".into()));
-        }
-        let found = u64::from_le_bytes(meta[..8].try_into().expect("8 bytes"));
-        if found != expected_hash {
-            return Err(StoreError::StaleHash {
-                expected: expected_hash,
-                found,
-            });
-        }
-        Ok(c)
+    /// Read one store file whole, under a `read <file>` span and the
+    /// `store.read` fault site.
+    fn read_file(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
+        traced("read", path, |_| read_faulted(path, self.faults.as_deref()))
     }
 
     /// Move a bad file aside as `<name>.corrupt-N` so it is preserved for
@@ -407,50 +386,107 @@ impl Store {
         }
     }
 
-    /// Load the lifetime profile for `module_hash`, recovering from any
-    /// bad file by quarantining it and reporting an empty profile.
+    /// Read and decode one artifact. Absent is `None`; a file that fails
+    /// `decode` is quarantined into `quarantined` and reads as absent too;
+    /// only genuine I/O failures are errors.
+    fn read_artifact<T>(
+        &self,
+        path: &Path,
+        quarantined: &mut Vec<Quarantine>,
+        decode: impl FnOnce(Vec<u8>) -> Result<T, StoreError>,
+    ) -> Result<Option<T>, StoreError> {
+        match self.read_file(path).and_then(decode) {
+            Ok(v) => Ok(Some(v)),
+            Err(StoreError::Missing) => Ok(None),
+            Err(e @ StoreError::Io(_)) => Err(e),
+            Err(recoverable) => {
+                quarantined.push(self.quarantine(path, recoverable));
+                Ok(None)
+            }
+        }
+    }
+
+    /// Load the lifetime profile for `module_hash` — the base file plus
+    /// every run logged since it was written — recovering from any bad
+    /// file by quarantining it. Takes no lock.
     ///
     /// # Errors
     ///
     /// Only genuine I/O failures surface; every *content* failure recovers
-    /// to `value: None` plus a [`Quarantine`] record.
+    /// to what the remaining file holds (`value: None` when that is
+    /// nothing) plus a [`Quarantine`] record.
     pub fn load_profile(
         &self,
         module_hash: u64,
     ) -> Result<Loaded<Option<StoredProfile>>, StoreError> {
-        let path = self.profile_path(module_hash);
-        match self.read_validated(&path, KIND_PROFILE, module_hash) {
-            Ok(c) => {
-                let runs = c
-                    .section("meta")
-                    .filter(|m| m.len() >= 16)
-                    .map(|m| u64::from_le_bytes(m[8..16].try_into().expect("8 bytes")))
-                    .unwrap_or(1);
-                let counts = c.section("counts").unwrap_or(&[]);
-                match ProfileData::from_bytes(counts) {
-                    Ok(profile) => Ok(Loaded {
-                        value: Some(StoredProfile { profile, runs }),
-                        quarantined: Vec::new(),
-                    }),
-                    Err(e) => {
-                        let err = StoreError::ChecksumFail(format!("profile payload: {e}"));
-                        Ok(Loaded {
-                            value: None,
-                            quarantined: vec![self.quarantine(&path, err)],
-                        })
-                    }
+        let folded = self.fold(module_hash)?;
+        trace::counter("store.log_records_folded", folded.records);
+        Ok(Loaded {
+            value: folded.value,
+            quarantined: folded.quarantined,
+        })
+    }
+
+    /// Base ⊕ log for `module_hash`, as the two files stand.
+    fn fold(&self, module_hash: u64) -> Result<Folded, StoreError> {
+        let mut quarantined = Vec::new();
+        // The log is read before the base: a compaction that runs between
+        // the two reads then shows as (old log, new base), which the
+        // base's watermark resolves. Base first could show (old base, no
+        // log) and miss every run the compaction folded.
+        let log_path = self.log_path(module_hash);
+        let mut log = self
+            .read_artifact(&log_path, &mut quarantined, parse_log)?
+            .flatten();
+        let base =
+            self.read_artifact(&self.profile_path(module_hash), &mut quarantined, |bytes| {
+                decode_profile(&bytes, Some(module_hash))
+            })?;
+        let (mut value, mark) = match base {
+            Some((_, stored, mark)) => (Some(stored), mark),
+            None => (None, Watermark::default()),
+        };
+        // Records fold into a scratch profile first: one that does not
+        // decode condemns the whole log, and the base alone is used.
+        let mut pending = ProfileData::default();
+        let mut folded = 0u64;
+        if let Some(l) = &log {
+            let skip = match l.mark.epoch.cmp(&mark.epoch) {
+                std::cmp::Ordering::Less => l.mark.len,
+                std::cmp::Ordering::Equal => mark.len.clamp(LOG_HEADER_LEN as u64, l.mark.len),
+                std::cmp::Ordering::Greater => LOG_HEADER_LEN as u64,
+            };
+            let unfolded = &l.bytes[skip as usize..l.mark.len as usize];
+            let merged = records(unfolded, u32::MAX).try_fold(0u64, |n, payload| {
+                merge_delta(&mut pending, payload, module_hash).map(|()| n + 1)
+            });
+            match merged {
+                Ok(n) => folded = n,
+                Err(e) => {
+                    quarantined.push(self.quarantine(&log_path, e));
+                    log = None;
                 }
             }
-            Err(StoreError::Missing) => Ok(Loaded {
-                value: None,
-                quarantined: Vec::new(),
-            }),
-            Err(e @ StoreError::Io(_)) => Err(e),
-            Err(recoverable) => Ok(Loaded {
-                value: None,
-                quarantined: vec![self.quarantine(&path, recoverable)],
-            }),
         }
+        if folded > 0 {
+            match &mut value {
+                Some(stored) => stored.profile.merge_saturating(&pending),
+                None => {
+                    value = Some(StoredProfile {
+                        profile: pending,
+                        runs: 0,
+                    })
+                }
+            }
+            let stored = value.as_mut().expect("set above");
+            stored.runs = stored.runs.saturating_add(folded);
+        }
+        Ok(Folded {
+            value,
+            log: log.map(|l| l.mark),
+            records: folded,
+            quarantined,
+        })
     }
 
     /// Load the cached reoptimized module for `module_hash`, recovering
@@ -464,232 +500,32 @@ impl Store {
         module_hash: u64,
         name: &str,
     ) -> Result<Loaded<Option<Module>>, StoreError> {
-        let path = self.reopt_path(module_hash);
-        match self.read_validated(&path, KIND_REOPT, module_hash) {
-            Ok(c) => {
-                let bytes = c.section("module").unwrap_or(&[]);
+        let mut quarantined = Vec::new();
+        let value =
+            self.read_artifact(&self.reopt_path(module_hash), &mut quarantined, |bytes| {
+                let (c, _) = validate(&bytes, KIND_REOPT, Some(module_hash))?;
                 // The hardened bytecode reader plus a full verify: CRC
                 // protects against storage faults, not against a buggy
                 // writer, and a cached module runs with user authority.
-                let decoded = lpat_bytecode::read_module(name, bytes)
+                lpat_bytecode::read_module(name, c.section("module").unwrap_or(&[]))
                     .map_err(|e| e.to_string())
                     .and_then(|m| match m.verify() {
                         Ok(()) => Ok(m),
                         Err(errs) => Err(format!("verifier: {}", errs[0])),
-                    });
-                match decoded {
-                    Ok(m) => Ok(Loaded {
-                        value: Some(m),
-                        quarantined: Vec::new(),
-                    }),
-                    Err(e) => {
-                        let err = StoreError::ChecksumFail(format!("module payload: {e}"));
-                        Ok(Loaded {
-                            value: None,
-                            quarantined: vec![self.quarantine(&path, err)],
-                        })
-                    }
-                }
-            }
-            Err(StoreError::Missing) => Ok(Loaded {
-                value: None,
-                quarantined: Vec::new(),
-            }),
-            Err(e @ StoreError::Io(_)) => Err(e),
-            Err(recoverable) => Ok(Loaded {
-                value: None,
-                quarantined: vec![self.quarantine(&path, recoverable)],
-            }),
-        }
+                    })
+                    .map_err(|e| StoreError::ChecksumFail(format!("module payload: {e}")))
+            })?;
+        Ok(Loaded { value, quarantined })
     }
 
     // -- writing ---------------------------------------------------------
 
-    /// Write `bytes` to `path` atomically *and journaled*: append a
-    /// checksummed intent record, write + fsync a temp file in the cache
-    /// directory, rename into place, append a commit record. A kill at any
-    /// point leaves the old content or the new, never a mix — and the
-    /// journal lets [`Store::open`] finish (replay) or undo (roll back)
-    /// whatever step the kill interrupted. Callers must hold the store
-    /// lock (the public save methods do).
-    fn journaled_write(
-        &self,
-        path: &Path,
-        bytes: &[u8],
-        op: u8,
-        hash: u64,
-    ) -> Result<(), StoreError> {
-        let mut sp = if trace::enabled() {
-            Some(trace::span("store", format!("write {}", file_label(path))))
-        } else {
-            None
-        };
-        let r = self.journaled_write_inner(path, bytes, op, hash);
-        if let (Some(sp), Err(e)) = (&mut sp, &r) {
-            sp.arg("error", e.class());
-        }
-        r
-    }
-
-    /// One `store.journal` fault evaluation per durability step (1-based;
-    /// see the module docs for the step table). `Delay` parks the writer
-    /// *before* the step's action — the chaos tests SIGKILL it there —
-    /// and any other action fails the write with a synthetic I/O error.
-    fn journal_step(&self, step: u8) -> Result<(), StoreError> {
-        match self.fault("store.journal") {
-            None | Some(FaultAction::Corrupt) => Ok(()),
-            Some(FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-            Some(_) => Err(StoreError::Io(format!(
-                "injected fault at site 'store.journal' (step {step})"
-            ))),
-        }
-    }
-
-    fn journaled_write_inner(
-        &self,
-        path: &Path,
-        bytes: &[u8],
-        op: u8,
-        hash: u64,
-    ) -> Result<(), StoreError> {
-        let mut bytes = std::borrow::Cow::Borrowed(bytes);
-        match self.fault("store.write") {
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(FaultAction::Corrupt) => {
-                // Simulate storage corruption: damage one byte of the
-                // payload *before* it reaches disk. The next read must
-                // catch it by checksum and quarantine the file.
-                let owned = bytes.to_mut();
-                if !owned.is_empty() {
-                    let mid = owned.len() / 2;
-                    owned[mid] ^= 0x01;
-                }
-            }
-            Some(_) => {
-                return Err(StoreError::Io(
-                    "injected fault at site 'store.write'".into(),
-                ))
-            }
-            None => {}
-        }
-        // Bound journal growth: committed history is dead weight, and we
-        // hold the lock, so resolving + truncating here is safe.
-        if std::fs::metadata(self.journal_path())
-            .map(|m| m.len() > JOURNAL_COMPACT_BYTES)
-            .unwrap_or(false)
-        {
-            self.recover_journal_locked();
-        }
-        let final_name = file_label(path);
-        let temp_name = format!("{final_name}.wal-{}", std::process::id());
-        let tmp = self.dir.join(&temp_name);
-        let intent = IntentRec {
-            seq: next_journal_seq(),
-            op,
-            hash,
-            data_len: bytes.len() as u32,
-            data_crc: crc32(&bytes),
-            final_name,
-            temp_name,
-        };
-        let io = |what: &str, e: std::io::Error| StoreError::Io(format!("{what}: {e}"));
-        let write = (|| -> Result<(), StoreError> {
-            // Step 1: durable intent. From here on, recovery knows
-            // exactly what was in flight.
-            self.journal_step(1)?;
-            self.append_journal(&intent.encode())?;
-            // Step 2: the payload, under a name recovery can find.
-            self.journal_step(2)?;
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io("create temp", e))?;
-            std::io::Write::write_all(&mut f, &bytes).map_err(|e| io("write temp", e))?;
-            // Step 3: payload durability.
-            self.journal_step(3)?;
-            f.sync_all().map_err(|e| io("fsync temp", e))?;
-            // Step 4: the atomic switch.
-            self.journal_step(4)?;
-            std::fs::rename(&tmp, path).map_err(|e| io("rename into place", e))?;
-            // Durability of the rename itself (best-effort: not every
-            // filesystem lets a directory be fsynced).
-            if let Ok(d) = std::fs::File::open(&self.dir) {
-                let _ = d.sync_all();
-            }
-            Ok(())
-        })();
-        if write.is_err() {
-            // Clean failure (not a crash): undo the temp and retire the
-            // intent so recovery has nothing to chew on. Best-effort —
-            // if either of these is lost, recovery reaches the same end
-            // state (rollback of a temp-less or torn intent).
-            let _ = std::fs::remove_file(&tmp);
-            let _ = self.append_journal(&encode_commit(intent.seq));
-            return write;
-        }
-        // Step 5: the commit marker. The rename above already made the
-        // new version durable, so a failure here (or a kill before it)
-        // only means recovery re-discovers a completed op and counts a
-        // replay — correctness never depends on the commit record.
-        if self.journal_step(5).is_ok() {
-            let _ = self.append_journal(&encode_commit(intent.seq));
-        }
-        Ok(())
-    }
-
-    /// Append one framed record to the journal and fsync it.
-    fn append_journal(&self, payload: &[u8]) -> Result<(), StoreError> {
-        let io = |what: &str, e: std::io::Error| StoreError::Io(format!("{what}: {e}"));
-        let path = self.journal_path();
-        let fresh = !path.exists();
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .map_err(|e| io("open journal", e))?;
-        let mut rec = Vec::with_capacity(payload.len() + 16);
-        if fresh {
-            rec.extend_from_slice(&JOURNAL_MAGIC);
-            rec.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        }
-        push_record(&mut rec, payload);
-        // One write call per record: appends from a crashed writer are
-        // either wholly present or caught by the CRC as a torn tail.
-        std::io::Write::write_all(&mut f, &rec).map_err(|e| io("append journal", e))?;
-        f.sync_all().map_err(|e| io("fsync journal", e))?;
-        Ok(())
-    }
-
-    /// Persist a lifetime profile for `module_hash`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Locked`] when another writer holds the store past
-    /// the retry budget; [`StoreError::Io`] on write failure (the
-    /// previous version, if any, is left intact).
-    pub fn save_profile(
-        &self,
-        module_hash: u64,
-        profile: &ProfileData,
-        runs: u64,
-    ) -> Result<(), StoreError> {
-        let _guard = self.lock()?;
-        self.save_profile_locked(module_hash, profile, runs)
-    }
-
-    /// [`Store::save_profile`] for callers already holding the lock.
-    fn save_profile_locked(
-        &self,
-        module_hash: u64,
-        profile: &ProfileData,
-        runs: u64,
-    ) -> Result<(), StoreError> {
-        self.journaled_write(
-            &self.profile_path(module_hash),
-            &encode_profile(module_hash, profile, runs),
-            OP_PROFILE,
-            module_hash,
-        )
+    /// Replace one whole artifact under a `write <file>` span. Callers
+    /// hold the store lock.
+    fn write_file(&self, path: &Path, bytes: Vec<u8>) -> Result<(), StoreError> {
+        traced("write", path, |_| {
+            atomic_replace(path, bytes, self.faults.as_deref())
+        })
     }
 
     /// Persist the reoptimized module derived from source `module_hash`.
@@ -703,17 +539,14 @@ impl Store {
         c.push("meta", module_hash.to_le_bytes().to_vec());
         c.push("module", lpat_bytecode::write_module(m));
         let _guard = self.lock()?;
-        self.journaled_write(
-            &self.reopt_path(module_hash),
-            &write_container(&c),
-            OP_REOPT,
-            module_hash,
-        )
+        self.write_file(&self.reopt_path(module_hash), write_container(&c))
     }
 
-    /// Merge one run's counters into the stored lifetime profile, under
-    /// the store lock: load (recovering from corruption), saturating-add,
-    /// write back atomically.
+    /// Make one run's counters part of the stored lifetime profile: under
+    /// the store lock, append them to the module's delta log and fsync it.
+    /// When this returns `Ok` the delta survives a kill or a power cut.
+    /// Returns what had to be moved aside to get there (a log whose header
+    /// does not validate, or — when a new log is started — a bad base).
     ///
     /// # Errors
     ///
@@ -725,22 +558,129 @@ impl Store {
         &self,
         module_hash: u64,
         run: &ProfileData,
-    ) -> Result<Loaded<StoredProfile>, StoreError> {
+    ) -> Result<Vec<Quarantine>, StoreError> {
         let _guard = self.lock()?;
-        let loaded = self.load_profile(module_hash)?;
-        let mut merged = StoredProfile {
-            profile: ProfileData::default(),
-            runs: 0,
-        };
-        if let Some(prev) = loaded.value {
-            merged = prev;
+        let path = self.log_path(module_hash);
+        let mut quarantined = Vec::new();
+        let log_len = traced("append", &path, |sp| {
+            self.append_locked(module_hash, run, &path, &mut quarantined, sp)
+        })?;
+        if log_len > LOG_COMPACT_BYTES {
+            // The delta is already durable: a compaction that fails leaves
+            // the log for the next one and must not fail this flush.
+            if let Ok(mut q) = self.compact_locked(module_hash) {
+                quarantined.append(&mut q);
+            }
         }
-        merged.profile.merge_saturating(run);
-        merged.runs = merged.runs.saturating_add(1);
-        self.save_profile_locked(module_hash, &merged.profile, merged.runs)?;
-        Ok(Loaded {
-            value: merged,
-            quarantined: loaded.quarantined,
+        Ok(quarantined)
+    }
+
+    /// The append proper; returns the log's length afterwards.
+    fn append_locked(
+        &self,
+        module_hash: u64,
+        run: &ProfileData,
+        path: &Path,
+        quarantined: &mut Vec<Quarantine>,
+        sp: &mut trace::Span,
+    ) -> Result<usize, StoreError> {
+        let plan = self.faults.as_deref();
+        // Append after the CRC-valid prefix, not after whatever is there:
+        // behind a dead writer's torn tail a record would be unreachable.
+        let mut old_len = 0;
+        let keep = self
+            .read_artifact(path, quarantined, |bytes| {
+                old_len = bytes.len();
+                parse_log(bytes)
+            })?
+            .flatten()
+            .map_or(0, |l| l.mark.len as usize);
+        let mut rec = Vec::new();
+        if keep == 0 {
+            // A new log takes the epoch after the one its base folded, so
+            // no reader can take it for the log that base retired.
+            let base = self.read_artifact(&self.profile_path(module_hash), quarantined, |b| {
+                decode_profile(&b, Some(module_hash))
+            })?;
+            let folded = base.map_or(0, |(_, _, mark)| mark.epoch);
+            rec.extend_from_slice(&log_header(folded.saturating_add(1)));
+        }
+        let mut payload = module_hash.to_le_bytes().to_vec();
+        payload.extend_from_slice(&run.to_bytes());
+        push_record(&mut rec, &payload);
+        write_fault(plan, &mut rec)?;
+        journal_step(plan, 1)?;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(|e| io_err("open log", e))?;
+        if old_len > keep {
+            f.set_len(keep as u64)
+                .map_err(|e| io_err("truncate log", e))?;
+        }
+        // One write call per record: a writer killed inside it leaves a
+        // torn tail the CRC catches, never half a record that validates.
+        let durable = f
+            .write_all(&rec)
+            .map_err(|e| io_err("append log", e))
+            .and_then(|()| journal_step(plan, 2))
+            .and_then(|()| f.sync_all().map_err(|e| io_err("fsync log", e)));
+        if let Err(e) = durable {
+            // A clean failure, not a crash: take the append back so the
+            // on-disk state is what it was.
+            let _ = if keep == 0 {
+                std::fs::remove_file(path)
+            } else {
+                f.set_len(keep as u64)
+            };
+            return Err(e);
+        }
+        if keep == 0 {
+            sync_dir(&self.dir);
+        }
+        sp.arg("bytes", rec.len().to_string());
+        Ok(keep + rec.len())
+    }
+
+    /// Fold the delta log of `module_hash` into its base file and retire
+    /// the log — the idle-time half of [`Store::record_run`], called where
+    /// the reoptimizer runs. A module with no log is left alone. Returns
+    /// the bad files moved aside on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Locked`] or [`StoreError::Io`]; the log then simply
+    /// stays, and every run in it still reads back.
+    pub fn compact(&self, module_hash: u64) -> Result<Vec<Quarantine>, StoreError> {
+        let _guard = self.lock()?;
+        self.compact_locked(module_hash)
+    }
+
+    fn compact_locked(&self, module_hash: u64) -> Result<Vec<Quarantine>, StoreError> {
+        let base = self.profile_path(module_hash);
+        traced("compact", &base, |sp| {
+            let plan = self.faults.as_deref();
+            let folded = self.fold(module_hash)?;
+            let Some(mark) = folded.log else {
+                return Ok(folded.quarantined);
+            };
+            sp.arg("records", folded.records.to_string());
+            sp.arg("bytes", mark.len.to_string());
+            // With nothing unfolded (a compaction died between its rename
+            // and here) the base is already right.
+            if folded.records > 0 {
+                let stored = folded
+                    .value
+                    .as_ref()
+                    .expect("folded records make a profile");
+                let bytes = encode_profile(module_hash, &stored.profile, stored.runs, mark);
+                atomic_replace(&base, bytes, plan)?;
+            }
+            journal_step(plan, 5)?;
+            std::fs::remove_file(self.log_path(module_hash))
+                .map_err(|e| io_err("retire log", e))?;
+            Ok(folded.quarantined)
         })
     }
 
@@ -765,11 +705,10 @@ impl Store {
     }
 
     fn lock_inner(&self) -> Result<LockGuard, StoreError> {
-        let path = self.dir.join("lock");
         for attempt in 0..=self.lock_retries {
             // The fault site models a held/contended lock: any non-delay
             // action fails this acquisition attempt.
-            let contended = match self.fault("store.lock") {
+            let contended = match fault_at(self.faults.as_deref(), "store.lock") {
                 None => false,
                 Some(FaultAction::Delay(d)) => {
                     std::thread::sleep(d);
@@ -778,26 +717,8 @@ impl Store {
                 Some(_) => true,
             };
             if !contended {
-                match std::fs::OpenOptions::new()
-                    .write(true)
-                    .create_new(true)
-                    .open(&path)
-                {
-                    Ok(mut f) => {
-                        let _ = std::io::Write::write_all(
-                            &mut f,
-                            format!("{}\n", std::process::id()).as_bytes(),
-                        );
-                        return Ok(LockGuard { path });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                        // Held. Abandoned by a killed process? Break it.
-                        if self.lock_is_dead(&path) {
-                            let _ = std::fs::remove_file(&path);
-                            continue; // retry immediately
-                        }
-                    }
-                    Err(e) => return Err(StoreError::Io(format!("lock {}: {e}", path.display()))),
+                if let Some(guard) = self.try_lock_once()? {
+                    return Ok(guard);
                 }
             }
             if attempt < self.lock_retries {
@@ -807,6 +728,33 @@ impl Store {
             }
         }
         Err(StoreError::Locked)
+    }
+
+    /// One `O_EXCL` attempt at the lock file, repeated once if it had to
+    /// break a dead holder's lock first. `None` = a live writer holds it.
+    fn try_lock_once(&self) -> Result<Option<LockGuard>, StoreError> {
+        let path = self.dir.join("lock");
+        for _ in 0..2 {
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(mut f) => {
+                    let _ = f.write_all(format!("{}\n", std::process::id()).as_bytes());
+                    return Ok(Some(LockGuard { path }));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                    // Held. Abandoned by a killed process? Break it.
+                    if !self.lock_is_dead(&path) {
+                        return Ok(None);
+                    }
+                    let _ = std::fs::remove_file(&path);
+                }
+                Err(e) => return Err(StoreError::Io(format!("lock {}: {e}", path.display()))),
+            }
+        }
+        Ok(None)
     }
 
     /// Is the lock at `path` abandoned? First choice: the holder recorded
@@ -836,148 +784,10 @@ impl Store {
         false
     }
 
-    /// One non-blocking lock attempt (plus one dead-holder break) for the
-    /// recovery pass in [`Store::open`]. `None` = a live writer holds it.
-    fn try_lock_once(&self) -> Option<LockGuard> {
-        let path = self.dir.join("lock");
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = std::io::Write::write_all(
-                        &mut f,
-                        format!("{}\n", std::process::id()).as_bytes(),
-                    );
-                    return Some(LockGuard { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if self.lock_is_dead(&path) {
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                    return None;
-                }
-                Err(_) => return None,
-            }
-        }
-        None
-    }
-}
+    // -- crash debris ----------------------------------------------------
 
-// -- write-ahead journal --------------------------------------------------
-
-const JOURNAL_MAGIC: [u8; 4] = *b"LPWJ";
-const JOURNAL_VERSION: u32 = 1;
-/// Committed journal history past this size is compacted at the next
-/// locked write.
-const JOURNAL_COMPACT_BYTES: u64 = 256 * 1024;
-const REC_INTENT: u8 = 1;
-const REC_COMMIT: u8 = 2;
-/// Largest payload a well-formed record can carry; anything bigger in the
-/// length field is treated as a torn/garbage tail.
-const JOURNAL_MAX_REC: u32 = 64 * 1024;
-
-/// Op kinds recorded in intent records (diagnostic: recovery treats all
-/// ops identically).
-const OP_PROFILE: u8 = 1;
-const OP_REOPT: u8 = 2;
-const OP_DENY: u8 = 3;
-
-static JOURNAL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Journal sequence numbers only need to pair an intent with its commit
-/// within one journal file: PID in the high half, a process-local counter
-/// in the low half.
-fn next_journal_seq() -> u64 {
-    ((std::process::id() as u64) << 32)
-        | (JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF)
-}
-
-/// A decoded intent record: everything recovery needs to finish or undo
-/// the write. File *names*, not paths — the journal stays valid if the
-/// cache directory is moved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct IntentRec {
-    seq: u64,
-    op: u8,
-    hash: u64,
-    data_len: u32,
-    data_crc: u32,
-    final_name: String,
-    temp_name: String,
-}
-
-impl IntentRec {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(40 + self.final_name.len() + self.temp_name.len());
-        p.push(REC_INTENT);
-        p.extend_from_slice(&self.seq.to_le_bytes());
-        p.push(self.op);
-        p.extend_from_slice(&self.hash.to_le_bytes());
-        p.extend_from_slice(&self.data_len.to_le_bytes());
-        p.extend_from_slice(&self.data_crc.to_le_bytes());
-        for name in [&self.final_name, &self.temp_name] {
-            p.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            p.extend_from_slice(name.as_bytes());
-        }
-        p
-    }
-
-    fn decode(p: &[u8]) -> Option<IntentRec> {
-        let mut c = Cursor::new(p.get(1..)?); // tag already checked
-        let name = |c: &mut Cursor| {
-            let n = usize::from(c.u16("name length").ok()?);
-            String::from_utf8(c.take(n, "name").ok()?.to_vec()).ok()
-        };
-        Some(IntentRec {
-            seq: c.u64("seq").ok()?,
-            op: c.u8("op").ok()?,
-            hash: c.u64("hash").ok()?,
-            data_len: c.u32("data length").ok()?,
-            data_crc: c.u32("data crc").ok()?,
-            final_name: name(&mut c)?,
-            temp_name: name(&mut c)?,
-        })
-    }
-}
-
-fn encode_commit(seq: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(9);
-    p.push(REC_COMMIT);
-    p.extend_from_slice(&seq.to_le_bytes());
-    p
-}
-
-/// A journal file name is only trusted if it is a bare file name — a
-/// malformed or malicious record must not become a path traversal.
-fn bare_name(name: &str) -> bool {
-    !name.is_empty()
-        && Path::new(name)
-            .file_name()
-            .map(|f| f == name)
-            .unwrap_or(false)
-}
-
-/// What one journal-recovery pass did.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Uncommitted intents whose payload survived (intact temp file, or a
-    /// completed rename that just lost its commit record): the new
-    /// version was installed.
-    pub replayed: u64,
-    /// Uncommitted intents whose payload did not survive: torn temp
-    /// removed (or nothing to do); the old version stands.
-    pub rolled_back: u64,
-    /// Orphaned `.wal-*` / `.tmp-*` files swept.
-    pub swept: u64,
-}
-
-impl Store {
-    /// Run one journal-recovery pass now, taking the lock (blocking, with
-    /// the normal retry budget). [`Store::open`] already does this
+    /// Sweep orphaned temp files now, taking the lock (blocking, with the
+    /// normal retry budget). [`Store::open`] already does this
     /// non-blockingly; tests and tools can force a pass here.
     ///
     /// # Errors
@@ -985,97 +795,268 @@ impl Store {
     /// [`StoreError::Locked`] when the lock cannot be acquired.
     pub fn recover(&self) -> Result<RecoveryReport, StoreError> {
         let _guard = self.lock()?;
-        Ok(self.recover_journal_locked())
+        Ok(self.sweep_temps_locked())
     }
 
-    /// The recovery scan proper. Caller holds the lock.
-    fn recover_journal_locked(&self) -> RecoveryReport {
+    /// Remove the `.tmp-<pid>` files of writers killed between their temp
+    /// write and their rename. Every such writer held the lock the caller
+    /// holds now, so none of them is still alive.
+    fn sweep_temps_locked(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        let jpath = self.journal_path();
-        let data = std::fs::read(&jpath).unwrap_or_default();
-        let mut pending: BTreeMap<u64, IntentRec> = BTreeMap::new();
-        // The version field is currently informational.
-        let body = match data.strip_prefix(&JOURNAL_MAGIC) {
-            Some(rest) if rest.len() >= 4 => &rest[4..],
-            _ => &data[..],
-        };
-        // Parse until the first torn or nonsense record: everything after
-        // a torn tail was never durable, so it describes nothing.
-        for payload in records(body, JOURNAL_MAX_REC) {
-            match payload.first() {
-                Some(&REC_INTENT) => {
-                    if let Some(it) = IntentRec::decode(payload) {
-                        pending.insert(it.seq, it);
-                    }
-                }
-                Some(&REC_COMMIT) => {
-                    if let Ok(seq) = Cursor::new(&payload[1..]).u64("seq") {
-                        pending.remove(&seq);
-                    }
-                }
-                _ => {} // unknown tag: ignore (forward compatibility)
-            }
-        }
-        let mut referenced: Vec<String> = Vec::new();
-        for it in pending.values() {
-            referenced.push(it.temp_name.clone());
-            if !(bare_name(&it.final_name) && bare_name(&it.temp_name)) {
-                continue; // never follow a suspicious name
-            }
-            let tmp = self.dir.join(&it.temp_name);
-            let fin = self.dir.join(&it.final_name);
-            let matches = |b: &[u8]| b.len() as u32 == it.data_len && crc32(b) == it.data_crc;
-            let replayed = match std::fs::read(&tmp) {
-                Ok(b) if matches(&b) => {
-                    // The payload is fully on disk; finish the write the
-                    // dead process started.
-                    std::fs::rename(&tmp, &fin).is_ok()
-                }
-                Ok(_) | Err(_) => {
-                    // Torn or missing temp. If the final file already
-                    // carries the intended bytes the op actually
-                    // completed (killed between rename and commit).
-                    let _ = std::fs::remove_file(&tmp);
-                    std::fs::read(&fin).map(|b| matches(&b)).unwrap_or(false)
-                }
-            };
-            if replayed {
-                report.replayed += 1;
-            } else {
-                report.rolled_back += 1;
-            }
-        }
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        // Every pending op is resolved: retire the journal.
-        let _ = std::fs::remove_file(&jpath);
-        // Sweep write debris no pending intent references: pid-suffixed
-        // temps from crashed writers whose intents committed (or never
-        // became durable).
         if let Ok(rd) = std::fs::read_dir(&self.dir) {
             for entry in rd.filter_map(|e| e.ok()) {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let orphan = (name.contains(".wal-") || name.contains(".tmp-"))
-                    && !referenced.iter().any(|r| r == &name);
-                if orphan && std::fs::remove_file(entry.path()).is_ok() {
+                if entry.file_name().to_string_lossy().contains(".tmp-")
+                    && std::fs::remove_file(entry.path()).is_ok()
+                {
                     report.swept += 1;
                 }
             }
         }
-        if trace::enabled() && (report.replayed > 0 || report.rolled_back > 0 || report.swept > 0) {
+        if trace::enabled() && report.swept > 0 {
             trace::instant_args(
                 "store",
                 "journal.recovery",
-                vec![
-                    ("replayed", report.replayed.to_string()),
-                    ("rolled_back", report.rolled_back.to_string()),
-                    ("swept", report.swept.to_string()),
-                ],
+                vec![("swept", report.swept.to_string())],
             );
         }
         report
     }
+}
+
+/// What one crash-debris sweep did.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Orphaned `.tmp-*` files removed.
+    pub swept: u64,
+}
+
+// -- fault sites and the one whole-file write ------------------------------
+
+fn fault_at(plan: Option<&FaultPlan>, site: &str) -> Option<FaultAction> {
+    match plan {
+        Some(p) => p.next(site),
+        None => fault::global().and_then(|p| p.next(site)),
+    }
+}
+
+/// `std::fs::read` behind the `store.read` site.
+fn read_faulted(path: &Path, plan: Option<&FaultPlan>) -> Result<Vec<u8>, StoreError> {
+    match fault_at(plan, "store.read") {
+        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(_) => return Err(StoreError::Io("injected fault at site 'store.read'".into())),
+        None => {}
+    }
+    match std::fs::read(path) {
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::Missing),
+        Err(e) => Err(StoreError::Io(format!("read {}: {e}", path.display()))),
+    }
+}
+
+/// The `store.write` site, evaluated once per write of `bytes`. `corrupt`
+/// simulates a lying disk: one byte is damaged *before* it reaches the
+/// file, and the next read must catch it by checksum.
+fn write_fault(plan: Option<&FaultPlan>, bytes: &mut [u8]) -> Result<(), StoreError> {
+    match fault_at(plan, "store.write") {
+        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(FaultAction::Corrupt) => {
+            let mid = bytes.len() / 2;
+            if let Some(b) = bytes.get_mut(mid) {
+                *b ^= 0x01;
+            }
+        }
+        Some(_) => {
+            return Err(StoreError::Io(
+                "injected fault at site 'store.write'".into(),
+            ))
+        }
+        None => {}
+    }
+    Ok(())
+}
+
+/// One `store.journal` evaluation per durability step of profile traffic
+/// (1-based; see the module docs for the step table). `Delay` parks the
+/// writer *before* the step's action — the chaos tests SIGKILL it there —
+/// and any other action fails the step with a synthetic I/O error.
+fn journal_step(plan: Option<&FaultPlan>, step: u8) -> Result<(), StoreError> {
+    match fault_at(plan, "store.journal") {
+        None | Some(FaultAction::Corrupt) => Ok(()),
+        Some(FaultAction::Delay(d)) => {
+            std::thread::sleep(d);
+            Ok(())
+        }
+        Some(_) => Err(StoreError::Io(format!(
+            "injected fault at site 'store.journal' (step {step})"
+        ))),
+    }
+}
+
+/// Durability of a create, rename or unlink in `dir` (best-effort: not
+/// every filesystem lets a directory be fsynced).
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// Replace `path` with `bytes`, atomically: write `<path>.tmp-<pid>`,
+/// fsync it, rename it into place, fsync the directory. A kill at any
+/// point leaves the old content or the new, never a mix, and at worst an
+/// orphan temp for [`Store::open`] to sweep; a clean failure removes its
+/// temp and leaves the old content. Every whole-file artifact is written
+/// here, compaction's base included — hence `store.journal` steps 3 and 4.
+fn atomic_replace(
+    path: &Path,
+    mut bytes: Vec<u8>,
+    plan: Option<&FaultPlan>,
+) -> Result<(), StoreError> {
+    write_fault(plan, &mut bytes)?;
+    let tmp = PathBuf::from(format!("{}.tmp-{}", path.display(), std::process::id()));
+    let write = (|| -> Result<(), StoreError> {
+        journal_step(plan, 3)?;
+        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create temp", e))?;
+        f.write_all(&bytes).map_err(|e| io_err("write temp", e))?;
+        f.sync_all().map_err(|e| io_err("fsync temp", e))?;
+        journal_step(plan, 4)?;
+        std::fs::rename(&tmp, path).map_err(|e| io_err("rename into place", e))?;
+        if let Some(dir) = path.parent() {
+            sync_dir(dir);
+        }
+        Ok(())
+    })();
+    if write.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    write
+}
+
+// -- container validation ---------------------------------------------------
+
+/// Validate a container of `kind`; returns it with the module hash its
+/// `meta` section opens with, which must be `expected` when that is given.
+fn validate(
+    bytes: &[u8],
+    kind: [u8; 4],
+    expected: Option<u64>,
+) -> Result<(Container, u64), StoreError> {
+    let c = read_container(bytes).map_err(container_err)?;
+    if c.kind != kind {
+        return Err(StoreError::ChecksumFail(format!(
+            "container kind {:?}, expected {:?}",
+            String::from_utf8_lossy(&c.kind),
+            String::from_utf8_lossy(&kind),
+        )));
+    }
+    let meta = c
+        .section("meta")
+        .ok_or_else(|| StoreError::ChecksumFail("missing meta section".into()))?;
+    let found = Cursor::new(meta)
+        .u64("meta section")
+        .map_err(|_| StoreError::ChecksumFail("short meta section".into()))?;
+    match expected {
+        Some(expected) if expected != found => Err(StoreError::StaleHash { expected, found }),
+        _ => Ok((c, found)),
+    }
+}
+
+// -- profile delta log ------------------------------------------------------
+
+const LOG_MAGIC: [u8; 4] = *b"LPPL";
+const LOG_VERSION: u32 = 1;
+/// Magic, version, epoch, and the CRC-32 of those sixteen bytes.
+const LOG_HEADER_LEN: usize = 20;
+/// The append that takes a log past this folds it into the base. Sized by
+/// measurement, not configuration. A load decodes every pending record and
+/// a compaction costs three more fsyncs than an append, so the bound trades
+/// one against the other: over the fifteen `lpat_workloads::suite` programs
+/// (records of 120–290 bytes, a load after every run, ext4) the mean
+/// `record_run` + `load_profile` is 0.30 + 0.03 ms at 1 KiB, 0.25 + 0.04 at
+/// 2 KiB, 0.24 + 0.05 at 4 KiB, 0.22 + 0.09 at 8 KiB and 0.25 + 0.15 at
+/// 16 KiB, against 0.02 ms for a load with nothing pending.
+const LOG_COMPACT_BYTES: usize = 2 * 1024;
+
+/// How much of which log a base has folded — or, of a log as read, its
+/// epoch and the length of its header plus CRC-valid records.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Watermark {
+    epoch: u64,
+    len: u64,
+}
+
+/// A log file as read; `mark.len` bounds the part of `bytes` that counts.
+struct LogFile {
+    bytes: Vec<u8>,
+    mark: Watermark,
+}
+
+/// What the two files of one module hold together.
+struct Folded {
+    /// Base ⊕ the log records it has not folded; `None` when neither file
+    /// holds anything usable.
+    value: Option<StoredProfile>,
+    /// The log that was read: what a base written from `value` has folded.
+    log: Option<Watermark>,
+    /// Log records merged into `value`.
+    records: u64,
+    quarantined: Vec<Quarantine>,
+}
+
+fn log_header(epoch: u64) -> [u8; LOG_HEADER_LEN] {
+    let mut h = [0u8; LOG_HEADER_LEN];
+    h[..4].copy_from_slice(&LOG_MAGIC);
+    h[4..8].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    h[8..16].copy_from_slice(&epoch.to_le_bytes());
+    let crc = crc32(&h[..LOG_HEADER_LEN - 4]);
+    h[LOG_HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
+/// Find a log's epoch and valid prefix. `Ok(None)` for a file shorter
+/// than a header: its writer died creating it, nothing in it was ever
+/// durable, and the next appender starts it over.
+fn parse_log(bytes: Vec<u8>) -> Result<Option<LogFile>, StoreError> {
+    let mut c = Cursor::new(&bytes);
+    let (Ok(magic), Ok(version), Ok(epoch), Ok(crc)) = (
+        c.take(4, "magic"),
+        c.u32("version"),
+        c.u64("epoch"),
+        c.u32("header checksum"),
+    ) else {
+        return Ok(None);
+    };
+    if magic != LOG_MAGIC {
+        return Err(StoreError::ChecksumFail("profile log: bad magic".into()));
+    }
+    if version != LOG_VERSION {
+        return Err(StoreError::VersionMismatch { found: version });
+    }
+    if crc != crc32(&bytes[..LOG_HEADER_LEN - 4]) {
+        return Err(StoreError::ChecksumFail(
+            "profile log: header checksum mismatch".into(),
+        ));
+    }
+    let valid: usize = records(&bytes[LOG_HEADER_LEN..], u32::MAX)
+        .map(|payload| 8 + payload.len())
+        .sum();
+    let mark = Watermark {
+        epoch,
+        len: (LOG_HEADER_LEN + valid) as u64,
+    };
+    Ok(Some(LogFile { bytes, mark }))
+}
+
+/// Fold one log record's payload, which must be keyed to `expected`, into
+/// `into`.
+fn merge_delta(into: &mut ProfileData, payload: &[u8], expected: u64) -> Result<(), StoreError> {
+    let bad = |what: String| StoreError::ChecksumFail(format!("profile log record: {what}"));
+    let mut c = Cursor::new(payload);
+    let found = c.u64("module hash").map_err(|e| bad(e.0))?;
+    if found != expected {
+        return Err(StoreError::StaleHash { expected, found });
+    }
+    let counts = c.take(payload.len() - 8, "counts").map_err(|e| bad(e.0))?;
+    into.merge_bytes(counts).map_err(|e| bad(e.to_string()))
 }
 
 // -- crash-loop denylist records ------------------------------------------
@@ -1156,7 +1137,7 @@ impl Store {
         }
     }
 
-    /// Persist a crash-loop record (journaled, under the store lock).
+    /// Persist a crash-loop record (atomically, under the store lock).
     ///
     /// # Errors
     ///
@@ -1164,26 +1145,47 @@ impl Store {
     /// its in-memory breaker state either way.
     pub fn save_deny(&self, rec: &DenyRecord) -> Result<(), StoreError> {
         let _guard = self.lock()?;
-        self.journaled_write(&self.deny_path(rec.hash), &rec.encode(), OP_DENY, rec.hash)
+        self.write_file(&self.deny_path(rec.hash), rec.encode())
     }
 }
 
-// -- standalone profile files (--profile-in / --profile-out) -------------
+// -- profile containers: the store's bases and --profile-in / --profile-out
 
-/// Serialize a lifetime profile into container bytes.
-fn encode_profile(module_hash: u64, profile: &ProfileData, runs: u64) -> Vec<u8> {
+/// Serialize a lifetime profile into container bytes. `meta` is the module
+/// hash, the run count, and the log watermark (zero in a standalone file).
+fn encode_profile(module_hash: u64, profile: &ProfileData, runs: u64, mark: Watermark) -> Vec<u8> {
     let mut c = Container::new(KIND_PROFILE);
-    let mut meta = Vec::with_capacity(16);
-    meta.extend_from_slice(&module_hash.to_le_bytes());
-    meta.extend_from_slice(&runs.to_le_bytes());
+    let mut meta = Vec::with_capacity(32);
+    for field in [module_hash, runs, mark.epoch, mark.len] {
+        meta.extend_from_slice(&field.to_le_bytes());
+    }
     c.push("meta", meta);
     c.push("counts", profile.to_bytes());
     write_container(&c)
 }
 
+/// Decode a profile container: the module hash it is keyed to (which must
+/// be `expected` when that is given), the lifetime profile, and the log
+/// watermark — zero in files written before there was a log.
+fn decode_profile(
+    bytes: &[u8],
+    expected: Option<u64>,
+) -> Result<(u64, StoredProfile, Watermark), StoreError> {
+    let (c, hash) = validate(bytes, KIND_PROFILE, expected)?;
+    let mut meta = Cursor::new(&c.section("meta").unwrap_or(&[])[8..]);
+    let runs = meta.u64("runs").unwrap_or(1);
+    let mark = Watermark {
+        epoch: meta.u64("log epoch").unwrap_or(0),
+        len: meta.u64("log bytes").unwrap_or(0),
+    };
+    let profile = ProfileData::from_bytes(c.section("counts").unwrap_or(&[]))
+        .map_err(|e| StoreError::ChecksumFail(format!("profile payload: {e}")))?;
+    Ok((hash, StoredProfile { profile, runs }, mark))
+}
+
 /// Write a profile to a standalone file (`--profile-out`) with the same
-/// container format and atomic temp+fsync+rename protocol as the cache
-/// directory. Honors the global `store.write` fault site.
+/// container format and atomic replace as the cache directory. Honors the
+/// global `store.write` fault site.
 ///
 /// # Errors
 ///
@@ -1195,33 +1197,8 @@ pub fn write_profile_file(
     profile: &ProfileData,
     runs: u64,
 ) -> Result<(), StoreError> {
-    let mut bytes = encode_profile(module_hash, profile, runs);
-    match fault::global().and_then(|p| p.next("store.write")) {
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(FaultAction::Corrupt) if !bytes.is_empty() => {
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-        }
-        Some(FaultAction::Corrupt) | None => {}
-        Some(_) => {
-            return Err(StoreError::Io(
-                "injected fault at site 'store.write'".into(),
-            ))
-        }
-    }
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    let io = |what: &str, e: std::io::Error| StoreError::Io(format!("{what}: {e}"));
-    let write = (|| -> Result<(), StoreError> {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io("create temp", e))?;
-        std::io::Write::write_all(&mut f, &bytes).map_err(|e| io("write temp", e))?;
-        f.sync_all().map_err(|e| io("fsync temp", e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io("rename into place", e))?;
-        Ok(())
-    })();
-    if write.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    write
+    let bytes = encode_profile(module_hash, profile, runs, Watermark::default());
+    atomic_replace(path, bytes, None)
 }
 
 /// Read a standalone profile file (`--profile-in`). Returns the module
@@ -1233,29 +1210,8 @@ pub fn write_profile_file(
 ///
 /// The same classification as the store's loads.
 pub fn read_profile_file(path: &Path) -> Result<(u64, StoredProfile), StoreError> {
-    match fault::global().and_then(|p| p.next("store.read")) {
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(_) => return Err(StoreError::Io("injected fault at site 'store.read'".into())),
-        None => {}
-    }
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
-        Err(e) => return Err(StoreError::Io(format!("read {}: {e}", path.display()))),
-    };
-    let c = read_container(&bytes).map_err(container_err)?;
-    if c.kind != KIND_PROFILE {
-        return Err(StoreError::ChecksumFail("not a profile container".into()));
-    }
-    let meta = c
-        .section("meta")
-        .filter(|m| m.len() >= 16)
-        .ok_or_else(|| StoreError::ChecksumFail("short meta section".into()))?;
-    let hash = u64::from_le_bytes(meta[..8].try_into().expect("8 bytes"));
-    let runs = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
-    let profile = ProfileData::from_bytes(c.section("counts").unwrap_or(&[]))
-        .map_err(|e| StoreError::ChecksumFail(format!("profile payload: {e}")))?;
-    Ok((hash, StoredProfile { profile, runs }))
+    let (hash, stored, _) = decode_profile(&read_faulted(path, None)?, None)?;
+    Ok((hash, stored))
 }
 
 // -- exactly-once profile flushing ----------------------------------------
@@ -1265,9 +1221,9 @@ pub fn read_profile_file(path: &Path) -> Result<(u64, StoredProfile), StoreError
 pub enum FlushOutcome {
     /// No store configured or no delta recorded; nothing to persist.
     Skipped,
-    /// The delta was merged into the stored lifetime profile. Boxed so
-    /// the common `Skipped` case doesn't pay for the profile's footprint.
-    Flushed(Box<Loaded<StoredProfile>>),
+    /// The delta is durable in the store; these bad files were moved
+    /// aside on the way (usually none).
+    Flushed(Vec<Quarantine>),
     /// The store refused (lock budget, I/O); this run's counts are
     /// dropped — the always-make-progress posture.
     Failed(StoreError),
@@ -1325,7 +1281,7 @@ impl<'s> FlushGuard<'s> {
             _ => return FlushOutcome::Skipped,
         };
         match store.record_run(self.run_hash, &delta) {
-            Ok(loaded) => FlushOutcome::Flushed(Box::new(loaded)),
+            Ok(quarantined) => FlushOutcome::Flushed(quarantined),
             Err(e) => FlushOutcome::Failed(e),
         }
     }
@@ -1352,6 +1308,7 @@ impl Drop for LockGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpat_core::hash::SplitMix64;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1377,6 +1334,46 @@ mod tests {
         p
     }
 
+    /// Park a base file for `h` the way a store from before the delta log
+    /// wrote it — a 16-byte `meta`, no watermark — so every test built on
+    /// one also checks that such a file reads as "nothing folded yet".
+    fn put_base(store: &Store, h: u64, runs: u64) {
+        let mut c = Container::new(KIND_PROFILE);
+        c.push("meta", [h.to_le_bytes(), runs.to_le_bytes()].concat());
+        c.push("counts", sample_profile().to_bytes());
+        std::fs::write(store.profile_path(h), write_container(&c)).unwrap();
+    }
+
+    fn runs_of(store: &Store, h: u64) -> u64 {
+        let loaded = store.load_profile(h).unwrap();
+        assert!(loaded.quarantined.is_empty(), "{:?}", loaded.quarantined);
+        loaded.value.map_or(0, |sp| sp.runs)
+    }
+
+    /// Names in the store directory containing `pat`.
+    fn files_with(store: &Store, pat: &str) -> Vec<String> {
+        std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(pat))
+            .collect()
+    }
+
+    /// Appends of `sample_profile` that leave the log one record short of
+    /// compacting: the next `record_run` is the one that folds it.
+    fn fill_to_brink(store: &Store, h: u64) -> u64 {
+        let mut n = 0;
+        loop {
+            store.record_run(h, &sample_profile()).unwrap();
+            n += 1;
+            let len = std::fs::metadata(store.log_path(h)).unwrap().len() as usize;
+            let rec = (len - LOG_HEADER_LEN) / n as usize;
+            if len + rec > LOG_COMPACT_BYTES {
+                return n;
+            }
+        }
+    }
+
     /// A clock that records sleeps instead of performing them.
     struct CountingClock(AtomicU32);
     impl Clock for CountingClock {
@@ -1390,11 +1387,11 @@ mod tests {
         let store = Store::open(tmpdir("roundtrip")).unwrap();
         let h = 0xABCD;
         assert!(store.load_profile(h).unwrap().value.is_none());
-        let r1 = store.record_run(h, &sample_profile()).unwrap();
-        assert_eq!(r1.value.runs, 1);
-        let r2 = store.record_run(h, &sample_profile()).unwrap();
-        assert_eq!(r2.value.runs, 2);
+        store.record_run(h, &sample_profile()).unwrap();
+        assert_eq!(runs_of(&store, h), 1);
+        store.record_run(h, &sample_profile()).unwrap();
         let loaded = store.load_profile(h).unwrap().value.unwrap();
+        assert_eq!(loaded.runs, 2);
         assert_eq!(
             loaded.profile.block_count(
                 lpat_core::FuncId::from_index(0),
@@ -1403,6 +1400,13 @@ mod tests {
             20,
             "two runs merge to exactly doubled counts"
         );
+        // Compaction moves the same profile from the log into the base.
+        assert!(!store.profile_path(h).exists() && store.log_path(h).exists());
+        assert!(store.compact(h).unwrap().is_empty());
+        assert!(store.profile_path(h).exists() && !store.log_path(h).exists());
+        let compacted = store.load_profile(h).unwrap().value.unwrap();
+        assert_eq!(compacted.runs, 2);
+        assert_eq!(compacted.profile, loaded.profile);
     }
 
     #[test]
@@ -1432,7 +1436,7 @@ mod tests {
     #[test]
     fn stale_hash_is_quarantined_not_applied() {
         let store = Store::open(tmpdir("stale")).unwrap();
-        store.save_profile(0xAA, &sample_profile(), 1).unwrap();
+        put_base(&store, 0xAA, 1);
         // Same file, asked for under a different module hash: stale.
         std::fs::rename(store.profile_path(0xAA), store.profile_path(0xBB)).unwrap();
         let out = store.load_profile(0xBB).unwrap();
@@ -1444,12 +1448,26 @@ mod tests {
                 found: 0xAA
             }
         ));
+        // The same for a log: its records name the module they belong to.
+        store.record_run(0xAA, &sample_profile()).unwrap();
+        std::fs::rename(store.log_path(0xAA), store.log_path(0xCC)).unwrap();
+        put_base(&store, 0xCC, 4);
+        let out = store.load_profile(0xCC).unwrap();
+        assert_eq!(out.value.unwrap().runs, 4, "the base alone is used");
+        assert!(matches!(
+            out.quarantined[0].error,
+            StoreError::StaleHash {
+                expected: 0xCC,
+                found: 0xAA
+            }
+        ));
+        assert!(!store.log_path(0xCC).exists());
     }
 
     #[test]
     fn version_mismatch_is_classified_and_quarantined() {
         let store = Store::open(tmpdir("version")).unwrap();
-        store.save_profile(0xCC, &sample_profile(), 1).unwrap();
+        put_base(&store, 0xCC, 1);
         let path = store.profile_path(0xCC);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = 0xFE; // container version field
@@ -1467,7 +1485,6 @@ mod tests {
     /// misread as v2 data or merged into the fresh profile.
     #[test]
     fn v1_container_is_quarantined_and_regenerated() {
-        use lpat_core::hash::crc32;
         let store = Store::open(tmpdir("migrate-v1")).unwrap();
         let h = 0x99u64;
         // Hand-build the v1 file: four profile tables (no guard sections),
@@ -1487,54 +1504,57 @@ mod tests {
         let crc = crc32(&bytes[..body_len]);
         bytes[body_len + 4..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(store.profile_path(h), &bytes).unwrap();
-        // Classified as a version mismatch (not a checksum failure) and
-        // moved aside.
-        let out = store.load_profile(h).unwrap();
-        assert!(out.value.is_none(), "v1 data must not load as v2");
+        // The appender that starts the log reads the base for its epoch:
+        // it classifies the file as a version mismatch (not a checksum
+        // failure) and moves it aside.
+        let q = store.record_run(h, &sample_profile()).unwrap();
         assert!(matches!(
-            out.quarantined[0].error,
+            q[0].error,
             StoreError::VersionMismatch { found: 1 }
         ));
-        assert!(out.quarantined[0].moved_to.as_ref().unwrap().exists());
+        assert!(q[0].moved_to.as_ref().unwrap().exists());
         // Regeneration starts fresh: the v1 counters are gone, not merged.
-        let r = store.record_run(h, &sample_profile()).unwrap();
-        assert_eq!(r.value.runs, 1, "regenerated from empty, not from v1");
-        let reloaded = store.load_profile(h).unwrap().value.unwrap();
-        assert_eq!(reloaded.runs, 1);
+        let reloaded = store.load_profile(h).unwrap();
+        assert!(reloaded.quarantined.is_empty());
+        let reloaded = reloaded.value.unwrap();
+        assert_eq!(reloaded.runs, 1, "regenerated from empty, not from v1");
         assert_eq!(reloaded.profile, sample_profile());
     }
 
     #[test]
     fn injected_write_corruption_is_caught_on_next_read() {
+        let m = lpat_asm::parse_module("t", "define int @main() {\ne:\n  ret int 41\n}").unwrap();
         let mut store = Store::open(tmpdir("inject-corrupt")).unwrap();
         store.faults = plan("store.write:corrupt@1");
-        store.save_profile(0xDD, &sample_profile(), 1).unwrap();
-        let out = store.load_profile(0xDD).unwrap();
+        store.save_reopt(0xDD, &m).unwrap();
+        let out = store.load_reopt(0xDD, "t").unwrap();
         assert!(out.value.is_none(), "corrupted payload must not load");
         assert!(matches!(
             out.quarantined[0].error,
             StoreError::ChecksumFail(_)
         ));
+        // A log record damaged on its way to disk is a torn tail: the run
+        // is lost, nothing is quarantined, and the next append lands.
+        store.faults = plan("store.write:corrupt@2");
+        store.record_run(0xDE, &sample_profile()).unwrap();
+        store.record_run(0xDE, &sample_profile()).unwrap();
+        assert_eq!(runs_of(&store, 0xDE), 1);
+        store.record_run(0xDE, &sample_profile()).unwrap();
+        assert_eq!(runs_of(&store, 0xDE), 2);
     }
 
     #[test]
     fn injected_io_fault_fails_write_and_leaves_old_version() {
         let mut store = Store::open(tmpdir("inject-io")).unwrap();
-        store.save_profile(0xEE, &sample_profile(), 1).unwrap();
+        store.record_run(0xEE, &sample_profile()).unwrap();
+        let before = std::fs::read(store.log_path(0xEE)).unwrap();
         store.faults = plan("store.write:io@1");
-        let err = store
-            .save_profile(0xEE, &ProfileData::default(), 9)
-            .unwrap_err();
+        let err = store.record_run(0xEE, &sample_profile()).unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
         // The old version is intact and no temp file lingers.
-        let loaded = store.load_profile(0xEE).unwrap().value.unwrap();
-        assert_eq!(loaded.runs, 1);
-        let leftovers: Vec<_> = std::fs::read_dir(store.dir())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+        assert_eq!(std::fs::read(store.log_path(0xEE)).unwrap(), before);
+        assert_eq!(runs_of(&store, 0xEE), 1);
+        assert_eq!(files_with(&store, "tmp"), Vec::<String>::new());
     }
 
     #[test]
@@ -1629,185 +1649,76 @@ mod tests {
         assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
     }
 
+    /// `store.journal:io@N` at each of the five steps of the one
+    /// `record_run` that appends *and* compacts, with the exact run count
+    /// each must leave.
     #[test]
     fn injected_journal_fault_fails_write_cleanly_at_every_step() {
-        for step in 1..=4u8 {
+        for step in 1..=5u8 {
             let mut store = Store::open(tmpdir(&format!("jstep{step}"))).unwrap();
-            store.save_profile(0x31, &sample_profile(), 1).unwrap();
+            let h = 0x31;
+            let n = fill_to_brink(&store, h);
+            let before = std::fs::read(store.log_path(h)).unwrap();
             store.faults = plan(&format!("store.journal:io@{step}"));
-            let err = store.save_profile(0x31, &sample_profile(), 2).unwrap_err();
-            assert!(matches!(err, StoreError::Io(_)), "step {step}: {err:?}");
-            // Old version intact, no temp debris, and the journal holds
-            // no unresolved intent (reopen performs zero replays or
-            // rollbacks).
+            let r = store.record_run(h, &sample_profile());
             store.faults = None;
-            assert_eq!(store.load_profile(0x31).unwrap().value.unwrap().runs, 1);
-            let report = store.recover().unwrap();
-            assert_eq!(report.replayed, 0, "step {step}");
-            assert_eq!(report.rolled_back, 0, "step {step}");
-            let wal: Vec<_> = std::fs::read_dir(store.dir())
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().contains(".wal-"))
-                .collect();
-            assert!(wal.is_empty(), "step {step}: {wal:?}");
+            if step <= 2 {
+                // The append itself failed: this run's counts are dropped
+                // and the log is byte-for-byte what it was.
+                assert!(matches!(r, Err(StoreError::Io(_))), "step {step}: {r:?}");
+                assert_eq!(std::fs::read(store.log_path(h)).unwrap(), before);
+                assert_eq!(runs_of(&store, h), n, "step {step}");
+            } else {
+                // The delta was durable before compaction began: a failed
+                // compaction never fails the flush, and never counts the
+                // run twice — not even at step 5, where the new base and
+                // the log it folded are both on disk.
+                assert!(r.is_ok(), "step {step}: {r:?}");
+                assert_eq!(runs_of(&store, h), n + 1, "step {step}");
+                assert_eq!(store.profile_path(h).exists(), step == 5, "step {step}");
+                assert!(store.log_path(h).exists(), "step {step}: log retired");
+                // The log goes on working behind the folded prefix, and
+                // the next compaction finishes the job.
+                store.record_run(h, &sample_profile()).unwrap();
+                assert_eq!(runs_of(&store, h), n + 2, "step {step}");
+                assert!(!store.log_path(h).exists(), "step {step}: log kept");
+            }
+            assert_eq!(files_with(&store, ".tmp-"), Vec::<String>::new());
+            assert_eq!(files_with(&store, ".corrupt-"), Vec::<String>::new());
         }
-        // Step 5 (commit append) is past the rename: the write succeeds
-        // and the missing commit record costs nothing.
-        let mut store = Store::open(tmpdir("jstep5")).unwrap();
-        store.faults = plan("store.journal:io@5");
-        store.save_profile(0x32, &sample_profile(), 7).unwrap();
-        assert_eq!(store.load_profile(0x32).unwrap().value.unwrap().runs, 7);
-        // Recovery re-discovers the completed op as a replay.
+    }
+
+    /// One fsync per run: a `record_run` that does not compact passes
+    /// `store.journal` exactly twice — before its one write and before
+    /// its one fsync — so the site's second ordinal fires in it and the
+    /// third does not.
+    #[test]
+    fn a_run_that_does_not_compact_takes_two_journal_steps() {
+        let mut store = Store::open(tmpdir("two-steps")).unwrap();
+        store.faults = plan("store.journal:io@2");
+        assert!(store.record_run(0x61, &sample_profile()).is_err());
+        store.faults = plan("store.journal:io@3");
+        store.record_run(0x61, &sample_profile()).unwrap();
+        // ... and the third ordinal is the next run's first step.
+        assert!(store.record_run(0x61, &sample_profile()).is_err());
         store.faults = None;
-        assert_eq!(store.recover().unwrap().replayed, 1);
+        assert_eq!(runs_of(&store, 0x61), 1);
     }
 
+    /// A writer SIGKILLed between its temp write and its rename leaves an
+    /// orphan temp; the next locked open sweeps it.
     #[test]
-    fn journal_replay_installs_a_dead_writers_intact_temp() {
-        let dir = tmpdir("jreplay");
+    fn orphan_temp_is_swept_by_the_next_open() {
+        let dir = tmpdir("sweep");
         let store = Store::open(&dir).unwrap();
-        let h = 0x42u64;
-        store.save_profile(h, &sample_profile(), 1).unwrap();
-        // Simulate a writer SIGKILLed after fsyncing its temp (step 4):
-        // durable intent, intact temp, no commit.
-        let bytes = encode_profile(h, &sample_profile(), 9);
-        let final_name = format!("profile-{h:016x}.lpp");
-        let temp_name = format!("{final_name}.wal-424242");
-        std::fs::write(dir.join(&temp_name), &bytes).unwrap();
-        store
-            .append_journal(
-                &IntentRec {
-                    seq: 7,
-                    op: OP_PROFILE,
-                    hash: h,
-                    data_len: bytes.len() as u32,
-                    data_crc: crc32(&bytes),
-                    final_name,
-                    temp_name: temp_name.clone(),
-                }
-                .encode(),
-            )
-            .unwrap();
+        store.record_run(0x42, &sample_profile()).unwrap();
+        let orphan = dir.join("profile-0000000000000042.lpp.tmp-424242");
+        std::fs::write(&orphan, b"half a base").unwrap();
         drop(store);
-        // Reopen: recovery finishes the write the dead process started.
         let store = Store::open(&dir).unwrap();
-        assert_eq!(
-            store.load_profile(h).unwrap().value.unwrap().runs,
-            9,
-            "replayed version must be visible"
-        );
-        assert!(!dir.join(&temp_name).exists());
-        assert!(!store.journal_path().exists(), "journal retired");
-    }
-
-    #[test]
-    fn journal_rollback_discards_torn_temp_and_keeps_old_version() {
-        let dir = tmpdir("jrollback");
-        let store = Store::open(&dir).unwrap();
-        let h = 0x43u64;
-        store.save_profile(h, &sample_profile(), 1).unwrap();
-        let bytes = encode_profile(h, &sample_profile(), 9);
-        let final_name = format!("profile-{h:016x}.lpp");
-        // Torn temp: half the payload (killed mid-write, step 2→3).
-        let torn = dir.join(format!("{final_name}.wal-424242"));
-        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-        store
-            .append_journal(
-                &IntentRec {
-                    seq: 8,
-                    op: OP_PROFILE,
-                    hash: h,
-                    data_len: bytes.len() as u32,
-                    data_crc: crc32(&bytes),
-                    final_name: final_name.clone(),
-                    temp_name: format!("{final_name}.wal-424242"),
-                }
-                .encode(),
-            )
-            .unwrap();
-        // A second intent whose temp never appeared (killed at step 2).
-        store
-            .append_journal(
-                &IntentRec {
-                    seq: 9,
-                    op: OP_PROFILE,
-                    hash: h,
-                    data_len: bytes.len() as u32,
-                    data_crc: crc32(&bytes),
-                    final_name: final_name.clone(),
-                    temp_name: format!("{final_name}.wal-424243"),
-                }
-                .encode(),
-            )
-            .unwrap();
-        let report = store.recover().unwrap();
-        assert_eq!(report.rolled_back, 2);
-        assert_eq!(report.replayed, 0);
-        assert!(!torn.exists(), "torn temp removed");
-        assert_eq!(
-            store.load_profile(h).unwrap().value.unwrap().runs,
-            1,
-            "old version stands"
-        );
-        // Zero quarantine files: rollback is clean, not corruption.
-        let corrupt: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".corrupt-"))
-            .collect();
-        assert!(corrupt.is_empty(), "{corrupt:?}");
-    }
-
-    #[test]
-    fn torn_journal_tail_is_ignored_but_durable_prefix_still_replays() {
-        let dir = tmpdir("jtorn");
-        let store = Store::open(&dir).unwrap();
-        let h = 0x44u64;
-        let bytes = encode_profile(h, &sample_profile(), 3);
-        let final_name = format!("profile-{h:016x}.lpp");
-        let temp_name = format!("{final_name}.wal-77");
-        std::fs::write(dir.join(&temp_name), &bytes).unwrap();
-        store
-            .append_journal(
-                &IntentRec {
-                    seq: 1,
-                    op: OP_PROFILE,
-                    hash: h,
-                    data_len: bytes.len() as u32,
-                    data_crc: crc32(&bytes),
-                    final_name,
-                    temp_name,
-                }
-                .encode(),
-            )
-            .unwrap();
-        // Crash during a later append: garbage half-record at the tail.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(store.journal_path())
-                .unwrap();
-            f.write_all(&[0xFF, 0x13, 0x00, 0x00, 0xAB]).unwrap();
-        }
-        let report = store.recover().unwrap();
-        assert_eq!(report.replayed, 1, "prefix replays despite torn tail");
-        assert_eq!(store.load_profile(h).unwrap().value.unwrap().runs, 3);
-        assert!(!store.journal_path().exists());
-    }
-
-    #[test]
-    fn committed_journal_history_is_inert_and_retired() {
-        let dir = tmpdir("jcommitted");
-        let store = Store::open(&dir).unwrap();
-        store.save_profile(0x45, &sample_profile(), 1).unwrap();
-        store.save_profile(0x46, &sample_profile(), 4).unwrap();
-        assert!(store.journal_path().exists(), "history accumulates");
-        let report = store.recover().unwrap();
-        assert_eq!((report.replayed, report.rolled_back), (0, 0));
-        assert!(!store.journal_path().exists());
-        assert_eq!(store.load_profile(0x45).unwrap().value.unwrap().runs, 1);
+        assert!(!orphan.exists());
+        assert_eq!(runs_of(&store, 0x42), 1);
+        assert_eq!(store.recover().unwrap(), RecoveryReport { swept: 0 });
     }
 
     #[test]
@@ -1836,7 +1747,7 @@ mod tests {
     fn torn_write_truncation_at_every_offset_recovers() {
         let store = Store::open(tmpdir("torn")).unwrap();
         let h = 0x77;
-        store.save_profile(h, &sample_profile(), 1).unwrap();
+        put_base(&store, h, 1);
         let full = std::fs::read(store.profile_path(h)).unwrap();
         for cut in 0..full.len() {
             std::fs::write(store.profile_path(h), &full[..cut]).unwrap();
@@ -1848,5 +1759,153 @@ mod tests {
                 let _ = std::fs::remove_file(q);
             }
         }
+    }
+
+    /// `n` distinct deltas over a handful of shared keys.
+    fn random_deltas(seed: u64, n: usize) -> Vec<ProfileData> {
+        let mut rng = SplitMix64(seed);
+        (0..n)
+            .map(|_| {
+                let mut p = ProfileData::default();
+                for _ in 0..=rng.below(5) {
+                    let f = lpat_core::FuncId::from_index(rng.below(3) as usize);
+                    let b = lpat_core::BlockId::from_index(rng.below(4) as usize);
+                    // Now and then a count large enough to saturate.
+                    let big = rng.below(4) == 0;
+                    let n = if big { u64::MAX / 2 } else { rng.below(1_000) };
+                    p.block_counts.insert((f, b), n);
+                    p.call_counts.insert(f, rng.below(50));
+                }
+                p.guard_exec_counts
+                    .insert(rng.below(3) as u32, rng.below(9));
+                p
+            })
+            .collect()
+    }
+
+    /// Truncating a log of N records at every byte offset, and flipping
+    /// the byte at every offset, each make `load_profile` return base ⊕
+    /// exactly the records wholly before the damage; the base is never
+    /// quarantined; and a run recorded after a torn tail is visible.
+    #[test]
+    fn log_damage_at_every_offset_keeps_exactly_the_records_before_it() {
+        let store = Store::open(tmpdir("log-damage")).unwrap();
+        let h = 0x78u64;
+        put_base(&store, h, 3);
+        let deltas = random_deltas(7, 5);
+        let mut ends = Vec::new();
+        for d in &deltas {
+            store.record_run(h, d).unwrap();
+            ends.push(std::fs::metadata(store.log_path(h)).unwrap().len() as usize);
+        }
+        let full = std::fs::read(store.log_path(h)).unwrap();
+        let expect = |whole: usize| {
+            let mut p = sample_profile();
+            for d in &deltas[..whole] {
+                p.merge_saturating(d);
+            }
+            (p.to_bytes(), 3 + whole as u64)
+        };
+        let check = |whole: usize, header_flip: bool, what: &str| {
+            let out = store.load_profile(h).unwrap();
+            let got = out.value.expect("the base is always there");
+            assert_eq!((got.profile.to_bytes(), got.runs), expect(whole), "{what}");
+            assert!(store.profile_path(h).exists(), "{what}: base quarantined");
+            // Only a header that does not validate condemns the file; a
+            // damaged record is a torn tail, which a kill can produce.
+            assert_eq!(out.quarantined.len(), header_flip as usize, "{what}");
+            for q in &out.quarantined {
+                assert_eq!(q.original, store.log_path(h), "{what}");
+                std::fs::remove_file(q.moved_to.as_ref().unwrap()).unwrap();
+            }
+        };
+        for at in 0..full.len() {
+            let whole = ends.iter().filter(|&&e| e <= at).count();
+            std::fs::write(store.log_path(h), &full[..at]).unwrap();
+            check(whole, false, &format!("cut {at}"));
+            // The next appender cuts the torn tail off before appending.
+            store.record_run(h, &deltas[whole]).unwrap();
+            check(whole + 1, false, &format!("append after cut {at}"));
+            assert_eq!(
+                std::fs::read(store.log_path(h)).unwrap(),
+                full[..ends[whole]],
+                "append after cut {at}: the log is not what {} clean runs leave",
+                whole + 1
+            );
+
+            let mut bad = full.clone();
+            bad[at] ^= 0xFF;
+            std::fs::write(store.log_path(h), &bad).unwrap();
+            let in_header = at < LOG_HEADER_LEN;
+            check(
+                if in_header { 0 } else { whole },
+                in_header,
+                &format!("flip {at}"),
+            );
+        }
+    }
+
+    /// K deltas through `record_run`, with — after each — nothing, a
+    /// compaction, or a compaction that dies before retiring its log, in
+    /// every combination: the stored profile and run count always equal
+    /// the in-memory `merge_saturating` fold.
+    #[test]
+    fn any_compaction_schedule_equals_the_in_memory_fold() {
+        const K: usize = 5;
+        let deltas = random_deltas(11, K);
+        let mut want = ProfileData::default();
+        for d in &deltas {
+            want.merge_saturating(d);
+        }
+        let mut store = Store::open(tmpdir("equiv")).unwrap();
+        for schedule in 0..3usize.pow(K as u32) {
+            let h = 0x1000 + schedule as u64;
+            let mut s = schedule;
+            for d in &deltas {
+                store.record_run(h, d).unwrap();
+                match s % 3 {
+                    0 => {}
+                    1 => drop(store.compact(h).unwrap()),
+                    _ => {
+                        // Compaction alone passes steps 3, 4, 5 as the
+                        // site's ordinals 1, 2, 3.
+                        store.faults = plan("store.journal:io@3");
+                        assert!(store.compact(h).is_err());
+                        store.faults = None;
+                    }
+                }
+                s /= 3;
+            }
+            let got = store.load_profile(h).unwrap();
+            assert!(got.quarantined.is_empty(), "schedule {schedule}");
+            let got = got.value.unwrap();
+            assert_eq!(got.runs, K as u64, "schedule {schedule}");
+            assert_eq!(
+                got.profile.to_bytes(),
+                want.to_bytes(),
+                "schedule {schedule}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_thousand_runs_leave_a_bounded_log() {
+        let store = Store::open(tmpdir("bounded")).unwrap();
+        let h = 0x79u64;
+        let record = 8 + 8 + sample_profile().to_bytes().len();
+        let mut compactions = 0;
+        for run in 1..=1_000u64 {
+            store.record_run(h, &sample_profile()).unwrap();
+            match std::fs::metadata(store.log_path(h)) {
+                Ok(md) => assert!(
+                    md.len() as usize <= LOG_COMPACT_BYTES + record,
+                    "run {run}: log of {} bytes",
+                    md.len()
+                ),
+                Err(_) => compactions += 1,
+            }
+        }
+        assert!(compactions >= 1_000 * record / (LOG_COMPACT_BYTES + record));
+        assert_eq!(runs_of(&store, h), 1_000);
     }
 }

@@ -240,27 +240,28 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                 },
                 None => None,
             };
-            // Under a cache dir, prefer the reoptimized module a previous
-            // idle-time `lpatc reopt` produced for these exact bytes.
+            // Profiles are keyed to the module actually executed: under a
+            // cache dir, the reoptimized module a previous idle-time
+            // `lpatc reopt` produced for these exact bytes, when there is
+            // one.
+            let mut run_hash = lpat::vm::module_hash(&m);
             if let Some(store) = &store {
-                let source_hash = lpat::vm::module_hash(&m);
-                match store.load_reopt(source_hash, &m.name) {
+                match store.load_reopt(run_hash, &m.name) {
                     Ok(loaded) => {
                         for q in &loaded.quarantined {
                             diag.cache_warn(q.error.class(), &q.to_string());
                         }
                         if let Some(r) = loaded.value {
                             diag.note(&format!(
-                                "[cache] using reoptimized module for {source_hash:016x}"
+                                "[cache] using reoptimized module for {run_hash:016x}"
                             ));
                             m = r;
+                            run_hash = lpat::vm::module_hash(&m);
                         }
                     }
                     Err(e) => diag.cache_warn(e.class(), &e.to_string()),
                 }
             }
-            // Profiles are keyed to the module actually executed.
-            let run_hash = lpat::vm::module_hash(&m);
             // Load-and-merge a prior lifetime profile; a profile recorded
             // against different bytes is stale and must not be applied.
             let mut lifetime = lpat::vm::StoredProfile {
@@ -389,11 +390,12 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
                 lifetime.profile.merge_saturating(&vm.profile);
                 lifetime.runs = lifetime.runs.saturating_add(1);
                 flush.set_delta(std::mem::take(&mut vm.profile));
-                // The store merges this run's delta under its lock; a
-                // Locked/Io failure skips persisting this one run.
+                // The store appends this run's delta to the module's log
+                // under its lock; a Locked/Io failure skips persisting
+                // this one run.
                 match flush.flush() {
-                    lpat::vm::FlushOutcome::Flushed(l) => {
-                        for q in &l.quarantined {
+                    lpat::vm::FlushOutcome::Flushed(quarantined) => {
+                        for q in &quarantined {
                             diag.cache_warn(q.error.class(), &q.to_string());
                         }
                     }
@@ -474,8 +476,16 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
             let mut profile = lpat::vm::ProfileData::default();
             let mut runs = 0u64;
             if let Some(store) = &store {
+                // Idle time is when the runs logged since the last reopt
+                // are folded into the base profile. Failing to is no
+                // reason not to reoptimize: the log still reads back.
+                let mut quarantined = store.compact(source_hash).unwrap_or_else(|e| {
+                    diag.cache_warn(e.class(), &e.to_string());
+                    Vec::new()
+                });
                 let loaded = store.load_profile(source_hash).map_err(|e| e.to_string())?;
-                for q in &loaded.quarantined {
+                quarantined.extend(loaded.quarantined);
+                for q in &quarantined {
                     diag.cache_warn(q.error.class(), &q.to_string());
                 }
                 if let Some(sp) = loaded.value {

@@ -4,7 +4,7 @@
 //! against *panics*, this suite proves the process-isolation layer holds
 //! against the failures `catch_unwind` cannot absorb: `abort(3)`,
 //! `SIGKILL` mid-request, and `SIGKILL` parked between any two
-//! durability steps of a journaled store write. Every test drives a real
+//! durability steps of a run's profile flush. Every test drives a real
 //! `lpatd` subprocess over a real socket and kills real worker
 //! processes; after each induced death the daemon must keep serving,
 //! exactly one client may see a structured error, and the store must
@@ -187,10 +187,8 @@ fn sigterm(pid: u32) {
     assert!(ok, "kill -TERM {pid} failed");
 }
 
-/// No `*.corrupt-N` quarantine debris anywhere under the cache dir —
-/// the whole point of journaled writes is that crashes never surface as
-/// corrupt-store quarantines.
-fn assert_no_corrupt_files(root: &std::path::Path) {
+/// No file whose name contains `pat` anywhere under the cache dir.
+fn assert_no_files_named(root: &std::path::Path, pat: &str, what: &str) {
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         for ent in std::fs::read_dir(&dir).unwrap() {
@@ -202,13 +200,16 @@ fn assert_no_corrupt_files(root: &std::path::Path) {
             }
             let name = ent.file_name();
             let name = name.to_string_lossy();
-            assert!(
-                !name.contains(".corrupt-"),
-                "quarantine debris after crash: {}",
-                path.display()
-            );
+            assert!(!name.contains(pat), "{what}: {}", path.display());
         }
     }
+}
+
+/// No `*.corrupt-N` quarantine debris anywhere under the cache dir —
+/// a torn log tail is cut off and a whole file is replaced atomically, so
+/// crashes never surface as corrupt-store quarantines.
+fn assert_no_corrupt_files(root: &std::path::Path) {
+    assert_no_files_named(root, ".corrupt-", "quarantine debris after crash");
 }
 
 /// Stored run count for `module` (0 when no profile was persisted).
@@ -402,28 +403,71 @@ fn sigkill_salvages_a_flight_record_into_the_crash_diagnostic() {
 }
 
 // ---------------------------------------------------------------------------
-// Journal crash points: SIGKILL parked between every pair of durability
-// steps; the store must recover to a consistent state every time.
+// Profile-traffic crash points: SIGKILL parked before every durability
+// step of a run that appends to the delta log and compacts it; the store
+// must read back a consistent state every time.
 // ---------------------------------------------------------------------------
+
+/// One profiled run of `module`, as the daemon's `Run` op collects it.
+fn profile_of(module: &str) -> lpat::vm::ProfileData {
+    let m = lpat::asm::parse_module("chaos", module).unwrap();
+    let opts = lpat::vm::VmOptions {
+        profile: true,
+        ..Default::default()
+    };
+    let mut vm = lpat::vm::Vm::new(&m, opts).unwrap();
+    vm.run_main().unwrap();
+    vm.profile
+}
 
 #[test]
 fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
     if !in_matrix("journal-kill") {
         return;
     }
-    // Steps of a journaled write: 1 intent append, 2 temp write, 3 temp
-    // fsync, 4 rename, 5 commit append. `store.journal:delay=...@N`
-    // parks the worker immediately BEFORE step N's action, so a SIGKILL
-    // during the stall means steps 1..N-1 happened and step N did not:
-    //   - killed before the temp file is complete (steps 1-2): the
-    //     run's profile delta is LOST — recovery rolls back;
-    //   - killed once the temp file is fully written (steps 3-5): the
-    //     delta is DURABLE — recovery replays the rename.
+    // Steps of a run's profile flush: 1 log append, 2 log fsync, and — in
+    // the run that takes the log past its bound — 3 the new base's temp
+    // write, 4 its rename, 5 the log's retirement.
+    // `store.journal:delay=...@N` parks the worker immediately BEFORE
+    // step N's action, so a SIGKILL during the stall means steps 1..N-1
+    // happened and step N did not:
+    //   - killed before the append (step 1): the run's delta is LOST;
+    //   - killed anywhere later (steps 2-5): the delta is in the log (a
+    //     process kill does not take the page cache with it) and is KEPT,
+    //     whatever state the compaction was left in — nothing written
+    //     (3), an orphan temp (4), or the new base beside the log it
+    //     folded (5), which must not count that log twice.
     // Either way: no torn file, no quarantine debris, and the run count
     // equals what the crash semantics promise.
+    let delta = profile_of(ADD_PROG);
+    let hash = module_hash(&lpat::asm::parse_module("chaos", ADD_PROG).unwrap());
+    // How many runs of this module take a log past its bound (the store
+    // keeps the bound to itself): count them on a scratch store, up to the
+    // run that leaves a base file behind.
+    let to_compact = {
+        let scratch = tmp("journal-brink");
+        let _ = std::fs::remove_dir_all(&scratch);
+        let store = lpat::vm::Store::open(&scratch).unwrap();
+        let mut runs = 0u64;
+        while !store.profile_path(hash).exists() {
+            store.record_run(hash, &delta).unwrap();
+            runs += 1;
+        }
+        runs
+    };
+    let n = to_compact - 1;
     for step in 1..=5u32 {
         let cache = tmp(&format!("journal-step-{step}"));
         let _ = std::fs::remove_dir_all(&cache);
+        // n earlier runs: the next one appends AND compacts, so in a fresh
+        // worker the site's ordinals 1..=5 are exactly the five steps.
+        {
+            let store = ShardedStore::open(&cache, 2).unwrap();
+            for _ in 0..n {
+                store.shard(hash).record_run(hash, &delta).unwrap();
+            }
+        }
+        assert_eq!(stored_runs(&cache, 2, ADD_PROG), n);
         let mut d = Daemon::spawn(&[
             "--isolate",
             "process",
@@ -447,17 +491,29 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
         });
         let pid = wait_for_worker_pid(&d.addr, Duration::from_secs(5));
         // Give the worker time to execute the module and park in the
-        // journal stall, then kill it between two durability steps.
+        // stall, then kill it between two durability steps.
         std::thread::sleep(Duration::from_millis(600));
         sigkill(pid);
         match inflight.join().unwrap() {
             Response::Err { class, .. } => assert_eq!(class, ErrClass::Crashed, "step {step}"),
             other => panic!("step {step}: killed request answered {other:?}"),
         }
-        // A fresh worker (which first recovers the journal its
-        // predecessor left) serves the next run of the same module. Its
-        // own @N delay fires during its own first profile write — a
-        // stall, not a kill, so the request completes.
+        // What the dead worker left reads back as the crash semantics
+        // promise — at step 5 exactly n + 1, the folded log not counted
+        // again — and opening the store (under the lock the dead worker
+        // no longer holds) has swept step 4's orphan temp.
+        let kept = u64::from(step > 1);
+        assert_eq!(
+            stored_runs(&cache, 2, ADD_PROG),
+            n + kept,
+            "step {step}: killed run should be {}",
+            if kept == 1 { "kept" } else { "lost" }
+        );
+        assert_no_files_named(&cache, ".tmp-", "orphan temp survived an open");
+        // A fresh worker serves the next run of the same module. Its own
+        // @N delay fires during its own flush, which compacts whatever
+        // its predecessor left — a stall, not a kill, so the request
+        // completes.
         let mut c = connect(&d.addr);
         match c.request(&run_request(ADD_PROG)).unwrap() {
             Response::Ok { exit, .. } => assert_eq!(exit, 42, "step {step}"),
@@ -466,13 +522,10 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
         assert!(d.alive(), "step {step}: daemon died");
         drop(d);
         assert_no_corrupt_files(&cache);
-        let runs = stored_runs(&cache, 2, ADD_PROG);
-        let expect = if step <= 2 { 1 } else { 2 };
         assert_eq!(
-            runs,
-            expect,
-            "step {step}: killed write should be {} (runs)",
-            if step <= 2 { "lost" } else { "replayed" }
+            stored_runs(&cache, 2, ADD_PROG),
+            n + kept + 1,
+            "step {step}"
         );
     }
 }

@@ -10,8 +10,9 @@
 //! * two runs merge to *exactly* doubled saturating counts, and the
 //!   merged profile identifies the same hot loops/traces as one
 //!   double-length run;
-//! * a torn write (truncation at any offset) is quarantined and the
-//!   store regenerates, never crashes, never silently reuses;
+//! * a torn base file (truncation at any offset) is quarantined and the
+//!   store regenerates, never crashes, never silently reuses; a torn tail
+//!   of the delta log costs the one run that was being appended;
 //! * every [`StoreError`] class degrades a run to "uncached with a
 //!   warning", never a failure;
 //! * two instrumented runs + offline `lpatc reopt` produce the same
@@ -268,7 +269,11 @@ fn torn_profile_writes_recover_with_quarantine() {
     run_cached(&bc, &cache, &[], &[]);
 
     let store = Store::open(&cache).unwrap();
-    let ppath = store.profile_path(module_hash(&m));
+    let hash = module_hash(&m);
+    let ppath = store.profile_path(hash);
+    // A run leaves its profile in the delta log; compaction makes the base
+    // file this test tears.
+    store.compact(hash).unwrap();
     let good = std::fs::read(&ppath).unwrap();
 
     // Subprocess legs at representative truncation points; the store unit
@@ -277,6 +282,8 @@ fn torn_profile_writes_recover_with_quarantine() {
         for stale in corrupt_files(&cache) {
             std::fs::remove_file(stale).unwrap();
         }
+        // Fold the previous leg's run first, so the base is all there is.
+        store.compact(hash).unwrap();
         std::fs::write(&ppath, &good[..cut]).unwrap();
         let (_, stderr) = run_cached(&bc, &cache, &[], &[]);
         assert!(
@@ -289,10 +296,55 @@ fn torn_profile_writes_recover_with_quarantine() {
             "cut {cut}: torn file not moved aside"
         );
         // The regenerated profile holds exactly this run, nothing torn.
-        let reloaded = store.load_profile(module_hash(&m)).unwrap();
+        let reloaded = store.load_profile(hash).unwrap();
         assert!(reloaded.quarantined.is_empty());
         assert_eq!(reloaded.value.expect("regenerated").runs, 1);
     }
+}
+
+/// The one file of a module's delta log in `cache`.
+fn log_file(cache: &Path) -> PathBuf {
+    let logs: Vec<PathBuf> = std::fs::read_dir(cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .collect();
+    assert_eq!(logs.len(), 1, "{logs:?}");
+    logs[0].clone()
+}
+
+/// A run killed inside its log append leaves a torn tail. That is not
+/// corruption: the run is lost, the runs before it are not, nothing is
+/// quarantined or warned about, and the next run lands behind the valid
+/// prefix where every later reader finds it.
+#[test]
+fn torn_log_tail_loses_one_run_and_quarantines_nothing() {
+    let dir = fresh_dir("persist-torn-log");
+    let cache = dir.join("cache");
+    let m = build(600);
+    let bc = write_bc(&dir, &m);
+    run_cached(&bc, &cache, &[], &[]);
+    run_cached(&bc, &cache, &[], &[]);
+    let log = log_file(&cache);
+    let two = std::fs::read(&log).unwrap();
+    std::fs::write(&log, &two[..two.len() - 1]).unwrap();
+
+    let store = Store::open(&cache).unwrap();
+    let runs = || {
+        let loaded = store.load_profile(module_hash(&m)).unwrap();
+        assert!(loaded.quarantined.is_empty());
+        loaded.value.expect("profile").runs
+    };
+    assert_eq!(runs(), 1, "the torn record still counts");
+    let (_, stderr) = run_cached(&bc, &cache, &[], &[]);
+    assert!(!stderr.contains("quarantined"), "{stderr}");
+    assert_eq!(runs(), 2, "the run after the tear is not visible");
+    assert_eq!(
+        std::fs::read(&log).unwrap(),
+        two,
+        "the tear was not cut off"
+    );
+    assert!(corrupt_files(&cache).is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -447,11 +499,17 @@ fn mutated_store_containers_never_panic() {
     let m = build(200);
     let hash = module_hash(&m);
     let store = Store::open(&cache).unwrap();
-    store.save_profile(hash, &profile_of(&m), 1).unwrap();
+    lpat::vm::store::write_profile_file(&store.profile_path(hash), hash, &profile_of(&m), 1)
+        .unwrap();
     store.save_reopt(hash, &m).unwrap();
+    for _ in 0..2 {
+        FlushGuard::new(Some(&store), hash).set_delta(profile_of(&m));
+    }
+    let log = log_file(&cache);
     let seeds = [
         std::fs::read(store.profile_path(hash)).unwrap(),
         std::fs::read(store.reopt_path(hash)).unwrap(),
+        std::fs::read(&log).unwrap(),
     ];
 
     let mut rng = Rng(SplitMix64(0xcafe_f00d));
@@ -474,11 +532,12 @@ fn mutated_store_containers_never_panic() {
                 }
             }
         }
-        // Park the mutant at both paths; a load must classify or
+        // Park the mutant at all three paths; a load must classify or
         // quarantine it — never panic, and never hand back a module or
         // profile from a file that fails validation undetected.
         std::fs::write(store.profile_path(hash), &buf).unwrap();
         std::fs::write(store.reopt_path(hash), &buf).unwrap();
+        std::fs::write(&log, &buf).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = store.load_profile(hash);
             let _ = store.load_reopt(hash, "fuzz");

@@ -504,33 +504,77 @@ fn full_queue_sheds_busy_and_retry_eventually_succeeds() {
 
 #[test]
 fn run_reopt_run_closes_the_lifelong_loop_over_the_wire() {
-    let cache = tmp("loop-cache");
-    let _ = std::fs::remove_dir_all(&cache);
-    let mut d = Daemon::spawn(&["--cache-dir", cache.to_str().unwrap()], None);
-    let mut c = connect(&d.addr);
-    // Run once (records a profile), reopt (consumes it, caches the
-    // module), run again (must be a cache hit).
-    let resp = c.request(&run_request(ADD_PROG)).unwrap();
-    assert_eq!(expect_ok(&resp).0, 42);
-    let mut reopt = run_request(ADD_PROG);
-    reopt.op = Op::Reopt;
-    match c.request(&reopt).unwrap() {
-        Response::Ok { module, output, .. } => {
-            assert!(module.starts_with(b"LPAT"), "reopt returns bytecode");
-            assert!(String::from_utf8_lossy(&output).contains("reopt:"));
+    // Under both isolation modes: the requests execute in a thread of the
+    // daemon or in a worker subprocess, the daemon's counters must not
+    // care which.
+    for isolate in ["thread", "process"] {
+        let cache = tmp(&format!("loop-cache-{isolate}"));
+        let _ = std::fs::remove_dir_all(&cache);
+        let cache_dir = cache.to_str().unwrap();
+        let mut d = Daemon::spawn(
+            &[
+                "--isolate",
+                isolate,
+                "--workers",
+                "1",
+                "--cache-dir",
+                cache_dir,
+            ],
+            None,
+        );
+        let mut c = connect(&d.addr);
+        // Run twice (each logs a profile delta), reopt (folds the log,
+        // consumes the profile, caches the module), run again (must be a
+        // cache hit).
+        for _ in 0..2 {
+            let resp = c.request(&run_request(ADD_PROG)).unwrap();
+            assert_eq!(expect_ok(&resp).0, 42, "{isolate}");
         }
-        other => panic!("reopt failed: {other:?}"),
-    }
-    match c.request(&run_request(ADD_PROG)).unwrap() {
-        Response::Ok {
-            exit, cache_hit, ..
-        } => {
-            assert_eq!(exit, 42);
-            assert!(cache_hit, "second run must hit the reopt cache");
+        let mut reopt = run_request(ADD_PROG);
+        reopt.op = Op::Reopt;
+        match c.request(&reopt).unwrap() {
+            Response::Ok { module, output, .. } => {
+                assert!(module.starts_with(b"LPAT"), "reopt returns bytecode");
+                let output = String::from_utf8_lossy(&output);
+                assert!(output.contains("reopt:"), "{isolate}: {output}");
+                assert!(
+                    output.contains("(2 runs of profile)"),
+                    "{isolate}: {output}"
+                );
+            }
+            other => panic!("{isolate}: reopt failed: {other:?}"),
         }
-        other => panic!("unexpected: {other:?}"),
+        // Reopt is idle time: it left the two runs in the base file and no
+        // delta log behind.
+        let files = walk(&cache);
+        let with_ext = |ext: &str| {
+            files
+                .iter()
+                .filter(|p| p.extension().is_some_and(|e| e == ext))
+                .count()
+        };
+        assert_eq!((with_ext("lpp"), with_ext("log")), (1, 0), "{files:?}");
+        match c.request(&run_request(ADD_PROG)).unwrap() {
+            Response::Ok {
+                exit, cache_hit, ..
+            } => {
+                assert_eq!(exit, 42);
+                assert!(cache_hit, "{isolate}: third run must hit the reopt cache");
+            }
+            other => panic!("{isolate}: unexpected: {other:?}"),
+        }
+        match c.request(&Request::new(Op::Stats)).unwrap() {
+            Response::Ok { output, .. } => {
+                let json = String::from_utf8(output).unwrap();
+                assert!(
+                    json.contains("\"cache_hits\":1,\"cache_misses\":2"),
+                    "{isolate}: {json}"
+                );
+            }
+            other => panic!("{isolate}: stats answered {other:?}"),
+        }
+        assert!(d.alive());
     }
-    assert!(d.alive());
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Observability integration tests: Chrome-trace export determinism
-//! across `--jobs`, subsystem coverage, `--time-passes` agreement with
-//! pass spans, `--quiet`, and cache-warning deduplication.
+//! across `--jobs`, subsystem coverage, the store's append / fold /
+//! compact spans, `--time-passes` agreement with pass spans, `--quiet`,
+//! and cache-warning deduplication.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -139,6 +140,50 @@ fn run_trace_covers_subsystems() {
     ] {
         assert!(metrics.contains(key), "missing {key} in metrics");
     }
+}
+
+/// The store says what it did: a run's profile flush is an `append` span
+/// (with the bytes appended), a later load reports how many log records it
+/// folded, and `reopt`'s idle-time compaction is a `compact` span (with the
+/// records and log bytes it folded) — never a `write` of the profile.
+#[test]
+fn store_spans_tell_append_fold_and_compact_apart() {
+    let dir = tmpdir("trace-store");
+    let prog = write_program(&dir);
+    let cache = dir.join("cache");
+    let traced = |cmd: &str, n: u32| {
+        let trace_out = dir.join(format!("{cmd}-{n}.json"));
+        let metrics_out = dir.join(format!("{cmd}-{n}-metrics.json"));
+        let st = lpatc()
+            .args([cmd, prog.to_str().unwrap()])
+            .args(["--cache-dir", cache.to_str().unwrap()])
+            .args(["--trace-out", trace_out.to_str().unwrap()])
+            .args(["--metrics-out", metrics_out.to_str().unwrap()])
+            .args(["--trace-clock", "virtual", "--quiet"])
+            .status()
+            .unwrap();
+        assert!(st.code().is_some());
+        (read(&trace_out), read(&metrics_out))
+    };
+    let (first, metrics) = traced("run", 1);
+    assert!(first.contains("\"name\":\"append profile-"), "{first}");
+    assert!(first.contains("\"args\":{\"bytes\":\""), "{first}");
+    assert!(!first.contains("\"name\":\"write profile-"), "{first}");
+    assert!(!first.contains("\"name\":\"compact "), "{first}");
+    assert!(!metrics.contains("store.log_records_folded"), "{metrics}");
+    let (_, metrics) = traced("run", 2);
+    assert!(
+        metrics.contains("\"store.log_records_folded\":1"),
+        "{metrics}"
+    );
+    let (reopt, _) = traced("reopt", 1);
+    assert!(reopt.contains("\"name\":\"compact profile-"), "{reopt}");
+    assert!(
+        reopt.contains("\"args\":{\"records\":\"2\",\"bytes\":\""),
+        "{reopt}"
+    );
+    assert!(reopt.contains("\"name\":\"write reopt-"), "{reopt}");
+    assert!(!reopt.contains("\"name\":\"write profile-"), "{reopt}");
 }
 
 /// `--speculate --stats` prints the speculation table, and a speculated
