@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use lpat_core::fault::FaultAction;
 use lpat_core::{faultpoint, trace, Module};
-use lpat_vm::store::{FlushGuard, FlushOutcome};
-use lpat_vm::{module_hash, reoptimize, ExecError, PgoOptions, ProfileData, Vm, VmOptions};
+use lpat_vm::session::{self, Mode, Note, ReoptError, RunConfig, RunError};
+use lpat_vm::{PgoOptions, VmOptions};
 
 use lpat_core::hash::fnv1a64;
 
@@ -1107,24 +1107,25 @@ pub(crate) fn process(engine: &Engine, req: &Request, deadline: Instant) -> Resp
         return resp;
     }
     match req.op {
-        Op::Ping => Response::Ok {
+        Op::Ping => Ok(Response::Ok {
             exit: 0,
             insts: 0,
             cache_hit: false,
             output: b"pong".to_vec(),
             module: Vec::new(),
-        },
-        Op::Stats => Response::Ok {
+        }),
+        Op::Stats => Ok(Response::Ok {
             exit: 0,
             insts: 0,
             cache_hit: false,
             output: engine.stats.render_json().into_bytes(),
             module: Vec::new(),
-        },
+        }),
         Op::Compile => do_compile(req, deadline),
         Op::Run => do_run(engine, req, deadline),
         Op::Reopt => do_reopt(engine, req, deadline),
     }
+    .unwrap_or_else(|resp| resp)
 }
 
 /// Load a module from any of its three shapes — bytecode by its `LPAT`
@@ -1151,90 +1152,77 @@ pub fn load_module(name: &str, bytes: &[u8], minic: bool) -> Result<Module, Stri
     Ok(m)
 }
 
-/// [`load_module`] on the request's payload: the wire carries a flag where
-/// `lpatc` has a file extension.
-fn parse_module(req: &Request) -> Result<Module, Response> {
+/// [`load_module`] on the request's payload — the wire carries a flag where
+/// `lpatc` has a file extension — and the `parsed` deadline stage.
+fn parse_module(req: &Request, deadline: Instant) -> Result<Module, Response> {
     let name = if req.name.is_empty() {
         "module"
     } else {
         req.name.as_str()
     };
-    load_module(name, &req.module, req.flags & FLAG_MINIC != 0)
-        .map_err(|e| Response::err(ErrClass::BadModule, e))
+    let m = load_module(name, &req.module, req.flags & FLAG_MINIC != 0)
+        .map_err(|e| Response::err(ErrClass::BadModule, e))?;
+    check_deadline("parsed", deadline)?;
+    Ok(m)
 }
 
-/// Run the function pipeline (and optionally the link-time pipeline) in
-/// degrade mode — a crashing pass is rolled back, never fatal.
+/// Optimize a request's module under `FLAG_OPT` — the function pipeline,
+/// plus the link-time one for a compile — in degrade mode: a crashing pass
+/// is rolled back and counted, never fatal.
 fn optimize(m: &mut Module, link_time: bool) -> Result<(), Response> {
-    let mut pm = lpat_transform::function_pipeline();
-    pm.degrade = true;
-    let _ = pm.run(m);
-    if link_time {
-        let mut pm = lpat_transform::link_time_pipeline();
-        pm.degrade = true;
-        let _ = pm.run(m);
-    }
-    m.verify().map_err(|e| {
+    let cfg = session::OptConfig {
+        function: true,
+        link_time,
+        ..Default::default()
+    };
+    let reports = session::optimize(m, &cfg).map_err(|e| {
         Response::err(
             ErrClass::Internal,
-            format!("verifier after optimization: {}", e[0]),
+            format!("verifier after optimization: {e}"),
         )
     })?;
+    let faults: usize = reports.iter().map(|(_, r)| r.faults.len()).sum();
+    if faults > 0 {
+        trace::counter("serve.pass_faults", faults as u64);
+    }
     Ok(())
 }
 
-fn do_compile(req: &Request, deadline: Instant) -> Response {
-    let mut m = match parse_module(req) {
-        Ok(m) => m,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_deadline("parsed", deadline) {
-        return resp;
-    }
-    if req.flags & FLAG_OPT != 0 {
-        if let Err(resp) = optimize(&mut m, true) {
-            return resp;
+/// Count what the session worked around while serving this request; the
+/// request itself was answered regardless.
+fn count_notes(notes: &[Note]) {
+    for note in notes {
+        match note {
+            Note::Quarantined(_) => trace::counter("serve.store_quarantined", 1),
+            Note::FlushFailed(_) => trace::counter("serve.flush_failures", 1),
+            Note::CompactFailed(_) => trace::counter("serve.compact_failures", 1),
+            _ => {}
         }
     }
-    Response::Ok {
+}
+
+// The three ops that carry a module. `Err` is an answer too: the stage
+// that could not go on answers with its own response.
+
+fn do_compile(req: &Request, deadline: Instant) -> Result<Response, Response> {
+    let mut m = parse_module(req, deadline)?;
+    if req.flags & FLAG_OPT != 0 {
+        optimize(&mut m, true)?;
+    }
+    Ok(Response::Ok {
         exit: 0,
         insts: 0,
         cache_hit: false,
         output: Vec::new(),
         module: lpat_bytecode::write_module(&m),
-    }
+    })
 }
 
-fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Response {
-    let mut m = match parse_module(req) {
-        Ok(m) => m,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_deadline("parsed", deadline) {
-        return resp;
-    }
+fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response, Response> {
+    let mut m = parse_module(req, deadline)?;
     if req.flags & FLAG_OPT != 0 {
-        if let Err(resp) = optimize(&mut m, false) {
-            return resp;
-        }
+        optimize(&mut m, false)?;
     }
-    // Prefer a previously reoptimized module for these exact bytes — the
-    // daemon-side half of the lifelong loop. Store failures degrade to an
-    // uncached run; they never fail the request.
-    let mut cache_hit = false;
-    let store = engine.store.as_ref();
-    // Profiles are keyed to the module actually executed.
-    let mut run_hash = module_hash(&m);
-    if let Some(store) = store {
-        if let Ok(loaded) = store.shard(run_hash).load_reopt(run_hash, &m.name) {
-            if let Some(r) = loaded.value {
-                m = r;
-                cache_hit = true;
-                run_hash = module_hash(&m);
-            }
-        }
-    }
-    let run_store = store.map(|s| s.shard(run_hash));
     // Every daemon-side run is fuel-bounded: the request's ask, or the
     // server default — never unlimited.
     let fuel = if req.fuel > 0 {
@@ -1244,132 +1232,79 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Response {
     };
     let mut opts = VmOptions {
         fuel: Some(fuel),
-        profile: run_store.is_some(),
+        profile: engine.store.is_some(),
         ..VmOptions::default()
     };
     opts.input.extend(req.inputs.iter().copied());
-    let tiered = req.flags & FLAG_TIERED != 0;
-    let mut vm = match Vm::new(&m, opts) {
-        Ok(vm) => vm,
-        Err(e) => return Response::err(ErrClass::BadModule, e.to_string()),
-    };
-    if tiered {
-        if let Some(store) = run_store {
-            if let Ok(loaded) = store.load_profile(run_hash) {
-                if let Some(sp) = loaded.value {
-                    vm.warm_start(&sp.profile);
-                }
-            }
-        }
-    }
-    if let Err(resp) = check_deadline("pre-exec", deadline) {
-        return resp;
-    }
-    // Exactly-once profile flush on EVERY exit path below — clean exit,
-    // trap, deadline, even a panic unwinding through this frame — via the
-    // same RAII guard `lpatc run` uses.
-    let mut flush = FlushGuard::new(run_store, run_hash);
-    let result = if tiered {
-        vm.run_main_tiered()
-    } else {
-        vm.run_main()
-    };
-    if vm.opts.profile {
-        flush.set_delta(std::mem::take(&mut vm.profile));
-    }
-    vm.flush_trace();
-    if let FlushOutcome::Failed(e) = flush.flush() {
-        trace::counter("serve.flush_failures", 1);
-        let _ = e; // this run's counts are dropped; the request still answers
-    }
-    let post = check_deadline("post-exec", deadline);
-    match result {
-        Ok(code) => {
-            if let Err(resp) = post {
-                return resp;
-            }
-            Response::Ok {
-                exit: (code & 0xFF) as i32,
-                insts: vm.insts_executed,
-                cache_hit,
-                output: vm.output.into_bytes(),
-                module: Vec::new(),
-            }
-        }
-        Err(ExecError::Exited(code)) => Response::Ok {
-            exit: code & 0xFF,
-            insts: vm.insts_executed,
-            cache_hit,
-            output: vm.output.into_bytes(),
-            module: Vec::new(),
+    // The wire has no way to ask for the JIT alone, the native tier,
+    // speculation or an explicit profile file.
+    let config = RunConfig {
+        mode: if req.flags & FLAG_TIERED != 0 {
+            Mode::Tiered
+        } else {
+            Mode::Interp
         },
-        Err(e @ ExecError::Trap { .. }) => Response::err(ErrClass::Trap, e.to_string()),
-    }
+        opts,
+        spec: None,
+        profile_in: None,
+        lifetime: false,
+    };
+    let pre_exec = || check_deadline("pre-exec", deadline);
+    let report =
+        session::run(m, engine.store.as_ref(), config, pre_exec, |_| ()).map_err(|e| match e {
+            RunError::Aborted(resp) => resp,
+            RunError::BadModule(e) => Response::err(ErrClass::BadModule, e.to_string()),
+            RunError::Verify(e) => Response::err(
+                ErrClass::Internal,
+                format!("verifier after speculation: {e}"),
+            ),
+        })?;
+    count_notes(&report.notes);
+    // The stage is passed (and its fault site hit) whether or not the
+    // guest trapped; a trap is answered as a trap.
+    let post = check_deadline("post-exec", deadline);
+    let code = report
+        .result
+        .map_err(|e| Response::err(ErrClass::Trap, e.to_string()))?;
+    post?;
+    Ok(Response::Ok {
+        exit: (code & 0xFF) as i32,
+        insts: report.insts,
+        cache_hit: report.cache_hit,
+        output: report.output.into_bytes(),
+        module: Vec::new(),
+    })
 }
 
-fn do_reopt(engine: &Engine, req: &Request, deadline: Instant) -> Response {
+fn do_reopt(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response, Response> {
     let Some(store) = engine.store.as_ref() else {
-        return Response::err(
+        return Err(Response::err(
             ErrClass::Unsupported,
             "reopt requires the daemon to run with --cache-dir",
-        );
+        ));
     };
-    let mut m = match parse_module(req) {
-        Ok(m) => m,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_deadline("parsed", deadline) {
-        return resp;
-    }
-    let source_hash = module_hash(&m);
-    let shard = store.shard(source_hash);
-    // Idle-time work belongs here: fold the runs logged since the last
-    // reopt into the base profile. A failure leaves the log, which the
-    // load below still reads.
-    if shard.compact(source_hash).is_err() {
-        trace::counter("serve.compact_failures", 1);
-    }
-    let mut profile = ProfileData::default();
-    let mut runs = 0u64;
-    match shard.load_profile(source_hash) {
-        Ok(loaded) => {
-            if let Some(sp) = loaded.value {
-                profile.merge_saturating(&sp.profile);
-                runs += sp.runs;
+    let m = parse_module(req, deadline)?;
+    let report =
+        session::reopt(m, Some(store), &PgoOptions::default(), None).map_err(|e| match e {
+            ReoptError::NoProfile => Response::err(ErrClass::Unsupported, e.to_string()),
+            ReoptError::Verify(e) => {
+                Response::err(ErrClass::Internal, format!("verifier after reopt: {e}"))
             }
-        }
-        Err(e) => return Response::err(ErrClass::Internal, e.to_string()),
-    }
-    if runs == 0 {
-        return Response::err(
-            ErrClass::Unsupported,
-            "no profile recorded for this module yet",
-        );
-    }
-    let report = reoptimize(&mut m, &profile, &PgoOptions::default());
-    if let Err(e) = m.verify() {
-        return Response::err(
-            ErrClass::Internal,
-            format!("verifier after reopt: {}", e[0]),
-        );
-    }
-    if let Err(resp) = check_deadline("post-exec", deadline) {
-        return resp;
-    }
-    if let Err(e) = shard.save_reopt(source_hash, &m) {
-        return Response::err(ErrClass::Internal, e.to_string());
-    }
-    Response::Ok {
+            e => Response::err(ErrClass::Internal, e.to_string()),
+        })?;
+    count_notes(&report.notes);
+    check_deadline("post-exec", deadline)?;
+    Ok(Response::Ok {
         exit: 0,
         insts: 0,
         cache_hit: false,
         output: format!(
-            "reopt: inlined {} hot sites, re-laid {} functions ({runs} runs of profile)",
-            report.inlined, report.relaid
+            "reopt: inlined {} hot sites, re-laid {} functions ({} runs of profile)",
+            report.pgo.inlined, report.pgo.relaid, report.runs
         )
         .into_bytes(),
-        module: lpat_bytecode::write_module(&m),
-    }
+        module: lpat_bytecode::write_module(&report.module),
+    })
 }
 
 #[cfg(test)]

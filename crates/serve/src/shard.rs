@@ -18,6 +18,7 @@
 
 use std::path::{Path, PathBuf};
 
+use lpat_vm::session::Stores;
 use lpat_vm::{Store, StoreError};
 
 /// A fixed set of [`Store`] shards under one root directory.
@@ -69,6 +70,12 @@ impl ShardedStore {
     /// Iterate all shards (stats, GC sweeps, tests).
     pub fn shards(&self) -> impl Iterator<Item = &Store> {
         self.shards.iter()
+    }
+}
+
+impl Stores for ShardedStore {
+    fn store_for(&self, module_hash: u64) -> &Store {
+        self.shard(module_hash)
     }
 }
 

@@ -403,7 +403,6 @@ impl CrashBreaker {
 pub fn run_worker_stdio(
     engine: &Engine,
     max_frame: u32,
-    default_deadline: Duration,
     trace_clock: Option<trace::ClockMode>,
     ships_trace: bool,
 ) -> i32 {
@@ -435,12 +434,9 @@ pub fn run_worker_stdio(
                         ("rid", req.request_id.to_string()),
                     ],
                 );
-                let budget = if req.deadline_ms > 0 {
-                    Duration::from_millis(u64::from(req.deadline_ms))
-                } else {
-                    default_deadline
-                };
-                let deadline = Instant::now() + budget;
+                // The supervisor always forwards the budget that is left
+                // (`ProcWorker::dispatch`), never 0 for "use a default".
+                let deadline = Instant::now() + Duration::from_millis(u64::from(req.deadline_ms));
                 match catch_unwind(AssertUnwindSafe(|| process(engine, &req, deadline))) {
                     Ok(resp) => resp,
                     Err(payload) => Response::err(

@@ -464,27 +464,37 @@ impl<'m> Vm<'m> {
     /// Run `main()` and return its integer exit value (an explicit
     /// `exit(code)` also returns here).
     pub fn run_main(&mut self) -> Result<i64, ExecError> {
-        let mut sp = trace::span("vm", "interp @main");
-        let result = {
-            let main = self
-                .m
-                .func_by_name("main")
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "no @main in module"))?;
-            match self.run_function(main, vec![]) {
+        self.run_main_with("vm", "interp @main", Vm::run_function)
+    }
+
+    /// The body shared by [`Vm::run_main`] and its `_jit` / `_tiered`
+    /// forms: find `@main`, call it through `call` under a `cat` / `name`
+    /// span, map its outcome to an exit value, and record that (or the
+    /// trap) on the span.
+    pub(crate) fn run_main_with(
+        &mut self,
+        cat: &'static str,
+        name: &'static str,
+        call: impl FnOnce(&mut Self, FuncId, Vec<VmValue>) -> Result<Option<VmValue>, ExecError>,
+    ) -> Result<i64, ExecError> {
+        let mut sp = trace::span(cat, name);
+        let result = match self.m.func_by_name("main") {
+            None => Err(ExecError::trap(TrapKind::Invalid, "no @main in module")),
+            Some(main) => match call(self, main, vec![]) {
                 Ok(Some(v)) => v
                     .as_i64()
                     .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "main returned non-integer")),
                 Ok(None) => Ok(0),
                 Err(ExecError::Exited(c)) => Ok(c as i64),
                 Err(e) => Err(e),
-            }
+            },
         };
         if trace::enabled() {
             match &result {
                 Ok(code) => sp.arg("exit", code.to_string()),
                 Err(e) => {
                     sp.arg("error", e.to_string());
-                    trace::instant_args("vm", "trap", vec![("error", e.to_string())]);
+                    trace::instant_args(cat, "trap", vec![("error", e.to_string())]);
                 }
             }
         }

@@ -651,31 +651,7 @@ impl<'m> Vm<'m> {
     /// dispatch records the same block/edge/call/callsite counts the
     /// interpreter would.
     pub fn run_main_jit(&mut self) -> Result<i64, ExecError> {
-        let mut sp = trace::span("jit", "jit @main");
-        let result = (|| {
-            let main = self
-                .module()
-                .func_by_name("main")
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "no @main in module"))?;
-            match self.run_function_jit(main, vec![]) {
-                Ok(Some(v)) => v
-                    .as_i64()
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "main returned non-integer")),
-                Ok(None) => Ok(0),
-                Err(ExecError::Exited(c)) => Ok(c as i64),
-                Err(e) => Err(e),
-            }
-        })();
-        if trace::enabled() {
-            match &result {
-                Ok(code) => sp.arg("exit", code.to_string()),
-                Err(e) => {
-                    sp.arg("error", e.to_string());
-                    trace::instant_args("jit", "trap", vec![("error", e.to_string())]);
-                }
-            }
-        }
-        result
+        self.run_main_with("jit", "jit @main", Vm::run_function_jit)
     }
 
     /// Call `f` with `args` under the JIT engine. Every function is

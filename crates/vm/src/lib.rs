@@ -31,6 +31,7 @@ pub mod mem;
 pub mod native;
 pub mod pgo;
 pub mod profile;
+pub mod session;
 pub mod store;
 pub mod tier;
 pub mod value;

@@ -1232,10 +1232,10 @@ pub enum FlushOutcome {
 /// RAII guard that flushes one run's profile delta into the store
 /// **exactly once** — on explicit [`FlushGuard::flush`] (the happy path,
 /// so the caller can report quarantines) or on drop (early-return, trap,
-/// and panic paths). Both the `lpatc run` driver and `lpatd` workers
-/// funnel their profile persistence through this one type, so no exit
-/// route can flush twice (double-counting a run) or zero times (losing
-/// the crashing runs the lifelong profile most needs).
+/// and panic paths). [`crate::session::run`] — and so both `lpatc run`
+/// and `lpatd` workers — funnels profile persistence through this one
+/// type, so no exit route can flush twice (double-counting a run) or zero
+/// times (losing the crashing runs the lifelong profile most needs).
 pub struct FlushGuard<'s> {
     store: Option<&'s Store>,
     run_hash: u64,
@@ -1260,12 +1260,6 @@ impl<'s> FlushGuard<'s> {
     /// nothing to persist.
     pub fn set_delta(&mut self, delta: ProfileData) {
         self.delta = Some(delta);
-    }
-
-    /// Whether the single flush already happened (explicitly or not at
-    /// all yet).
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Perform the flush if it has not happened yet; subsequent calls

@@ -221,31 +221,7 @@ impl<'m> Vm<'m> {
     /// Run `main()` under the tiered engine. Produces the same results as
     /// [`Vm::run_main`] at any `VmOptions::tier_up` threshold.
     pub fn run_main_tiered(&mut self) -> Result<i64, ExecError> {
-        let mut sp = trace::span("vm", "tiered @main");
-        let result = {
-            let main = self
-                .module()
-                .func_by_name("main")
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "no @main in module"))?;
-            match self.run_function_tiered(main, vec![]) {
-                Ok(Some(v)) => v
-                    .as_i64()
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "main returned non-integer")),
-                Ok(None) => Ok(0),
-                Err(ExecError::Exited(c)) => Ok(c as i64),
-                Err(e) => Err(e),
-            }
-        };
-        if trace::enabled() {
-            match &result {
-                Ok(code) => sp.arg("exit", code.to_string()),
-                Err(e) => {
-                    sp.arg("error", e.to_string());
-                    trace::instant_args("vm", "trap", vec![("error", e.to_string())]);
-                }
-            }
-        }
-        result
+        self.run_main_with("vm", "tiered @main", Vm::run_function_tiered)
     }
 
     /// Call `f` with `args` under the tiered engine.

@@ -17,6 +17,11 @@
 //! lpatc size    <in>                                        code-size report
 //! ```
 //!
+//! Flags may appear anywhere after the command, before or after the
+//! inputs. Each command declares the flags it reads (`lpat::cli`): a flag
+//! it does not read, a flag missing its value, or a value that does not
+//! parse is an error naming the flag (exit 2), never silently ignored.
+//!
 //! Every command also accepts `--quiet` (silence stderr notices and
 //! warnings) and the observability flags `--trace-out FILE` (Chrome
 //! trace-event JSON, loadable in Perfetto / `chrome://tracing`),
@@ -82,9 +87,49 @@
 //! files are quarantined and regenerated, never trusted. `--profile-out` /
 //! `--profile-in` do the same with a single explicit profile file.
 
+use std::convert::Infallible;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
+use lpat::cli::{self, Args, Flags, TraceOutputs};
 use lpat::core::Module;
+use lpat::vm::session::{self, Mode, Note, OptConfig, ReoptError, RunConfig, RunError};
+
+/// What `compile`, `opt` and `link` read, beside [`cli::GLOBAL`].
+const COMPILE: Flags = Flags {
+    switches: "-O -O2 --link-pipeline --verify-each --time-passes --no-degrade",
+    valued: "-o --emit --jobs --pass-budget-ms",
+};
+
+/// `dis`, `analyze` and `size` read an input and the global flags.
+const INPUT_ONLY: Flags = Flags {
+    switches: "",
+    valued: "",
+};
+
+const RUN: Flags = Flags {
+    switches: "-O -O2 --profile --jit --tiered --tier-native --speculate",
+    valued: "--jobs --fuel --input --max-stack --tier-up --native-up --spec-threshold \
+             --cache-dir --profile-in --profile-out",
+};
+
+const REOPT: Flags = Flags {
+    switches: "--speculate",
+    valued: "--cache-dir --profile-in -o --emit --jobs --hot-threshold --spec-threshold",
+};
+
+/// `remote ping|run|compile|reopt|stats`.
+const REMOTE: Flags = Flags {
+    switches: "-O -O2 --tiered",
+    valued: "--connect --connect-timeout-ms --tenant --fuel --deadline-ms --input \
+             --request-id --retries -o",
+};
+
+const REMOTE_TOP: Flags = Flags {
+    switches: "",
+    valued: "--connect --interval-ms --iterations",
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,544 +142,450 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let rest = &args[1.min(args.len())..];
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let cmd = argv.first().map(String::as_str).unwrap_or("help");
+    let rest = &argv[1.min(argv.len())..];
+    let declared = match cmd {
+        "compile" | "opt" | "link" => &COMPILE,
+        "dis" | "analyze" | "size" => &INPUT_ONLY,
+        "run" => &RUN,
+        "reopt" => &REOPT,
+        // The op follows `remote` the way a subcommand follows `lpatc`.
+        "remote" if rest.first().is_some_and(|op| op == "top") => &REMOTE_TOP,
+        "remote" => &REMOTE,
+        "help" | "--help" | "-h" => {
+            usage();
+            return Ok(ExitCode::SUCCESS);
+        }
+        other => return Err(format!("unknown command '{other}' (try 'lpatc help')")),
+    };
+    let args = Args::parse(rest, &[&cli::GLOBAL, declared])?;
     // Install the fault plan before any module is loaded: the bytecode
     // reader's `bytecode.read` site must see it.
-    if let Some(plan) = flag_value(rest, "--inject-faults") {
-        let plan =
-            lpat::core::FaultPlan::parse(plan).map_err(|e| format!("--inject-faults: {e}"))?;
+    if let Some(plan) = args.fault_plan()? {
         lpat::core::fault::install(plan);
     }
-    // Enable tracing before any module is loaded or pipeline runs so every
-    // subsystem's spans land in the export.
-    let trace_cfg = setup_trace(rest)?;
-    let mut diag = Diag::new(has_flag(rest, "--quiet"));
-    let result = dispatch(cmd, rest, &mut diag);
-    finalize_trace(&trace_cfg, &diag)?;
+    let trace = TraceOutputs::begin(&args)?;
+    let mut diag = Diag::new(args.has("--quiet"));
+    let result = match cmd {
+        "compile" | "opt" | "link" => compile(cmd, &args, &diag),
+        "dis" => dis(&args),
+        "run" => run_program(&args, &mut diag),
+        "reopt" => reopt(&args, &mut diag),
+        "analyze" => analyze(&args),
+        "size" => size(&args),
+        _ => remote(&args, &mut diag),
+    };
+    trace.finish(diag.quiet)?;
     diag.flush();
     result
 }
 
-fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
-    match cmd {
-        "compile" | "opt" | "link" | "dis" => {
-            let inputs: Vec<&String> = rest.iter().take_while(|a| !a.starts_with('-')).collect();
-            if inputs.is_empty() {
-                return Err(format!("{cmd}: no input files"));
-            }
-            let mut m = if cmd == "link" {
-                let mods: Result<Vec<Module>, String> = inputs.iter().map(|p| load(p)).collect();
-                lpat::linker::link(mods?, "a.out").map_err(|e| e.to_string())?
-            } else {
-                load(inputs[0])?
-            };
-            if cmd == "dis" {
-                print!("{}", m.display());
-                return Ok(ExitCode::SUCCESS);
-            }
-            let jobs = match flag_value(rest, "--jobs") {
-                Some(v) => Some(v.parse::<usize>().map_err(|_| "bad --jobs value")?.max(1)),
-                None => None,
-            };
-            let verify_each = has_flag(rest, "--verify-each");
-            let time_passes = has_flag(rest, "--time-passes");
-            let degrade = !has_flag(rest, "--no-degrade");
-            let budget = match flag_value(rest, "--pass-budget-ms") {
-                Some(v) => Some(std::time::Duration::from_millis(
-                    v.parse::<u64>().map_err(|_| "bad --pass-budget-ms value")?,
-                )),
-                None => None,
-            };
-            let optimize = has_flag(rest, "-O") || has_flag(rest, "-O2") || cmd == "opt";
-            let mut reports: Vec<(&str, lpat::transform::PipelineReport)> = Vec::new();
-            if optimize {
-                let mut pm = lpat::transform::function_pipeline();
-                pm.jobs = jobs;
-                pm.verify_each = verify_each;
-                pm.degrade = degrade;
-                pm.budget = budget;
-                reports.push(("function pipeline", pm.run(&mut m)));
-            }
-            if has_flag(rest, "--link-pipeline")
-                || (cmd == "link" && (has_flag(rest, "-O") || has_flag(rest, "-O2")))
-            {
-                let mut pm = lpat::transform::link_time_pipeline();
-                pm.jobs = jobs;
-                pm.verify_each = verify_each;
-                pm.degrade = degrade;
-                pm.budget = budget;
-                reports.push(("link-time pipeline", pm.run(&mut m)));
-            }
-            if time_passes {
-                for (title, r) in &reports {
-                    diag.dump(&format!("=== {title} ==="));
-                    diag.dump_raw(&r.render());
-                }
-            }
-            for (title, r) in &reports {
-                for f in &r.faults {
-                    diag.warn(&format!("{title}: isolated fault: {f}"));
-                }
-            }
-            m.verify().map_err(|e| format!("verifier: {}", e[0]))?;
-            emit(&m, rest)?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "run" => {
-            let input = rest
-                .iter()
-                .find(|a| !a.starts_with('-'))
-                .ok_or("run: no input file")?;
-            let mut m = load(input)?;
-            // `run -O` optimizes in-process first, so a single traced run
-            // covers the compiler, the VM, the heap, and the store.
-            if has_flag(rest, "-O") || has_flag(rest, "-O2") {
-                let mut pm = lpat::transform::function_pipeline();
-                if let Some(v) = flag_value(rest, "--jobs") {
-                    pm.jobs = Some(v.parse::<usize>().map_err(|_| "bad --jobs value")?.max(1));
-                }
-                let r = pm.run(&mut m);
-                for f in &r.faults {
-                    diag.warn(&format!("function pipeline: isolated fault: {f}"));
-                }
-                m.verify().map_err(|e| format!("verifier: {}", e[0]))?;
-            }
-            let cache_dir = cache_dir(rest);
-            let profile_out = flag_value(rest, "--profile-out");
-            let profile_in = flag_value(rest, "--profile-in");
-            let mut opts = lpat::vm::VmOptions {
-                // Persistence implies instrumentation: the profile is
-                // exactly what gets persisted.
-                profile: has_flag(rest, "--profile")
-                    || cache_dir.is_some()
-                    || profile_out.is_some(),
-                ..Default::default()
-            };
-            if let Some(f) = flag_value(rest, "--fuel") {
-                opts.fuel = Some(f.parse().map_err(|_| "bad --fuel value")?);
-            }
-            if let Some(n) = flag_value(rest, "--max-stack") {
-                opts.max_stack = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --max-stack value")?;
-            }
-            if let Some(vals) = flag_value(rest, "--input") {
-                for v in vals.split(',') {
-                    opts.input
-                        .push_back(v.trim().parse().map_err(|_| "bad --input value")?);
-                }
-            }
-            // The cache must never stop the program from running: any
-            // store failure degrades to an uncached run with a warning.
-            let store = match &cache_dir {
-                Some(d) => match lpat::vm::Store::open(d) {
-                    Ok(s) => Some(s),
-                    Err(e) => {
-                        diag.cache_warn(e.class(), &format!("{e}; running uncached"));
-                        None
-                    }
-                },
-                None => None,
-            };
-            // Profiles are keyed to the module actually executed: under a
-            // cache dir, the reoptimized module a previous idle-time
-            // `lpatc reopt` produced for these exact bytes, when there is
-            // one.
-            let mut run_hash = lpat::vm::module_hash(&m);
-            if let Some(store) = &store {
-                match store.load_reopt(run_hash, &m.name) {
-                    Ok(loaded) => {
-                        for q in &loaded.quarantined {
-                            diag.cache_warn(q.error.class(), &q.to_string());
-                        }
-                        if let Some(r) = loaded.value {
-                            diag.note(&format!(
-                                "[cache] using reoptimized module for {run_hash:016x}"
-                            ));
-                            m = r;
-                            run_hash = lpat::vm::module_hash(&m);
-                        }
-                    }
-                    Err(e) => diag.cache_warn(e.class(), &e.to_string()),
-                }
-            }
-            // Load-and-merge a prior lifetime profile; a profile recorded
-            // against different bytes is stale and must not be applied.
-            let mut lifetime = lpat::vm::StoredProfile {
-                profile: lpat::vm::ProfileData::default(),
-                runs: 0,
-            };
-            if let Some(p) = profile_in {
-                match lpat::vm::store::read_profile_file(std::path::Path::new(p)) {
-                    Ok((h, sp)) if h == run_hash => lifetime = sp,
-                    Ok((h, _)) => diag.warn(&format!(
-                        "--profile-in {p}: recorded for module \
-                         {h:016x}, have {run_hash:016x}; starting fresh"
-                    )),
-                    Err(e) => diag.warn(&format!("--profile-in {p}: {e}; starting fresh")),
-                }
-            }
-            // `--tier-up N` implies `--tiered`; `LPAT_TIER_UP` only sets
-            // the threshold. `--tiered` wins over `--jit` if both appear.
-            let tier_up_flag = flag_value(rest, "--tier-up");
-            let env_tier_up = std::env::var("LPAT_TIER_UP").ok();
-            if let Some(v) = tier_up_flag.or(env_tier_up.as_deref()) {
-                opts.tier_up = v.parse().map_err(|_| "bad --tier-up value")?;
-            }
-            // `--native-up N` implies `--tier-native`, and either implies
-            // `--tiered`: the machine-code tier only exists above the
-            // tiered engine's JIT tier. Without an explicit threshold the
-            // native tier reuses the JIT threshold (counted again from
-            // the moment of JIT promotion).
-            let native_up_flag = flag_value(rest, "--native-up");
-            let use_native = has_flag(rest, "--tier-native") || native_up_flag.is_some();
-            if use_native {
-                opts.native_up = Some(match native_up_flag {
-                    Some(v) => v.parse().map_err(|_| "bad --native-up value")?,
-                    None => opts.tier_up,
-                });
-            }
-            let use_tiered = has_flag(rest, "--tiered") || tier_up_flag.is_some() || use_native;
-            let profiling = opts.profile;
-            let use_jit = has_flag(rest, "--jit");
-            // Accumulated prior profile for these exact module bytes —
-            // the explicit `--profile-in` file (hash-checked above) plus
-            // the store's lifetime profile. Feeds both tier warm-start
-            // and speculation.
-            let mut accum = lifetime.profile.clone();
-            let mut have_prior = lifetime.runs > 0;
-            if let Some(store) = &store {
-                match store.load_profile(run_hash) {
-                    Ok(loaded) => {
-                        for q in &loaded.quarantined {
-                            diag.cache_warn(q.error.class(), &q.to_string());
-                        }
-                        if let Some(sp) = loaded.value {
-                            accum.merge_saturating(&sp.profile);
-                            have_prior = true;
-                        }
-                    }
-                    Err(e) => diag.cache_warn(e.class(), &e.to_string()),
-                }
-            }
-            // `--speculate`: apply guard-based speculative optimization
-            // driven by the accumulated profile. The module hash — and so
-            // profile attribution — was computed above, *before* this
-            // mutation: guards are an ephemeral in-memory overlay,
-            // re-derived each run, never part of any persisted module.
-            let speculate_flag = has_flag(rest, "--speculate");
-            let mut spec_install = None;
-            if speculate_flag {
-                let mut sopts = lpat::transform::SpecOptions::default();
-                if let Some(t) = flag_value(rest, "--spec-threshold") {
-                    sopts.misspec_threshold_pct =
-                        t.parse().map_err(|_| "bad --spec-threshold value")?;
-                }
-                if have_prior {
-                    let (map, plan) = lpat::transform::speculate::speculate(
-                        &mut m,
-                        &accum.to_spec_profile(),
-                        &sopts,
-                    );
-                    m.verify()
-                        .map_err(|e| format!("verifier after speculation: {}", e[0]))?;
-                    diag.note(&format!(
-                        "[spec] {} guard(s) emitted, {} retracted",
-                        plan.emitted(),
-                        plan.retracted()
-                    ));
-                    spec_install = Some((std::rc::Rc::new(map), plan));
-                } else {
-                    diag.note("[spec] no prior profile for this module; nothing to speculate");
-                }
-            }
-            let mut vm = lpat::vm::Vm::new(&m, opts).map_err(|e| e.to_string())?;
-            if let Some((map, plan)) = &spec_install {
-                vm.install_speculation(map.clone(), plan.emitted() as u64, plan.retracted() as u64);
-            }
-            // Warm-start: seed tier decisions from every prior profile
-            // recorded for these exact module bytes — the lifelong loop
-            // closed at the execution layer.
-            if use_tiered && have_prior {
-                let n = vm.warm_start(&accum);
-                if n > 0 {
-                    diag.note(&format!(
-                        "[tier] warm-start: {n} function(s) promoted from prior profile"
-                    ));
-                }
-            }
-            // Armed BEFORE execution: every exit route below — clean
-            // exit, trap, even an early return — funnels its store flush
-            // through this one guard, the same RAII type `lpatd` workers
-            // use, so no path can flush twice or be forgotten.
-            let mut flush = lpat::vm::store::FlushGuard::new(store.as_ref(), run_hash);
-            let result = if use_tiered {
-                vm.run_main_tiered()
-            } else if use_jit {
-                vm.run_main_jit()
-            } else {
-                vm.run_main()
-            };
-            print!("{}", vm.output);
-            // Fold the VM's counters (instructions, per-opcode, heap) into
-            // the trace before it is drained for export.
-            vm.flush_trace();
-            // Flush the profile on clean exit AND on trap: a lifetime
-            // profile that loses its crashing runs is blind to exactly
-            // the behavior worth reoptimizing around.
-            if profiling {
-                lifetime.profile.merge_saturating(&vm.profile);
-                lifetime.runs = lifetime.runs.saturating_add(1);
-                flush.set_delta(std::mem::take(&mut vm.profile));
-                // The store appends this run's delta to the module's log
-                // under its lock; a Locked/Io failure skips persisting
-                // this one run.
-                match flush.flush() {
-                    lpat::vm::FlushOutcome::Flushed(quarantined) => {
-                        for q in &quarantined {
-                            diag.cache_warn(q.error.class(), &q.to_string());
-                        }
-                    }
-                    lpat::vm::FlushOutcome::Failed(e) => {
-                        diag.cache_warn(e.class(), &e.to_string());
-                    }
-                    lpat::vm::FlushOutcome::Skipped => {}
-                }
-                if let Some(p) = profile_out {
-                    if let Err(e) = lpat::vm::store::write_profile_file(
-                        std::path::Path::new(p),
-                        run_hash,
-                        &lifetime.profile,
-                        lifetime.runs,
-                    ) {
-                        diag.warn(&format!("--profile-out {p}: {e}"));
-                    }
-                }
-                if has_flag(rest, "--profile") {
-                    report_profile(&m, &lifetime.profile, diag);
-                }
-            }
-            // Per-opcode execution histogram (interpreter dispatch counts).
-            if has_flag(rest, "--stats") {
-                let top = vm.top_opcodes(10);
-                if !top.is_empty() {
-                    diag.dump("\n[profile] top opcodes:");
-                    for (name, n) in top {
-                        diag.dump(&format!("  {name:<14} {n:>12}"));
-                    }
-                }
-                // What collecting the profile allocated and recorded (all
-                // zero without `--profile` / `--cache-dir`).
-                let p = vm.profile_stats();
-                diag.dump("[profile] counters:");
-                for (name, n) in [
-                    ("vm.profile.funcs", p.funcs),
-                    ("vm.profile.slots", p.slots),
-                    ("vm.profile.nonzero", p.nonzero),
-                ] {
-                    diag.dump(&format!("  {name:<18} {n:>8}"));
-                }
-                if use_tiered {
-                    diag.dump("\n[tier]");
-                    diag.dump_raw(&vm.tier_stats.render());
-                }
-                if speculate_flag {
-                    diag.dump("\n[spec]");
-                    diag.dump_raw(&vm.spec_stats.render());
-                    if let Some((_, plan)) = &spec_install {
-                        diag.dump_raw(&plan.render());
-                    }
-                }
-            }
-            match result {
-                Ok(code) => {
-                    diag.note(&format!(
-                        "[exit {code}; {} instructions]",
-                        vm.insts_executed
-                    ));
-                    Ok(ExitCode::from((code & 0xFF) as u8))
-                }
-                Err(e) => Err(e.to_string()),
-            }
-        }
-        "reopt" => {
-            let input = rest
-                .iter()
-                .find(|a| !a.starts_with('-'))
-                .ok_or("reopt: no input file")?;
-            let mut m = load(input)?;
-            let source_hash = lpat::vm::module_hash(&m);
-            let store = match cache_dir(rest) {
-                Some(d) => Some(lpat::vm::Store::open(d).map_err(|e| e.to_string())?),
-                None => None,
-            };
-            // Gather every available profile for these module bytes.
-            let mut profile = lpat::vm::ProfileData::default();
-            let mut runs = 0u64;
-            if let Some(store) = &store {
-                // Idle time is when the runs logged since the last reopt
-                // are folded into the base profile. Failing to is no
-                // reason not to reoptimize: the log still reads back.
-                let mut quarantined = store.compact(source_hash).unwrap_or_else(|e| {
-                    diag.cache_warn(e.class(), &e.to_string());
-                    Vec::new()
-                });
-                let loaded = store.load_profile(source_hash).map_err(|e| e.to_string())?;
-                quarantined.extend(loaded.quarantined);
-                for q in &quarantined {
-                    diag.cache_warn(q.error.class(), &q.to_string());
-                }
-                if let Some(sp) = loaded.value {
-                    profile.merge_saturating(&sp.profile);
-                    runs += sp.runs;
-                }
-            }
-            if let Some(p) = flag_value(rest, "--profile-in") {
-                let (h, sp) = lpat::vm::store::read_profile_file(std::path::Path::new(p))
-                    .map_err(|e| format!("--profile-in {p}: {e}"))?;
-                if h != source_hash {
-                    return Err(format!(
-                        "--profile-in {p}: profile was recorded for module {h:016x}, \
-                         this module is {source_hash:016x} (stale; not applied)"
-                    ));
-                }
-                profile.merge_saturating(&sp.profile);
-                runs += sp.runs;
-            }
-            if runs == 0 {
-                return Err(
-                    "reopt: no profile available (use --cache-dir and/or --profile-in)".into(),
-                );
-            }
-            let mut pgo = lpat::vm::PgoOptions::default();
-            if let Some(v) = flag_value(rest, "--jobs") {
-                pgo.jobs = Some(v.parse::<usize>().map_err(|_| "bad --jobs value")?.max(1));
-            }
-            if let Some(t) = flag_value(rest, "--hot-threshold") {
-                pgo.hot_call_threshold = t.parse().map_err(|_| "bad --hot-threshold value")?;
-            }
-            if has_flag(rest, "--speculate") {
-                let mut sopts = lpat::transform::SpecOptions::default();
-                if let Some(t) = flag_value(rest, "--spec-threshold") {
-                    sopts.misspec_threshold_pct =
-                        t.parse().map_err(|_| "bad --spec-threshold value")?;
-                }
-                pgo.spec = Some(sopts);
-            }
-            let report = lpat::vm::reoptimize(&mut m, &profile, &pgo);
-            m.verify().map_err(|e| format!("verifier: {}", e[0]))?;
-            diag.note(&format!(
-                "[reopt] inlined {} hot sites, re-laid {} functions ({} runs of profile)",
-                report.inlined, report.relaid, runs
-            ));
-            if let Some(plan) = &report.spec_plan {
-                diag.note(&format!(
-                    "[spec] plan: {} guard(s) to emit, {} retracted",
-                    plan.emitted(),
-                    plan.retracted()
-                ));
-                // The canonical plan rendering goes to stdout so tests can
-                // compare offline decisions byte-for-byte across --jobs.
-                print!("{}", plan.render());
-            }
-            for f in &report.faults {
-                diag.warn(&format!("reopt: isolated fault: {f}"));
-            }
-            if let Some(store) = &store {
-                store
-                    .save_reopt(source_hash, &m)
-                    .map_err(|e| e.to_string())?;
-                diag.note(&format!(
-                    "[reopt] cached reoptimized module for {source_hash:016x}"
-                ));
-            }
-            if flag_value(rest, "-o").is_some() {
-                emit(&m, rest)?;
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "analyze" => {
-            let input = rest.first().ok_or("analyze: no input file")?;
-            let m = load(input)?;
-            let cg = lpat::analysis::CallGraph::build(&m);
-            let dsa = lpat::analysis::Dsa::analyze(&m, &cg, &lpat::analysis::DsaOptions::default());
-            println!(
-                "module {}: {} functions, {} globals, {} instructions",
-                m.name,
-                m.num_funcs(),
-                m.num_globals(),
-                m.total_insts()
-            );
-            println!("\nper-function typed memory accesses (DSA):");
-            for (fid, f) in m.funcs() {
-                if f.is_declaration() {
-                    continue;
-                }
-                let s = dsa.access_stats_for(fid);
-                println!(
-                    "  @{:<24} {:>4} typed {:>4} untyped  ({:>5.1}%)  callees: {}",
-                    f.name,
-                    s.typed,
-                    s.untyped,
-                    s.percent(),
-                    cg.callees(fid).len()
-                );
-            }
-            let total = dsa.access_stats();
-            println!(
-                "\ntotal: {} typed / {} untyped ({:.1}%)",
-                total.typed,
-                total.untyped,
-                total.percent()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "size" => {
-            let input = rest.first().ok_or("size: no input file")?;
-            let m = load(input)?;
-            let bc = lpat::bytecode::write_module(&m);
-            let cisc = lpat::codegen::compile_module(&m, &lpat::codegen::Cisc32);
-            let risc = lpat::codegen::compile_module(&m, &lpat::codegen::Risc32);
-            println!("{:<12} {:>10}", "form", "bytes");
-            println!("{:<12} {:>10}", "bytecode", bc.len());
-            println!(
-                "{:<12} {:>10}   (code {} data {})",
-                "cisc32", cisc.total, cisc.code_size, cisc.data_size
-            );
-            println!(
-                "{:<12} {:>10}   (code {} data {})",
-                "risc32", risc.total, risc.code_size, risc.data_size
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "remote" => remote(rest, diag),
-        "help" | "--help" | "-h" => {
-            eprintln!(
-                "usage: lpatc <compile|opt|link|dis|run|reopt|analyze|size|remote> <inputs> [flags]\n\
-                 remote: lpatc remote <ping|run|compile|reopt|stats|top> [input] --connect ADDR\n\
-                 \x20      [--tenant T] [--fuel N] [--deadline-ms N] [--input a,b,c]\n\
-                 \x20      [-O] [--tiered] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
-                 \x20      [--request-id N]; top: [--interval-ms N] [--iterations N]\n\
-                 flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
-                 \x20      --jobs N, --verify-each, --time-passes,\n\
-                 \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-                 \x20      --profile, --jit, --tiered, --tier-up N (or LPAT_TIER_UP),\n\
-                 \x20      --tier-native, --native-up N,\n\
-                 \x20      --fuel N, --input a,b,c, --max-stack N,\n\
-                 \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
-                 \x20      --profile-out FILE, --hot-threshold N,\n\
-                 \x20      --speculate, --spec-threshold N,\n\
-                 \x20      --trace-out FILE, --metrics-out FILE, --stats,\n\
-                 \x20      --trace-clock virtual|real (or LPAT_TRACE_CLOCK), --quiet"
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command '{other}' (try 'lpatc help')")),
+fn usage() {
+    eprintln!(
+        "usage: lpatc <compile|opt|link|dis|run|reopt|analyze|size|remote> <inputs> [flags]\n\
+         remote: lpatc remote <ping|run|compile|reopt|stats|top> [input] --connect ADDR\n\
+         \x20      [--tenant T] [--fuel N] [--deadline-ms N] [--input a,b,c]\n\
+         \x20      [-O] [--tiered] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
+         \x20      [--request-id N]; top: [--interval-ms N] [--iterations N]\n\
+         flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
+         \x20      --jobs N, --verify-each, --time-passes,\n\
+         \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
+         \x20      --profile, --jit, --tiered, --tier-up N (or LPAT_TIER_UP),\n\
+         \x20      --tier-native, --native-up N,\n\
+         \x20      --fuel N, --input a,b,c, --max-stack N,\n\
+         \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
+         \x20      --profile-out FILE, --hot-threshold N,\n\
+         \x20      --speculate, --spec-threshold N,\n\
+         \x20      --trace-out FILE, --metrics-out FILE, --stats,\n\
+         \x20      --trace-clock virtual|real (or LPAT_TRACE_CLOCK), --quiet\n\
+         flags may appear anywhere after the command; a flag the command does\n\
+         not read is an error"
+    );
+}
+
+/// `compile`, `opt`, `link`: load (and link), optimize, emit.
+fn compile(cmd: &str, args: &Args, diag: &Diag) -> Result<ExitCode, String> {
+    let inputs = args.positionals();
+    if inputs.is_empty() {
+        return Err(format!("{cmd}: no input files"));
     }
+    let mut m = if cmd == "link" {
+        let mods: Result<Vec<Module>, String> = inputs.iter().map(|p| load(p)).collect();
+        lpat::linker::link(mods?, "a.out").map_err(|e| e.to_string())?
+    } else {
+        load(&inputs[0])?
+    };
+    let o = args.has("-O") || args.has("-O2");
+    let cfg = OptConfig {
+        function: o || cmd == "opt",
+        link_time: args.has("--link-pipeline") || (cmd == "link" && o),
+        jobs: jobs(args)?,
+        verify_each: args.has("--verify-each"),
+        no_degrade: args.has("--no-degrade"),
+        budget: args.parsed("--pass-budget-ms")?.map(Duration::from_millis),
+    };
+    optimize(&mut m, &cfg, args.has("--time-passes"), diag)?;
+    emit(&m, args)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// [`session::optimize`], with its reports rendered: the `--time-passes`
+/// tables and one warning per isolated pass fault.
+fn optimize(m: &mut Module, cfg: &OptConfig, time_passes: bool, diag: &Diag) -> Result<(), String> {
+    let reports = session::optimize(m, cfg).map_err(|e| format!("verifier: {e}"))?;
+    if time_passes {
+        for (title, r) in &reports {
+            diag.dump(&format!("=== {title} ==="));
+            diag.dump_raw(&r.render());
+        }
+    }
+    for (title, r) in &reports {
+        for f in &r.faults {
+            diag.warn(&format!("{title}: isolated fault: {f}"));
+        }
+    }
+    Ok(())
+}
+
+/// `--jobs N`, at least 1.
+fn jobs(args: &Args) -> Result<Option<usize>, String> {
+    Ok(args.parsed::<usize>("--jobs")?.map(|n| n.max(1)))
+}
+
+/// `--speculate [--spec-threshold N]`.
+fn spec_options(args: &Args) -> Result<Option<lpat::transform::SpecOptions>, String> {
+    if !args.has("--speculate") {
+        return Ok(None);
+    }
+    let mut sopts = lpat::transform::SpecOptions::default();
+    if let Some(pct) = args.parsed("--spec-threshold")? {
+        sopts.misspec_threshold_pct = pct;
+    }
+    Ok(Some(sopts))
+}
+
+/// `--input a,b,c`: the scripted `read_int` values.
+fn scripted_input(args: &Args) -> Result<Vec<i64>, String> {
+    let Some(vals) = args.value("--input") else {
+        return Ok(Vec::new());
+    };
+    vals.split(',')
+        .map(|v| {
+            v.trim()
+                .parse()
+                .map_err(|_| format!("bad --input value '{v}'"))
+        })
+        .collect()
+}
+
+/// `run`: turn the flags into a [`RunConfig`], hand the module to the
+/// session, render its report.
+fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
+    let input = args.positionals().first().ok_or("run: no input file")?;
+    let mut m = load(input)?;
+    // `run -O` optimizes in-process first, so a single traced run covers
+    // the compiler, the VM, the heap, and the store.
+    if args.has("-O") || args.has("-O2") {
+        let cfg = OptConfig {
+            function: true,
+            jobs: jobs(args)?,
+            ..Default::default()
+        };
+        optimize(&mut m, &cfg, false, diag)?;
+    }
+    let cache_dir = cache_dir(args);
+    let profile_out = args.value("--profile-out");
+    let mut opts = lpat::vm::VmOptions {
+        // Persistence implies instrumentation: the profile is exactly
+        // what gets persisted.
+        profile: args.has("--profile") || cache_dir.is_some() || profile_out.is_some(),
+        fuel: args.parsed("--fuel")?,
+        input: scripted_input(args)?.into(),
+        ..Default::default()
+    };
+    if let Some(n) = args.parsed("--max-stack")? {
+        if n == 0 {
+            return Err("bad --max-stack value '0'".into());
+        }
+        opts.max_stack = n;
+    }
+    // `--tier-up N` implies `--tiered`; `LPAT_TIER_UP` only sets the
+    // threshold. `--tiered` wins over `--jit` if both appear.
+    let tier_up_flag = args.value("--tier-up");
+    let env_tier_up = std::env::var("LPAT_TIER_UP").ok();
+    if let Some(v) = tier_up_flag.or(env_tier_up.as_deref()) {
+        opts.tier_up = v
+            .parse()
+            .map_err(|_| format!("bad --tier-up value '{v}'"))?;
+    }
+    // `--native-up N` implies `--tier-native`, and either implies
+    // `--tiered`: the machine-code tier only exists above the tiered
+    // engine's JIT tier. Without an explicit threshold the native tier
+    // reuses the JIT threshold (counted again from the moment of JIT
+    // promotion).
+    let native_up = args.parsed("--native-up")?;
+    let use_native = args.has("--tier-native") || native_up.is_some();
+    if use_native {
+        opts.native_up = Some(native_up.unwrap_or(opts.tier_up));
+    }
+    let mode = if args.has("--tiered") || tier_up_flag.is_some() || use_native {
+        Mode::Tiered
+    } else if args.has("--jit") {
+        Mode::Jit
+    } else {
+        Mode::Interp
+    };
+    // The cache must never stop the program from running: a store that
+    // does not open degrades to an uncached run with a warning.
+    let store = match &cache_dir {
+        Some(d) => match lpat::vm::Store::open(d) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                diag.cache_warn(e.class(), &format!("{e}; running uncached"));
+                None
+            }
+        },
+        None => None,
+    };
+    let config = RunConfig {
+        mode,
+        opts,
+        spec: spec_options(args)?,
+        profile_in: args.value("--profile-in").map(Path::new),
+        lifetime: profile_out.is_some() || args.has("--profile"),
+    };
+    let stats = args.has("--stats");
+    let report = session::run(
+        m,
+        store.as_ref(),
+        config,
+        || Ok::<(), Infallible>(()),
+        |vm| stats.then(|| vm_stats(vm, mode == Mode::Tiered, args.has("--speculate"))),
+    )
+    .map_err(|e| match e {
+        RunError::Verify(e) => format!("verifier after speculation: {e}"),
+        RunError::BadModule(e) => e.to_string(),
+        RunError::Aborted(never) => match never {},
+    })?;
+    render_notes(&report.notes, args, diag);
+    print!("{}", report.output);
+    if let Some(lifetime) = &report.lifetime {
+        if let Some(p) = profile_out {
+            if let Err(e) = lpat::vm::store::write_profile_file(
+                Path::new(p),
+                report.run_hash,
+                &lifetime.profile,
+                lifetime.runs,
+            ) {
+                diag.warn(&format!("--profile-out {p}: {e}"));
+            }
+        }
+        if args.has("--profile") {
+            report_profile(&report.module, &lifetime.profile, diag);
+        }
+    }
+    if let Some(table) = &report.inspected {
+        diag.dump_raw(table);
+        if let Some(plan) = &report.spec_plan {
+            diag.dump_raw(&plan.render());
+        }
+    }
+    let code = report.result.map_err(|e| e.to_string())?;
+    diag.note(&format!("[exit {code}; {} instructions]", report.insts));
+    Ok(ExitCode::from((code & 0xFF) as u8))
+}
+
+/// The per-run `--stats` tables: opcode histogram, what collecting the
+/// profile allocated and recorded (all zero without `--profile` /
+/// `--cache-dir`), and the tier and speculation counters.
+fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let top = vm.top_opcodes(10);
+    if !top.is_empty() {
+        out.push_str("\n[profile] top opcodes:\n");
+        for (name, n) in top {
+            let _ = writeln!(out, "  {name:<14} {n:>12}");
+        }
+    }
+    let p = vm.profile_stats();
+    out.push_str("[profile] counters:\n");
+    for (name, n) in [
+        ("vm.profile.funcs", p.funcs),
+        ("vm.profile.slots", p.slots),
+        ("vm.profile.nonzero", p.nonzero),
+    ] {
+        let _ = writeln!(out, "  {name:<18} {n:>8}");
+    }
+    if tiered {
+        out.push_str("\n[tier]\n");
+        out.push_str(&vm.tier_stats.render());
+    }
+    if speculating {
+        out.push_str("\n[spec]\n");
+        out.push_str(&vm.spec_stats.render());
+    }
+    out
+}
+
+/// One stderr line per thing the session reports, in the order it
+/// happened.
+fn render_notes(notes: &[Note], args: &Args, diag: &mut Diag) {
+    let profile_in = args.value("--profile-in").unwrap_or_default();
+    for note in notes {
+        match note {
+            Note::Quarantined(q) => diag.cache_warn(q.error.class(), &q.to_string()),
+            Note::LoadFailed(e) | Note::FlushFailed(e) | Note::CompactFailed(e) => {
+                diag.cache_warn(e.class(), &e.to_string())
+            }
+            Note::UsingReopt { source_hash } => diag.note(&format!(
+                "[cache] using reoptimized module for {source_hash:016x}"
+            )),
+            Note::StaleProfileIn { found, have } => diag.warn(&format!(
+                "--profile-in {profile_in}: recorded for module \
+                 {found:016x}, have {have:016x}; starting fresh"
+            )),
+            Note::UnreadableProfileIn(e) => {
+                diag.warn(&format!("--profile-in {profile_in}: {e}; starting fresh"))
+            }
+            Note::Speculated { emitted, retracted } => diag.note(&format!(
+                "[spec] {emitted} guard(s) emitted, {retracted} retracted"
+            )),
+            Note::NothingToSpeculate => {
+                diag.note("[spec] no prior profile for this module; nothing to speculate")
+            }
+            Note::WarmStarted(n) => diag.note(&format!(
+                "[tier] warm-start: {n} function(s) promoted from prior profile"
+            )),
+        }
+    }
+}
+
+/// `reopt`: the offline half of the lifelong loop.
+fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
+    let input = args.positionals().first().ok_or("reopt: no input file")?;
+    let m = load(input)?;
+    let store = match cache_dir(args) {
+        Some(d) => Some(lpat::vm::Store::open(d).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let mut pgo = lpat::vm::PgoOptions {
+        jobs: jobs(args)?,
+        spec: spec_options(args)?,
+        ..Default::default()
+    };
+    if let Some(t) = args.parsed("--hot-threshold")? {
+        pgo.hot_call_threshold = t;
+    }
+    let profile_in = args.value("--profile-in");
+    let report = session::reopt(m, store.as_ref(), &pgo, profile_in.map(Path::new)).map_err(
+        |e| match e {
+            ReoptError::UnreadableProfileIn(_) | ReoptError::StaleProfileIn { .. } => {
+                format!("--profile-in {}: {e}", profile_in.unwrap_or_default())
+            }
+            ReoptError::NoProfile => {
+                "reopt: no profile available (use --cache-dir and/or --profile-in)".into()
+            }
+            other => other.to_string(),
+        },
+    )?;
+    render_notes(&report.notes, args, diag);
+    diag.note(&format!(
+        "[reopt] inlined {} hot sites, re-laid {} functions ({} runs of profile)",
+        report.pgo.inlined, report.pgo.relaid, report.runs
+    ));
+    if let Some(plan) = &report.pgo.spec_plan {
+        diag.note(&format!(
+            "[spec] plan: {} guard(s) to emit, {} retracted",
+            plan.emitted(),
+            plan.retracted()
+        ));
+        // The canonical plan rendering goes to stdout so tests can
+        // compare offline decisions byte-for-byte across --jobs.
+        print!("{}", plan.render());
+    }
+    for f in &report.pgo.faults {
+        diag.warn(&format!("reopt: isolated fault: {f}"));
+    }
+    if store.is_some() {
+        diag.note(&format!(
+            "[reopt] cached reoptimized module for {:016x}",
+            report.source_hash
+        ));
+    }
+    if args.value("-o").is_some() {
+        emit(&report.module, args)?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The one input of `dis`, `analyze` and `size`, loaded.
+fn input(args: &Args, cmd: &str) -> Result<Module, String> {
+    let path = args
+        .positionals()
+        .first()
+        .ok_or_else(|| format!("{cmd}: no input file"))?;
+    load(path)
+}
+
+fn dis(args: &Args) -> Result<ExitCode, String> {
+    print!("{}", input(args, "dis")?.display());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn analyze(args: &Args) -> Result<ExitCode, String> {
+    let m = input(args, "analyze")?;
+    let cg = lpat::analysis::CallGraph::build(&m);
+    let dsa = lpat::analysis::Dsa::analyze(&m, &cg, &lpat::analysis::DsaOptions::default());
+    println!(
+        "module {}: {} functions, {} globals, {} instructions",
+        m.name,
+        m.num_funcs(),
+        m.num_globals(),
+        m.total_insts()
+    );
+    println!("\nper-function typed memory accesses (DSA):");
+    for (fid, f) in m.funcs() {
+        if f.is_declaration() {
+            continue;
+        }
+        let s = dsa.access_stats_for(fid);
+        println!(
+            "  @{:<24} {:>4} typed {:>4} untyped  ({:>5.1}%)  callees: {}",
+            f.name,
+            s.typed,
+            s.untyped,
+            s.percent(),
+            cg.callees(fid).len()
+        );
+    }
+    let total = dsa.access_stats();
+    println!(
+        "\ntotal: {} typed / {} untyped ({:.1}%)",
+        total.typed,
+        total.untyped,
+        total.percent()
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn size(args: &Args) -> Result<ExitCode, String> {
+    let m = input(args, "size")?;
+    let bc = lpat::bytecode::write_module(&m);
+    let cisc = lpat::codegen::compile_module(&m, &lpat::codegen::Cisc32);
+    let risc = lpat::codegen::compile_module(&m, &lpat::codegen::Risc32);
+    println!("{:<12} {:>10}", "form", "bytes");
+    println!("{:<12} {:>10}", "bytecode", bc.len());
+    println!(
+        "{:<12} {:>10}   (code {} data {})",
+        "cisc32", cisc.total, cisc.code_size, cisc.data_size
+    );
+    println!(
+        "{:<12} {:>10}   (code {} data {})",
+        "risc32", risc.total, risc.code_size, risc.data_size
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `lpatc remote <op> [input] --connect ADDR` — run an op against a
@@ -644,47 +595,40 @@ fn dispatch(cmd: &str, rest: &[String], diag: &mut Diag) -> Result<ExitCode, Str
 /// after the retry budget exits with a distinct code (3) so scripts can
 /// tell "declined" from "failed", and a crash-loop-quarantined payload
 /// exits 4 — retrying it cannot help.
-fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
+fn remote(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     use lpat::serve::{Addr, Client, ErrClass, Op, Request, Response, RetryPolicy, FLAG_MINIC};
 
-    let op = match rest.first().map(String::as_str) {
+    let op = match args.positionals().first().map(String::as_str) {
         Some("ping") => Op::Ping,
         Some("run") => Op::Run,
         Some("compile") => Op::Compile,
         Some("reopt") => Op::Reopt,
         Some("stats") => Op::Stats,
-        Some("top") => return remote_top(rest),
+        Some("top") => return remote_top(args),
         Some(other) => return Err(format!("remote: unknown op '{other}'")),
         None => return Err("remote: no op (ping|run|compile|reopt|stats|top)".into()),
     };
-    let addr = flag_value(rest, "--connect").ok_or("remote: --connect ADDR is required")?;
+    let addr = args
+        .value("--connect")
+        .ok_or("remote: --connect ADDR is required")?;
     let addr = Addr::parse(addr).map_err(|e| format!("remote: {e}"))?;
-    let connect_timeout = match flag_value(rest, "--connect-timeout-ms") {
-        Some(v) => std::time::Duration::from_millis(
-            v.parse().map_err(|_| "bad --connect-timeout-ms value")?,
-        ),
-        None => std::time::Duration::from_secs(5),
-    };
+    let connect_timeout =
+        Duration::from_millis(args.parsed("--connect-timeout-ms")?.unwrap_or(5000));
     let mut req = Request::new(op);
-    if let Some(t) = flag_value(rest, "--tenant") {
+    if let Some(t) = args.value("--tenant") {
         req.tenant = t.to_string();
     }
-    if let Some(f) = flag_value(rest, "--fuel") {
-        req.fuel = f.parse().map_err(|_| "bad --fuel value")?;
+    if let Some(f) = args.parsed("--fuel")? {
+        req.fuel = f;
     }
-    if let Some(d) = flag_value(rest, "--deadline-ms") {
-        req.deadline_ms = d.parse().map_err(|_| "bad --deadline-ms value")?;
+    if let Some(d) = args.parsed("--deadline-ms")? {
+        req.deadline_ms = d;
     }
-    if let Some(vals) = flag_value(rest, "--input") {
-        for v in vals.split(',') {
-            req.inputs
-                .push(v.trim().parse().map_err(|_| "bad --input value")?);
-        }
-    }
-    if has_flag(rest, "-O") || has_flag(rest, "-O2") {
+    req.inputs = scripted_input(args)?;
+    if args.has("-O") || args.has("-O2") {
         req.flags |= lpat::serve::FLAG_OPT;
     }
-    if has_flag(rest, "--tiered") {
+    if args.has("--tiered") {
         req.flags |= lpat::serve::FLAG_TIERED;
     }
     // Originate the distributed-trace context: the id rides the wire,
@@ -692,10 +636,12 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
     // merged `lpatd --trace-out` file can be grepped for it end to end.
     // Accepts decimal or the 0x-hex form the diagnostics print, so an id
     // copied from another transcript round-trips.
-    req.request_id = match flag_value(rest, "--request-id") {
+    req.request_id = match args.value("--request-id") {
         Some(v) => match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| "bad --request-id value")?,
-            None => v.parse().map_err(|_| "bad --request-id value")?,
+            Some(hex) => {
+                u64::from_str_radix(hex, 16).map_err(|_| format!("bad --request-id value '{v}'"))?
+            }
+            None => args.parsed("--request-id")?.unwrap_or_default(),
         },
         None => {
             let nanos = std::time::SystemTime::now()
@@ -708,28 +654,20 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
         }
     };
     diag.note(&format!("[remote] request id {:#018x}", req.request_id));
-    // Ops that carry a module read it from the first non-flag argument
-    // after the op name. The bytes ship raw — the daemon does the
-    // auto-detection — except miniC, which the wire marks with a flag
-    // since filenames don't cross it.
+    // Ops that carry a module read it from the argument after the op
+    // name. The bytes ship raw — the daemon does the auto-detection —
+    // except miniC, which the wire marks with a flag since filenames
+    // don't cross it.
     if matches!(op, Op::Run | Op::Compile | Op::Reopt) {
-        let input = rest[1..]
-            .iter()
-            .find(|a| !a.starts_with('-') && Some(a.as_str()) != flag_value(rest, "--connect"))
-            .ok_or("remote: no input file")?;
+        let input = args.positionals().get(1).ok_or("remote: no input file")?;
         req.module = std::fs::read(input.as_str()).map_err(|e| format!("{input}: {e}"))?;
-        req.name = std::path::Path::new(input.as_str())
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("module")
-            .to_string();
-        if input.ends_with(".mc") || input.ends_with(".c") {
+        req.name = module_name(input).to_string();
+        if is_minic(input) {
             req.flags |= FLAG_MINIC;
         }
     }
     let mut policy = RetryPolicy::default();
-    if let Some(r) = flag_value(rest, "--retries") {
-        let retries: u32 = r.parse().map_err(|_| "bad --retries value")?;
+    if let Some(retries) = args.parsed::<u32>("--retries")? {
         policy.max_attempts = retries + 1;
     }
     let mut client = Client::connect(&addr, connect_timeout).map_err(|e| format!("remote: {e}"))?;
@@ -759,7 +697,7 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
                 println!("{text}");
             }
             if !module.is_empty() {
-                if let Some(p) = flag_value(rest, "-o") {
+                if let Some(p) = args.value("-o") {
                     std::fs::write(p, &module).map_err(|e| format!("-o {p}: {e}"))?;
                     diag.note(&format!("[remote] wrote {p} ({} bytes)", module.len()));
                 }
@@ -809,20 +747,16 @@ fn remote(rest: &[String], diag: &mut Diag) -> Result<ExitCode, String> {
 /// `lpat-serve-stats/v2` JSON once per `--interval-ms` (default 1000).
 /// `--iterations N` stops after N polls (0 = until interrupted), which
 /// is how scripts and tests get one deterministic snapshot.
-fn remote_top(rest: &[String]) -> Result<ExitCode, String> {
+fn remote_top(args: &Args) -> Result<ExitCode, String> {
     use lpat::core::trace::{parse_json, Json};
     use lpat::serve::{Addr, Client, Op, Request, Response};
 
-    let addr = flag_value(rest, "--connect").ok_or("remote top: --connect ADDR is required")?;
+    let addr = args
+        .value("--connect")
+        .ok_or("remote top: --connect ADDR is required")?;
     let addr = Addr::parse(addr).map_err(|e| format!("remote top: {e}"))?;
-    let interval = std::time::Duration::from_millis(match flag_value(rest, "--interval-ms") {
-        Some(v) => v.parse().map_err(|_| "bad --interval-ms value")?,
-        None => 1000,
-    });
-    let iterations: u64 = match flag_value(rest, "--iterations") {
-        Some(v) => v.parse().map_err(|_| "bad --iterations value")?,
-        None => 0,
-    };
+    let interval = Duration::from_millis(args.parsed("--interval-ms")?.unwrap_or(1000));
+    let iterations: u64 = args.parsed("--iterations")?.unwrap_or(0);
     let mut client = Client::connect(&addr, std::time::Duration::from_secs(5))
         .map_err(|e| format!("remote top: {e}"))?;
     let mut prev: Option<(f64, std::time::Instant)> = None;
@@ -989,99 +923,39 @@ impl Diag {
     }
 }
 
-/// Trace/metrics outputs requested on the command line.
-struct TraceConfig {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    stats: bool,
-}
-
-impl TraceConfig {
-    fn active(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.stats
-    }
-}
-
-/// Parse trace flags and enable recording if any output was requested.
-/// The clock comes from `--trace-clock virtual|real`, falling back to the
-/// `LPAT_TRACE_CLOCK` environment variable (the flag wins).
-fn setup_trace(rest: &[String]) -> Result<TraceConfig, String> {
-    let cfg = TraceConfig {
-        trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-        metrics_out: flag_value(rest, "--metrics-out").map(str::to_string),
-        stats: has_flag(rest, "--stats"),
-    };
-    if cfg.active() {
-        let mode = match flag_value(rest, "--trace-clock") {
-            Some("virtual") => lpat::core::trace::ClockMode::Virtual,
-            Some("real") => lpat::core::trace::ClockMode::Real,
-            Some(other) => {
-                return Err(format!("bad --trace-clock '{other}' (virtual or real)"));
-            }
-            None => match std::env::var("LPAT_TRACE_CLOCK").as_deref() {
-                Ok("virtual") => lpat::core::trace::ClockMode::Virtual,
-                _ => lpat::core::trace::ClockMode::Real,
-            },
-        };
-        lpat::core::trace::enable(mode);
-    }
-    Ok(cfg)
-}
-
-/// Drain the trace and write the requested exports.
-fn finalize_trace(cfg: &TraceConfig, diag: &Diag) -> Result<(), String> {
-    if !cfg.active() {
-        return Ok(());
-    }
-    let data = lpat::core::trace::drain();
-    if let Some(p) = &cfg.trace_out {
-        std::fs::write(p, data.to_chrome_json()).map_err(|e| format!("--trace-out {p}: {e}"))?;
-        diag.note(&format!("[trace] wrote {p}"));
-    }
-    if let Some(p) = &cfg.metrics_out {
-        std::fs::write(p, data.to_metrics_json()).map_err(|e| format!("--metrics-out {p}: {e}"))?;
-        diag.note(&format!("[trace] wrote {p}"));
-    }
-    if cfg.stats {
-        diag.dump_raw(&data.render_stats());
-    }
-    Ok(())
-}
-
-fn has_flag(args: &[String], f: &str) -> bool {
-    args.iter().any(|a| a == f)
-}
-
-fn flag_value<'a>(args: &'a [String], f: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == f)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 /// Resolve the lifelong cache directory: `--cache-dir DIR` flag, falling
 /// back to the `LPAT_CACHE_DIR` environment variable.
-fn cache_dir(args: &[String]) -> Option<String> {
-    flag_value(args, "--cache-dir")
+fn cache_dir(args: &Args) -> Option<String> {
+    args.value("--cache-dir")
         .map(str::to_string)
         .or_else(|| std::env::var("LPAT_CACHE_DIR").ok())
+}
+
+/// The module name a path stands for: its file stem.
+fn module_name(path: &str) -> &str {
+    Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("module")
+}
+
+/// Whether a path names miniC source (anything else is detected by
+/// content).
+fn is_minic(path: &str) -> bool {
+    path.ends_with(".mc") || path.ends_with(".c")
 }
 
 /// Load a module from any of the three on-disk shapes.
 fn load(path: &str) -> Result<Module, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("module");
-    let minic = path.ends_with(".mc") || path.ends_with(".c");
-    lpat::serve::server::load_module(name, &bytes, minic).map_err(|e| format!("{path}: {e}"))
+    lpat::serve::server::load_module(module_name(path), &bytes, is_minic(path))
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Write the module per `-o` / `--emit` (default: text to stdout).
-fn emit(m: &Module, args: &[String]) -> Result<(), String> {
-    let emit_kind = flag_value(args, "--emit").unwrap_or("text");
-    let out = flag_value(args, "-o");
+fn emit(m: &Module, args: &Args) -> Result<(), String> {
+    let emit_kind = args.value("--emit").unwrap_or("text");
+    let out = args.value("-o");
     match (emit_kind, out) {
         ("text", None) => {
             print!("{}", m.display());

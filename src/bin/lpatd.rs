@@ -12,6 +12,10 @@
 //!       [--trace-clock virtual|real] [--flight-dir DIR]
 //! ```
 //!
+//! Flags may appear in any order; a flag the daemon does not read, a flag
+//! missing its value, or a value that does not parse is an error naming
+//! the flag (exit 2) and nothing is served (`lpat::cli`).
+//!
 //! `ADDR` is `tcp:host:port` (port 0 binds an ephemeral port) or
 //! `unix:/path/to.sock`. On startup the daemon prints exactly one line —
 //! `listening on <addr>` with the resolved address — to stdout, so
@@ -55,9 +59,34 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use lpat::cli::{self, Args, Flags, TraceOutputs};
+use lpat::serve::{Isolation, ServerConfig};
+
+/// What the daemon reads, beside [`cli::GLOBAL`].
+const DAEMON: Flags = Flags {
+    switches: "--help -h",
+    valued: "--listen --workers --queue --isolate --crash-k --crash-window-ms \
+             --watchdog-grace-ms --restart-backoff-ms --cache-dir --shards \
+             --max-frame-bytes --default-fuel --deadline-ms --tenant-inflight \
+             --tenant-bytes --tenant-fuel --max-requests --flight-dir",
+};
+
+/// What `lpatd --worker` reads: exactly what `ProcWorker::spawn` forwards.
+const WORKER: Flags = Flags {
+    switches: "",
+    valued: "--default-fuel --max-frame-bytes --cache-dir --shards --trace-clock \
+             --flight-file --inject-faults",
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `--worker` selects a mode the way a subcommand would; the supervisor
+    // always passes it first.
+    let result = match argv.split_first() {
+        Some((first, rest)) if first == "--worker" => run_worker(rest),
+        _ => run(&argv),
+    };
+    match result {
         Ok(code) => code,
         Err(e) => {
             eprintln!("lpatd: {e}");
@@ -66,8 +95,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    if has_flag(args, "--help") || has_flag(args, "-h") {
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &[&cli::GLOBAL, &DAEMON])?;
+    if args.has("--help") || args.has("-h") {
         eprintln!(
             "usage: lpatd [--listen tcp:host:port|unix:/path] [--workers N] [--queue N]\n\
              \x20      [--isolate thread|process] [--crash-k N] [--crash-window-ms N]\n\
@@ -77,119 +107,70 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
              \x20      [--tenant-inflight N] [--tenant-bytes N] [--tenant-fuel N]\n\
              \x20      [--max-requests N] [--inject-faults PLAN] [--quiet]\n\
              \x20      [--trace-out FILE] [--metrics-out FILE] [--stats]\n\
-             \x20      [--trace-clock virtual|real] [--flight-dir DIR]"
+             \x20      [--trace-clock virtual|real] [--flight-dir DIR]\n\
+             flags may appear in any order; an unknown flag is an error"
         );
         return Ok(ExitCode::SUCCESS);
     }
-    if has_flag(args, "--worker") {
-        return run_worker(args);
+    let mut cfg = ServerConfig::default();
+    if let Some(v) = args.value("--isolate") {
+        cfg.isolate = Isolation::parse(v).map_err(|e| format!("--isolate: {e}"))?;
     }
-    let isolate = match flag_value(args, "--isolate") {
-        Some(v) => lpat::serve::Isolation::parse(v).map_err(|e| format!("--isolate: {e}"))?,
-        None => lpat::serve::Isolation::Thread,
-    };
     // Install the fault plan before the server starts: the serve.* sites
     // must see it from the first accepted connection. Under process
     // isolation the plan is NOT armed here — requests execute in worker
     // subprocesses, so the plan is forwarded on their command line
     // instead (the daemon's own bookkeeping writes must not consume the
     // plan's ordinals).
-    let mut worker_args: Vec<String> = Vec::new();
-    if let Some(plan) = flag_value(args, "--inject-faults") {
-        let parsed =
-            lpat::core::FaultPlan::parse(plan).map_err(|e| format!("--inject-faults: {e}"))?;
-        match isolate {
-            lpat::serve::Isolation::Thread => {
-                lpat::core::fault::install(parsed);
+    if let (Some(plan), Some(text)) = (args.fault_plan()?, args.value("--inject-faults")) {
+        match cfg.isolate {
+            Isolation::Thread => {
+                lpat::core::fault::install(plan);
             }
-            lpat::serve::Isolation::Process => {
-                worker_args.extend(["--inject-faults".to_string(), plan.to_string()]);
-            }
+            Isolation::Process => cfg
+                .worker_args
+                .extend(["--inject-faults".to_string(), text.to_string()]),
         }
     }
-    let trace_out = flag_value(args, "--trace-out").map(str::to_string);
-    let metrics_out = flag_value(args, "--metrics-out").map(str::to_string);
-    let stats = has_flag(args, "--stats");
-    let tracing = trace_out.is_some() || metrics_out.is_some() || stats;
-    // The flag wins over the environment, same as lpatc.
-    let clock = match flag_value(args, "--trace-clock") {
-        Some("virtual") => lpat::core::trace::ClockMode::Virtual,
-        Some("real") => lpat::core::trace::ClockMode::Real,
-        Some(other) => return Err(format!("bad --trace-clock '{other}' (virtual or real)")),
-        None => match std::env::var("LPAT_TRACE_CLOCK").as_deref() {
-            Ok("virtual") => lpat::core::trace::ClockMode::Virtual,
-            _ => lpat::core::trace::ClockMode::Real,
-        },
-    };
-    if tracing {
-        lpat::core::trace::enable(clock);
-    }
-    let quiet = has_flag(args, "--quiet");
+    let trace = TraceOutputs::begin(&args)?;
+    let quiet = args.has("--quiet");
 
-    let mut cfg = lpat::serve::ServerConfig::default();
-    if let Some(a) = flag_value(args, "--listen") {
+    if let Some(a) = args.value("--listen") {
         cfg.addr = a.to_string();
     }
-    if let Some(v) = flag_value(args, "--workers") {
-        cfg.workers = parse(v, "--workers")?;
-        if cfg.workers == 0 {
+    if let Some(n) = args.parsed("--workers")? {
+        if n == 0 {
             return Err("--workers must be at least 1".into());
         }
+        cfg.workers = n;
     }
-    if let Some(v) = flag_value(args, "--queue") {
-        cfg.queue_depth = parse(v, "--queue")?;
-    }
-    if let Some(v) = flag_value(args, "--max-frame-bytes") {
-        cfg.max_frame = parse(v, "--max-frame-bytes")?;
-    }
-    if let Some(v) = flag_value(args, "--default-fuel") {
-        cfg.default_fuel = parse(v, "--default-fuel")?;
-    }
-    if let Some(v) = flag_value(args, "--deadline-ms") {
-        cfg.default_deadline = Duration::from_millis(parse(v, "--deadline-ms")?);
-    }
-    if let Some(v) = flag_value(args, "--tenant-inflight") {
-        cfg.quota.max_inflight = parse(v, "--tenant-inflight")?;
-    }
-    if let Some(v) = flag_value(args, "--tenant-bytes") {
-        cfg.quota.max_bytes = parse(v, "--tenant-bytes")?;
-    }
-    if let Some(v) = flag_value(args, "--tenant-fuel") {
-        cfg.quota.max_fuel = parse(v, "--tenant-fuel")?;
-    }
-    if let Some(v) = flag_value(args, "--max-requests") {
-        cfg.max_requests = Some(parse(v, "--max-requests")?);
-    }
-    if let Some(v) = flag_value(args, "--shards") {
-        cfg.shards = parse(v, "--shards")?;
-    }
-    cfg.cache_dir = flag_value(args, "--cache-dir")
+    set(&args, "--queue", &mut cfg.queue_depth)?;
+    set(&args, "--max-frame-bytes", &mut cfg.max_frame)?;
+    set(&args, "--default-fuel", &mut cfg.default_fuel)?;
+    set_ms(&args, "--deadline-ms", &mut cfg.default_deadline)?;
+    set(&args, "--tenant-inflight", &mut cfg.quota.max_inflight)?;
+    set(&args, "--tenant-bytes", &mut cfg.quota.max_bytes)?;
+    set(&args, "--tenant-fuel", &mut cfg.quota.max_fuel)?;
+    cfg.max_requests = args.parsed("--max-requests")?;
+    set(&args, "--shards", &mut cfg.shards)?;
+    cfg.cache_dir = args
+        .value("--cache-dir")
         .map(str::to_string)
         .or_else(|| std::env::var("LPAT_CACHE_DIR").ok())
         .map(Into::into);
-    cfg.isolate = isolate;
-    cfg.worker_args = worker_args;
-    if let Some(v) = flag_value(args, "--crash-k") {
-        cfg.crash_k = parse(v, "--crash-k")?;
-    }
-    if let Some(v) = flag_value(args, "--crash-window-ms") {
-        cfg.crash_window = Duration::from_millis(parse(v, "--crash-window-ms")?);
-    }
-    if let Some(v) = flag_value(args, "--watchdog-grace-ms") {
-        cfg.watchdog_grace = Duration::from_millis(parse(v, "--watchdog-grace-ms")?);
-    }
-    if let Some(v) = flag_value(args, "--restart-backoff-ms") {
-        cfg.restart_backoff = Duration::from_millis(parse(v, "--restart-backoff-ms")?);
-    }
-    if isolate == lpat::serve::Isolation::Process {
+    set(&args, "--crash-k", &mut cfg.crash_k)?;
+    set_ms(&args, "--crash-window-ms", &mut cfg.crash_window)?;
+    set_ms(&args, "--watchdog-grace-ms", &mut cfg.watchdog_grace)?;
+    set_ms(&args, "--restart-backoff-ms", &mut cfg.restart_backoff)?;
+    if cfg.isolate == Isolation::Process {
         // Workers trace each request and ship the buffer back whenever
         // the daemon itself is exporting a trace.
-        if tracing {
-            cfg.worker_trace = Some(clock);
+        if trace.active() {
+            cfg.worker_trace = Some(trace.clock);
         }
         // The flight recorder is always on under process isolation: the
         // whole point is having evidence *after* an unplanned death.
-        cfg.flight_dir = Some(match flag_value(args, "--flight-dir") {
+        cfg.flight_dir = Some(match args.value("--flight-dir") {
             Some(d) => std::path::PathBuf::from(d),
             None => match &cfg.cache_dir {
                 Some(c) => c.join("flight"),
@@ -216,62 +197,51 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     // Export the trace only after the pool has drained so every request
     // span and serve.* counter is in the file.
-    if trace_out.is_some() || metrics_out.is_some() || stats {
-        let data = lpat::core::trace::drain();
-        if let Some(p) = &trace_out {
-            std::fs::write(p, data.to_chrome_json())
-                .map_err(|e| format!("--trace-out {p}: {e}"))?;
-        }
-        if let Some(p) = &metrics_out {
-            std::fs::write(p, data.to_metrics_json())
-                .map_err(|e| format!("--metrics-out {p}: {e}"))?;
-        }
-        if stats {
-            eprint!("{}", data.render_stats());
-        }
-    }
+    trace.finish(quiet)?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Overwrite `field` with the parsed value of `flag`, when given.
+fn set<T: std::str::FromStr>(args: &Args, flag: &str, field: &mut T) -> Result<(), String> {
+    if let Some(v) = args.parsed(flag)? {
+        *field = v;
+    }
+    Ok(())
+}
+
+/// [`set`] for a flag that counts milliseconds.
+fn set_ms(args: &Args, flag: &str, field: &mut Duration) -> Result<(), String> {
+    if let Some(ms) = args.parsed(flag)? {
+        *field = Duration::from_millis(ms);
+    }
+    Ok(())
 }
 
 /// The `--worker` mode: a supervised subprocess speaking the LPRQ/LPRS
 /// framing over stdin/stdout. No listen socket, no startup line —
 /// stdout carries nothing but response frames. Exits 0 on stdin EOF
 /// (the supervisor's graceful-drain signal).
-fn run_worker(args: &[String]) -> Result<ExitCode, String> {
+fn run_worker(argv: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &[&WORKER])?;
     // A ctrl-c to the process group must not kill workers out from
     // under the supervisor mid-drain; the supervisor alone decides
     // worker fate (stdin EOF to drain, SIGKILL for wedges).
     lpat::serve::signal::ignore_term_signals();
     // The worker is where requests actually execute, so the fault plan
     // arms here (the supervisor forwards `--inject-faults` verbatim).
-    if let Some(plan) = flag_value(args, "--inject-faults") {
-        let plan =
-            lpat::core::FaultPlan::parse(plan).map_err(|e| format!("--inject-faults: {e}"))?;
+    if let Some(plan) = args.fault_plan()? {
         lpat::core::fault::install(plan);
     }
-    let mut max_frame = lpat::serve::DEFAULT_MAX_FRAME;
-    if let Some(v) = flag_value(args, "--max-frame-bytes") {
-        max_frame = parse(v, "--max-frame-bytes")?;
-    }
-    let mut default_fuel: u64 = 100_000_000;
-    if let Some(v) = flag_value(args, "--default-fuel") {
-        default_fuel = parse(v, "--default-fuel")?;
-    }
-    let mut default_deadline = Duration::from_secs(10);
-    if let Some(v) = flag_value(args, "--deadline-ms") {
-        default_deadline = Duration::from_millis(parse(v, "--deadline-ms")?);
-    }
-    let store = match flag_value(args, "--cache-dir") {
-        Some(dir) => {
-            let shards: u32 = match flag_value(args, "--shards") {
-                Some(v) => parse(v, "--shards")?,
-                None => 16,
-            };
-            Some(
-                lpat::serve::ShardedStore::open(std::path::Path::new(dir), shards)
-                    .map_err(|e| format!("cache dir {e}"))?,
-            )
-        }
+    // What the supervisor does not forward it leaves at the default.
+    let mut cfg = ServerConfig::default();
+    set(&args, "--max-frame-bytes", &mut cfg.max_frame)?;
+    set(&args, "--default-fuel", &mut cfg.default_fuel)?;
+    set(&args, "--shards", &mut cfg.shards)?;
+    let store = match args.value("--cache-dir") {
+        Some(dir) => Some(
+            lpat::serve::ShardedStore::open(std::path::Path::new(dir), cfg.shards)
+                .map_err(|e| format!("cache dir {e}"))?,
+        ),
         None => None,
     };
     // Observability plumbing from the supervisor: `--trace-clock` turns
@@ -281,54 +251,20 @@ fn run_worker(args: &[String]) -> Result<ExitCode, String> {
     // clock still needs sessions running (the recorder observes events
     // as they are recorded), so it forces a real-clock session that is
     // drained and discarded instead of shipped.
-    let mut ships_trace = false;
-    let mut trace_clock = match flag_value(args, "--trace-clock") {
-        Some("virtual") => {
-            ships_trace = true;
-            Some(lpat::core::trace::ClockMode::Virtual)
-        }
-        Some("real") => {
-            ships_trace = true;
-            Some(lpat::core::trace::ClockMode::Real)
-        }
-        Some(other) => return Err(format!("bad --trace-clock '{other}' (virtual or real)")),
-        None => None,
-    };
-    if let Some(path) = flag_value(args, "--flight-file") {
+    let mut trace_clock = args.trace_clock()?;
+    let ships_trace = trace_clock.is_some();
+    if let Some(path) = args.value("--flight-file") {
         let rec =
             lpat::core::trace::FlightRecorder::create(std::path::Path::new(path), FLIGHT_RING)
                 .map_err(|e| format!("--flight-file {path}: {e}"))?;
         lpat::core::trace::install_flight_recorder(rec);
-        if trace_clock.is_none() {
-            trace_clock = Some(lpat::core::trace::ClockMode::Real);
-        }
+        trace_clock.get_or_insert(lpat::core::trace::ClockMode::Real);
     }
-    let engine = lpat::serve::Engine::new(store, default_fuel);
-    let code = lpat::serve::run_worker_stdio(
-        &engine,
-        max_frame,
-        default_deadline,
-        trace_clock,
-        ships_trace,
-    );
+    let engine = lpat::serve::Engine::new(store, cfg.default_fuel);
+    let code = lpat::serve::run_worker_stdio(&engine, cfg.max_frame, trace_clock, ships_trace);
     Ok(ExitCode::from(code as u8))
 }
 
 /// Flight-recorder ring capacity: the last N trace events a worker keeps
 /// for post-mortem salvage.
 const FLIGHT_RING: usize = 64;
-
-fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad {flag} value '{v}'"))
-}
-
-fn has_flag(args: &[String], f: &str) -> bool {
-    args.iter().any(|a| a == f)
-}
-
-fn flag_value<'a>(args: &'a [String], f: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == f)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}

@@ -24,6 +24,9 @@
 //! | [`serve`] | `lpat-serve` | `lpatd`: the multi-tenant compile-and-run daemon |
 //! | [`workloads`] | `lpat-workloads` | the SPEC-shaped benchmark suite |
 //!
+//! [`cli`] is the declared-flag command-line parser `lpatc` and `lpatd`
+//! share.
+//!
 //! # The whole lifecycle in one example
 //!
 //! ```
@@ -58,6 +61,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod cli;
 
 pub use lpat_analysis as analysis;
 pub use lpat_asm as asm;

@@ -1,0 +1,162 @@
+//! The command lines of `lpatc` and `lpatd` (`lpat::cli`): flags are
+//! separated from inputs by each command's declared table, so they may
+//! appear anywhere, and a flag the command does not read, a flag without
+//! its value or a value that does not parse exits 2 naming the flag
+//! instead of being silently ignored.
+
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+const SRC: &str = "extern void print_int(int v); int main(){ print_int(42); return 0; }";
+
+fn dir(name: &str) -> PathBuf {
+    let d = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+fn lpatc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lpatc"))
+        .args(args)
+        .env_remove("LPAT_CACHE_DIR")
+        .output()
+        .expect("spawn lpatc")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// `p.mc` and its optimized `p.bc` under a fresh directory.
+fn program(name: &str) -> (PathBuf, String, String) {
+    let d = dir(name);
+    let mc = d.join("p.mc");
+    let bc = d.join("p.bc");
+    std::fs::write(&mc, SRC).unwrap();
+    let (mc, bc) = (mc.to_str().unwrap(), bc.to_str().unwrap());
+    let out = lpatc(&["compile", mc, "-O", "--emit", "bc", "-o", bc]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    (d, mc.to_string(), bc.to_string())
+}
+
+/// Exit 2, nothing ran, and the offending flag is named.
+fn assert_refused(out: &Output, flag: &str) {
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(flag), "{flag} not named in: {stderr}");
+    assert!(out.stdout.is_empty(), "ran anyway: {}", text(&out.stdout));
+}
+
+// -- a flag's value is not the input, and flags may precede it --------------
+
+#[test]
+fn run_takes_flags_before_the_input() {
+    let (_, _, bc) = program("run-flags-first");
+    let out = lpatc(&["run", "--fuel", "100000", &bc]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert_eq!(text(&out.stdout), "42\n");
+}
+
+#[test]
+fn compile_takes_flags_before_the_input() {
+    let (d, mc, bc) = program("compile-flags-first");
+    let q = d.join("q.bc");
+    let out = lpatc(&[
+        "compile",
+        "-O",
+        &mc,
+        "-o",
+        q.to_str().unwrap(),
+        "--emit",
+        "bc",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert_eq!(std::fs::read(q).unwrap(), std::fs::read(bc).unwrap());
+}
+
+#[test]
+fn reopt_takes_flags_before_the_input() {
+    let (d, _, bc) = program("reopt-flags-first");
+    let cache = d.join("cache");
+    let cache = cache.to_str().unwrap();
+    for _ in 0..2 {
+        assert!(lpatc(&["run", &bc, "--cache-dir", cache]).status.success());
+    }
+    let out = lpatc(&["reopt", "--cache-dir", cache, &bc]);
+    let stderr = text(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("(2 runs of profile)"), "{stderr}");
+}
+
+#[test]
+fn remote_takes_flags_between_the_op_and_the_input() {
+    let (_, _, bc) = program("remote-flags-first");
+    let h = lpat::serve::Server::bind(lpat::serve::ServerConfig::default())
+        .unwrap()
+        .start();
+    let addr = h.addr().to_string();
+    let out = lpatc(&["remote", "run", "--tenant", "t", &bc, "--connect", &addr]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert_eq!(text(&out.stdout), "42\n");
+    h.stop();
+}
+
+// -- unknown flags and missing values are errors ----------------------------
+
+#[test]
+fn lpatc_refuses_flags_the_command_does_not_read() {
+    let (_, _, bc) = program("unknown-flag");
+    // A typo must not quietly select the plain interpreter, or skip the
+    // link-time pipeline.
+    assert_refused(&lpatc(&["run", &bc, "--teired"]), "--teired");
+    assert_refused(&lpatc(&["opt", &bc, "--link-pipline"]), "--link-pipline");
+    // A real flag of another command is just as unknown here.
+    assert_refused(&lpatc(&["dis", &bc, "--tiered"]), "--tiered");
+}
+
+#[test]
+fn lpatc_refuses_a_missing_or_unparsable_value() {
+    let (_, _, bc) = program("missing-value");
+    // A trailing `--fuel` must not run the program unbounded.
+    assert_refused(&lpatc(&["run", &bc, "--fuel"]), "--fuel");
+    assert_refused(&lpatc(&["run", &bc, "--fuel", "lots"]), "--fuel");
+    assert_refused(&lpatc(&["run", &bc, "--trace-clock", "sundial"]), "sundial");
+}
+
+/// Run `lpatd` with `args`, which must make it exit on its own.
+fn lpatd_exits(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lpatd"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lpatd");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("lpatd {args:?} started serving instead of refusing its flags");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn lpatd_refuses_unknown_flags_before_serving() {
+    // A typo must not start a daemon with the default four workers.
+    let out = lpatd_exits(&["--listen", "tcp:127.0.0.1:0", "--wokers", "8"]);
+    assert_refused(&out, "--wokers");
+    assert_refused(&lpatd_exits(&["--workers"]), "--workers");
+    assert_refused(&lpatd_exits(&["--workers", "many"]), "--workers");
+    // Worker mode reads what the supervisor forwards and nothing else:
+    // the daemon's `--deadline-ms` is not among it.
+    let out = lpatd_exits(&["--worker", "--deadline-ms", "5"]);
+    assert_refused(&out, "--deadline-ms");
+}

@@ -227,6 +227,23 @@ impl Daemon {
     fn alive(&mut self) -> bool {
         self.child.try_wait().unwrap().is_none()
     }
+
+    /// `--max-requests` makes the daemon drain, export its trace, and exit
+    /// on its own; wait for that rather than killing it.
+    fn wait_for_drain(&mut self) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(status) = self.child.try_wait().unwrap() {
+                assert!(status.success(), "daemon exit after drain: {status:?}");
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "daemon did not exit after --max-requests"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
 }
 
 impl Drop for Daemon {
@@ -638,6 +655,189 @@ fn lpatc_remote_run_and_compile_roundtrip() {
     );
 }
 
+/// What `lpatc run` / `lpatc remote run` print about the exit: the text
+/// between `exit ` and `]` — `<code>; <n> instructions` on both.
+fn exit_note(stderr: &str) -> &str {
+    let at = stderr.find("exit ").expect("no exit note") + "exit ".len();
+    &stderr[at..at + stderr[at..].find(']').expect("unterminated exit note")]
+}
+
+#[test]
+fn the_cli_and_the_daemon_are_the_same_program() {
+    // `lpatc` and `lpatd` are two callers of one pipeline
+    // (`lpat::vm::session`): the same life-cycle of the same program must
+    // print the same, count the same, and leave the same bytes in the
+    // store whichever of them ran it.
+    let suite = lpat::workloads::suite(0);
+    for isolate in ["thread", "process"] {
+        for name in ["164.gzip", "181.mcf", "253.perlbmk"] {
+            let ctx = format!("{name} under --isolate {isolate}");
+            let dir = tmp(&format!("same-{isolate}-{name}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = |leaf: &str| dir.join(leaf).to_str().unwrap().to_string();
+            let src = path(&format!("{name}.mc"));
+            let workload = suite.iter().find(|w| w.name == name).unwrap();
+            std::fs::write(&src, &workload.source).unwrap();
+            let (a, b) = (path("A"), path("B"));
+            let mut d = Daemon::spawn(
+                &[
+                    "--isolate",
+                    isolate,
+                    "--workers",
+                    "1",
+                    "--shards",
+                    "1",
+                    "--cache-dir",
+                    &b,
+                ],
+                None,
+            );
+            let addr = d.addr.to_string();
+            let lpatc = |args: &[&str]| {
+                let out = Command::new(env!("CARGO_BIN_EXE_lpatc"))
+                    .args(args)
+                    .env_remove("LPAT_CACHE_DIR")
+                    .output()
+                    .unwrap();
+                (
+                    out.status.code(),
+                    String::from_utf8_lossy(&out.stdout).into_owned(),
+                    String::from_utf8_lossy(&out.stderr).into_owned(),
+                )
+            };
+            let run_both = |step: &str| {
+                let local = lpatc(&["run", &src, "--tiered", "--cache-dir", &a]);
+                let remote = lpatc(&["remote", "run", &src, "--tiered", "--connect", &addr]);
+                assert_eq!(local.0, remote.0, "{ctx}, {step}: exit code");
+                assert_eq!(local.1, remote.1, "{ctx}, {step}: stdout");
+                assert_eq!(
+                    exit_note(&local.2),
+                    exit_note(&remote.2),
+                    "{ctx}, {step}: exit note"
+                );
+                (local.2, remote.2)
+            };
+            run_both("run 1");
+            run_both("run 2");
+            let (a_out, b_out) = (path("a.bc"), path("b.bc"));
+            let local = lpatc(&[
+                "reopt",
+                &src,
+                "--cache-dir",
+                &a,
+                "-o",
+                &a_out,
+                "--emit",
+                "bc",
+            ]);
+            let remote = lpatc(&["remote", "reopt", &src, "--connect", &addr, "-o", &b_out]);
+            assert_eq!((local.0, remote.0), (Some(0), Some(0)), "{ctx}: reopt");
+            assert!(
+                local.2.contains("(2 runs of profile)"),
+                "{ctx}: {}",
+                local.2
+            );
+            assert!(
+                remote.1.contains("(2 runs of profile)"),
+                "{ctx}: {}",
+                remote.1
+            );
+            assert_eq!(
+                std::fs::read(&a_out).unwrap(),
+                std::fs::read(&b_out).unwrap(),
+                "{ctx}: reopt -o bytes"
+            );
+            let (local_err, remote_err) = run_both("run 3");
+            assert!(
+                local_err.contains("using reoptimized module"),
+                "{ctx}: {local_err}"
+            );
+            assert!(
+                remote_err.contains("served from reopt cache"),
+                "{ctx}: {remote_err}"
+            );
+            assert!(d.alive());
+            // Every profile and reopt file, byte for byte.
+            let artifacts = |root: &std::path::Path| {
+                let mut files: Vec<(String, Vec<u8>)> = walk(root)
+                    .into_iter()
+                    .filter_map(|p| {
+                        let leaf = p.file_name()?.to_str()?.to_string();
+                        (leaf.starts_with("profile-") || leaf.starts_with("reopt-"))
+                            .then(|| (leaf, std::fs::read(&p).unwrap()))
+                    })
+                    .collect();
+                files.sort();
+                files
+            };
+            let local_files = artifacts(std::path::Path::new(&a));
+            let remote_files = artifacts(&std::path::Path::new(&b).join("shard-00"));
+            assert!(local_files.len() >= 3, "{ctx}: {local_files:?}");
+            let leaves = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+                files.iter().map(|(leaf, _)| leaf.clone()).collect()
+            };
+            assert_eq!(leaves(&local_files), leaves(&remote_files), "{ctx}");
+            for ((leaf, local), (_, remote)) in local_files.iter().zip(&remote_files) {
+                assert_eq!(local, remote, "{ctx}: {leaf} differs");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_quarantined_store_file_is_counted_not_dropped() {
+    let cache = tmp("quarantine-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let metrics = tmp("quarantine-metrics.json");
+    let _ = std::fs::remove_file(&metrics);
+    // A real base profile for ADD_PROG in the daemon's shard, torn in half.
+    let m = lpat::asm::parse_module("module", ADD_PROG).unwrap();
+    let hash = lpat::vm::module_hash(&m);
+    {
+        let store = lpat::serve::ShardedStore::open(&cache, 1).unwrap();
+        let shard = store.shard(hash);
+        let opts = lpat::vm::VmOptions {
+            profile: true,
+            ..Default::default()
+        };
+        let mut vm = lpat::vm::Vm::new(&m, opts).unwrap();
+        vm.run_main().unwrap();
+        shard.record_run(hash, &vm.profile).unwrap();
+        shard.compact(hash).unwrap();
+        let base = shard.profile_path(hash);
+        let bytes = std::fs::read(&base).unwrap();
+        std::fs::write(&base, &bytes[..bytes.len() / 2]).unwrap();
+    }
+    let mut d = Daemon::spawn(
+        &[
+            "--workers",
+            "1",
+            "--shards",
+            "1",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--max-requests",
+            "1",
+        ],
+        None,
+    );
+    // The run is answered as if the store were clean ...
+    let resp = connect(&d.addr).request(&run_request(ADD_PROG)).unwrap();
+    assert_eq!(expect_ok(&resp).0, 42);
+    d.wait_for_drain();
+    // ... the bad file is moved aside, and the daemon says so.
+    let json = std::fs::read_to_string(&metrics).expect("metrics written on drain");
+    assert!(json.contains("\"serve.store_quarantined\":1"), "{json}");
+    let moved: Vec<_> = walk(&cache)
+        .into_iter()
+        .filter(|p| p.to_string_lossy().ends_with(".corrupt-1"))
+        .collect();
+    assert_eq!(moved.len(), 1, "{moved:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Process isolation smoke: the crash-only worker pool serves the same
 // protocol (the full kill/abort/journal chaos lives in tests/chaos.rs).
@@ -709,20 +909,7 @@ fn traced_run(trace_path: &std::path::Path, rids: &[u64]) -> Vec<u8> {
             other => panic!("traced run answered {other:?}"),
         }
     }
-    // --max-requests makes the daemon drain, export the trace, and exit
-    // on its own; wait for that rather than killing it.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(status) = d.child.try_wait().unwrap() {
-            assert!(status.success(), "daemon exit after drain: {status:?}");
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "daemon did not exit after --max-requests"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    d.wait_for_drain();
     std::fs::read(trace_path).expect("trace file written on drain")
 }
 
