@@ -22,7 +22,8 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use lpat_core::{
-    Const, ConstId, FuncId, Function, GlobalId, Inst, InstId, Module, Type, TypeId, Value,
+    Const, ConstId, FuncId, Function, GepError, GepStep, GlobalId, Inst, InstId, Module, Type,
+    TypeId, Value,
 };
 
 use crate::callgraph::CallGraph;
@@ -626,7 +627,7 @@ impl<'a> Builder<'a> {
                             None => continue,
                         };
                         let bty = self.m.value_type(f, *ptr);
-                        base.add(self.gep_delta(f, bty, indices))
+                        base.add(self.gep_delta(bty, indices))
                     }
                     Inst::Phi { incoming } => {
                         let mut acc: Option<Off> = None;
@@ -667,57 +668,32 @@ impl<'a> Builder<'a> {
     /// exact offsets; variable array indices fold to zero (array
     /// sensitivity is modulo the element size); anything irregular gives
     /// `Unknown`.
-    fn gep_delta(&self, f: &Function, base_ptr_ty: TypeId, indices: &[Value]) -> Off {
+    fn gep_delta(&self, base_ptr_ty: TypeId, indices: &[Value]) -> Off {
         if !self.opts.field_sensitive {
             return Off::Unknown;
         }
-        let tys = &self.m.types;
-        let mut cur = match tys.pointee(base_ptr_ty) {
-            Some(t) => t,
-            None => return Off::Unknown,
-        };
         let mut delta = 0u64;
-        for (k, idx) in indices.iter().enumerate() {
-            if k == 0 {
-                // Pointer-as-array step.
-                match self.const_int(*idx) {
-                    Some(0) => {}
-                    Some(v) => delta += (v as u64).wrapping_mul(tys.size_of(cur)) & 0xFFFF_FFFF,
-                    None => {} // variable: fold (element-aligned)
-                }
-                continue;
-            }
-            match tys.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let fi = match self.const_int(*idx) {
-                        Some(v) => v as usize,
-                        None => return Off::Unknown,
-                    };
-                    if fi >= fields.len() {
-                        return Off::Unknown;
-                    }
-                    delta += tys.field_offset(cur, fi);
-                    cur = fields[fi];
-                }
-                Type::Array { elem, .. } => {
-                    // Non-constant index: fold (offset unknown within the array).
-                    if let Some(v) = self.const_int(*idx) {
-                        delta += (v as u64).wrapping_mul(tys.size_of(elem));
-                    }
-                    cur = elem;
-                }
-                _ => return Off::Unknown,
-            }
-        }
-        let _ = f;
-        Off::Known(delta)
-    }
-
-    fn const_int(&self, v: Value) -> Option<i64> {
-        match v {
-            Value::Const(c) => self.m.consts.as_int(c).map(|(_, v)| v),
-            _ => None,
-        }
+        let mut first = true;
+        let walked = self.m.types.gep_steps::<GepError>(
+            base_ptr_ty,
+            indices,
+            true,
+            |v| self.m.consts.int_of(v),
+            |step| {
+                delta = delta.wrapping_add(match step {
+                    GepStep::Field { offset, .. } => offset,
+                    GepStep::Scaled { index, stride } => match self.m.consts.int_of(index) {
+                        // The pointer-as-array step wraps in the address space.
+                        Some(v) if first => (v as u64).wrapping_mul(stride) & 0xFFFF_FFFF,
+                        Some(v) => (v as u64).wrapping_mul(stride),
+                        None => 0,
+                    },
+                });
+                first = false;
+                Ok(())
+            },
+        );
+        walked.map_or(Off::Unknown, |_| Off::Known(delta))
     }
 
     // ---- constraints ------------------------------------------------------
@@ -739,7 +715,7 @@ impl<'a> Builder<'a> {
             let inst = f.inst(iid).clone();
             let res = Value::Inst(iid);
             match inst {
-                Inst::Alloca { elem_ty, count } | Inst::Malloc { elem_ty, count } => {
+                Inst::Alloca { elem_ty, .. } | Inst::Malloc { elem_ty, .. } => {
                     let n = self.node_of(fid, res);
                     let is_heap = matches!(f.inst(iid), Inst::Malloc { .. });
                     if is_heap {
@@ -747,17 +723,10 @@ impl<'a> Builder<'a> {
                     } else {
                         self.flags_mut(n).stack = true;
                     }
-                    match count {
-                        None => self.set_alloc_type(n, elem_ty),
-                        Some(c) => {
-                            // `malloc T, uint N` is an array of T; constant
-                            // N gives a precise array type, else fold to T
-                            // (array sensitivity is modulo element size).
-                            match self.const_int(c) {
-                                Some(_) | None => self.set_alloc_type(n, elem_ty),
-                            }
-                        }
-                    }
+                    // `malloc T, uint N` is an array of T, folded to T
+                    // whatever N is (array sensitivity is modulo the
+                    // element size).
+                    self.set_alloc_type(n, elem_ty);
                 }
                 Inst::Cast { val, to } => {
                     let from = self.m.value_type(&f, val);

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use lpat_core::{
-    BlockId, Const, ConstId, FuncId, GlobalId, Inst, InstId, IntKind, Linkage, Module, Type,
-    TypeId, Value,
+    BlockId, Const, ConstId, FuncId, GepError, GlobalId, Inst, InstId, IntKind, Linkage, Module,
+    Type, TypeId, Value,
 };
 
 use crate::lexer::{lex, Spanned, Tok};
@@ -677,13 +677,18 @@ impl Parser {
                 let bty = self.parse_type(c)?;
                 let ptr = self.parse_value(c, bty, locals)?;
                 let mut indices = Vec::new();
-                let mut index_tys = Vec::new();
                 while c.eat_punct(',') {
                     let ity = self.parse_type(c)?;
                     indices.push(self.parse_value(c, ity, locals)?);
-                    index_tys.push(ity);
                 }
-                let elem = self.walk_gep(c, bty, &indices)?;
+                let m = &self.module;
+                let elem = m
+                    .types
+                    .gep_steps(bty, &indices, false, |v| m.consts.int_of(v), |_| Ok(()))
+                    .map_err(|e: GepError| ParseError {
+                        line: c.line,
+                        message: e.to_string(),
+                    })?;
                 let rty = self.module.types.ptr(elem);
                 Ok((Inst::Gep { ptr, indices }, rty))
             }
@@ -716,50 +721,6 @@ impl Parser {
             }
             other => c.err(format!("unknown opcode '{other}'")),
         }
-    }
-
-    /// Resolve a GEP's element type from the base pointer type and the
-    /// parsed indices (struct indices must be constants).
-    fn walk_gep(&self, c: &Cur<'_>, base: TypeId, indices: &[Value]) -> PResult<TypeId> {
-        let tys = &self.module.types;
-        let mut cur = tys.pointee(base).ok_or_else(|| ParseError {
-            line: c.line,
-            message: "getelementptr base must be a pointer".into(),
-        })?;
-        for (i, idx) in indices.iter().enumerate() {
-            if i == 0 {
-                continue; // first index steps over the pointer
-            }
-            match tys.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let cid = match idx {
-                        Value::Const(cid) => *cid,
-                        _ => {
-                            return Err(ParseError {
-                                line: c.line,
-                                message: "struct index must be constant".into(),
-                            })
-                        }
-                    };
-                    let (_, v) = self.module.consts.as_int(cid).ok_or_else(|| ParseError {
-                        line: c.line,
-                        message: "struct index must be an integer constant".into(),
-                    })?;
-                    cur = *fields.get(v as usize).ok_or_else(|| ParseError {
-                        line: c.line,
-                        message: format!("struct index {v} out of range"),
-                    })?;
-                }
-                Type::Array { elem, .. } => cur = elem,
-                _ => {
-                    return Err(ParseError {
-                        line: c.line,
-                        message: "cannot index into non-aggregate".into(),
-                    })
-                }
-            }
-        }
-        Ok(cur)
     }
 
     fn parse_label_ref(

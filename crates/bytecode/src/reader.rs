@@ -8,7 +8,7 @@
 
 use lpat_core::{
     fault::FaultAction, BlockId, Const, ConstId, FuncId, GlobalId, Inst, InstId, IntKind, Linkage,
-    Module, Type, TypeId, Value,
+    Module, Type, TypeError, TypeId, Value,
 };
 
 use crate::format::{unpack_head, unzigzag, DecodeError, Op, Reader, MAGIC, VERSION};
@@ -643,9 +643,11 @@ fn read_inst(
     })
 }
 
-/// Infer the result types not stored in the encoding, resolving operand
-/// dependencies depth-first with an explicit stack (layout order is not
-/// dominance order, so a plain forward scan does not suffice).
+/// Infer the result types not stored in the encoding by running the typing
+/// rule over a table that fills in as it goes. Layout order is not
+/// dominance order, so an instruction whose rule asks for an operand that
+/// has no type yet waits on an explicit stack while that operand is typed
+/// first.
 fn resolve_types(
     m: &mut Module,
     fid: FuncId,
@@ -653,133 +655,39 @@ fn resolve_types(
     declared: &mut [Option<TypeId>],
 ) -> Result<(), DecodeError> {
     let params: Vec<TypeId> = m.func(fid).params().to_vec();
-    let n = insts.len();
-    let mut visiting = vec![false; n];
-    for start in 0..n {
-        if declared[start].is_some() {
-            continue;
-        }
-        let mut stack = vec![start];
+    let mut visiting = vec![false; insts.len()];
+    let mut stack = Vec::new();
+    for start in 0..insts.len() {
+        stack.push(start);
         while let Some(&i) = stack.last() {
             if declared[i].is_some() {
                 stack.pop();
                 continue;
             }
-            // Find unresolved operand dependencies.
-            let mut pending = None;
-            let mut cycle = None;
-            deps_of(&insts[i], |d| {
-                if pending.is_none() && declared[d.index()].is_none() {
-                    if visiting[d.index()] {
-                        cycle = Some(d.index());
-                    } else {
-                        pending = Some(d.index());
-                    }
-                }
+            let rule = m.infer_inst_type(&insts[i], |v| match v {
+                Value::Inst(d) => declared[d.index()],
+                Value::Arg(n) => params.get(n as usize).copied(),
+                Value::Const(c) => Some(m.const_type(c)),
             });
-            if let Some(c) = cycle {
-                return Err(DecodeError(format!(
-                    "type dependency cycle through instruction {c}"
-                )));
+            match rule {
+                Ok(ty) => {
+                    declared[i] = Some(ty.intern(&mut m.types));
+                    visiting[i] = false;
+                    stack.pop();
+                }
+                Err(TypeError::Untyped(Value::Inst(d))) if !visiting[d.index()] => {
+                    visiting[i] = true;
+                    stack.push(d.index());
+                }
+                Err(TypeError::Untyped(Value::Inst(d))) => {
+                    return Err(DecodeError(format!(
+                        "type dependency cycle through instruction {}",
+                        d.index()
+                    )))
+                }
+                Err(e) => return Err(DecodeError(format!("{}: {e}", insts[i].opcode_name()))),
             }
-            if let Some(p) = pending {
-                visiting[i] = true;
-                stack.push(p);
-                continue;
-            }
-            let ty = compute_type(m, &params, insts, declared, i)?;
-            declared[i] = Some(ty);
-            visiting[i] = false;
-            stack.pop();
         }
     }
     Ok(())
-}
-
-/// Instruction-result dependencies needed to compute `inst`'s type.
-fn deps_of(inst: &Inst, mut f: impl FnMut(InstId)) {
-    let mut dep = |v: &Value| {
-        if let Value::Inst(d) = v {
-            f(*d)
-        }
-    };
-    match inst {
-        Inst::Bin { lhs, .. } => dep(lhs),
-        Inst::Load { ptr } | Inst::Gep { ptr, .. } => dep(ptr),
-        Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => dep(callee),
-        _ => {}
-    }
-}
-
-fn compute_type(
-    m: &mut Module,
-    params: &[TypeId],
-    insts: &[Inst],
-    declared: &[Option<TypeId>],
-    i: usize,
-) -> Result<TypeId, DecodeError> {
-    let vt = |m: &Module, v: &Value| -> Result<TypeId, DecodeError> {
-        Ok(match v {
-            Value::Inst(d) => declared
-                .get(d.index())
-                .copied()
-                .flatten()
-                .ok_or_else(|| DecodeError("operand type dependency unresolved".into()))?,
-            Value::Arg(n) => *params
-                .get(*n as usize)
-                .ok_or_else(|| DecodeError("argument index out of range".into()))?,
-            Value::Const(c) => m.const_type(*c),
-        })
-    };
-    Ok(match &insts[i] {
-        Inst::Bin { lhs, .. } => vt(m, lhs)?,
-        Inst::Load { ptr } => {
-            let p = vt(m, ptr)?;
-            m.types
-                .pointee(p)
-                .ok_or_else(|| DecodeError("load through non-pointer".into()))?
-        }
-        Inst::Gep { ptr, indices } => {
-            let base = vt(m, ptr)?;
-            let mut cur = m
-                .types
-                .pointee(base)
-                .ok_or_else(|| DecodeError("gep base is not a pointer".into()))?;
-            for (k, idx) in indices.iter().enumerate() {
-                if k == 0 {
-                    continue;
-                }
-                match m.types.ty(cur).clone() {
-                    Type::Struct { fields, .. } => {
-                        let c = match idx {
-                            Value::Const(c) => *c,
-                            _ => return Err(DecodeError("struct index not constant".into())),
-                        };
-                        let (_, v) = m
-                            .consts
-                            .as_int(c)
-                            .ok_or_else(|| DecodeError("struct index not integer".into()))?;
-                        cur = *fields
-                            .get(v as usize)
-                            .ok_or_else(|| DecodeError("struct index out of range".into()))?;
-                    }
-                    Type::Array { elem, .. } => cur = elem,
-                    _ => return Err(DecodeError("gep into non-aggregate".into())),
-                }
-            }
-            m.types.ptr(cur)
-        }
-        Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => {
-            let ct = vt(m, callee)?;
-            let fnty = m
-                .types
-                .pointee(ct)
-                .ok_or_else(|| DecodeError("call through non-pointer".into()))?;
-            m.types
-                .func_ret(fnty)
-                .ok_or_else(|| DecodeError("call through non-function".into()))?
-        }
-        // Everything else is void or had a declared type.
-        _ => m.types.void(),
-    })
 }

@@ -53,8 +53,8 @@
 //! to the interpreter.
 
 use lpat_core::{
-    BinOp, BlockId, CmpPred, Const, FuncId, Function, Inst, InstId, IntKind, Module, Type, TypeId,
-    Value,
+    BinOp, BlockId, CmpPred, Const, FuncId, Function, GepStep, Inst, InstId, IntKind, Module, Type,
+    TypeId, Value,
 };
 
 // ----------------------------------------------------------------------
@@ -604,9 +604,7 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
                     bump(&mut arg_prio, &mut inst_prio, v, weight(pred));
                 }
             } else {
-                for v in operand_values(inst) {
-                    bump(&mut arg_prio, &mut inst_prio, v, w);
-                }
+                inst.for_each_operand(|v| bump(&mut arg_prio, &mut inst_prio, v, w));
             }
         }
     }
@@ -721,32 +719,6 @@ fn term_targets(inst: &Inst) -> Vec<BlockId> {
         }
         Inst::Invoke { normal, unwind, .. } => vec![*normal, *unwind],
         _ => Vec::new(),
-    }
-}
-
-fn operand_values(inst: &Inst) -> Vec<Value> {
-    match inst {
-        Inst::Ret(v) => v.iter().copied().collect(),
-        Inst::Br(_) | Inst::Unwind | Inst::Unreachable | Inst::VaArg { .. } => Vec::new(),
-        Inst::CondBr { cond, .. } => vec![*cond],
-        Inst::Switch { val, .. } => vec![*val],
-        Inst::Invoke { callee, args, .. } | Inst::Call { callee, args } => {
-            let mut v = vec![*callee];
-            v.extend_from_slice(args);
-            v
-        }
-        Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-        Inst::Malloc { count, .. } | Inst::Alloca { count, .. } => count.iter().copied().collect(),
-        Inst::Free(p) => vec![*p],
-        Inst::Load { ptr } => vec![*ptr],
-        Inst::Store { val, ptr } => vec![*val, *ptr],
-        Inst::Gep { ptr, indices } => {
-            let mut v = vec![*ptr];
-            v.extend_from_slice(indices);
-            v
-        }
-        Inst::Phi { incoming } => incoming.iter().map(|&(v, _)| v).collect(),
-        Inst::Cast { val, .. } => vec![*val],
     }
 }
 
@@ -1233,53 +1205,37 @@ impl<'a> Tr<'a> {
         indices: &[Value],
         inst: &Inst,
     ) -> Result<(), String> {
-        let tys = &self.m.types;
+        let m = self.m;
         let base = self.opnd(ptr)?;
         if base.class() != Class::Ptr {
             return Err("gep base class".into());
         }
-        // Same walk as the JIT's compile_gep: fold constant indices into
-        // a static offset, keep `(value, scale)` pairs for the rest. Only
-        // the low 32 bits of the offset are observable, so 64-bit index
-        // values participate via their low-word view.
-        let mut cur = tys
-            .pointee(self.m.value_type(self.f, ptr))
-            .ok_or("gep base not a pointer")?;
+        // Fold constant indices into a static offset, keep `(value,
+        // scale)` pairs for the rest. Only the low 32 bits of the offset
+        // are observable, so 64-bit index values participate via their
+        // low-word view.
         let mut const_off: i64 = 0;
         let mut scaled: Vec<(Opnd, i64)> = Vec::new();
-        for (k, &idx) in indices.iter().enumerate() {
-            let const_v = match idx {
-                Value::Const(c) => self.m.consts.as_int(c).map(|(_, v)| v),
-                _ => None,
-            };
-            if k == 0 {
-                let scale = tys.try_size_of(cur).ok_or("gep through unsized type")? as i64;
-                match const_v {
-                    Some(v) => const_off = const_off.wrapping_add(v.wrapping_mul(scale)),
-                    None => scaled.push((self.opnd(idx)?, scale)),
-                }
-                continue;
-            }
-            match tys.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let fi = const_v.ok_or("dynamic struct index")? as usize;
-                    if fi >= fields.len() || tys.try_size_of(cur).is_none() {
-                        return Err("struct index out of range".into());
+        m.types.gep_steps(
+            m.value_type(self.f, ptr),
+            indices,
+            true,
+            |v| m.consts.int_of(v),
+            |step| {
+                match step {
+                    GepStep::Field { offset, .. } => {
+                        const_off = const_off.wrapping_add(offset as i64)
                     }
-                    const_off = const_off.wrapping_add(tys.field_offset(cur, fi) as i64);
-                    cur = fields[fi];
+                    GepStep::Scaled { index, stride } => match m.consts.int_of(index) {
+                        Some(v) => {
+                            const_off = const_off.wrapping_add(v.wrapping_mul(stride as i64))
+                        }
+                        None => scaled.push((self.opnd(index)?, stride as i64)),
+                    },
                 }
-                Type::Array { elem, .. } => {
-                    let scale = tys.try_size_of(elem).ok_or("gep through unsized type")? as i64;
-                    match const_v {
-                        Some(v) => const_off = const_off.wrapping_add(v.wrapping_mul(scale)),
-                        None => scaled.push((self.opnd(idx)?, scale)),
-                    }
-                    cur = elem;
-                }
-                _ => return Err("gep into scalar".into()),
-            }
-        }
+                Ok::<(), String>(())
+            },
+        )?;
         for (o, _) in &scaled {
             if !matches!(
                 o.class(),

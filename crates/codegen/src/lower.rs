@@ -1,6 +1,8 @@
 //! IR → machine-IR lowering with linear-scan register allocation.
 
-use lpat_core::{BinOp, Const, FuncId, Function, Inst, InstId, Module, Type, Value};
+use lpat_core::{
+    BinOp, Const, FuncId, Function, GepError, GepStep, Inst, InstId, Module, Type, Value,
+};
 
 use crate::mir::{Loc, MFunc, MInst, MKind, PReg, Src};
 
@@ -237,39 +239,30 @@ fn lower_gep(
     dst: Option<Loc>,
     out: &mut Vec<MInst>,
 ) {
-    let tys = &m.types;
-    let mut cur = tys
-        .pointee(m.value_type(f, ptr))
-        .expect("verified gep base");
     let mut disp: i64 = 0;
     let mut parts: Vec<(Src, u32)> = Vec::new(); // (index, scale)
-    for (k, &idx) in indices.iter().enumerate() {
-        if k > 0 {
-            match tys.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let fi = match idx {
-                        Value::Const(c) => m.consts.as_int(c).map(|(_, v)| v).unwrap_or(0) as usize,
-                        _ => 0,
-                    };
-                    disp += tys.field_offset(cur, fi.min(fields.len() - 1)) as i64;
-                    cur = fields[fi.min(fields.len() - 1)];
-                    continue;
+    m.types
+        .gep_steps::<GepError>(
+            m.value_type(f, ptr),
+            indices,
+            true,
+            |v| m.consts.int_of(v),
+            |step| {
+                match step {
+                    GepStep::Field { offset, .. } => disp = disp.wrapping_add(offset as i64),
+                    GepStep::Scaled {
+                        index: Value::Const(c),
+                        stride,
+                    } => {
+                        let v = m.consts.as_int(c).map(|(_, v)| v).unwrap_or(0);
+                        disp = disp.wrapping_add(v.wrapping_mul(stride as i64));
+                    }
+                    GepStep::Scaled { index, stride } => parts.push((src_of(index), stride as u32)),
                 }
-                Type::Array { elem, .. } => {
-                    cur = elem;
-                }
-                _ => {}
-            }
-        }
-        let scale = tys.size_of(cur) as u32;
-        match idx {
-            Value::Const(c) => {
-                let v = m.consts.as_int(c).map(|(_, v)| v).unwrap_or(0);
-                disp += v * scale as i64;
-            }
-            other => parts.push((src_of(other), scale)),
-        }
-    }
+                Ok(())
+            },
+        )
+        .expect("verified gep");
     let base = src_of(ptr);
     match parts.len() {
         0 => out.push(MInst::new(MKind::Lea { scale: 0, disp }, dst, vec![base])),

@@ -35,9 +35,6 @@ pub struct FuncBuilder<'m> {
     module: &'m mut Module,
     func: FuncId,
     cur: Option<BlockId>,
-    /// Incrementally maintained type view, so each `emit` is O(1) in the
-    /// function size.
-    view: FuncSigView,
 }
 
 impl Module {
@@ -48,12 +45,10 @@ impl Module {
         } else {
             Some(BlockId::from_index(self.func(func).num_blocks() - 1))
         };
-        let view = self.func(func).clone_signature_view();
         FuncBuilder {
             module: self,
             func,
             cur,
-            view,
         }
     }
 }
@@ -103,10 +98,12 @@ impl<'m> FuncBuilder<'m> {
     /// its operands (this is the construction-time analogue of a verifier
     /// error).
     pub fn emit(&mut self, inst: Inst) -> InstId {
-        let ty = self
-            .module
-            .infer_inst_type_view(&self.view, &inst)
-            .unwrap_or_else(|e| panic!("cannot emit {}: {e}", inst.opcode_name()));
+        let m = &*self.module;
+        let f = m.func(self.func);
+        let ty = m
+            .infer_inst_type(&inst, |v| Some(m.value_type(f, v)))
+            .unwrap_or_else(|e| panic!("cannot emit {}: {e}", inst.opcode_name()))
+            .intern(&mut self.module.types);
         self.emit_typed(inst, ty)
     }
 
@@ -114,10 +111,7 @@ impl<'m> FuncBuilder<'m> {
     /// `phi`, allowed everywhere).
     pub fn emit_typed(&mut self, inst: Inst, ty: TypeId) -> InstId {
         let b = self.current();
-        let id = self.module.func_mut(self.func).append_inst(b, inst, ty);
-        debug_assert_eq!(id.index(), self.view.inst_tys.len());
-        self.view.inst_tys.push(ty);
-        id
+        self.module.func_mut(self.func).append_inst(b, inst, ty)
     }
 
     // ---- constants ------------------------------------------------------
@@ -383,114 +377,6 @@ impl<'m> FuncBuilder<'m> {
     /// Emit `vaarg` fetching the next variadic argument at type `ty`.
     pub fn vaarg(&mut self, ty: TypeId) -> Value {
         Value::Inst(self.emit_typed(Inst::VaArg { ty }, ty))
-    }
-}
-
-// The builder needs to infer types while holding &mut Module; a full clone of
-// the function per emit would be quadratic. Instead we expose a lightweight
-// read-only "signature view" capturing just what inference needs.
-
-/// A cheap view of the data [`Module::infer_inst_type`] needs about the
-/// enclosing function: parameter types and the instruction-type table.
-#[derive(Clone)]
-pub struct FuncSigView {
-    params: Vec<TypeId>,
-    inst_tys: Vec<TypeId>,
-}
-
-impl crate::function::Function {
-    /// Capture a [`FuncSigView`] of this function.
-    pub fn clone_signature_view(&self) -> FuncSigView {
-        FuncSigView {
-            params: self.params().to_vec(),
-            inst_tys: (0..self.num_inst_slots())
-                .map(|i| self.inst_ty(InstId::from_index(i)))
-                .collect(),
-        }
-    }
-}
-
-impl Module {
-    /// `value_type` against a [`FuncSigView`] instead of a `&Function`.
-    pub fn value_type_view(&self, f: &FuncSigView, v: Value) -> TypeId {
-        match v {
-            Value::Inst(i) => f.inst_tys[i.index()],
-            Value::Arg(n) => f.params[n as usize],
-            Value::Const(c) => self.const_type(c),
-        }
-    }
-
-    /// `infer_inst_type` against a [`FuncSigView`].
-    pub fn infer_inst_type_view(&mut self, f: &FuncSigView, inst: &Inst) -> Result<TypeId, String> {
-        use crate::types::Type;
-        Ok(match inst {
-            Inst::Ret(_)
-            | Inst::Br(_)
-            | Inst::CondBr { .. }
-            | Inst::Switch { .. }
-            | Inst::Unwind
-            | Inst::Unreachable
-            | Inst::Free(_)
-            | Inst::Store { .. } => self.types.void(),
-            Inst::Bin { lhs, .. } => self.value_type_view(f, *lhs),
-            Inst::Cmp { .. } => self.types.bool_(),
-            Inst::Malloc { elem_ty, .. } | Inst::Alloca { elem_ty, .. } => self.types.ptr(*elem_ty),
-            Inst::Load { ptr } => {
-                let pt = self.value_type_view(f, *ptr);
-                self.types
-                    .pointee(pt)
-                    .ok_or_else(|| "load from non-pointer".to_string())?
-            }
-            Inst::Gep { ptr, indices } => {
-                let base = self.value_type_view(f, *ptr);
-                let mut cur = self
-                    .types
-                    .pointee(base)
-                    .ok_or_else(|| "getelementptr base is not a pointer".to_string())?;
-                let mut it = indices.iter();
-                if it.next().is_some() {
-                    for &idx in it {
-                        match self.types.ty(cur).clone() {
-                            Type::Struct { fields, .. } => {
-                                let c = match idx {
-                                    Value::Const(c) => c,
-                                    _ => return Err("struct index must be a constant".into()),
-                                };
-                                let (_, v) = self.consts.as_int(c).ok_or_else(|| {
-                                    "struct index must be an integer constant".to_string()
-                                })?;
-                                let fi = v as usize;
-                                if fi >= fields.len() {
-                                    return Err(format!("struct index {fi} out of range"));
-                                }
-                                cur = fields[fi];
-                            }
-                            Type::Array { elem, .. } => cur = elem,
-                            _ => {
-                                return Err(format!(
-                                    "cannot index into non-aggregate type {}",
-                                    self.types.display(cur)
-                                ))
-                            }
-                        }
-                    }
-                }
-                self.types.ptr(cur)
-            }
-            Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => {
-                let ct = self.value_type_view(f, *callee);
-                let fnty = self
-                    .types
-                    .pointee(ct)
-                    .ok_or_else(|| "call through non-pointer".to_string())?;
-                self.types
-                    .func_ret(fnty)
-                    .ok_or_else(|| "call through pointer to non-function".to_string())?
-            }
-            Inst::Cast { to, .. } => *to,
-            Inst::Phi { .. } => return Err("phi type must be declared".into()),
-            Inst::VaArg { ty } => *ty,
-        })
     }
 }
 

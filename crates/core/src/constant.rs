@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::inst::Value;
 use crate::types::{IntKind, TypeCtx, TypeId};
 
 /// Handle to an interned [`Const`] in a [`ConstPool`].
@@ -301,6 +302,16 @@ impl ConstPool {
     pub fn as_int(&self, id: ConstId) -> Option<(IntKind, i64)> {
         match self.get(id) {
             Const::Int { kind, value } => Some((*kind, *value)),
+            _ => None,
+        }
+    }
+
+    /// The payload of operand `v` when it is an integer constant — how a
+    /// `getelementptr` index is read statically.
+    #[inline]
+    pub fn int_of(&self, v: Value) -> Option<i64> {
+        match v {
+            Value::Const(c) => self.as_int(c).map(|(_, value)| value),
             _ => None,
         }
     }

@@ -72,6 +72,6 @@ pub use constant::{Const, ConstId, ConstPool, FuncId, GlobalId};
 pub use fault::{FaultAction, FaultPlan, FaultSpec};
 pub use function::{Function, InstData, Linkage};
 pub use inst::{BinOp, BlockId, CmpPred, Inst, InstId, Value};
-pub use module::{AddrTypeTable, Global, Module};
-pub use types::{IntKind, Type, TypeCtx, TypeId};
+pub use module::{AddrTypeTable, Global, Module, ResultType, TypeError};
+pub use types::{GepError, GepStep, IntKind, Type, TypeCtx, TypeId};
 pub use verify::{Dominators, VerifyError};

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use crate::constant::{Const, ConstId, ConstPool, FuncId, GlobalId};
 use crate::function::{Function, Linkage};
 use crate::inst::{Inst, Value};
-use crate::types::{Type, TypeCtx, TypeId};
+use crate::types::{GepError, TypeCtx, TypeId};
 
 /// A global variable definition or declaration.
 #[derive(Clone, Debug)]
@@ -63,6 +63,62 @@ impl AddrTypeTable {
             Value::Inst(i) => f.inst_ty(i),
             Value::Arg(n) => f.params()[n as usize],
             Value::Const(c) => self.const_type(types, consts, c),
+        }
+    }
+}
+
+/// What [`Module::infer_inst_type`] derives: a type that exists already,
+/// or a pointer to one. Kept apart so that a `&Module` caller can compare
+/// a cached type against the rule without interning anything.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ResultType {
+    /// Exactly this type.
+    Exactly(TypeId),
+    /// A pointer to this type.
+    PointerTo(TypeId),
+}
+
+impl ResultType {
+    /// The type itself, interning the pointer when there is one.
+    pub fn intern(self, types: &mut TypeCtx) -> TypeId {
+        match self {
+            ResultType::Exactly(t) => t,
+            ResultType::PointerTo(t) => types.ptr(t),
+        }
+    }
+
+    /// Whether `ty` is this type.
+    pub fn is(self, types: &TypeCtx, ty: TypeId) -> bool {
+        match self {
+            ResultType::Exactly(t) => ty == t,
+            ResultType::PointerTo(t) => types.pointee(ty) == Some(t),
+        }
+    }
+}
+
+/// Why [`Module::infer_inst_type`] derives no type for an instruction.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum TypeError {
+    /// This operand, which the rule needs, has no type yet.
+    Untyped(Value),
+    /// A `load` or call through something that is not a pointer.
+    NotPointer,
+    /// A call through a pointer to something that is not a function.
+    NotFunction,
+    /// A `getelementptr` whose indices do not fit its base type.
+    Gep(GepError),
+    /// A `phi`: its type is declared, not derived.
+    Declared,
+}
+
+impl std::fmt::Display for TypeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TypeError::Untyped(_) => f.write_str("operand type is not known"),
+            TypeError::NotPointer => f.write_str("operand is not a pointer"),
+            TypeError::NotFunction => f.write_str("callee is not a pointer to a function"),
+            TypeError::Gep(e) => e.fmt(f),
+            TypeError::Declared => f.write_str("type must be declared"),
         }
     }
 }
@@ -450,78 +506,26 @@ impl Module {
         (&mut self.types, &mut self.consts, &mut self.funcs)
     }
 
-    /// Resolve the element type a `getelementptr` lands on, without
-    /// interning the final pointer type (so `&self` suffices).
+    /// The result type of `inst`, derived from its operands — the one
+    /// typing rule of the representation. `type_of` answers "what type
+    /// does this operand have" (`None`: not known yet), so a `&Function`
+    /// and a decoder's partly resolved type table can both drive it. The
+    /// builder and the bytecode reader take their types from here; the
+    /// verifier checks every cached type against it.
     ///
     /// # Errors
     ///
-    /// Returns a message when the index list does not match the pointee's
-    /// structure.
-    pub fn gep_pointee(
+    /// A [`TypeError`] when the operands admit no result type. `phi`
+    /// fails with [`TypeError::Declared`]: its type is stated, not derived.
+    #[inline]
+    pub fn infer_inst_type(
         &self,
-        f: &Function,
-        base_ptr_ty: TypeId,
-        indices: &[Value],
-    ) -> Result<TypeId, String> {
-        let mut cur = self
-            .types
-            .pointee(base_ptr_ty)
-            .ok_or_else(|| "getelementptr base is not a pointer".to_string())?;
-        let mut it = indices.iter();
-        // First index steps over the pointer itself; any integer type.
-        match it.next() {
-            None => return Ok(cur),
-            Some(&idx) => {
-                let t = self.value_type(f, idx);
-                if !self.types.is_int(t) {
-                    return Err("first getelementptr index must be an integer".into());
-                }
-            }
-        }
-        for &idx in it {
-            match self.types.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let c = match idx {
-                        Value::Const(c) => c,
-                        _ => return Err("struct index must be a constant".into()),
-                    };
-                    let (_, v) = self
-                        .consts
-                        .as_int(c)
-                        .ok_or_else(|| "struct index must be an integer constant".to_string())?;
-                    let fidx = v as usize;
-                    if fidx >= fields.len() {
-                        return Err(format!(
-                            "struct index {fidx} out of range ({} fields)",
-                            fields.len()
-                        ));
-                    }
-                    cur = fields[fidx];
-                }
-                Type::Array { elem, .. } => {
-                    let t = self.value_type(f, idx);
-                    if !self.types.is_int(t) {
-                        return Err("array index must be an integer".into());
-                    }
-                    cur = elem;
-                }
-                _ => {
-                    return Err(format!(
-                        "cannot index into non-aggregate type {}",
-                        self.types.display(cur)
-                    ))
-                }
-            }
-        }
-        Ok(cur)
-    }
-
-    /// Infer the result type of `inst` were it inserted into `f`.
-    ///
-    /// Used by the builder (authoritatively) and the verifier (as a
-    /// cross-check). `Phi` and `VaArg` cannot be inferred from operands and
-    /// return an error; their type is declared at creation.
-    pub fn infer_inst_type(&mut self, f: &Function, inst: &Inst) -> Result<TypeId, String> {
+        inst: &Inst,
+        type_of: impl Fn(Value) -> Option<TypeId>,
+    ) -> Result<ResultType, TypeError> {
+        use ResultType::{Exactly, PointerTo};
+        let ty = |v: Value| type_of(v).ok_or(TypeError::Untyped(v));
+        let pointee = |v: Value| self.types.pointee(ty(v)?).ok_or(TypeError::NotPointer);
         Ok(match inst {
             Inst::Ret(_)
             | Inst::Br(_)
@@ -530,34 +534,30 @@ impl Module {
             | Inst::Unwind
             | Inst::Unreachable
             | Inst::Free(_)
-            | Inst::Store { .. } => self.types.void(),
-            Inst::Bin { lhs, .. } => self.value_type(f, *lhs),
-            Inst::Cmp { .. } => self.types.bool_(),
-            Inst::Malloc { elem_ty, .. } | Inst::Alloca { elem_ty, .. } => self.types.ptr(*elem_ty),
-            Inst::Load { ptr } => {
-                let pt = self.value_type(f, *ptr);
+            | Inst::Store { .. } => Exactly(self.types.void()),
+            Inst::Bin { lhs, .. } => Exactly(ty(*lhs)?),
+            Inst::Cmp { .. } => Exactly(self.types.bool_()),
+            Inst::Malloc { elem_ty, .. } | Inst::Alloca { elem_ty, .. } => PointerTo(*elem_ty),
+            Inst::Load { ptr } => Exactly(pointee(*ptr)?),
+            Inst::Gep { ptr, indices } => PointerTo(
                 self.types
-                    .pointee(pt)
-                    .ok_or_else(|| "load from non-pointer".to_string())?
-            }
-            Inst::Gep { ptr, indices } => {
-                let base = self.value_type(f, *ptr);
-                let elem = self.gep_pointee(f, base, indices)?;
-                self.types.ptr(elem)
-            }
-            Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => {
-                let ct = self.value_type(f, *callee);
-                let fnty = self
-                    .types
-                    .pointee(ct)
-                    .ok_or_else(|| "call through non-pointer".to_string())?;
+                    .gep_steps::<GepError>(
+                        ty(*ptr)?,
+                        indices,
+                        false,
+                        |v| self.consts.int_of(v),
+                        |_| Ok(()),
+                    )
+                    .map_err(TypeError::Gep)?,
+            ),
+            Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => Exactly(
                 self.types
-                    .func_ret(fnty)
-                    .ok_or_else(|| "call through pointer to non-function".to_string())?
-            }
-            Inst::Cast { to, .. } => *to,
-            Inst::Phi { .. } => return Err("phi type must be declared".into()),
-            Inst::VaArg { ty } => *ty,
+                    .func_ret(pointee(*callee)?)
+                    .ok_or(TypeError::NotFunction)?,
+            ),
+            Inst::Cast { to, .. } => Exactly(*to),
+            Inst::VaArg { ty } => Exactly(*ty),
+            Inst::Phi { .. } => return Err(TypeError::Declared),
         })
     }
 
@@ -572,6 +572,7 @@ impl Module {
 mod tests {
     use super::*;
     use crate::inst::BinOp;
+    use crate::types::GepStep;
 
     #[test]
     fn globals_and_functions_by_name() {
@@ -608,28 +609,29 @@ mod tests {
         let mut m = Module::new("m");
         let i32t = m.types.i32();
         let fid = m.add_function("f", &[i32t], i32t, false, Linkage::External);
-        let f = m.func(fid).clone();
-        let t = m
-            .infer_inst_type(
-                &f,
-                &Inst::Bin {
-                    op: BinOp::Add,
-                    lhs: Value::Arg(0),
-                    rhs: Value::Arg(0),
-                },
-            )
-            .unwrap();
-        assert_eq!(t, i32t);
-        let t = m
-            .infer_inst_type(
-                &f,
-                &Inst::Alloca {
-                    elem_ty: i32t,
-                    count: None,
-                },
-            )
-            .unwrap();
-        assert_eq!(m.types.pointee(t), Some(i32t));
+        let f = m.func(fid);
+        let add = Inst::Bin {
+            op: BinOp::Add,
+            lhs: Value::Arg(0),
+            rhs: Value::Arg(0),
+        };
+        let t = m.infer_inst_type(&add, |v| Some(m.value_type(f, v)));
+        assert_eq!(t, Ok(ResultType::Exactly(i32t)));
+        // The same rule driven by a table that does not know the operand.
+        assert_eq!(
+            m.infer_inst_type(&add, |_| None),
+            Err(TypeError::Untyped(Value::Arg(0)))
+        );
+        let alloca = Inst::Alloca {
+            elem_ty: i32t,
+            count: None,
+        };
+        let t = m.infer_inst_type(&alloca, |_| None).unwrap();
+        assert_eq!(t, ResultType::PointerTo(i32t));
+        assert!(!t.is(&m.types, i32t));
+        let p = t.intern(&mut m.types);
+        assert_eq!(m.types.pointee(p), Some(i32t));
+        assert!(t.is(&m.types, p));
     }
 
     #[test]
@@ -639,29 +641,68 @@ mod tests {
         let arr = m.types.array(m.types.f32(), 4);
         let xty = m.types.struct_lit(vec![m.types.i32(), arr]);
         let pxty = m.types.ptr(xty);
-        let fid = m.add_function(
-            "f",
-            &[pxty, m.types.i64()],
-            m.types.void(),
-            false,
-            Linkage::External,
-        );
-        let zero = m.consts.i64(0);
-        let one = m.consts.u8(1);
-        let f = m.func(fid).clone();
-        // X[0].field1[i] : float
-        let elem = m
-            .gep_pointee(
-                &f,
-                pxty,
-                &[Value::Const(zero), Value::Const(one), Value::Arg(1)],
-            )
-            .unwrap();
+        let zero = Value::Const(m.consts.i64(0));
+        let one = Value::Const(m.consts.u8(1));
+        let nine = Value::Const(m.consts.u8(9));
+        let walk = |indices: &[Value], layout: bool| {
+            let mut steps = Vec::new();
+            m.types
+                .gep_steps::<GepError>(
+                    pxty,
+                    indices,
+                    layout,
+                    |v| m.consts.int_of(v),
+                    |s| {
+                        steps.push(s);
+                        Ok(())
+                    },
+                )
+                .map(|t| (t, steps))
+        };
+        // X[0].field1[i] : float, 4 bytes into X plus 4 per element.
+        let (elem, steps) = walk(&[zero, one, Value::Arg(1)], true).unwrap();
         assert_eq!(elem, m.types.f32());
-        // struct index must be constant
-        assert!(m
-            .gep_pointee(&f, pxty, &[Value::Const(zero), Value::Arg(1)])
-            .is_err());
+        assert_eq!(
+            steps,
+            [
+                GepStep::Scaled {
+                    index: zero,
+                    stride: 20
+                },
+                GepStep::Field {
+                    field: 1,
+                    offset: 4
+                },
+                GepStep::Scaled {
+                    index: Value::Arg(1),
+                    stride: 4
+                },
+            ]
+        );
+        // A struct index is always the constant.
+        assert_eq!(
+            walk(&[zero, Value::Arg(1)], false),
+            Err(GepError::StructIndexNotConst)
+        );
+        assert_eq!(walk(&[zero, nine], false), Err(GepError::StructIndexRange));
+        assert_eq!(
+            walk(&[zero, one, zero, zero], false),
+            Err(GepError::IntoScalar)
+        );
+        // Typing steps over an opaque pointee; layout cannot.
+        let opaque = m.types.named_struct("o");
+        let po = m.types.ptr(opaque);
+        let over = |layout| {
+            m.types
+                .gep_steps::<GepError>(po, &[one], layout, |_| None, |_| Ok(()))
+        };
+        assert_eq!(over(false), Ok(opaque));
+        assert_eq!(over(true), Err(GepError::Unsized));
+        assert_eq!(
+            m.types
+                .gep_steps::<GepError>(xty, &[], false, |_| None, |_| Ok(())),
+            Err(GepError::BaseNotPointer)
+        );
     }
 
     #[test]

@@ -17,6 +17,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::inst::Value;
+
 /// A compact handle to an interned [`Type`] inside a [`TypeCtx`].
 ///
 /// `TypeId`s are only meaningful relative to the context that created them.
@@ -646,6 +648,66 @@ impl TypeCtx {
         }
     }
 
+    /// Step a `getelementptr` index list through the pointee of `base_ptr`
+    /// — the one place that knows how indices select array elements and
+    /// struct fields. Every index reaches `visit` as a [`GepStep`], in
+    /// order; the result is the type the indices land on (the instruction
+    /// yields a pointer to it). `const_int` reads an index as an integer
+    /// constant: a struct index must be one, every other index is handed
+    /// to `visit` as it stands. Strides and field offsets are computed
+    /// only `with_layout`, so a pure type walk costs no layout work and
+    /// can step over an unsized pointee.
+    ///
+    /// # Errors
+    ///
+    /// A [`GepError`] when the indices do not fit the type (converted
+    /// into `E`), or whatever `visit` returns.
+    #[inline]
+    pub fn gep_steps<E: From<GepError>>(
+        &self,
+        base_ptr: TypeId,
+        indices: &[Value],
+        with_layout: bool,
+        const_int: impl Fn(Value) -> Option<i64>,
+        mut visit: impl FnMut(GepStep) -> Result<(), E>,
+    ) -> Result<TypeId, E> {
+        // Size of `ty` when the caller wants layout, 0 when it does not.
+        let sized = |ty: TypeId| match with_layout {
+            true => self.try_size_of(ty).ok_or(GepError::Unsized),
+            false => Ok(0),
+        };
+        let mut cur = self.pointee(base_ptr).ok_or(GepError::BaseNotPointer)?;
+        for (k, &index) in indices.iter().enumerate() {
+            if k > 0 {
+                match self.ty(cur) {
+                    Type::Array { elem, .. } => cur = *elem,
+                    Type::Struct { fields, .. } => {
+                        let field = const_int(index).ok_or(GepError::StructIndexNotConst)?;
+                        let field = usize::try_from(field)
+                            .ok()
+                            .filter(|&f| f < fields.len())
+                            .ok_or(GepError::StructIndexRange)?;
+                        let offset = if with_layout {
+                            // `field_offset` panics on an unsized field.
+                            sized(cur)?;
+                            self.field_offset(cur, field)
+                        } else {
+                            0
+                        };
+                        visit(GepStep::Field { field, offset })?;
+                        cur = fields[field];
+                        continue;
+                    }
+                    _ => return Err(GepError::IntoScalar.into()),
+                }
+            }
+            // The first index steps over the pointer as over an array.
+            let stride = sized(cur)?;
+            visit(GepStep::Scaled { index, stride })?;
+        }
+        Ok(cur)
+    }
+
     /// Render a type to its assembly syntax (`int`, `%list*`, `[4 x float]`,
     /// `{ int, %list* }`, `int (int, sbyte**)`).
     pub fn display(&self, id: TypeId) -> String {
@@ -709,6 +771,63 @@ impl TypeCtx {
                 write!(out, "%{n}").unwrap();
             }
         }
+    }
+}
+
+/// One index of a `getelementptr`, as [`TypeCtx::gep_steps`] visits it.
+/// `stride` and `offset` are 0 on a walk without layout.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum GepStep {
+    /// The leading pointer-as-array index or an array index: the address
+    /// moves by `index · stride` bytes.
+    Scaled {
+        /// The index operand, constant or not.
+        index: Value,
+        /// Size in bytes of the element stepped over.
+        stride: u64,
+    },
+    /// A struct index: the address moves to field `field`, `offset` bytes
+    /// into the struct.
+    Field {
+        /// The constant field number, in range.
+        field: usize,
+        /// [`TypeCtx::field_offset`] of that field.
+        offset: u64,
+    },
+}
+
+/// Why a `getelementptr` index list does not fit its base type.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum GepError {
+    /// The base operand is not a pointer.
+    BaseNotPointer,
+    /// A struct is indexed by something other than an integer constant.
+    StructIndexNotConst,
+    /// A struct index names no field.
+    StructIndexRange,
+    /// An index is left over after reaching a non-aggregate type.
+    IntoScalar,
+    /// Layout was asked for through a type that has no size.
+    Unsized,
+}
+
+impl fmt::Display for GepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            GepError::BaseNotPointer => "getelementptr base is not a pointer",
+            GepError::StructIndexNotConst => "struct index must be an integer constant",
+            GepError::StructIndexRange => "struct index out of range",
+            GepError::IntoScalar => "cannot index into a non-aggregate type",
+            GepError::Unsized => "getelementptr through an unsized type",
+        })
+    }
+}
+
+/// For walkers whose own failures are free text (`codegen::fast` bails
+/// with a `String`).
+impl From<GepError> for String {
+    fn from(e: GepError) -> String {
+        e.to_string()
     }
 }
 

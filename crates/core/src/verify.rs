@@ -333,6 +333,18 @@ impl Module {
     ) {
         let vt = |v: Value| self.value_type(f, v);
         let mut fail = |msg: String| Self::err(errs, f, Some(iid), msg);
+        // Every cached result type but a φ's (which is declared) must be
+        // the one the typing rule derives from the operands.
+        if !matches!(inst, Inst::Phi { .. }) {
+            match self.infer_inst_type(inst, |v| Some(vt(v))) {
+                Ok(want) if want.is(&self.types, f.inst_ty(iid)) => {}
+                Ok(_) => fail(format!(
+                    "cached {} result type does not match its operands",
+                    inst.opcode_name()
+                )),
+                Err(e) => fail(format!("{}: {e}", inst.opcode_name())),
+            }
+        }
         match inst {
             Inst::Ret(v) => {
                 let want = f.ret_type();
@@ -392,9 +404,6 @@ impl Module {
                 } else if !self.types.is_int(lt) {
                     fail(format!("{} on non-arithmetic type", op.name()));
                 }
-                if f.inst_ty(iid) != lt {
-                    fail("cached binary result type mismatch".into());
-                }
             }
             Inst::Cmp { lhs, rhs, .. } => {
                 let lt = vt(*lhs);
@@ -404,9 +413,6 @@ impl Module {
                 }
                 if !self.types.is_first_class(lt) {
                     fail("comparison of non-first-class values".into());
-                }
-                if f.inst_ty(iid) != self.types.bool_() {
-                    fail("comparison result is not bool".into());
                 }
             }
             Inst::Malloc { count, .. } | Inst::Alloca { count, .. } => {
@@ -421,17 +427,14 @@ impl Module {
                     fail("free of non-pointer".into());
                 }
             }
-            Inst::Load { ptr } => match self.types.pointee(vt(*ptr)) {
-                Some(p) => {
+            // A non-pointer address was reported by the typing rule.
+            Inst::Load { ptr } => {
+                if let Some(p) = self.types.pointee(vt(*ptr)) {
                     if !self.types.is_first_class(p) {
                         fail("load of non-first-class type".into());
                     }
-                    if f.inst_ty(iid) != p {
-                        fail("load result type != pointee".into());
-                    }
                 }
-                None => fail("load through non-pointer".into()),
-            },
+            }
             Inst::Store { val, ptr } => match self.types.pointee(vt(*ptr)) {
                 Some(p) => {
                     if vt(*val) != p {
@@ -447,13 +450,11 @@ impl Module {
                 }
                 None => fail("store through non-pointer".into()),
             },
-            Inst::Gep { ptr, indices } => match self.gep_pointee(f, vt(*ptr), indices) {
-                Ok(elem) => match self.types.pointee(f.inst_ty(iid)) {
-                    Some(p) if p == elem => {}
-                    _ => fail("getelementptr result type mismatch".into()),
-                },
-                Err(e) => fail(format!("getelementptr: {e}")),
-            },
+            Inst::Gep { indices, .. } => {
+                if !indices.iter().all(|&i| self.types.is_int(vt(i))) {
+                    fail("getelementptr index must be an integer".into());
+                }
+            }
             Inst::Phi { incoming } => {
                 let ty = f.inst_ty(iid);
                 if !self.types.is_first_class(ty) {
@@ -470,13 +471,10 @@ impl Module {
                 }
             }
             Inst::Call { callee, args } | Inst::Invoke { callee, args, .. } => {
-                let ct = vt(*callee);
-                let fnty = match self.types.pointee(ct) {
+                let fnty = match self.types.pointee(vt(*callee)) {
                     Some(t) if self.types.is_func(t) => t,
-                    _ => {
-                        fail("call through non-function-pointer".into());
-                        return;
-                    }
+                    // Reported by the typing rule above.
+                    _ => return,
                 };
                 let params = self.types.func_params(fnty).unwrap().to_vec();
                 let varargs = self.types.func_varargs(fnty).unwrap();
@@ -497,25 +495,16 @@ impl Module {
                         ));
                     }
                 }
-                if f.inst_ty(iid) != self.types.func_ret(fnty).unwrap() {
-                    fail("call result type != callee return type".into());
-                }
             }
             Inst::Cast { val, to } => {
                 let from = vt(*val);
                 if !self.types.is_first_class(from) || !self.types.is_first_class(*to) {
                     fail("cast between non-first-class types".into());
                 }
-                if f.inst_ty(iid) != *to {
-                    fail("cached cast type mismatch".into());
-                }
             }
-            Inst::VaArg { ty } => {
+            Inst::VaArg { .. } => {
                 if !f.is_varargs() {
                     fail("vaarg in non-variadic function".into());
-                }
-                if f.inst_ty(iid) != *ty {
-                    fail("cached vaarg type mismatch".into());
                 }
             }
         }
@@ -581,6 +570,45 @@ mod tests {
                 .any(|e| e.message.contains("operand types differ")),
             "{errs:?}"
         );
+    }
+
+    #[test]
+    fn rejects_a_cached_type_the_operands_do_not_give() {
+        // (instruction, wrong cached type) — one comparison covers every
+        // opcode, the allocations the per-opcode checks forgot included.
+        let mut m = Module::new("bad");
+        let (i32t, f64t, void) = (m.types.i32(), m.types.f64(), m.types.void());
+        let (pi8, pi32) = (m.types.ptr(m.types.i8()), m.types.ptr(i32t));
+        let f = m.add_function("f", &[pi32], void, false, Linkage::External);
+        let (elem_ty, count) = (i32t, None);
+        let cases = [
+            (Inst::Alloca { elem_ty, count }, f64t),
+            (Inst::Malloc { elem_ty, count }, pi8),
+            (Inst::Load { ptr: Value::Arg(0) }, f64t),
+            (Inst::Free(Value::Arg(0)), i32t),
+        ];
+        let fb = m.func_mut(f);
+        let b = fb.add_block();
+        let ids: Vec<InstId> = cases
+            .iter()
+            .map(|(inst, ty)| fb.append_inst(b, inst.clone(), *ty))
+            .collect();
+        fb.append_inst(b, Inst::Ret(None), void);
+        let errs = m.verify().unwrap_err();
+        for (id, (inst, _)) in ids.iter().zip(&cases) {
+            assert!(
+                errs.iter().any(|e| e.inst == Some(*id)
+                    && e.message.contains(inst.opcode_name())
+                    && e.message.contains("result type")),
+                "{} not named in {errs:?}",
+                inst.opcode_name()
+            );
+        }
+        // With the types the rule derives, the same body verifies.
+        for (id, ty) in ids.iter().zip([pi32, pi32, i32t, void]) {
+            m.func_mut(f).set_inst_ty(*id, ty);
+        }
+        assert_eq!(m.verify(), Ok(()));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn reassociate_unit(u: &mut FuncUnit<'_>) -> usize {
             {
                 if iop == op {
                     let (a, b) = (u.consts.get(c1).clone(), u.consts.get(c2).clone());
-                    if let Some(folded) = fold_bin(u.consts, op, &a, &b) {
+                    if let Some(folded) = fold_bin(op, &a, &b) {
                         let fc = u.consts.intern(folded);
                         *u.func.inst_mut(iid) = Inst::Bin {
                             op,

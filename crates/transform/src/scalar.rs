@@ -108,7 +108,7 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
         Inst::Bin { op, lhs, rhs } => {
             // Constant folding.
             if let (Some(a), Some(b)) = (as_const(u, lhs), as_const(u, rhs)) {
-                if let Some(c) = fold_bin(u.consts, op, &a, &b) {
+                if let Some(c) = fold_bin(op, &a, &b) {
                     let id = u.consts.intern(c);
                     return Some(Value::Const(id));
                 }

@@ -61,3 +61,12 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// A `getelementptr` that does not fit its base type (possible only in a
+/// module the verifier has not passed) is an `Invalid` trap on every
+/// engine, whether met at execution or at translation.
+impl From<lpat_core::GepError> for ExecError {
+    fn from(e: lpat_core::GepError) -> ExecError {
+        ExecError::trap(TrapKind::Invalid, e.to_string())
+    }
+}

@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 
 use lpat_core::trace;
 use lpat_core::{
-    BinOp, BlockId, CmpPred, Const, ConstId, FuncId, Inst, InstId, IntKind, Module, Type, TypeId,
-    Value,
+    fold, BinOp, BlockId, CmpPred, Const, ConstId, FuncId, GepStep, Inst, InstId, IntKind, Module,
+    Type, TypeId, Value,
 };
 
 use crate::counters::Counters;
@@ -188,7 +188,8 @@ pub struct Vm<'m> {
     /// Installed by [`Vm::install_speculation`] before execution; `None`
     /// means the module carries no speculation.
     spec: Option<std::rc::Rc<lpat_transform::SpecMap>>,
-    global_addrs: Vec<u32>,
+    /// Address of each global, by index.
+    pub(crate) global_addrs: Vec<u32>,
     /// JIT translation cache, dense over `FuncId` (translated on first
     /// call or promotion, reused across `run_*` invocations).
     pub(crate) jit_cache: Vec<Option<std::rc::Rc<crate::jit::LowFunc>>>,
@@ -336,15 +337,6 @@ impl<'m> Vm<'m> {
         pass
     }
 
-    /// Dispatch an external call (shared with the JIT engine).
-    pub(crate) fn call_external_by_id(
-        &mut self,
-        f: FuncId,
-        args: &[VmValue],
-    ) -> Result<Option<VmValue>, ExecError> {
-        self.call_external(f, args)
-    }
-
     /// Serialize a constant of type `ty` into memory at `addr`.
     fn write_const(&mut self, addr: u32, ty: TypeId, c: ConstId) -> Result<(), ExecError> {
         self.write_const_at(addr, ty, c, 0)
@@ -433,8 +425,10 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
-    /// Evaluate a scalar constant.
-    fn const_value(&self, c: ConstId) -> Result<VmValue, ExecError> {
+    /// Evaluate a scalar constant — the one `Const` → `VmValue` mapping:
+    /// the interpreter reads operands through it, the JIT translator
+    /// pre-evaluates its immediates with it.
+    pub(crate) fn const_value(&self, c: ConstId) -> Result<VmValue, ExecError> {
         Ok(match self.m.consts.get(c) {
             Const::Bool(b) => VmValue::Bool(*b),
             Const::Int { kind, value } => VmValue::Int {
@@ -511,106 +505,14 @@ impl<'m> Vm<'m> {
         f: FuncId,
         args: Vec<VmValue>,
     ) -> Result<Option<VmValue>, ExecError> {
-        let result = self.interp_loop(f, args);
-        self.drain_counters();
-        result
+        self.run_function_mixed(f, args, crate::tier::MixedMode::InterpOnly)
     }
 
-    fn interp_loop(&mut self, f: FuncId, args: Vec<VmValue>) -> Result<Option<VmValue>, ExecError> {
-        let mut stack: Vec<Frame> = Vec::new();
-        self.push_frame(&mut stack, f, args, vec![])?;
-        loop {
-            // Fetch the next instruction of the top frame.
-            let m = self.m;
-            let fr = stack.last_mut().expect("non-empty stack");
-            let func = m.func(fr.func);
-            let insts = func.block_insts(fr.block);
-            if fr.idx >= insts.len() {
-                return Err(ExecError::trap(
-                    TrapKind::Invalid,
-                    "fell off the end of a block",
-                ));
-            }
-            let iid = insts[fr.idx];
-            let block = fr.block;
-            // φ-nodes were already executed on the incoming edge (in
-            // `transfer`); visiting one in sequence is free — it is not a
-            // real instruction at run time.
-            let fetched = func.inst(iid);
-            if !matches!(fetched, Inst::Phi { .. }) {
-                self.charge_interp(fetched.opcode_index())?;
-            }
-            match self.step(fr, block, iid, fetched)? {
-                StepResult::Continue => {
-                    fr.idx += 1;
-                }
-                StepResult::Jumped => {}
-                StepResult::Call {
-                    target,
-                    fixed,
-                    extra,
-                } => {
-                    self.push_frame(&mut stack, target, fixed, extra)?;
-                }
-                StepResult::Returned(v) => {
-                    let done = self.pop_frame(&mut stack)?;
-                    if done {
-                        return Ok(v);
-                    }
-                    let fr = stack.last_mut().unwrap();
-                    let site = fr.pending.take().expect("return into pending call");
-                    if let Some(v) = v {
-                        fr.regs[site.index()] = Some(v);
-                    }
-                    // An invoke transfers to its normal successor; a call
-                    // continues in-line.
-                    match m.func(fr.func).inst(site) {
-                        Inst::Invoke { normal, .. } => {
-                            let normal = *normal;
-                            let from = fr.block;
-                            self.transfer(stack.last_mut().unwrap(), from, normal)?;
-                        }
-                        _ => {
-                            fr.idx += 1;
-                        }
-                    }
-                }
-                StepResult::Unwinding => {
-                    if trace::enabled() {
-                        let fname = {
-                            let top = stack.last().expect("non-empty stack");
-                            self.m.func(top.func).name.clone()
-                        };
-                        trace::instant_args("vm", "unwind", vec![("from", fname)]);
-                    }
-                    // Pop frames until one is pending on an invoke.
-                    loop {
-                        let done = self.pop_frame(&mut stack)?;
-                        if done {
-                            return Err(ExecError::trap(
-                                TrapKind::UncaughtUnwind,
-                                "unwind reached the bottom of the stack",
-                            ));
-                        }
-                        let fr = stack.last_mut().unwrap();
-                        let site = fr.pending.take().expect("unwind into pending call");
-                        if let Inst::Invoke { unwind, .. } = self.m.func(fr.func).inst(site) {
-                            let unwind = *unwind;
-                            let from = fr.block;
-                            self.transfer(stack.last_mut().unwrap(), from, unwind)?;
-                            break;
-                        }
-                        // A plain call: keep unwinding through it.
-                    }
-                }
-            }
-        }
-    }
-
-    /// Charge one interpreted instruction against the fuel budget and the
-    /// dispatch counters.
+    /// Charge one executed IR instruction against the fuel budget and the
+    /// dispatch counters. Every tier accounts through here, so fuel and
+    /// the opcode histogram are engine-independent.
     #[inline]
-    pub(crate) fn charge_interp(&mut self, opidx: usize) -> Result<(), ExecError> {
+    fn charge(&mut self, opidx: usize) -> Result<(), ExecError> {
         if let Some(fuel) = &mut self.opts.fuel {
             if *fuel == 0 {
                 return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
@@ -618,25 +520,31 @@ impl<'m> Vm<'m> {
             *fuel -= 1;
         }
         self.insts_executed += 1;
-        self.tier_stats.interp_insts += 1;
         self.opcode_counts[opidx] += 1;
         Ok(())
     }
 
-    /// Charge one translated instruction. Identical accounting to
-    /// [`Vm::charge_interp`] (so fuel and the opcode histogram are
-    /// engine-independent) but attributed to the JIT tier.
+    /// [`Vm::charge`], attributed to the interpreter tier.
+    #[inline]
+    pub(crate) fn charge_interp(&mut self, opidx: usize) -> Result<(), ExecError> {
+        self.charge(opidx)?;
+        self.tier_stats.interp_insts += 1;
+        Ok(())
+    }
+
+    /// [`Vm::charge`], attributed to the JIT tier.
     #[inline]
     pub(crate) fn charge_jit(&mut self, opidx: usize) -> Result<(), ExecError> {
-        if let Some(fuel) = &mut self.opts.fuel {
-            if *fuel == 0 {
-                return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
-            }
-            *fuel -= 1;
-        }
-        self.insts_executed += 1;
+        self.charge(opidx)?;
         self.tier_stats.jit_insts += 1;
-        self.opcode_counts[opidx] += 1;
+        Ok(())
+    }
+
+    /// [`Vm::charge`], attributed to the native tier.
+    #[inline]
+    pub(crate) fn charge_native(&mut self, opidx: usize) -> Result<(), ExecError> {
+        self.charge(opidx)?;
+        self.tier_stats.native_insts += 1;
         Ok(())
     }
 
@@ -675,21 +583,6 @@ impl<'m> Vm<'m> {
         })
     }
 
-    fn push_frame(
-        &mut self,
-        stack: &mut Vec<Frame>,
-        f: FuncId,
-        args: Vec<VmValue>,
-        varargs: Vec<VmValue>,
-    ) -> Result<(), ExecError> {
-        if stack.len() >= self.opts.max_stack {
-            return Err(ExecError::trap(TrapKind::StackOverflow, "call depth"));
-        }
-        let fr = self.make_frame(f, args, varargs)?;
-        stack.push(fr);
-        Ok(())
-    }
-
     /// Release a popped frame's allocas and return its register slab to
     /// the arena.
     pub(crate) fn recycle_frame(&mut self, mut fr: Frame) -> Result<(), ExecError> {
@@ -700,14 +593,6 @@ impl<'m> Vm<'m> {
             self.mem.release(a)?;
         }
         Ok(())
-    }
-
-    /// Pop the top frame, releasing its allocas. Returns `true` when the
-    /// stack is now empty.
-    fn pop_frame(&mut self, stack: &mut Vec<Frame>) -> Result<bool, ExecError> {
-        let fr = stack.pop().expect("frame to pop");
-        self.recycle_frame(fr)?;
-        Ok(stack.is_empty())
     }
 
     /// Transfer control along the CFG edge `from -> to`, executing φs.
@@ -872,22 +757,11 @@ impl<'m> Vm<'m> {
                 Ok(StepResult::Continue)
             }
             Inst::Malloc { elem_ty, count } | Inst::Alloca { elem_ty, count } => {
-                let n = match count {
-                    None => 1u64,
-                    Some(c) => ev!(*c).as_i64().unwrap_or(0).max(0) as u64,
-                };
-                let size = self
-                    .m
-                    .types
-                    .try_size_of(*elem_ty)
-                    .ok_or_else(|| {
-                        ExecError::trap(TrapKind::Invalid, "allocation of unsized type")
-                    })?
-                    .saturating_mul(n);
-                let size: u32 = size
-                    .try_into()
-                    .map_err(|_| ExecError::trap(TrapKind::OutOfMemory, "allocation too large"))?;
-                let addr = self.mem.alloc(size.max(1))?;
+                let count = count.map(|c| self.value(fr, c)).transpose()?;
+                let elem_size = self.m.types.try_size_of(*elem_ty).ok_or_else(|| {
+                    ExecError::trap(TrapKind::Invalid, "allocation of unsized type")
+                })?;
+                let addr = self.alloc(elem_size, count)?;
                 if matches!(inst, Inst::Alloca { .. }) {
                     fr.allocas.push(addr);
                 }
@@ -924,18 +798,27 @@ impl<'m> Vm<'m> {
                 let base = ev!(*ptr)
                     .as_ptr()
                     .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep on non-pointer"))?;
-                let fr_vals: Vec<i64> = indices
-                    .iter()
-                    .map(|&i| {
-                        self.value(fr, i).and_then(|v| {
-                            v.as_i64().ok_or_else(|| {
-                                ExecError::trap(TrapKind::Invalid, "non-int gep index")
-                            })
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let pty = self.m.value_type(func, *ptr);
-                let off = self.gep_offset(pty, indices, &fr_vals)?;
+                // Σ index·stride + field offsets, straight from the frame.
+                let mut off: i64 = 0;
+                self.m.types.gep_steps(
+                    self.m.value_type(func, *ptr),
+                    indices,
+                    true,
+                    |v| self.m.consts.int_of(v),
+                    |step| {
+                        off = off.wrapping_add(match step {
+                            GepStep::Field { offset, .. } => offset as i64,
+                            GepStep::Scaled { index, stride } => self
+                                .value(fr, index)?
+                                .as_i64()
+                                .ok_or_else(|| {
+                                    ExecError::trap(TrapKind::Invalid, "non-int gep index")
+                                })?
+                                .wrapping_mul(stride as i64),
+                        });
+                        Ok::<(), ExecError>(())
+                    },
+                )?;
                 setreg!(VmValue::Ptr(base.wrapping_add(off as u32)));
                 Ok(StepResult::Continue)
             }
@@ -956,35 +839,28 @@ impl<'m> Vm<'m> {
                     .iter()
                     .map(|&a| self.value(fr, a))
                     .collect::<Result<_, _>>()?;
-                let tf = self.m.func(target);
-                if tf.is_declaration() {
-                    // Intrinsic / external.
-                    let ret = self.call_external(target, &argv)?;
-                    if let Some(v) = ret {
-                        setreg!(v);
+                match self.enter_call(target, argv)? {
+                    Entered::External(ret) => {
+                        if let Some(v) = ret {
+                            setreg!(v);
+                        }
+                        // Invokes of externals return normally (externals
+                        // here never unwind).
+                        if let Inst::Invoke { normal, .. } = inst {
+                            self.transfer(fr, block, *normal)?;
+                            return Ok(StepResult::Jumped);
+                        }
+                        Ok(StepResult::Continue)
                     }
-                    // Invokes of externals return normally (externals here
-                    // never unwind).
-                    if let Inst::Invoke { normal, .. } = inst {
-                        let n = *normal;
-                        self.transfer(fr, block, n)?;
-                        return Ok(StepResult::Jumped);
+                    Entered::Defined { fixed, extra } => {
+                        fr.pending = Some(iid);
+                        Ok(StepResult::Call {
+                            target,
+                            fixed,
+                            extra,
+                        })
                     }
-                    return Ok(StepResult::Continue);
                 }
-                let nfixed = tf.num_params();
-                let (fixed, extra) = if argv.len() > nfixed {
-                    let (a, b) = argv.split_at(nfixed);
-                    (a.to_vec(), b.to_vec())
-                } else {
-                    (argv, Vec::new())
-                };
-                fr.pending = Some(iid);
-                Ok(StepResult::Call {
-                    target,
-                    fixed,
-                    extra,
-                })
             }
         }
     }
@@ -1005,6 +881,74 @@ impl<'m> Vm<'m> {
             })
     }
 
+    /// Resolve the function at `addr` through a call site's monomorphic
+    /// inline cache `(addr, func_index + 1)`, `(_, 0)` = empty. Function
+    /// addresses are fixed for the engine's lifetime, so a hit never goes
+    /// stale. Shared by the translated tiers.
+    #[inline]
+    pub(crate) fn resolve_cached(
+        &self,
+        addr: u32,
+        ic: &std::cell::Cell<(u32, u32)>,
+    ) -> Result<FuncId, ExecError> {
+        let (hit_addr, hit_func) = ic.get();
+        if hit_func != 0 && hit_addr == addr {
+            return Ok(FuncId::from_index((hit_func - 1) as usize));
+        }
+        let f = self
+            .mem
+            .addr_to_func(addr)
+            .map(FuncId::from_index)
+            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "call through data pointer"))?;
+        ic.set((addr, f.index() as u32 + 1));
+        Ok(f)
+    }
+
+    /// What a call to `target` with `argv` does on every engine: a
+    /// declaration runs in the VM's runtime library right here; a
+    /// definition gets its arguments split into the fixed parameters and
+    /// the variadic tail, and the caller's loop pushes the frame. Forced
+    /// inline: out of line, handing the two vectors back through memory
+    /// cost the JIT ≈ 8 % on a call-bound kernel.
+    #[inline(always)]
+    pub(crate) fn enter_call(
+        &mut self,
+        target: FuncId,
+        mut argv: Vec<VmValue>,
+    ) -> Result<Entered, ExecError> {
+        let tf = self.m.func(target);
+        if tf.is_declaration() {
+            return Ok(Entered::External(self.call_external(target, &argv)?));
+        }
+        // Only a variadic call has a tail to split off; the common case
+        // must not pay for an empty split.
+        let extra = match tf.num_params() {
+            n if n < argv.len() => argv.split_off(n),
+            _ => Vec::new(),
+        };
+        Ok(Entered::Defined { fixed: argv, extra })
+    }
+
+    /// `malloc` / `alloca` of `count` elements (`None`: one) of
+    /// `elem_size` bytes: a negative or non-integer count allocates
+    /// nothing, an empty allocation still gets a distinct address.
+    #[inline]
+    pub(crate) fn alloc(
+        &mut self,
+        elem_size: u64,
+        count: Option<VmValue>,
+    ) -> Result<u32, ExecError> {
+        let n = match count {
+            None => 1u64,
+            Some(c) => c.as_i64().unwrap_or(0).max(0) as u64,
+        };
+        let size: u32 = elem_size
+            .saturating_mul(n)
+            .try_into()
+            .map_err(|_| ExecError::trap(TrapKind::OutOfMemory, "allocation too large"))?;
+        self.mem.alloc(size.max(1))
+    }
+
     fn load_typed(&mut self, addr: u32, ty: TypeId) -> Result<VmValue, ExecError> {
         match self.m.types.ty(ty) {
             Type::Bool => self.mem.load_bool(addr),
@@ -1017,49 +961,6 @@ impl<'m> Vm<'m> {
                 format!("load of non-first-class type {other:?}"),
             )),
         }
-    }
-
-    /// Byte offset of a GEP with runtime index values.
-    fn gep_offset(
-        &self,
-        base_ptr: TypeId,
-        indices: &[Value],
-        vals: &[i64],
-    ) -> Result<i64, ExecError> {
-        let tys = &self.m.types;
-        let mut cur = tys
-            .pointee(base_ptr)
-            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep base not a pointer"))?;
-        let mut off: i64 = 0;
-        for (k, &v) in vals.iter().enumerate() {
-            if k == 0 {
-                let sz = tys.try_size_of(cur).ok_or_else(|| {
-                    ExecError::trap(TrapKind::Invalid, "gep through unsized type")
-                })?;
-                off = off.wrapping_add(v.wrapping_mul(sz as i64));
-                continue;
-            }
-            match tys.ty(cur).clone() {
-                Type::Struct { fields, .. } => {
-                    let fi = v as usize;
-                    if fi >= fields.len() || tys.try_size_of(cur).is_none() {
-                        return Err(ExecError::trap(TrapKind::Invalid, "struct index range"));
-                    }
-                    off = off.wrapping_add(tys.field_offset(cur, fi) as i64);
-                    cur = fields[fi];
-                }
-                Type::Array { elem, .. } => {
-                    let sz = tys.try_size_of(elem).ok_or_else(|| {
-                        ExecError::trap(TrapKind::Invalid, "gep through unsized type")
-                    })?;
-                    off = off.wrapping_add(v.wrapping_mul(sz as i64));
-                    cur = elem;
-                }
-                _ => return Err(ExecError::trap(TrapKind::Invalid, "gep into scalar")),
-            }
-        }
-        let _ = indices;
-        Ok(off)
     }
 
     /// The `n` most-executed opcodes so far: `(mnemonic, count)`, sorted by
@@ -1168,6 +1069,17 @@ impl<'m> Vm<'m> {
     }
 }
 
+/// How [`Vm::enter_call`] disposed of a call.
+pub(crate) enum Entered {
+    /// The callee was an external: it ran, and this is what it returned.
+    External(Option<VmValue>),
+    /// The callee is defined here: the arguments for its frame.
+    Defined {
+        fixed: Vec<VmValue>,
+        extra: Vec<VmValue>,
+    },
+}
+
 pub(crate) enum StepResult {
     Continue,
     Jumped,
@@ -1183,57 +1095,20 @@ pub(crate) enum StepResult {
 }
 
 // ----------------------------------------------------------------------
-// Scalar semantics
+// Scalar semantics: `lpat_core::fold`'s kernel on run-time values
 // ----------------------------------------------------------------------
 
 pub(crate) fn exec_bin(op: BinOp, a: VmValue, b: VmValue) -> Result<VmValue, ExecError> {
     match (a, b) {
-        (VmValue::Int { kind, v: x }, VmValue::Int { v: y, .. }) => {
-            let signed = kind.is_signed();
-            let v = match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(ExecError::trap(TrapKind::DivByZero, "integer division"));
-                    }
-                    if signed {
-                        x.wrapping_div(y)
-                    } else {
-                        ((x as u64).wrapping_div(y as u64)) as i64
-                    }
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(ExecError::trap(TrapKind::DivByZero, "integer remainder"));
-                    }
-                    if signed {
-                        x.wrapping_rem(y)
-                    } else {
-                        ((x as u64).wrapping_rem(y as u64)) as i64
-                    }
-                }
-                BinOp::And => x & y,
-                BinOp::Or => x | y,
-                BinOp::Xor => x ^ y,
-                BinOp::Shl => x.wrapping_shl((y as u64 % kind.bits() as u64) as u32),
-                BinOp::Shr => {
-                    let sh = (y as u64 % kind.bits() as u64) as u32;
-                    if signed {
-                        x.wrapping_shr(sh)
-                    } else {
-                        let mask = if kind.bits() == 64 {
-                            u64::MAX
-                        } else {
-                            (1u64 << kind.bits()) - 1
-                        };
-                        (((x as u64) & mask) >> sh) as i64
-                    }
-                }
-            };
-            Ok(VmValue::int(kind, v))
-        }
+        (VmValue::Int { kind, v: x }, VmValue::Int { v: y, .. }) => fold::int_bin(op, kind, x, y)
+            .map(|v| VmValue::Int { kind, v })
+            .ok_or_else(|| {
+                let what = match op {
+                    BinOp::Rem => "integer remainder",
+                    _ => "integer division",
+                };
+                ExecError::trap(TrapKind::DivByZero, what)
+            }),
         (VmValue::F64(x), VmValue::F64(y)) => Ok(VmValue::F64(exec_fbin(op, x, y)?)),
         (VmValue::F32(x), VmValue::F32(y)) => {
             Ok(VmValue::F32(exec_fbin(op, x as f64, y as f64)? as f32))
@@ -1252,43 +1127,19 @@ pub(crate) fn exec_bin(op: BinOp, a: VmValue, b: VmValue) -> Result<VmValue, Exe
 }
 
 fn exec_fbin(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
-    Ok(match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => x / y,
-        BinOp::Rem => x % y,
-        _ => return Err(ExecError::trap(TrapKind::Invalid, "bitwise on float")),
-    })
+    fold::float_bin(op, x, y).ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bitwise on float"))
 }
 
 pub(crate) fn exec_cmp(pred: CmpPred, a: VmValue, b: VmValue) -> Result<bool, ExecError> {
-    use std::cmp::Ordering;
-    let ord: Option<Ordering> = match (a, b) {
-        (VmValue::Int { kind, v: x }, VmValue::Int { v: y, .. }) => Some(if kind.is_signed() {
-            x.cmp(&y)
-        } else {
-            (x as u64).cmp(&(y as u64))
-        }),
+    let ord = match (a, b) {
+        (VmValue::Int { kind, v: x }, VmValue::Int { v: y, .. }) => Some(fold::int_ord(kind, x, y)),
         (VmValue::Bool(x), VmValue::Bool(y)) => Some(x.cmp(&y)),
         (VmValue::F32(x), VmValue::F32(y)) => x.partial_cmp(&y),
         (VmValue::F64(x), VmValue::F64(y)) => x.partial_cmp(&y),
         (VmValue::Ptr(x), VmValue::Ptr(y)) => Some(x.cmp(&y)),
         _ => return Err(ExecError::trap(TrapKind::Invalid, "mismatched comparison")),
     };
-    Ok(match ord {
-        // IEEE: every ordered predicate is false on unordered operands,
-        // except != which is true.
-        None => matches!(pred, CmpPred::Ne),
-        Some(o) => match pred {
-            CmpPred::Eq => o == Ordering::Equal,
-            CmpPred::Ne => o != Ordering::Equal,
-            CmpPred::Lt => o == Ordering::Less,
-            CmpPred::Gt => o == Ordering::Greater,
-            CmpPred::Le => o != Ordering::Greater,
-            CmpPred::Ge => o != Ordering::Less,
-        },
-    })
+    Ok(fold::pred_holds(pred, ord))
 }
 
 pub(crate) fn exec_cast(
@@ -1296,33 +1147,18 @@ pub(crate) fn exec_cast(
     v: VmValue,
     to: TypeId,
 ) -> Result<VmValue, ExecError> {
-    let tt = tc.ty(to).clone();
-    Ok(match (v, tt) {
-        (VmValue::Int { v, .. }, Type::Int(k)) => VmValue::int(k, v),
-        (VmValue::Int { kind, v }, Type::F32) => {
-            let f = if kind.is_signed() {
-                v as f64
-            } else {
-                v as u64 as f64
-            };
-            VmValue::F32(f as f32)
-        }
-        (VmValue::Int { kind, v }, Type::F64) => {
-            let f = if kind.is_signed() {
-                v as f64
-            } else {
-                v as u64 as f64
-            };
-            VmValue::F64(f)
-        }
+    Ok(match (v, tc.ty(to)) {
+        (VmValue::Int { v, .. }, Type::Int(k)) => VmValue::int(*k, v),
+        (VmValue::Int { kind, v }, Type::F32) => VmValue::F32(fold::int_to_float(kind, v) as f32),
+        (VmValue::Int { kind, v }, Type::F64) => VmValue::F64(fold::int_to_float(kind, v)),
         (VmValue::Int { v, .. }, Type::Bool) => VmValue::Bool(v != 0),
         (VmValue::Int { v, .. }, Type::Ptr(_)) => VmValue::Ptr(v as u32),
-        (VmValue::Bool(b), Type::Int(k)) => VmValue::int(k, b as i64),
+        (VmValue::Bool(b), Type::Int(k)) => VmValue::int(*k, b as i64),
         (VmValue::Bool(b), Type::Bool) => VmValue::Bool(b),
         (VmValue::F32(f), t) => cast_float(f as f64, t)?,
         (VmValue::F64(f), t) => cast_float(f, t)?,
         (VmValue::Ptr(p), Type::Ptr(_)) => VmValue::Ptr(p),
-        (VmValue::Ptr(p), Type::Int(k)) => VmValue::int(k, p as i64),
+        (VmValue::Ptr(p), Type::Int(k)) => VmValue::int(*k, p as i64),
         (VmValue::Ptr(p), Type::Bool) => VmValue::Bool(p != 0),
         (v, t) => {
             return Err(ExecError::trap(
@@ -1333,19 +1169,15 @@ pub(crate) fn exec_cast(
     })
 }
 
-fn cast_float(f: f64, t: Type) -> Result<VmValue, ExecError> {
+fn cast_float(f: f64, t: &Type) -> Result<VmValue, ExecError> {
     Ok(match t {
         Type::F32 => VmValue::F32(f as f32),
         Type::F64 => VmValue::F64(f),
         Type::Bool => VmValue::Bool(f != 0.0),
-        Type::Int(k) => {
-            let v = if k.is_signed() {
-                f.clamp(i64::MIN as f64, i64::MAX as f64) as i64
-            } else {
-                f.clamp(0.0, u64::MAX as f64) as u64 as i64
-            };
-            VmValue::int(k, v)
-        }
+        Type::Int(k) => VmValue::Int {
+            kind: *k,
+            v: fold::float_to_int(*k, f),
+        },
         other => {
             return Err(ExecError::trap(
                 TrapKind::Invalid,

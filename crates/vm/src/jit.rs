@@ -38,13 +38,12 @@ use std::rc::Rc;
 
 use lpat_core::trace;
 use lpat_core::{
-    BinOp, BlockId, CmpPred, Const, FuncId, Inst, IntKind, Module, Type, TypeId, Value,
+    BinOp, BlockId, CmpPred, Const, FuncId, GepStep, Inst, IntKind, Module, Type, TypeId, Value,
 };
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
-use crate::interp::Vm;
-use crate::mem::Memory;
+use crate::interp::{Entered, Vm};
 use crate::value::VmValue;
 
 /// A pre-resolved operand.
@@ -216,20 +215,14 @@ pub struct LowFunc {
     pub name: String,
 }
 
-/// Translate `fid` (the per-function "code generation" step).
-pub fn translate(m: &Module, fid: FuncId) -> Result<LowFunc, ExecError> {
-    translate_spec(m, fid, None)
-}
-
-/// Translate `fid` with an optional speculation overlay: conditional
-/// branches registered in `spec` lower to [`LowOp::Guard`] instead of
+/// Translate `fid` (the per-function "code generation" step) for `vm`:
+/// constants become the immediates [`Vm::const_value`] gives them under
+/// this engine's memory layout, and conditional branches registered in
+/// the engine's speculation overlay lower to [`LowOp::Guard`] instead of
 /// [`LowOp::CondBr`], so guard failures can report [`Flow::Deopt`] with
-/// their guard ordinal. With `spec = None` this is exactly [`translate`].
-pub(crate) fn translate_spec(
-    m: &Module,
-    fid: FuncId,
-    spec: Option<&lpat_transform::SpecMap>,
-) -> Result<LowFunc, ExecError> {
+/// their guard ordinal.
+pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> {
+    let (m, spec) = (vm.module(), vm.spec_map());
     let f = m.func(fid);
     if f.is_declaration() {
         return Err(ExecError::trap(
@@ -252,7 +245,7 @@ pub(crate) fn translate_spec(
         Ok(match v {
             Value::Inst(i) => Slot::Reg(i.index() as u32),
             Value::Arg(n) => Slot::Arg(n),
-            Value::Const(c) => Slot::Imm(const_value(m, c)?),
+            Value::Const(c) => Slot::Imm(vm.const_value(c)?),
         })
     };
     // Pass 2: emit.
@@ -316,7 +309,30 @@ pub(crate) fn translate_spec(
                     ptr: slot_of(ptr)?,
                 },
                 Inst::Gep { ptr, indices } => {
-                    let (const_off, scaled) = compile_gep(m, fid, ptr, &indices, &slot_of)?;
+                    // Pre-compile the type walk into `const_off + Σ slot·scale`.
+                    let mut const_off: i64 = 0;
+                    let mut scaled = Vec::new();
+                    m.types.gep_steps(
+                        m.value_type(f, ptr),
+                        &indices,
+                        true,
+                        |v| m.consts.int_of(v),
+                        |step| {
+                            match step {
+                                GepStep::Field { offset, .. } => {
+                                    const_off = const_off.wrapping_add(offset as i64)
+                                }
+                                GepStep::Scaled { index, stride } => match m.consts.int_of(index) {
+                                    Some(v) => {
+                                        const_off =
+                                            const_off.wrapping_add(v.wrapping_mul(stride as i64))
+                                    }
+                                    None => scaled.push((slot_of(index)?, stride as i64)),
+                                },
+                            }
+                            Ok::<(), ExecError>(())
+                        },
+                    )?;
                     LowOp::Gep {
                         dst,
                         base: slot_of(ptr)?,
@@ -524,103 +540,6 @@ fn compile_callee(
     })
 }
 
-/// Pre-compile a GEP's type walk into `const_off + Σ slot·scale`.
-fn compile_gep(
-    m: &Module,
-    fid: FuncId,
-    ptr: Value,
-    indices: &[Value],
-    slot_of: &dyn Fn(Value) -> Result<Slot, ExecError>,
-) -> Result<(i64, Vec<(Slot, i64)>), ExecError> {
-    let f = m.func(fid);
-    let tys = &m.types;
-    let mut cur = tys
-        .pointee(m.value_type(f, ptr))
-        .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep base"))?;
-    let mut const_off: i64 = 0;
-    let mut scaled = Vec::new();
-    for (k, &idx) in indices.iter().enumerate() {
-        let const_v = match idx {
-            Value::Const(c) => m.consts.as_int(c).map(|(_, v)| v),
-            _ => None,
-        };
-        if k == 0 {
-            let scale = tys
-                .try_size_of(cur)
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep through unsized type"))?
-                as i64;
-            match const_v {
-                Some(v) => const_off = const_off.wrapping_add(v.wrapping_mul(scale)),
-                None => scaled.push((slot_of(idx)?, scale)),
-            }
-            continue;
-        }
-        match tys.ty(cur).clone() {
-            Type::Struct { fields, .. } => {
-                let fi = const_v
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "struct index"))?
-                    as usize;
-                // Decoded-but-unverified modules can carry an index past
-                // the struct's arity; trap instead of indexing.
-                if fi >= fields.len() || tys.try_size_of(cur).is_none() {
-                    return Err(ExecError::trap(
-                        TrapKind::Invalid,
-                        format!("struct index {fi} out of range"),
-                    ));
-                }
-                const_off = const_off.wrapping_add(tys.field_offset(cur, fi) as i64);
-                cur = fields[fi];
-            }
-            Type::Array { elem, .. } => {
-                let scale = tys
-                    .try_size_of(elem)
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "gep through unsized type"))?
-                    as i64;
-                match const_v {
-                    Some(v) => const_off = const_off.wrapping_add(v.wrapping_mul(scale)),
-                    None => scaled.push((slot_of(idx)?, scale)),
-                }
-                cur = elem;
-            }
-            _ => return Err(ExecError::trap(TrapKind::Invalid, "gep into scalar")),
-        }
-    }
-    Ok((const_off, scaled))
-}
-
-fn const_value(m: &Module, c: lpat_core::ConstId) -> Result<VmValue, ExecError> {
-    Ok(match m.consts.get(c) {
-        Const::Bool(b) => VmValue::Bool(*b),
-        Const::Int { kind, value } => VmValue::Int {
-            kind: *kind,
-            v: *value,
-        },
-        Const::F32(bits) => VmValue::F32(f32::from_bits(*bits)),
-        Const::F64(bits) => VmValue::F64(f64::from_bits(*bits)),
-        Const::Null(_) => VmValue::Ptr(0),
-        Const::Undef(t) if m.types.is_first_class(*t) => VmValue::zero_of(&m.types, *t),
-        Const::Zero(t) if m.types.is_first_class(*t) => VmValue::zero_of(&m.types, *t),
-        Const::FuncAddr(f) => VmValue::Ptr(Memory::func_addr(f.index())),
-        // Global addresses depend on the engine's memory layout; the
-        // engine publishes it through a thread-local before translating.
-        Const::GlobalAddr(g) => match resolve_global(g.index()) {
-            Some(addr) => VmValue::Ptr(addr),
-            None => {
-                return Err(ExecError::trap(
-                    TrapKind::Invalid,
-                    "global address used outside an engine translation",
-                ))
-            }
-        },
-        other => {
-            return Err(ExecError::trap(
-                TrapKind::Invalid,
-                format!("aggregate constant {other:?} used as scalar"),
-            ))
-        }
-    })
-}
-
 // ----------------------------------------------------------------------
 // Execution
 // ----------------------------------------------------------------------
@@ -685,13 +604,13 @@ impl<'m> Vm<'m> {
         let result = match lpat_core::faultpoint!("jit.translate") {
             Some(lpat_core::fault::FaultAction::Delay(d)) => {
                 std::thread::sleep(d);
-                translate_with_globals(self, f)
+                translate(self, f)
             }
             Some(action) => Err(ExecError::trap(
                 TrapKind::Invalid,
                 format!("injected {action:?} fault at site 'jit.translate'"),
             )),
-            None => translate_with_globals(self, f),
+            None => translate(self, f),
         };
         self.tier_stats.translate_ns += t0.elapsed().as_nanos() as u64;
         match result {
@@ -799,32 +718,6 @@ impl<'m> Vm<'m> {
         }
         Ok(())
     }
-}
-
-/// Translate with the engine's global addresses published to the
-/// constant resolver (they become plain pointer immediates in the
-/// translated code).
-fn translate_with_globals(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> {
-    GLOBAL_ADDRS.with(|g| {
-        *g.borrow_mut() = Some(
-            (0..vm.module().num_globals())
-                .map(|i| vm.global_addr(lpat_core::GlobalId::from_index(i)))
-                .collect(),
-        );
-    });
-    let r = translate_spec(vm.module(), fid, vm.spec_map());
-    GLOBAL_ADDRS.with(|g| *g.borrow_mut() = None);
-    r
-}
-
-thread_local! {
-    static GLOBAL_ADDRS: std::cell::RefCell<Option<Vec<u32>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Engine-context constant resolution hook used by [`translate`].
-fn resolve_global(idx: usize) -> Option<u32> {
-    GLOBAL_ADDRS.with(|g| g.borrow().as_ref().map(|v| v[idx]))
 }
 
 pub(crate) enum Flow {
@@ -991,15 +884,8 @@ pub(crate) fn exec_low(
             stack,
         } => {
             vm.charge_jit(if *stack { OP_ALLOCA } else { OP_MALLOC })?;
-            let n = match count {
-                None => 1u64,
-                Some(c) => read(fr, c)?.as_i64().unwrap_or(0).max(0) as u64,
-            };
-            let size = (*elem_size as u64).saturating_mul(n);
-            let size: u32 = size
-                .try_into()
-                .map_err(|_| ExecError::trap(TrapKind::OutOfMemory, "allocation too large"))?;
-            let addr = vm.mem.alloc(size.max(1))?;
+            let count = count.as_ref().map(|c| read(fr, c)).transpose()?;
+            let addr = vm.alloc(*elem_size as u64, count)?;
             if *stack {
                 fr.allocas.push(addr);
             }
@@ -1035,48 +921,28 @@ pub(crate) fn exec_low(
                     let addr = read(fr, s)?
                         .as_ptr()
                         .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "callee"))?;
-                    let (hit_addr, hit_func) = ic.get();
-                    if hit_func != 0 && hit_addr == addr {
-                        FuncId::from_index((hit_func - 1) as usize)
-                    } else {
-                        let f = vm
-                            .mem
-                            .addr_to_func(addr)
-                            .map(FuncId::from_index)
-                            .ok_or_else(|| {
-                                ExecError::trap(TrapKind::Invalid, "call through data pointer")
-                            })?;
-                        ic.set((addr, f.index() as u32 + 1));
-                        f
-                    }
+                    vm.resolve_cached(addr, ic)?
                 }
             };
             let argv: Vec<VmValue> = args.iter().map(|s| read(fr, s)).collect::<Result<_, _>>()?;
-            let tf = vm.module().func(target);
-            if tf.is_declaration() {
-                let ret = vm.call_external_by_id(target, &argv)?;
-                if let (Some(d), Some(v)) = (dst, ret) {
-                    fr.regs[*d as usize] = v;
+            match vm.enter_call(target, argv)? {
+                Entered::External(ret) => {
+                    if let (Some(d), Some(v)) = (dst, ret) {
+                        fr.regs[*d as usize] = v;
+                    }
+                    if let Some((normal, _)) = eh {
+                        vm.take_edge(fr, lf, *normal)?;
+                    }
+                    Ok(Flow::Next)
                 }
-                if let Some((normal, _)) = eh {
-                    vm.take_edge(fr, lf, *normal)?;
-                }
-                return Ok(Flow::Next);
+                Entered::Defined { fixed, extra } => Ok(Flow::Call {
+                    target,
+                    args: fixed,
+                    varargs: extra,
+                    dst: *dst,
+                    eh: *eh,
+                }),
             }
-            let nfixed = tf.num_params();
-            let (fixed, extra) = if argv.len() > nfixed {
-                let (a, b) = argv.split_at(nfixed);
-                (a.to_vec(), b.to_vec())
-            } else {
-                (argv, Vec::new())
-            };
-            Ok(Flow::Call {
-                target,
-                args: fixed,
-                varargs: extra,
-                dst: *dst,
-                eh: *eh,
-            })
         }
         LowOp::Br(e) => {
             vm.charge_jit(OP_BR)?;
@@ -1349,9 +1215,7 @@ x:
         m.verify().unwrap();
         let main = m.func_by_name("main").unwrap();
         let vm = Vm::new(&m, VmOptions::default()).unwrap();
-        // Translate directly (globals not needed here).
-        let _ = vm;
-        let lf = translate(&m, main).unwrap();
+        let lf = translate(&vm, main).unwrap();
         let n_cmpbr = lf
             .code
             .iter()

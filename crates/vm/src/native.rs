@@ -15,7 +15,7 @@
 //!
 //! * **fuel / histogram** — every decoded op carries the accounting tag
 //!   ([`lpat_codegen::fast::enc::ACCT`]) of the IR instruction it begins,
-//!   charged through [`Vm::charge_native`] *before* the op executes, so
+//!   charged through `Vm::charge_native` *before* the op executes, so
 //!   fuel exhaustion traps on exactly the same IR instruction as the
 //!   interpreter and each IR instruction is charged exactly once;
 //! * **memory traps** — loads/stores go through the same [`Memory`]
@@ -55,7 +55,7 @@ use lpat_core::{FuncId, IntKind};
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
-use crate::interp::{Frame, Vm};
+use crate::interp::{Entered, Frame, Vm};
 use crate::jit::{Flow, JitFrame};
 use crate::mem::Memory;
 use crate::value::VmValue;
@@ -264,23 +264,6 @@ pub(crate) fn matches_class(v: &VmValue, c: Class) -> bool {
 }
 
 impl<'m> Vm<'m> {
-    /// Charge one native-tier instruction. Identical accounting to
-    /// [`Vm::charge_interp`] / [`Vm::charge_jit`] — fuel and the opcode
-    /// histogram stay engine-independent — attributed to the native tier.
-    #[inline]
-    pub(crate) fn charge_native(&mut self, opidx: usize) -> Result<(), ExecError> {
-        if let Some(fuel) = &mut self.opts.fuel {
-            if *fuel == 0 {
-                return Err(ExecError::trap(TrapKind::OutOfFuel, "instruction budget"));
-            }
-            *fuel -= 1;
-        }
-        self.insts_executed += 1;
-        self.tier_stats.native_insts += 1;
-        self.opcode_counts[opidx] += 1;
-        Ok(())
-    }
-
     /// The native code of `f`, translating on first use. The
     /// `native.translate` fault site fires here, mirroring
     /// `jit.translate`: any injected non-delay action surfaces as a
@@ -337,13 +320,10 @@ impl<'m> Vm<'m> {
 
     fn translate_native(&self, f: FuncId) -> Result<NatCode, ExecError> {
         let m = self.module();
-        let globals: Vec<u32> = (0..m.num_globals())
-            .map(|i| self.global_addr(lpat_core::GlobalId::from_index(i)))
-            .collect();
         let spec = self.spec_map();
         let env = FastEnv {
             func_addr: &|f| Memory::func_addr(f.index()),
-            global_addr: &|i| globals.get(i).copied(),
+            global_addr: &|i| self.global_addrs.get(i).copied(),
             guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
         };
         match translate_fast(m, f, &env) {
@@ -679,23 +659,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                 }
                 let target = match &call.desc.callee {
                     FastCallee::Direct(f) => *f,
-                    FastCallee::Indirect(s) => {
-                        let addr = fr.get(*s);
-                        let (hit_addr, hit_func) = call.ic.get();
-                        if hit_func != 0 && hit_addr == addr {
-                            FuncId::from_index((hit_func - 1) as usize)
-                        } else {
-                            let f = vm
-                                .mem
-                                .addr_to_func(addr)
-                                .map(FuncId::from_index)
-                                .ok_or_else(|| {
-                                    ExecError::trap(TrapKind::Invalid, "call through data pointer")
-                                })?;
-                            call.ic.set((addr, f.index() as u32 + 1));
-                            f
-                        }
-                    }
+                    FastCallee::Indirect(s) => vm.resolve_cached(fr.get(*s), &call.ic)?,
                 };
                 let argv: Vec<VmValue> = call
                     .desc
@@ -703,42 +667,34 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     .iter()
                     .map(|&(s, cl)| value_of(fr.get(s), cl))
                     .collect();
-                let tf = vm.module().func(target);
-                if tf.is_declaration() {
-                    let eh = call.desc.eh;
-                    let dst = call.desc.dst;
-                    let ret = vm.call_external_by_id(target, &argv)?;
-                    if let (Some((h, cl)), Some(v)) = (dst, ret) {
-                        if !matches_class(&v, cl) {
-                            return Err(ExecError::trap(
-                                TrapKind::Invalid,
-                                "native call result class mismatch",
-                            ));
+                match vm.enter_call(target, argv)? {
+                    Entered::External(ret) => {
+                        if let (Some((h, cl)), Some(v)) = (call.desc.dst, ret) {
+                            if !matches_class(&v, cl) {
+                                return Err(ExecError::trap(
+                                    TrapKind::Invalid,
+                                    "native call result class mismatch",
+                                ));
+                            }
+                            fr.put(h, low32(&v));
                         }
-                        fr.put(h, low32(&v));
+                        if let Some((normal, _)) = call.desc.eh {
+                            take_nat_edge(vm, fr, &code, normal as usize);
+                        }
                     }
-                    if let Some((normal, _)) = eh {
-                        take_nat_edge(vm, fr, &code, normal as usize);
+                    Entered::Defined { fixed, extra } => {
+                        fr.pending = Some((call.desc.dst, call.desc.eh));
+                        // dst/eh ride in the frame's typed pending slot,
+                        // not the (JIT-shaped) Flow fields.
+                        return Ok(Flow::Call {
+                            target,
+                            args: fixed,
+                            varargs: extra,
+                            dst: None,
+                            eh: None,
+                        });
                     }
-                    continue;
                 }
-                let nfixed = tf.num_params();
-                let (fixed, extra) = if argv.len() > nfixed {
-                    let (x, y) = argv.split_at(nfixed);
-                    (x.to_vec(), y.to_vec())
-                } else {
-                    (argv, Vec::new())
-                };
-                fr.pending = Some((call.desc.dst, call.desc.eh));
-                // dst/eh ride in the frame's typed pending slot, not the
-                // (JIT-shaped) Flow fields.
-                return Ok(Flow::Call {
-                    target,
-                    args: fixed,
-                    varargs: extra,
-                    dst: None,
-                    eh: None,
-                });
             }
             enc::RET => {
                 if op.imm & 1 != 0 {

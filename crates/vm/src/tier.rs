@@ -66,9 +66,26 @@ pub(crate) enum TierCell {
     NativeDemoted,
 }
 
+/// What an interpreter burst ended with. The burst holds a borrow of the
+/// top frame, so the stack surgery happens in `mixed_loop`, where that
+/// borrow is dead.
+enum After {
+    Call {
+        target: FuncId,
+        fixed: Vec<VmValue>,
+        extra: Vec<VmValue>,
+    },
+    Ret(Option<VmValue>),
+    Unwind,
+    Osr,
+}
+
 /// How [`Vm::run_function_mixed`] picks a tier per call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MixedMode {
+    /// Every callee is interpreted: no counters, no promotion. This is
+    /// the reference interpreter, `run_main`.
+    InterpOnly,
     /// Every callee is translated on first call; translation failure is
     /// fatal. This is the classic `run_main_jit` engine.
     JitOnly,
@@ -284,9 +301,9 @@ impl<'m> Vm<'m> {
         warmed
     }
 
-    /// The shared engine loop: a single stack of interpreted and
-    /// translated frames. `JitOnly` mode reproduces the historical
-    /// pure-JIT engine; `Tiered` adds counters, promotion, and OSR.
+    /// The one engine loop: a single stack of interpreted, translated and
+    /// native frames. `InterpOnly` is the reference interpreter, `JitOnly`
+    /// the pure-JIT engine; `Tiered` adds counters, promotion, and OSR.
     pub(crate) fn run_function_mixed(
         &mut self,
         f: FuncId,
@@ -316,19 +333,6 @@ impl<'m> Vm<'m> {
         mode: MixedMode,
         seg: &mut TierSegments,
     ) -> Result<Option<VmValue>, ExecError> {
-        // What a hoisted interpreter burst ended with (the inner loop
-        // holds a borrow of the top frame, so stack surgery happens out
-        // here where that borrow is dead).
-        enum After {
-            Call {
-                target: FuncId,
-                fixed: Vec<VmValue>,
-                extra: Vec<VmValue>,
-            },
-            Ret(Option<VmValue>),
-            Unwind,
-            Osr,
-        }
         'outer: loop {
             // A pending native OSR is only valid at the check directly
             // after the edge that set it; any other control transfer
@@ -433,76 +437,11 @@ impl<'m> Vm<'m> {
                     }
                 }
             } else {
-                // Single-step interpretation of the current frame. The
-                // frame borrow, function lookup, and module access are
-                // hoisted out of the per-instruction loop (they are
-                // loop-invariant: `fr.func` never changes within an
-                // activation, and the stack is untouched until a call /
-                // return / unwind / OSR ends the burst).
-                let m = self.module();
-                let after = {
-                    let fr = match stack.last_mut().expect("frame") {
-                        TFrame::I(fr) => fr,
-                        _ => unreachable!(),
-                    };
-                    let func = m.func(fr.func);
-                    loop {
-                        let insts = func.block_insts(fr.block);
-                        if fr.idx >= insts.len() {
-                            return Err(ExecError::trap(
-                                TrapKind::Invalid,
-                                "fell off the end of a block",
-                            ));
-                        }
-                        let iid = insts[fr.idx];
-                        let block = fr.block;
-                        let fetched = func.inst(iid);
-                        if !matches!(fetched, Inst::Phi { .. }) {
-                            self.charge_interp(fetched.opcode_index())?;
-                        }
-                        match self.step(fr, block, iid, fetched)? {
-                            StepResult::Continue => fr.idx += 1,
-                            StepResult::Jumped => {
-                                // A back-edge (jump to the same or an
-                                // earlier block) marks a loop iteration:
-                                // bump the hotness counter, and if the
-                                // function is (or just became) hot, switch
-                                // this activation to translated or native
-                                // code at the header (OSR).
-                                if let MixedMode::Tiered {
-                                    threshold,
-                                    native_up,
-                                } = mode
-                                {
-                                    if fr.block.index() <= block.index() {
-                                        let f = fr.func;
-                                        self.tier_bump(f, threshold, native_up);
-                                        if matches!(
-                                            self.tier[f.index()],
-                                            TierCell::Hot(_) | TierCell::Native
-                                        ) {
-                                            break After::Osr;
-                                        }
-                                    }
-                                }
-                            }
-                            StepResult::Call {
-                                target,
-                                fixed,
-                                extra,
-                            } => {
-                                break After::Call {
-                                    target,
-                                    fixed,
-                                    extra,
-                                }
-                            }
-                            StepResult::Returned(v) => break After::Ret(v),
-                            StepResult::Unwinding => break After::Unwind,
-                        }
-                    }
+                let fr = match stack.last_mut().expect("frame") {
+                    TFrame::I(fr) => fr,
+                    _ => unreachable!(),
                 };
-                match after {
+                match self.interp_burst(fr, mode)? {
                     After::Call {
                         target,
                         fixed,
@@ -521,6 +460,68 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// Interpret the activation `fr` until it leaves its own frame: a
+    /// call, a return, an unwind, or (tiered) a back-edge that finds the
+    /// function hot. The function lookup and module access are hoisted
+    /// out of the per-instruction loop (`fr.func` never changes within an
+    /// activation). Kept out of line so that [`Vm::step`], inlined here,
+    /// does not weigh on the translated tiers' dispatch in `mixed_loop`.
+    #[inline(never)]
+    fn interp_burst(&mut self, fr: &mut Frame, mode: MixedMode) -> Result<After, ExecError> {
+        let func = self.module().func(fr.func);
+        loop {
+            let insts = func.block_insts(fr.block);
+            if fr.idx >= insts.len() {
+                return Err(ExecError::trap(
+                    TrapKind::Invalid,
+                    "fell off the end of a block",
+                ));
+            }
+            let iid = insts[fr.idx];
+            let block = fr.block;
+            let fetched = func.inst(iid);
+            if !matches!(fetched, Inst::Phi { .. }) {
+                self.charge_interp(fetched.opcode_index())?;
+            }
+            match self.step(fr, block, iid, fetched)? {
+                StepResult::Continue => fr.idx += 1,
+                StepResult::Jumped => {
+                    // A back-edge (jump to the same or an earlier block)
+                    // marks a loop iteration: bump the hotness counter,
+                    // and if the function is (or just became) hot, switch
+                    // this activation to translated or native code at the
+                    // header (OSR).
+                    if let MixedMode::Tiered {
+                        threshold,
+                        native_up,
+                    } = mode
+                    {
+                        if fr.block.index() <= block.index() {
+                            let f = fr.func;
+                            self.tier_bump(f, threshold, native_up);
+                            if matches!(self.tier[f.index()], TierCell::Hot(_) | TierCell::Native) {
+                                return Ok(After::Osr);
+                            }
+                        }
+                    }
+                }
+                StepResult::Call {
+                    target,
+                    fixed,
+                    extra,
+                } => {
+                    return Ok(After::Call {
+                        target,
+                        fixed,
+                        extra,
+                    })
+                }
+                StepResult::Returned(v) => return Ok(After::Ret(v)),
+                StepResult::Unwinding => return Ok(After::Unwind),
+            }
+        }
+    }
+
     /// Push an activation for `f`, choosing the tier per `mode`.
     fn push_mixed(
         &mut self,
@@ -534,6 +535,7 @@ impl<'m> Vm<'m> {
             return Err(ExecError::trap(TrapKind::StackOverflow, "call depth"));
         }
         let choice = match mode {
+            MixedMode::InterpOnly => TierChoice::Interp,
             MixedMode::JitOnly => TierChoice::Jit,
             MixedMode::Tiered {
                 threshold,
