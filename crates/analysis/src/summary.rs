@@ -11,7 +11,7 @@
 //! consume: local `unwind` presence and call structure (for `prune-eh`),
 //! and directly read/written globals (a symbol-level Mod/Ref). Summaries
 //! are name-keyed so they survive linking and can be serialized next to
-//! the bytecode (`lpat-bytecode` provides the container).
+//! the bytecode (`lpat-bytecode` appends them to the module).
 
 use std::collections::{HashMap, HashSet};
 

@@ -25,12 +25,10 @@
 
 #![warn(missing_docs)]
 
-pub mod container;
 pub mod format;
 pub mod reader;
 pub mod writer;
 
-pub use container::{read_container, write_container, Container, ContainerError};
 pub use format::DecodeError;
 pub use reader::read_module;
 pub use writer::{write_module, write_module_with, WriteOptions};

@@ -31,9 +31,9 @@
 //!   `serve.deadline` — one per layer of the request path; each must be
 //!   absorbed as a structured per-request error, never a daemon crash),
 //!   and the store's profile traffic (`store.journal` — hit once per
-//!   durability step, in order: 1 before the log append, 2 before the log
-//!   fsync, then, in a run that compacts, 3 before the base's temp write,
-//!   4 before its rename, 5 before the log is retired; `@N` therefore
+//!   durability step, in order: 1 before the append to the profile file,
+//!   2 before its fsync, then, in a run that compacts, 3 before the new
+//!   file's temp write, 4 before its rename over the old; `@N` therefore
 //!   selects the exact crash point, and `delay=...@N` plus an external
 //!   SIGKILL is how the chaos tests park a worker *between* two
 //!   durability steps).

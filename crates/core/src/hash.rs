@@ -3,9 +3,9 @@
 //! The persistence layer (paper §3.3, §3.5: profile data and reoptimized
 //! code stored *alongside* the bytecode across runs) needs two hashes:
 //!
-//! * [`crc32`] — per-section integrity checksums inside on-disk
-//!   containers, so a torn write or bit rot is detected on read rather
-//!   than silently consumed;
+//! * [`crc32`] — per-record integrity checksums inside on-disk files
+//!   ([`crate::wire`]), so a torn write or bit rot is detected on read
+//!   rather than silently consumed;
 //! * [`fnv1a64`] — a stable 64-bit *content hash* keying cached artifacts
 //!   (profiles, reoptimized modules) to the exact bytecode they were
 //!   derived from, so stale data for a changed module is quarantined

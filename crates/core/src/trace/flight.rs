@@ -13,7 +13,9 @@ use std::sync::{Mutex, OnceLock};
 use super::{
     counter_keyed, enabled, global, reserve, EventKind, ForeignLane, TraceData, TraceEvent,
 };
-use crate::wire::{push_record, records, Cursor};
+use crate::wire::{
+    file_header, file_records, push_record, records, Cursor, HeaderError, FILE_HEADER_LEN,
+};
 
 /// Intern a string, returning a `&'static str`. Backs decoded event
 /// categories, arg keys, and counter names, which [`TraceEvent`] holds
@@ -212,18 +214,11 @@ const FLIGHT_VERSION: u16 = 1;
 /// a long-lived worker's spill stays bounded.
 const FLIGHT_REWRITE_BYTES: u64 = 64 * 1024;
 
-fn flight_header() -> [u8; 6] {
-    let mut h = [0u8; 6];
-    h[..4].copy_from_slice(&FLIGHT_MAGIC);
-    h[4..].copy_from_slice(&FLIGHT_VERSION.to_le_bytes());
-    h
-}
-
 /// A bounded ring of the most recent trace events, spilled incrementally
 /// to a file. Install with [`install_flight_recorder`]; every event any
-/// record site pushes is then appended as a [`crate::wire`] record (the
-/// framing the store's profile delta log uses) after a `"LPFR"`
-/// header. Plain `write(2)` per
+/// record site pushes is then appended as a [`crate::wire`] record after
+/// a `"LPFR"` [`file_header`] — the shape of the store's files. Plain
+/// `write(2)` per
 /// event — the data reaches the page cache, so it survives `SIGKILL`
 /// and `abort(3)`; only a machine crash can lose the tail. A supervisor
 /// salvages the file post-mortem with [`read_flight`], which keeps the
@@ -245,13 +240,13 @@ impl FlightRecorder {
     /// I/O errors creating or writing the file header.
     pub fn create(path: &Path, capacity: usize) -> std::io::Result<FlightRecorder> {
         let mut file = std::fs::File::create(path)?;
-        file.write_all(&flight_header())?;
+        file.write_all(&file_header(FLIGHT_MAGIC, FLIGHT_VERSION))?;
         Ok(FlightRecorder {
             path: path.to_path_buf(),
             file,
             ring: VecDeque::new(),
             capacity: capacity.max(1),
-            spilled_bytes: 6,
+            spilled_bytes: FILE_HEADER_LEN as u64,
         })
     }
 
@@ -289,8 +284,9 @@ impl FlightRecorder {
         use std::io::Seek as _;
         self.file.rewind()?;
         self.file.set_len(0)?;
-        self.file.write_all(&flight_header())?;
-        self.spilled_bytes = 6;
+        self.file
+            .write_all(&file_header(FLIGHT_MAGIC, FLIGHT_VERSION))?;
+        self.spilled_bytes = FILE_HEADER_LEN as u64;
         let ring: Vec<Vec<u8>> = self.ring.iter().cloned().collect();
         for payload in &ring {
             self.append_record(payload)?;
@@ -342,21 +338,14 @@ pub(super) fn flight_observe(ev: &TraceEvent) {
 /// record tails are not errors — the valid prefix is returned.
 pub fn read_flight(path: &Path) -> Result<Vec<TraceEvent>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let bad_magic = || format!("{}: not a flight record (bad magic)", path.display());
-    let mut header = Cursor::new(&bytes);
-    let magic = header.take(4, "magic").map_err(|_| bad_magic())?;
-    let ver = header.u16("version").map_err(|_| bad_magic())?;
-    if magic != FLIGHT_MAGIC {
-        return Err(bad_magic());
-    }
-    if ver != FLIGHT_VERSION {
-        return Err(format!(
-            "{}: unsupported flight version {ver}",
-            path.display()
-        ));
-    }
+    let spilled = file_records(&bytes, FLIGHT_MAGIC, FLIGHT_VERSION).map_err(|e| match e {
+        HeaderError::Version(ver) => {
+            format!("{}: unsupported flight version {ver}", path.display())
+        }
+        _ => format!("{}: not a flight record (bad magic)", path.display()),
+    })?;
     let mut out = Vec::new();
-    for payload in records(&bytes[flight_header().len()..], u32::MAX) {
+    for payload in records(spilled, u32::MAX) {
         let mut c = Cursor::new(payload);
         match decode_event_at(&mut c) {
             Ok(ev) if c.finish("event").is_ok() => out.push(ev),
@@ -374,7 +363,7 @@ pub fn read_flight(path: &Path) -> Result<Vec<TraceEvent>, String> {
 ///
 /// I/O errors writing the file.
 pub fn write_flight_dump(path: &Path, events: &[TraceEvent]) -> std::io::Result<()> {
-    let mut out = flight_header().to_vec();
+    let mut out = file_header(FLIGHT_MAGIC, FLIGHT_VERSION).to_vec();
     let mut payload = Vec::new();
     for ev in events {
         payload.clear();

@@ -1,9 +1,10 @@
 //! The workspace's one fixed-width wire toolkit, shared by every
-//! hand-laid-out format outside the bytecode container: a bounds-checked
-//! little-endian [`Cursor`] (LPRQ/LPRS payloads, the LPTB trace blob, LPFR
-//! events, LPPL and LPDY records) and the checksummed record frame of the
-//! append-only files ([`push_record`] / [`records`]: the store's LPPL
-//! profile delta log, the LPFR flight spill).
+//! hand-laid-out format outside bytecode: a bounds-checked little-endian
+//! [`Cursor`] (LPRQ/LPRS payloads, the LPTB trace blob, LPFR events, the
+//! store's records) and the one shape of every file the framework keeps —
+//! a [`file_header`], then checksummed records ([`push_record`] /
+//! [`records`]): the store's LPPL profiles, LPRO reoptimized modules and
+//! LPDY deny records, and the LPFR flight spill.
 //!
 //! `lpat_bytecode::format::Reader` is deliberately a different type: its
 //! integers are varints, its counts go through `bounded_count`, and its
@@ -115,6 +116,51 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Length of a [`file_header`].
+pub const FILE_HEADER_LEN: usize = 6;
+
+/// The first bytes of a file are not the header its reader asked for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HeaderError {
+    /// The file ends inside the header.
+    Truncated,
+    /// Another kind of file, or none the framework writes.
+    BadMagic,
+    /// The right kind of file in a version this reader does not speak.
+    Version(u16),
+}
+
+/// What every record file opens with: `magic`, then `version` as a
+/// little-endian `u16`. Both are compared whole on read, so a header
+/// needs no checksum of its own; whatever else a format wants to say
+/// about a file goes in its first record, under that record's CRC.
+pub fn file_header(magic: [u8; 4], version: u16) -> [u8; FILE_HEADER_LEN] {
+    let mut h = [0u8; FILE_HEADER_LEN];
+    h[..4].copy_from_slice(&magic);
+    h[4..].copy_from_slice(&version.to_le_bytes());
+    h
+}
+
+/// Check that `bytes` opens with [`file_header`]`(magic, version)`;
+/// returns what follows it, for [`records`].
+///
+/// # Errors
+///
+/// See [`HeaderError`]; the magic is judged before the version.
+pub fn file_records(bytes: &[u8], magic: [u8; 4], version: u16) -> Result<&[u8], HeaderError> {
+    let mut c = Cursor::new(bytes);
+    let (Ok(found_magic), Ok(found_version)) = (c.take(4, "magic"), c.u16("version")) else {
+        return Err(HeaderError::Truncated);
+    };
+    if found_magic != magic {
+        return Err(HeaderError::BadMagic);
+    }
+    if found_version != version {
+        return Err(HeaderError::Version(found_version));
+    }
+    Ok(&bytes[FILE_HEADER_LEN..])
+}
+
 /// Append `payload` to `out` as one record,
 /// `[len: u32][crc32(payload): u32][payload]`, integers little-endian.
 ///
@@ -187,6 +233,26 @@ mod tests {
         let mut c = Cursor::new(&[0xFF, 0xFF, 0xFF, 0xFF, 1]);
         let truncated = Malformed("truncated payload".into());
         assert_eq!(c.bytes32("payload"), Err(truncated));
+    }
+
+    #[test]
+    fn a_file_header_admits_only_its_own_magic_and_version() {
+        let mut file = file_header(*b"LPXX", 3).to_vec();
+        push_record(&mut file, b"payload");
+        let rest = file_records(&file, *b"LPXX", 3).unwrap();
+        assert_eq!(records(rest, u32::MAX).collect::<Vec<_>>(), [b"payload"]);
+        assert_eq!(file_records(&file, *b"LPXY", 3), Err(HeaderError::BadMagic));
+        assert_eq!(
+            file_records(&file, *b"LPXX", 2),
+            Err(HeaderError::Version(3))
+        );
+        for cut in 0..FILE_HEADER_LEN {
+            assert_eq!(
+                file_records(&file[..cut], *b"LPXX", 3),
+                Err(HeaderError::Truncated)
+            );
+        }
+        assert_eq!(file_records(&file[..6], *b"LPXX", 3), Ok(&[][..]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! which is exactly the ordering the saturating profile merge needs.
 //!
 //! Every shard is an ordinary [`Store`], so all of PR 3's machinery —
-//! checksummed containers, atomic writes, quarantine recovery, the
+//! checksummed records, atomic writes, quarantine recovery, the
 //! injectable-clock exponential backoff — applies per shard unchanged, and
 //! an `lpatc run --cache-dir <dir>/shard-07` pointed at a single shard
 //! reads the daemon's artifacts with the stock tooling.

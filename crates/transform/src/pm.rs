@@ -342,8 +342,7 @@ pub struct PassManager {
     /// propagates panics and aborts on verifier/budget failures instead,
     /// and skips the snapshot cost.
     pub degrade: bool,
-    /// Per-pass wall-clock budget. `None` resolves `LPAT_PASS_BUDGET_MS`
-    /// at run time (unset ⇒ no budget).
+    /// Per-pass wall-clock budget (`--pass-budget-ms`); `None` = no budget.
     pub budget: Option<Duration>,
     /// Explicit fault-injection plan. `None` resolves the process-wide
     /// plan ([`fault::global`], i.e. `--inject-faults` / `LPAT_FAULTS`).
@@ -392,7 +391,7 @@ impl PassManager {
     /// pipelines over its lifetime).
     pub fn run_with(&mut self, m: &mut Module, cx: &mut PassContext) -> PipelineReport {
         cx.degrade = self.degrade;
-        cx.budget = self.budget.or_else(env_budget);
+        cx.budget = self.budget;
         cx.faults = self.faults.clone().or_else(fault::global);
         let mut run_sp = trace::span("pipeline", "run");
         let cache0 = cx.am.stats();
@@ -579,14 +578,6 @@ fn fold_cache_counters(delta: &CacheStats) {
     trace::counter("analysis.cache.hits", delta.hits);
     trace::counter("analysis.cache.misses", delta.misses);
     trace::counter("analysis.cache.invalidations", delta.invalidations);
-}
-
-/// The `LPAT_PASS_BUDGET_MS` environment fallback for [`PassManager::budget`].
-fn env_budget() -> Option<Duration> {
-    std::env::var("LPAT_PASS_BUDGET_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
 }
 
 /// Wrap a closure as a module pass (useful in tests and ad-hoc pipelines).

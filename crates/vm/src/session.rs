@@ -66,7 +66,7 @@ pub enum Note {
     LoadFailed(StoreError),
     /// This run's profile delta could not be persisted and is dropped.
     FlushFailed(StoreError),
-    /// The delta log could not be folded into the base before a reopt.
+    /// The runs appended to the profile could not be folded before a reopt.
     CompactFailed(StoreError),
     /// A reoptimized module cached for `source_hash` is what runs.
     UsingReopt {
@@ -426,9 +426,9 @@ pub fn reopt<S: Stores>(
     let mut profile = ProfileData::default();
     let mut runs = 0u64;
     if let Some(store) = store {
-        // Idle time is when the runs logged since the last reopt are folded
-        // into the base profile. Failing to is no reason not to
-        // reoptimize: the log still reads back.
+        // Idle time is when the runs appended since the last reopt are
+        // folded into the profile's history. Failing to is no reason not
+        // to reoptimize: they still read back.
         match store.compact(source_hash) {
             Ok(moved) => quarantines(&mut notes, moved),
             Err(e) => notes.push(Note::CompactFailed(e)),

@@ -21,81 +21,76 @@
 //! | failure                      | classification                 | recovery |
 //! |------------------------------|--------------------------------|----------|
 //! | file absent                  | [`StoreError::Missing`]        | regenerate |
-//! | old/foreign container        | [`StoreError::VersionMismatch`]| quarantine + regenerate |
+//! | old/foreign file layout      | [`StoreError::VersionMismatch`]| quarantine + regenerate |
 //! | torn write / bit rot / junk  | [`StoreError::ChecksumFail`]   | quarantine + regenerate |
 //! | profile from other bytecode  | [`StoreError::StaleHash`]      | quarantine + regenerate |
 //! | concurrent writer persists   | [`StoreError::Locked`]         | skip persisting this run |
 //! | I/O failure                  | [`StoreError::Io`]             | surface; cache untouched |
 //!
-//! Whole files — base profiles, reoptimized modules, deny records,
-//! `--profile-out` files — are replaced by one `atomic_replace` (temp
-//! file, fsync, rename, directory fsync), so a kill at any byte leaves the
-//! old version or the new one, never a mix; [`Store::open`] sweeps, under
-//! the lock, the temp a killed writer left. Writers serialize on a lock
-//! file with a bounded, deterministic retry-with-backoff schedule (the
-//! clock is injectable for tests); locks record their holder's PID and are
-//! broken *immediately* once the holder is dead (with
-//! [`Store::lock_stale_after`] as the fallback when liveness cannot be
-//! determined).
+//! Writers serialize on a lock file with a bounded, deterministic
+//! retry-with-backoff schedule (the clock is injectable for tests); locks
+//! record their holder's PID and are broken *immediately* once the holder
+//! is dead (with [`Store::lock_stale_after`] as the fallback when liveness
+//! cannot be determined). Readers take no lock.
 //!
-//! # Profile delta log
+//! # What is on disk
 //!
-//! Collection in the field is cheap and the expensive work waits for idle
-//! time (§3.5–§3.6): a run does not rewrite the lifetime profile, it
-//! appends its delta. `profile-<hash>.lpp` is the LPCF *base*;
-//! `profile-<hash>.log` beside it is append-only (DESIGN.md §14):
+//! Every file the store keeps — and a `--profile-out` file, which is a
+//! store file by another name — is a `lpat_core::wire::file_header`
+//! followed by `lpat_core::wire` records (DESIGN.md §14):
 //!
 //! ```text
-//! "LPPL"  version: u32  epoch: u64  crc32(those 16 bytes): u32
-//! [len: u32][crc32(payload): u32][payload] ...     lpat_core::wire records
-//! payload = module_hash: u64, ProfileData::to_bytes()        one per run
+//! reopt-<hash>.lbc    "LPRO"  one record: source module_hash: u64, bytecode
+//! deny-<hash>.lpd     "LPDY"  one record: a DenyRecord's five fields
+//! profile-<hash>.lpp  "LPPL"  the head: module_hash: u64, folded_runs: u64
+//!                             iff folded_runs > 0, the history: those runs'
+//!                                 merged ProfileData::to_bytes()
+//!                             then one ProfileData::to_bytes() per run since
 //! ```
 //!
-//! [`Store::record_run`] takes the lock, appends one record with a single
-//! `write`, fsyncs the log once, and returns: the delta is durable.
-//! [`Store::load_profile`] takes no lock and returns base ⊕ the log's
-//! CRC-valid prefix; saturating addition commutes, so that is the profile
-//! a read-merge-rewrite per run would have stored. A writer killed
-//! mid-append leaves a torn tail that fails its CRC: readers ignore it and
-//! the next appender cuts it off, so a kill at *any* byte loses at most
-//! the in-flight delta and leaves nothing to quarantine. A log with a bad
-//! header, a record keyed to another module or a payload that does not
-//! decode is quarantined like a bad base, and the base alone is used.
+//! A file is replaced whole by one `atomic_replace` (temp file, fsync,
+//! rename, directory fsync): a kill at any byte leaves the old version or
+//! the new, and [`Store::open`] sweeps, under the lock, the temp it left.
 //!
-//! **Compaction** folds the log into the base and removes it: at idle time
-//! ([`Store::compact`], from `lpatc reopt` and the daemon's `Reopt` op),
-//! and in the appender once the log passes a couple of KiB, so a reader's
-//! fold stays bounded under traffic that never reoptimizes. The base's
-//! `meta` carries a *watermark* — the epoch of the log it folded and how
-//! many of its bytes — and a new log takes the epoch after its base's. A
-//! reader skips the folded prefix of a log of the watermark's epoch, all
-//! of an older log, none of a newer one; so a kill between the base's
-//! rename and the log's removal double-counts nothing, and because the
-//! log is read *before* the base, a compaction racing a read shows only
-//! as (old log, new base), which the same rule resolves.
+//! A profile is a log that compacts itself. [`Store::record_run`] takes
+//! the lock, appends the run's record with a single `write` (header and
+//! head in front of a module's first), fsyncs once, and returns: the delta
+//! is durable. [`Store::load_profile`] returns the saturating sum of the
+//! records — addition commutes, so that is what a read-merge-rewrite per
+//! run would have stored. Compaction is an `atomic_replace` of the file by
+//! one whose history is that sum: at idle time ([`Store::compact`], from
+//! `lpatc reopt` and the daemon's `Reopt` op), and in the appender once
+//! the records behind the history pass a couple of KiB, so a reader's fold
+//! stays bounded under traffic that never reoptimizes.
+//!
+//! Only what a kill can cause is forgiven. A killed appender leaves a tail
+//! that fails its CRC (or a file that ends inside its header or head):
+//! readers ignore it and the next appender cuts it off, so a kill at *any*
+//! byte loses at most the in-flight delta and leaves nothing to
+//! quarantine. The head and the history arrive by rename or at the front
+//! of a file's first write, never torn: if either fails its CRC, or the
+//! file is keyed to another module, or a CRC-valid record does not decode,
+//! the file is quarantined and the module starts over.
 //!
 //! All I/O paths carry `lpat_core::fault` sites: `store.read` (per file
 //! read), `store.write` (per append or whole-file write), `store.lock`,
 //! and `store.journal`, hit once per durability step of profile traffic —
-//! 1 before the log append, 2 before the log fsync, 3 before compaction's
-//! temp write, 4 before its rename, 5 before the log is removed — so
-//! `store.journal:delay=...@N` parks a writer *between* two steps for an
-//! external SIGKILL: killed before step 1 the in-flight delta is lost,
-//! before 2–5 it is kept, and before 5 the new base and the old log
-//! coexist and read back without a double count.
+//! 1 before the append, 2 before its fsync, 3 before compaction's temp
+//! write, 4 before its rename — so `store.journal:delay=...@N` parks a
+//! writer *between* two steps for an external SIGKILL: killed before step
+//! 1 the in-flight delta is lost, before 2–4 it is kept.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lpat_bytecode::container::{
-    read_container, write_container, Container, ContainerError, KIND_PROFILE, KIND_REOPT,
-};
 use lpat_core::fault::{self, FaultAction, FaultPlan};
-use lpat_core::hash::{crc32, fnv1a64};
+use lpat_core::hash::fnv1a64;
 use lpat_core::trace;
-use lpat_core::wire::{push_record, records, Cursor};
+use lpat_core::wire::{
+    file_header, file_records, push_record, records, Cursor, HeaderError, FILE_HEADER_LEN,
+};
 use lpat_core::Module;
 
 use crate::profile::ProfileData;
@@ -140,13 +135,13 @@ fn traced<T>(
 pub enum StoreError {
     /// No artifact on disk for this key.
     Missing,
-    /// The container carries an unknown format version.
+    /// The file is of a store version this build does not read.
     VersionMismatch {
         /// Version found in the file.
         found: u32,
     },
-    /// The container failed validation: bad magic, truncation, CRC
-    /// mismatch, or a payload that does not decode.
+    /// The file failed validation: bad magic, truncation, CRC mismatch, or
+    /// a payload that does not decode.
     ChecksumFail(String),
     /// The artifact is keyed to different module bytes than the ones in
     /// hand — it was gathered on an older build and must not be applied.
@@ -182,7 +177,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Missing => write!(f, "no cached artifact"),
             StoreError::VersionMismatch { found } => {
-                write!(f, "container version {found} unsupported")
+                write!(f, "store file version {found} unsupported")
             }
             StoreError::ChecksumFail(m) => write!(f, "integrity failure: {m}"),
             StoreError::StaleHash { expected, found } => write!(
@@ -196,13 +191,6 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-fn container_err(e: ContainerError) -> StoreError {
-    match e {
-        ContainerError::Version(found) => StoreError::VersionMismatch { found },
-        other => StoreError::ChecksumFail(other.to_string()),
-    }
-}
 
 fn io_err(what: &str, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{what}: {e}"))
@@ -321,15 +309,10 @@ impl Store {
         &self.dir
     }
 
-    /// Path of the base profile artifact for a module hash. Runs recorded
-    /// since the last compaction are in the log beside it, not here: read
-    /// a profile through [`Store::load_profile`].
+    /// Path of the lifetime profile of a module hash: the one file every
+    /// run of the module appends to and every compaction replaces.
     pub fn profile_path(&self, module_hash: u64) -> PathBuf {
         self.dir.join(format!("profile-{module_hash:016x}.lpp"))
-    }
-
-    fn log_path(&self, module_hash: u64) -> PathBuf {
-        self.dir.join(format!("profile-{module_hash:016x}.log"))
     }
 
     /// Path of the reoptimized-bytecode artifact for a module hash.
@@ -406,87 +389,40 @@ impl Store {
         }
     }
 
-    /// Load the lifetime profile for `module_hash` — the base file plus
-    /// every run logged since it was written — recovering from any bad
-    /// file by quarantining it. Takes no lock.
+    /// Load the lifetime profile for `module_hash` — every run recorded
+    /// for it, compacted or not — recovering from a bad file by
+    /// quarantining it. Takes no lock.
     ///
     /// # Errors
     ///
     /// Only genuine I/O failures surface; every *content* failure recovers
-    /// to what the remaining file holds (`value: None` when that is
-    /// nothing) plus a [`Quarantine`] record.
+    /// to `value: None` plus a [`Quarantine`] record.
     pub fn load_profile(
         &self,
         module_hash: u64,
     ) -> Result<Loaded<Option<StoredProfile>>, StoreError> {
-        let folded = self.fold(module_hash)?;
-        trace::counter("store.log_records_folded", folded.records);
-        Ok(Loaded {
-            value: folded.value,
-            quarantined: folded.quarantined,
-        })
+        let mut quarantined = Vec::new();
+        let folded = self.fold(module_hash, &mut quarantined)?;
+        let value = folded.map(|f| {
+            trace::counter("store.log_records_folded", f.appended);
+            f.stored
+        });
+        Ok(Loaded { value, quarantined })
     }
 
-    /// Base ⊕ log for `module_hash`, as the two files stand.
-    fn fold(&self, module_hash: u64) -> Result<Folded, StoreError> {
-        let mut quarantined = Vec::new();
-        // The log is read before the base: a compaction that runs between
-        // the two reads then shows as (old log, new base), which the
-        // base's watermark resolves. Base first could show (old base, no
-        // log) and miss every run the compaction folded.
-        let log_path = self.log_path(module_hash);
-        let mut log = self
-            .read_artifact(&log_path, &mut quarantined, parse_log)?
-            .flatten();
-        let base =
-            self.read_artifact(&self.profile_path(module_hash), &mut quarantined, |bytes| {
-                decode_profile(&bytes, Some(module_hash))
-            })?;
-        let (mut value, mark) = match base {
-            Some((_, stored, mark)) => (Some(stored), mark),
-            None => (None, Watermark::default()),
-        };
-        // Records fold into a scratch profile first: one that does not
-        // decode condemns the whole log, and the base alone is used.
-        let mut pending = ProfileData::default();
-        let mut folded = 0u64;
-        if let Some(l) = &log {
-            let skip = match l.mark.epoch.cmp(&mark.epoch) {
-                std::cmp::Ordering::Less => l.mark.len,
-                std::cmp::Ordering::Equal => mark.len.clamp(LOG_HEADER_LEN as u64, l.mark.len),
-                std::cmp::Ordering::Greater => LOG_HEADER_LEN as u64,
-            };
-            let unfolded = &l.bytes[skip as usize..l.mark.len as usize];
-            let merged = records(unfolded, u32::MAX).try_fold(0u64, |n, payload| {
-                merge_delta(&mut pending, payload, module_hash).map(|()| n + 1)
-            });
-            match merged {
-                Ok(n) => folded = n,
-                Err(e) => {
-                    quarantined.push(self.quarantine(&log_path, e));
-                    log = None;
-                }
-            }
-        }
-        if folded > 0 {
-            match &mut value {
-                Some(stored) => stored.profile.merge_saturating(&pending),
-                None => {
-                    value = Some(StoredProfile {
-                        profile: pending,
-                        runs: 0,
-                    })
-                }
-            }
-            let stored = value.as_mut().expect("set above");
-            stored.runs = stored.runs.saturating_add(folded);
-        }
-        Ok(Folded {
-            value,
-            log: log.map(|l| l.mark),
-            records: folded,
-            quarantined,
-        })
+    /// What the profile file of `module_hash` holds; `None` when that is
+    /// no run at all.
+    fn fold(
+        &self,
+        module_hash: u64,
+        quarantined: &mut Vec<Quarantine>,
+    ) -> Result<Option<Folded>, StoreError> {
+        let folded = self.read_artifact(&self.profile_path(module_hash), quarantined, |bytes| {
+            parse_profile(bytes, Some(module_hash))?
+                .map(|file| file.fold())
+                .transpose()
+        })?;
+        Ok(folded.flatten().filter(|f| f.stored.runs > 0))
     }
 
     /// Load the cached reoptimized module for `module_hash`, recovering
@@ -503,11 +439,21 @@ impl Store {
         let mut quarantined = Vec::new();
         let value =
             self.read_artifact(&self.reopt_path(module_hash), &mut quarantined, |bytes| {
-                let (c, _) = validate(&bytes, KIND_REOPT, Some(module_hash))?;
+                let payload = one_record(&bytes, REOPT_MAGIC)?;
+                let found = Cursor::new(payload)
+                    .u64("source hash")
+                    .map_err(|e| StoreError::ChecksumFail(e.0))?;
+                let bytecode = &payload[8..];
+                if found != module_hash {
+                    return Err(StoreError::StaleHash {
+                        expected: module_hash,
+                        found,
+                    });
+                }
                 // The hardened bytecode reader plus a full verify: CRC
                 // protects against storage faults, not against a buggy
                 // writer, and a cached module runs with user authority.
-                lpat_bytecode::read_module(name, c.section("module").unwrap_or(&[]))
+                lpat_bytecode::read_module(name, bytecode)
                     .map_err(|e| e.to_string())
                     .and_then(|m| match m.verify() {
                         Ok(()) => Ok(m),
@@ -535,18 +481,20 @@ impl Store {
     /// [`StoreError::Locked`] when another writer holds the store past
     /// the retry budget; [`StoreError::Io`] on write failure.
     pub fn save_reopt(&self, module_hash: u64, m: &Module) -> Result<(), StoreError> {
-        let mut c = Container::new(KIND_REOPT);
-        c.push("meta", module_hash.to_le_bytes().to_vec());
-        c.push("module", lpat_bytecode::write_module(m));
+        let mut payload = module_hash.to_le_bytes().to_vec();
+        payload.extend_from_slice(&lpat_bytecode::write_module(m));
         let _guard = self.lock()?;
-        self.write_file(&self.reopt_path(module_hash), write_container(&c))
+        self.write_file(
+            &self.reopt_path(module_hash),
+            one_record_file(REOPT_MAGIC, &payload),
+        )
     }
 
     /// Make one run's counters part of the stored lifetime profile: under
-    /// the store lock, append them to the module's delta log and fsync it.
-    /// When this returns `Ok` the delta survives a kill or a power cut.
-    /// Returns what had to be moved aside to get there (a log whose header
-    /// does not validate, or — when a new log is started — a bad base).
+    /// the store lock, append them to the module's profile file and fsync
+    /// it. When this returns `Ok` the delta survives a kill or a power cut.
+    /// Returns what had to be moved aside to get there (a file whose head
+    /// or history does not validate).
     ///
     /// # Errors
     ///
@@ -560,14 +508,14 @@ impl Store {
         run: &ProfileData,
     ) -> Result<Vec<Quarantine>, StoreError> {
         let _guard = self.lock()?;
-        let path = self.log_path(module_hash);
+        let path = self.profile_path(module_hash);
         let mut quarantined = Vec::new();
-        let log_len = traced("append", &path, |sp| {
+        let pending = traced("append", &path, |sp| {
             self.append_locked(module_hash, run, &path, &mut quarantined, sp)
         })?;
-        if log_len > LOG_COMPACT_BYTES {
+        if pending > COMPACT_BYTES {
             // The delta is already durable: a compaction that fails leaves
-            // the log for the next one and must not fail this flush.
+            // the records for the next one and must not fail this flush.
             if let Ok(mut q) = self.compact_locked(module_hash) {
                 quarantined.append(&mut q);
             }
@@ -575,7 +523,8 @@ impl Store {
         Ok(quarantined)
     }
 
-    /// The append proper; returns the log's length afterwards.
+    /// The append proper; returns how many bytes of records now stand
+    /// behind the file's folded history.
     fn append_locked(
         &self,
         module_hash: u64,
@@ -588,44 +537,37 @@ impl Store {
         // Append after the CRC-valid prefix, not after whatever is there:
         // behind a dead writer's torn tail a record would be unreachable.
         let mut old_len = 0;
-        let keep = self
+        let (keep, tail) = self
             .read_artifact(path, quarantined, |bytes| {
                 old_len = bytes.len();
-                parse_log(bytes)
+                parse_profile(bytes, Some(module_hash))
             })?
             .flatten()
-            .map_or(0, |l| l.mark.len as usize);
-        let mut rec = Vec::new();
-        if keep == 0 {
-            // A new log takes the epoch after the one its base folded, so
-            // no reader can take it for the log that base retired.
-            let base = self.read_artifact(&self.profile_path(module_hash), quarantined, |b| {
-                decode_profile(&b, Some(module_hash))
-            })?;
-            let folded = base.map_or(0, |(_, _, mark)| mark.epoch);
-            rec.extend_from_slice(&log_header(folded.saturating_add(1)));
-        }
-        let mut payload = module_hash.to_le_bytes().to_vec();
-        payload.extend_from_slice(&run.to_bytes());
-        push_record(&mut rec, &payload);
+            .map_or((0, PROFILE_HEAD_LEN), |file| (file.len, file.tail));
+        let mut rec = if keep == 0 {
+            profile_head(module_hash, 0)
+        } else {
+            Vec::new()
+        };
+        push_record(&mut rec, &run.to_bytes());
         write_fault(plan, &mut rec)?;
         journal_step(plan, 1)?;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .create(true)
             .open(path)
-            .map_err(|e| io_err("open log", e))?;
+            .map_err(|e| io_err("open profile", e))?;
         if old_len > keep {
             f.set_len(keep as u64)
-                .map_err(|e| io_err("truncate log", e))?;
+                .map_err(|e| io_err("truncate profile", e))?;
         }
         // One write call per record: a writer killed inside it leaves a
         // torn tail the CRC catches, never half a record that validates.
         let durable = f
             .write_all(&rec)
-            .map_err(|e| io_err("append log", e))
+            .map_err(|e| io_err("append profile", e))
             .and_then(|()| journal_step(plan, 2))
-            .and_then(|()| f.sync_all().map_err(|e| io_err("fsync log", e)));
+            .and_then(|()| f.sync_all().map_err(|e| io_err("fsync profile", e)));
         if let Err(e) = durable {
             // A clean failure, not a crash: take the append back so the
             // on-disk state is what it was.
@@ -640,17 +582,17 @@ impl Store {
             sync_dir(&self.dir);
         }
         sp.arg("bytes", rec.len().to_string());
-        Ok(keep + rec.len())
+        Ok(keep + rec.len() - tail)
     }
 
-    /// Fold the delta log of `module_hash` into its base file and retire
-    /// the log — the idle-time half of [`Store::record_run`], called where
-    /// the reoptimizer runs. A module with no log is left alone. Returns
-    /// the bad files moved aside on the way.
+    /// Fold the runs appended to the profile of `module_hash` into its
+    /// history — the idle-time half of [`Store::record_run`], called where
+    /// the reoptimizer runs. A file with nothing appended is left alone.
+    /// Returns the bad files moved aside on the way.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Locked`] or [`StoreError::Io`]; the log then simply
+    /// [`StoreError::Locked`] or [`StoreError::Io`]; the file then simply
     /// stays, and every run in it still reads back.
     pub fn compact(&self, module_hash: u64) -> Result<Vec<Quarantine>, StoreError> {
         let _guard = self.lock()?;
@@ -658,29 +600,17 @@ impl Store {
     }
 
     fn compact_locked(&self, module_hash: u64) -> Result<Vec<Quarantine>, StoreError> {
-        let base = self.profile_path(module_hash);
-        traced("compact", &base, |sp| {
-            let plan = self.faults.as_deref();
-            let folded = self.fold(module_hash)?;
-            let Some(mark) = folded.log else {
-                return Ok(folded.quarantined);
-            };
-            sp.arg("records", folded.records.to_string());
-            sp.arg("bytes", mark.len.to_string());
-            // With nothing unfolded (a compaction died between its rename
-            // and here) the base is already right.
-            if folded.records > 0 {
-                let stored = folded
-                    .value
-                    .as_ref()
-                    .expect("folded records make a profile");
-                let bytes = encode_profile(module_hash, &stored.profile, stored.runs, mark);
-                atomic_replace(&base, bytes, plan)?;
+        let path = self.profile_path(module_hash);
+        traced("compact", &path, |sp| {
+            let mut quarantined = Vec::new();
+            let folded = self.fold(module_hash, &mut quarantined)?;
+            if let Some(f) = folded.filter(|f| f.appended > 0) {
+                sp.arg("records", f.appended.to_string());
+                sp.arg("bytes", f.appended_bytes.to_string());
+                let bytes = encode_profile(module_hash, &f.stored.profile, f.stored.runs);
+                atomic_replace(&path, bytes, self.faults.as_deref())?;
             }
-            journal_step(plan, 5)?;
-            std::fs::remove_file(self.log_path(module_hash))
-                .map_err(|e| io_err("retire log", e))?;
-            Ok(folded.quarantined)
+            Ok(quarantined)
         })
     }
 
@@ -799,13 +729,17 @@ impl Store {
     }
 
     /// Remove the `.tmp-<pid>` files of writers killed between their temp
-    /// write and their rename. Every such writer held the lock the caller
-    /// holds now, so none of them is still alive.
+    /// write and their rename — every such writer held the lock the caller
+    /// holds now, so none of them is still alive — and any `profile-*.log`,
+    /// which only a store from before the one-file profile wrote.
     fn sweep_temps_locked(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         if let Ok(rd) = std::fs::read_dir(&self.dir) {
             for entry in rd.filter_map(|e| e.ok()) {
-                if entry.file_name().to_string_lossy().contains(".tmp-")
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                if (name.contains(".tmp-")
+                    || name.starts_with("profile-") && name.ends_with(".log"))
                     && std::fs::remove_file(entry.path()).is_ok()
                 {
                     report.swept += 1;
@@ -826,7 +760,7 @@ impl Store {
 /// What one crash-debris sweep did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Orphaned `.tmp-*` files removed.
+    /// Orphaned `.tmp-*` (and pre-one-file `profile-*.log`) files removed.
     pub swept: u64,
 }
 
@@ -876,7 +810,7 @@ fn write_fault(plan: Option<&FaultPlan>, bytes: &mut [u8]) -> Result<(), StoreEr
 }
 
 /// One `store.journal` evaluation per durability step of profile traffic
-/// (1-based; see the module docs for the step table). `Delay` parks the
+/// (1-based; the module docs list the steps). `Delay` parks the
 /// writer *before* the step's action — the chaos tests SIGKILL it there —
 /// and any other action fails the step with a synthetic I/O error.
 fn journal_step(plan: Option<&FaultPlan>, step: u8) -> Result<(), StoreError> {
@@ -904,8 +838,8 @@ fn sync_dir(dir: &Path) {
 /// fsync it, rename it into place, fsync the directory. A kill at any
 /// point leaves the old content or the new, never a mix, and at worst an
 /// orphan temp for [`Store::open`] to sweep; a clean failure removes its
-/// temp and leaves the old content. Every whole-file artifact is written
-/// here, compaction's base included — hence `store.journal` steps 3 and 4.
+/// temp and leaves the old content. Every whole-file write is this one, a
+/// compaction included — hence `store.journal` steps 3 and 4.
 fn atomic_replace(
     path: &Path,
     mut bytes: Vec<u8>,
@@ -931,132 +865,162 @@ fn atomic_replace(
     write
 }
 
-// -- container validation ---------------------------------------------------
+// -- the one file shape ------------------------------------------------------
 
-/// Validate a container of `kind`; returns it with the module hash its
-/// `meta` section opens with, which must be `expected` when that is given.
-fn validate(
-    bytes: &[u8],
-    kind: [u8; 4],
-    expected: Option<u64>,
-) -> Result<(Container, u64), StoreError> {
-    let c = read_container(bytes).map_err(container_err)?;
-    if c.kind != kind {
-        return Err(StoreError::ChecksumFail(format!(
-            "container kind {:?}, expected {:?}",
-            String::from_utf8_lossy(&c.kind),
-            String::from_utf8_lossy(&kind),
-        )));
-    }
-    let meta = c
-        .section("meta")
-        .ok_or_else(|| StoreError::ChecksumFail("missing meta section".into()))?;
-    let found = Cursor::new(meta)
-        .u64("meta section")
-        .map_err(|_| StoreError::ChecksumFail("short meta section".into()))?;
-    match expected {
-        Some(expected) if expected != found => Err(StoreError::StaleHash { expected, found }),
-        _ => Ok((c, found)),
+/// Version of every file the store writes; a change to any payload bumps
+/// it. Version 1 was the two-file profile (an LPCF base beside an LPPL
+/// log), LPCF reoptimized modules and unframed LPDY records.
+const STORE_VERSION: u16 = 2;
+const PROFILE_MAGIC: [u8; 4] = *b"LPPL";
+const REOPT_MAGIC: [u8; 4] = *b"LPRO";
+const DENY_MAGIC: [u8; 4] = *b"LPDY";
+
+fn header_err(e: HeaderError) -> StoreError {
+    match e {
+        HeaderError::Version(found) => StoreError::VersionMismatch {
+            found: found.into(),
+        },
+        HeaderError::BadMagic => StoreError::ChecksumFail("bad magic".into()),
+        HeaderError::Truncated => StoreError::ChecksumFail("truncated header".into()),
     }
 }
 
-// -- profile delta log ------------------------------------------------------
-
-const LOG_MAGIC: [u8; 4] = *b"LPPL";
-const LOG_VERSION: u32 = 1;
-/// Magic, version, epoch, and the CRC-32 of those sixteen bytes.
-const LOG_HEADER_LEN: usize = 20;
-/// The append that takes a log past this folds it into the base. Sized by
-/// measurement, not configuration. A load decodes every pending record and
-/// a compaction costs three more fsyncs than an append, so the bound trades
-/// one against the other: over the fifteen `lpat_workloads::suite` programs
-/// (records of 120–290 bytes, a load after every run, ext4) the mean
-/// `record_run` + `load_profile` is 0.30 + 0.03 ms at 1 KiB, 0.25 + 0.04 at
-/// 2 KiB, 0.24 + 0.05 at 4 KiB, 0.22 + 0.09 at 8 KiB and 0.25 + 0.15 at
-/// 16 KiB, against 0.02 ms for a load with nothing pending.
-const LOG_COMPACT_BYTES: usize = 2 * 1024;
-
-/// How much of which log a base has folded — or, of a log as read, its
-/// epoch and the length of its header plus CRC-valid records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Watermark {
-    epoch: u64,
-    len: u64,
+/// A whole file of one record: a reoptimized module, a deny record.
+fn one_record_file(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut out = file_header(magic, STORE_VERSION).to_vec();
+    push_record(&mut out, payload);
+    out
 }
 
-/// A log file as read; `mark.len` bounds the part of `bytes` that counts.
-struct LogFile {
+/// The payload of a [`one_record_file`]; anything but the header and
+/// exactly one whole, CRC-valid record is damage.
+fn one_record(bytes: &[u8], magic: [u8; 4]) -> Result<&[u8], StoreError> {
+    let body = file_records(bytes, magic, STORE_VERSION).map_err(header_err)?;
+    records(body, u32::MAX)
+        .next()
+        .filter(|payload| 8 + payload.len() == body.len())
+        .ok_or_else(|| StoreError::ChecksumFail("record torn or damaged".into()))
+}
+
+// -- the profile file --------------------------------------------------------
+
+/// Header plus head record: what a profile file's first append writes in
+/// front of the run's own record.
+const PROFILE_HEAD_LEN: usize = FILE_HEADER_LEN + 8 + 16;
+/// The append that takes the records behind a file's history past this
+/// folds them into it. Sized by measurement, not configuration. A load
+/// decodes every pending record and a compaction costs a temp write, two
+/// more fsyncs and a rename than an append, so the bound trades one against
+/// the other: over the fifteen `lpat_workloads::suite` programs (records of
+/// 120–290 bytes, a load after every run, ext4) the mean `record_run` +
+/// `load_profile` is 0.30 + 0.03 ms at 1 KiB, 0.25 + 0.04 at 2 KiB, 0.24 +
+/// 0.05 at 4 KiB, 0.22 + 0.09 at 8 KiB and 0.25 + 0.15 at 16 KiB, against
+/// 0.02 ms for a load with nothing pending (taken on the two-file layout
+/// this replaced, whose compaction also unlinked a log).
+const COMPACT_BYTES: usize = 2 * 1024;
+
+/// The first [`PROFILE_HEAD_LEN`] bytes of a profile file.
+fn profile_head(module_hash: u64, folded_runs: u64) -> Vec<u8> {
+    let head = [module_hash.to_le_bytes(), folded_runs.to_le_bytes()].concat();
+    one_record_file(PROFILE_MAGIC, &head)
+}
+
+/// A compacted profile file: head, then — of a profile that has any runs —
+/// the history.
+fn encode_profile(module_hash: u64, profile: &ProfileData, runs: u64) -> Vec<u8> {
+    let mut out = profile_head(module_hash, runs);
+    if runs > 0 {
+        push_record(&mut out, &profile.to_bytes());
+    }
+    out
+}
+
+/// A profile file as read, its payloads still encoded.
+struct ProfileFile {
     bytes: Vec<u8>,
-    mark: Watermark,
+    hash: u64,
+    folded_runs: u64,
+    /// Where the appended records start: after the head and the history.
+    tail: usize,
+    /// Where the CRC-valid records end; beyond is a torn tail.
+    len: usize,
 }
 
-/// What the two files of one module hold together.
+/// What a profile file holds, decoded.
 struct Folded {
-    /// Base ⊕ the log records it has not folded; `None` when neither file
-    /// holds anything usable.
-    value: Option<StoredProfile>,
-    /// The log that was read: what a base written from `value` has folded.
-    log: Option<Watermark>,
-    /// Log records merged into `value`.
-    records: u64,
-    quarantined: Vec<Quarantine>,
+    stored: StoredProfile,
+    /// Records behind the history, and their bytes: what a compaction of
+    /// this file would fold.
+    appended: u64,
+    appended_bytes: usize,
 }
 
-fn log_header(epoch: u64) -> [u8; LOG_HEADER_LEN] {
-    let mut h = [0u8; LOG_HEADER_LEN];
-    h[..4].copy_from_slice(&LOG_MAGIC);
-    h[4..8].copy_from_slice(&LOG_VERSION.to_le_bytes());
-    h[8..16].copy_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(&h[..LOG_HEADER_LEN - 4]);
-    h[LOG_HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
-    h
-}
-
-/// Find a log's epoch and valid prefix. `Ok(None)` for a file shorter
-/// than a header: its writer died creating it, nothing in it was ever
-/// durable, and the next appender starts it over.
-fn parse_log(bytes: Vec<u8>) -> Result<Option<LogFile>, StoreError> {
-    let mut c = Cursor::new(&bytes);
-    let (Ok(magic), Ok(version), Ok(epoch), Ok(crc)) = (
-        c.take(4, "magic"),
-        c.u32("version"),
-        c.u64("epoch"),
-        c.u32("header checksum"),
-    ) else {
+/// Find a profile file's head and valid prefix; the module hash in the
+/// head must be `expected` when that is given. `Ok(None)` for a file that
+/// ends inside its header or head: its writer died creating it, nothing in
+/// it was ever durable, and the next appender starts it over.
+fn parse_profile(bytes: Vec<u8>, expected: Option<u64>) -> Result<Option<ProfileFile>, StoreError> {
+    let body = match file_records(&bytes, PROFILE_MAGIC, STORE_VERSION) {
+        Err(HeaderError::Truncated) => return Ok(None),
+        body => body.map_err(header_err)?,
+    };
+    if bytes.len() < PROFILE_HEAD_LEN {
         return Ok(None);
+    }
+    let bad = |what: &str| StoreError::ChecksumFail(format!("profile: {what}"));
+    let mut scan = records(body, u32::MAX);
+    let mut head = Cursor::new(scan.next().ok_or_else(|| bad("damaged head"))?);
+    let (Ok(hash), Ok(folded_runs), Ok(())) = (
+        head.u64("module hash"),
+        head.u64("folded runs"),
+        head.finish("head"),
+    ) else {
+        return Err(bad("damaged head"));
     };
-    if magic != LOG_MAGIC {
-        return Err(StoreError::ChecksumFail("profile log: bad magic".into()));
+    if let Some(expected) = expected.filter(|&e| e != hash) {
+        return Err(StoreError::StaleHash {
+            expected,
+            found: hash,
+        });
     }
-    if version != LOG_VERSION {
-        return Err(StoreError::VersionMismatch { found: version });
+    let mut tail = PROFILE_HEAD_LEN;
+    if folded_runs > 0 {
+        // The head says a compaction wrote this file, so the history was
+        // there whole when the rename made it visible: no torn tail.
+        let history = scan.next().ok_or_else(|| bad("damaged history"))?;
+        tail += 8 + history.len();
     }
-    if crc != crc32(&bytes[..LOG_HEADER_LEN - 4]) {
-        return Err(StoreError::ChecksumFail(
-            "profile log: header checksum mismatch".into(),
-        ));
-    }
-    let valid: usize = records(&bytes[LOG_HEADER_LEN..], u32::MAX)
-        .map(|payload| 8 + payload.len())
-        .sum();
-    let mark = Watermark {
-        epoch,
-        len: (LOG_HEADER_LEN + valid) as u64,
-    };
-    Ok(Some(LogFile { bytes, mark }))
+    let len = tail + scan.map(|payload| 8 + payload.len()).sum::<usize>();
+    Ok(Some(ProfileFile {
+        bytes,
+        hash,
+        folded_runs,
+        tail,
+        len,
+    }))
 }
 
-/// Fold one log record's payload, which must be keyed to `expected`, into
-/// `into`.
-fn merge_delta(into: &mut ProfileData, payload: &[u8], expected: u64) -> Result<(), StoreError> {
-    let bad = |what: String| StoreError::ChecksumFail(format!("profile log record: {what}"));
-    let mut c = Cursor::new(payload);
-    let found = c.u64("module hash").map_err(|e| bad(e.0))?;
-    if found != expected {
-        return Err(StoreError::StaleHash { expected, found });
+impl ProfileFile {
+    /// Sum the history and every record behind it.
+    fn fold(&self) -> Result<Folded, StoreError> {
+        let mut profile = ProfileData::default();
+        let mut n = 0u64;
+        for payload in records(&self.bytes[PROFILE_HEAD_LEN..self.len], u32::MAX) {
+            profile
+                .merge_bytes(payload)
+                .map_err(|e| StoreError::ChecksumFail(format!("profile record: {e}")))?;
+            n += 1;
+        }
+        let appended = n - u64::from(self.folded_runs > 0);
+        Ok(Folded {
+            stored: StoredProfile {
+                profile,
+                runs: self.folded_runs.saturating_add(appended),
+            },
+            appended,
+            appended_bytes: self.len - self.tail,
+        })
     }
-    let counts = c.take(payload.len() - 8, "counts").map_err(|e| bad(e.0))?;
-    into.merge_bytes(counts).map_err(|e| bad(e.to_string()))
 }
 
 // -- crash-loop denylist records ------------------------------------------
@@ -1080,44 +1044,26 @@ pub struct DenyRecord {
     pub last_unix_ms: u64,
 }
 
-const DENY_MAGIC: [u8; 4] = *b"LPDY";
-const DENY_VERSION: u32 = 1;
-const DENY_LEN: usize = 4 + 4 + 8 + 4 + 1 + 8 + 8 + 4;
-
 impl DenyRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(DENY_LEN);
-        b.extend_from_slice(&DENY_MAGIC);
-        b.extend_from_slice(&DENY_VERSION.to_le_bytes());
-        b.extend_from_slice(&self.hash.to_le_bytes());
-        b.extend_from_slice(&self.count.to_le_bytes());
-        b.push(self.denied as u8);
-        b.extend_from_slice(&self.first_unix_ms.to_le_bytes());
-        b.extend_from_slice(&self.last_unix_ms.to_le_bytes());
-        let crc = crc32(&b);
-        b.extend_from_slice(&crc.to_le_bytes());
-        b
+        let mut p = self.hash.to_le_bytes().to_vec();
+        p.extend_from_slice(&self.count.to_le_bytes());
+        p.push(self.denied as u8);
+        p.extend_from_slice(&self.first_unix_ms.to_le_bytes());
+        p.extend_from_slice(&self.last_unix_ms.to_le_bytes());
+        one_record_file(DENY_MAGIC, &p)
     }
 
     fn decode(b: &[u8]) -> Option<DenyRecord> {
-        if b.len() != DENY_LEN {
-            return None;
-        }
-        let (body, crc) = b.split_at(DENY_LEN - 4);
-        let mut c = Cursor::new(body);
-        if Cursor::new(crc).u32("crc").ok()? != crc32(body)
-            || c.take(4, "magic").ok()? != DENY_MAGIC
-            || c.u32("version").ok()? != DENY_VERSION
-        {
-            return None;
-        }
-        Some(DenyRecord {
+        let mut c = Cursor::new(one_record(b, DENY_MAGIC).ok()?);
+        let rec = DenyRecord {
             hash: c.u64("hash").ok()?,
             count: c.u32("count").ok()?,
             denied: c.u8("denied").ok()? != 0,
             first_unix_ms: c.u64("first crash").ok()?,
             last_unix_ms: c.u64("last crash").ok()?,
-        })
+        };
+        c.finish("deny record").ok().map(|()| rec)
     }
 }
 
@@ -1149,43 +1095,11 @@ impl Store {
     }
 }
 
-// -- profile containers: the store's bases and --profile-in / --profile-out
+// -- --profile-out / --profile-in: a store file by another name -------------
 
-/// Serialize a lifetime profile into container bytes. `meta` is the module
-/// hash, the run count, and the log watermark (zero in a standalone file).
-fn encode_profile(module_hash: u64, profile: &ProfileData, runs: u64, mark: Watermark) -> Vec<u8> {
-    let mut c = Container::new(KIND_PROFILE);
-    let mut meta = Vec::with_capacity(32);
-    for field in [module_hash, runs, mark.epoch, mark.len] {
-        meta.extend_from_slice(&field.to_le_bytes());
-    }
-    c.push("meta", meta);
-    c.push("counts", profile.to_bytes());
-    write_container(&c)
-}
-
-/// Decode a profile container: the module hash it is keyed to (which must
-/// be `expected` when that is given), the lifetime profile, and the log
-/// watermark — zero in files written before there was a log.
-fn decode_profile(
-    bytes: &[u8],
-    expected: Option<u64>,
-) -> Result<(u64, StoredProfile, Watermark), StoreError> {
-    let (c, hash) = validate(bytes, KIND_PROFILE, expected)?;
-    let mut meta = Cursor::new(&c.section("meta").unwrap_or(&[])[8..]);
-    let runs = meta.u64("runs").unwrap_or(1);
-    let mark = Watermark {
-        epoch: meta.u64("log epoch").unwrap_or(0),
-        len: meta.u64("log bytes").unwrap_or(0),
-    };
-    let profile = ProfileData::from_bytes(c.section("counts").unwrap_or(&[]))
-        .map_err(|e| StoreError::ChecksumFail(format!("profile payload: {e}")))?;
-    Ok((hash, StoredProfile { profile, runs }, mark))
-}
-
-/// Write a profile to a standalone file (`--profile-out`) with the same
-/// container format and atomic replace as the cache directory. Honors the
-/// global `store.write` fault site.
+/// Write a profile to a standalone file (`--profile-out`): byte for byte
+/// the file a store holding these runs has after a compaction, written by
+/// the same atomic replace. Honors the global `store.write` fault site.
 ///
 /// # Errors
 ///
@@ -1197,21 +1111,22 @@ pub fn write_profile_file(
     profile: &ProfileData,
     runs: u64,
 ) -> Result<(), StoreError> {
-    let bytes = encode_profile(module_hash, profile, runs, Watermark::default());
-    atomic_replace(path, bytes, None)
+    atomic_replace(path, encode_profile(module_hash, profile, runs), None)
 }
 
-/// Read a standalone profile file (`--profile-in`). Returns the module
+/// Read a standalone profile file (`--profile-in`) — or a store's, with
+/// every run appended to it since its last compaction. Returns the module
 /// hash it was recorded against plus the stored profile; the caller
-/// decides whether a hash mismatch is fatal. Nothing is quarantined —
-/// the caller owns the file.
+/// decides whether a hash mismatch is fatal. Nothing is quarantined — the
+/// caller owns the file.
 ///
 /// # Errors
 ///
 /// The same classification as the store's loads.
 pub fn read_profile_file(path: &Path) -> Result<(u64, StoredProfile), StoreError> {
-    let (hash, stored, _) = decode_profile(&read_faulted(path, None)?, None)?;
-    Ok((hash, stored))
+    let file = parse_profile(read_faulted(path, None)?, None)?
+        .ok_or_else(|| StoreError::ChecksumFail("profile: truncated head".into()))?;
+    Ok((file.hash, file.fold()?.stored))
 }
 
 // -- exactly-once profile flushing ----------------------------------------
@@ -1328,14 +1243,17 @@ mod tests {
         p
     }
 
-    /// Park a base file for `h` the way a store from before the delta log
-    /// wrote it — a 16-byte `meta`, no watermark — so every test built on
-    /// one also checks that such a file reads as "nothing folded yet".
-    fn put_base(store: &Store, h: u64, runs: u64) {
-        let mut c = Container::new(KIND_PROFILE);
-        c.push("meta", [h.to_le_bytes(), runs.to_le_bytes()].concat());
-        c.push("counts", sample_profile().to_bytes());
-        std::fs::write(store.profile_path(h), write_container(&c)).unwrap();
+    /// Park at `h`'s path the file a compaction of `runs` runs that
+    /// merged to `sample_profile` leaves.
+    fn put_compacted(store: &Store, h: u64, runs: u64) {
+        let bytes = encode_profile(h, &sample_profile(), runs);
+        std::fs::write(store.profile_path(h), bytes).unwrap();
+    }
+
+    /// The profile file of `h` as it stands, which must parse.
+    fn file_of(store: &Store, h: u64) -> ProfileFile {
+        let bytes = std::fs::read(store.profile_path(h)).unwrap();
+        parse_profile(bytes, Some(h)).unwrap().unwrap()
     }
 
     fn runs_of(store: &Store, h: u64) -> u64 {
@@ -1353,16 +1271,15 @@ mod tests {
             .collect()
     }
 
-    /// Appends of `sample_profile` that leave the log one record short of
-    /// compacting: the next `record_run` is the one that folds it.
+    /// Appends of `sample_profile` that leave a fresh file one record
+    /// short of compacting: the next `record_run` is the one that folds it.
     fn fill_to_brink(store: &Store, h: u64) -> u64 {
         let mut n = 0;
         loop {
             store.record_run(h, &sample_profile()).unwrap();
             n += 1;
-            let len = std::fs::metadata(store.log_path(h)).unwrap().len() as usize;
-            let rec = (len - LOG_HEADER_LEN) / n as usize;
-            if len + rec > LOG_COMPACT_BYTES {
+            let pending = file_of(store, h).len - PROFILE_HEAD_LEN;
+            if pending + pending / n as usize > COMPACT_BYTES {
                 return n;
             }
         }
@@ -1394,13 +1311,23 @@ mod tests {
             20,
             "two runs merge to exactly doubled counts"
         );
-        // Compaction moves the same profile from the log into the base.
-        assert!(!store.profile_path(h).exists() && store.log_path(h).exists());
+        // Compaction moves the same profile from two records into the
+        // history, in the same file — the one `--profile-out` would write.
+        assert_eq!(file_of(&store, h).folded_runs, 0);
         assert!(store.compact(h).unwrap().is_empty());
-        assert!(store.profile_path(h).exists() && !store.log_path(h).exists());
+        assert_eq!(files_with(&store, "profile-").len(), 1);
+        assert_eq!(
+            std::fs::read(store.profile_path(h)).unwrap(),
+            encode_profile(h, &loaded.profile, 2)
+        );
         let compacted = store.load_profile(h).unwrap().value.unwrap();
         assert_eq!(compacted.runs, 2);
         assert_eq!(compacted.profile, loaded.profile);
+        // Nothing appended since: a second compaction leaves the file be.
+        let before = std::fs::metadata(store.profile_path(h)).unwrap().modified();
+        store.compact(h).unwrap();
+        let after = std::fs::metadata(store.profile_path(h)).unwrap().modified();
+        assert_eq!(before.unwrap(), after.unwrap());
     }
 
     #[test]
@@ -1430,7 +1357,7 @@ mod tests {
     #[test]
     fn stale_hash_is_quarantined_not_applied() {
         let store = Store::open(tmpdir("stale")).unwrap();
-        put_base(&store, 0xAA, 1);
+        put_compacted(&store, 0xAA, 1);
         // Same file, asked for under a different module hash: stale.
         std::fs::rename(store.profile_path(0xAA), store.profile_path(0xBB)).unwrap();
         let out = store.load_profile(0xBB).unwrap();
@@ -1442,29 +1369,28 @@ mod tests {
                 found: 0xAA
             }
         ));
-        // The same for a log: its records name the module they belong to.
+        // The same for a file no compaction has touched, and for the
+        // appender, which must not add 0xCC's run to 0xAA's.
         store.record_run(0xAA, &sample_profile()).unwrap();
-        std::fs::rename(store.log_path(0xAA), store.log_path(0xCC)).unwrap();
-        put_base(&store, 0xCC, 4);
-        let out = store.load_profile(0xCC).unwrap();
-        assert_eq!(out.value.unwrap().runs, 4, "the base alone is used");
+        std::fs::rename(store.profile_path(0xAA), store.profile_path(0xCC)).unwrap();
+        let q = store.record_run(0xCC, &sample_profile()).unwrap();
         assert!(matches!(
-            out.quarantined[0].error,
+            q[0].error,
             StoreError::StaleHash {
                 expected: 0xCC,
                 found: 0xAA
             }
         ));
-        assert!(!store.log_path(0xCC).exists());
+        assert_eq!(runs_of(&store, 0xCC), 1);
     }
 
     #[test]
     fn version_mismatch_is_classified_and_quarantined() {
         let store = Store::open(tmpdir("version")).unwrap();
-        put_base(&store, 0xCC, 1);
+        put_compacted(&store, 0xCC, 1);
         let path = store.profile_path(0xCC);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4] = 0xFE; // container version field
+        bytes[4] = 0xFE; // the header's version field
         std::fs::write(&path, bytes).unwrap();
         let out = store.load_profile(0xCC).unwrap();
         assert!(matches!(
@@ -1473,46 +1399,69 @@ mod tests {
         ));
     }
 
-    /// Migration: a structurally valid version-1 container (pre-guard
-    /// profile schema) is classified by its version, quarantined, and the
-    /// slot regenerates under the new schema — the old counters are never
-    /// misread as v2 data or merged into the fresh profile.
+    /// Migration: what a store of the two-file layout left behind — an
+    /// LPCF base at the profile path, an LPPL version-1 log beside it, an
+    /// LPCF reoptimized module — is classified, moved aside once and
+    /// regenerated. Nothing in it is read as this layout's data.
     #[test]
-    fn v1_container_is_quarantined_and_regenerated() {
-        let store = Store::open(tmpdir("migrate-v1")).unwrap();
+    fn files_of_the_two_file_layout_are_quarantined_never_misread() {
+        let dir = tmpdir("migrate-v1");
         let h = 0x99u64;
-        // Hand-build the v1 file: four profile tables (no guard sections),
-        // version field 1, correct section + trailer CRCs.
-        let mut counts = sample_profile().to_bytes();
-        let tail = counts.split_off(counts.len() - 2);
-        assert_eq!(tail, [0, 0], "v2 encoder ends with two empty guard tables");
-        let mut c = Container::new(KIND_PROFILE);
-        let mut meta = Vec::with_capacity(16);
-        meta.extend_from_slice(&h.to_le_bytes());
-        meta.extend_from_slice(&5u64.to_le_bytes()); // five prior runs
-        c.push("meta", meta);
-        c.push("counts", counts);
-        let mut bytes = write_container(&c);
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let crc = crc32(&bytes[..body_len]);
-        bytes[body_len + 4..].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(store.profile_path(h), &bytes).unwrap();
-        // The appender that starts the log reads the base for its epoch:
-        // it classifies the file as a version mismatch (not a checksum
-        // failure) and moves it aside.
-        let q = store.record_run(h, &sample_profile()).unwrap();
+        let scratch = Store::open(&dir).unwrap();
+        let (profile, reopt) = (scratch.profile_path(h), scratch.reopt_path(h));
+        let log = dir.join(format!("profile-{h:016x}.log"));
+        // "LPCF", container version 2, a kind tag, a section count: how
+        // both LPCF files opened.
+        let lpcf = |kind: &[u8; 4]| {
+            let mut b = b"LPCF".to_vec();
+            b.extend_from_slice(&2u32.to_le_bytes());
+            b.extend_from_slice(kind);
+            b.extend_from_slice(&2u32.to_le_bytes());
+            b.extend_from_slice(&[0xAB; 64]);
+            b
+        };
+        // "LPPL", version 1 as a u32, an epoch, then records that carried
+        // the module hash in front of the counts.
+        let mut v1_log = b"LPPL".to_vec();
+        v1_log.extend_from_slice(&1u32.to_le_bytes());
+        v1_log.extend_from_slice(&1u64.to_le_bytes());
+        v1_log.extend_from_slice(&[0; 4]);
+        push_record(
+            &mut v1_log,
+            &[&h.to_le_bytes()[..], &sample_profile().to_bytes()].concat(),
+        );
+        std::fs::write(&profile, lpcf(b"PROF")).unwrap();
+        std::fs::write(&reopt, lpcf(b"ROPT")).unwrap();
+        std::fs::write(&log, &v1_log).unwrap();
+
+        // Opening sweeps the log: no reader of this layout looks there.
+        let store = Store::open(&dir).unwrap();
+        assert!(!log.exists());
+        let out = store.load_reopt(h, "t").unwrap();
+        assert!(out.value.is_none());
         assert!(matches!(
-            q[0].error,
-            StoreError::VersionMismatch { found: 1 }
+            out.quarantined[0].error,
+            StoreError::ChecksumFail(_)
         ));
+        let q = store.record_run(h, &sample_profile()).unwrap();
+        assert!(matches!(q[0].error, StoreError::ChecksumFail(_)), "{q:?}");
         assert!(q[0].moved_to.as_ref().unwrap().exists());
-        // Regeneration starts fresh: the v1 counters are gone, not merged.
+        // Regeneration starts fresh, and each file was moved aside once.
         let reloaded = store.load_profile(h).unwrap();
         assert!(reloaded.quarantined.is_empty());
         let reloaded = reloaded.value.unwrap();
-        assert_eq!(reloaded.runs, 1, "regenerated from empty, not from v1");
-        assert_eq!(reloaded.profile, sample_profile());
+        assert_eq!((reloaded.runs, &reloaded.profile), (1, &sample_profile()));
+        assert_eq!(files_with(&store, ".corrupt-").len(), 2);
+
+        // The old log's bytes at the profile path (same magic, older
+        // version) are a version mismatch, not a profile.
+        std::fs::write(&profile, &v1_log).unwrap();
+        let out = store.load_profile(h).unwrap();
+        assert!(out.value.is_none());
+        assert!(matches!(
+            out.quarantined[0].error,
+            StoreError::VersionMismatch { found: 1 }
+        ));
     }
 
     #[test]
@@ -1527,26 +1476,36 @@ mod tests {
             out.quarantined[0].error,
             StoreError::ChecksumFail(_)
         ));
-        // A log record damaged on its way to disk is a torn tail: the run
-        // is lost, nothing is quarantined, and the next append lands.
+        // A run's record damaged on its way to disk is a torn tail: the
+        // run is lost, nothing is quarantined, and the next append lands.
         store.faults = plan("store.write:corrupt@2");
         store.record_run(0xDE, &sample_profile()).unwrap();
         store.record_run(0xDE, &sample_profile()).unwrap();
         assert_eq!(runs_of(&store, 0xDE), 1);
         store.record_run(0xDE, &sample_profile()).unwrap();
         assert_eq!(runs_of(&store, 0xDE), 2);
+        // Damage to a compaction's output hits the head or the history:
+        // that is quarantined, and says so.
+        store.faults = plan("store.write:corrupt@1");
+        store.compact(0xDE).unwrap();
+        let out = store.load_profile(0xDE).unwrap();
+        assert!(out.value.is_none());
+        assert!(matches!(
+            out.quarantined[0].error,
+            StoreError::ChecksumFail(_)
+        ));
     }
 
     #[test]
     fn injected_io_fault_fails_write_and_leaves_old_version() {
         let mut store = Store::open(tmpdir("inject-io")).unwrap();
         store.record_run(0xEE, &sample_profile()).unwrap();
-        let before = std::fs::read(store.log_path(0xEE)).unwrap();
+        let before = std::fs::read(store.profile_path(0xEE)).unwrap();
         store.faults = plan("store.write:io@1");
         let err = store.record_run(0xEE, &sample_profile()).unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
         // The old version is intact and no temp file lingers.
-        assert_eq!(std::fs::read(store.log_path(0xEE)).unwrap(), before);
+        assert_eq!(std::fs::read(store.profile_path(0xEE)).unwrap(), before);
         assert_eq!(runs_of(&store, 0xEE), 1);
         assert_eq!(files_with(&store, "tmp"), Vec::<String>::new());
     }
@@ -1643,41 +1602,39 @@ mod tests {
         assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
     }
 
-    /// `store.journal:io@N` at each of the five steps of the one
+    /// `store.journal:io@N` at each of the four steps of the one
     /// `record_run` that appends *and* compacts, with the exact run count
     /// each must leave.
     #[test]
     fn injected_journal_fault_fails_write_cleanly_at_every_step() {
-        for step in 1..=5u8 {
+        for step in 1..=4u8 {
             let mut store = Store::open(tmpdir(&format!("jstep{step}"))).unwrap();
             let h = 0x31;
             let n = fill_to_brink(&store, h);
-            let before = std::fs::read(store.log_path(h)).unwrap();
+            let before = std::fs::read(store.profile_path(h)).unwrap();
             store.faults = plan(&format!("store.journal:io@{step}"));
             let r = store.record_run(h, &sample_profile());
             store.faults = None;
             if step <= 2 {
                 // The append itself failed: this run's counts are dropped
-                // and the log is byte-for-byte what it was.
+                // and the file is byte-for-byte what it was.
                 assert!(matches!(r, Err(StoreError::Io(_))), "step {step}: {r:?}");
-                assert_eq!(std::fs::read(store.log_path(h)).unwrap(), before);
+                assert_eq!(std::fs::read(store.profile_path(h)).unwrap(), before);
                 assert_eq!(runs_of(&store, h), n, "step {step}");
             } else {
                 // The delta was durable before compaction began: a failed
-                // compaction never fails the flush, and never counts the
-                // run twice — not even at step 5, where the new base and
-                // the log it folded are both on disk.
+                // compaction never fails the flush and leaves the file as
+                // the append left it.
                 assert!(r.is_ok(), "step {step}: {r:?}");
                 assert_eq!(runs_of(&store, h), n + 1, "step {step}");
-                assert_eq!(store.profile_path(h).exists(), step == 5, "step {step}");
-                assert!(store.log_path(h).exists(), "step {step}: log retired");
-                // The log goes on working behind the folded prefix, and
-                // the next compaction finishes the job.
+                assert_eq!(file_of(&store, h).folded_runs, 0, "step {step}");
+                // The next append lands behind it, and its compaction
+                // finishes the job.
                 store.record_run(h, &sample_profile()).unwrap();
                 assert_eq!(runs_of(&store, h), n + 2, "step {step}");
-                assert!(!store.log_path(h).exists(), "step {step}: log kept");
+                assert_eq!(file_of(&store, h).folded_runs, n + 2, "step {step}");
             }
-            assert_eq!(files_with(&store, ".tmp-"), Vec::<String>::new());
+            assert_eq!(files_with(&store, "profile-").len(), 1, "step {step}");
             assert_eq!(files_with(&store, ".corrupt-"), Vec::<String>::new());
         }
     }
@@ -1707,10 +1664,13 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         store.record_run(0x42, &sample_profile()).unwrap();
         let orphan = dir.join("profile-0000000000000042.lpp.tmp-424242");
-        std::fs::write(&orphan, b"half a base").unwrap();
+        std::fs::write(&orphan, b"half a compaction").unwrap();
+        // ... and a store of the two-file layout, a log nothing reads now.
+        let old_log = dir.join("profile-0000000000000042.log");
+        std::fs::write(&old_log, b"LPPL").unwrap();
         drop(store);
         let store = Store::open(&dir).unwrap();
-        assert!(!orphan.exists());
+        assert!(!orphan.exists() && !old_log.exists());
         assert_eq!(runs_of(&store, 0x42), 1);
         assert_eq!(store.recover().unwrap(), RecoveryReport { swept: 0 });
     }
@@ -1737,20 +1697,26 @@ mod tests {
         assert_eq!(store.load_deny(0x55), None);
     }
 
+    /// A compacted file cut at any offset never loads data: inside the
+    /// history it is quarantined; inside the header or head it is what a
+    /// writer killed creating the file leaves, and the next append starts
+    /// the file over.
     #[test]
     fn torn_write_truncation_at_every_offset_recovers() {
         let store = Store::open(tmpdir("torn")).unwrap();
         let h = 0x77;
-        put_base(&store, h, 1);
+        put_compacted(&store, h, 1);
         let full = std::fs::read(store.profile_path(h)).unwrap();
         for cut in 0..full.len() {
             std::fs::write(store.profile_path(h), &full[..cut]).unwrap();
             let out = store.load_profile(h).unwrap();
             assert!(out.value.is_none(), "cut at {cut} loaded data");
-            assert_eq!(out.quarantined.len(), 1, "cut at {cut}");
-            // Clean up the quarantine file for the next iteration.
-            if let Some(q) = &out.quarantined[0].moved_to {
-                let _ = std::fs::remove_file(q);
+            let in_history = cut >= PROFILE_HEAD_LEN;
+            assert_eq!(out.quarantined.len(), in_history as usize, "cut at {cut}");
+            store.record_run(h, &sample_profile()).unwrap();
+            assert_eq!(runs_of(&store, h), 1, "cut at {cut}");
+            for debris in files_with(&store, ".corrupt-") {
+                std::fs::remove_file(store.dir().join(debris)).unwrap();
             }
         }
     }
@@ -1777,72 +1743,75 @@ mod tests {
             .collect()
     }
 
-    /// Truncating a log of N records at every byte offset, and flipping
-    /// the byte at every offset, each make `load_profile` return base ⊕
-    /// exactly the records wholly before the damage; the base is never
-    /// quarantined; and a run recorded after a torn tail is visible.
+    /// Truncating a file of a history and N appended records at every
+    /// byte offset behind the history, and flipping the byte at every
+    /// offset of the file, each make `load_profile` return the history ⊕
+    /// exactly the records wholly before the damage with nothing
+    /// quarantined — or, for a flip in the header, the head or the history,
+    /// nothing at all and the file moved aside. A run recorded after a torn
+    /// tail is visible.
     #[test]
     fn log_damage_at_every_offset_keeps_exactly_the_records_before_it() {
         let store = Store::open(tmpdir("log-damage")).unwrap();
         let h = 0x78u64;
-        put_base(&store, h, 3);
+        put_compacted(&store, h, 3);
+        let tail = file_of(&store, h).len;
         let deltas = random_deltas(7, 5);
         let mut ends = Vec::new();
         for d in &deltas {
             store.record_run(h, d).unwrap();
-            ends.push(std::fs::metadata(store.log_path(h)).unwrap().len() as usize);
+            ends.push(file_of(&store, h).len);
         }
-        let full = std::fs::read(store.log_path(h)).unwrap();
+        let full = std::fs::read(store.profile_path(h)).unwrap();
+        assert_eq!((file_of(&store, h).tail, ends[4]), (tail, full.len()));
         let expect = |whole: usize| {
             let mut p = sample_profile();
             for d in &deltas[..whole] {
                 p.merge_saturating(d);
             }
-            (p.to_bytes(), 3 + whole as u64)
+            Some((p.to_bytes(), 3 + whole as u64))
         };
-        let check = |whole: usize, header_flip: bool, what: &str| {
+        let check = |want: Option<(Vec<u8>, u64)>, what: &str| {
             let out = store.load_profile(h).unwrap();
-            let got = out.value.expect("the base is always there");
-            assert_eq!((got.profile.to_bytes(), got.runs), expect(whole), "{what}");
-            assert!(store.profile_path(h).exists(), "{what}: base quarantined");
-            // Only a header that does not validate condemns the file; a
-            // damaged record is a torn tail, which a kill can produce.
-            assert_eq!(out.quarantined.len(), header_flip as usize, "{what}");
+            let got = out.value.map(|got| (got.profile.to_bytes(), got.runs));
+            assert_eq!(got, want, "{what}");
+            // Only damage no kill can cause condemns the file; a damaged
+            // appended record is a torn tail.
+            assert_eq!(out.quarantined.len(), want.is_none() as usize, "{what}");
             for q in &out.quarantined {
-                assert_eq!(q.original, store.log_path(h), "{what}");
+                assert_eq!(q.original, store.profile_path(h), "{what}");
                 std::fs::remove_file(q.moved_to.as_ref().unwrap()).unwrap();
             }
         };
         for at in 0..full.len() {
             let whole = ends.iter().filter(|&&e| e <= at).count();
-            std::fs::write(store.log_path(h), &full[..at]).unwrap();
-            check(whole, false, &format!("cut {at}"));
-            // The next appender cuts the torn tail off before appending.
-            store.record_run(h, &deltas[whole]).unwrap();
-            check(whole + 1, false, &format!("append after cut {at}"));
-            assert_eq!(
-                std::fs::read(store.log_path(h)).unwrap(),
-                full[..ends[whole]],
-                "append after cut {at}: the log is not what {} clean runs leave",
-                whole + 1
-            );
-
             let mut bad = full.clone();
             bad[at] ^= 0xFF;
-            std::fs::write(store.log_path(h), &bad).unwrap();
-            let in_header = at < LOG_HEADER_LEN;
-            check(
-                if in_header { 0 } else { whole },
-                in_header,
-                &format!("flip {at}"),
+            std::fs::write(store.profile_path(h), &bad).unwrap();
+            if at < tail {
+                check(None, &format!("flip {at}"));
+                continue;
+            }
+            check(expect(whole), &format!("flip {at}"));
+
+            std::fs::write(store.profile_path(h), &full[..at]).unwrap();
+            check(expect(whole), &format!("cut {at}"));
+            // The next appender cuts the torn tail off before appending.
+            store.record_run(h, &deltas[whole]).unwrap();
+            check(expect(whole + 1), &format!("append after cut {at}"));
+            assert_eq!(
+                std::fs::read(store.profile_path(h)).unwrap(),
+                full[..ends[whole]],
+                "append after cut {at}: the file is not what {} clean runs leave",
+                whole + 1
             );
         }
     }
 
     /// K deltas through `record_run`, with — after each — nothing, a
-    /// compaction, or a compaction that dies before retiring its log, in
-    /// every combination: the stored profile and run count always equal
-    /// the in-memory `merge_saturating` fold.
+    /// compaction, or a compaction that dies before its rename, in every
+    /// combination: the stored profile and run count always equal the
+    /// in-memory `merge_saturating` fold, and the module has one file.
     #[test]
     fn any_compaction_schedule_equals_the_in_memory_fold() {
         const K: usize = 5;
@@ -1861,9 +1830,9 @@ mod tests {
                     0 => {}
                     1 => drop(store.compact(h).unwrap()),
                     _ => {
-                        // Compaction alone passes steps 3, 4, 5 as the
-                        // site's ordinals 1, 2, 3.
-                        store.faults = plan("store.journal:io@3");
+                        // Compaction alone passes steps 3 and 4 as the
+                        // site's ordinals 1 and 2.
+                        store.faults = plan("store.journal:io@2");
                         assert!(store.compact(h).is_err());
                         store.faults = None;
                     }
@@ -1879,6 +1848,8 @@ mod tests {
                 want.to_bytes(),
                 "schedule {schedule}"
             );
+            let name = format!("profile-{h:016x}");
+            assert_eq!(files_with(&store, &name), [format!("{name}.lpp")]);
         }
     }
 
@@ -1886,20 +1857,22 @@ mod tests {
     fn a_thousand_runs_leave_a_bounded_log() {
         let store = Store::open(tmpdir("bounded")).unwrap();
         let h = 0x79u64;
-        let record = 8 + 8 + sample_profile().to_bytes().len();
-        let mut compactions = 0;
+        let record = 8 + sample_profile().to_bytes().len();
+        let (mut compactions, mut folded) = (0, 0);
         for run in 1..=1_000u64 {
             store.record_run(h, &sample_profile()).unwrap();
-            match std::fs::metadata(store.log_path(h)) {
-                Ok(md) => assert!(
-                    md.len() as usize <= LOG_COMPACT_BYTES + record,
-                    "run {run}: log of {} bytes",
-                    md.len()
-                ),
-                Err(_) => compactions += 1,
-            }
+            let file = file_of(&store, h);
+            let pending = file.len - file.tail;
+            assert!(
+                pending <= COMPACT_BYTES + record,
+                "run {run}: {pending} bytes behind the history"
+            );
+            assert_eq!(file.folded_runs + (pending / record) as u64, run);
+            compactions += u32::from(file.folded_runs != folded);
+            folded = file.folded_runs;
         }
-        assert!(compactions >= 1_000 * record / (LOG_COMPACT_BYTES + record));
+        assert!(compactions as usize >= 1_000 * record / (COMPACT_BYTES + record));
         assert_eq!(runs_of(&store, h), 1_000);
+        assert_eq!(files_with(&store, "profile-").len(), 1);
     }
 }

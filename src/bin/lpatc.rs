@@ -48,8 +48,8 @@
 //!
 //! `run --tiered` starts every function in the profiling interpreter and
 //! promotes it to the translated tier once its hotness counter (calls +
-//! loop back-edges) exceeds the threshold (`--tier-up N`, or the
-//! `LPAT_TIER_UP` environment variable; `--tier-up` implies `--tiered`).
+//! loop back-edges) exceeds the threshold (`--tier-up N`, which implies
+//! `--tiered`).
 //! `--tier-native` enables the third tier: a function that stays hot on
 //! the JIT tier is translated once more — by the single-pass backend in
 //! `lpat_codegen::fast` — to risc32 machine code and executed by the
@@ -80,12 +80,13 @@
 //!
 //! `run --cache-dir DIR` (or `LPAT_CACHE_DIR`) keeps a crash-safe store of
 //! execution profiles and reoptimized bytecode keyed by the content hash
-//! of the module: each run merges its counts into the stored lifetime
-//! profile (flushed on clean exit *and* on trap), and `reopt` consumes the
-//! accumulated profile offline, caching the reoptimized module so the next
-//! `run` picks it up automatically. Corrupt, truncated, or stale store
-//! files are quarantined and regenerated, never trusted. `--profile-out` /
-//! `--profile-in` do the same with a single explicit profile file.
+//! of the module: each run appends its counts to the module's one profile
+//! file (flushed on clean exit *and* on trap), and `reopt` folds and
+//! consumes the accumulated profile offline, caching the reoptimized
+//! module so the next `run` picks it up automatically. Corrupt, truncated,
+//! or stale store files are quarantined and regenerated, never trusted.
+//! `--profile-out` writes, and `--profile-in` reads, a file of the store's
+//! own profile format at a path of the user's choosing.
 
 use std::convert::Infallible;
 use std::path::Path;
@@ -191,7 +192,7 @@ fn usage() {
          flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
          \x20      --jobs N, --verify-each, --time-passes,\n\
          \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-         \x20      --profile, --jit, --tiered, --tier-up N (or LPAT_TIER_UP),\n\
+         \x20      --profile, --jit, --tiered, --tier-up N,\n\
          \x20      --tier-native, --native-up N,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
          \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
@@ -310,14 +311,11 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         }
         opts.max_stack = n;
     }
-    // `--tier-up N` implies `--tiered`; `LPAT_TIER_UP` only sets the
-    // threshold. `--tiered` wins over `--jit` if both appear.
-    let tier_up_flag = args.value("--tier-up");
-    let env_tier_up = std::env::var("LPAT_TIER_UP").ok();
-    if let Some(v) = tier_up_flag.or(env_tier_up.as_deref()) {
-        opts.tier_up = v
-            .parse()
-            .map_err(|_| format!("bad --tier-up value '{v}'"))?;
+    // `--tier-up N` implies `--tiered`, which wins over `--jit` if both
+    // appear.
+    let tier_up = args.parsed("--tier-up")?;
+    if let Some(n) = tier_up {
+        opts.tier_up = n;
     }
     // `--native-up N` implies `--tier-native`, and either implies
     // `--tiered`: the machine-code tier only exists above the tiered
@@ -329,7 +327,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     if use_native {
         opts.native_up = Some(native_up.unwrap_or(opts.tier_up));
     }
-    let mode = if args.has("--tiered") || tier_up_flag.is_some() || use_native {
+    let mode = if args.has("--tiered") || tier_up.is_some() || use_native {
         Mode::Tiered
     } else if args.has("--jit") {
         Mode::Jit

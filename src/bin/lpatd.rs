@@ -50,7 +50,8 @@
 //!
 //! `--inject-faults` (or the `LPAT_FAULTS` environment variable) arms
 //! the `serve.accept`, `serve.decode`, `serve.worker`, `serve.deadline`,
-//! and `store.journal` (one hit per durability step of a profile flush)
+//! and `store.journal` (one hit per durability step of a profile flush:
+//! append, fsync and, when the run compacts, temp write and rename)
 //! sites — the same deterministic fault grammar the optimizer and store
 //! use — which is how CI proves the isolation actually holds. Under `--isolate process` the plan is forwarded to
 //! the worker subprocesses rather than armed in the daemon, so faults

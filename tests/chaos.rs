@@ -187,26 +187,30 @@ fn sigterm(pid: u32) {
     assert!(ok, "kill -TERM {pid} failed");
 }
 
-/// No file whose name contains `pat` anywhere under the cache dir.
-fn assert_no_files_named(root: &std::path::Path, pat: &str, what: &str) {
+/// Every file whose name contains `pat`, anywhere under the cache dir.
+fn files_named(root: &std::path::Path, pat: &str) -> Vec<std::path::PathBuf> {
+    let mut found = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         for ent in std::fs::read_dir(&dir).unwrap() {
-            let ent = ent.unwrap();
-            let path = ent.path();
+            let path = ent.unwrap().path();
             if path.is_dir() {
                 stack.push(path);
-                continue;
+            } else if path.file_name().unwrap().to_string_lossy().contains(pat) {
+                found.push(path);
             }
-            let name = ent.file_name();
-            let name = name.to_string_lossy();
-            assert!(!name.contains(pat), "{what}: {}", path.display());
         }
     }
+    found
+}
+
+fn assert_no_files_named(root: &std::path::Path, pat: &str, what: &str) {
+    let found = files_named(root, pat);
+    assert!(found.is_empty(), "{what}: {found:?}");
 }
 
 /// No `*.corrupt-N` quarantine debris anywhere under the cache dir —
-/// a torn log tail is cut off and a whole file is replaced atomically, so
+/// a torn tail is cut off and a whole file is replaced atomically, so
 /// crashes never surface as corrupt-store quarantines.
 fn assert_no_corrupt_files(root: &std::path::Path) {
     assert_no_files_named(root, ".corrupt-", "quarantine debris after crash");
@@ -404,7 +408,7 @@ fn sigkill_salvages_a_flight_record_into_the_crash_diagnostic() {
 
 // ---------------------------------------------------------------------------
 // Profile-traffic crash points: SIGKILL parked before every durability
-// step of a run that appends to the delta log and compacts it; the store
+// step of a run that appends to its profile and compacts it; the store
 // must read back a consistent state every time.
 // ---------------------------------------------------------------------------
 
@@ -425,42 +429,45 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
     if !in_matrix("journal-kill") {
         return;
     }
-    // Steps of a run's profile flush: 1 log append, 2 log fsync, and — in
-    // the run that takes the log past its bound — 3 the new base's temp
-    // write, 4 its rename, 5 the log's retirement.
+    // Steps of a run's profile flush: 1 the append, 2 its fsync, and — in
+    // the run that takes the appended records past their bound — 3 the
+    // compacted file's temp write, 4 its rename over the profile.
     // `store.journal:delay=...@N` parks the worker immediately BEFORE
     // step N's action, so a SIGKILL during the stall means steps 1..N-1
     // happened and step N did not:
     //   - killed before the append (step 1): the run's delta is LOST;
-    //   - killed anywhere later (steps 2-5): the delta is in the log (a
+    //   - killed anywhere later (steps 2-4): the delta is in the file (a
     //     process kill does not take the page cache with it) and is KEPT,
     //     whatever state the compaction was left in — nothing written
-    //     (3), an orphan temp (4), or the new base beside the log it
-    //     folded (5), which must not count that log twice.
-    // Either way: no torn file, no quarantine debris, and the run count
-    // equals what the crash semantics promise.
+    //     (3) or an orphan temp (4).
+    // Either way: one profile file, no torn file, no quarantine debris,
+    // and the run count equals what the crash semantics promise.
     let delta = profile_of(ADD_PROG);
     let hash = module_hash(&lpat::asm::parse_module("chaos", ADD_PROG).unwrap());
-    // How many runs of this module take a log past its bound (the store
+    // How many runs of this module take a file past its bound (the store
     // keeps the bound to itself): count them on a scratch store, up to the
-    // run that leaves a base file behind.
+    // run that leaves the file shorter than it found it.
     let to_compact = {
         let scratch = tmp("journal-brink");
         let _ = std::fs::remove_dir_all(&scratch);
         let store = lpat::vm::Store::open(&scratch).unwrap();
-        let mut runs = 0u64;
-        while !store.profile_path(hash).exists() {
+        let (mut runs, mut len) = (0u64, 0);
+        loop {
             store.record_run(hash, &delta).unwrap();
             runs += 1;
+            let now = std::fs::metadata(store.profile_path(hash)).unwrap().len();
+            if now < len {
+                break runs;
+            }
+            len = now;
         }
-        runs
     };
     let n = to_compact - 1;
-    for step in 1..=5u32 {
+    for step in 1..=4u32 {
         let cache = tmp(&format!("journal-step-{step}"));
         let _ = std::fs::remove_dir_all(&cache);
         // n earlier runs: the next one appends AND compacts, so in a fresh
-        // worker the site's ordinals 1..=5 are exactly the five steps.
+        // worker the site's ordinals 1..=4 are exactly the four steps.
         {
             let store = ShardedStore::open(&cache, 2).unwrap();
             for _ in 0..n {
@@ -499,9 +506,9 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
             other => panic!("step {step}: killed request answered {other:?}"),
         }
         // What the dead worker left reads back as the crash semantics
-        // promise — at step 5 exactly n + 1, the folded log not counted
-        // again — and opening the store (under the lock the dead worker
-        // no longer holds) has swept step 4's orphan temp.
+        // promise, and opening the store (under the lock the dead worker
+        // no longer holds) has swept step 4's orphan temp: the module has
+        // its one profile file and nothing else.
         let kept = u64::from(step > 1);
         assert_eq!(
             stored_runs(&cache, 2, ADD_PROG),
@@ -510,6 +517,7 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
             if kept == 1 { "kept" } else { "lost" }
         );
         assert_no_files_named(&cache, ".tmp-", "orphan temp survived an open");
+        assert_eq!(files_named(&cache, "profile-").len(), 1, "step {step}");
         // A fresh worker serves the next run of the same module. Its own
         // @N delay fires during its own flush, which compacts whatever
         // its predecessor left — a stall, not a kill, so the request

@@ -2,17 +2,18 @@
 //! cross-run profile accumulation, crash-safe store recovery, and
 //! offline reoptimization through the `lpatc` driver.
 //!
-//! The store's own unit tests (`crates/vm/src/store.rs`) cover the
-//! container format and every error class in-process; this file drives
+//! The store's own unit tests (`crates/vm/src/store.rs`) cover the file
+//! format and every error class in-process; this file drives
 //! the same machinery the way a user would — separate `lpatc` processes
 //! sharing a `--cache-dir` — and checks the cross-run guarantees:
 //!
 //! * two runs merge to *exactly* doubled saturating counts, and the
 //!   merged profile identifies the same hot loops/traces as one
 //!   double-length run;
-//! * a torn base file (truncation at any offset) is quarantined and the
-//!   store regenerates, never crashes, never silently reuses; a torn tail
-//!   of the delta log costs the one run that was being appended;
+//! * a compacted profile whose folded history is torn is quarantined and
+//!   the store regenerates, never crashes, never silently reuses; a torn
+//!   tail of appended records costs the one run that was being appended;
+//! * `--profile-out` writes a store file and `--profile-in` reads one;
 //! * every [`StoreError`] class degrades a run to "uncached with a
 //!   warning", never a failure;
 //! * two instrumented runs + offline `lpatc reopt` produce the same
@@ -271,19 +272,25 @@ fn torn_profile_writes_recover_with_quarantine() {
     let store = Store::open(&cache).unwrap();
     let hash = module_hash(&m);
     let ppath = store.profile_path(hash);
-    // A run leaves its profile in the delta log; compaction makes the base
-    // file this test tears.
+    // A run appends its profile; compaction folds it into the history this
+    // test tears, which no kill can: the file that holds it arrived whole,
+    // by rename.
     store.compact(hash).unwrap();
     let good = std::fs::read(&ppath).unwrap();
+    // Header, then the head record, then the history's own frame.
+    let history = 6 + (8 + 16) + 8;
 
-    // Subprocess legs at representative truncation points; the store unit
-    // tests sweep every offset in-process.
-    for cut in [0usize, 1, 4, good.len() / 2, good.len() - 1] {
+    // Subprocess legs at representative truncation points of the history;
+    // the store unit tests sweep every offset in-process.
+    for cut in [
+        history - 8,
+        history,
+        (history + good.len()) / 2,
+        good.len() - 1,
+    ] {
         for stale in corrupt_files(&cache) {
             std::fs::remove_file(stale).unwrap();
         }
-        // Fold the previous leg's run first, so the base is all there is.
-        store.compact(hash).unwrap();
         std::fs::write(&ppath, &good[..cut]).unwrap();
         let (_, stderr) = run_cached(&bc, &cache, &[], &[]);
         assert!(
@@ -302,18 +309,23 @@ fn torn_profile_writes_recover_with_quarantine() {
     }
 }
 
-/// The one file of a module's delta log in `cache`.
-fn log_file(cache: &Path) -> PathBuf {
-    let logs: Vec<PathBuf> = std::fs::read_dir(cache)
+/// The one profile file in `cache`.
+fn profile_file(cache: &Path) -> PathBuf {
+    let profiles: Vec<PathBuf> = std::fs::read_dir(cache)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("profile-")
+        })
         .collect();
-    assert_eq!(logs.len(), 1, "{logs:?}");
-    logs[0].clone()
+    assert_eq!(profiles.len(), 1, "{profiles:?}");
+    profiles[0].clone()
 }
 
-/// A run killed inside its log append leaves a torn tail. That is not
+/// A run killed inside its append leaves a torn tail. That is not
 /// corruption: the run is lost, the runs before it are not, nothing is
 /// quarantined or warned about, and the next run lands behind the valid
 /// prefix where every later reader finds it.
@@ -325,7 +337,7 @@ fn torn_log_tail_loses_one_run_and_quarantines_nothing() {
     let bc = write_bc(&dir, &m);
     run_cached(&bc, &cache, &[], &[]);
     run_cached(&bc, &cache, &[], &[]);
-    let log = log_file(&cache);
+    let log = profile_file(&cache);
     let two = std::fs::read(&log).unwrap();
     std::fs::write(&log, &two[..two.len() - 1]).unwrap();
 
@@ -478,77 +490,214 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
     }
 }
 
+/// A cache directory the two-file layout left behind — an LPCF base at the
+/// profile path, an LPPL version-1 log beside it, an LPCF reoptimized
+/// module: the run is correct and uncached, each old file at a path this
+/// layout reads is moved aside once, the log nothing reads is swept, and
+/// none of it is counted.
+#[test]
+fn a_cache_directory_of_the_two_file_layout_is_quarantined_not_misread() {
+    let dir = fresh_dir("persist-old-layout");
+    let cache = dir.join("cache");
+    let m = build(600);
+    let hash = module_hash(&m);
+    let bc = write_bc(&dir, &m);
+    let clean_output = run_cached(&bc, &dir.join("clean-cache"), &[], &[]).0;
+
+    let store = Store::open(&cache).unwrap();
+    let lpcf = |kind: &[u8; 4]| {
+        let mut b = b"LPCF".to_vec();
+        b.extend_from_slice(&2u32.to_le_bytes());
+        b.extend_from_slice(kind);
+        b.extend_from_slice(&[0x5A; 200]);
+        b
+    };
+    let mut v1_log = b"LPPL".to_vec();
+    v1_log.extend_from_slice(&1u32.to_le_bytes());
+    v1_log.extend_from_slice(&[0; 12]);
+    let log = cache.join(format!("profile-{hash:016x}.log"));
+    std::fs::write(store.profile_path(hash), lpcf(b"PROF")).unwrap();
+    std::fs::write(store.reopt_path(hash), lpcf(b"ROPT")).unwrap();
+    std::fs::write(&log, &v1_log).unwrap();
+
+    let (stdout, stderr) = run_cached(&bc, &cache, &[], &[]);
+    assert_eq!(stdout, clean_output);
+    assert!(!stderr.contains("using reoptimized module"), "{stderr}");
+    // One warning per class: the second file is in the "1 more" line.
+    assert!(stderr.contains("quarantined"), "{stderr}");
+    assert!(stderr.contains("1 more 'checksum-fail'"), "{stderr}");
+    assert_eq!(corrupt_files(&cache).len(), 2);
+    assert!(!log.exists(), "the old log was not swept");
+    let (_, stderr) = run_cached(&bc, &cache, &[], &[]);
+    assert!(!stderr.contains("quarantined"), "{stderr}");
+    assert_eq!(corrupt_files(&cache).len(), 2);
+    let stored = store
+        .load_profile(hash)
+        .unwrap()
+        .value
+        .expect("regenerated");
+    assert_eq!(stored.runs, 2, "exactly the two runs since");
+}
+
 // ---------------------------------------------------------------------
-// Store container fuzzing.
+// Store file fuzzing.
 // ---------------------------------------------------------------------
 
-#[test]
-fn mutated_store_containers_never_panic() {
-    struct Rng(SplitMix64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0.next()
+/// The largest single allocation this thread asked for while `WATCH` was
+/// on: a loader that believed a length field a mutant made up would show
+/// here as megabytes asked for on behalf of a file of a few hundred bytes.
+struct Watching;
+
+thread_local! {
+    static WATCH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    let _ = WATCH.try_with(|w| {
+        if w.get() {
+            let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
         }
-        fn usize(&mut self, bound: usize) -> usize {
-            self.0.below(bound as u64) as usize
-        }
+    });
+}
+
+unsafe impl std::alloc::GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        std::alloc::System.alloc(layout)
     }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+        note_alloc(new);
+        std::alloc::System.realloc(ptr, layout, new)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+/// Every store file kind — a profile with a history and two runs behind
+/// it, a reoptimized module, a deny record — cut at every offset, with
+/// every byte flipped, and under 2 000 random mutations: the damage is
+/// detected (a history, module or deny record that is not whole is never
+/// handed back; appended runs count up to the damage and not past it), no
+/// load panics, and none allocates on a mutant's say-so.
+#[test]
+fn mutated_store_files_never_panic() {
+    use lpat::vm::store::DenyRecord;
 
     let dir = fresh_dir("persist-fuzz");
     let cache = dir.join("cache");
     let m = build(200);
     let hash = module_hash(&m);
     let store = Store::open(&cache).unwrap();
-    lpat::vm::store::write_profile_file(&store.profile_path(hash), hash, &profile_of(&m), 1)
-        .unwrap();
-    store.save_reopt(hash, &m).unwrap();
+    let one = profile_of(&m);
+    lpat::vm::store::write_profile_file(&store.profile_path(hash), hash, &one, 1).unwrap();
     for _ in 0..2 {
-        FlushGuard::new(Some(&store), hash).set_delta(profile_of(&m));
+        FlushGuard::new(Some(&store), hash).set_delta(one.clone());
     }
-    let log = log_file(&cache);
-    let seeds = [
-        std::fs::read(store.profile_path(hash)).unwrap(),
-        std::fs::read(store.reopt_path(hash)).unwrap(),
-        std::fs::read(&log).unwrap(),
+    store.save_reopt(hash, &m).unwrap();
+    let deny = DenyRecord {
+        hash,
+        count: 2,
+        denied: true,
+        first_unix_ms: 1_000,
+        last_unix_ms: 2_000,
+    };
+    store.save_deny(&deny).unwrap();
+    let paths = [
+        store.profile_path(hash),
+        store.reopt_path(hash),
+        store.deny_path(hash),
     ];
+    let seeds = paths.clone().map(|p| std::fs::read(p).unwrap());
+    // One, two or three runs of a deterministic program: the only
+    // profiles a damaged file may still yield.
+    let folds: Vec<Vec<u8>> = (1..=3)
+        .map(|runs| {
+            let mut p = ProfileData::default();
+            (0..runs).for_each(|_| p.merge_saturating(&one));
+            p.to_bytes()
+        })
+        .collect();
 
-    let mut rng = Rng(SplitMix64(0xcafe_f00d));
+    // Park `bytes` at `paths[kind]`, load it, and hold the result against
+    // the clean file's. `damaged`: the mutation is known to have changed
+    // the file, so only a profile may still load, short of its last run.
+    let load = |kind: usize, bytes: &[u8], damaged: bool, what: &str| {
+        std::fs::write(&paths[kind], bytes).unwrap();
+        PEAK.set(0);
+        WATCH.set(true);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match kind {
+            0 => store.load_profile(hash).unwrap().value.map(|sp| {
+                assert_eq!(sp.profile.to_bytes(), folds[sp.runs as usize - 1], "{what}");
+                sp.runs
+            }),
+            1 => store.load_reopt(hash, "fuzz").unwrap().value.map(|back| {
+                assert_eq!(write_module(&back), write_module(&m), "{what}");
+                0
+            }),
+            _ => store.load_deny(hash).map(|back| {
+                assert_eq!(back, deny, "{what}");
+                0
+            }),
+        }));
+        WATCH.set(false);
+        let loaded = r.unwrap_or_else(|_| panic!("{what}: the load panicked"));
+        assert!(
+            PEAK.get() <= 1 << 20,
+            "{what}: a {}-byte file made the loader ask for {} bytes at once",
+            bytes.len(),
+            PEAK.get()
+        );
+        if damaged {
+            assert!(
+                kind == 0 && loaded < Some(3) || loaded.is_none(),
+                "{what}: damage went unnoticed"
+            );
+        }
+        for stale in corrupt_files(&cache) {
+            std::fs::remove_file(stale).unwrap();
+        }
+    };
+
+    for (kind, seed) in seeds.iter().enumerate() {
+        load(kind, seed, false, &format!("kind {kind}, clean"));
+        for at in 0..seed.len() {
+            load(kind, &seed[..at], true, &format!("kind {kind}, cut {at}"));
+            let mut flipped = seed.clone();
+            flipped[at] ^= 0xFF;
+            load(kind, &flipped, true, &format!("kind {kind}, flip {at}"));
+        }
+    }
+
+    let mut rng = SplitMix64(0xcafe_f00d);
+    let mut below = |bound: usize| rng.below(bound as u64) as usize;
     for i in 0..2_000u32 {
-        let mut buf = seeds[rng.usize(seeds.len())].clone();
-        for _ in 0..=rng.usize(4) {
-            match if buf.is_empty() { 3 } else { rng.usize(4) } {
+        let mut buf = seeds[below(seeds.len())].clone();
+        for _ in 0..=below(4) {
+            match if buf.is_empty() { 3 } else { below(4) } {
                 0 => {
-                    let p = rng.usize(buf.len());
-                    buf[p] ^= 1 << rng.usize(8);
+                    let p = below(buf.len());
+                    buf[p] ^= 1 << below(8);
                 }
                 1 => {
-                    let p = rng.usize(buf.len());
-                    buf[p] = rng.next() as u8;
+                    let p = below(buf.len());
+                    buf[p] = below(256) as u8;
                 }
-                2 => buf.truncate(rng.usize(buf.len() + 1)),
+                2 => buf.truncate(below(buf.len() + 1)),
                 _ => {
-                    let p = rng.usize(buf.len() + 1);
-                    buf.insert(p, rng.next() as u8);
+                    let p = below(buf.len() + 1);
+                    buf.insert(p, below(256) as u8);
                 }
             }
         }
-        // Park the mutant at all three paths; a load must classify or
-        // quarantine it — never panic, and never hand back a module or
-        // profile from a file that fails validation undetected.
-        std::fs::write(store.profile_path(hash), &buf).unwrap();
-        std::fs::write(store.reopt_path(hash), &buf).unwrap();
-        std::fs::write(&log, &buf).unwrap();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = store.load_profile(hash);
-            let _ = store.load_reopt(hash, "fuzz");
-        }));
-        assert!(
-            r.is_ok(),
-            "store load panicked on mutant {i} ({} bytes)",
-            buf.len()
-        );
-        for stale in corrupt_files(&cache) {
-            std::fs::remove_file(stale).unwrap();
+        // Park the mutant at all three paths: whatever loads must be what
+        // the clean files hold.
+        for kind in 0..paths.len() {
+            load(kind, &buf, false, &format!("mutant {i} as kind {kind}"));
         }
     }
 }
@@ -684,4 +833,80 @@ fn explicit_profile_files_accumulate_across_runs() {
         .unwrap();
     assert!(!out.status.success(), "stale profile must not be applied");
     assert!(String::from_utf8_lossy(&out.stderr).contains("stale"));
+}
+
+/// `lpatc reopt <bc> <source...> -o <out>`; returns stderr.
+fn reopt_to(bc: &Path, source: &[&str], out: &Path) -> String {
+    let o = lpatc()
+        .args(["reopt", bc.to_str().unwrap()])
+        .args(source)
+        .args(["-o", out.to_str().unwrap(), "--emit", "bc"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&o.stderr).into_owned();
+    assert!(o.status.success(), "reopt {source:?} failed:\n{stderr}");
+    stderr
+}
+
+/// One profile format: what `--profile-out` writes is a store's file, and
+/// a store's file — appended runs and all — is what `--profile-in` reads.
+#[test]
+fn profile_files_and_store_files_are_one_format() {
+    let dir = fresh_dir("persist-one-format");
+    let m = build(600);
+    let hash = module_hash(&m);
+    let bc = write_bc(&dir, &m);
+    let p = dir.join("p.lpp");
+    let ran = lpatc()
+        .args(["run", bc.to_str().unwrap(), "--profile-out"])
+        .arg(&p)
+        .output()
+        .unwrap();
+    assert!(ran.status.success());
+
+    // Byte for byte what a fresh store that saw the same run holds after
+    // a compaction.
+    let shipped = lpat::bytecode::read_module("app", &write_module(&m)).unwrap();
+    let fresh = Store::open(dir.join("fresh")).unwrap();
+    fresh.record_run(hash, &profile_of(&shipped)).unwrap();
+    fresh.compact(hash).unwrap();
+    assert_eq!(
+        std::fs::read(&p).unwrap(),
+        std::fs::read(fresh.profile_path(hash)).unwrap()
+    );
+
+    // Dropped into a cache directory it is that store's profile.
+    let planted = Store::open(dir.join("planted")).unwrap();
+    std::fs::copy(&p, planted.profile_path(hash)).unwrap();
+    let (via_store, via_file) = (dir.join("via-store.bc"), dir.join("via-file.bc"));
+    let cache = planted.dir().to_str().unwrap();
+    let stderr = reopt_to(&bc, &["--cache-dir", cache], &via_store);
+    assert!(stderr.contains("(1 runs of profile)"), "{stderr}");
+    assert!(!stderr.contains("quarantined"), "{stderr}");
+    reopt_to(&bc, &["--profile-in", p.to_str().unwrap()], &via_file);
+    assert_eq!(
+        std::fs::read(&via_store).unwrap(),
+        std::fs::read(&via_file).unwrap()
+    );
+
+    // And a store's file read as `--profile-in` holds every run logged in
+    // it, folded or not: a history of one run with two more behind it.
+    for _ in 0..2 {
+        run_cached(&bc, fresh.dir(), &[], &[]);
+    }
+    let logged = fresh.profile_path(hash);
+    let (h, stored) = lpat::vm::store::read_profile_file(&logged).unwrap();
+    assert_eq!((h, stored.runs), (hash, 3));
+    let (from_file, from_store) = (dir.join("from-file.bc"), dir.join("from-store.bc"));
+    let stderr = reopt_to(&bc, &["--profile-in", logged.to_str().unwrap()], &from_file);
+    assert!(stderr.contains("(3 runs of profile)"), "{stderr}");
+    reopt_to(
+        &bc,
+        &["--cache-dir", fresh.dir().to_str().unwrap()],
+        &from_store,
+    );
+    assert_eq!(
+        std::fs::read(&from_file).unwrap(),
+        std::fs::read(&from_store).unwrap()
+    );
 }

@@ -732,7 +732,7 @@ fn guard_merge_saturates_and_is_order_independent() {
                 .fold(0u64, |a, r| a.saturating_add(r.guard_misspec(id)));
             assert_eq!(fwd.guard_misspec(id), want_m, "case {case} id {id:#x}");
         }
-        // Order independence, down to the canonical container bytes the
+        // Order independence, down to the canonical profile bytes the
         // store would persist.
         let mut perm: Vec<usize> = (0..k).collect();
         for i in (1..k).rev() {

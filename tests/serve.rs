@@ -791,7 +791,8 @@ fn a_quarantined_store_file_is_counted_not_dropped() {
     let _ = std::fs::remove_dir_all(&cache);
     let metrics = tmp("quarantine-metrics.json");
     let _ = std::fs::remove_file(&metrics);
-    // A real base profile for ADD_PROG in the daemon's shard, torn in half.
+    // A real compacted profile for ADD_PROG in the daemon's shard, its
+    // folded history short of its last byte: damage no kill can cause.
     let m = lpat::asm::parse_module("module", ADD_PROG).unwrap();
     let hash = lpat::vm::module_hash(&m);
     {
@@ -805,9 +806,9 @@ fn a_quarantined_store_file_is_counted_not_dropped() {
         vm.run_main().unwrap();
         shard.record_run(hash, &vm.profile).unwrap();
         shard.compact(hash).unwrap();
-        let base = shard.profile_path(hash);
-        let bytes = std::fs::read(&base).unwrap();
-        std::fs::write(&base, &bytes[..bytes.len() / 2]).unwrap();
+        let profile = shard.profile_path(hash);
+        let bytes = std::fs::read(&profile).unwrap();
+        std::fs::write(&profile, &bytes[..bytes.len() - 1]).unwrap();
     }
     let mut d = Daemon::spawn(
         &[

@@ -143,9 +143,10 @@ fn run_trace_covers_subsystems() {
 }
 
 /// The store says what it did: a run's profile flush is an `append` span
-/// (with the bytes appended), a later load reports how many log records it
-/// folded, and `reopt`'s idle-time compaction is a `compact` span (with the
-/// records and log bytes it folded) — never a `write` of the profile.
+/// (with the bytes appended), a later load reports how many appended
+/// records it folded, and `reopt`'s idle-time compaction is a `compact`
+/// span (with the records and bytes it folded) — never a `write` of the
+/// profile.
 #[test]
 fn store_spans_tell_append_fold_and_compact_apart() {
     let dir = tmpdir("trace-store");
