@@ -461,6 +461,18 @@ pub struct FastSwitch {
     pub default: u32,
 }
 
+/// A speculation-guard site: a conditional branch [`FastEnv::guarded`]
+/// marked. The words are those of any conditional branch; the engine
+/// that loads the code decides what checking the guard means.
+#[derive(Clone, Debug)]
+pub struct FastGuard {
+    /// Word index of the branch's [`enc::CBNZ`].
+    pub word: u32,
+    /// IR instruction id of the branch (the key the speculation overlay
+    /// knows the guard by).
+    pub site: u32,
+}
+
 /// A translated function: the word buffer plus its side tables.
 #[derive(Clone, Debug)]
 pub struct FastFunc {
@@ -475,6 +487,8 @@ pub struct FastFunc {
     pub calls: Vec<FastCall>,
     /// Switch tables.
     pub switches: Vec<FastSwitch>,
+    /// Speculation-guard sites, in emission order.
+    pub guards: Vec<FastGuard>,
     /// Number of frame spill slots.
     pub n_slots: u32,
     /// Home and class of each formal argument.
@@ -493,8 +507,9 @@ pub struct FastEnv<'a> {
     pub func_addr: &'a dyn Fn(FuncId) -> u32,
     /// Address of a global by index, if the engine has laid it out.
     pub global_addr: &'a dyn Fn(usize) -> Option<u32>,
-    /// Whether a conditional branch carries a speculation guard — guarded
-    /// functions bail (deoptimisation is the JIT tier's job).
+    /// Whether a conditional branch carries a speculation guard. The
+    /// branch is encoded like any other and its `CBNZ` is listed in
+    /// [`FastFunc::guards`].
     pub guarded: &'a dyn Fn(InstId) -> bool,
 }
 
@@ -532,6 +547,7 @@ struct Tr<'a> {
     edges: Vec<FastEdge>,
     calls: Vec<FastCall>,
     switches: Vec<FastSwitch>,
+    guards: Vec<FastGuard>,
     homes: Vec<Option<(Home, Class)>>,
     arg_homes: Vec<(Home, Class)>,
     n_slots: u32,
@@ -540,8 +556,8 @@ struct Tr<'a> {
 /// Translate one function to native words in a single forward pass.
 ///
 /// `Err` means "this function stays on the JIT tier" — unsupported types
-/// or operations, speculation guards, or encoding limits. The error text
-/// names the first reason encountered.
+/// or operations, or encoding limits. The error text names the first
+/// reason encountered.
 pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc, String> {
     let f = m.func(fid);
     if f.is_declaration() {
@@ -654,6 +670,7 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: Vec::new(),
         calls: Vec::new(),
         switches: Vec::new(),
+        guards: Vec::new(),
         homes,
         arg_homes,
         n_slots: next_slot,
@@ -683,6 +700,7 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: tr.edges,
         calls: tr.calls,
         switches: tr.switches,
+        guards: tr.guards,
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
         homes: tr.homes,
@@ -865,9 +883,6 @@ impl<'a> Tr<'a> {
                 then_bb,
                 else_bb,
             } => {
-                if (self.env.guarded)(iid) {
-                    return Err("speculation guard".into());
-                }
                 self.acct(inst);
                 let c = self.opnd(*cond)?;
                 if c.class() != Class::Bool {
@@ -876,6 +891,12 @@ impl<'a> Tr<'a> {
                 let cr = self.use_reg(c, enc::R_S1);
                 let et = self.make_edge(b, *then_bb)?;
                 let ee = self.make_edge(b, *else_bb)?;
+                if (self.env.guarded)(iid) {
+                    self.guards.push(FastGuard {
+                        word: self.words.len() as u32,
+                        site: iid.index() as u32,
+                    });
+                }
                 self.word(enc::i(enc::CBNZ, 0, cr, et));
                 self.word(enc::e(enc::BR, ee));
                 Ok(())

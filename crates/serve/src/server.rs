@@ -1236,8 +1236,9 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
         ..VmOptions::default()
     };
     opts.input.extend(req.inputs.iter().copied());
-    // The wire has no way to ask for the JIT alone, the native tier,
-    // speculation or an explicit profile file.
+    // FLAG_TIERED is the whole ladder at its default thresholds, as
+    // `lpatc run --tiered` is. The wire has no way to ask for the JIT
+    // alone, other thresholds, speculation or an explicit profile file.
     let config = RunConfig {
         mode: if req.flags & FLAG_TIERED != 0 {
             Mode::Tiered

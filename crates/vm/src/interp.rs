@@ -88,9 +88,10 @@ pub struct VmOptions {
     pub tier_up: u64,
     /// Native (tier-3) promotion threshold for [`Vm::run_main_tiered`]:
     /// once a JIT-tier function's hotness counter exceeds this value it
-    /// is promoted again, to single-pass machine code. `None` (the
-    /// default) disables tier 3 entirely; `Some(0)` promotes every
-    /// JIT-tier function immediately.
+    /// is promoted again, to single-pass machine code. `Some(0)`
+    /// promotes every JIT-tier function immediately; a very large value
+    /// never does; `None` runs the two-tier ladder with no native
+    /// hotness counting at all (the differential tests' JIT-only legs).
     pub native_up: Option<u64>,
 }
 
@@ -103,14 +104,14 @@ impl Default for VmOptions {
             input: VecDeque::new(),
             max_stack: 10_000,
             tier_up: 50,
-            native_up: None,
+            native_up: Some(200),
         }
     }
 }
 
 /// Speculation statistics: how the guards emitted by the speculative
 /// optimizer behaved at run time. Engine-independent — the interpreter,
-/// the JIT, and the tiered engine all record through the same
+/// the JIT and machine code all record through the same
 /// [`Vm::guard_check`] path.
 #[derive(Clone, Debug, Default)]
 pub struct SpecStats {
@@ -122,8 +123,9 @@ pub struct SpecStats {
     pub passed: u64,
     /// Guard executions that failed (misspeculation).
     pub failed: u64,
-    /// Deoptimizations: guard failures under the tiered engine that
-    /// rebuilt an interpreter frame from the translated one.
+    /// Deoptimizations: guard failures on the tiered engine's JIT rung,
+    /// each of which rebuilt an interpreter frame from the translated one
+    /// (machine code takes the slow path in place and never counts here).
     pub deopts: u64,
 }
 
@@ -194,7 +196,7 @@ pub struct Vm<'m> {
     /// call or promotion, reused across `run_*` invocations).
     pub(crate) jit_cache: Vec<Option<std::rc::Rc<crate::jit::LowFunc>>>,
     /// Native (tier-3) translation cache, dense over `FuncId`.
-    pub(crate) native_cache: Vec<Option<std::rc::Rc<crate::native::NatCode>>>,
+    pub(crate) native_cache: Vec<crate::native::NativeSlot>,
     /// Free-list arena of native spill-slot slabs (see `jit_reg_pool`).
     pub(crate) native_slot_pool: Vec<Vec<u32>>,
     /// Per-function tier state, dense over `FuncId`.
@@ -248,7 +250,7 @@ impl<'m> Vm<'m> {
             spec: None,
             global_addrs,
             jit_cache: vec![None; m.num_funcs()],
-            native_cache: vec![None; m.num_funcs()],
+            native_cache: vec![crate::native::NativeSlot::Untried; m.num_funcs()],
             native_slot_pool: Vec::new(),
             tier: vec![crate::tier::TierCell::Cold(0); m.num_funcs()],
             jit_reg_pool: Vec::new(),
@@ -315,8 +317,8 @@ impl<'m> Vm<'m> {
     /// force the fail side (modeling 100% misspeculation) without
     /// touching the condition's dataflow value, so forced failures stay
     /// observationally equivalent across engines. Shared by the
-    /// interpreter and the JIT so counters and the persisted guard
-    /// profile are engine-independent.
+    /// interpreter, the JIT and the native tier so counters and the
+    /// persisted guard profile are engine-independent.
     pub(crate) fn guard_check(&mut self, guard: u32, actual: bool) -> bool {
         let pass = match lpat_core::faultpoint!("spec.guard") {
             Some(lpat_core::FaultAction::Delay(d)) => {

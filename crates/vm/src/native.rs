@@ -29,6 +29,14 @@
 //!   scalars from class-tagged registers, so externals, profile
 //!   counters, invoke edges and unwinding behave identically.
 //!
+//! * **speculation guards** — a guarded conditional branch is encoded
+//!   like any other; [`decode`] rewrites its `CBNZ` to the decoded-only
+//!   [`OP_GUARD`], whose arm asks the one shared `Vm::guard_check` (same
+//!   counters, same `spec.guard` fault site) which way to go. A failing
+//!   guard falls through to the slow path *in machine code* — the slow
+//!   path is ordinary code of the same function — so nothing is
+//!   deoptimised from a native frame.
+//!
 //! Values whose class the native model cannot carry exactly never cross
 //! a boundary: `translate_fast` bails the whole function and the tier
 //! ladder leaves it on the JIT tier (see `tier.rs`).
@@ -51,7 +59,8 @@ use lpat_codegen::fast::{
     Home, Src,
 };
 use lpat_core::trace;
-use lpat_core::{FuncId, IntKind};
+use lpat_core::{FuncId, InstId, IntKind, Module};
+use lpat_transform::SpecMap;
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
@@ -76,6 +85,17 @@ struct NOp {
     extra: u16,
     acct: u16,
     imm: u32,
+}
+
+/// Decoded-only opcode (no risc32 word encodes it): a `CBNZ` that is a
+/// speculation guard. `imm` indexes [`NatCode::guards`].
+const OP_GUARD: u8 = 0xF0;
+
+/// A decoded guard: its ordinal in the installed `SpecMap` (what
+/// `Vm::guard_check` counts under) and the edge taken when it passes.
+struct NatGuard {
+    ordinal: u32,
+    pass: u32,
 }
 
 /// A decoded edge: φ-copies (already sequentialised by the encoder), the
@@ -103,17 +123,31 @@ pub(crate) struct NatCode {
     edges: Vec<NatEdge>,
     calls: Vec<NatCall>,
     switches: Vec<FastSwitch>,
+    guards: Vec<NatGuard>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
     homes: Vec<Option<(Home, Class)>>,
 }
 
+/// What the native translation cache holds for one function.
+#[derive(Clone)]
+pub(crate) enum NativeSlot {
+    /// Never hot enough to be tried.
+    Untried,
+    /// Translated and decoded.
+    Code(Rc<NatCode>),
+    /// Refused, with the translator's (or the `native.translate` fault
+    /// site's) message: the function stays on the JIT tier.
+    Refused(String),
+}
+
 /// Decode the word buffer into the dense dispatch form. Accounting words
 /// disappear into the following op's `acct` tag; branch targets are
-/// remapped from word indices to decoded indices, and each edge gets its
-/// counter slot (a VM-side table: the emitted words do not change).
-fn decode(ff: FastFunc, f: &lpat_core::Function) -> NatCode {
-    let layout = EdgeLayout::new(f);
+/// remapped from word indices to decoded indices, each edge gets its
+/// counter slot and each guard site its `spec` ordinal (VM-side tables:
+/// the emitted words do not change).
+fn decode(ff: FastFunc, m: &Module, fid: FuncId, spec: Option<&SpecMap>) -> NatCode {
+    let layout = EdgeLayout::new(m.func(fid));
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
     let mut pending: u16 = 0;
@@ -145,6 +179,19 @@ fn decode(ff: FastFunc, f: &lpat_core::Function) -> NatCode {
         pending = 0;
     }
     word_to_dec.push(ops.len() as u32);
+    let mut guards = Vec::with_capacity(ff.guards.len());
+    for g in &ff.guards {
+        let site = InstId::from_index(g.site as usize);
+        if let Some(ordinal) = spec.and_then(|s| s.ordinal_at(fid, site)) {
+            let op = &mut ops[word_to_dec[g.word as usize] as usize];
+            guards.push(NatGuard {
+                ordinal: ordinal as u32,
+                pass: op.imm,
+            });
+            op.op = OP_GUARD;
+            op.imm = guards.len() as u32 - 1;
+        }
+    }
     let block_dec = ff
         .block_word
         .iter()
@@ -174,6 +221,7 @@ fn decode(ff: FastFunc, f: &lpat_core::Function) -> NatCode {
         edges,
         calls,
         switches: ff.switches,
+        guards,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
         homes: ff.homes,
@@ -270,7 +318,7 @@ impl<'m> Vm<'m> {
     /// translation error, which the tier ladder answers with permanent
     /// demotion to the JIT tier (the program keeps running).
     pub(crate) fn ensure_native_translated(&mut self, f: FuncId) -> Result<Rc<NatCode>, ExecError> {
-        if let Some(nc) = &self.native_cache[f.index()] {
+        if let NativeSlot::Code(nc) = &self.native_cache[f.index()] {
             return Ok(nc.clone());
         }
         let mut sp = if trace::enabled() {
@@ -298,7 +346,7 @@ impl<'m> Vm<'m> {
             Ok(nc) => {
                 self.tier_stats.native_translated += 1;
                 let rc = Rc::new(nc);
-                self.native_cache[f.index()] = Some(rc.clone());
+                self.native_cache[f.index()] = NativeSlot::Code(rc.clone());
                 Ok(rc)
             }
             Err(e) => {
@@ -313,9 +361,30 @@ impl<'m> Vm<'m> {
                         ],
                     );
                 }
+                let reason = match &e {
+                    ExecError::Trap { message, .. } => message.clone(),
+                    other => other.to_string(),
+                };
+                self.native_cache[f.index()] = NativeSlot::Refused(reason);
                 Err(e)
             }
         }
+    }
+
+    /// Every function the native backend refused, in function-index
+    /// order, with the reason — `--stats`' answer to "why is this not
+    /// machine code".
+    pub fn native_refusals(&self) -> impl Iterator<Item = (&str, &str)> {
+        let m = self.module();
+        self.native_cache
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| match slot {
+                NativeSlot::Refused(reason) => {
+                    Some((m.func(FuncId::from_index(i)).name.as_str(), reason.as_str()))
+                }
+                _ => None,
+            })
     }
 
     fn translate_native(&self, f: FuncId) -> Result<NatCode, ExecError> {
@@ -327,7 +396,7 @@ impl<'m> Vm<'m> {
             guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
         };
         match translate_fast(m, f, &env) {
-            Ok(ff) => Ok(decode(ff, m.func(f))),
+            Ok(ff) => Ok(decode(ff, m, f, spec)),
             Err(e) => Err(ExecError::trap(
                 TrapKind::Invalid,
                 format!("native backend: {e}"),
@@ -638,6 +707,13 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     // Skip the paired fall-through BR.
                     fr.pc += 1;
                     take_nat_edge(vm, fr, &code, op.imm as usize);
+                }
+            }
+            OP_GUARD => {
+                let g = &code.guards[op.imm as usize];
+                if vm.guard_check(g.ordinal, fr.regs[b] != 0) {
+                    fr.pc += 1;
+                    take_nat_edge(vm, fr, &code, g.pass as usize);
                 }
             }
             enc::SWITCH => {

@@ -157,7 +157,9 @@ pub enum Mode {
     Interp,
     /// Translate every function on first call.
     Jit,
-    /// Start interpreted, promote hot functions.
+    /// Start interpreted; promote hot functions to the JIT and, while
+    /// they stay hot, to machine code (`VmOptions::tier_up`, then
+    /// `native_up`).
     Tiered,
 }
 

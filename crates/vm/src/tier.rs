@@ -18,6 +18,16 @@
 //! * A translation failure **demotes** the function permanently: it keeps
 //!   interpreting, execution continues (pure-JIT mode instead fails the
 //!   run, preserving its historical semantics).
+//! * A function that stays hot on the JIT tier — `VmOptions::native_up`
+//!   more calls and back-edges — is promoted again, to machine code
+//!   ([`crate::native`]), its running activations switched at the next
+//!   loop header. A refusal by that backend leaves it on the JIT tier for
+//!   good (`NativeDemoted`; [`Vm::native_refusals`] says why).
+//! * A speculation guard that fails in a JIT frame **deoptimises** it to
+//!   an interpreter frame at the slow block. The interpreter re-enters
+//!   translated code at the next loop header in every state that has
+//!   some, so a deopt costs the rest of one iteration. Machine code has
+//!   no such exit: there a failing guard takes its slow path in place.
 //! * Interpreted and translated frames interleave freely on one call
 //!   stack in both directions — interpreted caller → JIT'd callee,
 //!   JIT'd caller → (cold) interpreted callee — including across
@@ -488,9 +498,10 @@ impl<'m> Vm<'m> {
                 StepResult::Jumped => {
                     // A back-edge (jump to the same or an earlier block)
                     // marks a loop iteration: bump the hotness counter,
-                    // and if the function is (or just became) hot, switch
-                    // this activation to translated or native code at the
-                    // header (OSR).
+                    // and if the function has (or just got) translated
+                    // code, switch this activation to it at the header
+                    // (OSR). `NativeDemoted` counts: a frame a failed
+                    // guard deoptimised climbs back to the JIT here.
                     if let MixedMode::Tiered {
                         threshold,
                         native_up,
@@ -499,7 +510,10 @@ impl<'m> Vm<'m> {
                         if fr.block.index() <= block.index() {
                             let f = fr.func;
                             self.tier_bump(f, threshold, native_up);
-                            if matches!(self.tier[f.index()], TierCell::Hot(_) | TierCell::Native) {
+                            if matches!(
+                                self.tier[f.index()],
+                                TierCell::Hot(_) | TierCell::Native | TierCell::NativeDemoted
+                            ) {
                                 return Ok(After::Osr);
                             }
                         }
@@ -819,7 +833,8 @@ impl<'m> Vm<'m> {
             }
             Err(_) => {
                 // `ensure_native_translated` already emitted the
-                // bail-to-jit instant with the error.
+                // bail-to-jit instant with the error, and kept the
+                // reason for `Vm::native_refusals`.
                 self.tier[f.index()] = TierCell::NativeDemoted;
                 self.tier_stats.native_demoted += 1;
                 if trace::enabled() {

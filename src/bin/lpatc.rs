@@ -8,7 +8,7 @@
 //! lpatc link    <in...> -o out      [--emit text|bc] [-O]
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
-//!               [--jit | --tiered] [--tier-up N] [--tier-native] [--native-up N]
+//!               [--jit | --tiered] [--tier-up N] [--native-up N]
 //!               [--speculate] [--spec-threshold N]
 //!               [--cache-dir DIR] [--profile-in F] [--profile-out F]
 //! lpatc reopt   <in>    [--cache-dir DIR] [--profile-in F] [-o out] [--jobs N]
@@ -46,34 +46,35 @@
 //!
 //! # Tiered execution
 //!
-//! `run --tiered` starts every function in the profiling interpreter and
-//! promotes it to the translated tier once its hotness counter (calls +
-//! loop back-edges) exceeds the threshold (`--tier-up N`, which implies
-//! `--tiered`).
-//! `--tier-native` enables the third tier: a function that stays hot on
-//! the JIT tier is translated once more — by the single-pass backend in
-//! `lpat_codegen::fast` — to risc32 machine code and executed by the
-//! fuel-metered emulator in `lpat_vm::native`. `--native-up N` sets the
-//! extra hotness required after JIT promotion (it implies
-//! `--tier-native`; without it the JIT threshold is reused). With a
+//! `run --tiered` climbs three tiers. Every function starts in the
+//! profiling interpreter and is promoted to the translated (JIT) tier
+//! once its hotness counter (calls + loop back-edges) exceeds the
+//! threshold (`--tier-up N`, which implies `--tiered`). A function that
+//! stays hot there is translated once more — by the single-pass backend
+//! in `lpat_codegen::fast` — to risc32 machine code and executed by the
+//! fuel-metered emulator in `lpat_vm::native`; `--native-up N` sets the
+//! extra hotness that takes after JIT promotion (default 200; it implies
+//! `--tiered`, and a huge value means "never", as for `--tier-up`). With a
 //! lifelong store (`--cache-dir`) or `--profile-in`, functions recorded
 //! hot in *prior* runs are translated eagerly at load (warm-start), so a
 //! repeat run skips the warm-up entirely. `--stats` prints a per-tier
-//! instruction table. Tiered execution is observationally identical to
-//! the plain interpreter at any threshold, machine-code tier included.
+//! instruction table and, for each function the native backend refused,
+//! why. Tiered execution is observationally identical to the plain
+//! interpreter at any threshold, machine-code tier included.
 //!
 //! # Speculative PGO
 //!
 //! `run --speculate` consults the accumulated profile and speculatively
 //! devirtualizes hot indirect calls / specializes hot functions on
 //! observed constant arguments, protecting each assumption with a guard.
-//! A failed guard deoptimizes back to the interpreter (under `--tiered`)
-//! or falls through to the generic path. Per-guard misspeculation counts
-//! flow back into the lifelong store; `reopt --speculate` reports the
-//! offline plan — which guards the profile justifies and which are
-//! *retracted* because their misspeculation rate exceeds
-//! `--spec-threshold` percent (default 25) — byte-identically to the
-//! in-memory decision at any `--jobs`. Speculation is an in-memory
+//! A failed guard falls through to the generic path; on the JIT rung of
+//! `--tiered` it first deoptimizes the frame to the interpreter, which
+//! re-enters translated code at the next loop header. Per-guard
+//! misspeculation counts flow back into the lifelong store; `reopt
+//! --speculate` reports the offline plan — which guards the profile
+//! justifies and which are *retracted* because their misspeculation rate
+//! exceeds `--spec-threshold` percent (default 25) — byte-identically to
+//! the in-memory decision at any `--jobs`. Speculation is an in-memory
 //! overlay: the stored module and its profile stay unspeculated.
 //!
 //! # Lifelong persistence
@@ -110,7 +111,7 @@ const INPUT_ONLY: Flags = Flags {
 };
 
 const RUN: Flags = Flags {
-    switches: "-O -O2 --profile --jit --tiered --tier-native --speculate",
+    switches: "-O -O2 --profile --jit --tiered --speculate",
     valued: "--jobs --fuel --input --max-stack --tier-up --native-up --spec-threshold \
              --cache-dir --profile-in --profile-out",
 };
@@ -192,8 +193,7 @@ fn usage() {
          flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
          \x20      --jobs N, --verify-each, --time-passes,\n\
          \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-         \x20      --profile, --jit, --tiered, --tier-up N,\n\
-         \x20      --tier-native, --native-up N,\n\
+         \x20      --profile, --jit, --tiered, --tier-up N, --native-up N,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
          \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
          \x20      --profile-out FILE, --hot-threshold N,\n\
@@ -317,17 +317,13 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     if let Some(n) = tier_up {
         opts.tier_up = n;
     }
-    // `--native-up N` implies `--tier-native`, and either implies
-    // `--tiered`: the machine-code tier only exists above the tiered
-    // engine's JIT tier. Without an explicit threshold the native tier
-    // reuses the JIT threshold (counted again from the moment of JIT
-    // promotion).
+    // `--native-up N` implies `--tiered` too: it is the second rung of
+    // the same ladder.
     let native_up = args.parsed("--native-up")?;
-    let use_native = args.has("--tier-native") || native_up.is_some();
-    if use_native {
-        opts.native_up = Some(native_up.unwrap_or(opts.tier_up));
+    if let Some(n) = native_up {
+        opts.native_up = Some(n);
     }
-    let mode = if args.has("--tiered") || tier_up.is_some() || use_native {
+    let mode = if args.has("--tiered") || tier_up.is_some() || native_up.is_some() {
         Mode::Tiered
     } else if args.has("--jit") {
         Mode::Jit
@@ -419,6 +415,9 @@ fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
     if tiered {
         out.push_str("\n[tier]\n");
         out.push_str(&vm.tier_stats.render());
+        for (name, reason) in vm.native_refusals() {
+            let _ = writeln!(out, "  not native: @{name}: {reason}");
+        }
     }
     if speculating {
         out.push_str("\n[spec]\n");

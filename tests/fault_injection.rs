@@ -500,13 +500,16 @@ x:
             "tier.deopt" => {
                 // Frame reconstruction panics on the guard exit: the
                 // function demotes, execution continues in translated
-                // code, and the answer is unchanged.
+                // code, and the answer is unchanged. Deoptimisation is
+                // the JIT rung's answer to a failed guard, so the native
+                // rung is put out of reach.
                 let out = lpatc()
                     .arg("run")
                     .arg(&p)
                     .arg("--profile-in")
                     .arg(&prof)
                     .args(["--speculate", "--tier-up", "1", "--stats"])
+                    .args(["--native-up", &u64::MAX.to_string()])
                     .args(["--inject-faults", "tier.deopt:panic"])
                     .output()
                     .unwrap();

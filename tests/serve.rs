@@ -706,9 +706,9 @@ fn the_cli_and_the_daemon_are_the_same_program() {
                     String::from_utf8_lossy(&out.stderr).into_owned(),
                 )
             };
-            let run_both = |step: &str| {
-                let local = lpatc(&["run", &src, "--tiered", "--cache-dir", &a]);
-                let remote = lpatc(&["remote", "run", &src, "--tiered", "--connect", &addr]);
+            let run_both_on = |src: &str, step: &str| {
+                let local = lpatc(&["run", src, "--tiered", "--cache-dir", &a]);
+                let remote = lpatc(&["remote", "run", src, "--tiered", "--connect", &addr]);
                 assert_eq!(local.0, remote.0, "{ctx}, {step}: exit code");
                 assert_eq!(local.1, remote.1, "{ctx}, {step}: stdout");
                 assert_eq!(
@@ -718,6 +718,7 @@ fn the_cli_and_the_daemon_are_the_same_program() {
                 );
                 (local.2, remote.2)
             };
+            let run_both = |step: &str| run_both_on(&src, step);
             run_both("run 1");
             run_both("run 2");
             let (a_out, b_out) = (path("a.bc"), path("b.bc"));
@@ -756,6 +757,31 @@ fn the_cli_and_the_daemon_are_the_same_program() {
             assert!(
                 remote_err.contains("served from reopt cache"),
                 "{ctx}: {remote_err}"
+            );
+            // `--tiered` and the wire's FLAG_TIERED are one ladder, machine
+            // code included: a kernel hot enough to climb all of it is
+            // answered with the same output and instruction count.
+            let kernel = path("kernel.mc");
+            std::fs::write(
+                &kernel,
+                "extern void print_int(int v);
+                 int step(int a, int i) { return (a * 31 + i) % 65521; }
+                 int main() {
+                   int i; int a; i = 0; a = 1;
+                   while (i < 20000) { a = step(a, i); i = i + 1; }
+                   print_int(a); return a % 100;
+                 }",
+            )
+            .unwrap();
+            run_both_on(&kernel, "kernel");
+            let stats = lpatc(&["run", &kernel, "--tiered", "--stats"]).2;
+            let native: Option<u64> = stats
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix("native insts"))
+                .and_then(|rest| rest.split_whitespace().next()?.parse().ok());
+            assert!(
+                native.is_some_and(|n| n > 0),
+                "{ctx}: the kernel never reached machine code:\n{stats}"
             );
             assert!(d.alive());
             // Every profile and reopt file, byte for byte.

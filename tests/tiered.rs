@@ -67,6 +67,20 @@ fn observe_fueled(
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
     fuel: u64,
 ) -> Observed {
+    observe_counted(m, engine, tier_up, native_up, warm, spec, fuel).0
+}
+
+/// [`observe_fueled`], and the engine's own account of how it got there
+/// (which is *not* engine-independent).
+fn observe_counted(
+    m: &lpat::core::Module,
+    engine: &str,
+    tier_up: u64,
+    native_up: Option<u64>,
+    warm: Option<&lpat::vm::ProfileData>,
+    spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
+    fuel: u64,
+) -> (Observed, lpat::vm::TierStats, lpat::vm::SpecStats) {
     let opts = VmOptions {
         profile: true,
         fuel: Some(fuel),
@@ -92,14 +106,15 @@ fn observe_fueled(
         Err(ExecError::Trap { kind, .. }) => Err(kind),
         Err(other) => panic!("unexpected error class: {other}"),
     };
-    Observed {
+    let seen = Observed {
         outcome,
         output: vm.output.clone(),
         insts: vm.insts_executed,
         fuel_left: vm.opts.fuel,
         opcode_counts: vm.opcode_counts.to_vec(),
         profile: vm.profile.clone(),
-    }
+    };
+    (seen, vm.tier_stats.clone(), vm.spec_stats.clone())
 }
 
 /// The thresholds every differential case runs at: full-JIT-equivalent,
@@ -216,10 +231,10 @@ fn warm_start_promotes_hot_functions_eagerly() {
     vm2.run_main_tiered()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     // The warm run starts hot: it never needs OSR for the functions the
-    // profile already identified.
+    // profile already identified, so less of it is interpreted.
     assert!(
-        vm2.tier_stats.jit_insts >= vm.tier_stats.jit_insts,
-        "{name}: warm run executed fewer JIT instructions than cold"
+        vm2.tier_stats.interp_insts <= vm.tier_stats.interp_insts,
+        "{name}: warm run interpreted more instructions than cold"
     );
 }
 
@@ -755,9 +770,11 @@ x:
 // ---------------------------------------------------------------------
 // Speculation differentials: a speculated module (guards installed as an
 // in-memory overlay) must stay observationally identical across the
-// interpreter, the tiered engine at every threshold, and the full JIT —
-// fuel, opcode histogram, and profile counters included. Guard failure
-// in translated code deoptimizes back to the interpreter frame.
+// interpreter, the tiered engine at every threshold, the full JIT and
+// the machine-code tier — fuel, opcode histogram, and profile counters
+// included. A guard failing in a JIT frame of the tiered engine
+// deoptimizes it to an interpreter frame, which climbs back at the next
+// loop header; in machine code it takes the slow path in place.
 // ---------------------------------------------------------------------
 
 /// Hot monomorphic dispatch loop with a polymorphic tail: the guard the
@@ -840,8 +857,6 @@ fn speculated_tiered_matches_interp_at_every_threshold() {
     for t in THRESHOLDS {
         let tiered = observe_spec(&sm, "tiered", t, None, Some(&map));
         assert_eq!(reference, tiered, "speculated run diverged at tier_up={t}");
-        // Guarded functions bail out of the native translator and stay on
-        // the JIT tier, so the answer survives the third tier too.
         let native = observe_full(&sm, "tiered", t, Some(t), None, Some(&map));
         assert_eq!(
             reference, native,
@@ -850,14 +865,172 @@ fn speculated_tiered_matches_interp_at_every_threshold() {
     }
     let jit = observe_spec(&sm, "jit", 0, None, Some(&map));
     assert_eq!(reference, jit, "speculated run diverged under full JIT");
+
+    // A guard is no reason to stay off the native tier: promoted on first
+    // call, the guarded `disp` and everything around it run as machine
+    // code, and the one failing guard takes its slow path there.
+    let (seen, t, sp) = observe_counted(&sm, "tiered", 0, Some(0), None, Some(&map), 20_000_000);
+    assert_eq!(t.native_demoted, 0, "{t:?}");
+    assert!(
+        t.native_insts * 10 > seen.insts * 9,
+        "guarded code is not native: {t:?}"
+    );
+    assert!(sp.failed >= 1, "{sp:?}");
+    assert_eq!(sp.deopts, 0, "{sp:?}");
+}
+
+/// A loop whose body makes an indirect call that goes to `@alpha` nine
+/// times in ten: speculation puts a guard *inside the loop of `main`*,
+/// failing on every tenth iteration. `extra` is spliced into the loop
+/// body (an instruction the native backend refuses keeps `main` on the
+/// JIT rung).
+fn loop_guard_workload(extra: &str) -> (lpat::core::Module, std::rc::Rc<lpat::transform::SpecMap>) {
+    let src = format!(
+        "
+declare void @print_int(int)
+define internal int @alpha(int %x) {{
+e:
+  %r = add int %x, 1
+  ret int %r
+}}
+define internal int @beta(int %x) {{
+e:
+  %r = mul int %x, 2
+  ret int %r
+}}
+define int @main() {{
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %call ]
+  %s = phi int [ 0, %e ], [ %s2, %call ]
+  %c = setlt int %i, {LOOP_GUARD_ITERS}
+  br bool %c, label %b, label %x
+b:
+{extra}
+  %r = rem int %i, 10
+  %z = seteq int %r, 9
+  br bool %z, label %rare, label %call
+rare:
+  br label %call
+call:
+  %fp = phi int (int)* [ @beta, %rare ], [ @alpha, %b ]
+  %v = call int %fp(int %i)
+  %s2 = add int %s, %v
+  %i2 = add int %i, 1
+  br label %h
+x:
+  %m = rem int %s, 97
+  call void @print_int(int %m)
+  ret int %m
+}}"
+    );
+    let m = parse(&src);
+    let profiled = observe(&m, "interp", 0, None);
+    let mut sm = m.clone();
+    let (map, _) = lpat::transform::speculate::speculate(
+        &mut sm,
+        &profiled.profile.to_spec_profile(),
+        &lpat::transform::SpecOptions::default(),
+    );
+    sm.verify()
+        .unwrap_or_else(|e| panic!("speculated module broken: {e:?}"));
+    let main = sm.func_by_name("main").unwrap();
+    assert!(
+        map.guards.iter().any(|g| g.func == main),
+        "no guard landed in main's loop"
+    );
+    (sm, std::rc::Rc::new(map))
+}
+
+const LOOP_GUARD_ITERS: u64 = 2000;
+
+/// A deoptimised frame climbs back. `main` carries a guard in its loop
+/// and cannot go native for an unrelated reason (a 64-bit compare), so
+/// every failing guard deoptimises its JIT frame. That costs the rest of
+/// one iteration in the interpreter — at the next loop header the frame
+/// re-enters translated code — not the rest of the run.
+#[test]
+fn a_deoptimised_frame_re_enters_translated_code_at_the_next_loop_header() {
+    let (sm, map) = loop_guard_workload(
+        "  %w = cast int %i to long
+  %big = setgt long %w, 100000",
+    );
+    let reference = observe_spec(&sm, "interp", 0, None, Some(&map));
+    // Instructions per iteration, callee included: what one deopt can
+    // cost at most.
+    let body = reference.insts / LOOP_GUARD_ITERS + 1;
+    for native_up in [Some(1), None] {
+        let (got, t, sp) =
+            observe_counted(&sm, "tiered", 1, native_up, None, Some(&map), 20_000_000);
+        if native_up.is_some() {
+            assert_eq!(t.native_demoted, 1, "main should be refused: {t:?}");
+        }
+        assert!(
+            sp.deopts >= LOOP_GUARD_ITERS / 10 - 2,
+            "native_up={native_up:?}: the guard should deoptimise every tenth iteration: {sp:?}"
+        );
+        assert!(
+            t.osr >= sp.deopts,
+            "native_up={native_up:?}: {} deopts but {} re-entries",
+            sp.deopts,
+            t.osr
+        );
+        // The cold start interprets a few iterations and calls on top.
+        assert!(
+            t.interp_insts <= 2 * body * (sp.deopts + 8),
+            "native_up={native_up:?}: {} instructions interpreted for {} deopts of a \
+             {body}-instruction body: {t:?}",
+            t.interp_insts,
+            sp.deopts
+        );
+        assert_eq!(reference, got, "native_up={native_up:?}");
+    }
+}
+
+/// Fuel runs dry on every instruction of a native loop iteration in
+/// turn, the guard's own `CondBr` among them: the branch is charged
+/// before the guard is checked, so a run that stops there has counted
+/// neither a pass nor a failure — as in the interpreter.
+#[test]
+fn fuel_running_dry_on_a_native_guard_matches_interp() {
+    let (sm, map) = loop_guard_workload("");
+    let full = observe_spec(&sm, "interp", 0, None, Some(&map));
+    let gid = map.guards[0].id;
+    let body = full.insts / LOOP_GUARD_ITERS + 1;
+    // Iterations 8 and 9 of the loop: a passing and a failing guard.
+    let mut guard_counts = std::collections::BTreeSet::new();
+    for fuel in 8 * body..10 * body + 2 {
+        let reference = observe_fueled(&sm, "interp", 0, None, None, Some(&map), fuel);
+        assert_eq!(reference.outcome, Err(TrapKind::OutOfFuel));
+        let native = observe_fueled(&sm, "tiered", 0, Some(0), None, Some(&map), fuel);
+        assert_eq!(
+            reference.profile.to_bytes(),
+            native.profile.to_bytes(),
+            "fuel={fuel}: profile bytes"
+        );
+        assert_eq!(reference, native, "fuel={fuel}");
+        guard_counts.insert((
+            native.profile.guard_exec(gid),
+            native.profile.guard_misspec(gid),
+        ));
+    }
+    // The window stepped across guard executions of both kinds, so some
+    // fuel value in it ran dry exactly on the guard's branch.
+    assert!(guard_counts.len() >= 3, "{guard_counts:?}");
+    assert!(guard_counts.iter().any(|&(_, failed)| failed > 0));
 }
 
 #[test]
 fn guard_failure_in_translated_code_deoptimizes() {
+    // Deoptimisation is what the JIT rung does with a failed guard;
+    // machine code takes the slow path in place, so the native rung is
+    // switched off here.
     let (sm, map) = speculated_workload();
     let opts = VmOptions {
         profile: true,
         tier_up: 1,
+        native_up: None,
         ..VmOptions::default()
     };
     let mut vm = Vm::new(&sm, opts).unwrap();
@@ -915,17 +1088,25 @@ fn speculated_suite_matches_interp() {
             "{name}: answer changed"
         );
         assert_eq!(reference.output, profiled.output, "{name}: output changed");
-        for t in [1, 50] {
-            let tiered = observe_spec(&sm, "tiered", t, None, Some(&map));
-            assert_eq!(reference, tiered, "{name} diverged at tier_up={t}");
+        for t in [0, 1, 50] {
+            for native_up in [None, Some(t)] {
+                let tiered = observe_full(&sm, "tiered", t, native_up, None, Some(&map));
+                assert_eq!(
+                    reference, tiered,
+                    "{name} diverged at tier_up={t} native_up={native_up:?}"
+                );
+            }
         }
     }
 }
 
 /// Forced 100% guard failure: with `spec.guard:corrupt` every guard
 /// takes its slow path, so a speculated run must still print the plain
-/// run's answer — interpreted or tiered (where every failure is a
-/// deopt) — with identical instruction counts between the two engines.
+/// run's answer — interpreted, on the default ladder, or as machine code
+/// from the first call — and leave what the interpreter leaves:
+/// instruction count (so fuel), opcode table, and the profile file's
+/// bytes, per-guard executions and misspeculations included. Fault plans
+/// are process-global, hence the subprocesses.
 #[test]
 fn forced_guard_failure_is_observationally_clean() {
     let p = tmp("spec_fault.ll");
@@ -939,32 +1120,157 @@ fn forced_guard_failure_is_observationally_clean() {
         .args(["--quiet"])
         .output()
         .unwrap();
-    let insts_of = |stderr: &[u8]| -> String {
+    // What a run leaves on stderr that is the same on every engine: the
+    // instruction count and the opcode table.
+    let engine_independent = |stderr: &[u8]| -> Vec<String> {
         let s = String::from_utf8_lossy(stderr);
-        s.lines()
-            .find(|l| l.contains("instructions]"))
-            .unwrap_or_else(|| panic!("no instruction count in:\n{s}"))
-            .to_string()
+        let kept: Vec<String> = s
+            .lines()
+            .filter(|l| l.contains("instructions]") || l.trim_start().starts_with("vm.op."))
+            .map(str::to_string)
+            .collect();
+        assert!(
+            kept.len() > 2,
+            "no instruction count or opcode table in:\n{s}"
+        );
+        kept
     };
-    let run = |extra: &[&str]| {
+    let run = |leg: &str, extra: &[&str]| {
+        let out_prof = tmp(&format!("spec_fault.{leg}.prof"));
         let mut c = lpatc();
         c.arg("run").arg(&p).arg("--profile-in").arg(&prof);
         c.args(["--speculate", "--inject-faults", "spec.guard:corrupt"]);
-        c.args(extra);
-        c.output().unwrap()
+        c.args(["--fuel", "1000000", "--stats", "--profile-out"]);
+        c.arg(&out_prof).args(extra);
+        let out = c.output().unwrap();
+        let (_, stored) = lpat::vm::store::read_profile_file(&out_prof).unwrap();
+        (out, std::fs::read(&out_prof).unwrap(), stored.profile)
     };
-    let interp = run(&[]);
-    let tiered = run(&["--tiered", "--tier-up", "1"]);
+    let (interp, interp_bytes, interp_profile) = run("interp", &[]);
     assert_eq!(seed.status.code(), interp.status.code());
     assert_eq!(
         seed.stdout, interp.stdout,
         "forced failure changed the answer"
     );
-    assert_eq!(interp.status.code(), tiered.status.code());
-    assert_eq!(interp.stdout, tiered.stdout);
-    // Fuel parity: both engines execute the same instruction count even
-    // with every guard failing (each failure a deopt in tiered mode).
-    assert_eq!(insts_of(&interp.stderr), insts_of(&tiered.stderr));
+    // Every execution of every guard failed.
+    assert!(!interp_profile.guard_exec_counts.is_empty());
+    assert_eq!(
+        interp_profile.guard_exec_counts,
+        interp_profile.guard_misspec_counts
+    );
+    for (leg, extra) in [
+        (
+            "jit-deopt",
+            &["--tier-up", "1", "--native-up", "18446744073709551615"][..],
+        ),
+        ("tiered", &["--tiered", "--tier-up", "1"][..]),
+        ("native", &["--tier-up", "0", "--native-up", "0"][..]),
+    ] {
+        let (out, bytes, profile) = run(leg, extra);
+        assert_eq!(interp.status.code(), out.status.code(), "{leg}");
+        assert_eq!(interp.stdout, out.stdout, "{leg}");
+        assert_eq!(
+            engine_independent(&interp.stderr),
+            engine_independent(&out.stderr),
+            "{leg}"
+        );
+        assert_eq!(
+            interp_profile.guard_exec_counts, profile.guard_exec_counts,
+            "{leg}"
+        );
+        assert_eq!(
+            interp_profile.guard_misspec_counts, profile.guard_misspec_counts,
+            "{leg}"
+        );
+        assert_eq!(interp_bytes, bytes, "{leg}: profile file bytes");
+        if leg == "native" {
+            let stats = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stats
+                    .lines()
+                    .any(|l| l.starts_with("vm.spec.deopts") && l.ends_with(" 0")),
+                "machine code deoptimised:\n{stats}"
+            );
+        }
+    }
+}
+
+/// `--stats` says why a function is not machine code — and a guard is
+/// never the reason.
+#[test]
+fn stats_name_the_reason_a_function_is_not_native() {
+    let bails = |stderr: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(stderr)
+            .lines()
+            .filter_map(|l| l.strip_prefix("  not native: "))
+            .map(str::to_string)
+            .collect()
+    };
+    let float = tmp("bail_float.ll");
+    std::fs::write(
+        &float,
+        "
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %d = phi double [ 0x3FF0000000000000, %e ], [ %d2, %h ]
+  %d2 = mul double %d, 0x3FF8000000000000
+  %i2 = add int %i, 1
+  %c = setlt int %i2, 1000
+  br bool %c, label %h, label %x
+x:
+  ret int 0
+}",
+    )
+    .unwrap();
+    let out = lpatc()
+        .arg("run")
+        .arg(&float)
+        .args(["--tiered", "--stats"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        bails(&out.stderr),
+        ["@main: native backend: float value"],
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // A speculated run straight into machine code: the guarded function
+    // is translated like any other, so there is no row at all.
+    let p = tmp("bail_spec.ll");
+    std::fs::write(&p, SPEC_WORKLOAD).unwrap();
+    let prof = tmp("bail_spec.prof");
+    let seed = lpatc()
+        .arg("run")
+        .arg(&p)
+        .args(["--profile-out"])
+        .arg(&prof)
+        .arg("--quiet")
+        .output()
+        .unwrap();
+    assert!(seed.status.code().is_some());
+    let out = lpatc()
+        .arg("run")
+        .arg(&p)
+        .arg("--profile-in")
+        .arg(&prof)
+        .args([
+            "--speculate",
+            "--tier-up",
+            "0",
+            "--native-up",
+            "0",
+            "--stats",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("1 guard(s) emitted"), "{stderr}");
+    assert_eq!(bails(&out.stderr), [""; 0], "{stderr}");
 }
 
 /// Offline retraction decisions are byte-identical to the in-memory run
