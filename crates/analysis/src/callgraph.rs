@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use lpat_core::{Const, FuncId, Inst, Module, Value};
+use lpat_core::{Const, FuncId, Inst, InstId, Module, Value};
 
 /// The module call graph.
 #[derive(Clone, Debug)]
@@ -21,8 +21,11 @@ pub struct CallGraph {
     address_taken: HashSet<FuncId>,
     /// Functions containing at least one indirect call.
     has_indirect_call: Vec<bool>,
-    /// Number of direct call sites per callee.
-    direct_call_sites: Vec<usize>,
+    /// The call-site index: per callee, its direct call sites as `(caller,
+    /// instruction)`, in the order one sweep of the module meets them
+    /// (caller id, then block layout). The interprocedural passes read a
+    /// callee's sites from here instead of searching every body for them.
+    sites: Vec<Vec<(FuncId, InstId)>>,
 }
 
 impl CallGraph {
@@ -32,7 +35,7 @@ impl CallGraph {
         let mut callees: Vec<HashSet<FuncId>> = vec![HashSet::new(); n];
         let mut address_taken = HashSet::new();
         let mut has_indirect_call = vec![false; n];
-        let mut direct_call_sites = vec![0usize; n];
+        let mut sites: Vec<Vec<(FuncId, InstId)>> = vec![Vec::new(); n];
 
         // Addresses taken in global initializers (e.g. vtables).
         for (_, g) in m.globals() {
@@ -59,7 +62,7 @@ impl CallGraph {
                         match direct_callee(*callee) {
                             Some(t) => {
                                 callees[fid.index()].insert(t);
-                                direct_call_sites[t.index()] += 1;
+                                sites[t.index()].push((fid, iid));
                             }
                             None => has_indirect_call[fid.index()] = true,
                         }
@@ -113,7 +116,7 @@ impl CallGraph {
             callers,
             address_taken,
             has_indirect_call,
-            direct_call_sites,
+            sites,
         }
     }
 
@@ -139,7 +142,18 @@ impl CallGraph {
 
     /// Number of direct call sites targeting `f`.
     pub fn direct_call_sites(&self, f: FuncId) -> usize {
-        self.direct_call_sites[f.index()]
+        self.sites[f.index()].len()
+    }
+
+    /// The direct call sites targeting `f`, as `(caller, instruction)`.
+    ///
+    /// Exact as long as the graph is: a pass that adds, copies, moves or
+    /// deletes a call must not report the call graph preserved. A pass
+    /// that rewrites calls while it runs (DAE appends rewritten copies of
+    /// whole functions) works on its own copy of the lists and keeps that
+    /// current.
+    pub fn call_sites(&self, f: FuncId) -> &[(FuncId, InstId)] {
+        &self.sites[f.index()]
     }
 
     /// Post-order of the call graph from `roots` (callees before callers
@@ -231,6 +245,11 @@ e:
         assert_eq!(cg.callees(mid), &[leaf]);
         assert_eq!(cg.callers(leaf), &[mid, main]);
         assert_eq!(cg.direct_call_sites(leaf), 2);
+        let in_entry = |f, k| m.func(f).block_insts(m.func(f).entry())[k];
+        assert_eq!(
+            cg.call_sites(leaf),
+            &[(mid, in_entry(mid, 0)), (main, in_entry(main, 1))]
+        );
         assert!(!cg.is_address_taken(leaf));
         let po = cg.post_order(&[main]);
         assert_eq!(po, vec![leaf, mid, main]);

@@ -828,7 +828,7 @@ impl<'a> Builder<'a> {
         for t in targets {
             let target = self.m.func(t);
             if target.is_declaration() {
-                let benign = self.opts.benign_externals.contains(&target.name);
+                let benign = self.opts.benign_externals.contains(target.name());
                 for &a in args {
                     let at = self.m.value_type(f, a);
                     if self.m.types.is_ptr(at) {

@@ -50,7 +50,7 @@ pub fn compute_summaries(m: &Module) -> ModuleSummaries {
     let mut funcs = Vec::with_capacity(m.num_funcs());
     for (_, f) in m.funcs() {
         let mut s = FuncSummary {
-            name: f.name.clone(),
+            name: f.name().to_string(),
             is_declaration: f.is_declaration(),
             ..FuncSummary::default()
         };
@@ -93,7 +93,7 @@ pub fn compute_summaries(m: &Module) -> ModuleSummaries {
 fn direct_name(m: &Module, v: Value) -> Option<String> {
     match v {
         Value::Const(c) => match m.consts.get(c) {
-            Const::FuncAddr(f) => Some(m.func(*f).name.clone()),
+            Const::FuncAddr(f) => Some(m.func(*f).name().to_string()),
             _ => None,
         },
         _ => None,

@@ -177,9 +177,9 @@ fn write_types(m: &Module, out: &mut Vec<u8>) {
 fn write_func_sigs(m: &Module, out: &mut Vec<u8>) {
     write_varint(out, m.num_funcs() as u64);
     for (_, f) in m.funcs() {
-        write_string(out, &f.name);
+        write_string(out, f.name());
         write_varint(out, f.fn_type().index() as u64);
-        let flags = (matches!(f.linkage, lpat_core::Linkage::Internal) as u8)
+        let flags = (matches!(f.linkage(), lpat_core::Linkage::Internal) as u8)
             | ((!f.is_declaration() as u8) << 1);
         out.push(flags);
     }

@@ -704,7 +704,7 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
         homes: tr.homes,
-        name: f.name.clone(),
+        name: f.name().to_string(),
     })
 }
 

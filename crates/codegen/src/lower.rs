@@ -18,7 +18,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
     let f = m.func(fid);
     if f.is_declaration() {
         return MFunc {
-            name: f.name.clone(),
+            name: f.name().to_string(),
             ..MFunc::default()
         };
     }
@@ -214,7 +214,7 @@ pub fn lower_function(m: &Module, fid: FuncId, budget: RegBudget) -> MFunc {
     MFunc {
         blocks,
         frame_size,
-        name: f.name.clone(),
+        name: f.name().to_string(),
     }
 }
 

@@ -104,7 +104,7 @@ pub fn compile_module(m: &Module, target: &dyn Target) -> Binary {
                                            // Symbols: externally visible definitions and all declarations.
     let n_syms = m
         .funcs()
-        .filter(|(_, f)| matches!(f.linkage, lpat_core::Linkage::External))
+        .filter(|(_, f)| matches!(f.linkage(), lpat_core::Linkage::External))
         .count()
         + m.globals()
             .filter(|(_, g)| matches!(g.linkage, lpat_core::Linkage::External))

@@ -7,6 +7,9 @@
 //! instruction ids. This id-based layout is the idiomatic Rust analogue of
 //! LLVM's intrusive pointer-linked lists.
 
+use std::cell::Cell;
+use std::sync::Arc;
+
 use crate::constant::ConstId;
 use crate::inst::{BlockId, Inst, InstId, Value};
 use crate::types::TypeId;
@@ -26,14 +29,14 @@ pub enum Linkage {
 
 /// A basic block: an ordered list of instructions, the last of which is a
 /// terminator once the function is complete.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Block {
     insts: Vec<InstId>,
 }
 
 /// Per-instruction arena record: the instruction and its (cached) result
 /// type. Instructions that produce no value have type `void`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InstData {
     /// The instruction.
     pub inst: Inst,
@@ -41,29 +44,92 @@ pub struct InstData {
     pub ty: TypeId,
 }
 
+/// What rollback points have cost this thread: function bodies duplicated
+/// because a write reached a body that a pre-image still shared (see
+/// [`body_copies`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct BodyCopies {
+    /// Bodies duplicated.
+    pub funcs: u64,
+    /// Linked instructions in them.
+    pub insts: u64,
+}
+
+impl std::ops::Sub for BodyCopies {
+    type Output = BodyCopies;
+    fn sub(self, rhs: BodyCopies) -> BodyCopies {
+        BodyCopies {
+            funcs: self.funcs - rhs.funcs,
+            insts: self.insts - rhs.insts,
+        }
+    }
+}
+
+impl std::ops::Add for BodyCopies {
+    type Output = BodyCopies;
+    fn add(self, rhs: BodyCopies) -> BodyCopies {
+        BodyCopies {
+            funcs: self.funcs + rhs.funcs,
+            insts: self.insts + rhs.insts,
+        }
+    }
+}
+
+thread_local! {
+    static BODY_COPIES: Cell<BodyCopies> = const { Cell::new(BodyCopies { funcs: 0, insts: 0 }) };
+}
+
+/// Running total of the bodies the calling thread has duplicated on
+/// write. A clone of a [`Function`] shares its body; the first write to
+/// either side afterwards pays one deep copy, counted here. The pass
+/// managers report the difference across a pass as what its rollback
+/// point cost.
+pub fn body_copies() -> BodyCopies {
+    BODY_COPIES.with(Cell::get)
+}
+
+/// Fold copies another thread made (a worker reporting back) into the
+/// calling thread's total.
+pub fn add_body_copies(n: BodyCopies) {
+    BODY_COPIES.with(|c| c.set(c.get() + n));
+}
+
+/// The blocks and the instruction arena of a function: the part a clone
+/// shares until one side writes.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Body {
+    blocks: Vec<Block>,
+    insts: Vec<InstData>,
+}
+
 /// A function definition or declaration.
 ///
 /// A function with no basic blocks is a *declaration* (an external symbol to
 /// be resolved at link time).
-#[derive(Clone, Debug)]
+///
+/// `clone` is cheap: the copy shares the body, and whichever side is
+/// written first duplicates it then. A rollback point is therefore a clone,
+/// and costs a body copy only for the functions a pass goes on to edit.
+///
+/// `==` is structural and includes the modification counter; the pass
+/// managers use it in debug builds to check that an unchanged counter
+/// means an unchanged function.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
-    /// Symbol name.
-    pub name: String,
+    name: String,
     /// The function type (a `Type::Func` id in the owning module's context).
     ty: TypeId,
     /// Pointer-to-function type, pre-interned so `value_type` needs no
     /// mutation.
     addr_ty: TypeId,
-    /// Linkage.
-    pub linkage: Linkage,
+    linkage: Linkage,
     /// Parameter types (copied out of `ty` for cheap access).
     params: Vec<TypeId>,
     /// Return type (copied out of `ty`).
     ret: TypeId,
     /// Whether the function is variadic.
     varargs: bool,
-    blocks: Vec<Block>,
-    insts: Vec<InstData>,
+    body: Arc<Body>,
     /// Modification counter: bumped by every mutating method, so analysis
     /// caches can detect staleness with one integer compare (see
     /// `lpat-analysis`'s `AnalysisManager`).
@@ -88,25 +154,67 @@ impl Function {
             params,
             ret,
             varargs,
-            blocks: Vec::new(),
-            insts: Vec::new(),
+            body: Arc::default(),
             version: 0,
         }
     }
 
     /// The current modification counter.
     ///
-    /// Every method that can change the body (blocks, instructions, uses)
-    /// increments this; a cached analysis stamped with an older value is
-    /// stale. The counter never decreases and is not serialized.
+    /// Every method that can change the function (blocks, instructions,
+    /// uses, name, linkage) increments this; a cached analysis stamped
+    /// with an older value is stale. The counter never decreases and is
+    /// not serialized.
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
     }
 
+    /// Exclusive access to the body, duplicating it first if a clone of
+    /// this function still shares it.
     #[inline]
-    fn bump(&mut self) {
+    fn body_mut(&mut self) -> &mut Body {
+        // No `Weak` to a body is ever made, so a strong count of one means
+        // `make_mut` will not copy.
+        if Arc::strong_count(&self.body) != 1 {
+            let insts = self.num_insts() as u64;
+            add_body_copies(BodyCopies { funcs: 1, insts });
+        }
+        Arc::make_mut(&mut self.body)
+    }
+
+    /// [`Function::body_mut`] for a change the modification counter
+    /// records.
+    #[inline]
+    fn edit(&mut self) -> &mut Body {
         self.version += 1;
+        self.body_mut()
+    }
+
+    /// Symbol name.
+    #[inline]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Rename; only [`crate::Module::rename_function`] may, because the
+    /// module indexes its functions by name.
+    pub(crate) fn set_name(&mut self, name: String) -> String {
+        self.version += 1;
+        std::mem::replace(&mut self.name, name)
+    }
+
+    /// Linkage.
+    #[inline]
+    pub fn linkage(&self) -> Linkage {
+        self.linkage
+    }
+
+    /// Change the linkage. The body is not touched, so a clone keeps
+    /// sharing it.
+    pub fn set_linkage(&mut self, linkage: Linkage) {
+        self.version += 1;
+        self.linkage = linkage;
     }
 
     /// The function type id.
@@ -149,7 +257,7 @@ impl Function {
     /// Whether this is a declaration (no body).
     #[inline]
     pub fn is_declaration(&self) -> bool {
-        self.blocks.is_empty()
+        self.body.blocks.is_empty()
     }
 
     /// The entry block.
@@ -159,90 +267,92 @@ impl Function {
     /// Panics on declarations.
     #[inline]
     pub fn entry(&self) -> BlockId {
-        assert!(!self.blocks.is_empty(), "declaration has no entry block");
+        assert!(
+            !self.body.blocks.is_empty(),
+            "declaration has no entry block"
+        );
         BlockId(0)
     }
 
     /// Append a new, empty basic block. The first block created is the
     /// entry.
     pub fn add_block(&mut self) -> BlockId {
-        self.bump();
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(Block::default());
+        let body = self.edit();
+        let id = BlockId(body.blocks.len() as u32);
+        body.blocks.push(Block::default());
         id
     }
 
     /// Number of basic blocks.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.body.blocks.len()
     }
 
     /// Iterate over all block ids in layout order.
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
-        (0..self.blocks.len() as u32).map(BlockId)
+        (0..self.body.blocks.len() as u32).map(BlockId)
     }
 
     /// The ordered instruction list of block `b`.
     #[inline]
     pub fn block_insts(&self, b: BlockId) -> &[InstId] {
-        &self.blocks[b.0 as usize].insts
+        &self.body.blocks[b.0 as usize].insts
     }
 
     /// Replace the instruction list of block `b` (used by transforms that
     /// rebuild block contents).
     pub fn set_block_insts(&mut self, b: BlockId, insts: Vec<InstId>) {
-        self.bump();
-        self.blocks[b.0 as usize].insts = insts;
+        self.edit().blocks[b.0 as usize].insts = insts;
     }
 
     /// The arena record of instruction `i`.
     #[inline]
     pub fn inst(&self, i: InstId) -> &Inst {
-        &self.insts[i.0 as usize].inst
+        &self.body.insts[i.0 as usize].inst
     }
 
     /// Mutable access to instruction `i`.
     #[inline]
     pub fn inst_mut(&mut self, i: InstId) -> &mut Inst {
-        self.bump();
-        &mut self.insts[i.0 as usize].inst
+        &mut self.edit().insts[i.0 as usize].inst
     }
 
     /// The cached result type of instruction `i` (`void` when it produces no
     /// value).
     #[inline]
     pub fn inst_ty(&self, i: InstId) -> TypeId {
-        self.insts[i.0 as usize].ty
+        self.body.insts[i.0 as usize].ty
     }
 
     /// Overwrite the cached result type (used when a transform retypes an
     /// instruction, e.g. replacing a call with a cast).
     pub fn set_inst_ty(&mut self, i: InstId, ty: TypeId) {
-        self.bump();
-        self.insts[i.0 as usize].ty = ty;
+        self.edit().insts[i.0 as usize].ty = ty;
     }
 
     /// Total number of arena slots (including instructions no longer linked
     /// into any block).
     #[inline]
     pub fn num_inst_slots(&self) -> usize {
-        self.insts.len()
+        self.body.insts.len()
     }
 
     /// Create a new instruction in the arena without linking it into a
     /// block. Most callers want [`Function::append_inst`].
     pub fn new_inst(&mut self, inst: Inst, ty: TypeId) -> InstId {
-        self.bump();
-        let id = InstId(self.insts.len() as u32);
-        self.insts.push(InstData { inst, ty });
+        let body = self.edit();
+        let id = InstId(body.insts.len() as u32);
+        body.insts.push(InstData { inst, ty });
         id
     }
 
     /// Create an instruction and append it to block `b`.
     pub fn append_inst(&mut self, b: BlockId, inst: Inst, ty: TypeId) -> InstId {
-        let id = self.new_inst(inst, ty);
-        self.blocks[b.0 as usize].insts.push(id);
+        let body = self.edit();
+        let id = InstId(body.insts.len() as u32);
+        body.insts.push(InstData { inst, ty });
+        body.blocks[b.0 as usize].insts.push(id);
         id
     }
 
@@ -252,21 +362,19 @@ impl Function {
     ///
     /// Panics if `pos >` the block's current length.
     pub fn insert_inst(&mut self, b: BlockId, pos: usize, id: InstId) {
-        self.bump();
-        self.blocks[b.0 as usize].insts.insert(pos, id);
+        self.edit().blocks[b.0 as usize].insts.insert(pos, id);
     }
 
     /// Unlink instruction `id` from block `b` (the arena slot survives but
     /// becomes unreachable from the CFG).
     pub fn remove_inst(&mut self, b: BlockId, id: InstId) {
-        self.bump();
-        self.blocks[b.0 as usize].insts.retain(|&x| x != id);
+        self.edit().blocks[b.0 as usize].insts.retain(|&x| x != id);
     }
 
     /// The terminator of block `b`, if the block is non-empty and ends in
     /// one.
     pub fn terminator(&self, b: BlockId) -> Option<InstId> {
-        let last = *self.blocks[b.0 as usize].insts.last()?;
+        let last = *self.body.blocks[b.0 as usize].insts.last()?;
         self.inst(last).is_terminator().then_some(last)
     }
 
@@ -283,7 +391,7 @@ impl Function {
     /// Duplicate edges (e.g. a conditional branch with both targets equal)
     /// are preserved, matching φ-node incoming-list semantics.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
+        let mut preds = vec![Vec::new(); self.body.blocks.len()];
         for b in self.block_ids() {
             for s in self.successors(b) {
                 preds[s.0 as usize].push(b);
@@ -294,17 +402,20 @@ impl Function {
 
     /// Iterate over every linked instruction id, in block layout order.
     pub fn inst_ids_in_order(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.blocks.iter().flat_map(|b| b.insts.iter().copied())
+        self.body
+            .blocks
+            .iter()
+            .flat_map(|b| b.insts.iter().copied())
     }
 
     /// Number of linked instructions (excluding unlinked arena slots).
     pub fn num_insts(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
+        self.body.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
     /// Compute, for every linked instruction, the block containing it.
     pub fn inst_blocks(&self) -> Vec<Option<BlockId>> {
-        let mut map = vec![None; self.insts.len()];
+        let mut map = vec![None; self.body.insts.len()];
         for b in self.block_ids() {
             for &i in self.block_insts(b) {
                 map[i.0 as usize] = Some(b);
@@ -315,15 +426,14 @@ impl Function {
 
     /// Replace every use of `from` with `to` across the whole function.
     pub fn replace_all_uses(&mut self, from: Value, to: Value) {
-        self.bump();
-        for data in &mut self.insts {
+        for data in &mut self.edit().insts {
             data.inst.map_operands(|v| if v == from { to } else { v });
         }
     }
 
     /// Count uses of each instruction result among linked instructions.
     pub fn use_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.insts.len()];
+        let mut counts = vec![0u32; self.body.insts.len()];
         for i in self.inst_ids_in_order() {
             self.inst(i).for_each_operand(|v| {
                 if let Value::Inst(d) = v {
@@ -338,9 +448,8 @@ impl Function {
     /// declaration (used by dead-global elimination when only the address of
     /// a dead function is needed transiently).
     pub fn clear_body(&mut self) {
-        self.bump();
-        self.blocks.clear();
-        self.insts.clear();
+        self.version += 1;
+        self.body = Arc::default();
     }
 
     /// Reorder blocks into `order` (a permutation of all block ids whose
@@ -352,21 +461,21 @@ impl Function {
     /// Panics if `order` is not a permutation or does not start with the
     /// entry block.
     pub fn permute_blocks(&mut self, order: &[BlockId]) {
-        self.bump();
-        assert_eq!(order.len(), self.blocks.len());
+        let body = self.edit();
+        assert_eq!(order.len(), body.blocks.len());
         assert_eq!(order.first(), Some(&BlockId(0)), "entry must stay first");
         let mut remap = vec![None; order.len()];
         for (new_idx, &old) in order.iter().enumerate() {
             assert!(remap[old.0 as usize].is_none(), "duplicate block in order");
             remap[old.0 as usize] = Some(BlockId(new_idx as u32));
         }
-        let old_blocks = std::mem::take(&mut self.blocks);
+        let old_blocks = std::mem::take(&mut body.blocks);
         let mut slots: Vec<Option<Block>> = old_blocks.into_iter().map(Some).collect();
-        self.blocks = order
+        body.blocks = order
             .iter()
             .map(|&old| slots[old.0 as usize].take().expect("permutation"))
             .collect();
-        for data in &mut self.insts {
+        for data in &mut body.insts {
             if let Inst::Phi { incoming } = &mut data.inst {
                 for (_, b) in incoming {
                     if let Some(Some(nb)) = remap.get(b.0 as usize) {
@@ -390,8 +499,8 @@ impl Function {
     ///
     /// Panics if the entry block is removed or `keep.len()` mismatches.
     pub fn retain_blocks(&mut self, keep: &[bool]) -> Vec<Option<BlockId>> {
-        self.bump();
-        assert_eq!(keep.len(), self.blocks.len());
+        let body = self.edit();
+        assert_eq!(keep.len(), body.blocks.len());
         assert!(keep[0], "cannot remove the entry block");
         let mut remap: Vec<Option<BlockId>> = Vec::with_capacity(keep.len());
         let mut next = 0u32;
@@ -404,16 +513,16 @@ impl Function {
             }
         }
         let mut new_blocks = Vec::with_capacity(next as usize);
-        for (i, b) in std::mem::take(&mut self.blocks).into_iter().enumerate() {
+        for (i, b) in std::mem::take(&mut body.blocks).into_iter().enumerate() {
             if keep[i] {
                 new_blocks.push(b);
             }
         }
-        self.blocks = new_blocks;
+        body.blocks = new_blocks;
         // Note: unlinked arena slots may hold stale block references from
         // earlier transforms; tolerate out-of-range ids (those
         // instructions are unreachable from the CFG).
-        for data in &mut self.insts {
+        for data in &mut body.insts {
             if let Inst::Phi { incoming } = &mut data.inst {
                 incoming.retain(|(_, b)| remap.get(b.0 as usize).is_none_or(|r| r.is_some()));
             }
@@ -455,7 +564,7 @@ impl Function {
                 c
             }
         };
-        for data in &mut self.insts {
+        for data in &mut self.body_mut().insts {
             data.ty = mt(data.ty);
             match &mut data.inst {
                 Inst::Cast { to, .. } => *to = mt(*to),
@@ -542,6 +651,35 @@ mod tests {
             Inst::Ret(Some(Value::Arg(1))) => {}
             other => panic!("RAUW failed: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_body_until_one_side_writes() {
+        let (mut m, fid) = sample();
+        let f = m.func_mut(fid);
+        let b = f.add_block();
+        f.append_inst(b, Inst::Ret(Some(Value::Arg(0))), TypeId(0));
+        let copies = body_copies();
+        let pre = f.clone();
+        assert_eq!(pre, *f);
+        // A header edit moves the version and leaves the body shared.
+        f.set_linkage(Linkage::Internal);
+        assert!(f.version() > pre.version() && *f != pre);
+        assert_eq!(body_copies(), copies);
+        // The first write to the body pays for one copy; the next is free,
+        // and the pre-image never sees either.
+        f.add_block();
+        let one = BodyCopies { funcs: 1, insts: 1 };
+        assert_eq!(body_copies() - copies, one);
+        f.append_inst(b, Inst::Unreachable, TypeId(0));
+        assert_eq!(body_copies() - copies, one);
+        assert_eq!((pre.num_blocks(), pre.num_insts()), (1, 1));
+        assert_eq!((f.num_blocks(), f.num_insts()), (2, 2));
+        // Dropping a body is not a write to it.
+        let mut gone = pre.clone();
+        gone.clear_body();
+        assert!(gone.is_declaration() && !pre.is_declaration());
+        assert_eq!(body_copies() - copies, one);
     }
 }
 

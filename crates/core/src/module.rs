@@ -255,12 +255,7 @@ impl Module {
         }
         let removed = remap.iter().filter(|r| r.is_none()).count();
         self.globals = kept;
-        self.global_names = self
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.name.clone(), GlobalId(i as u32)))
-            .collect();
+        self.index_names();
         if removed > 0 {
             self.remap_const_refs(
                 &remap,
@@ -288,12 +283,7 @@ impl Module {
         }
         let removed = remap.iter().filter(|r| r.is_none()).count();
         self.funcs = kept;
-        self.func_names = self
-            .funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), FuncId(i as u32)))
-            .collect();
+        self.index_names();
         if removed > 0 {
             let gremap: Vec<Option<GlobalId>> = (0..self.globals.len())
                 .map(|i| Some(GlobalId(i as u32)))
@@ -311,73 +301,70 @@ impl Module {
     fn remap_const_refs(&mut self, gmap: &[Option<GlobalId>], fmap: &[Option<FuncId>]) {
         // The pool interns by structure, so rewrite by rebuilding: walk all
         // constants, compute replacements, then patch instruction operands
-        // and initializers via a ConstId -> ConstId map.
-        let mut cmap: HashMap<ConstId, ConstId> = HashMap::new();
-        let ids: Vec<ConstId> = self.consts.iter().map(|(i, _)| i).collect();
-        for id in ids {
-            let replacement = match self.consts.get(id).clone() {
+        // and initializers via a ConstId -> ConstId table.
+        let ids = |n: usize| (0..n).map(ConstId::from_index);
+        let mut cmap: Vec<ConstId> = ids(self.consts.len()).collect();
+        for id in ids(cmap.len()) {
+            let to = match *self.consts.get(id) {
                 Const::GlobalAddr(g) => match gmap.get(g.index()).copied().flatten() {
-                    Some(ng) if ng != g => Some(self.consts.global_addr(ng)),
-                    Some(_) => None,
-                    None => {
-                        let ty = self.types.ptr(self.types.i8());
-                        Some(self.consts.undef(ty))
-                    }
+                    Some(ng) if ng == g => continue,
+                    Some(ng) => Some(self.consts.global_addr(ng)),
+                    None => None,
                 },
                 Const::FuncAddr(f) => match fmap.get(f.index()).copied().flatten() {
-                    Some(nf) if nf != f => Some(self.consts.func_addr(nf)),
-                    Some(_) => None,
-                    None => {
-                        let ty = self.types.ptr(self.types.i8());
-                        Some(self.consts.undef(ty))
-                    }
+                    Some(nf) if nf == f => continue,
+                    Some(nf) => Some(self.consts.func_addr(nf)),
+                    None => None,
                 },
-                _ => None,
+                _ => continue,
             };
-            if let Some(r) = replacement {
-                cmap.insert(id, r);
-            }
+            // A symbol that is gone: nothing live names it any more.
+            cmap[id.index()] = to.unwrap_or_else(|| {
+                let ty = self.types.ptr(self.types.i8());
+                self.consts.undef(ty)
+            });
         }
-        // Aggregates containing remapped ids must be rewritten too.
-        let ids: Vec<ConstId> = self.consts.iter().map(|(i, _)| i).collect();
-        for id in ids {
-            match self.consts.get(id).clone() {
-                Const::Array { ty, elems } if elems.iter().any(|e| cmap.contains_key(e)) => {
-                    let new: Vec<ConstId> =
-                        elems.iter().map(|e| *cmap.get(e).unwrap_or(e)).collect();
-                    let nid = self.consts.array(ty, new);
-                    cmap.insert(id, nid);
-                }
-                Const::Struct { ty, fields } if fields.iter().any(|e| cmap.contains_key(e)) => {
-                    let new: Vec<ConstId> =
-                        fields.iter().map(|e| *cmap.get(e).unwrap_or(e)).collect();
-                    let nid = self.consts.struct_(ty, new);
-                    cmap.insert(id, nid);
-                }
-                _ => {}
+        // Aggregates containing remapped ids must be rewritten too (an
+        // aggregate only names constants interned before it).
+        cmap.extend(ids(self.consts.len()).skip(cmap.len()));
+        for id in ids(cmap.len()) {
+            let (ty, elems, is_array) = match self.consts.get(id) {
+                Const::Array { ty, elems } => (*ty, elems, true),
+                Const::Struct { ty, fields } => (*ty, fields, false),
+                _ => continue,
+            };
+            if elems.iter().all(|e| cmap[e.index()] == *e) {
+                continue;
             }
+            let elems = elems.iter().map(|e| cmap[e.index()]).collect();
+            cmap[id.index()] = if is_array {
+                self.consts.array(ty, elems)
+            } else {
+                self.consts.struct_(ty, elems)
+            };
         }
-        if cmap.is_empty() {
+        if ids(cmap.len()).all(|id| cmap[id.index()] == id) {
             return;
         }
+        // Only an instruction that names a remapped constant is written, so
+        // a function that names none keeps sharing its body with any clone.
+        // (Switch case labels are scalar ints, never remapped.)
+        let remap = |v: Value| match v {
+            Value::Const(c) => Value::Const(cmap[c.index()]),
+            other => other,
+        };
         for f in &mut self.funcs {
-            let n = f.num_inst_slots();
-            for i in 0..n {
+            for i in 0..f.num_inst_slots() {
                 let iid = crate::inst::InstId(i as u32);
-                f.inst_mut(iid).map_operands(|v| match v {
-                    Value::Const(c) => Value::Const(*cmap.get(&c).unwrap_or(&c)),
-                    other => other,
-                });
-                // Switch case constants can also be remapped (they are
-                // scalar ints, so in practice never are).
+                let mut hit = false;
+                f.inst(iid).for_each_operand(|v| hit |= remap(v) != v);
+                if hit {
+                    f.inst_mut(iid).map_operands(remap);
+                }
             }
         }
         for g in &mut self.globals {
-            if let Some(init) = g.init {
-                if let Some(&n) = cmap.get(&init) {
-                    g.init = Some(n);
-                }
-            }
+            g.init = g.init.map(|init| cmap[init.index()]);
         }
     }
 
@@ -459,7 +446,7 @@ impl Module {
     /// Panics if the new name is taken.
     pub fn rename_function(&mut self, id: FuncId, new_name: &str) {
         assert!(!self.func_names.contains_key(new_name));
-        let old = std::mem::replace(&mut self.funcs[id.0 as usize].name, new_name.to_string());
+        let old = self.funcs[id.0 as usize].set_name(new_name.to_string());
         self.func_names.remove(&old);
         self.func_names.insert(new_name.to_string(), id);
     }
@@ -566,6 +553,61 @@ impl Module {
     pub fn total_insts(&self) -> usize {
         self.funcs.iter().map(|f| f.num_insts()).sum()
     }
+
+    // ---- rollback ---------------------------------------------------------
+
+    /// A point [`Module::restore`] can return to. Taking one costs a
+    /// reference per function and a copy of the global table, not a copy
+    /// of any body: a [`Function`] clone shares its body until one side is
+    /// written, so what is paid later is one body copy per function
+    /// actually edited.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            name: self.name.clone(),
+            types_len: self.types.len(),
+            consts_len: self.consts.len(),
+            globals: self.globals.clone(),
+            funcs: self.funcs.clone(),
+        }
+    }
+
+    /// Return to `cp`: the module compares equal, id for id, to what it
+    /// was when `cp` was taken.
+    ///
+    /// The pools come back by length. That is exact because interning
+    /// only appends and nothing that runs between the two calls (a pass)
+    /// edits an entry in place — the contract the function-pass
+    /// executor's worker pools already rest on.
+    pub fn restore(&mut self, cp: Checkpoint) {
+        self.name = cp.name;
+        self.types.truncate(cp.types_len);
+        self.consts.truncate(cp.consts_len);
+        self.globals = cp.globals;
+        self.funcs = cp.funcs;
+        self.index_names();
+    }
+
+    /// Rebuild the by-name indexes after the tables were replaced.
+    fn index_names(&mut self) {
+        self.global_names = (self.globals.iter().enumerate())
+            .map(|(i, g)| (g.name.clone(), GlobalId(i as u32)))
+            .collect();
+        self.func_names = (self.funcs.iter().enumerate())
+            .map(|(i, f)| (f.name().to_string(), FuncId(i as u32)))
+            .collect();
+    }
+}
+
+/// What [`Module::checkpoint`] holds: the function and global tables (the
+/// functions sharing their bodies with the live module) and the lengths
+/// of the two interning pools.
+#[derive(Clone, Debug)]
+pub struct Checkpoint {
+    name: String,
+    types_len: usize,
+    consts_len: usize,
+    globals: Vec<Global>,
+    funcs: Vec<Function>,
 }
 
 #[cfg(test)]
@@ -703,6 +745,49 @@ mod tests {
                 .gep_steps::<GepError>(xty, &[], false, |_| None, |_| Ok(())),
             Err(GepError::BaseNotPointer)
         );
+    }
+
+    #[test]
+    fn restore_returns_to_the_checkpoint_id_for_id() {
+        let mut m = Module::new("m");
+        let (v, i32t) = (m.types.void(), m.types.i32());
+        let one = m.consts.i32(1);
+        m.add_global("G", i32t, Some(one), false, Linkage::External);
+        let a = m.add_function("a", &[], v, false, Linkage::External);
+        let b = m.add_function("b", &[], v, false, Linkage::External);
+        for f in [a, b] {
+            let blk = m.func_mut(f).add_block();
+            m.func_mut(f).append_inst(blk, Inst::Ret(None), v);
+        }
+        let (text, types, consts) = (m.display(), m.types.len(), m.consts.len());
+        let copies = crate::function::body_copies();
+        let cp = m.checkpoint();
+        // Everything a pass may do: intern, edit a body and a header, add,
+        // rename and delete symbols, rename the module.
+        m.types.ptr(i32t);
+        m.consts.i32(2);
+        m.func_mut(a).add_block();
+        m.func_mut(b).set_linkage(Linkage::Internal);
+        m.add_function("c", &[i32t], i32t, false, Linkage::Internal);
+        m.rename_function(b, "b2");
+        m.retain_functions(|f| f != a);
+        m.retain_globals(|_| false);
+        m.name.push('!');
+        assert_ne!(m.display(), text);
+        // Only `a`'s body was written, so only it was copied.
+        assert_eq!((crate::function::body_copies() - copies).funcs, 1);
+        m.restore(cp);
+        assert_eq!(m.display(), text);
+        assert_eq!((m.types.len(), m.consts.len()), (types, consts));
+        assert_eq!(
+            (m.func_by_name("a"), m.func_by_name("b")),
+            (Some(a), Some(b))
+        );
+        assert_eq!((m.func_by_name("b2"), m.func_by_name("c")), (None, None));
+        assert!(m.global_by_name("G").is_some());
+        // The pools intern the same ids again.
+        assert_eq!(m.consts.i32(2).index(), consts);
+        m.verify().unwrap();
     }
 
     #[test]

@@ -99,14 +99,14 @@ impl Module {
 
     fn func_header(&self, fid: FuncId, kw: &str) -> String {
         let f = self.func(fid);
-        let link = match (kw, f.linkage) {
+        let link = match (kw, f.linkage()) {
             ("define", Linkage::Internal) => "internal ",
             _ => "",
         };
         let mut s = format!(
             "{kw} {link}{} @{}(",
             self.types.display(f.ret_type()),
-            f.name
+            f.name()
         );
         for (i, p) in f.params().iter().enumerate() {
             if i > 0 {
@@ -195,7 +195,7 @@ impl Module {
                 s
             }
             Const::GlobalAddr(g) => format!("@{}", self.global(*g).name),
-            Const::FuncAddr(f) => format!("@{}", self.func(*f).name),
+            Const::FuncAddr(f) => format!("@{}", self.func(*f).name()),
         }
     }
 

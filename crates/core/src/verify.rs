@@ -179,7 +179,7 @@ impl Module {
 
     fn err(errs: &mut Vec<VerifyError>, f: &Function, inst: Option<InstId>, msg: String) {
         errs.push(VerifyError {
-            func: Some(f.name.clone()),
+            func: Some(f.name().to_string()),
             inst,
             message: msg,
         });

@@ -145,7 +145,7 @@ fn add_module(dst: &mut Module, src: &Module) -> Result<(), LinkError> {
             .collect();
         let params = params?;
         let ret = cp.translate_type(dst, f.ret_type())?;
-        let dst_id = match (f.linkage, dst.func_by_name(&f.name)) {
+        let dst_id = match (f.linkage(), dst.func_by_name(f.name())) {
             (Linkage::External, Some(existing)) => {
                 let ex = dst.func(existing);
                 if ex.params() != params.as_slice()
@@ -154,24 +154,24 @@ fn add_module(dst: &mut Module, src: &Module) -> Result<(), LinkError> {
                 {
                     return Err(LinkError(format!(
                         "function @{} declared with conflicting signatures",
-                        f.name
+                        f.name()
                     )));
                 }
                 if !ex.is_declaration() && !f.is_declaration() {
                     return Err(LinkError(format!(
                         "duplicate definition of function @{}",
-                        f.name
+                        f.name()
                     )));
                 }
                 existing
             }
             (Linkage::External, None) => {
-                dst.add_function(&f.name, &params, ret, f.is_varargs(), Linkage::External)
+                dst.add_function(f.name(), &params, ret, f.is_varargs(), Linkage::External)
             }
             (Linkage::Internal, prev) => {
                 let name = match prev {
-                    None => f.name.clone(),
-                    Some(_) => fresh_name_fn(dst, &f.name),
+                    None => f.name().to_string(),
+                    Some(_) => fresh_name_fn(dst, f.name()),
                 };
                 dst.add_function(&name, &params, ret, f.is_varargs(), Linkage::Internal)
             }

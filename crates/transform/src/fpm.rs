@@ -27,13 +27,25 @@
 //!
 //! # Fault isolation
 //!
-//! Each per-function unit is its own isolation domain: the worker
-//! snapshots the function (and the pool lengths) before every sub-pass
-//! and runs it under `catch_unwind`; a panic or blown budget restores the
-//! snapshot, truncates the pools, invalidates the function's analysis
-//! slot, and records a [`PassFault`] — the other functions and the rest
-//! of the pipeline are unaffected. Injected faults stay deterministic
-//! under parallelism because the adapter *reserves* hit ordinals per
+//! Each per-function unit is its own isolation domain with **one**
+//! rollback point: the function as it entered the stage, held as a clone
+//! (a [`Function`] clone shares the body, so holding it costs nothing
+//! until a sub-pass writes, and then one body copy for the whole stage).
+//! Every sub-pass runs under `catch_unwind`; when one panics or blows its
+//! budget the worker goes back to the entry state — function restored,
+//! pools truncated to the unit's base, the function's analysis slot
+//! invalidated — and *replays* the sub-passes that had already succeeded,
+//! records a [`PassFault`], and carries on: the other functions and the
+//! rest of the pipeline are unaffected. Replay is exact because a
+//! sub-pass is a deterministic function of the unit (the contract behind
+//! "byte-identical at any `--jobs`" above): from the same state it interns
+//! the same pool entries under the same ids and leaves the same body, so
+//! the unit ends up byte for byte where skipping the faulted sub-pass
+//! would have left it. The price of a rollback is paid by the unit that
+//! faults, not as a body copy before every sub-pass of every unit. (A
+//! replayed sub-pass counts its work in its `stats()` line a second
+//! time.) Injected faults stay deterministic under parallelism because
+//! the adapter *reserves* hit ordinals per
 //! sub-pass up front ([`lpat_core::fault::FaultPlan::reserve`]) and each
 //! unit evaluates `base + function_index`, so fault placement depends
 //! only on function order, never on thread scheduling.
@@ -45,7 +57,8 @@ use lpat_analysis::{CacheStats, FuncAnalyses, PreservedAnalyses};
 use lpat_core::fault::{FaultAction, FaultPlan};
 use lpat_core::trace;
 use lpat_core::{
-    AddrTypeTable, Const, ConstId, ConstPool, Function, Module, Type, TypeCtx, TypeId, Value,
+    add_body_copies, body_copies, AddrTypeTable, BodyCopies, Const, ConstId, ConstPool, Function,
+    Module, Type, TypeCtx, TypeId, Value,
 };
 
 use crate::pm::{
@@ -127,8 +140,9 @@ struct FuncResult {
     idx: usize,
     new_types: Vec<Type>,
     new_consts: Vec<Const>,
-    /// Per pass: `(duration, changed, cache delta, call graph preserved)`.
-    rows: Vec<(Duration, bool, CacheStats, bool)>,
+    /// Per pass: `(duration, changed, cache delta, call graph preserved,
+    /// bodies duplicated for the rollback point)`.
+    rows: Vec<(Duration, bool, CacheStats, bool, BodyCopies)>,
     /// Isolated faults: `(sub-pass index, cause, elapsed)`.
     faults: Vec<(usize, FaultCause, Duration)>,
 }
@@ -197,7 +211,7 @@ impl ModulePass for FunctionPassAdapter {
         let jobs = cx.jobs.max(1);
         let info = m.addr_type_table();
         let num = m.num_funcs();
-        let names: Vec<String> = m.func_ids().map(|f| m.func(f).name.clone()).collect();
+        let names: Vec<String> = m.func_ids().map(|f| m.func(f).name().to_string()).collect();
         let slots = cx.am.func_slots(num);
         let (types, consts, funcs) = m.split_mut();
         let ty_base = types.len();
@@ -246,41 +260,50 @@ impl ModulePass for FunctionPassAdapter {
         let info_ref = &info;
         let types_snapshot: &TypeCtx = &*types;
         let consts_snapshot: &ConstPool = &*consts;
+        let run_chunk = |chunk: Vec<(usize, &mut Function, &mut FuncAnalyses)>| {
+            let mut my_types = types_snapshot.clone();
+            let mut my_consts = consts_snapshot.clone();
+            let mut out = Vec::with_capacity(chunk.len());
+            for (idx, f, fa) in chunk {
+                out.push(run_pipeline_on(
+                    passes,
+                    &mut my_types,
+                    &mut my_consts,
+                    f,
+                    info_ref,
+                    fa,
+                    idx,
+                    ty_base,
+                    c_base,
+                    exec,
+                ));
+            }
+            out
+        };
+        // The calling thread is a worker too: it takes the first chunk, so
+        // one job spawns nothing.
+        let mut chunks = work.into_iter();
+        let first = chunks.next().expect("at least one job");
         let results: Vec<Vec<FuncResult>> = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut my_types = types_snapshot.clone();
-                        let mut my_consts = consts_snapshot.clone();
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (idx, f, fa) in chunk {
-                            out.push(run_pipeline_on(
-                                passes,
-                                &mut my_types,
-                                &mut my_consts,
-                                f,
-                                info_ref,
-                                fa,
-                                idx,
-                                ty_base,
-                                c_base,
-                                exec,
-                            ));
-                        }
-                        out
-                    })
-                })
+            let run_chunk = &run_chunk;
+            let handles: Vec<_> = chunks
+                .map(|chunk| s.spawn(move || run_chunk(chunk)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
+            let mut results = vec![run_chunk(first)];
+            for h in handles {
+                let out = match h.join() {
                     Ok(v) => v,
                     // Only reachable in strict mode (degrade catches unit
                     // panics in the worker); re-raise the original payload.
                     Err(payload) => resume_unwind(payload),
-                })
-                .collect()
+                };
+                // What that thread copied counts as this pass's doing.
+                for (.., copied) in out.iter().flat_map(|fr| &fr.rows) {
+                    add_body_copies(*copied);
+                }
+                results.push(out);
+            }
+            results
         });
 
         // Merge overlays into the master pools in function-index order.
@@ -307,6 +330,8 @@ impl ModulePass for FunctionPassAdapter {
                 changed: false,
                 stats: String::new(),
                 cache: CacheStats::default(),
+                copied_funcs: 0,
+                copied_insts: 0,
                 sub: Vec::new(),
                 functions: Vec::new(),
             })
@@ -319,10 +344,12 @@ impl ModulePass for FunctionPassAdapter {
             let Some(fr) = fr else { continue };
             let mut fdur = Duration::ZERO;
             let mut fchanged = false;
-            for (pi, (d, ch, cs, cg)) in fr.rows.iter().enumerate() {
+            for (pi, (d, ch, cs, cg, cp)) in fr.rows.iter().enumerate() {
                 sub[pi].duration += *d;
                 sub[pi].changed |= *ch;
                 sub[pi].cache.add(*cs);
+                sub[pi].copied_funcs += cp.funcs;
+                sub[pi].copied_insts += cp.insts;
                 fdur += *d;
                 fchanged |= *ch;
                 cg_preserved &= *cg;
@@ -374,9 +401,12 @@ impl ModulePass for FunctionPassAdapter {
 
 /// Run the whole pass pipeline over one function against a worker's pool
 /// snapshot, capture the pool overlay it created, and reset the snapshot.
-/// Each sub-pass is an isolation domain: in degrade mode a panic or blown
-/// budget rolls the function (and the pool tail the pass added) back and
-/// records a fault row instead of unwinding the worker.
+/// Each sub-pass is an isolation domain, and the whole unit has one
+/// rollback point: the function as it entered the stage (a clone, so it
+/// shares the body until a sub-pass writes). In degrade mode a sub-pass
+/// that panics or blows its budget is undone by going back to that point
+/// and running the sub-passes that had succeeded again ([`replay`]); a
+/// fault row is recorded instead of unwinding the worker.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline_on(
     passes: &[Box<dyn FunctionPass>],
@@ -392,6 +422,10 @@ fn run_pipeline_on(
 ) -> FuncResult {
     let mut rows = Vec::with_capacity(passes.len());
     let mut faults = Vec::new();
+    // The unit's one rollback point, and the sub-passes to run again after
+    // going back to it: `(index, left a simulated miscompile behind)`.
+    let entry = if exec.degrade { Some(f.clone()) } else { None };
+    let mut done: Vec<(usize, bool)> = Vec::new();
     for (pi, p) in passes.iter().enumerate() {
         // `bases` is only indexed under an active plan, where it is
         // aligned with `passes`.
@@ -399,9 +433,7 @@ fn run_pipeline_on(
             .plan
             .and_then(|pl| pl.fires_at(p.name(), exec.bases[pi] + idx as u64));
         let s0 = fa.stats();
-        let snapshot = exec.degrade.then(|| f.clone());
-        let ty_len = types.len();
-        let c_len = consts.len();
+        let copies0 = body_copies();
         let ts_us = if exec.tr.is_empty() {
             0
         } else {
@@ -429,19 +461,31 @@ fn run_pipeline_on(
                                 "pass '{}' exceeded its {budget:.1?} budget on @{} \
                                  (ran {elapsed:.1?})",
                                 p.name(),
-                                f.name,
+                                f.name(),
                             );
                         }
                     }
                 }
                 if fault.is_none() {
+                    // The analysis caches take "same version" to mean
+                    // "same function"; hold the passes to it.
+                    debug_assert!(
+                        entry
+                            .as_ref()
+                            .is_none_or(|e| e.version() != f.version() || e == f),
+                        "pass '{}' changed @{} without moving its version",
+                        p.name(),
+                        f.name(),
+                    );
                     fa.apply(&eff.preserved, f.version());
                     unit_changed = eff.changed;
+                    done.push((pi, injected == Some(FaultAction::Corrupt)));
                     rows.push((
                         elapsed,
                         eff.changed,
                         fa.stats() - s0,
                         eff.preserved.call_graph || !eff.changed,
+                        body_copies() - copies0,
                     ));
                 }
             }
@@ -457,7 +501,7 @@ fn run_pipeline_on(
             }
             trace::record_span_at(
                 "fpass",
-                format!("{} @{}", p.name(), f.name),
+                format!("{} @{}", p.name(), f.name()),
                 exec.tr[pi] + idx as u64,
                 ts_us,
                 elapsed,
@@ -465,14 +509,21 @@ fn run_pipeline_on(
             );
         }
         if let Some(cause) = fault {
-            *f = snapshot.expect("degrade mode always snapshots");
-            types.truncate(ty_len);
-            consts.truncate(c_len);
+            *f = entry.clone().expect("degrade mode keeps the entry state");
+            types.truncate(ty_base);
+            consts.truncate(c_base);
             // The restored function reuses version numbers the faulted
             // pass already bumped past; cached entries stamped during it
             // could ABA-collide with future versions. Drop the slot.
             fa.invalidate();
-            rows.push((elapsed, false, fa.stats() - s0, true));
+            replay(passes, &done, types, consts, f, info, fa);
+            rows.push((
+                elapsed,
+                false,
+                fa.stats() - s0,
+                true,
+                body_copies() - copies0,
+            ));
             faults.push((pi, cause, elapsed));
         }
     }
@@ -490,6 +541,32 @@ fn run_pipeline_on(
         new_consts,
         rows,
         faults,
+    }
+}
+
+/// Bring a unit that was just put back to its stage-entry state (function
+/// restored, pools truncated to the unit's base) forward again through the
+/// sub-passes `done`, which ran to completion before the fault. A pass is
+/// a deterministic function of the unit — the contract that makes output
+/// independent of `--jobs` — so running them again from the same state
+/// interns the same pool entries under the same ids and leaves the body
+/// they left: exactly the pipeline without the faulted sub-pass. No panic
+/// or delay is injected (a simulated miscompile one of them left behind is
+/// left behind again), nothing is timed against the budget or traced:
+/// these runs already happened and were reported.
+fn replay(
+    passes: &[Box<dyn FunctionPass>],
+    done: &[(usize, bool)],
+    types: &mut TypeCtx,
+    consts: &mut ConstPool,
+    f: &mut Function,
+    info: &AddrTypeTable,
+    fa: &mut FuncAnalyses,
+) {
+    for &(qi, corrupt) in done {
+        let injected = corrupt.then_some(FaultAction::Corrupt);
+        let eff = run_unit(passes[qi].as_ref(), types, consts, f, info, fa, injected);
+        fa.apply(&eff.preserved, f.version());
     }
 }
 

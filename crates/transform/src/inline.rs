@@ -12,7 +12,7 @@
 //!   which is semantics-preserving: the unwind continues into the caller's
 //!   dynamic context exactly as it would have at run time.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use lpat_analysis::{CallGraph, PreservedAnalyses};
 use lpat_core::{BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
@@ -45,19 +45,13 @@ impl ModulePass for Inline {
         "inline"
     }
     fn run(&mut self, m: &mut Module, cx: &mut PassContext) -> PassEffect {
-        let cg = cx.am.call_graph(m).clone();
+        let cg = cx.am.call_graph(m);
         let roots: Vec<FuncId> = m.func_ids().collect();
-        let order = cg.post_order(&roots);
         let mut any = false;
-        for f in order {
-            loop {
-                let did = inline_one_call(m, f, &cg, self.threshold, self.caller_cap);
-                if !did {
-                    break;
-                }
-                self.inlined += 1;
-                any = true;
-            }
+        for f in cg.post_order(&roots) {
+            let n = inline_calls_in(m, f, cg, self.threshold, self.caller_cap);
+            self.inlined += n;
+            any |= n > 0;
         }
         // Delete internal functions that no longer have any references
         // ("... deleting 438 which are no longer referenced" — §4.1.4).
@@ -65,17 +59,17 @@ impl ModulePass for Inline {
         if any {
             cx.am.invalidate_call_graph();
         }
-        let cg = cx.am.call_graph(m).clone();
-        let mut dead = Vec::new();
-        for (fid, f) in m.funcs() {
-            if matches!(f.linkage, lpat_core::Linkage::Internal)
-                && !f.is_declaration()
-                && cg.direct_call_sites(fid) == 0
-                && !cg.is_address_taken(fid)
-            {
-                dead.push(fid);
-            }
-        }
+        let cg = cx.am.call_graph(m);
+        let dead: HashSet<FuncId> = m
+            .funcs()
+            .filter(|&(fid, f)| {
+                matches!(f.linkage(), lpat_core::Linkage::Internal)
+                    && !f.is_declaration()
+                    && cg.direct_call_sites(fid) == 0
+                    && !cg.is_address_taken(fid)
+            })
+            .map(|(fid, _)| fid)
+            .collect();
         if !dead.is_empty() {
             self.deleted += dead.len();
             m.retain_functions(|f| !dead.contains(&f));
@@ -92,76 +86,107 @@ impl ModulePass for Inline {
     }
 }
 
-/// Find and inline one eligible call site in `caller`. Returns whether a
-/// site was inlined.
-fn inline_one_call(
+/// Inline the eligible call sites of `caller`, one at a time, each the
+/// first a scan from the entry block finds once the one before it is
+/// spliced in. Returns how many.
+///
+/// The scan does not go back to the entry block every time. A splice at
+/// `site` in block `b` leaves blocks `0..b` and the part of `b` before
+/// `site` as they were, except that uses of the call's result now name
+/// the returned value; so a site in that part that was passed over is
+/// passed over again — unless the reason it was passed over can change
+/// with the caller. Two can: an indirect call through a computed value
+/// (the value may have just become a function address), and an invoke
+/// whose result is used with a many-predecessor normal destination (uses
+/// and edges both move). If the scan met neither, it resumes at block
+/// `b + 1` (what followed `site` now sits in blocks appended behind it, in
+/// scan order); if it met one, it starts over from the entry block.
+fn inline_calls_in(
     m: &mut Module,
     caller: FuncId,
     cg: &CallGraph,
     threshold: usize,
     caller_cap: usize,
-) -> bool {
-    let f = m.func(caller);
-    if f.is_declaration() || f.num_insts() >= caller_cap {
-        return false;
-    }
-    let mut site: Option<(BlockId, InstId, FuncId)> = None;
-    'outer: for b in f.block_ids() {
-        for &iid in f.block_insts(b) {
-            let callee_val = match f.inst(iid) {
-                Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => *callee,
-                _ => continue,
-            };
-            let callee = match callee_val {
-                Value::Const(c) => match m.consts.get(c) {
-                    Const::FuncAddr(t) => *t,
-                    _ => continue,
-                },
-                _ => continue,
-            };
-            if callee == caller {
-                continue; // no self-inlining
-            }
-            let target = m.func(callee);
-            if target.is_declaration() || target.is_varargs() {
-                continue;
-            }
-            let size = target.num_insts();
-            let single_site = matches!(target.linkage, lpat_core::Linkage::Internal)
-                && cg.direct_call_sites(callee) == 1
-                && !cg.is_address_taken(callee);
-            if !(size <= threshold || (single_site && size <= threshold * 16)) {
-                continue;
-            }
-            // Invoke sites: only callees free of calls/invokes (so the
-            // only exceptional exit is a literal `unwind`, which becomes a
-            // branch), and the result must be unused or the normal dest
-            // single-predecessor (for the φ insertion to be well-formed).
-            if let Inst::Invoke { normal, .. } = f.inst(iid) {
-                let has_calls = target
-                    .inst_ids_in_order()
-                    .any(|i| matches!(target.inst(i), Inst::Call { .. } | Inst::Invoke { .. }));
-                if has_calls {
-                    continue;
-                }
-                let result_used = f.use_counts()[iid.index()] > 0;
-                if result_used && f.predecessors()[normal.index()].len() != 1 {
-                    continue;
-                }
-            }
-            site = Some((b, iid, callee));
-            break 'outer;
+) -> usize {
+    let mut inlined = 0;
+    let mut first_block = 0;
+    loop {
+        let f = m.func(caller);
+        if f.is_declaration() || f.num_insts() >= caller_cap {
+            return inlined;
         }
+        let mut site: Option<(BlockId, InstId, FuncId)> = None;
+        let mut may_change = false;
+        // Both are whole-function sweeps; one of each serves a whole scan.
+        let mut uses: Option<Vec<u32>> = None;
+        let mut preds: Option<Vec<Vec<BlockId>>> = None;
+        'outer: for b in f.block_ids().skip(first_block) {
+            for &iid in f.block_insts(b) {
+                let callee_val = match f.inst(iid) {
+                    Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => *callee,
+                    _ => continue,
+                };
+                let callee = match callee_val {
+                    Value::Const(c) => match m.consts.get(c) {
+                        Const::FuncAddr(t) => *t,
+                        _ => continue,
+                    },
+                    Value::Inst(_) => {
+                        may_change = true;
+                        continue;
+                    }
+                    Value::Arg(_) => continue,
+                };
+                if callee == caller {
+                    continue; // no self-inlining
+                }
+                let target = m.func(callee);
+                if target.is_declaration() || target.is_varargs() {
+                    continue;
+                }
+                let size = target.num_insts();
+                let single_site = matches!(target.linkage(), lpat_core::Linkage::Internal)
+                    && cg.direct_call_sites(callee) == 1
+                    && !cg.is_address_taken(callee);
+                if !(size <= threshold || (single_site && size <= threshold * 16)) {
+                    continue;
+                }
+                // Invoke sites: only callees free of calls/invokes (so the
+                // only exceptional exit is a literal `unwind`, which becomes a
+                // branch), and the result must be unused or the normal dest
+                // single-predecessor (for the φ insertion to be well-formed).
+                if let Inst::Invoke { normal, .. } = f.inst(iid) {
+                    let has_calls = target
+                        .inst_ids_in_order()
+                        .any(|i| matches!(target.inst(i), Inst::Call { .. } | Inst::Invoke { .. }));
+                    if has_calls {
+                        continue;
+                    }
+                    let result_used = uses.get_or_insert_with(|| f.use_counts())[iid.index()] > 0;
+                    if result_used
+                        && preds.get_or_insert_with(|| f.predecessors())[normal.index()].len() != 1
+                    {
+                        may_change = true;
+                        continue;
+                    }
+                }
+                site = Some((b, iid, callee));
+                break 'outer;
+            }
+        }
+        let Some((b, iid, callee)) = site else {
+            return inlined;
+        };
+        inline_site(m, caller, b, iid, callee);
+        inlined += 1;
+        first_block = if may_change { 0 } else { b.index() + 1 };
     }
-    let Some((b, iid, callee)) = site else {
-        return false;
-    };
-    inline_site(m, caller, b, iid, callee);
-    true
 }
 
 /// Splice `callee`'s body into `caller` at call/invoke `site` in block `b`.
 pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, callee_id: FuncId) {
+    // A clone shares the body: a handle to read the callee through while
+    // the caller is edited, not a copy.
     let callee: Function = m.func(callee_id).clone();
     let (args, invoke_dests) = match m.func(caller).inst(site) {
         Inst::Call { args, .. } => (args.clone(), None),
@@ -178,27 +203,25 @@ pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, cal
 
     // 1. Instruction & block id maps for the copied body.
     let base_inst = m.func(caller).num_inst_slots();
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+    let mut inst_map: Vec<Option<InstId>> = vec![None; callee.num_inst_slots()];
     for (k, old) in callee.inst_ids_in_order().enumerate() {
-        inst_map.insert(old, InstId::from_index(base_inst + k));
+        inst_map[old.index()] = Some(InstId::from_index(base_inst + k));
     }
     // 2. Continuation: where control goes after an inlined `ret`.
     //    Call sites split the block; invoke sites branch to `normal`.
-    let (cont, split_moved): (BlockId, Vec<InstId>) = match invoke_dests {
-        Some((normal, _)) => (normal, Vec::new()),
+    let cont: BlockId = match invoke_dests {
+        Some((normal, _)) => normal,
         None => {
             let fm = m.func_mut(caller);
             let cont = fm.add_block();
-            let insts = fm.block_insts(b).to_vec();
+            let insts = fm.block_insts(b);
             let pos = insts.iter().position(|&i| i == site).expect("site in b");
-            let before = insts[..pos].to_vec();
-            let after = insts[pos + 1..].to_vec();
+            let (before, after) = (insts[..pos].to_vec(), insts[pos + 1..].to_vec());
             fm.set_block_insts(b, before);
-            fm.set_block_insts(cont, after.clone());
-            (cont, after)
+            fm.set_block_insts(cont, after);
+            cont
         }
     };
-    let _ = split_moved;
     // Copied callee blocks start after everything created so far
     // (including the continuation split above).
     let base_block = m.func(caller).num_blocks();
@@ -229,7 +252,7 @@ pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, cal
         let remap_val = |v: Value| -> Value {
             match v {
                 Value::Arg(i) => args[i as usize],
-                Value::Inst(d) => Value::Inst(inst_map[&d]),
+                Value::Inst(d) => Value::Inst(inst_map[d.index()].expect("operand is linked")),
                 c => c,
             }
         };
@@ -238,8 +261,10 @@ pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, cal
             let nb = fm.add_block();
             debug_assert_eq!(nb, block_map(ob));
         }
+        let fm = m.func_mut(caller);
         for ob in callee.block_ids() {
             let nb = block_map(ob);
+            let mut copied = Vec::with_capacity(callee.block_insts(ob).len());
             for &oi in callee.block_insts(ob) {
                 let mut inst = callee.inst(oi).clone();
                 let ty = callee.inst_ty(oi);
@@ -261,13 +286,11 @@ pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, cal
                         other.clone()
                     }
                 };
-                let fm = m.func_mut(caller);
                 let made = fm.new_inst(new_inst, ty);
-                debug_assert_eq!(Some(&made), inst_map.get(&oi));
-                let mut insts = fm.block_insts(nb).to_vec();
-                insts.push(made);
-                fm.set_block_insts(nb, insts);
+                debug_assert_eq!(Some(made), inst_map[oi.index()]);
+                copied.push(made);
             }
+            fm.set_block_insts(nb, copied);
         }
     }
 

@@ -2,8 +2,18 @@
 //! internalization, aggressive dead-global & dead-function elimination
 //! (DGE), dead-argument & dead-return-value elimination (DAE), and
 //! interprocedural constant propagation (IPCP).
+//!
+//! IPCP and DAE never search the module for the calls of a function: they
+//! read them from the call graph's call-site index
+//! ([`CallGraph::call_sites`], cached by the analysis manager). IPCP only
+//! reads it; DAE, which appends rewritten copies of whole functions as it
+//! goes, keeps its own copy of the lists current. Both write only to the
+//! functions they change (`Module::func_mut` of a function is what makes
+//! a rollback point pay for a copy of its body), and both count the
+//! instructions they read — `tests/ipo_scaling.rs` holds that count to
+//! the module's size.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use lpat_analysis::{CallGraph, PreservedAnalyses};
 use lpat_core::{Const, ConstId, FuncId, GlobalId, Inst, InstId, Linkage, Module, Value};
@@ -41,10 +51,10 @@ impl ModulePass for Internalize {
         for fid in m.func_ids().collect::<Vec<_>>() {
             let f = m.func_mut(fid);
             if !f.is_declaration()
-                && matches!(f.linkage, Linkage::External)
-                && !self.keep.contains(&f.name)
+                && matches!(f.linkage(), Linkage::External)
+                && !self.keep.iter().any(|k| k == f.name())
             {
-                f.linkage = Linkage::Internal;
+                f.set_linkage(Linkage::Internal);
                 self.count += 1;
                 changed = true;
             }
@@ -111,7 +121,7 @@ pub fn run_dge(m: &mut Module) -> (usize, usize) {
     let mut work_f: Vec<FuncId> = Vec::new();
     let mut work_g: Vec<GlobalId> = Vec::new();
     for (fid, f) in m.funcs() {
-        if matches!(f.linkage, Linkage::External) {
+        if matches!(f.linkage(), Linkage::External) {
             live_f.insert(fid);
             work_f.push(fid);
         }
@@ -189,6 +199,9 @@ pub struct Dae {
     pub args_removed: usize,
     /// Return values removed (function return type changed to void).
     pub rets_removed: usize,
+    /// Instructions read to get there (the analysis sweep, plus every body
+    /// copied and call site patched).
+    pub scanned: u64,
 }
 
 impl ModulePass for Dae {
@@ -196,18 +209,18 @@ impl ModulePass for Dae {
         "dae"
     }
     fn run(&mut self, m: &mut Module, cx: &mut PassContext) -> PassEffect {
-        let cg = cx.am.call_graph(m).clone();
-        let (a, r) = run_dae_with(m, &cg);
+        let (a, r, scanned) = run_dae_with(m, cx.am.call_graph(m));
         self.args_removed += a;
         self.rets_removed += r;
+        self.scanned += scanned;
         // Signature rewrites clone bodies into fresh functions and delete
         // the originals.
         PassEffect::from_change(a + r > 0, PreservedAnalyses::none())
     }
     fn stats(&self) -> String {
         format!(
-            "eliminated {} arguments and {} return values",
-            self.args_removed, self.rets_removed
+            "eliminated {} arguments and {} return values (scanned {} instructions)",
+            self.args_removed, self.rets_removed, self.scanned
         )
     }
 }
@@ -220,35 +233,36 @@ impl ModulePass for Dae {
 /// function ids.
 pub fn run_dae(m: &mut Module) -> (usize, usize) {
     let cg = CallGraph::build(m);
-    run_dae_with(m, &cg)
+    let (a, r, _) = run_dae_with(m, &cg);
+    (a, r)
 }
 
-/// [`run_dae`] against a caller-provided (typically cached) call graph.
-pub fn run_dae_with(m: &mut Module, cg: &CallGraph) -> (usize, usize) {
+/// [`run_dae`] against a caller-provided (typically cached) call graph;
+/// also returns the number of instructions read.
+pub fn run_dae_with(m: &mut Module, cg: &CallGraph) -> (usize, usize, u64) {
     let mut args_removed = 0;
     let mut rets_removed = 0;
-    // One pass over all call sites: which functions' results are ever
-    // used? (keyed by id now, carried by name across rewrites).
-    let mut ret_used: HashSet<FuncId> = HashSet::new();
+    let mut scanned = 0u64;
+    // One pass over all operands: which functions' results are ever used?
+    // (keyed by id now, carried by name across rewrites).
+    let mut ret_used = vec![false; m.num_funcs()];
     for (_, cf) in m.funcs() {
-        let uses = cf.use_counts();
         for uid in cf.inst_ids_in_order() {
-            if let Inst::Call { callee, .. } | Inst::Invoke { callee, .. } = cf.inst(uid) {
-                if uses[uid.index()] > 0 {
-                    if let Value::Const(c) = callee {
-                        if let Const::FuncAddr(t) = m.consts.get(*c) {
-                            ret_used.insert(*t);
-                        }
+            scanned += 1;
+            cf.inst(uid).for_each_operand(|v| {
+                if let Value::Inst(d) = v {
+                    if let Some(t) = direct_callee(m, cf.inst(d)) {
+                        ret_used[t.index()] = true;
                     }
                 }
-            }
+            });
         }
     }
     // Candidates, by name (ids shift as rewrites delete old functions).
     let mut plan: Vec<(String, Vec<bool>, bool)> = Vec::new();
     for (fid, f) in m.funcs() {
         if f.is_declaration()
-            || !matches!(f.linkage, Linkage::Internal)
+            || !matches!(f.linkage(), Linkage::Internal)
             || cg.is_address_taken(fid)
             || f.is_varargs()
         {
@@ -256,13 +270,14 @@ pub fn run_dae_with(m: &mut Module, cg: &CallGraph) -> (usize, usize) {
         }
         let mut used = vec![false; f.num_params()];
         for iid in f.inst_ids_in_order() {
+            scanned += 1;
             f.inst(iid).for_each_operand(|v| {
                 if let Value::Arg(i) = v {
                     used[i as usize] = true;
                 }
             });
         }
-        let drop_ret = f.ret_type() != m.types.void() && !ret_used.contains(&fid);
+        let drop_ret = f.ret_type() != m.types.void() && !ret_used[fid.index()];
         if used.iter().all(|&u| u) && !drop_ret {
             continue;
         }
@@ -270,29 +285,61 @@ pub fn run_dae_with(m: &mut Module, cg: &CallGraph) -> (usize, usize) {
         if drop_ret {
             rets_removed += 1;
         }
-        plan.push((f.name.clone(), used, drop_ret));
+        plan.push((f.name().to_string(), used, drop_ret));
     }
+    // The pass's own copy of the call-site index: a rewrite patches the
+    // sites listed for its function and lists the calls of the copy it
+    // appends, so a later rewrite finds them without searching any body.
+    let mut sites: Vec<Vec<(FuncId, InstId)>> = if plan.is_empty() {
+        Vec::new()
+    } else {
+        m.func_ids().map(|f| cg.call_sites(f).to_vec()).collect()
+    };
     // Rewrites only *append* replacement functions, so ids stay stable
     // until the single batched deletion at the end.
     let mut retired: HashSet<FuncId> = HashSet::new();
     for (name, used, drop_ret) in plan {
         let fid = m.func_by_name(&name).expect("candidate still present");
-        rewrite_signature(m, fid, &used, drop_ret);
         retired.insert(fid);
+        scanned += rewrite_signature(m, fid, &used, drop_ret, &mut sites, &retired);
     }
     if !retired.is_empty() {
         m.retain_functions(|f| !retired.contains(&f));
     }
-    (args_removed, rets_removed)
+    (args_removed, rets_removed, scanned)
 }
 
-fn is_addr_of(m: &Module, v: Value, f: FuncId) -> bool {
-    matches!(v, Value::Const(c) if matches!(m.consts.get(c), Const::FuncAddr(t) if *t == f))
+/// The function a call or invoke names directly, if it names one.
+fn direct_callee(m: &Module, inst: &Inst) -> Option<FuncId> {
+    match inst {
+        Inst::Call {
+            callee: Value::Const(c),
+            ..
+        }
+        | Inst::Invoke {
+            callee: Value::Const(c),
+            ..
+        } => match m.consts.get(*c) {
+            Const::FuncAddr(t) => Some(*t),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// Rebuild `fid`'s signature keeping only `used` arguments and optionally
-/// dropping the return value, then rewrite the body and all call sites.
-fn rewrite_signature(m: &mut Module, fid: FuncId, used: &[bool], drop_ret: bool) {
+/// dropping the return value, then rewrite the body and the call sites
+/// `sites` lists for it. Functions in `retired` (`fid` among them) are
+/// about to be deleted and are left as they are. Returns the number of
+/// instructions read.
+fn rewrite_signature(
+    m: &mut Module,
+    fid: FuncId,
+    used: &[bool],
+    drop_ret: bool,
+    sites: &mut [Vec<(FuncId, InstId)>],
+    retired: &HashSet<FuncId>,
+) -> u64 {
     // Map old arg index -> new.
     let mut map: Vec<Option<u32>> = Vec::with_capacity(used.len());
     let mut next = 0u32;
@@ -304,110 +351,106 @@ fn rewrite_signature(m: &mut Module, fid: FuncId, used: &[bool], drop_ret: bool)
             map.push(None);
         }
     }
-    let old = m.func(fid).clone();
-    let new_params: Vec<lpat_core::TypeId> = old
+    // A clone shares the body, so this is a handle to read the old
+    // function through while the module is edited, not a copy.
+    let src = m.func(fid).clone();
+    let new_params: Vec<lpat_core::TypeId> = src
         .params()
         .iter()
         .zip(used)
         .filter(|(_, &u)| u)
         .map(|(&t, _)| t)
         .collect();
-    let ret = if drop_ret {
-        m.types.void()
-    } else {
-        old.ret_type()
-    };
+    let void = m.types.void();
+    let ret = if drop_ret { void } else { src.ret_type() };
     // Temporarily rename, create the replacement, then swap bodies.
-    let name = old.name.clone();
-    let tmp = format!("{name}$dae");
-    m.rename_function(fid, &tmp);
-    let new_fid = m.add_function(&name, &new_params, ret, false, old.linkage);
+    let name = src.name();
+    m.rename_function(fid, &format!("{name}$dae"));
+    let new_fid = m.add_function(name, &new_params, ret, false, src.linkage());
     // Copy the body, remapping arg references and (possibly sparse) old
     // instruction ids to the new dense layout.
-    {
-        let src = m.func(fid).clone();
-        let void = m.types.void();
-        let mut imap: HashMap<InstId, InstId> = HashMap::new();
-        for (k, oi) in src.inst_ids_in_order().enumerate() {
-            imap.insert(oi, InstId::from_index(k));
-        }
-        let fm = m.func_mut(new_fid);
-        for _ in 0..src.num_blocks() {
-            fm.add_block();
-        }
-        for bidx in src.block_ids() {
-            for &oi in src.block_insts(bidx) {
-                let mut inst = src.inst(oi).clone();
-                let mut ty = src.inst_ty(oi);
-                inst.map_operands(|v| match v {
-                    Value::Arg(i) => Value::Arg(map[i as usize].expect("used arg")),
-                    Value::Inst(d) => Value::Inst(imap[&d]),
-                    other => other,
-                });
-                if drop_ret {
-                    if let Inst::Ret(_) = inst {
-                        inst = Inst::Ret(None);
-                        ty = void;
-                    }
+    let mut imap: Vec<Option<InstId>> = vec![None; src.num_inst_slots()];
+    for (k, oi) in src.inst_ids_in_order().enumerate() {
+        imap[oi.index()] = Some(InstId::from_index(k));
+    }
+    let mut scanned = 0u64;
+    for _ in 0..src.num_blocks() {
+        m.func_mut(new_fid).add_block();
+    }
+    for bidx in src.block_ids() {
+        let mut copied = Vec::with_capacity(src.block_insts(bidx).len());
+        for &oi in src.block_insts(bidx) {
+            scanned += 1;
+            let mut inst = src.inst(oi).clone();
+            let mut ty = src.inst_ty(oi);
+            inst.map_operands(|v| match v {
+                Value::Arg(i) => Value::Arg(map[i as usize].expect("used arg")),
+                Value::Inst(d) => Value::Inst(imap[d.index()].expect("operand is linked")),
+                other => other,
+            });
+            if drop_ret {
+                if let Inst::Ret(_) = inst {
+                    inst = Inst::Ret(None);
+                    ty = void;
                 }
-                let made = fm.new_inst(inst, ty);
-                debug_assert_eq!(Some(&made), imap.get(&oi));
-                let mut insts = fm.block_insts(bidx).to_vec();
-                insts.push(made);
-                fm.set_block_insts(bidx, insts);
             }
+            let callee = direct_callee(m, &inst);
+            let made = m.func_mut(new_fid).new_inst(inst, ty);
+            debug_assert_eq!(Some(made), imap[oi.index()]);
+            // The copy's calls are call sites too (of `fid` itself, when
+            // it recurses). An appended function is never rewritten again,
+            // so only the functions the index was built over have lists.
+            if let Some(list) = callee.and_then(|t| sites.get_mut(t.index())) {
+                list.push((new_fid, made));
+            }
+            copied.push(made);
         }
+        m.func_mut(new_fid).set_block_insts(bidx, copied);
     }
     // Rewrite every call site.
     let new_addr = m.consts.func_addr(new_fid);
-    let void = m.types.void();
-    for cid in m.func_ids().collect::<Vec<_>>() {
-        let cf = m.func(cid);
-        let mut patches: Vec<(InstId, Inst)> = Vec::new();
-        for uid in cf.inst_ids_in_order() {
-            let inst = cf.inst(uid);
-            let (callee, args, dests) = match inst {
-                Inst::Call { callee, args } => (*callee, args.clone(), None),
-                Inst::Invoke {
-                    callee,
-                    args,
-                    normal,
-                    unwind,
-                } => (*callee, args.clone(), Some((*normal, *unwind))),
-                _ => continue,
-            };
-            if !is_addr_of(m, callee, fid) {
-                continue;
-            }
-            let new_args: Vec<Value> = args
-                .iter()
-                .zip(used)
-                .filter(|(_, &u)| u)
-                .map(|(&a, _)| a)
-                .collect();
-            let new_inst = match dests {
-                None => Inst::Call {
-                    callee: Value::Const(new_addr),
-                    args: new_args,
-                },
-                Some((normal, unwind)) => Inst::Invoke {
-                    callee: Value::Const(new_addr),
-                    args: new_args,
-                    normal,
-                    unwind,
-                },
-            };
-            patches.push((uid, new_inst));
+    for (holder, uid) in std::mem::take(&mut sites[fid.index()]) {
+        if retired.contains(&holder) {
+            continue;
         }
-        let cfm = m.func_mut(cid);
-        for (uid, inst) in patches {
-            *cfm.inst_mut(uid) = inst;
-            if drop_ret {
-                cfm.set_inst_ty(uid, void);
-            }
+        scanned += 1;
+        let inst = m.func(holder).inst(uid);
+        if direct_callee(m, inst) != Some(fid) {
+            continue;
+        }
+        let (args, dests) = match inst {
+            Inst::Call { args, .. } => (args, None),
+            Inst::Invoke {
+                args,
+                normal,
+                unwind,
+                ..
+            } => (args, Some((*normal, *unwind))),
+            _ => continue,
+        };
+        let args: Vec<Value> = args
+            .iter()
+            .zip(used)
+            .filter(|(_, &u)| u)
+            .map(|(&a, _)| a)
+            .collect();
+        let callee = Value::Const(new_addr);
+        let hm = m.func_mut(holder);
+        *hm.inst_mut(uid) = match dests {
+            None => Inst::Call { callee, args },
+            Some((normal, unwind)) => Inst::Invoke {
+                callee,
+                args,
+                normal,
+                unwind,
+            },
+        };
+        if drop_ret {
+            hm.set_inst_ty(uid, void);
         }
     }
     // The old function is now unreferenced; the caller batch-deletes it.
+    scanned
 }
 
 // ----------------------------------------------------------------------
@@ -419,6 +462,8 @@ fn rewrite_signature(m: &mut Module, fid: FuncId, used: &[bool], drop_ret: bool)
 #[derive(Default)]
 pub struct Ipcp {
     propagated: usize,
+    /// Call instructions read to get there.
+    scanned: u64,
 }
 
 impl ModulePass for Ipcp {
@@ -426,9 +471,9 @@ impl ModulePass for Ipcp {
         "ipcp"
     }
     fn run(&mut self, m: &mut Module, cx: &mut PassContext) -> PassEffect {
-        let cg = cx.am.call_graph(m).clone();
-        let n = run_ipcp_with(m, &cg);
+        let (n, scanned) = run_ipcp_with(m, cx.am.call_graph(m));
         self.propagated += n;
+        self.scanned += scanned;
         // Operand substitution only — but a propagated function address can
         // turn an indirect call direct, so don't keep the call graph.
         PassEffect::from_change(
@@ -440,22 +485,35 @@ impl ModulePass for Ipcp {
         )
     }
     fn stats(&self) -> String {
-        format!("propagated {} constant arguments", self.propagated)
+        format!(
+            "propagated {} constant arguments (scanned {} instructions)",
+            self.propagated, self.scanned
+        )
     }
 }
 
 /// Run IPCP once; returns number of parameters replaced by constants.
 pub fn run_ipcp(m: &mut Module) -> usize {
     let cg = CallGraph::build(m);
-    run_ipcp_with(m, &cg)
+    run_ipcp_with(m, &cg).0
 }
 
-/// [`run_ipcp`] against a caller-provided (typically cached) call graph.
-pub fn run_ipcp_with(m: &mut Module, cg: &CallGraph) -> usize {
+/// [`run_ipcp`] against a caller-provided (typically cached) call graph;
+/// also returns the number of instructions read.
+///
+/// Each function's arguments are read from its listed call sites when its
+/// turn comes, so a constant an earlier turn propagated into a caller is
+/// seen. The turn may make an indirect call direct (a propagated function
+/// address), but only to an address-taken function, whose list is never
+/// read.
+pub fn run_ipcp_with(m: &mut Module, cg: &CallGraph) -> (usize, u64) {
     let mut count = 0;
-    for fid in m.func_ids().collect::<Vec<_>>() {
+    let mut scanned = 0u64;
+    for fid in m.func_ids() {
         let f = m.func(fid);
-        if f.is_declaration() || !matches!(f.linkage, Linkage::Internal) || cg.is_address_taken(fid)
+        if f.is_declaration()
+            || !matches!(f.linkage(), Linkage::Internal)
+            || cg.is_address_taken(fid)
         {
             continue;
         }
@@ -464,26 +522,24 @@ pub fn run_ipcp_with(m: &mut Module, cg: &CallGraph) -> usize {
         let mut arg_consts: Vec<Option<ConstId>> = vec![None; nparams];
         let mut arg_bad = vec![false; nparams];
         let mut any_site = false;
-        for (_, cf) in m.funcs() {
-            for uid in cf.inst_ids_in_order() {
-                let (callee, args) = match cf.inst(uid) {
-                    Inst::Call { callee, args } => (*callee, args),
-                    Inst::Invoke { callee, args, .. } => (*callee, args),
-                    _ => continue,
-                };
-                if !is_addr_of(m, callee, fid) {
-                    continue;
-                }
-                any_site = true;
-                for (i, &a) in args.iter().enumerate().take(nparams) {
-                    match a {
-                        Value::Const(c) => match arg_consts[i] {
-                            None => arg_consts[i] = Some(c),
-                            Some(prev) if prev == c => {}
-                            Some(_) => arg_bad[i] = true,
-                        },
-                        _ => arg_bad[i] = true,
-                    }
+        for &(caller, uid) in cg.call_sites(fid) {
+            scanned += 1;
+            let inst = m.func(caller).inst(uid);
+            if direct_callee(m, inst) != Some(fid) {
+                continue;
+            }
+            let (Inst::Call { args, .. } | Inst::Invoke { args, .. }) = inst else {
+                continue;
+            };
+            any_site = true;
+            for (i, &a) in args.iter().enumerate().take(nparams) {
+                match a {
+                    Value::Const(c) => match arg_consts[i] {
+                        None => arg_consts[i] = Some(c),
+                        Some(prev) if prev == c => {}
+                        Some(_) => arg_bad[i] = true,
+                    },
+                    _ => arg_bad[i] = true,
                 }
             }
         }
@@ -508,7 +564,7 @@ pub fn run_ipcp_with(m: &mut Module, cg: &CallGraph) -> usize {
             }
         }
     }
-    count
+    (count, scanned)
 }
 
 #[cfg(test)]
@@ -535,11 +591,11 @@ e:
         let mut p = Internalize::default();
         assert!(p.run(&mut m, &mut PassContext::default()).changed);
         assert!(matches!(
-            m.func(m.func_by_name("helper").unwrap()).linkage,
+            m.func(m.func_by_name("helper").unwrap()).linkage(),
             Linkage::Internal
         ));
         assert!(matches!(
-            m.func(m.func_by_name("main").unwrap()).linkage,
+            m.func(m.func_by_name("main").unwrap()).linkage(),
             Linkage::External
         ));
         assert!(matches!(

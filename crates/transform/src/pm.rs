@@ -21,14 +21,20 @@
 //! The lifelong-optimization model (paper §3.6) runs the optimizer
 //! against live programs, so a crashing or runaway pass must degrade
 //! gracefully rather than take the process down. By default every module
-//! pass executes under [`std::panic::catch_unwind`] against a snapshot of
-//! the module; on a panic, a `--verify-each` failure, or a blown per-pass
-//! wall-clock budget the snapshot is restored, every cached analysis is
+//! pass executes under [`std::panic::catch_unwind`] against a rollback
+//! point — [`lpat_core::Module::checkpoint`]: the function table with
+//! every body *shared*, the global table, and the lengths of the two
+//! interning pools. Taking it copies no instruction; a body is duplicated
+//! when, and only if, the pass writes to that function (reported per pass
+//! as `copied_funcs` / `copied_insts`: what the fault boundary cost). On
+//! a panic, a `--verify-each` failure, or a blown per-pass wall-clock
+//! budget the module is restored to the point, every cached analysis is
 //! invalidated (the restored functions reuse version numbers, so stale
 //! entries could otherwise ABA-collide), a structured [`PassFault`] is
 //! appended to the report, and the pipeline continues with the remaining
 //! passes. Strict mode ([`PassManager::degrade`]` = false`,
-//! `--no-degrade`) propagates the failure instead. Deterministic fault
+//! `--no-degrade`) takes no rollback point and propagates the failure
+//! instead. Deterministic fault
 //! *injection* — [`lpat_core::fault::FaultPlan`] — drives the whole
 //! machinery from tests and from `LPAT_FAULTS`/`--inject-faults`.
 
@@ -40,7 +46,7 @@ use std::time::Duration;
 use lpat_analysis::{AnalysisManager, CacheStats, PreservedAnalyses};
 use lpat_core::fault::{self, FaultAction, FaultPlan};
 use lpat_core::trace;
-use lpat_core::Module;
+use lpat_core::{body_copies, Module};
 
 /// What a pass did: whether it changed the module, and which analysis
 /// classes survived it.
@@ -95,8 +101,9 @@ pub struct PassContext {
     /// Per-pass (and per-function-unit) wall-clock budget. A pass that
     /// exceeds it is rolled back with [`FaultCause::Timeout`].
     pub budget: Option<Duration>,
-    /// Degrade mode: isolate faults via snapshot + rollback and continue
-    /// (`true`, the default), or propagate them (`false`, `--no-degrade`).
+    /// Degrade mode: isolate faults via rollback point + restore and
+    /// continue (`true`, the default), or propagate them (`false`,
+    /// `--no-degrade`).
     pub degrade: bool,
 }
 
@@ -243,6 +250,12 @@ pub struct PassExecution {
     pub stats: String,
     /// Analysis cache traffic attributed to this pass.
     pub cache: CacheStats,
+    /// Function bodies duplicated on behalf of the rollback point: the
+    /// pass wrote to a function whose body the point still shared. Zero in
+    /// strict mode, and for any function the pass left alone.
+    pub copied_funcs: u64,
+    /// Linked instructions in those bodies.
+    pub copied_insts: u64,
     /// Sub-pass rows for composite passes (empty otherwise).
     pub sub: Vec<PassExecution>,
     /// Per-function rows for function-pass stages (empty otherwise).
@@ -277,26 +290,30 @@ impl PipelineReport {
     }
 
     /// Render the report as the `--time-passes` table: one row per pass
-    /// (sub-passes indented), with change flags and cache traffic.
+    /// (sub-passes indented), with change flags, cache traffic, and what
+    /// the rollback point cost (`cp.fn` bodies, `cp.inst` instructions
+    /// duplicated).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}  stats",
-            "pass", "time", "chg", "hit", "miss", "inval"
+            "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}  {:>6} {:>8}  stats",
+            "pass", "time", "chg", "hit", "miss", "inval", "cp.fn", "cp.inst"
         );
         for p in &self.passes {
             render_row(&mut out, p, 0);
         }
         let _ = writeln!(
             out,
-            "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}",
+            "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}  {:>6} {:>8}",
             "TOTAL",
             format!("{:.1?}", self.total),
             if self.changed() { "*" } else { "" },
             self.cache.hits,
             self.cache.misses,
             self.cache.invalidations,
+            self.passes.iter().map(|p| p.copied_funcs).sum::<u64>(),
+            self.passes.iter().map(|p| p.copied_insts).sum::<u64>(),
         );
         if self.degraded() {
             let _ = writeln!(out, "faults ({} isolated):", self.faults.len());
@@ -312,13 +329,15 @@ fn render_row(out: &mut String, p: &PassExecution, depth: usize) {
     let name = format!("{:indent$}{}", "", p.name, indent = depth * 2);
     let _ = writeln!(
         out,
-        "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}  {}",
+        "{:<28} {:>12} {:>3}  {:>6} {:>6} {:>6}  {:>6} {:>8}  {}",
         name,
         format!("{:.1?}", p.duration),
         if p.changed { "*" } else { "" },
         p.cache.hits,
         p.cache.misses,
         p.cache.invalidations,
+        p.copied_funcs,
+        p.copied_insts,
         p.stats,
     );
     for s in &p.sub {
@@ -337,10 +356,10 @@ pub struct PassManager {
     /// Worker-thread budget for function-pass stages. `None` resolves via
     /// `LPAT_JOBS` / available parallelism at run time.
     pub jobs: Option<usize>,
-    /// Degrade mode (default `true`): faulting passes are rolled back from
-    /// a snapshot and the pipeline continues. `false` (`--no-degrade`)
-    /// propagates panics and aborts on verifier/budget failures instead,
-    /// and skips the snapshot cost.
+    /// Degrade mode (default `true`): faulting passes are rolled back to
+    /// a rollback point and the pipeline continues. `false`
+    /// (`--no-degrade`) propagates panics and aborts on verifier/budget
+    /// failures instead, and takes no rollback point at all.
     pub degrade: bool,
     /// Per-pass wall-clock budget (`--pass-budget-ms`); `None` = no budget.
     pub budget: Option<Duration>,
@@ -400,9 +419,11 @@ impl PassManager {
         for p in &mut self.passes {
             let name = p.name();
             let pass_cache0 = cx.am.stats();
-            // The rollback point. Strict mode skips the clone: a fault
-            // aborts the process anyway, so the module never survives it.
-            let snapshot = cx.degrade.then(|| m.clone());
+            // The rollback point: shared structure, not a copy (see
+            // `Module::checkpoint`). Strict mode takes none: a fault aborts
+            // the process anyway, so the module never survives it.
+            let rollback = cx.degrade.then(|| m.checkpoint());
+            let copies0 = body_copies();
             let injected = cx.faults.as_deref().and_then(|pl| pl.next(name));
             // One stopwatch: the report's per-pass duration *is* this
             // span's duration, so `--time-passes` and `--trace-out` can
@@ -460,8 +481,16 @@ impl PassManager {
                 Err(payload) => fault = Some(FaultCause::Panic(panic_message(payload.as_ref()))),
             }
             let details = p.take_details();
+            // What the rollback point cost: bodies this pass had to
+            // duplicate because the point still shared them (a function-pass
+            // stage folds its workers' counts into this thread's).
+            let copied = body_copies() - copies0;
+            if trace::enabled() {
+                sp.arg("copied_funcs", copied.funcs.to_string());
+                sp.arg("copied_insts", copied.insts.to_string());
+            }
             if let Some(cause) = fault {
-                *m = snapshot.expect("degrade mode always snapshots");
+                m.restore(rollback.expect("degrade mode always takes a rollback point"));
                 // The restored functions reuse version numbers the faulted
                 // pass already bumped past, so any entry cached during it
                 // could ABA-collide with a future version. Drop everything.
@@ -484,6 +513,8 @@ impl PassManager {
                     changed: false,
                     stats: "faulted; rolled back".to_string(),
                     cache,
+                    copied_funcs: copied.funcs,
+                    copied_insts: copied.insts,
                     sub: Vec::new(),
                     functions: Vec::new(),
                 });
@@ -513,6 +544,8 @@ impl PassManager {
                 changed,
                 stats: p.stats(),
                 cache,
+                copied_funcs: copied.funcs,
+                copied_insts: copied.insts,
                 sub: details.sub,
                 functions: details.functions,
             });

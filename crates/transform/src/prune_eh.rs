@@ -137,7 +137,7 @@ pub fn run_prune_eh_with_summaries(m: &mut Module, sums: &lpat_analysis::ModuleS
     // never delete a live handler.
     let may: HashSet<FuncId> = m
         .funcs()
-        .filter(|(_, f)| names.contains(&f.name) || !summarized.contains(f.name.as_str()))
+        .filter(|(_, f)| names.contains(f.name()) || !summarized.contains(f.name()))
         .map(|(id, _)| id)
         .collect();
     prune_with_set(m, &may)

@@ -358,9 +358,9 @@ fn devirt_candidates(
             id,
             desc: format!(
                 "devirt {}@{} => {}",
-                f.name,
+                f.name(),
                 site.index(),
-                m.func(target).name
+                m.func(target).name()
             ),
             action: SpecAction::Devirt {
                 func: fid,
@@ -492,7 +492,7 @@ fn constarg_candidates(
         let (exec, misspec) = (profile.exec(id), profile.misspec(id));
         out.push(PlanEntry {
             id,
-            desc: format!("constarg {} arg{} == {}", f.name, arg, value),
+            desc: format!("constarg {} arg{} == {}", f.name(), arg, value),
             action: SpecAction::ConstArg {
                 func: fid,
                 arg,
@@ -754,7 +754,7 @@ mod tests {
 
     fn find_indirect_site(m: &Module, fname: &str) -> (FuncId, InstId) {
         for (fid, f) in m.funcs() {
-            if f.name != fname {
+            if f.name() != fname {
                 continue;
             }
             for iid in f.inst_ids_in_order() {
@@ -797,7 +797,7 @@ e:
         let (disp, site) = find_indirect_site(m, "disp");
         let alpha = m
             .funcs()
-            .find(|(_, f)| f.name == "alpha")
+            .find(|(_, f)| f.name() == "alpha")
             .map(|(id, _)| id)
             .unwrap();
         let mut p = SpecProfile::default();
@@ -880,11 +880,11 @@ e:
         m.verify().unwrap();
         let poly = m
             .funcs()
-            .find(|(_, f)| f.name == "poly")
+            .find(|(_, f)| f.name() == "poly")
             .map(|(id, _)| id)
             .unwrap();
         let (main, site) = {
-            let (mid, f) = m.funcs().find(|(_, f)| f.name == "main").unwrap();
+            let (mid, f) = m.funcs().find(|(_, f)| f.name() == "main").unwrap();
             let site = f
                 .inst_ids_in_order()
                 .find(|&i| matches!(f.inst(i), Inst::Call { .. }))

@@ -227,7 +227,7 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
     if f.is_declaration() {
         return Err(ExecError::trap(
             TrapKind::Invalid,
-            format!("cannot translate declaration @{}", f.name),
+            format!("cannot translate declaration @{}", f.name()),
         ));
     }
     // Pass 1: pc of each block (φs emit no code).
@@ -440,7 +440,7 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
         code,
         edges,
         block_pc,
-        name: f.name.clone(),
+        name: f.name().to_string(),
     })
 }
 
@@ -595,7 +595,7 @@ impl<'m> Vm<'m> {
         let mut sp = if trace::enabled() {
             Some(trace::span(
                 "jit",
-                format!("translate @{}", self.module().func(f).name),
+                format!("translate @{}", self.module().func(f).name()),
             ))
         } else {
             None
@@ -627,7 +627,7 @@ impl<'m> Vm<'m> {
                         "jit",
                         "bail-to-interp",
                         vec![
-                            ("function", self.module().func(f).name.clone()),
+                            ("function", self.module().func(f).name().to_string()),
                             ("error", e.to_string()),
                         ],
                     );
@@ -741,7 +741,7 @@ pub(crate) enum Flow {
     },
 }
 
-#[inline]
+#[inline(always)]
 fn read(fr: &JitFrame, s: &Slot) -> Result<VmValue, ExecError> {
     match s {
         Slot::Reg(r) => Ok(fr.regs[*r as usize]),

@@ -285,7 +285,7 @@ pub(crate) fn low32(v: &VmValue) -> u32 {
 /// Rebuild the exact scalar a class-tagged register represents. Only
 /// exact classes cross value boundaries; `L64` is rejected at translate
 /// time, so reaching it here is a translator bug.
-#[inline]
+#[inline(always)]
 fn value_of(reg: u32, c: Class) -> VmValue {
     match c {
         Class::Bool => VmValue::Bool(reg != 0),
@@ -324,7 +324,7 @@ impl<'m> Vm<'m> {
         let mut sp = if trace::enabled() {
             Some(trace::span(
                 "native",
-                format!("native.translate @{}", self.module().func(f).name),
+                format!("native.translate @{}", self.module().func(f).name()),
             ))
         } else {
             None
@@ -356,7 +356,7 @@ impl<'m> Vm<'m> {
                         "native",
                         "bail-to-jit",
                         vec![
-                            ("function", self.module().func(f).name.clone()),
+                            ("function", self.module().func(f).name().to_string()),
                             ("error", e.to_string()),
                         ],
                     );
@@ -381,7 +381,7 @@ impl<'m> Vm<'m> {
             .enumerate()
             .filter_map(move |(i, slot)| match slot {
                 NativeSlot::Refused(reason) => {
-                    Some((m.func(FuncId::from_index(i)).name.as_str(), reason.as_str()))
+                    Some((m.func(FuncId::from_index(i)).name(), reason.as_str()))
                 }
                 _ => None,
             })
@@ -548,7 +548,7 @@ impl<'m> Vm<'m> {
 /// Transfer control along edge `e`: apply the sequentialised φ-copies,
 /// move the pc, and record the edge/block profile (matching the
 /// interpreter's `transfer`).
-#[inline]
+#[inline(always)]
 pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, e: usize) {
     let edge = &code.edges[e];
     for c in &edge.copies {

@@ -93,13 +93,13 @@ impl PgoReport {
 /// Apply profile-guided reoptimization to `m` using `profile`.
 ///
 /// The hot-inlining stage is fault-isolated exactly like a module pass:
-/// it runs under `catch_unwind` against a snapshot (fault site
-/// `pgo-inline`), and on a panic the snapshot is restored and the fault is
+/// it runs under `catch_unwind` against a rollback point (fault site
+/// `pgo-inline`), and on a panic the module is restored and the fault is
 /// recorded in [`PgoReport::faults`] — layout still runs on the
 /// un-inlined module.
 pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> PgoReport {
     let mut report = PgoReport::default();
-    let snapshot = m.clone();
+    let rollback = m.checkpoint();
     let injected = lpat_core::faultpoint!("pgo-inline");
     let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -115,7 +115,7 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
     match outcome {
         Ok(n) => report.inlined = n,
         Err(payload) => {
-            *m = snapshot;
+            m.restore(rollback);
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -203,7 +203,7 @@ pub fn inline_hot_sites(m: &mut Module, profile: &ProfileData, opts: &PgoOptions
                 "pgo",
                 "hot-callsite",
                 vec![
-                    ("caller", m.func(caller).name.clone()),
+                    ("caller", m.func(caller).name().to_string()),
                     ("site", site.index().to_string()),
                     ("count", count.to_string()),
                 ],
@@ -232,7 +232,7 @@ pub fn layout_by_profile(m: &mut Module, profile: &ProfileData) -> usize {
                 trace::instant_args(
                     "pgo",
                     "relaid",
-                    vec![("function", m.func(fid).name.clone())],
+                    vec![("function", m.func(fid).name().to_string())],
                 );
             }
         }

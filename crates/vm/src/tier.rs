@@ -662,7 +662,7 @@ impl<'m> Vm<'m> {
                     TFrame::J(fr) => fr.func,
                     TFrame::N(fr) => fr.func,
                 };
-                let fname = self.module().func(f).name.clone();
+                let fname = self.module().func(f).name().to_string();
                 trace::instant_args("vm", "unwind", vec![("from", fname)]);
             }
         }
@@ -791,7 +791,7 @@ impl<'m> Vm<'m> {
                     trace::instant_args(
                         "vm",
                         "tier-up",
-                        vec![("function", self.module().func(f).name.clone())],
+                        vec![("function", self.module().func(f).name().to_string())],
                     );
                 }
                 true
@@ -805,7 +805,7 @@ impl<'m> Vm<'m> {
                     trace::instant_args(
                         "vm",
                         "tier-demote",
-                        vec![("function", self.module().func(f).name.clone())],
+                        vec![("function", self.module().func(f).name().to_string())],
                     );
                 }
                 false
@@ -826,7 +826,7 @@ impl<'m> Vm<'m> {
                     trace::instant_args(
                         "vm",
                         "tier-up-native",
-                        vec![("function", self.module().func(f).name.clone())],
+                        vec![("function", self.module().func(f).name().to_string())],
                     );
                 }
                 true
@@ -841,7 +841,7 @@ impl<'m> Vm<'m> {
                     trace::instant_args(
                         "vm",
                         "tier-demote-native",
-                        vec![("function", self.module().func(f).name.clone())],
+                        vec![("function", self.module().func(f).name().to_string())],
                     );
                 }
                 false
@@ -908,7 +908,7 @@ impl<'m> Vm<'m> {
             trace::instant_args(
                 "vm",
                 "tier-osr-native",
-                vec![("function", self.module().func(nf.func).name.clone())],
+                vec![("function", self.module().func(nf.func).name().to_string())],
             );
         }
         *stack.last_mut().expect("frame") = TFrame::N(nf);
@@ -936,7 +936,7 @@ impl<'m> Vm<'m> {
             trace::instant_args(
                 "vm",
                 "tier-osr-native",
-                vec![("function", self.module().func(nf.func).name.clone())],
+                vec![("function", self.module().func(nf.func).name().to_string())],
             );
         }
         *stack.last_mut().expect("frame") = TFrame::N(nf);
@@ -980,7 +980,7 @@ impl<'m> Vm<'m> {
             trace::instant_args(
                 "vm",
                 "tier-osr",
-                vec![("function", self.module().func(jfr.func).name.clone())],
+                vec![("function", self.module().func(jfr.func).name().to_string())],
             );
         }
         *stack.last_mut().expect("frame") = TFrame::J(jfr);
@@ -1038,7 +1038,7 @@ impl<'m> Vm<'m> {
                         "vm",
                         "deopt",
                         vec![
-                            ("function", self.module().func(ifr.func).name.clone()),
+                            ("function", self.module().func(ifr.func).name().to_string()),
                             ("block", format!("bb{block}")),
                         ],
                     );
@@ -1053,7 +1053,7 @@ impl<'m> Vm<'m> {
                     trace::instant_args(
                         "vm",
                         "tier-demote",
-                        vec![("function", self.module().func(f).name.clone())],
+                        vec![("function", self.module().func(f).name().to_string())],
                     );
                 }
             }

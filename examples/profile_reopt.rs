@@ -70,7 +70,7 @@ fn main() {
         let (trace, coverage) = form_trace(&m, &profile, h);
         println!(
             "  @{}: header bb{} ran {} times; hot trace {:?} covers {:.0}% of loop execution",
-            f.name,
+            f.name(),
             h.header.index(),
             h.header_count,
             trace.iter().map(|b| b.index()).collect::<Vec<_>>(),
@@ -81,7 +81,7 @@ fn main() {
     for (caller, site, count) in profile.hot_callsites(1000) {
         println!(
             "  in @{} at %t{}: executed {count} times",
-            m.func(caller).name,
+            m.func(caller).name(),
             site.index()
         );
     }

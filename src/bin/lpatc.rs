@@ -550,7 +550,7 @@ fn analyze(args: &Args) -> Result<ExitCode, String> {
         let s = dsa.access_stats_for(fid);
         println!(
             "  @{:<24} {:>4} typed {:>4} untyped  ({:>5.1}%)  callees: {}",
-            f.name,
+            f.name(),
             s.typed,
             s.untyped,
             s.percent(),
@@ -974,7 +974,7 @@ fn report_profile(m: &Module, profile: &lpat::vm::ProfileData, diag: &Diag) {
         let (trace, cov) = lpat::vm::form_trace(m, profile, h);
         diag.dump(&format!(
             "  hot loop @{} bb{} x{}  trace {:?} ({:.0}% coverage)",
-            m.func(h.func).name,
+            m.func(h.func).name(),
             h.header.index(),
             h.header_count,
             trace.iter().map(|b| b.index()).collect::<Vec<_>>(),
@@ -984,7 +984,7 @@ fn report_profile(m: &Module, profile: &lpat::vm::ProfileData, diag: &Diag) {
     for (caller, site, n) in profile.hot_callsites(100).iter().take(8) {
         diag.dump(&format!(
             "  hot call site @{} %t{} x{n}",
-            m.func(*caller).name,
+            m.func(*caller).name(),
             site.index()
         ));
     }

@@ -11,14 +11,21 @@ use std::time::Duration;
 use lpat::asm::parse_module;
 use lpat::bytecode::write_module;
 use lpat::core::{FaultPlan, Module};
+use lpat::transform::adce::Adce;
+use lpat::transform::devirtualize::Devirtualize;
 use lpat::transform::gvn::Gvn;
-use lpat::transform::ipo::{Dge, Internalize};
+use lpat::transform::inline::Inline;
+use lpat::transform::ipo::{Dae, Dge, Internalize, Ipcp};
 use lpat::transform::mem2reg::Mem2Reg;
 use lpat::transform::pm::FnPass;
+use lpat::transform::prune_eh::PruneEh;
+use lpat::transform::reassociate::Reassociate;
+use lpat::transform::scalar::{Dce, InstSimplify};
 use lpat::transform::simplifycfg::SimplifyCfg;
+use lpat::transform::sroa::Sroa;
 use lpat::transform::{
-    function_pipeline, FaultCause, FunctionPassAdapter, ModulePass, PassContext, PassEffect,
-    PassManager,
+    function_pipeline, link_time_pipeline, FaultCause, FuncUnit, FunctionPass, FunctionPassAdapter,
+    ModulePass, PassContext, PassEffect, PassManager, PipelineReport,
 };
 
 /// A miniature whole program: a helper worth inlining, a loop through
@@ -334,6 +341,401 @@ fn rollback_invalidates_cached_analyses() {
 }
 
 // ---------------------------------------------------------------------
+// Rollback equivalence: a faulted unit leaves exactly what a pipeline
+// built without that unit leaves.
+// ---------------------------------------------------------------------
+
+/// Several suite programs as units of one program: every defined function
+/// of unit `i` is renamed `p<i>_…`, and a `main` unit calls each
+/// `p<i>_main` (and defines one function nobody calls). Linked, not yet
+/// optimized.
+fn linked(picks: &[usize]) -> Module {
+    let suite = lpat::workloads::compile_suite(0);
+    let mut units = Vec::new();
+    let (mut decls, mut calls) = (String::new(), String::new());
+    for (i, &k) in picks.iter().enumerate() {
+        let mut m = suite[k].1.clone();
+        let defined: Vec<_> = m
+            .func_ids()
+            .filter(|&f| !m.func(f).is_declaration())
+            .collect();
+        for f in defined {
+            let renamed = format!("p{i}_{}", m.func(f).name());
+            m.rename_function(f, &renamed);
+        }
+        decls += &format!("extern int p{i}_main();\n");
+        calls += &format!("  s = s + p{i}_main();\n");
+        units.push(m);
+    }
+    // `spare` is there for DGE to delete.
+    let main = format!(
+        "{decls}int spare(int a) {{ return a + 1; }}\n\
+         int main() {{\n  int s;\n  s = 0;\n{calls}  return s % 256;\n}}\n"
+    );
+    units.push(lpat::minic::compile("main", &main).unwrap());
+    let m = lpat::linker::link(units, "linked").unwrap();
+    m.verify().unwrap();
+    m
+}
+
+/// gzip, gcc, perlbmk (calls through function pointers) and mcf.
+const FOUR_UNITS: [usize; 4] = [0, 2, 10, 5];
+
+/// One stage of a pipeline written down by pass name, so that it can be
+/// rebuilt with a unit left out.
+#[derive(Clone)]
+enum Stage {
+    Module(&'static str),
+    Functions(&'static str, &'static [&'static str]),
+}
+
+/// `function_pipeline()` and `link_time_pipeline()`, by name
+/// (`the_pipelines_by_name_are_the_real_ones` holds them to it).
+const FUNCTION_OPTS: [Stage; 1] = [Stage::Functions(
+    "function-opts",
+    &[
+        "sroa",
+        "mem2reg",
+        "instsimplify",
+        "reassociate",
+        "instsimplify",
+        "gvn",
+        "simplifycfg",
+        "adce",
+        "simplifycfg",
+    ],
+)];
+const LINK_TIME: [Stage; 9] = [
+    Stage::Module("internalize"),
+    Stage::Module("devirtualize"),
+    Stage::Module("ipcp"),
+    Stage::Module("dae"),
+    Stage::Module("dge"),
+    Stage::Module("inline"),
+    Stage::Module("prune-eh"),
+    Stage::Functions(
+        "cleanup",
+        &[
+            "sroa",
+            "mem2reg",
+            "instsimplify",
+            "gvn",
+            "instsimplify",
+            "simplifycfg",
+            "adce",
+            "simplifycfg",
+            "dce",
+        ],
+    ),
+    Stage::Module("dge"),
+];
+
+/// A function pass that leaves one function alone.
+struct Except {
+    inner: Box<dyn FunctionPass>,
+    skip: Option<String>,
+}
+
+impl FunctionPass for Except {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+        if self.skip.as_deref() == Some(u.func.name()) {
+            return PassEffect::unchanged();
+        }
+        self.inner.run_on(u)
+    }
+}
+
+fn function_pass(name: &str) -> Box<dyn FunctionPass> {
+    match name {
+        "sroa" => Box::new(Sroa::default()),
+        "mem2reg" => Box::new(Mem2Reg::default()),
+        "instsimplify" => Box::new(InstSimplify::default()),
+        "reassociate" => Box::new(Reassociate::default()),
+        "gvn" => Box::new(Gvn::default()),
+        "simplifycfg" => Box::new(SimplifyCfg::default()),
+        "adce" => Box::new(Adce::default()),
+        "dce" => Box::new(Dce::default()),
+        other => panic!("no function pass named {other}"),
+    }
+}
+
+/// What to leave out of a pipeline: stage `.0` altogether, or only its
+/// sub-pass `.1.0` on the function named `.1.1`.
+type Skip = (usize, Option<(usize, String)>);
+
+fn build(stages: &[Stage], skips: &[Skip]) -> PassManager {
+    let mut pm = PassManager::new();
+    for (si, stage) in stages.iter().enumerate() {
+        if skips.contains(&(si, None)) {
+            continue;
+        }
+        match stage {
+            Stage::Module("internalize") => pm.add(Internalize::default()),
+            Stage::Module("devirtualize") => pm.add(Devirtualize::default()),
+            Stage::Module("ipcp") => pm.add(Ipcp::default()),
+            Stage::Module("dae") => pm.add(Dae::default()),
+            Stage::Module("dge") => pm.add(Dge::default()),
+            Stage::Module("inline") => pm.add(Inline::default()),
+            Stage::Module("prune-eh") => pm.add(PruneEh::default()),
+            Stage::Module(other) => panic!("no module pass named {other}"),
+            Stage::Functions(name, subs) => {
+                let mut a = FunctionPassAdapter::new(name);
+                for (pi, sub) in subs.iter().enumerate() {
+                    let skip = skips.iter().find_map(|(s, unit)| match unit {
+                        Some((p, f)) if (*s, *p) == (si, pi) => Some(f.clone()),
+                        _ => None,
+                    });
+                    a = a.add(Except {
+                        inner: function_pass(sub),
+                        skip,
+                    });
+                }
+                pm.add(a)
+            }
+        };
+    }
+    pm
+}
+
+#[test]
+fn the_pipelines_by_name_are_the_real_ones() {
+    let names = |r: &PipelineReport| -> Vec<(&'static str, Vec<&'static str>)> {
+        (r.passes.iter())
+            .map(|p| (p.name, p.sub.iter().map(|s| s.name).collect()))
+            .collect()
+    };
+    let (mut a, mut b) = (linked(&FOUR_UNITS), linked(&FOUR_UNITS));
+    let (ra, rb) = (
+        function_pipeline().run(&mut a),
+        build(&FUNCTION_OPTS, &[]).run(&mut b),
+    );
+    assert_eq!(names(&ra), names(&rb));
+    assert_eq!(write_module(&a), write_module(&b));
+    let (ra, rb) = (
+        link_time_pipeline().run(&mut a),
+        build(&LINK_TIME, &[]).run(&mut b),
+    );
+    assert_eq!(names(&ra), names(&rb));
+    assert_eq!(write_module(&a), write_module(&b));
+}
+
+/// The three ways a unit can fault, as `--inject-faults` spells them and
+/// with the flag each needs to be noticed.
+#[derive(Copy, Clone, PartialEq, Debug)]
+enum Kind {
+    Panic,
+    /// `corrupt` + `--verify-each`.
+    Corrupt,
+    /// `delay` past `--pass-budget-ms`.
+    Delay,
+}
+
+fn armed(stages: &[Stage], skips: &[Skip], kind: Kind, jobs: usize) -> PassManager {
+    let mut pm = build(stages, skips);
+    pm.jobs = Some(jobs);
+    pm.verify_each = kind == Kind::Corrupt;
+    pm
+}
+
+/// Every ordinal of pass `pass` in `stages` over `input`, under `kind`, at
+/// `--jobs` 1 and 4: the bytes must equal those of the pipeline built
+/// without whatever the report says was rolled back. Returns how many
+/// ordinals there were.
+fn every_ordinal(stages: &[Stage], input: &Module, pass: &str, kind: Kind) -> usize {
+    // Where each ordinal lands. Nothing differs from a clean run before the
+    // fault fires, so the clean run's function tables tell.
+    let mut clean = input.clone();
+    let report = build(stages, &[]).run(&mut clean);
+    let mut units: Vec<Skip> = Vec::new();
+    for (si, stage) in stages.iter().enumerate() {
+        match stage {
+            Stage::Module(name) if *name == pass => units.push((si, None)),
+            Stage::Module(_) => {}
+            Stage::Functions(_, subs) => {
+                for (pi, _) in subs.iter().enumerate().filter(|(_, s)| **s == pass) {
+                    for f in &report.passes[si].functions {
+                        units.push((si, Some((pi, f.name.clone()))));
+                    }
+                }
+            }
+        }
+    }
+    for (n, unit) in units.iter().enumerate() {
+        let spec = match kind {
+            Kind::Panic => format!("{pass}:panic@{}", n + 1),
+            Kind::Corrupt => format!("{pass}:corrupt@{}", n + 1),
+            Kind::Delay => format!("{pass}:delay=60ms@{}", n + 1),
+        };
+        for jobs in [1, 4] {
+            let mut faulted = input.clone();
+            let mut pm = armed(stages, &[], kind, jobs);
+            pm.faults = plan(&spec);
+            if kind == Kind::Delay {
+                pm.budget = Some(Duration::from_millis(30));
+            }
+            let report = pm.run(&mut faulted);
+            // Whole stages the manager rolled back (a module pass; or a
+            // function-pass stage that a corrupted or delayed unit took
+            // down with it — or, under the budget, a slow machine).
+            let mut skips: Vec<Skip> = (report.passes.iter().enumerate())
+                .filter(|(_, p)| p.stats == "faulted; rolled back")
+                .map(|(si, _)| (si, None))
+                .collect();
+            if kind == Kind::Panic {
+                // A panic is contained where it happened, and reported.
+                let expected: Vec<_> = match unit {
+                    (_, None) => vec![(pass.to_string(), None)],
+                    (_, Some((_, f))) => vec![(pass.to_string(), Some(f.clone()))],
+                };
+                let got: Vec<_> = (report.faults.iter())
+                    .map(|f| (f.pass.clone(), f.function.clone()))
+                    .collect();
+                assert_eq!(got, expected, "{spec} --jobs {jobs}");
+                match unit {
+                    (si, None) => assert_eq!(skips, [(*si, None)], "{spec}"),
+                    unit => {
+                        assert_eq!(skips, [], "{spec}");
+                        skips.push(unit.clone());
+                    }
+                }
+            } else if let (si, None) = unit {
+                assert!(skips.contains(&(*si, None)), "{spec}: not rolled back");
+            }
+            let mut without = input.clone();
+            let r = armed(stages, &skips, kind, jobs).run(&mut without);
+            assert!(r.faults.is_empty(), "{spec}: the reference faulted");
+            assert_eq!(
+                write_module(&faulted),
+                write_module(&without),
+                "{spec} --jobs {jobs}: not what the pipeline without {skips:?} leaves"
+            );
+        }
+    }
+    units.len()
+}
+
+/// One leg per pass name (`LPAT_FAULTS_MATRIX`, as for the subprocess
+/// matrix; `gvn` and `inline` without it).
+#[test]
+fn every_unit_rolls_back_to_the_pipeline_without_it() {
+    let raw = linked(&FOUR_UNITS);
+    let mut optimized = raw.clone();
+    function_pipeline().run(&mut optimized);
+    for pass in matrix_passes().into_iter().filter(|p| !p.contains('.')) {
+        let mut ordinals = 0;
+        for kind in [Kind::Panic, Kind::Corrupt, Kind::Delay] {
+            ordinals = every_ordinal(&FUNCTION_OPTS, &raw, &pass, kind)
+                + every_ordinal(&LINK_TIME, &optimized, &pass, kind);
+        }
+        assert!(ordinals > 0, "no pass named {pass} in either pipeline");
+    }
+}
+
+/// What the matrix above cannot reach one ordinal at a time.
+#[test]
+fn rollback_corner_cases() {
+    let raw = linked(&FOUR_UNITS);
+    let run = |stages: &[Stage], input: &Module, skips: &[Skip], spec: Option<&str>, jobs| {
+        let mut m = input.clone();
+        // `--verify-each` on throughout, so a `corrupt` is noticed.
+        let mut pm = armed(stages, skips, Kind::Corrupt, jobs);
+        pm.faults = spec.and_then(plan);
+        let report = pm.run(&mut m);
+        (write_module(&m), report)
+    };
+    let (_, clean) = run(&FUNCTION_OPTS, &raw, &[], None, 1);
+    let funcs = &clean.passes[0].functions;
+    let n = funcs.len();
+    // A function every sub-pass has something to do in.
+    let (k, victim) = (funcs.iter().enumerate())
+        .find(|(_, f)| f.name == "p1_main")
+        .map(|(k, f)| (k, f.name.clone()))
+        .unwrap();
+    let unit = |pi: usize| -> Skip { (0, Some((pi, victim.clone()))) };
+    for jobs in [1, 4] {
+        // Two faults in one function's pipeline: sub-passes 3 and 7.
+        let spec = format!("reassociate:panic@{},adce:panic@{}", k + 1, k + 1);
+        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
+        assert_eq!(r.faults.len(), 2);
+        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(3), unit(7)], None, jobs);
+        assert_eq!(faulted, without, "{spec}");
+        // The first sub-pass, and the last (the second `simplifycfg`).
+        let spec = format!("sroa:panic@{},simplifycfg:panic@{}", k + 1, n + k + 1);
+        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
+        assert_eq!(r.faults.len(), 2);
+        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(0), unit(8)], None, jobs);
+        assert_eq!(faulted, without, "{spec}");
+        // A simulated miscompile nothing later cleans up (the last
+        // sub-pass) beside a panic in the same function: the replay must
+        // leave the miscompile behind again for `--verify-each` to take
+        // the stage down.
+        let spec = format!("simplifycfg:corrupt@{},gvn:panic@{}", n + k + 1, k + 1);
+        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
+        assert!(matches!(r.faults[0].cause, FaultCause::VerifyFailed(_)));
+        assert_eq!(faulted, write_module(&raw), "{spec}");
+    }
+
+    // Module passes that had already edited the function table when they
+    // were rolled back: DAE appends rewritten functions and deletes the
+    // originals, DGE and the inliner delete.
+    let mut optimized = raw.clone();
+    function_pipeline().run(&mut optimized);
+    let (_, clean) = run(&LINK_TIME, &optimized, &[], None, 1);
+    for (si, name) in [(3, "dae"), (4, "dge"), (5, "inline")] {
+        assert!(clean.passes[si].changed, "{name} has nothing to do here");
+        let spec = format!("{name}:corrupt@1");
+        let (faulted, r) = run(&LINK_TIME, &optimized, &[], Some(&spec), 1);
+        assert_eq!(r.faults.len(), 1, "{spec}");
+        assert!(matches!(r.faults[0].cause, FaultCause::VerifyFailed(_)));
+        let (without, _) = run(&LINK_TIME, &optimized, &[(si, None)], None, 1);
+        assert_eq!(faulted, without, "{spec}");
+    }
+}
+
+/// What the fault boundary costs is what the passes write: a rollback
+/// point shares every body, so a pass that changes nothing copies nothing,
+/// and a whole pipeline copies each function a small number of times —
+/// not once per pass (ten module passes: the module times ten) and once
+/// more per sub-pass.
+#[test]
+fn rollback_points_cost_what_the_passes_write() {
+    for (name, mut m) in lpat::workloads::compile_suite(60) {
+        let entered = m.total_insts() as u64;
+        let front = function_pipeline().run(&mut m);
+        let copied: u64 = front.passes.iter().map(|p| p.copied_insts).sum();
+        assert!(copied <= entered, "{name}: {copied} of {entered}");
+        let held = m.total_insts() as u64;
+        let link = link_time_pipeline().run(&mut m);
+        let copied: u64 = link.passes.iter().map(|p| p.copied_insts).sum();
+        assert!(copied < 3 * held, "{name}: {copied} of {held}");
+        for p in front.passes.iter().chain(&link.passes) {
+            assert!(
+                p.copied_insts >= p.sub.iter().map(|s| s.copied_insts).sum::<u64>(),
+                "{name}: {} copied less than its sub-passes",
+                p.name
+            );
+            for row in std::iter::once(p).chain(&p.sub).filter(|r| !r.changed) {
+                assert_eq!(
+                    (row.copied_funcs, row.copied_insts),
+                    (0, 0),
+                    "{name}: {} changed nothing",
+                    row.name
+                );
+            }
+        }
+    }
+    // Strict mode takes no rollback point, so nothing is shared.
+    let mut pm = function_pipeline();
+    pm.degrade = false;
+    let mut m = linked(&FOUR_UNITS);
+    let report = pm.run(&mut m);
+    assert!(report.changed() && report.passes.iter().all(|p| p.copied_funcs == 0));
+}
+
+// ---------------------------------------------------------------------
 // Subprocess tests: the lpatc driver under LPAT_FAULTS / --inject-faults.
 // ---------------------------------------------------------------------
 
@@ -559,6 +961,83 @@ x:
             }
             other => panic!("unknown runtime fault site {other}"),
         }
+    }
+}
+
+/// The faults one plan isolates, as `lpatc` reports them (the
+/// `PipelineReport::faults` rows on stderr) and as the trace records them
+/// (`fault` instants), at `--jobs` 1 and 4. The expectation was captured
+/// from the implementation that took a deep copy of the function before
+/// every sub-pass (the commit before rollback points became shared
+/// structure), with the same command line; the output bytes of that run
+/// hash to `BYTES`.
+#[test]
+fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
+    const PLAN: &str = "mem2reg:panic@3,gvn:panic@12,simplifycfg:panic@30,adce:panic@12,\
+                        dae:panic@1,dge:panic@2,instsimplify:panic@40";
+    const FAULTS: [(&str, Option<&str>); 7] = [
+        ("mem2reg", Some("p0_encode")),
+        ("simplifycfg", Some("p1_make_int")),
+        ("gvn", Some("p2_new_int_sv")),
+        ("adce", Some("p2_new_int_sv")),
+        ("instsimplify", Some("p2_op_xor")),
+        ("dae", None),
+        ("dge", None),
+    ];
+    const BYTES: u64 = 0xe0b9_1ef5_b4f6_bc19;
+    let input = tmp("fi-pinned.bc");
+    std::fs::write(&input, write_module(&linked(&FOUR_UNITS))).unwrap();
+    for jobs in ["1", "4"] {
+        let (out_path, trace_path) = (
+            tmp(&format!("fi-pinned-j{jobs}.bc")),
+            tmp(&format!("fi-pinned-j{jobs}.json")),
+        );
+        let out = lpatc()
+            .args(["opt", input.to_str().unwrap(), "-O", "--link-pipeline"])
+            .args(["--jobs", jobs, "--inject-faults", PLAN])
+            .args(["--trace-out", trace_path.to_str().unwrap()])
+            .args(["--trace-clock", "virtual", "--emit", "bc", "-o"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let reported: Vec<(String, Option<String>)> = stderr
+            .lines()
+            .filter_map(|l| l.split_once("isolated fault: pass '"))
+            .map(|(_, rest)| {
+                let (pass, rest) = rest.split_once('\'').unwrap();
+                let function = rest
+                    .strip_prefix(" on @")
+                    .map(|r| r.split_once(':').unwrap().0.to_string());
+                (pass.to_string(), function)
+            })
+            .collect();
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        let field = |ev: &str, key: &str| -> Option<String> {
+            let (_, rest) = ev.split_once(&format!("\"{key}\":\""))?;
+            Some(rest.split_once('"').unwrap().0.to_string())
+        };
+        let instants: Vec<(String, Option<String>)> = trace
+            .split("{\"name\":")
+            .filter(|ev| ev.contains("\"cat\":\"fault\""))
+            .map(|ev| {
+                let name = ev.split('"').nth(1).unwrap().to_string();
+                assert!(field(ev, "cause").unwrap().starts_with("panic: injected"));
+                (name, field(ev, "function"))
+            })
+            .collect();
+        let expected: Vec<(String, Option<String>)> = FAULTS
+            .iter()
+            .map(|(p, f)| (p.to_string(), f.map(str::to_string)))
+            .collect();
+        assert_eq!(reported, expected, "--jobs {jobs}:\n{stderr}");
+        assert_eq!(instants, expected, "--jobs {jobs}");
+        let bytes = std::fs::read(&out_path).unwrap();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, BYTES, "--jobs {jobs}: {hash:#018x}");
     }
 }
 

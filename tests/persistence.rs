@@ -241,7 +241,7 @@ fn merged_runs_find_the_same_hot_structure_as_one_long_run() {
             .map(|h| {
                 let (trace, _cov) = lpat::vm::form_trace(m, p, h);
                 (
-                    m.func(h.func).name.clone(),
+                    m.func(h.func).name().to_string(),
                     h.header.index(),
                     trace.iter().map(|b| b.index()).collect(),
                 )
