@@ -37,9 +37,8 @@
 //! (28 registers) are allocatable homes. Homes are fixed for the lifetime
 //! of the function — the allocator is a single priority pass (static use
 //! count × 4^loop-depth), so the mapping InstId → home is a pure function
-//! of the IR. That is what makes on-stack replacement and frame conversion
-//! (`FrameMap`-style) trivial: converting an interpreter or JIT frame to a
-//! native frame is a table-driven copy, in either direction.
+//! of the IR. That is what makes on-stack replacement trivial: converting
+//! an interpreter or JIT frame to a native frame is a table-driven copy.
 //!
 //! ## Encoding
 //!
@@ -461,18 +460,6 @@ pub struct FastSwitch {
     pub default: u32,
 }
 
-/// A speculation-guard site: a conditional branch [`FastEnv::guarded`]
-/// marked. The words are those of any conditional branch; the engine
-/// that loads the code decides what checking the guard means.
-#[derive(Clone, Debug)]
-pub struct FastGuard {
-    /// Word index of the branch's [`enc::CBNZ`].
-    pub word: u32,
-    /// IR instruction id of the branch (the key the speculation overlay
-    /// knows the guard by).
-    pub site: u32,
-}
-
 /// A translated function: the word buffer plus its side tables.
 #[derive(Clone, Debug)]
 pub struct FastFunc {
@@ -487,29 +474,27 @@ pub struct FastFunc {
     pub calls: Vec<FastCall>,
     /// Switch tables.
     pub switches: Vec<FastSwitch>,
-    /// Speculation-guard sites, in emission order.
-    pub guards: Vec<FastGuard>,
     /// Number of frame spill slots.
     pub n_slots: u32,
     /// Home and class of each formal argument.
     pub arg_homes: Vec<(Home, Class)>,
     /// Home and class of each value-producing instruction, indexed by
-    /// `InstId` — the bidirectional frame-mapping table for OSR.
+    /// `InstId` — the frame-mapping table for OSR.
     pub homes: Vec<Option<(Home, Class)>>,
     /// Function name (diagnostics, trace spans).
     pub name: String,
 }
 
-/// Engine facts the translator needs but must not compute itself: address
-/// layout is owned by the VM, speculation state by the optimizer.
+/// Engine facts the translator needs but must not compute itself: the
+/// address layout, which the VM owns.
 pub struct FastEnv<'a> {
     /// Address of a function (for `FuncAddr` constants).
     pub func_addr: &'a dyn Fn(FuncId) -> u32,
     /// Address of a global by index, if the engine has laid it out.
     pub global_addr: &'a dyn Fn(usize) -> Option<u32>,
-    /// Whether a conditional branch carries a speculation guard. The
-    /// branch is encoded like any other and its `CBNZ` is listed in
-    /// [`FastFunc::guards`].
+    /// Ignored: a speculation guard is a conditional branch like any
+    /// other. Kept only because the benchmark (`lpbench/`) builds this
+    /// struct by literal; ROADMAP 1(b) deletes it.
     pub guarded: &'a dyn Fn(InstId) -> bool,
 }
 
@@ -547,7 +532,6 @@ struct Tr<'a> {
     edges: Vec<FastEdge>,
     calls: Vec<FastCall>,
     switches: Vec<FastSwitch>,
-    guards: Vec<FastGuard>,
     homes: Vec<Option<(Home, Class)>>,
     arg_homes: Vec<(Home, Class)>,
     n_slots: u32,
@@ -670,7 +654,6 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: Vec::new(),
         calls: Vec::new(),
         switches: Vec::new(),
-        guards: Vec::new(),
         homes,
         arg_homes,
         n_slots: next_slot,
@@ -700,7 +683,6 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         edges: tr.edges,
         calls: tr.calls,
         switches: tr.switches,
-        guards: tr.guards,
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
         homes: tr.homes,
@@ -891,12 +873,6 @@ impl<'a> Tr<'a> {
                 let cr = self.use_reg(c, enc::R_S1);
                 let et = self.make_edge(b, *then_bb)?;
                 let ee = self.make_edge(b, *else_bb)?;
-                if (self.env.guarded)(iid) {
-                    self.guards.push(FastGuard {
-                        word: self.words.len() as u32,
-                        site: iid.index() as u32,
-                    });
-                }
                 self.word(enc::i(enc::CBNZ, 0, cr, et));
                 self.word(enc::e(enc::BR, ee));
                 Ok(())

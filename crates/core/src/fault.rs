@@ -23,10 +23,7 @@
 //!   the lifelong store (`store.read`, `store.write`, `store.lock`), the
 //!   tier engine (`jit.translate` — fail a function's translation;
 //!   `native.translate` — fail the single-pass machine-code backend,
-//!   permanently demoting the function to the JIT tier; `tier.deopt` —
-//!   panic during deopt frame reconstruction, demoting
-//!   the function), speculation (`spec.guard` — force a guard check
-//!   to fail; `delay` sleeps and then honors the real condition), the
+//!   permanently demoting the function to the JIT tier), the
 //!   `lpatd` daemon (`serve.accept`, `serve.decode`, `serve.worker`,
 //!   `serve.deadline` — one per layer of the request path; each must be
 //!   absorbed as a structured per-request error, never a daemon crash),

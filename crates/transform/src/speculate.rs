@@ -17,15 +17,15 @@
 //!   argument folded in, entered through `if (arg == C)` at the top.
 //!
 //! Guards are ordinary IR — a `seteq` compare plus a conditional branch —
-//! so the verifier, the interpreter, and the JIT all handle them with no
-//! new opcode. What makes them *guards* is the [`SpecMap`] overlay: each
-//! carries a stable numeric id under which the engine counts executions
-//! and failures ([misspeculations]) into the lifetime profile, and at
-//! which the tiered engine deoptimizes a JIT frame back to the
-//! interpreter. The map is ephemeral: it is re-derived deterministically
-//! from `(module, profile, options)` on every run and never persisted, so
-//! the stored module stays unspeculated and the profile stays attributed
-//! to it.
+//! and every engine runs them as the branch they are: a failing guard
+//! takes its else edge to the generic path. What makes them *guards* is
+//! the [`SpecMap`] overlay: each carries a stable numeric id and the block
+//! its branch ends, so the VM reads the guard's executions (both edges)
+//! and failures ([misspeculations], the else edge) off the edge profile
+//! into the lifetime profile's guard tables. The map is ephemeral: it is
+//! re-derived deterministically from `(module, profile, options)` on every
+//! run and never persisted, so the stored module stays unspeculated and
+//! the profile stays attributed to it.
 //!
 //! **Retraction** closes the loop: a guard whose accumulated
 //! misspeculation rate exceeds the threshold is simply not re-emitted.
@@ -175,8 +175,7 @@ impl SpecPlan {
     }
 }
 
-/// One emitted guard: the runtime overlay entry the engine keys counters
-/// and deoptimization on.
+/// One emitted guard: where the engine's edge profile holds its counts.
 #[derive(Clone, Debug)]
 pub struct GuardInfo {
     /// Stable guard id.
@@ -187,6 +186,9 @@ pub struct GuardInfo {
     pub cmp: InstId,
     /// The guard's conditional branch (`then` = speculated fast path).
     pub br: InstId,
+    /// The block `br` terminates: its then edge is a pass, its else edge
+    /// a misspeculation.
+    pub block: BlockId,
     /// Canonical description.
     pub desc: String,
 }
@@ -197,21 +199,9 @@ pub struct GuardInfo {
 pub struct SpecMap {
     /// Emitted guards, in application order.
     pub guards: Vec<GuardInfo>,
-    by_br: HashMap<(FuncId, InstId), usize>,
 }
 
 impl SpecMap {
-    /// The guard whose conditional branch is `br` in `func`, if any.
-    pub fn guard_at(&self, func: FuncId, br: InstId) -> Option<&GuardInfo> {
-        self.ordinal_at(func, br).map(|i| &self.guards[i])
-    }
-
-    /// Index into [`SpecMap::guards`] of the guard whose conditional
-    /// branch is `br` in `func`, if any.
-    pub fn ordinal_at(&self, func: FuncId, br: InstId) -> Option<usize> {
-        self.by_br.get(&(func, br)).copied()
-    }
-
     /// Number of emitted guards.
     pub fn len(&self) -> usize {
         self.guards.len()
@@ -220,11 +210,6 @@ impl SpecMap {
     /// Whether no guards were emitted.
     pub fn is_empty(&self) -> bool {
         self.guards.is_empty()
-    }
-
-    fn push(&mut self, g: GuardInfo) {
-        self.by_br.insert((g.func, g.br), self.guards.len());
-        self.guards.push(g);
     }
 }
 
@@ -538,14 +523,21 @@ pub fn speculate(m: &mut Module, profile: &SpecProfile, opts: &SpecOptions) -> (
                     vec![("id", format!("{:08x}", e.id)), ("desc", e.desc.clone())],
                 );
             }
-            map.push(GuardInfo {
+            map.guards.push(GuardInfo {
                 id: e.id,
                 func,
                 cmp,
                 br,
+                block: BlockId::from_index(0),
                 desc: e.desc.clone(),
             });
         }
+    }
+    // Read each branch's block once every rewrite is done: specializing a
+    // function moves its entry block's contents, a devirtualization guard
+    // placed there before it included.
+    for g in &mut map.guards {
+        g.block = m.func(g.func).inst_blocks()[g.br.index()].expect("an emitted guard is placed");
     }
     sp.arg("guards", map.len().to_string());
     (map, plan)
@@ -819,9 +811,11 @@ e:
         let text = m.display().to_string();
         assert!(text.contains("seteq"), "{text}");
         assert!(text.contains("call int @alpha"), "{text}");
-        // The overlay keys the guard by its branch.
+        // The overlay names the block the guard's branch ends.
         let g = &map.guards[0];
-        assert!(map.guard_at(g.func, g.br).is_some());
+        let f = m.func(g.func);
+        assert_eq!(f.block_insts(g.block).last(), Some(&g.br));
+        assert!(matches!(f.inst(g.br), Inst::CondBr { .. }));
         assert!(g.desc.contains("devirt disp@"), "{}", g.desc);
     }
 
@@ -906,6 +900,9 @@ e:
         assert!(!map.is_empty(), "{}", plan.render());
         m.verify()
             .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
+        for g in &map.guards {
+            assert_eq!(m.func(g.func).block_insts(g.block).last(), Some(&g.br));
+        }
         // The clone folded the argument (printer names: args are %aN) and
         // the guard compares it at entry.
         let text = m.display().to_string();

@@ -85,9 +85,6 @@ pub struct ProfileStats {
 pub(crate) struct Counters {
     /// Dense over `FuncId`; empty until the first profiled call.
     funcs: Vec<FuncCounters>,
-    /// `[executed, failed]` per guard, by ordinal in the installed
-    /// `SpecMap` (sized when it is installed).
-    guards: Vec<[u64; 2]>,
     nonzero: u64,
 }
 
@@ -100,10 +97,6 @@ fn add<K: Hash + Eq>(map: &mut HashMap<K, u64>, key: K, slot: &mut u64, nonzero:
 }
 
 impl Counters {
-    pub(crate) fn size_guards(&mut self, n: usize) {
-        self.guards = vec![[0; 2]; n];
-    }
-
     /// A call of `f`: allocate its slabs on first use, count the call and
     /// the entry block. Every frame is made through here, so the other
     /// recorders may index `funcs[f]` for any function on the stack.
@@ -148,17 +141,30 @@ impl Counters {
         self.funcs[f.index()].sites[site] += 1;
     }
 
-    #[inline]
-    pub(crate) fn guard(&mut self, ordinal: u32, failed: bool) {
-        let g = &mut self.guards[ordinal as usize];
-        g[0] += 1;
-        g[1] += failed as u64;
-    }
-
-    /// Fold every non-zero slot into `p` and zero it. Guards are keyed by
-    /// their stable id in `spec`, the overlay they were sized from.
-    pub(crate) fn drain_into(&mut self, spec: Option<&SpecMap>, p: &mut ProfileData) {
+    /// Fold every non-zero slot into `p` and zero it. A guard in `spec`
+    /// is its branch's two edges, read before they are zeroed: both are
+    /// executions, the else edge is a misspeculation, keyed by the
+    /// guard's stable id. Returns the guards' `(passed, failed)`.
+    pub(crate) fn drain_into(&mut self, spec: Option<&SpecMap>, p: &mut ProfileData) -> (u64, u64) {
         let nz = &mut self.nonzero;
+        let (mut passed, mut failed) = (0, 0);
+        for g in spec.map_or(&[][..], |s| &s.guards) {
+            let Some(fc) = self.funcs.get(g.func.index()) else {
+                continue;
+            };
+            // Not called since the last drain, or an overlay made for
+            // another module: nothing of this guard was counted here.
+            let b = g.block.index();
+            if b >= fc.blocks.len() || fc.layout.base[b + 1] - fc.layout.base[b] != 2 {
+                continue;
+            }
+            let then = fc.layout.base[b] as usize;
+            let (pass, fail) = (fc.edges[then], fc.edges[then + 1]);
+            passed += pass;
+            failed += fail;
+            add(&mut p.guard_exec_counts, g.id, &mut (pass + fail), nz);
+            add(&mut p.guard_misspec_counts, g.id, &mut { fail }, nz);
+        }
         for (i, fc) in self.funcs.iter_mut().enumerate() {
             // Frames do not outlive a run, so a function that recorded
             // anything since the last drain was also called since then.
@@ -179,11 +185,7 @@ impl Counters {
                 add(&mut p.callsite_counts, (f, InstId::from_index(s)), n, nz);
             }
         }
-        let infos = spec.map_or(&[][..], |s| &s.guards);
-        for (g, info) in self.guards.iter_mut().zip(infos) {
-            add(&mut p.guard_exec_counts, info.id, &mut g[0], nz);
-            add(&mut p.guard_misspec_counts, info.id, &mut g[1], nz);
-        }
+        (passed, failed)
     }
 
     pub(crate) fn stats(&self) -> ProfileStats {
@@ -192,8 +194,7 @@ impl Counters {
             funcs: live.clone().count() as u64,
             slots: live
                 .map(|fc| 1 + fc.blocks.len() + fc.edges.len() + fc.sites.len())
-                .sum::<usize>() as u64
-                + 2 * self.guards.len() as u64,
+                .sum::<usize>() as u64,
             nonzero: self.nonzero,
         }
     }

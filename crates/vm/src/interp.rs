@@ -110,9 +110,9 @@ impl Default for VmOptions {
 }
 
 /// Speculation statistics: how the guards emitted by the speculative
-/// optimizer behaved at run time. Engine-independent — the interpreter,
-/// the JIT and machine code all record through the same
-/// [`Vm::guard_check`] path.
+/// optimizer behaved at run time. Engine-independent: a guard is a
+/// conditional branch, and its passes and failures are its then and else
+/// edges in the edge profile, read when the counters are drained.
 #[derive(Clone, Debug, Default)]
 pub struct SpecStats {
     /// Guards the speculation pass emitted into the executing module.
@@ -123,9 +123,9 @@ pub struct SpecStats {
     pub passed: u64,
     /// Guard executions that failed (misspeculation).
     pub failed: u64,
-    /// Deoptimizations: guard failures on the tiered engine's JIT rung,
-    /// each of which rebuilt an interpreter frame from the translated one
-    /// (machine code takes the slow path in place and never counts here).
+    /// Always 0: a failing guard takes its else edge in whatever engine
+    /// runs it, and no frame is ever deoptimised. Kept only because the
+    /// benchmark (`lpbench/`) reads it; ROADMAP 1(b) deletes it.
     pub deopts: u64,
 }
 
@@ -137,7 +137,6 @@ impl SpecStats {
         s.push_str(&format!("  retracted       {:>12}\n", self.retracted));
         s.push_str(&format!("  guard passed    {:>12}\n", self.passed));
         s.push_str(&format!("  guard failed    {:>12}\n", self.failed));
-        s.push_str(&format!("  deopts          {:>12}\n", self.deopts));
         s
     }
 }
@@ -183,12 +182,13 @@ pub struct Vm<'m> {
     /// counts, translation time). Populated by every engine; the tiered
     /// engine is the main writer.
     pub tier_stats: crate::tier::TierStats,
-    /// Speculation statistics (guards installed, pass/fail outcomes,
-    /// deoptimizations). All zero unless speculation was installed.
+    /// Speculation statistics (guards installed, pass/fail outcomes).
+    /// All zero unless speculation was installed.
     pub spec_stats: SpecStats,
-    /// The speculation overlay: which conditional branches are guards.
-    /// Installed by [`Vm::install_speculation`] before execution; `None`
-    /// means the module carries no speculation.
+    /// The speculation overlay: which conditional branches are guards, so
+    /// a drain can read their counts off the edge profile. Installed by
+    /// [`Vm::install_speculation`]; `None` means the module carries no
+    /// speculation.
     spec: Option<std::rc::Rc<lpat_transform::SpecMap>>,
     /// Address of each global, by index.
     pub(crate) global_addrs: Vec<u32>,
@@ -279,64 +279,36 @@ impl<'m> Vm<'m> {
 
     /// Install a speculation overlay: the guard map produced by
     /// `lpat_transform::speculate` for *this engine's module*, plus the
-    /// plan's emitted/retracted counts for `--stats`. Must be called
-    /// before execution (guards lower differently in translated code,
-    /// and translations are cached).
+    /// plan's emitted/retracted counts for `--stats`. A guard's outcomes
+    /// are edge counts, so this turns edge recording on
+    /// (`opts.profile`); whether the profile is persisted stays the
+    /// caller's decision.
     pub fn install_speculation(
         &mut self,
         map: std::rc::Rc<lpat_transform::SpecMap>,
         emitted: u64,
         retracted: u64,
     ) {
-        self.counters.size_guards(map.len());
+        self.opts.profile = true;
         self.spec = if map.is_empty() { None } else { Some(map) };
         self.spec_stats.emitted = emitted;
         self.spec_stats.retracted = retracted;
     }
 
-    /// The installed speculation overlay, if any (used at translation).
-    pub(crate) fn spec_map(&self) -> Option<&lpat_transform::SpecMap> {
-        self.spec.as_deref()
-    }
-
-    /// Fold the counter slabs into [`Vm::profile`]; every run entry point
-    /// ends here, whether the run returned a value, trapped or ran dry.
+    /// Fold the counter slabs into [`Vm::profile`], and the guards' edges
+    /// into [`Vm::spec_stats`]; every run entry point ends here, whether
+    /// the run returned a value, trapped or ran dry.
     pub(crate) fn drain_counters(&mut self) {
-        self.counters
+        let (passed, failed) = self
+            .counters
             .drain_into(self.spec.as_deref(), &mut self.profile);
+        self.spec_stats.passed += passed;
+        self.spec_stats.failed += failed;
     }
 
     /// What profiling allocated and recorded so far.
     pub fn profile_stats(&self) -> crate::counters::ProfileStats {
         self.counters.stats()
-    }
-
-    /// Record one guard execution and decide its direction. `guard` is
-    /// its ordinal in the installed overlay, `actual`
-    /// the evaluated guard condition; the `spec.guard` fault site can
-    /// force the fail side (modeling 100% misspeculation) without
-    /// touching the condition's dataflow value, so forced failures stay
-    /// observationally equivalent across engines. Shared by the
-    /// interpreter, the JIT and the native tier so counters and the
-    /// persisted guard profile are engine-independent.
-    pub(crate) fn guard_check(&mut self, guard: u32, actual: bool) -> bool {
-        let pass = match lpat_core::faultpoint!("spec.guard") {
-            Some(lpat_core::FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                actual
-            }
-            Some(_) => false,
-            None => actual,
-        };
-        if pass {
-            self.spec_stats.passed += 1;
-        } else {
-            self.spec_stats.failed += 1;
-        }
-        if self.opts.profile {
-            self.counters.guard(guard, !pass);
-        }
-        pass
     }
 
     /// Serialize a constant of type `ty` into memory at `addr`.
@@ -709,16 +681,6 @@ impl<'m> Vm<'m> {
                 let c = ev!(*cond)
                     .as_bool()
                     .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "non-bool condition"))?;
-                // A guard is an ordinary conditional branch plus
-                // bookkeeping: when the speculation overlay registers this
-                // branch, record the outcome (and honor a forced failure).
-                // The interpreter needs no deoptimization — it already
-                // *is* the deoptimized tier; the slow path is just taken.
-                let guard = self.spec.as_ref().and_then(|s| s.ordinal_at(fid, iid));
-                let c = match guard {
-                    Some(g) => self.guard_check(g as u32, c),
-                    None => c,
-                };
                 let t = if c { *then_bb } else { *else_bb };
                 self.transfer(fr, block, t)?;
                 Ok(StepResult::Jumped)
@@ -1018,7 +980,6 @@ impl<'m> Vm<'m> {
         trace::counter_keyed("vm.spec.retracted", s.retracted);
         trace::counter_keyed("vm.spec.passed", s.passed);
         trace::counter_keyed("vm.spec.failed", s.failed);
-        trace::counter_keyed("vm.spec.deopts", s.deopts);
         let p = self.profile_stats();
         trace::counter_keyed("vm.profile.funcs", p.funcs);
         trace::counter_keyed("vm.profile.slots", p.slots);

@@ -149,29 +149,8 @@ pub(crate) enum LowOp {
     VaArg {
         dst: u32,
     },
-    /// A speculation guard (`gid` is its ordinal in the installed
-    /// overlay): a conditional branch whose `then` edge is the
-    /// speculated fast path. Identical to [`LowOp::CondBr`] in fuel and
-    /// histogram accounting, plus guard bookkeeping; a failed guard
-    /// reports [`Flow::Deopt`] after taking the fail edge.
-    Guard {
-        gid: u32,
-        c: Slot,
-        t: usize,
-        f: usize,
-    },
     /// Superinstruction: compare + conditional branch on the result.
     CmpBr {
-        pred: CmpPred,
-        dst: u32,
-        a: Slot,
-        b: Slot,
-        t: usize,
-        f: usize,
-    },
-    /// Superinstruction: compare + speculation guard on the result.
-    GuardCmpBr {
-        gid: u32,
         pred: CmpPred,
         dst: u32,
         a: Slot,
@@ -217,12 +196,9 @@ pub struct LowFunc {
 
 /// Translate `fid` (the per-function "code generation" step) for `vm`:
 /// constants become the immediates [`Vm::const_value`] gives them under
-/// this engine's memory layout, and conditional branches registered in
-/// the engine's speculation overlay lower to [`LowOp::Guard`] instead of
-/// [`LowOp::CondBr`], so guard failures can report [`Flow::Deopt`] with
-/// their guard ordinal.
+/// this engine's memory layout.
 pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> {
-    let (m, spec) = (vm.module(), vm.spec_map());
+    let m = vm.module();
     let f = m.func(fid);
     if f.is_declaration() {
         return Err(ExecError::trap(
@@ -387,23 +363,11 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
                     cond,
                     then_bb,
                     else_bb,
-                } => {
-                    let t = make_edge(m, &mut edges, b, then_bb)?;
-                    let fe = make_edge(m, &mut edges, b, else_bb)?;
-                    match spec.and_then(|s| s.ordinal_at(fid, iid)) {
-                        Some(g) => LowOp::Guard {
-                            gid: g as u32,
-                            c: slot_of(cond)?,
-                            t,
-                            f: fe,
-                        },
-                        None => LowOp::CondBr {
-                            c: slot_of(cond)?,
-                            t,
-                            f: fe,
-                        },
-                    }
-                }
+                } => LowOp::CondBr {
+                    c: slot_of(cond)?,
+                    t: make_edge(m, &mut edges, b, then_bb)?,
+                    f: make_edge(m, &mut edges, b, else_bb)?,
+                },
                 Inst::Switch {
                     val,
                     default,
@@ -461,23 +425,6 @@ fn fuse(code: &mut [LowOp]) {
                     f,
                 },
             ) if *r == *dst => Some(LowOp::CmpBr {
-                pred: *pred,
-                dst: *dst,
-                a: a.clone(),
-                b: b.clone(),
-                t: *t,
-                f: *f,
-            }),
-            (
-                LowOp::Cmp { pred, dst, a, b },
-                LowOp::Guard {
-                    gid,
-                    c: Slot::Reg(r),
-                    t,
-                    f,
-                },
-            ) if *r == *dst => Some(LowOp::GuardCmpBr {
-                gid: *gid,
                 pred: *pred,
                 dst: *dst,
                 a: a.clone(),
@@ -731,14 +678,6 @@ pub(crate) enum Flow {
     },
     Ret(Option<VmValue>),
     Unwinding,
-    /// A speculation guard failed. The fail edge has already been taken
-    /// (φ-copies done, pc at the start of `block`, profile recorded), so
-    /// the frame is at a clean block boundary: the tiered engine rebuilds
-    /// an interpreter frame there (deoptimization), while pure JIT simply
-    /// keeps executing — the slow path is ordinary translated code.
-    Deopt {
-        block: u32,
-    },
 }
 
 #[inline(always)]
@@ -956,47 +895,6 @@ pub(crate) fn exec_low(
                 .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "condbr"))?;
             vm.take_edge(fr, lf, if v { *t } else { *f })?;
             Ok(Flow::Next)
-        }
-        LowOp::Guard { gid, c, t, f } => {
-            // Fuel/histogram accounting is identical to CondBr: the guard
-            // IS a conditional branch; only the bookkeeping differs.
-            vm.charge_jit(OP_BR)?;
-            let v = read(fr, c)?
-                .as_bool()
-                .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "guard"))?;
-            if vm.guard_check(*gid, v) {
-                vm.take_edge(fr, lf, *t)?;
-                Ok(Flow::Next)
-            } else {
-                let block = lf.edges[*f].to;
-                vm.take_edge(fr, lf, *f)?;
-                Ok(Flow::Deopt { block })
-            }
-        }
-        LowOp::GuardCmpBr {
-            gid,
-            pred,
-            dst,
-            a,
-            b,
-            t,
-            f,
-        } => {
-            // Micro-ops exactly as CmpBr: compare (register written, so a
-            // forced guard failure never alters the dataflow value), then
-            // the branch.
-            vm.charge_jit(OP_CMP_BASE + *pred as usize)?;
-            let r = crate::interp::exec_cmp(*pred, read(fr, a)?, read(fr, b)?)?;
-            fr.regs[*dst as usize] = VmValue::Bool(r);
-            vm.charge_jit(OP_BR)?;
-            if vm.guard_check(*gid, r) {
-                vm.take_edge(fr, lf, *t)?;
-                Ok(Flow::Next)
-            } else {
-                let block = lf.edges[*f].to;
-                vm.take_edge(fr, lf, *f)?;
-                Ok(Flow::Deopt { block })
-            }
         }
         LowOp::Switch { v, cases, default } => {
             vm.charge_jit(OP_SWITCH)?;

@@ -29,13 +29,8 @@
 //!   scalars from class-tagged registers, so externals, profile
 //!   counters, invoke edges and unwinding behave identically.
 //!
-//! * **speculation guards** — a guarded conditional branch is encoded
-//!   like any other; [`decode`] rewrites its `CBNZ` to the decoded-only
-//!   [`OP_GUARD`], whose arm asks the one shared `Vm::guard_check` (same
-//!   counters, same `spec.guard` fault site) which way to go. A failing
-//!   guard falls through to the slow path *in machine code* — the slow
-//!   path is ordinary code of the same function — so nothing is
-//!   deoptimised from a native frame.
+//! A speculation guard is a conditional branch like any other: a failing
+//! one takes its else edge to the generic path of the same function.
 //!
 //! Values whose class the native model cannot carry exactly never cross
 //! a boundary: `translate_fast` bails the whole function and the tier
@@ -59,8 +54,7 @@ use lpat_codegen::fast::{
     Home, Src,
 };
 use lpat_core::trace;
-use lpat_core::{FuncId, InstId, IntKind, Module};
-use lpat_transform::SpecMap;
+use lpat_core::{FuncId, IntKind, Module};
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
@@ -85,17 +79,6 @@ struct NOp {
     extra: u16,
     acct: u16,
     imm: u32,
-}
-
-/// Decoded-only opcode (no risc32 word encodes it): a `CBNZ` that is a
-/// speculation guard. `imm` indexes [`NatCode::guards`].
-const OP_GUARD: u8 = 0xF0;
-
-/// A decoded guard: its ordinal in the installed `SpecMap` (what
-/// `Vm::guard_check` counts under) and the edge taken when it passes.
-struct NatGuard {
-    ordinal: u32,
-    pass: u32,
 }
 
 /// A decoded edge: φ-copies (already sequentialised by the encoder), the
@@ -123,7 +106,6 @@ pub(crate) struct NatCode {
     edges: Vec<NatEdge>,
     calls: Vec<NatCall>,
     switches: Vec<FastSwitch>,
-    guards: Vec<NatGuard>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
     homes: Vec<Option<(Home, Class)>>,
@@ -143,10 +125,9 @@ pub(crate) enum NativeSlot {
 
 /// Decode the word buffer into the dense dispatch form. Accounting words
 /// disappear into the following op's `acct` tag; branch targets are
-/// remapped from word indices to decoded indices, each edge gets its
-/// counter slot and each guard site its `spec` ordinal (VM-side tables:
-/// the emitted words do not change).
-fn decode(ff: FastFunc, m: &Module, fid: FuncId, spec: Option<&SpecMap>) -> NatCode {
+/// remapped from word indices to decoded indices, and each edge gets its
+/// counter slot (a VM-side table: the emitted words do not change).
+fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
     let layout = EdgeLayout::new(m.func(fid));
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
@@ -179,19 +160,6 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId, spec: Option<&SpecMap>) -> NatC
         pending = 0;
     }
     word_to_dec.push(ops.len() as u32);
-    let mut guards = Vec::with_capacity(ff.guards.len());
-    for g in &ff.guards {
-        let site = InstId::from_index(g.site as usize);
-        if let Some(ordinal) = spec.and_then(|s| s.ordinal_at(fid, site)) {
-            let op = &mut ops[word_to_dec[g.word as usize] as usize];
-            guards.push(NatGuard {
-                ordinal: ordinal as u32,
-                pass: op.imm,
-            });
-            op.op = OP_GUARD;
-            op.imm = guards.len() as u32 - 1;
-        }
-    }
     let block_dec = ff
         .block_word
         .iter()
@@ -221,7 +189,6 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId, spec: Option<&SpecMap>) -> NatC
         edges,
         calls,
         switches: ff.switches,
-        guards,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
         homes: ff.homes,
@@ -389,14 +356,13 @@ impl<'m> Vm<'m> {
 
     fn translate_native(&self, f: FuncId) -> Result<NatCode, ExecError> {
         let m = self.module();
-        let spec = self.spec_map();
         let env = FastEnv {
             func_addr: &|f| Memory::func_addr(f.index()),
             global_addr: &|i| self.global_addrs.get(i).copied(),
-            guarded: &|iid| spec.is_some_and(|sm| sm.guard_at(f, iid).is_some()),
+            guarded: &|_| false,
         };
         match translate_fast(m, f, &env) {
-            Ok(ff) => Ok(decode(ff, m, f, spec)),
+            Ok(ff) => Ok(decode(ff, m, f)),
             Err(e) => Err(ExecError::trap(
                 TrapKind::Invalid,
                 format!("native backend: {e}"),
@@ -707,13 +673,6 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     // Skip the paired fall-through BR.
                     fr.pc += 1;
                     take_nat_edge(vm, fr, &code, op.imm as usize);
-                }
-            }
-            OP_GUARD => {
-                let g = &code.guards[op.imm as usize];
-                if vm.guard_check(g.ordinal, fr.regs[b] != 0) {
-                    fr.pc += 1;
-                    take_nat_edge(vm, fr, &code, g.pass as usize);
                 }
             }
             enc::SWITCH => {

@@ -168,7 +168,9 @@ pub struct RunConfig<'a> {
     /// The engine.
     pub mode: Mode,
     /// The VM options, as the caller filled them. `opts.profile` decides
-    /// whether this run's counters are collected and flushed.
+    /// whether this run's profile is flushed. A speculated run collects
+    /// counters either way — a guard's outcomes are edge counts — and
+    /// keeps them to itself without it.
     pub opts: VmOptions,
     /// Speculate on the prior profile with these thresholds.
     pub spec: Option<SpecOptions>,

@@ -23,11 +23,9 @@
 //!   ([`crate::native`]), its running activations switched at the next
 //!   loop header. A refusal by that backend leaves it on the JIT tier for
 //!   good (`NativeDemoted`; [`Vm::native_refusals`] says why).
-//! * A speculation guard that fails in a JIT frame **deoptimises** it to
-//!   an interpreter frame at the slow block. The interpreter re-enters
-//!   translated code at the next loop header in every state that has
-//!   some, so a deopt costs the rest of one iteration. Machine code has
-//!   no such exit: there a failing guard takes its slow path in place.
+//! * A speculation guard is a conditional branch on every rung: a failing
+//!   one takes its else edge to the generic path in whatever tier the
+//!   frame runs. Nothing is ever deoptimised.
 //! * Interpreted and translated frames interleave freely on one call
 //!   stack in both directions — interpreted caller → JIT'd callee,
 //!   JIT'd caller → (cold) interpreted callee — including across
@@ -44,7 +42,7 @@
 //! workload suite.
 
 use lpat_core::trace;
-use lpat_core::{BlockId, FuncId, Inst};
+use lpat_core::{FuncId, Inst};
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, StepResult, Vm};
@@ -158,54 +156,6 @@ pub(crate) enum TFrame {
     I(Frame),
     J(JitFrame),
     N(crate::native::NatFrame),
-}
-
-/// The bidirectional register-file mapping between the interpreter's
-/// sparse frame (`Vec<Option<VmValue>>`, unassigned = `None`) and the
-/// JIT's dense one (`Vec<VmValue>`, pre-filled with `Ptr(0)`). Register
-/// indices are the same in both forms (an instruction's `InstId` index),
-/// so both directions are plain element-wise copies — OSR (interp → JIT)
-/// and deoptimization (JIT → interp) are exact inverses through this map,
-/// and both happen only at block boundaries where φs have already been
-/// executed on the incoming edge.
-///
-/// The dense form cannot distinguish "assigned `Ptr(0)`" from "never
-/// assigned", so `to_sparse` marks every slot assigned. In verified
-/// modules this is unobservable (defs dominate uses), which is exactly
-/// the property the differential suite pins.
-pub(crate) struct FrameMap;
-
-impl FrameMap {
-    /// Interpreter registers → a dense JIT slab of `n_regs` slots
-    /// (`slab` is a recycled arena vector; cleared and refilled here).
-    pub(crate) fn to_dense(
-        sparse: &[Option<VmValue>],
-        mut slab: Vec<VmValue>,
-        n_regs: usize,
-    ) -> Vec<VmValue> {
-        slab.clear();
-        slab.resize(n_regs, VmValue::Ptr(0));
-        for (i, r) in sparse.iter().enumerate() {
-            if let Some(v) = r {
-                slab[i] = *v;
-            }
-        }
-        slab
-    }
-
-    /// Dense JIT registers → an interpreter frame of `n_slots` slots.
-    pub(crate) fn to_sparse(
-        dense: &[VmValue],
-        mut slab: Vec<Option<VmValue>>,
-        n_slots: usize,
-    ) -> Vec<Option<VmValue>> {
-        slab.clear();
-        slab.resize(n_slots, None);
-        for (i, v) in dense.iter().enumerate().take(n_slots) {
-            slab[i] = Some(*v);
-        }
-        slab
-    }
 }
 
 /// Per-tier trace segments: one span per contiguous run of same-tier
@@ -383,9 +333,7 @@ impl<'m> Vm<'m> {
                         self.deliver_unwind(stack)?;
                         continue 'outer;
                     }
-                    Flow::Next | Flow::Deopt { .. } => {
-                        unreachable!("native bursts end at call/ret/unwind")
-                    }
+                    Flow::Next => unreachable!("native bursts end at call/ret/unwind"),
                 }
             } else if tier_top == 1 {
                 let lf = match stack.last().expect("frame") {
@@ -432,17 +380,6 @@ impl<'m> Vm<'m> {
                         Flow::Unwinding => {
                             self.deliver_unwind(stack)?;
                             continue 'outer;
-                        }
-                        Flow::Deopt { block } => {
-                            // The fail edge is already taken: the frame
-                            // sits at the slow block's boundary. Tiered
-                            // execution rebuilds an interpreter frame
-                            // there; pure JIT keeps dispatching — the
-                            // slow path is ordinary translated code.
-                            if matches!(mode, MixedMode::Tiered { .. }) {
-                                self.deopt_enter(stack, block);
-                                continue 'outer;
-                            }
                         }
                     }
                 }
@@ -500,8 +437,9 @@ impl<'m> Vm<'m> {
                     // marks a loop iteration: bump the hotness counter,
                     // and if the function has (or just got) translated
                     // code, switch this activation to it at the header
-                    // (OSR). `NativeDemoted` counts: a frame a failed
-                    // guard deoptimised climbs back to the JIT here.
+                    // (OSR). `NativeDemoted` counts: an activation that
+                    // began interpreted while its function climbed past
+                    // the JIT rung still has translated code to enter.
                     if let MixedMode::Tiered {
                         threshold,
                         native_up,
@@ -948,7 +886,10 @@ impl<'m> Vm<'m> {
     /// its function must have translated code. The frame is rebuilt in
     /// translated form at the same block: φs were already executed by the
     /// transfer, so entering at the block's first non-φ pc with the
-    /// registers copied over is state-identical.
+    /// registers copied over is state-identical. Register indices are the
+    /// same in both forms (an instruction's `InstId` index); a register
+    /// never assigned reads `Ptr(0)` in the dense form, which is
+    /// unobservable because definitions dominate uses.
     fn osr_enter(&mut self, stack: &mut [TFrame]) -> Result<(), ExecError> {
         let top = stack.last_mut().expect("frame");
         let TFrame::I(fr) = top else {
@@ -958,8 +899,14 @@ impl<'m> Vm<'m> {
         let Some(lf) = self.jit_cache[fr.func.index()].clone() else {
             return Ok(());
         };
-        let slab = self.jit_reg_pool.pop().unwrap_or_default();
-        let regs = FrameMap::to_dense(&fr.regs, slab, lf.n_regs);
+        let mut regs = self.jit_reg_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(lf.n_regs, VmValue::Ptr(0));
+        for (slot, r) in regs.iter_mut().zip(&fr.regs) {
+            if let Some(v) = r {
+                *slot = *v;
+            }
+        }
         let pc = lf.block_pc[fr.block.index()];
         let jfr = JitFrame {
             func: fr.func,
@@ -985,85 +932,6 @@ impl<'m> Vm<'m> {
         }
         *stack.last_mut().expect("frame") = TFrame::J(jfr);
         Ok(())
-    }
-
-    /// Deoptimization: the exact inverse of [`Vm::osr_enter`]. The top
-    /// frame must be translated and sitting at a block boundary (a guard's
-    /// fail edge was just taken, so φs are done and `pc` is at the block's
-    /// first instruction). The frame is rebuilt in interpreted form at
-    /// that block through the shared [`FrameMap`].
-    ///
-    /// The `tier.deopt` fault site fires inside the register
-    /// reconstruction; a panic there (injected or real) must not kill a
-    /// running program whose translated frame is still perfectly valid —
-    /// the function is demoted for future calls and the current
-    /// activation keeps executing translated code (the slow path is
-    /// ordinary code, so semantics are preserved either way).
-    fn deopt_enter(&mut self, stack: &mut [TFrame], block: u32) {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::J(fr) = top else {
-            return;
-        };
-        let n_slots = self.m_num_inst_slots(fr.func);
-        let slab = self.interp_reg_pool.pop().unwrap_or_default();
-        let dense = &fr.regs;
-        let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(a) = lpat_core::faultpoint!("tier.deopt") {
-                match a {
-                    lpat_core::FaultAction::Delay(d) => std::thread::sleep(d),
-                    other => panic!("injected {other:?} fault at site 'tier.deopt'"),
-                }
-            }
-            FrameMap::to_sparse(dense, slab, n_slots)
-        }));
-        match rebuilt {
-            Ok(regs) => {
-                let ifr = Frame {
-                    func: fr.func,
-                    args: std::mem::take(&mut fr.args),
-                    varargs: std::mem::take(&mut fr.varargs),
-                    va_next: fr.va_next,
-                    regs,
-                    block: BlockId::from_index(block as usize),
-                    idx: 0,
-                    allocas: std::mem::take(&mut fr.allocas),
-                    pending: None,
-                };
-                let mut old = std::mem::take(&mut fr.regs);
-                old.clear();
-                self.jit_reg_pool.push(old);
-                self.spec_stats.deopts += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "deopt",
-                        vec![
-                            ("function", self.module().func(ifr.func).name().to_string()),
-                            ("block", format!("bb{block}")),
-                        ],
-                    );
-                }
-                *stack.last_mut().expect("frame") = TFrame::I(ifr);
-            }
-            Err(_) => {
-                let f = fr.func;
-                self.tier[f.index()] = TierCell::Demoted;
-                self.tier_stats.demoted += 1;
-                if trace::enabled() {
-                    trace::instant_args(
-                        "vm",
-                        "tier-demote",
-                        vec![("function", self.module().func(f).name().to_string())],
-                    );
-                }
-            }
-        }
-    }
-
-    /// Register-slot count of `f` (helper so `deopt_enter`'s closure
-    /// borrows no part of `self`).
-    fn m_num_inst_slots(&self, f: FuncId) -> usize {
-        self.module().func(f).num_inst_slots()
     }
 }
 

@@ -67,14 +67,14 @@
 //! `run --speculate` consults the accumulated profile and speculatively
 //! devirtualizes hot indirect calls / specializes hot functions on
 //! observed constant arguments, protecting each assumption with a guard.
-//! A failed guard falls through to the generic path; on the JIT rung of
-//! `--tiered` it first deoptimizes the frame to the interpreter, which
-//! re-enters translated code at the next loop header. Per-guard
-//! misspeculation counts flow back into the lifelong store; `reopt
-//! --speculate` reports the offline plan — which guards the profile
-//! justifies and which are *retracted* because their misspeculation rate
-//! exceeds `--spec-threshold` percent (default 25) — byte-identically to
-//! the in-memory decision at any `--jobs`. Speculation is an in-memory
+//! A guard is a conditional branch: on every engine a failing one takes
+//! its else edge to the generic path, and its executions and failures are
+//! its two edges in the edge profile, so they flow back into the lifelong
+//! store with it. `reopt --speculate` reports the offline plan — which
+//! guards the profile justifies and which are *retracted* because their
+//! misspeculation rate reaches `--spec-threshold` percent (0 to 100,
+//! default 25; the flag implies `--speculate`) — byte-identically to the
+//! in-memory decision at any `--jobs`. Speculation is an in-memory
 //! overlay: the stored module and its profile stay unspeculated.
 //!
 //! # Lifelong persistence
@@ -254,13 +254,18 @@ fn jobs(args: &Args) -> Result<Option<usize>, String> {
     Ok(args.parsed::<usize>("--jobs")?.map(|n| n.max(1)))
 }
 
-/// `--speculate [--spec-threshold N]`.
+/// `--speculate`, or `--spec-threshold N` (a percentage), which implies
+/// it.
 fn spec_options(args: &Args) -> Result<Option<lpat::transform::SpecOptions>, String> {
-    if !args.has("--speculate") {
+    let threshold = args.parsed::<u32>("--spec-threshold")?;
+    if !args.has("--speculate") && threshold.is_none() {
         return Ok(None);
     }
     let mut sopts = lpat::transform::SpecOptions::default();
-    if let Some(pct) = args.parsed("--spec-threshold")? {
+    if let Some(pct) = threshold {
+        if pct > 100 {
+            return Err(format!("bad --spec-threshold value '{pct}'"));
+        }
         sopts.misspec_threshold_pct = pct;
     }
     Ok(Some(sopts))
@@ -342,10 +347,12 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         },
         None => None,
     };
+    let spec = spec_options(args)?;
+    let speculating = spec.is_some();
     let config = RunConfig {
         mode,
         opts,
-        spec: spec_options(args)?,
+        spec,
         profile_in: args.value("--profile-in").map(Path::new),
         lifetime: profile_out.is_some() || args.has("--profile"),
     };
@@ -355,7 +362,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         store.as_ref(),
         config,
         || Ok::<(), Infallible>(()),
-        |vm| stats.then(|| vm_stats(vm, mode == Mode::Tiered, args.has("--speculate"))),
+        |vm| stats.then(|| vm_stats(vm, mode == Mode::Tiered, speculating)),
     )
     .map_err(|e| match e {
         RunError::Verify(e) => format!("verifier after speculation: {e}"),
@@ -391,8 +398,8 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
 }
 
 /// The per-run `--stats` tables: opcode histogram, what collecting the
-/// profile allocated and recorded (all zero without `--profile` /
-/// `--cache-dir`), and the tier and speculation counters.
+/// profile allocated and recorded (all zero without `--profile`,
+/// `--cache-dir` or speculation), and the tier and speculation counters.
 fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -52,7 +52,8 @@
 //! the `serve.accept`, `serve.decode`, `serve.worker`, `serve.deadline`,
 //! and `store.journal` (one hit per durability step of a profile flush:
 //! append, fsync and, when the run compacts, temp write and rename)
-//! sites — the same deterministic fault grammar the optimizer and store
+//! sites, and the engines' `jit.translate` and `native.translate` (a
+//! refused translation leaves the function one tier lower) — the same deterministic fault grammar the optimizer and store
 //! use — which is how CI proves the isolation actually holds. Under `--isolate process` the plan is forwarded to
 //! the worker subprocesses rather than armed in the daemon, so faults
 //! land where requests execute.

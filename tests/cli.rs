@@ -127,6 +127,47 @@ fn lpatc_refuses_a_missing_or_unparsable_value() {
     assert_refused(&lpatc(&["run", &bc, "--trace-clock", "sundial"]), "sundial");
 }
 
+/// `--spec-threshold N` is a percentage and asks for speculation: out of
+/// range it is refused like any unparsable value, and alone it speculates
+/// (as `--native-up` alone climbs the ladder) instead of being ignored.
+#[test]
+fn spec_threshold_is_a_percentage_that_implies_speculate() {
+    let (d, _, bc) = program("spec-threshold");
+    let cache = d.join("cache");
+    let cache = cache.to_str().unwrap();
+    for cmd in [
+        &["run", &bc, "--spec-threshold", "150"][..],
+        &["run", &bc, "--speculate", "--spec-threshold", "101"],
+        &["run", &bc, "--spec-threshold", "-1"],
+        &[
+            "reopt",
+            &bc,
+            "--cache-dir",
+            cache,
+            "--spec-threshold",
+            "150",
+        ],
+    ] {
+        let out = lpatc(cmd);
+        assert_refused(&out, "--spec-threshold");
+        assert!(
+            text(&out.stderr).contains("bad --spec-threshold value"),
+            "{cmd:?}: {}",
+            text(&out.stderr)
+        );
+    }
+    let out = lpatc(&["run", &bc, "--spec-threshold", "100", "--stats"]);
+    let stderr = text(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("nothing to speculate"), "{stderr}");
+    assert!(stderr.contains("guards emitted"), "{stderr}");
+    assert!(lpatc(&["run", &bc, "--cache-dir", cache]).status.success());
+    let out = lpatc(&["reopt", &bc, "--cache-dir", cache, "--spec-threshold", "0"]);
+    let stderr = text(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("[spec] plan:"), "{stderr}");
+}
+
 // -- `--tiered` is the whole ladder -----------------------------------------
 
 /// `--tiered` alone reaches machine code, and the switch that used to ask

@@ -135,7 +135,6 @@ fn run_trace_covers_subsystems() {
         "vm.spec.emitted",
         "vm.spec.passed",
         "vm.spec.failed",
-        "vm.spec.deopts",
         "\"spans\"",
     ] {
         assert!(metrics.contains(key), "missing {key} in metrics");
@@ -251,13 +250,7 @@ x:
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for row in [
-        "[spec]",
-        "guards emitted",
-        "guard passed",
-        "guard failed",
-        "deopts",
-    ] {
+    for row in ["[spec]", "guards emitted", "guard passed", "guard failed"] {
         assert!(stderr.contains(row), "missing {row} in stats:\n{stderr}");
     }
     let metrics = read(&metrics_out);
