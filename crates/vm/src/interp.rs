@@ -973,6 +973,7 @@ impl<'m> Vm<'m> {
         trace::counter("vm.tier.native.osr", t.native_osr);
         trace::counter("vm.tier.native.translated", t.native_translated);
         trace::counter("vm.tier.native.insts", t.native_insts);
+        trace::counter("vm.tier.native.calls", t.native_calls);
         // Speculation counters are exported unconditionally (all zero
         // without `--speculate`) so trace consumers see a stable key set.
         let s = &self.spec_stats;

@@ -25,26 +25,22 @@
 //! * **arithmetic traps** — division/remainder by zero trap with the
 //!   interpreter's messages; signed 32-bit wrapping matches canonical
 //!   `i64` arithmetic bit-for-bit for every exact class;
-//! * **calls / unwinding** — call boundaries rebuild real `VmValue`
-//!   scalars from class-tagged registers, so externals, profile
-//!   counters, invoke edges and unwinding behave identically.
+//! * **calls / unwinding** — a call into a function on the native rung
+//!   pushes its frame inside the burst, arguments copied register to
+//!   register, and its return lands in the caller's register; externals
+//!   and tier crossings rebuild real `VmValue` scalars from class-tagged
+//!   registers. Profile counters, `max_stack`, invoke edges and
+//!   unwinding behave identically either way.
 //!
 //! A speculation guard is a conditional branch like any other: a failing
 //! one takes its else edge to the generic path of the same function.
-//!
 //! Values whose class the native model cannot carry exactly never cross
 //! a boundary: `translate_fast` bails the whole function and the tier
-//! ladder leaves it on the JIT tier (see `tier.rs`).
-//!
-//! ## Boundary fallbacks
-//!
-//! A native frame is only built when every actual argument matches the
-//! declared parameter class ([`make_native_frame`] returns `None`
-//! otherwise and the caller falls back to the JIT tier, which handles
-//! any value). The one boundary with no fallback is a *returned* value
-//! of the wrong kind reaching a waiting native frame — possible only in
-//! unverified, type-confused modules — which traps as `Invalid` rather
-//! than silently reinterpreting bits (documented in DESIGN.md §16).
+//! ladder leaves it on the JIT tier (see `tier.rs`). A native frame is
+//! only built when every actual argument matches its declared class,
+//! else the call runs on the JIT tier; a *returned* value of the wrong
+//! class (only in unverified, type-confused modules) traps as `Invalid`
+//! ([`resume_native`], DESIGN.md §16).
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -58,9 +54,10 @@ use lpat_core::{FuncId, IntKind, Module};
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
-use crate::interp::{Entered, Frame, Vm};
-use crate::jit::{Flow, JitFrame};
+use crate::interp::{Entered, Vm};
+use crate::jit::Flow;
 use crate::mem::Memory;
+use crate::tier::{TFrame, TierCell};
 use crate::value::VmValue;
 
 // ----------------------------------------------------------------------
@@ -91,10 +88,13 @@ struct NatEdge {
     to: u32,
 }
 
-/// A decoded call descriptor with its inline cache.
+/// A decoded call descriptor with its inline cache, and the callee last
+/// found to take this site's argument classes (`index + 1`, 0 = none):
+/// both sides are static, so a native→native call checks them once.
 struct NatCall {
     desc: FastCall,
     ic: Cell<(u32, u32)>,
+    native: Cell<u32>,
 }
 
 /// A function's decoded native code plus the home tables that make frame
@@ -181,6 +181,7 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
         .map(|desc| NatCall {
             desc,
             ic: Cell::new((0, 0)),
+            native: Cell::new(0),
         })
         .collect();
     NatCode {
@@ -267,14 +268,15 @@ fn value_of(reg: u32, c: Class) -> VmValue {
     }
 }
 
-/// Whether a runtime scalar has exactly the class the native code was
-/// compiled for (the class invariant native registers rely on).
-pub(crate) fn matches_class(v: &VmValue, c: Class) -> bool {
+/// The class of a runtime scalar, `None` for a float. Native registers
+/// rely on every value having exactly the class the code was compiled
+/// for; two classes never share a scalar.
+pub(crate) fn class_of(v: &VmValue) -> Option<Class> {
     match v {
-        VmValue::Bool(_) => c == Class::Bool,
-        VmValue::Int { kind, .. } => Class::of_kind(*kind) == c,
-        VmValue::Ptr(_) => c == Class::Ptr,
-        VmValue::F32(_) | VmValue::F64(_) => false,
+        VmValue::Bool(_) => Some(Class::Bool),
+        VmValue::Int { kind, .. } => Some(Class::of_kind(*kind)),
+        VmValue::Ptr(_) => Some(Class::Ptr),
+        VmValue::F32(_) | VmValue::F64(_) => None,
     }
 }
 
@@ -370,140 +372,75 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Build a native activation record for a call to `f`, or `None` when
-    /// an actual argument does not match its declared class — the caller
-    /// then falls back to a JIT frame, which represents anything.
-    /// Records the call in the profile only on success.
-    pub(crate) fn make_native_frame(
-        &mut self,
-        f: FuncId,
-        args: &[VmValue],
-    ) -> Result<Option<NatFrame>, ExecError> {
-        let code = self.ensure_native_translated(f)?;
-        if args.len() != code.arg_homes.len() {
-            return Ok(None);
+    /// The one native frame constructor: `f`'s `code` entered at decoded
+    /// op `pc`, with a slot slab from the pool only when the code spills.
+    #[inline(always)]
+    fn native_frame(&mut self, f: FuncId, code: Rc<NatCode>, pc: usize) -> NatFrame {
+        let mut slots = Vec::new();
+        if code.n_slots > 0 {
+            slots = self.native_slot_pool.pop().unwrap_or_default();
+            slots.clear();
+            slots.resize(code.n_slots as usize, 0);
         }
-        for (v, &(_, c)) in args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        if self.opts.profile {
-            self.counters.enter(self.module(), f);
-        }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut fr = NatFrame {
+        NatFrame {
             func: f,
-            code: code.clone(),
+            code,
             regs: [0; enc::NUM_REGS],
             slots,
-            pc: 0,
+            pc,
             allocas: Vec::new(),
             pending: None,
-        };
+        }
+    }
+
+    /// `f`'s native frame at `block` with `args`, and the `regs` (by
+    /// `InstId`: homes are a pure function of it) and `allocas` an OSR
+    /// carries over. `None`, nothing taken, when the arity or an argument's
+    /// class defies the signature (only mistyped indirect calls can): the
+    /// caller falls back to a JIT frame, which represents any value.
+    pub(crate) fn native_frame_for(
+        &mut self,
+        f: FuncId,
+        block: usize,
+        args: &[VmValue],
+        regs: impl Iterator<Item = Option<VmValue>>,
+        allocas: &mut Vec<u32>,
+    ) -> Result<Option<NatFrame>, ExecError> {
+        let code = self.ensure_native_translated(f)?;
+        if args.len() != code.arg_homes.len()
+            || !args
+                .iter()
+                .zip(&code.arg_homes)
+                .all(|(v, &(_, c))| class_of(v) == Some(c))
+        {
+            return Ok(None);
+        }
+        let mut fr = self.native_frame(f, code.clone(), code.block_dec[block] as usize);
+        fr.allocas = std::mem::take(allocas);
         for (v, &(h, _)) in args.iter().zip(&code.arg_homes) {
             fr.put(h, low32(v));
+        }
+        // Unset registers keep the zero filler: definitions dominate
+        // uses, so an unset register is unobservable.
+        for (v, home) in regs.zip(&code.homes) {
+            if let (Some(v), Some((h, _))) = (v, home) {
+                fr.put(*h, low32(&v));
+            }
         }
         Ok(Some(fr))
     }
 
-    /// Release a popped native frame's allocas and recycle its slot slab.
-    pub(crate) fn recycle_native_frame(&mut self, mut fr: NatFrame) -> Result<(), ExecError> {
-        let mut slots = std::mem::take(&mut fr.slots);
-        slots.clear();
-        self.native_slot_pool.push(slots);
-        for a in fr.allocas {
+    /// Release a finished native frame's allocas and recycle its slot
+    /// slab; the caller drops what is left.
+    #[inline]
+    pub(crate) fn recycle_native_frame(&mut self, fr: &mut NatFrame) -> Result<(), ExecError> {
+        if fr.slots.capacity() > 0 {
+            self.native_slot_pool.push(std::mem::take(&mut fr.slots));
+        }
+        for a in fr.allocas.drain(..) {
             self.mem.release(a)?;
         }
         Ok(())
-    }
-
-    /// Convert an interpreter frame at a block boundary (`idx == 0`) into
-    /// a native frame — interpreter-to-native OSR. `None` when an actual
-    /// argument defies its declared class; the caller falls back to JIT
-    /// OSR. Homes are a pure function of `InstId`, so this is one
-    /// table-driven copy (the `FrameMap` role for tier 3).
-    pub(crate) fn native_frame_from_interp(
-        &mut self,
-        fr: &mut Frame,
-    ) -> Result<Option<NatFrame>, ExecError> {
-        let code = self.ensure_native_translated(fr.func)?;
-        if fr.args.len() != code.arg_homes.len() {
-            return Ok(None);
-        }
-        for (v, &(_, c)) in fr.args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut nf = NatFrame {
-            func: fr.func,
-            code: code.clone(),
-            regs: [0; enc::NUM_REGS],
-            slots,
-            pc: code.block_dec[fr.block.index()] as usize,
-            allocas: std::mem::take(&mut fr.allocas),
-            pending: None,
-        };
-        for (v, &(h, _)) in fr.args.iter().zip(&code.arg_homes) {
-            nf.put(h, low32(v));
-        }
-        for (i, home) in code.homes.iter().enumerate() {
-            if let Some((h, _)) = home {
-                // Unset registers keep the zero filler: definitions
-                // dominate uses, so an unset register is unobservable.
-                if let Some(Some(v)) = fr.regs.get(i) {
-                    nf.put(*h, low32(v));
-                }
-            }
-        }
-        Ok(Some(nf))
-    }
-
-    /// Convert a JIT frame at a block boundary into a native frame —
-    /// JIT-to-native OSR (same table as [`Vm::native_frame_from_interp`]).
-    pub(crate) fn native_frame_from_jit(
-        &mut self,
-        fr: &mut JitFrame,
-        block: u32,
-    ) -> Result<Option<NatFrame>, ExecError> {
-        let code = self.ensure_native_translated(fr.func)?;
-        if fr.args.len() != code.arg_homes.len() {
-            return Ok(None);
-        }
-        for (v, &(_, c)) in fr.args.iter().zip(&code.arg_homes) {
-            if !matches_class(v, c) {
-                return Ok(None);
-            }
-        }
-        let mut slots = self.native_slot_pool.pop().unwrap_or_default();
-        slots.clear();
-        slots.resize(code.n_slots as usize, 0);
-        let mut nf = NatFrame {
-            func: fr.func,
-            code: code.clone(),
-            regs: [0; enc::NUM_REGS],
-            slots,
-            pc: code.block_dec[block as usize] as usize,
-            allocas: std::mem::take(&mut fr.allocas),
-            pending: None,
-        };
-        for (v, &(h, _)) in fr.args.iter().zip(&code.arg_homes) {
-            nf.put(h, low32(v));
-        }
-        for (i, home) in code.homes.iter().enumerate() {
-            if let Some((h, _)) = home {
-                if let Some(v) = fr.regs.get(i) {
-                    nf.put(*h, low32(v));
-                }
-            }
-        }
-        Ok(Some(nf))
     }
 }
 
@@ -527,11 +464,165 @@ pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, 
     }
 }
 
-/// Run the frame's decoded code until a call boundary, return, unwind or
-/// trap. The inner loop touches only the flat register file, the frame's
-/// slot slab and (for memory ops) the checked [`Memory`] — this is the
-/// dispatch-density win over the `LowFunc` tier.
-pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flow, ExecError> {
+/// A trap raised by machine code. Out of line and cold: building the
+/// message in place would weigh on the dispatch loop.
+#[cold]
+#[inline(never)]
+fn trap(kind: TrapKind, message: &'static str) -> ExecError {
+    ExecError::trap(kind, message)
+}
+
+/// `target`'s machine code when the call at `call` can stay in it: what
+/// `push_mixed` checks on `VmValue`s — the native rung, the arity, each
+/// argument's class — checked here on the site's static classes, once
+/// per site and callee (a function never leaves the native rung).
+#[inline(always)]
+fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCode>> {
+    let NativeSlot::Code(code) = &vm.native_cache[target.index()] else {
+        return None;
+    };
+    let key = target.index() as u32 + 1;
+    if call.native.get() != key {
+        let args = &call.desc.args;
+        if !matches!(vm.tier[target.index()], TierCell::Native)
+            || args.len() != code.arg_homes.len()
+            || args.iter().zip(&code.arg_homes).any(|(a, p)| a.1 != p.1)
+        {
+            return None;
+        }
+        call.native.set(key);
+    }
+    Some(code.clone())
+}
+
+/// A call that leaves machine code: an external runs right here and the
+/// burst goes on (`None`); a definition off the native rung, or one whose
+/// signature defies the site, becomes a `Flow::Call` for `mixed_loop`.
+#[cold]
+#[inline(never)]
+fn call_out(
+    vm: &mut Vm<'_>,
+    fr: &mut NatFrame,
+    call: &NatCall,
+    target: FuncId,
+) -> Result<Option<Flow>, ExecError> {
+    let argv = call
+        .desc
+        .args
+        .iter()
+        .map(|&(s, cl)| value_of(fr.get(s), cl));
+    match vm.enter_call(target, argv.collect())? {
+        Entered::External(ret) => {
+            let ret = ret.map(|v| (low32(&v), class_of(&v)));
+            resume_native(vm, fr, (call.desc.dst, call.desc.eh), ret)?;
+            Ok(None)
+        }
+        // dst/eh ride in the frame's typed pending slot, not the
+        // (JIT-shaped) Flow fields.
+        Entered::Defined { fixed, extra } => {
+            fr.pending = Some((call.desc.dst, call.desc.eh));
+            Ok(Some(Flow::Call {
+                target,
+                args: fixed,
+                varargs: extra,
+                dst: None,
+                eh: None,
+            }))
+        }
+    }
+}
+
+/// Run native frames from the top of `stack` until control leaves
+/// machine code, unwinds, or traps. A call into a function on the native
+/// rung pushes its frame in place here, arguments copied register to
+/// register, with `push_mixed`'s depth limit and profile; a return into a
+/// native caller pops it and lands in the caller's register without the
+/// round trip through `VmValue`.
+pub(crate) fn run_native_burst(
+    vm: &mut Vm<'_>,
+    stack: &mut Vec<TFrame>,
+) -> Result<Flow, ExecError> {
+    loop {
+        let Some(TFrame::N(fr)) = stack.last_mut() else {
+            unreachable!("a native burst on a native frame")
+        };
+        match run_frame(vm, fr)? {
+            Exit::Call(callee, code, call) => {
+                if stack.len() >= vm.opts.max_stack {
+                    return Err(trap(TrapKind::StackOverflow, "call depth"));
+                }
+                if vm.opts.profile {
+                    vm.counters.enter(vm.module(), callee);
+                }
+                let fr = vm.native_frame(callee, code, 0);
+                stack.push(TFrame::N(fr));
+                let [.., TFrame::N(caller), TFrame::N(fr)] = &mut stack[..] else {
+                    unreachable!("a native call from a native frame")
+                };
+                let desc = &caller.code.calls[call].desc;
+                for (i, &(s, _)) in desc.args.iter().enumerate() {
+                    let (h, _) = fr.code.arg_homes[i];
+                    fr.put(h, caller.get(s));
+                }
+                caller.pending = Some((desc.dst, desc.eh));
+            }
+            Exit::Ret(v) => {
+                let [.., TFrame::N(fr), TFrame::N(done)] = &mut stack[..] else {
+                    return Ok(Flow::Ret(v.map(|(w, cl)| value_of(w, cl))));
+                };
+                vm.recycle_native_frame(done)?;
+                let pending = fr.pending.take().expect("pending call");
+                resume_native(vm, fr, pending, v.map(|(w, cl)| (w, Some(cl))))?;
+                stack.truncate(stack.len() - 1);
+                vm.tier_stats.native_calls += 1;
+            }
+            Exit::Leave(flow) => return Ok(flow),
+        }
+    }
+}
+
+/// Why [`run_frame`] stopped.
+enum Exit {
+    /// Call descriptor `.2` enters `.0`, on the native rung, at `.1`.
+    Call(FuncId, Rc<NatCode>, usize),
+    /// A return: the raw word and its class, if any.
+    Ret(Option<(u32, Class)>),
+    /// Control leaves machine code.
+    Leave(Flow),
+}
+
+/// Resume the native frame `fr` after its call `(dst, eh)` returned `v`
+/// (low word and class): the word lands in `dst`, and an invoke takes
+/// its normal edge. A value of another class than the code was compiled
+/// for — possible only in unverified, type-confused modules — traps as
+/// `Invalid` rather than silently reinterpreting bits (DESIGN.md §16).
+pub(crate) fn resume_native(
+    vm: &mut Vm<'_>,
+    fr: &mut NatFrame,
+    (dst, eh): PendingCall,
+    v: Option<(u32, Option<Class>)>,
+) -> Result<(), ExecError> {
+    if let (Some((h, cl)), Some((word, from))) = (dst, v) {
+        if from != Some(cl) {
+            return Err(trap(TrapKind::Invalid, "native call result class mismatch"));
+        }
+        fr.put(h, word);
+    }
+    if let Some((normal, _)) = eh {
+        let code = fr.code.clone();
+        take_nat_edge(vm, fr, &code, normal as usize);
+    }
+    Ok(())
+}
+
+/// Run the frame's decoded code until a call, return, unwind or trap;
+/// an external's call runs in place. The loop touches only the flat
+/// register file, the frame's slot slab and (for memory ops) the checked
+/// [`Memory`] — this is the dispatch-density win over the `LowFunc` tier.
+/// Out of line, so the frame switches in [`run_native_burst`] do not
+/// weigh on its registers.
+#[inline(never)]
+fn run_frame(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exit, ExecError> {
     let code = fr.code.clone();
     loop {
         let op = code.ops[fr.pc];
@@ -563,28 +654,28 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
             enc::DIVS => {
                 let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
                 if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer division"));
+                    return Err(trap(TrapKind::DivByZero, "integer division"));
                 }
                 fr.regs[a] = x.wrapping_div(y) as u32;
             }
             enc::DIVU => {
                 let (x, y) = (fr.regs[b], fr.regs[c]);
                 if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer division"));
+                    return Err(trap(TrapKind::DivByZero, "integer division"));
                 }
                 fr.regs[a] = x / y;
             }
             enc::REMS => {
                 let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
                 if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer remainder"));
+                    return Err(trap(TrapKind::DivByZero, "integer remainder"));
                 }
                 fr.regs[a] = x.wrapping_rem(y) as u32;
             }
             enc::REMU => {
                 let (x, y) = (fr.regs[b], fr.regs[c]);
                 if y == 0 {
-                    return Err(ExecError::trap(TrapKind::DivByZero, "integer remainder"));
+                    return Err(trap(TrapKind::DivByZero, "integer remainder"));
                 }
                 fr.regs[a] = x % y;
             }
@@ -630,17 +721,17 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     Some(cl) => {
                         let kind = cl
                             .int_kind()
-                            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad load class"))?;
+                            .ok_or_else(|| trap(TrapKind::Invalid, "bad load class"))?;
                         low32(&vm.mem.load_int(addr, kind)?)
                     }
-                    None => return Err(ExecError::trap(TrapKind::Invalid, "bad load class")),
+                    None => return Err(trap(TrapKind::Invalid, "bad load class")),
                 };
             }
             enc::ST => {
                 let addr = fr.regs[b];
                 let cl = Class::from_code(op.extra)
                     .filter(|c| c.is_exact())
-                    .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad store class"))?;
+                    .ok_or_else(|| trap(TrapKind::Invalid, "bad store class"))?;
                 vm.mem.store(addr, value_of(fr.regs[c], cl))?;
             }
             enc::ALLOC => {
@@ -654,7 +745,7 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                 let size = (fr.regs[c] as u64) * n;
                 let size32: u32 = size
                     .try_into()
-                    .map_err(|_| ExecError::trap(TrapKind::OutOfMemory, "allocation too large"))?;
+                    .map_err(|_| trap(TrapKind::OutOfMemory, "allocation too large"))?;
                 let addr = vm.mem.alloc(size32.max(1))?;
                 if op.extra & 1 != 0 {
                     fr.allocas.push(addr);
@@ -696,58 +787,25 @@ pub(crate) fn run_native_burst(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Flo
                     FastCallee::Direct(f) => *f,
                     FastCallee::Indirect(s) => vm.resolve_cached(fr.get(*s), &call.ic)?,
                 };
-                let argv: Vec<VmValue> = call
-                    .desc
-                    .args
-                    .iter()
-                    .map(|&(s, cl)| value_of(fr.get(s), cl))
-                    .collect();
-                match vm.enter_call(target, argv)? {
-                    Entered::External(ret) => {
-                        if let (Some((h, cl)), Some(v)) = (call.desc.dst, ret) {
-                            if !matches_class(&v, cl) {
-                                return Err(ExecError::trap(
-                                    TrapKind::Invalid,
-                                    "native call result class mismatch",
-                                ));
-                            }
-                            fr.put(h, low32(&v));
-                        }
-                        if let Some((normal, _)) = call.desc.eh {
-                            take_nat_edge(vm, fr, &code, normal as usize);
-                        }
-                    }
-                    Entered::Defined { fixed, extra } => {
-                        fr.pending = Some((call.desc.dst, call.desc.eh));
-                        // dst/eh ride in the frame's typed pending slot,
-                        // not the (JIT-shaped) Flow fields.
-                        return Ok(Flow::Call {
-                            target,
-                            args: fixed,
-                            varargs: extra,
-                            dst: None,
-                            eh: None,
-                        });
-                    }
+                if let Some(callee) = native_callee(vm, call, target) {
+                    return Ok(Exit::Call(target, callee, op.imm as usize));
+                }
+                if let Some(flow) = call_out(vm, fr, call, target)? {
+                    return Ok(Exit::Leave(flow));
                 }
             }
             enc::RET => {
-                if op.imm & 1 != 0 {
-                    let cl = Class::from_code((op.imm >> 1) as u16)
-                        .filter(|c| c.is_exact())
-                        .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "bad ret class"))?;
-                    return Ok(Flow::Ret(Some(value_of(fr.regs[b], cl))));
+                if op.imm & 1 == 0 {
+                    return Ok(Exit::Ret(None));
                 }
-                return Ok(Flow::Ret(None));
+                let cl = Class::from_code((op.imm >> 1) as u16)
+                    .filter(|c| c.is_exact())
+                    .ok_or_else(|| trap(TrapKind::Invalid, "bad ret class"))?;
+                return Ok(Exit::Ret(Some((fr.regs[b], cl))));
             }
-            enc::UNWIND => return Ok(Flow::Unwinding),
-            enc::UNREACHABLE => {
-                return Err(ExecError::trap(
-                    TrapKind::Unreachable,
-                    "unreachable executed",
-                ))
-            }
-            _ => return Err(ExecError::trap(TrapKind::Invalid, "bad native opcode")),
+            enc::UNWIND => return Ok(Exit::Leave(Flow::Unwinding)),
+            enc::UNREACHABLE => return Err(trap(TrapKind::Unreachable, "unreachable executed")),
+            _ => return Err(trap(TrapKind::Invalid, "bad native opcode")),
         }
     }
 }

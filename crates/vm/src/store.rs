@@ -699,7 +699,13 @@ impl Store {
                 if pid == std::process::id() {
                     // Our own (e.g. a leaked guard in-process): not dead.
                 } else if Path::new("/proc").is_dir() {
-                    return !Path::new(&format!("/proc/{pid}")).exists();
+                    // Gone, or a zombie (`Z` after the `(comm)` field) its
+                    // parent has not reaped yet: it never writes again.
+                    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat"));
+                    return stat.map_or(true, |s| {
+                        s.rsplit_once(") ")
+                            .is_some_and(|(_, st)| st.starts_with('Z'))
+                    });
                 }
             }
         }
@@ -1600,6 +1606,25 @@ mod tests {
         let mut store = store;
         store.lock_retries = 2;
         assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
+    }
+
+    /// A holder that died but is not reaped yet — how a SIGKILLed daemon
+    /// worker looks between the crash answer and the supervisor's
+    /// `wait` — is as dead as one that is gone.
+    #[test]
+    fn zombie_holder_lock_is_broken_immediately() {
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let stat = format!("/proc/{}/stat", child.id());
+        let zombie = (0..500).any(|_| {
+            std::thread::sleep(Duration::from_millis(2));
+            std::fs::read_to_string(&stat).is_ok_and(|s| s.contains(") Z"))
+        });
+        let store = Store::open(tmpdir("zombiepid")).unwrap();
+        std::fs::write(store.dir().join("lock"), format!("{}\n", child.id())).unwrap();
+        let broken = store.try_lock_once().unwrap().is_some();
+        child.wait().unwrap();
+        assert!(zombie, "`true` never became a zombie");
+        assert!(broken, "a zombie holder's lock must break");
     }
 
     /// `store.journal:io@N` at each of the four steps of the one

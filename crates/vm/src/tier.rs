@@ -149,6 +149,9 @@ pub struct TierStats {
     pub native_insts: u64,
     /// Wall-clock nanoseconds spent in the native backend.
     pub native_translate_ns: u64,
+    /// Calls from machine code into machine code whose return landed in
+    /// the caller's registers without leaving the native burst.
+    pub native_calls: u64,
 }
 
 /// A frame on the mixed call stack: interpreted, translated, or native.
@@ -223,12 +226,13 @@ impl<'m> Vm<'m> {
     /// lifelong store's accumulated counts): every function whose call
     /// count or hottest block count already exceeds the `tier_up`
     /// threshold is translated eagerly, so the run starts in the fast
-    /// tier instead of re-warming. Translation failures leave the
-    /// function cold (it may demote later as usual). Returns the number
-    /// of functions warmed.
+    /// tier instead of re-warming — and one past `tier_up + native_up`
+    /// climbs on to machine code. A failed translation demotes as it
+    /// would at run time. Returns the number of functions warmed.
     pub fn warm_start(&mut self, profile: &ProfileData) -> usize {
         let _sp = trace::span("vm", "warm-start");
         let threshold = self.opts.tier_up;
+        let native_threshold = self.opts.native_up.map(|n| threshold.saturating_add(n));
         let m = self.module();
         let nf = m.num_funcs();
         // One pass over the profile maps; per-function max hotness.
@@ -256,6 +260,9 @@ impl<'m> Vm<'m> {
             if self.try_promote(f) {
                 self.tier_stats.warmed += 1;
                 warmed += 1;
+                if native_threshold.is_some_and(|n| hot > n) {
+                    self.try_promote_native(f);
+                }
             }
         }
         warmed
@@ -305,13 +312,10 @@ impl<'m> Vm<'m> {
             };
             seg.enter(tier_top);
             if tier_top == 2 {
-                // Native machine-code burst: runs until a call boundary,
-                // return, unwind, or trap.
-                let fr = match stack.last_mut().expect("frame") {
-                    TFrame::N(fr) => fr,
-                    _ => unreachable!(),
-                };
-                match crate::native::run_native_burst(self, fr)? {
+                // Native machine-code burst: runs native frames, calls and
+                // returns between them included, until control leaves
+                // machine code, unwinds, or traps.
+                match crate::native::run_native_burst(self, stack)? {
                     Flow::Call {
                         target,
                         args,
@@ -354,9 +358,8 @@ impl<'m> Vm<'m> {
                             // function to machine code; the frame sits at
                             // the loop-header boundary, so switch now.
                             if self.pending_native_osr.is_some() {
-                                let block =
-                                    self.pending_native_osr.take().expect("pending OSR block");
-                                self.native_osr_from_jit(stack, block)?;
+                                let block = self.pending_native_osr.take();
+                                self.native_osr(stack, block);
                                 continue 'outer;
                             }
                         }
@@ -496,7 +499,11 @@ impl<'m> Vm<'m> {
         };
         match choice {
             TierChoice::Native => {
-                if let Some(fr) = self.make_native_frame(f, &args)? {
+                let fr = self.native_frame_for(f, 0, &args, std::iter::empty(), &mut Vec::new())?;
+                if let Some(fr) = fr {
+                    if self.opts.profile {
+                        self.counters.enter(self.module(), f);
+                    }
                     stack.push(TFrame::N(fr));
                 } else {
                     // An actual argument defies the declared class
@@ -524,7 +531,7 @@ impl<'m> Vm<'m> {
         match stack.pop().expect("frame to pop") {
             TFrame::I(fr) => self.recycle_frame(fr),
             TFrame::J(fr) => self.recycle_jit_frame(fr),
-            TFrame::N(fr) => self.recycle_native_frame(fr),
+            TFrame::N(mut fr) => self.recycle_native_frame(&mut fr),
         }
     }
 
@@ -567,24 +574,9 @@ impl<'m> Vm<'m> {
                 }
             }
             TFrame::N(fr) => {
-                let (dst, eh) = fr.pending.take().expect("pending call");
-                if let (Some((h, cl)), Some(v)) = (dst, v) {
-                    // The returned scalar must have the class the native
-                    // code was compiled for. A mismatch is only possible
-                    // in unverified, type-confused modules; trap rather
-                    // than silently reinterpret bits (DESIGN.md §16).
-                    if !crate::native::matches_class(&v, cl) {
-                        return Err(ExecError::trap(
-                            TrapKind::Invalid,
-                            "native call result class mismatch",
-                        ));
-                    }
-                    fr.put(h, crate::native::low32(&v));
-                }
-                if let Some((normal, _)) = eh {
-                    let code = fr.code.clone();
-                    crate::native::take_nat_edge(self, fr, &code, normal as usize);
-                }
+                let pending = fr.pending.take().expect("pending call");
+                let v = v.map(|v| (crate::native::low32(&v), crate::native::class_of(&v)));
+                crate::native::resume_native(self, fr, pending, v)?;
             }
         }
         Ok(None)
@@ -816,31 +808,34 @@ impl<'m> Vm<'m> {
             TFrame::I(fr) => fr.func,
             _ => return Ok(()),
         };
-        if matches!(self.tier[f.index()], TierCell::Native) && self.native_osr_enter(stack)? {
+        if matches!(self.tier[f.index()], TierCell::Native) && self.native_osr(stack, None) {
             return Ok(());
         }
         self.osr_enter(stack)
     }
 
-    /// On-stack replacement, interpreter → native: the top frame must be
-    /// interpreted and at a block boundary (`idx == 0`). Homes are a
-    /// pure function of `InstId`, so the rebuild is one table-driven
-    /// truncating copy. Returns `false` (frame untouched) when an
-    /// argument's class defies the declared signature — the caller then
-    /// falls back to JIT OSR, which represents any value.
-    fn native_osr_enter(&mut self, stack: &mut [TFrame]) -> Result<bool, ExecError> {
+    /// On-stack replacement into machine code of the interpreted top frame
+    /// at its block boundary (`idx == 0`) or the translated one at the
+    /// `block` a back-edge just landed on. `false`, frame untouched, when
+    /// an argument's class defies the signature or translation fails:
+    /// machine code is an optimization, never a semantic requirement.
+    fn native_osr(&mut self, stack: &mut [TFrame], block: Option<u32>) -> bool {
         let top = stack.last_mut().expect("frame");
-        let TFrame::I(fr) = top else {
-            return Ok(false);
+        let nf = match top {
+            TFrame::I(fr) => {
+                debug_assert_eq!(fr.idx, 0, "OSR only at a block boundary");
+                let regs = fr.regs.iter().copied();
+                self.native_frame_for(fr.func, fr.block.index(), &fr.args, regs, &mut fr.allocas)
+            }
+            TFrame::J(fr) => {
+                let (regs, b) = (fr.regs.iter().map(|&v| Some(v)), block.expect("OSR block"));
+                self.native_frame_for(fr.func, b as usize, &fr.args, regs, &mut fr.allocas)
+            }
+            TFrame::N(_) => return false,
         };
-        debug_assert_eq!(fr.idx, 0, "OSR only at a block boundary");
-        let nf = match self.native_frame_from_interp(fr) {
-            Ok(Some(nf)) => nf,
-            Ok(None) | Err(_) => return Ok(false),
+        let Ok(Some(nf)) = nf else {
+            return false;
         };
-        let mut old_regs = std::mem::take(&mut fr.regs);
-        old_regs.clear();
-        self.interp_reg_pool.push(old_regs);
         self.tier_stats.native_osr += 1;
         if trace::enabled() {
             trace::instant_args(
@@ -849,36 +844,8 @@ impl<'m> Vm<'m> {
                 vec![("function", self.module().func(nf.func).name().to_string())],
             );
         }
-        *stack.last_mut().expect("frame") = TFrame::N(nf);
-        Ok(true)
-    }
-
-    /// On-stack replacement, JIT → native, at the `block` boundary a
-    /// back-edge just landed on. A class mismatch leaves the translated
-    /// frame running (correct either way; machine code is an
-    /// optimization, never a semantic requirement).
-    fn native_osr_from_jit(&mut self, stack: &mut [TFrame], block: u32) -> Result<(), ExecError> {
-        let top = stack.last_mut().expect("frame");
-        let TFrame::J(fr) = top else {
-            return Ok(());
-        };
-        let nf = match self.native_frame_from_jit(fr, block) {
-            Ok(Some(nf)) => nf,
-            Ok(None) | Err(_) => return Ok(()),
-        };
-        let mut old_regs = std::mem::take(&mut fr.regs);
-        old_regs.clear();
-        self.jit_reg_pool.push(old_regs);
-        self.tier_stats.native_osr += 1;
-        if trace::enabled() {
-            trace::instant_args(
-                "vm",
-                "tier-osr-native",
-                vec![("function", self.module().func(nf.func).name().to_string())],
-            );
-        }
-        *stack.last_mut().expect("frame") = TFrame::N(nf);
-        Ok(())
+        *top = TFrame::N(nf);
+        true
     }
 
     /// On-stack replacement: the top frame must be interpreted, sitting
@@ -982,6 +949,7 @@ impl TierStats {
             self.native_translated,
             self.native_translate_ns / 1_000
         ));
+        s.push_str(&format!("  native calls    {:>12}\n", self.native_calls));
         s
     }
 }

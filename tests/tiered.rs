@@ -88,6 +88,17 @@ fn observe_counted(
         native_up,
         ..VmOptions::default()
     };
+    observe_with(m, engine, opts, warm, spec)
+}
+
+/// [`observe_counted`] under any options.
+fn observe_with(
+    m: &lpat::core::Module,
+    engine: &str,
+    opts: VmOptions,
+    warm: Option<&lpat::vm::ProfileData>,
+    spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
+) -> (Observed, lpat::vm::TierStats, lpat::vm::SpecStats) {
     let mut vm = Vm::new(m, opts).expect("vm init");
     if let Some(map) = spec {
         vm.install_speculation(map.clone(), map.len() as u64, 0);
@@ -206,6 +217,13 @@ fn tiered_matches_interp_with_warm_start() {
             first, warm,
             "workload {name} diverged between cold and warm-started runs"
         );
+        // A profile past tier_up + native_up warm-starts into machine code.
+        let first = observe_full(&m, "tiered", 50, Some(200), None, None);
+        let warm = observe_full(&m, "tiered", 50, Some(200), Some(&first.profile), None);
+        assert_eq!(
+            first, warm,
+            "workload {name} diverged between cold and warm-started native runs"
+        );
     }
 }
 
@@ -235,6 +253,16 @@ fn warm_start_promotes_hot_functions_eagerly() {
     assert!(
         vm2.tier_stats.interp_insts <= vm.tier_stats.interp_insts,
         "{name}: warm run interpreted more instructions than cold"
+    );
+    // Functions past tier_up + native_up start in machine code, so the
+    // warm run does not re-climb the JIT rung either.
+    assert!(
+        vm2.tier_stats.native_promoted > 0,
+        "{name}: warm-start promoted nothing to machine code"
+    );
+    assert!(
+        vm2.tier_stats.jit_insts <= vm.tier_stats.jit_insts,
+        "{name}: warm run dispatched more JIT instructions than cold"
     );
 }
 
@@ -376,6 +404,307 @@ x:
 }
 
 // ---------------------------------------------------------------------
+// Native calls: a call from machine code into a function on the native
+// rung pushes its frame inside the burst, and the return lands in the
+// caller's registers. Nothing observable may change.
+// ---------------------------------------------------------------------
+
+/// Recursion (`fib`, three-argument `tak`, mutual `even`/`odd`), an
+/// indirect call through an eight-entry table (the inline cache misses
+/// every time), `char` / `short` / `bool` / pointer returns, a `void`
+/// callee, an `invoke` whose callee unwinds from two frames down, and an
+/// indirect call whose `sbyte` argument defies `@k7`'s `int`: that one
+/// runs on the JIT rung.
+const NATIVE_CALLS: &str = "
+declare void @print_int(int)
+@tbl = global [8 x int (int)*] zeroinitializer
+@cells = global [8 x int] zeroinitializer
+define internal int @fib(int %n) {
+e:
+  %small = setlt int %n, 2
+  br bool %small, label %base, label %rec
+base:
+  ret int %n
+rec:
+  %n1 = sub int %n, 1
+  %a = call int @fib(int %n1)
+  %n2 = sub int %n, 2
+  %b = call int @fib(int %n2)
+  %r = add int %a, %b
+  ret int %r
+}
+define internal int @tak(int %x, int %y, int %z) {
+e:
+  %c = setlt int %y, %x
+  br bool %c, label %rec, label %done
+done:
+  ret int %z
+rec:
+  %x1 = sub int %x, 1
+  %a = call int @tak(int %x1, int %y, int %z)
+  %y1 = sub int %y, 1
+  %b = call int @tak(int %y1, int %z, int %x)
+  %z1 = sub int %z, 1
+  %d = call int @tak(int %z1, int %x, int %y)
+  %r = call int @tak(int %a, int %b, int %d)
+  ret int %r
+}
+define internal bool @even(int %n) {
+e:
+  %z = seteq int %n, 0
+  br bool %z, label %yes, label %rec
+yes:
+  ret bool true
+rec:
+  %m = sub int %n, 1
+  %r = call bool @odd(int %m)
+  ret bool %r
+}
+define internal bool @odd(int %n) {
+e:
+  %z = seteq int %n, 0
+  br bool %z, label %no, label %rec
+no:
+  ret bool false
+rec:
+  %m = sub int %n, 1
+  %r = call bool @even(int %m)
+  ret bool %r
+}
+define internal sbyte @lo(int %x) {
+e:
+  %c = cast int %x to sbyte
+  ret sbyte %c
+}
+define internal short @half(int %x) {
+e:
+  %s = cast int %x to short
+  ret short %s
+}
+define internal int* @cell(int %i) {
+e:
+  %p = getelementptr [8 x int]* @cells, long 0, int %i
+  ret int* %p
+}
+define internal void @bump(int* %p, int %by) {
+e:
+  %v = load int* %p
+  %v2 = add int %v, %by
+  store int %v2, int* %p
+  ret void
+}
+define internal int @k0(int %x) {
+e:
+  %r = add int %x, 1
+  ret int %r
+}
+define internal int @k1(int %x) {
+e:
+  %r = mul int %x, 3
+  ret int %r
+}
+define internal int @k2(int %x) {
+e:
+  %r = sub int 100, %x
+  ret int %r
+}
+define internal int @k3(int %x) {
+e:
+  %r = xor int %x, 85
+  ret int %r
+}
+define internal int @k4(int %x) {
+e:
+  %r = shl int %x, 2
+  ret int %r
+}
+define internal int @k5(int %x) {
+e:
+  %r = and int %x, 7
+  ret int %r
+}
+define internal int @k6(int %x) {
+e:
+  %r = call int @fib(int 5)
+  %s = add int %r, %x
+  ret int %s
+}
+define internal int @k7(int %x) {
+e:
+  ret int 7
+}
+define internal void @thrower(int %x) {
+e:
+  %c = seteq int %x, 5
+  br bool %c, label %t, label %ok
+t:
+  unwind
+ok:
+  ret void
+}
+define internal int @middle(int %x) {
+e:
+  call void @thrower(int %x)
+  %r = add int %x, 1
+  ret int %r
+}
+define int @main() {
+e:
+  %t0 = getelementptr [8 x int (int)*]* @tbl, long 0, int 0
+  store int (int)* @k0, int (int)** %t0
+  %t1 = getelementptr [8 x int (int)*]* @tbl, long 0, int 1
+  store int (int)* @k1, int (int)** %t1
+  %t2 = getelementptr [8 x int (int)*]* @tbl, long 0, int 2
+  store int (int)* @k2, int (int)** %t2
+  %t3 = getelementptr [8 x int (int)*]* @tbl, long 0, int 3
+  store int (int)* @k3, int (int)** %t3
+  %t4 = getelementptr [8 x int (int)*]* @tbl, long 0, int 4
+  store int (int)* @k4, int (int)** %t4
+  %t5 = getelementptr [8 x int (int)*]* @tbl, long 0, int 5
+  store int (int)* @k5, int (int)** %t5
+  %t6 = getelementptr [8 x int (int)*]* @tbl, long 0, int 6
+  store int (int)* @k6, int (int)** %t6
+  %t7 = getelementptr [8 x int (int)*]* @tbl, long 0, int 7
+  store int (int)* @k7, int (int)** %t7
+  %f = call int @fib(int 12)
+  call void @print_int(int %f)
+  %t = call int @tak(int 12, int 8, int 4)
+  call void @print_int(int %t)
+  %ev = call bool @even(int 31)
+  %evi = cast bool %ev to int
+  call void @print_int(int %evi)
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %latch ]
+  %s = phi int [ 0, %e ], [ %s3, %latch ]
+  %c = setlt int %i, 64
+  br bool %c, label %b, label %x
+b:
+  %slot = rem int %i, 8
+  %fpp = getelementptr [8 x int (int)*]* @tbl, long 0, int %slot
+  %fp = load int (int)** %fpp
+  %v = call int %fp(int %i)
+  %lo = call sbyte @lo(int %v)
+  %loi = cast sbyte %lo to int
+  %hf = call short @half(int %v)
+  %hfi = cast short %hf to int
+  %p = call int* @cell(int %slot)
+  call void @bump(int* %p, int %v)
+  %mis = cast int (int)* @k7 to int (sbyte)*
+  %m = call int %mis(sbyte %lo)
+  %s1 = add int %s, %loi
+  %s2 = add int %s1, %hfi
+  %w = invoke int @middle(int %slot) to label %ok unwind label %caught
+ok:
+  %s2b = add int %s2, %w
+  br label %latch
+caught:
+  %s2c = add int %s2, %m
+  br label %latch
+latch:
+  %s3 = phi int [ %s2b, %ok ], [ %s2c, %caught ]
+  %i2 = add int %i, 1
+  br label %h
+x:
+  call void @print_int(int %s)
+  %q = getelementptr [8 x int]* @cells, long 0, int 3
+  %qv = load int* %q
+  call void @print_int(int %qv)
+  %r = rem int %s, 97
+  ret int %r
+}";
+
+#[test]
+fn native_calls_stay_in_machine_code_and_match_interp() {
+    let m = parse(NATIVE_CALLS);
+    let reference = same_in_every_engine(&m, 20_000_000);
+    assert_eq!(reference.outcome, Ok(57));
+    assert_eq!(reference.output, "144\n5\n0\n6168\n784\n");
+    // At tier_up 0 / native_up 0 every function is native from its
+    // first call, so every call returns inside the burst except the
+    // 8 × 2 frames the unwind pops and the 64 mistyped calls — which run
+    // `@k7`'s one `ret` each on the JIT rung.
+    let (got, t, _) = observe_counted(&m, "tiered", 0, Some(0), None, None, 20_000_000);
+    assert_eq!(reference, got);
+    assert_eq!((t.interp_insts, t.jit_insts), (0, 64), "{t:?}");
+    let main = m.func_by_name("main").unwrap();
+    let calls: u64 = (got.profile.call_counts.iter())
+        .filter(|&(&f, _)| f != main)
+        .map(|(_, &n)| n)
+        .sum();
+    assert_eq!(t.native_calls, calls - 16 - 64, "{t:?}");
+}
+
+/// Recursion past `max_stack` traps `StackOverflow` at the same depth,
+/// after the same instructions and profile, whether the frames are
+/// pushed inside the native burst or outside it.
+#[test]
+fn native_calls_overflow_the_stack_like_the_interpreter() {
+    let m = parse(
+        "
+define internal int @down(int %n) {
+e:
+  %z = seteq int %n, 0
+  br bool %z, label %base, label %rec
+base:
+  ret int 0
+rec:
+  %m = sub int %n, 1
+  %r = call int @down(int %m)
+  %s = add int %r, 1
+  ret int %s
+}
+define int @main() {
+e:
+  %r = call int @down(int 1000)
+  ret int %r
+}",
+    );
+    let opts = VmOptions {
+        profile: true,
+        max_stack: 64,
+        ..VmOptions::default()
+    };
+    let reference = same_in_every_engine_under(&m, opts);
+    assert_eq!(reference.outcome, Err(TrapKind::StackOverflow));
+}
+
+/// Fuel runs dry on every instruction of `fib(4)` in turn — its calls
+/// and returns inside the burst among them — and every engine stops on
+/// the same instruction with the same profile.
+#[test]
+fn native_calls_run_out_of_fuel_like_the_interpreter() {
+    let m = parse(
+        "
+define internal int @fib(int %n) {
+e:
+  %small = setlt int %n, 2
+  br bool %small, label %base, label %rec
+base:
+  ret int %n
+rec:
+  %n1 = sub int %n, 1
+  %a = call int @fib(int %n1)
+  %n2 = sub int %n, 2
+  %b = call int @fib(int %n2)
+  %r = add int %a, %b
+  ret int %r
+}
+define int @main() {
+e:
+  %r = call int @fib(int 4)
+  ret int %r
+}",
+    );
+    let full = same_in_every_engine(&m, 20_000_000);
+    assert_eq!(full.outcome, Ok(3));
+    for fuel in 0..full.insts {
+        let dry = same_in_every_engine(&m, fuel);
+        assert_eq!(dry.outcome, Err(TrapKind::OutOfFuel), "fuel={fuel}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Profile recording: the engines count in index-addressed slabs that are
 // folded into `Vm::profile` when a run returns. Edge identity and the
 // drain must hold in every engine and on every way out of a run.
@@ -386,7 +715,25 @@ x:
 /// which must observe what the reference interpreter (returned) observes
 /// at the same fuel, down to the bytes of the profile the store persists.
 fn same_in_every_engine(m: &lpat::core::Module, fuel: u64) -> Observed {
-    let reference = observe_fueled(m, "interp", 0, None, None, None, fuel);
+    let opts = VmOptions {
+        profile: true,
+        fuel: Some(fuel),
+        ..VmOptions::default()
+    };
+    same_in_every_engine_under(m, opts)
+}
+
+/// [`same_in_every_engine`] with `opts` (its thresholds aside) in every run.
+fn same_in_every_engine_under(m: &lpat::core::Module, opts: VmOptions) -> Observed {
+    let run = |engine: &str, tier_up: u64, native_up: Option<u64>| {
+        let opts = VmOptions {
+            tier_up,
+            native_up,
+            ..opts.clone()
+        };
+        observe_with(m, engine, opts, None, None).0
+    };
+    let reference = run("interp", 0, None);
     let check = |what: String, got: Observed| {
         assert_eq!(
             reference.profile.to_bytes(),
@@ -395,15 +742,12 @@ fn same_in_every_engine(m: &lpat::core::Module, fuel: u64) -> Observed {
         );
         assert_eq!(reference, got, "{what}");
     };
-    check(
-        "jit".into(),
-        observe_fueled(m, "jit", 0, None, None, None, fuel),
-    );
+    check("jit".into(), run("jit", 0, None));
     for t in THRESHOLDS {
         for native_up in [None, Some(t)] {
             check(
                 format!("tier_up={t} native_up={native_up:?}"),
-                observe_fueled(m, "tiered", t, native_up, None, None, fuel),
+                run("tiered", t, native_up),
             );
         }
     }
