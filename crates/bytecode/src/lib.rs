@@ -71,24 +71,6 @@ pub fn read_module_and_summaries(
     }
 }
 
-/// Size statistics for a serialized module, used by the Figure 5 harness.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SizeStats {
-    /// Total file size in bytes.
-    pub total: usize,
-    /// Number of instructions encoded.
-    pub insts: usize,
-}
-
-/// Serialize and measure in one step.
-pub fn measure(m: &lpat_core::Module) -> SizeStats {
-    let bytes = write_module(m);
-    SizeStats {
-        total: bytes.len(),
-        insts: m.total_insts(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,8 @@
 //!
 //! * `site` — a fault-site name. Every pass name is a site (`gvn`,
 //!   `inline`, ...); additional named sites exist in the bytecode reader
-//!   (`bytecode.read`), the profile-guided reoptimizer (`pgo-inline`),
+//!   (`bytecode.read`), the profile-guided reoptimizer (the names
+//!   of its two module passes, `pgo-inline` and `pgo-layout`),
 //!   the lifelong store (`store.read`, `store.write`, `store.lock`), the
 //!   tier engine (`jit.translate` — fail a function's translation;
 //!   `native.translate` — fail the single-pass machine-code backend,

@@ -42,8 +42,7 @@ pub use interp::{SpecStats, Vm, VmOptions};
 pub use pgo::{reoptimize, PgoOptions, PgoReport};
 pub use profile::{form_trace, HotLoop, ProfileData};
 pub use store::{
-    module_hash, DenyRecord, FlushGuard, FlushOutcome, RecoveryReport, Store, StoreError,
-    StoredProfile,
+    module_hash, DenyRecord, FlushGuard, FlushOutcome, Store, StoreError, StoredProfile,
 };
 pub use tier::TierStats;
 pub use value::VmValue;

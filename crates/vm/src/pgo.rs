@@ -12,17 +12,20 @@
 //!   successor of each block is its fall-through, improving the locality of
 //!   the native code a backend would emit.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::cell::Cell;
+use std::rc::Rc;
 
-use lpat_core::fault::FaultAction;
+use lpat_analysis::PreservedAnalyses;
 use lpat_core::trace;
 use lpat_core::{BlockId, Const, FuncId, Inst, Module, Value};
 use lpat_transform::gvn::Gvn;
 use lpat_transform::inline::inline_site;
 use lpat_transform::scalar::{Dce, InstSimplify};
 use lpat_transform::simplifycfg::SimplifyCfg;
-use lpat_transform::{FaultCause, FunctionPassAdapter, PassFault, PassManager, PipelineReport};
+use lpat_transform::{
+    FunctionPassAdapter, ModulePass, PassContext, PassEffect, PassFault, PassManager,
+    PipelineReport,
+};
 
 use crate::profile::ProfileData;
 
@@ -71,10 +74,10 @@ pub struct PgoReport {
     /// structured report the static pipelines and `lpatc --time-passes`
     /// produce.
     pub cleanup: PipelineReport,
-    /// Faults isolated during reoptimization: the hot-inlining stage's own
-    /// rollback plus anything the cleanup pipeline degraded on. The
-    /// reoptimizer runs against a *live* program, so a fault here must
-    /// leave the module untouched, never take the process down.
+    /// Faults isolated during reoptimization: a rolled-back `pgo-inline`
+    /// or `pgo-layout` stage plus anything the cleanup pipeline degraded
+    /// on. The reoptimizer runs against a *live* program, so a fault here
+    /// must leave the module untouched, never take the process down.
     pub faults: Vec<PassFault>,
     /// The speculation plan computed against the final module (when
     /// [`PgoOptions::spec`] is set). Its canonical rendering is pure in
@@ -92,43 +95,18 @@ impl PgoReport {
 
 /// Apply profile-guided reoptimization to `m` using `profile`.
 ///
-/// The hot-inlining stage is fault-isolated exactly like a module pass:
-/// it runs under `catch_unwind` against a rollback point (fault site
-/// `pgo-inline`), and on a panic the module is restored and the fault is
-/// recorded in [`PgoReport::faults`] — layout still runs on the
-/// un-inlined module.
+/// Each stage is a module pass run by the pass manager in degrade mode —
+/// hot inlining as `pgo-inline`, layout as `pgo-layout` (both fault
+/// sites too) — so a panic in one restores the module it started from and
+/// is recorded in [`PgoReport::faults`]; the stages after it still run.
 pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> PgoReport {
     let mut report = PgoReport::default();
-    let rollback = m.checkpoint();
-    let injected = lpat_core::faultpoint!("pgo-inline");
-    let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        match injected {
-            Some(FaultAction::Panic) | Some(FaultAction::Abort) => {
-                panic!("injected fault at site 'pgo-inline'")
-            }
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(FaultAction::Corrupt) | Some(FaultAction::Io) | None => {}
-        }
-        inline_hot_sites(m, profile, opts)
-    }));
-    match outcome {
-        Ok(n) => report.inlined = n,
-        Err(payload) => {
-            m.restore(rollback);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            report.faults.push(PassFault {
-                pass: "pgo-inline".to_string(),
-                function: None,
-                cause: FaultCause::Panic(msg),
-                elapsed: t0.elapsed(),
-            });
-        }
-    }
+    // A pass the manager owns must own what it reads.
+    let shared = Rc::new(profile.clone());
+    let (p, o) = (shared.clone(), opts.clone());
+    report.inlined = run_stage(m, opts.jobs, &mut report.faults, "pgo-inline", move |m| {
+        inline_hot_sites(m, &p, &o)
+    });
     if report.inlined > 0 {
         // Clean up what hot inlining exposed before choosing a layout,
         // through the instrumented pass framework.
@@ -144,7 +122,9 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
         report.cleanup = pm.run(m);
         report.faults.extend(report.cleanup.faults.iter().cloned());
     }
-    report.relaid = layout_by_profile(m, profile);
+    report.relaid = run_stage(m, opts.jobs, &mut report.faults, "pgo-layout", move |m| {
+        layout_by_profile(m, &shared)
+    });
     if let Some(sopts) = &opts.spec {
         // Plan only — `compute_plan` takes `&Module` and never interns
         // constants, so the stored module's bytes are unaffected.
@@ -157,9 +137,49 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
     report
 }
 
+/// One reoptimizer stage as a module pass; `count` receives how many
+/// units (sites, functions) the stage changed.
+struct Stage<F> {
+    name: &'static str,
+    run: F,
+    count: Rc<Cell<usize>>,
+}
+
+impl<F: FnMut(&mut Module) -> usize> ModulePass for Stage<F> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn run(&mut self, m: &mut Module, _cx: &mut PassContext) -> PassEffect {
+        let n = (self.run)(m);
+        self.count.set(n);
+        PassEffect::from_change(n > 0, PreservedAnalyses::none())
+    }
+}
+
+/// Run one stage alone through the pass manager. A stage rolled back
+/// changed nothing and counts 0; its fault joins `faults`.
+fn run_stage(
+    m: &mut Module,
+    jobs: Option<usize>,
+    faults: &mut Vec<PassFault>,
+    name: &'static str,
+    run: impl FnMut(&mut Module) -> usize + 'static,
+) -> usize {
+    let count = Rc::new(Cell::new(0));
+    let mut pm = PassManager::new();
+    pm.jobs = jobs;
+    pm.add(Stage {
+        name,
+        run,
+        count: count.clone(),
+    });
+    faults.extend(pm.run(m).faults);
+    count.get()
+}
+
 /// Inline call sites hotter than the threshold. Returns sites inlined.
 pub fn inline_hot_sites(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> usize {
-    let mut sp = trace::span("pgo", "inline-hot-sites");
     let mut inlined = 0;
     for (caller, site, count) in profile.hot_callsites(opts.hot_call_threshold) {
         if caller.index() >= m.num_funcs() {
@@ -210,14 +230,12 @@ pub fn inline_hot_sites(m: &mut Module, profile: &ProfileData, opts: &PgoOptions
             );
         }
     }
-    sp.arg("inlined", inlined.to_string());
     inlined
 }
 
 /// Reorder every profiled function's blocks so hot successors fall
 /// through. Returns the number of functions re-laid.
 pub fn layout_by_profile(m: &mut Module, profile: &ProfileData) -> usize {
-    let mut sp = trace::span("pgo", "layout");
     let mut relaid = 0;
     for fid in m.func_ids().collect::<Vec<_>>() {
         if m.func(fid).is_declaration() {
@@ -237,7 +255,6 @@ pub fn layout_by_profile(m: &mut Module, profile: &ProfileData) -> usize {
             }
         }
     }
-    sp.arg("relaid", relaid.to_string());
     relaid
 }
 

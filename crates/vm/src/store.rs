@@ -27,11 +27,13 @@
 //! | concurrent writer persists   | [`StoreError::Locked`]         | skip persisting this run |
 //! | I/O failure                  | [`StoreError::Io`]             | surface; cache untouched |
 //!
-//! Writers serialize on a lock file with a bounded, deterministic
-//! retry-with-backoff schedule (the clock is injectable for tests); locks
-//! record their holder's PID and are broken *immediately* once the holder
-//! is dead (with [`Store::lock_stale_after`] as the fallback when liveness
-//! cannot be determined). Readers take no lock.
+//! Writers serialize on the kernel's advisory lock on `<dir>/lock`
+//! (`File::try_lock`), with a bounded, deterministic retry-with-backoff
+//! schedule (the clock is injectable for tests). The lock lives with the
+//! holder's open descriptor, so the kernel releases it when that closes —
+//! on drop, on exit and on SIGKILL alike: a dead writer never holds the
+//! store, and nothing guesses whether one is alive. The `lock` file is
+//! created once and never removed. Readers take no lock.
 //!
 //! # What is on disk
 //!
@@ -236,6 +238,13 @@ pub struct StoredProfile {
     pub runs: u64,
 }
 
+/// Lock attempts after the first before giving up with
+/// [`StoreError::Locked`].
+const LOCK_RETRIES: u32 = 20;
+/// Base backoff; retry `n` waits `LOCK_BACKOFF << min(n, 6)` — a
+/// deterministic schedule, not a randomized one.
+const LOCK_BACKOFF: Duration = Duration::from_millis(2);
+
 /// Injectable time source for the lock backoff, so contention tests run
 /// deterministic schedules without wall-clock sleeps.
 pub trait Clock: Send + Sync {
@@ -255,15 +264,6 @@ impl Clock for RealClock {
 /// A versioned, crash-safe cache directory.
 pub struct Store {
     dir: PathBuf,
-    /// Lock acquisition attempts before giving up with
-    /// [`StoreError::Locked`].
-    pub lock_retries: u32,
-    /// Base backoff; attempt `n` waits `lock_backoff << min(n, 6)` — a
-    /// deterministic schedule, not a randomized one.
-    pub lock_backoff: Duration,
-    /// A lock file older than this is treated as abandoned by a killed
-    /// process and broken.
-    pub lock_stale_after: Duration,
     /// Fault plan override; `None` uses the process-wide plan
     /// (`--inject-faults` / `LPAT_FAULTS`).
     pub faults: Option<Arc<FaultPlan>>,
@@ -282,9 +282,6 @@ impl Store {
             .map_err(|e| StoreError::Io(format!("create {}: {e}", dir.display())))?;
         let store = Store {
             dir,
-            lock_retries: 20,
-            lock_backoff: Duration::from_millis(2),
-            lock_stale_after: Duration::from_secs(30),
             faults: None,
             clock: Box::new(RealClock),
         };
@@ -635,7 +632,7 @@ impl Store {
     }
 
     fn lock_inner(&self) -> Result<LockGuard, StoreError> {
-        for attempt in 0..=self.lock_retries {
+        for attempt in 0..=LOCK_RETRIES {
             // The fault site models a held/contended lock: any non-delay
             // action fails this acquisition attempt.
             let contended = match fault_at(self.faults.as_deref(), "store.lock") {
@@ -651,95 +648,43 @@ impl Store {
                     return Ok(guard);
                 }
             }
-            if attempt < self.lock_retries {
+            if attempt < LOCK_RETRIES {
                 // Deterministic exponential backoff, capped at 64× base.
                 let shift = attempt.min(6);
-                self.clock.sleep(self.lock_backoff * (1u32 << shift));
+                self.clock.sleep(LOCK_BACKOFF * (1u32 << shift));
             }
         }
         Err(StoreError::Locked)
     }
 
-    /// One `O_EXCL` attempt at the lock file, repeated once if it had to
-    /// break a dead holder's lock first. `None` = a live writer holds it.
+    /// One attempt at the lock, through a descriptor of its own: the lock
+    /// belongs to the open file description, so two opens conflict even
+    /// within one process (daemon threads on one shard), where two
+    /// `try_lock`s on one handle would both succeed. `None` = held.
     fn try_lock_once(&self) -> Result<Option<LockGuard>, StoreError> {
         let path = self.dir.join("lock");
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = f.write_all(format!("{}\n", std::process::id()).as_bytes());
-                    return Ok(Some(LockGuard { path }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Held. Abandoned by a killed process? Break it.
-                    if !self.lock_is_dead(&path) {
-                        return Ok(None);
-                    }
-                    let _ = std::fs::remove_file(&path);
-                }
-                Err(e) => return Err(StoreError::Io(format!("lock {}: {e}", path.display()))),
-            }
+        let io = |e| StoreError::Io(format!("lock {}: {e}", path.display()));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(io)?;
+        match file.try_lock() {
+            Ok(()) => Ok(Some(LockGuard { _file: file })),
+            Err(std::fs::TryLockError::WouldBlock) => Ok(None),
+            Err(std::fs::TryLockError::Error(e)) => Err(io(e)),
         }
-        Ok(None)
-    }
-
-    /// Is the lock at `path` abandoned? First choice: the holder recorded
-    /// its PID and that process is gone (checked via `/proc`, so a
-    /// SIGKILLed worker's lock is broken *immediately* instead of
-    /// stalling every peer on the shard for the staleness window).
-    /// Fallback (no PID readable, foreign PID namespace, non-Linux): the
-    /// mtime-based staleness threshold.
-    fn lock_is_dead(&self, path: &Path) -> bool {
-        if let Ok(content) = std::fs::read_to_string(path) {
-            if let Ok(pid) = content.trim().parse::<u32>() {
-                if pid == std::process::id() {
-                    // Our own (e.g. a leaked guard in-process): not dead.
-                } else if Path::new("/proc").is_dir() {
-                    // Gone, or a zombie (`Z` after the `(comm)` field) its
-                    // parent has not reaped yet: it never writes again.
-                    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat"));
-                    return stat.map_or(true, |s| {
-                        s.rsplit_once(") ")
-                            .is_some_and(|(_, st)| st.starts_with('Z'))
-                    });
-                }
-            }
-        }
-        if let Ok(md) = std::fs::metadata(path) {
-            let age = md
-                .modified()
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .unwrap_or(Duration::ZERO);
-            return age > self.lock_stale_after;
-        }
-        false
     }
 
     // -- crash debris ----------------------------------------------------
-
-    /// Sweep orphaned temp files now, taking the lock (blocking, with the
-    /// normal retry budget). [`Store::open`] already does this
-    /// non-blockingly; tests and tools can force a pass here.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Locked`] when the lock cannot be acquired.
-    pub fn recover(&self) -> Result<RecoveryReport, StoreError> {
-        let _guard = self.lock()?;
-        Ok(self.sweep_temps_locked())
-    }
 
     /// Remove the `.tmp-<pid>` files of writers killed between their temp
     /// write and their rename — every such writer held the lock the caller
     /// holds now, so none of them is still alive — and any `profile-*.log`,
     /// which only a store from before the one-file profile wrote.
-    fn sweep_temps_locked(&self) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
+    fn sweep_temps_locked(&self) {
+        let mut swept = 0u64;
         if let Ok(rd) = std::fs::read_dir(&self.dir) {
             for entry in rd.filter_map(|e| e.ok()) {
                 let name = entry.file_name();
@@ -748,26 +693,18 @@ impl Store {
                     || name.starts_with("profile-") && name.ends_with(".log"))
                     && std::fs::remove_file(entry.path()).is_ok()
                 {
-                    report.swept += 1;
+                    swept += 1;
                 }
             }
         }
-        if trace::enabled() && report.swept > 0 {
+        if trace::enabled() && swept > 0 {
             trace::instant_args(
                 "store",
                 "journal.recovery",
-                vec![("swept", report.swept.to_string())],
+                vec![("swept", swept.to_string())],
             );
         }
-        report
     }
-}
-
-/// What one crash-debris sweep did.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Orphaned `.tmp-*` (and pre-one-file `profile-*.log`) files removed.
-    pub swept: u64,
 }
 
 // -- fault sites and the one whole-file write ------------------------------
@@ -1208,16 +1145,11 @@ impl Drop for FlushGuard<'_> {
     }
 }
 
-/// Holds the store lock; releases it on drop.
+/// Holds the store lock: the descriptor the kernel's lock lives on.
+/// Dropping it closes the descriptor, which releases the lock.
 #[derive(Debug)]
 pub struct LockGuard {
-    path: PathBuf,
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
+    _file: std::fs::File,
 }
 
 #[cfg(test)]
@@ -1521,7 +1453,6 @@ mod tests {
         let mut store = Store::open(tmpdir("lock"))
             .unwrap()
             .with_clock(Box::new(CountingClock(AtomicU32::new(0))));
-        store.lock_retries = 4;
         // Unconditional contention: every attempt fails, then Locked.
         store.faults = plan("store.lock:panic");
         let err = store.lock().unwrap_err();
@@ -1533,27 +1464,13 @@ mod tests {
         // Transient contention: first two attempts fail, then success.
         store.faults = plan("store.lock:panic@1,store.lock:panic@2");
         let guard = store.lock().expect("acquires after retries");
+        // A second descriptor in the same process is refused while the
+        // first holds the lock ...
+        store.faults = None;
+        assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
+        // ... and dropping the guard releases it.
         drop(guard);
-        assert!(!store.dir().join("lock").exists(), "guard releases on drop");
-    }
-
-    #[test]
-    fn held_lock_blocks_until_released_then_stale_lock_is_broken() {
-        let mut store = Store::open(tmpdir("lock2"))
-            .unwrap()
-            .with_clock(Box::new(CountingClock(AtomicU32::new(0))));
-        store.lock_retries = 2;
-        let guard = store.lock().unwrap();
-        let err = store.lock().unwrap_err();
-        assert_eq!(err, StoreError::Locked);
-        drop(guard);
-        // An abandoned lock (simulated by aging the threshold to zero) is
-        // broken rather than wedging every future run.
-        let _stale = store.lock().unwrap();
-        std::mem::forget(_stale); // "killed process": no Drop
-        store.lock_stale_after = Duration::ZERO;
-        let g = store.lock().expect("stale lock must be broken");
-        drop(g);
+        drop(store.lock().expect("the lock is free after drop"));
     }
 
     #[test]
@@ -1584,47 +1501,18 @@ mod tests {
         }
     }
 
+    /// The file's contents mean nothing: a `lock` naming a live process
+    /// (PID 1, standing in for a recycled PID) is taken on the first
+    /// attempt, with no backoff.
     #[test]
-    fn dead_holder_lock_is_broken_immediately() {
+    fn a_lock_file_naming_a_live_process_does_not_block() {
         let sleeps = Arc::new(AtomicU32::new(0));
-        let store = Store::open(tmpdir("deadpid"))
+        let store = Store::open(tmpdir("livepid"))
             .unwrap()
             .with_clock(Box::new(SharedCountingClock(sleeps.clone())));
-        // A lock abandoned by a PID that cannot exist (pid_max is far
-        // below this): broken on the first attempt, no backoff sleeps,
-        // no staleness wait.
-        std::fs::write(store.dir().join("lock"), "999999999\n").unwrap();
-        let g = store.lock().expect("dead holder's lock must break");
+        std::fs::write(store.dir().join("lock"), "1\n").unwrap();
+        drop(store.lock().expect("a PID in the file holds nothing"));
         assert_eq!(sleeps.load(Ordering::SeqCst), 0, "no backoff needed");
-        drop(g);
-        // A live holder (our own PID) is NOT broken by the PID check.
-        std::fs::write(
-            store.dir().join("lock"),
-            format!("{}\n", std::process::id()),
-        )
-        .unwrap();
-        let mut store = store;
-        store.lock_retries = 2;
-        assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
-    }
-
-    /// A holder that died but is not reaped yet — how a SIGKILLed daemon
-    /// worker looks between the crash answer and the supervisor's
-    /// `wait` — is as dead as one that is gone.
-    #[test]
-    fn zombie_holder_lock_is_broken_immediately() {
-        let mut child = std::process::Command::new("true").spawn().unwrap();
-        let stat = format!("/proc/{}/stat", child.id());
-        let zombie = (0..500).any(|_| {
-            std::thread::sleep(Duration::from_millis(2));
-            std::fs::read_to_string(&stat).is_ok_and(|s| s.contains(") Z"))
-        });
-        let store = Store::open(tmpdir("zombiepid")).unwrap();
-        std::fs::write(store.dir().join("lock"), format!("{}\n", child.id())).unwrap();
-        let broken = store.try_lock_once().unwrap().is_some();
-        child.wait().unwrap();
-        assert!(zombie, "`true` never became a zombie");
-        assert!(broken, "a zombie holder's lock must break");
     }
 
     /// `store.journal:io@N` at each of the four steps of the one
@@ -1697,7 +1585,6 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert!(!orphan.exists() && !old_log.exists());
         assert_eq!(runs_of(&store, 0x42), 1);
-        assert_eq!(store.recover().unwrap(), RecoveryReport { swept: 0 });
     }
 
     #[test]

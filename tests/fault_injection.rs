@@ -903,6 +903,98 @@ x:
     }
 }
 
+/// The reoptimizer's stages run on the pass manager: `pgo-inline:panic`
+/// or `pgo-layout:panic` rolls back that stage alone, and `lpatc reopt`
+/// still exits 0 and writes a module that verifies. CI runs one leg per
+/// site via `LPAT_FAULTS_MATRIX=<site>`; locally both run.
+#[test]
+fn lpatc_reopt_isolates_a_faulting_pgo_stage() {
+    let sites: Vec<String> = match std::env::var("LPAT_FAULTS_MATRIX") {
+        Ok(v) if !v.trim().is_empty() => v
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| s.starts_with("pgo-"))
+            .collect(),
+        _ => vec!["pgo-inline".to_string(), "pgo-layout".to_string()],
+    };
+    let src = "
+declare void @print_int(int)
+define internal int @step(int %x) {
+e:
+  %odd = rem int %x, 2
+  %c = seteq int %odd, 0
+  br bool %c, label %even, label %other
+even:
+  %h = div int %x, 2
+  ret int %h
+other:
+  %t = mul int %x, 3
+  %u = add int %t, 1
+  ret int %u
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %b ]
+  %s = phi int [ 0, %e ], [ %s2, %b ]
+  %c = setlt int %i, 400
+  br bool %c, label %b, label %x
+b:
+  %v = call int @step(int %i)
+  %s2 = add int %s, %v
+  %i2 = add int %i, 1
+  br label %h
+x:
+  %m = rem int %s, 97
+  call void @print_int(int %m)
+  ret int %m
+}";
+    for site in sites {
+        let cache = tmp(&format!("fi-{site}-cache"));
+        let _ = std::fs::remove_dir_all(&cache);
+        let prog = tmp(&format!("fi-{site}.ll"));
+        let out_path = tmp(&format!("fi-{site}-out.bc"));
+        std::fs::write(&prog, src).unwrap();
+        let run = lpatc()
+            .arg("run")
+            .arg(&prog)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .arg("--quiet")
+            .output()
+            .unwrap();
+        assert!(run.status.code().is_some());
+        let out = lpatc()
+            .arg("reopt")
+            .arg(&prog)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .args(["--inject-faults", &format!("{site}:panic")])
+            .args(["--emit", "bc", "-o"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{site}: reopt failed:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("isolated fault: pass '{site}'")),
+            "{site}: no isolated fault reported:\n{stderr}"
+        );
+        // The rolled-back stage changed nothing; a clean reopt of this
+        // profile inlines 1 site and re-lays 2 functions.
+        let counts = match site.as_str() {
+            "pgo-inline" => "inlined 0 hot sites, re-laid 1 functions",
+            "pgo-layout" => "inlined 1 hot sites, re-laid 0 functions",
+            other => panic!("unknown reoptimizer fault site {other}"),
+        };
+        assert!(stderr.contains(counts), "{site}:\n{stderr}");
+        let bytes = std::fs::read(&out_path).unwrap();
+        let m = lpat::bytecode::read_module("reopt", &bytes).unwrap();
+        m.verify().unwrap();
+    }
+}
+
 /// The faults one plan isolates, as `lpatc` reports them (the
 /// `PipelineReport::faults` rows on stderr) and as the trace records them
 /// (`fault` instants), at `--jobs` 1 and 4. The expectation was captured

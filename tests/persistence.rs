@@ -26,7 +26,7 @@ use lpat::bytecode::write_module;
 use lpat::core::hash::SplitMix64;
 use lpat::core::Module;
 use lpat::vm::{
-    module_hash, reoptimize, FlushGuard, PgoOptions, ProfileData, Store, Vm, VmOptions,
+    module_hash, reoptimize, FlushGuard, PgoOptions, ProfileData, Store, StoreError, Vm, VmOptions,
 };
 
 /// A program with a clearly hot call pair inside a loop whose trip count
@@ -425,11 +425,9 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             expect: "locked",
             env: &[],
             seed: |cache, _m, _hash| {
-                // The holder must be a *live* process: locks record their
-                // holder's PID and a dead holder's lock is broken
-                // immediately. This test process itself is the holder.
-                std::fs::create_dir_all(cache).unwrap();
-                std::fs::write(cache.join("lock"), format!("{}\n", std::process::id())).unwrap();
+                // A real lock, held by this test process for the rest of
+                // its life: the guard's descriptor is never closed.
+                std::mem::forget(Store::open(cache).unwrap().lock().unwrap());
             },
         },
         Leg {
@@ -488,6 +486,42 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             );
         }
     }
+}
+
+/// A backoff clock that does not sleep: `lock()` answers at once.
+struct NoSleep;
+impl lpat::vm::store::Clock for NoSleep {
+    fn sleep(&self, _d: std::time::Duration) {}
+}
+
+/// The kernel holds the store lock: a writer SIGKILLed while it holds it
+/// frees the store the moment it dies — before its parent reaps it, with
+/// nothing left behind for anyone to judge dead or alive.
+#[test]
+fn a_killed_lock_holder_frees_the_store_at_once() {
+    let dir = fresh_dir("persist-killed-holder");
+    let cache = dir.join("cache");
+    let bc = write_bc(&dir, &build(600));
+    // Parked before journal step 1 of its flush, the run holds the lock.
+    let mut child = lpatc()
+        .args(["run", bc.to_str().unwrap(), "--cache-dir"])
+        .arg(&cache)
+        .args(["--inject-faults", "store.journal:delay=5000@1", "--quiet"])
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let held = (0..1000).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let probe = Store::open(&cache).map(|s| s.with_clock(Box::new(NoSleep)));
+        probe.is_ok_and(|s| s.lock().is_err_and(|e| e == StoreError::Locked))
+    });
+    child.kill().unwrap();
+    assert!(held, "the parked run never held the lock");
+    // Dead but not yet reaped.
+    let store = Store::open(&cache).unwrap();
+    drop(store.lock().expect("a killed holder's lock is free"));
+    assert!(!child.wait().unwrap().success());
+    drop(store.lock().expect("and stays free once it is reaped"));
 }
 
 /// A cache directory the two-file layout left behind — an LPCF base at the
