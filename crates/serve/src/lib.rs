@@ -17,13 +17,13 @@
 //! - [`admission`] — per-tenant quotas (deterministic: bytes, fuel;
 //!   load-dependent: in-flight) and the bounded work queue whose
 //!   `try_push` is the load-shedding point.
-//! - [`shard`] — content-hash-prefix sharding of the lifelong store so
-//!   concurrent tenants don't convoy on one lock file.
 //! - [`server`] — accept loop, connection framing, worker pool, and the
 //!   request pipeline with `catch_unwind` isolation, fuel bounds, and
 //!   cooperative deadlines. Fault sites `serve.accept`, `serve.decode`,
 //!   `serve.worker`, `serve.deadline` hook [`lpat_core::fault`] for the
-//!   CI fault matrix.
+//!   CI fault matrix. Requests read and write one [`lpat_vm::Store`] on
+//!   `--cache-dir`, the directory layout `lpatc` uses; its per-key locks
+//!   keep concurrent tenants from convoying on one lock.
 //! - [`worker`] — the crash-only layer: `--isolate process` runs each
 //!   request in a pooled `lpatd --worker` subprocess under a supervisor,
 //!   so aborts, OOM kills, and `kill -9` cost one worker, not the daemon;
@@ -41,7 +41,6 @@ pub mod client;
 pub mod net;
 pub mod proto;
 pub mod server;
-pub mod shard;
 pub mod signal;
 pub mod worker;
 
@@ -53,5 +52,4 @@ pub use proto::{
     FLAG_OPT, FLAG_TIERED,
 };
 pub use server::{Engine, Handle, Server, ServerConfig, ServerStats};
-pub use shard::ShardedStore;
 pub use worker::{run_worker_stdio, Isolation};

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use lpat_core::fault::FaultAction;
 use lpat_core::{faultpoint, trace, Module};
 use lpat_vm::session::{self, Mode, Note, ReoptError, RunConfig, RunError};
-use lpat_vm::{PgoOptions, VmOptions};
+use lpat_vm::{PgoOptions, Store, VmOptions};
 
 use lpat_core::hash::fnv1a64;
 
@@ -49,7 +49,6 @@ use crate::proto::{
     decode_request, encode_response, read_frame, write_frame, Addr, ErrClass, Op, ProtoError,
     Request, Response, DEFAULT_MAX_FRAME, FLAG_MINIC, FLAG_OPT, FLAG_TIERED,
 };
-use crate::shard::ShardedStore;
 use crate::signal;
 use crate::worker::{respawn_backoff, CrashBreaker, Dispatch, Isolation, ProcWorker};
 
@@ -72,22 +71,14 @@ pub struct ServerConfig {
     pub default_deadline: Duration,
     /// Per-tenant quotas enforced at admission.
     pub quota: TenantQuota,
-    /// Lifelong store root; `None` serves uncached.
+    /// Lifelong store directory, the layout `lpatc --cache-dir` uses;
+    /// `None` serves uncached.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Store shard count (content-hash-prefix sharding; clamped 1..=256).
-    pub shards: u32,
     /// Stop after completing this many requests (tests, benchmarks).
     pub max_requests: Option<u64>,
-    /// How long an idle connection read blocks before re-checking
-    /// shutdown. Small values make shutdown prompt; this is *not* a
-    /// client-visible timeout.
-    pub idle_poll: Duration,
     /// Worker isolation: in-process threads (default) or pooled
     /// re-exec'd `lpatd --worker` subprocesses under a supervisor.
     pub isolate: Isolation,
-    /// Binary to re-exec for process workers. `None` uses
-    /// `std::env::current_exe()` — correct when the server *is* `lpatd`.
-    pub worker_cmd: Option<std::path::PathBuf>,
     /// Extra argv appended to worker subprocesses (e.g. a fault plan
     /// that must arm inside workers rather than in the daemon).
     pub worker_args: Vec<String>,
@@ -126,11 +117,8 @@ impl Default for ServerConfig {
             default_deadline: Duration::from_secs(10),
             quota: TenantQuota::default(),
             cache_dir: None,
-            shards: 16,
             max_requests: None,
-            idle_poll: Duration::from_millis(50),
             isolate: Isolation::Thread,
-            worker_cmd: None,
             worker_args: Vec::new(),
             restart_backoff: Duration::from_millis(50),
             watchdog_grace: Duration::from_millis(500),
@@ -305,13 +293,13 @@ impl ServerStats {
 /// ([`crate::worker::run_worker_stdio`]).
 pub struct Engine {
     pub(crate) stats: ServerStats,
-    pub(crate) store: Option<ShardedStore>,
+    pub(crate) store: Option<Store>,
     pub(crate) default_fuel: u64,
 }
 
 impl Engine {
     /// Build an engine around an (optionally) opened store.
-    pub fn new(store: Option<ShardedStore>, default_fuel: u64) -> Engine {
+    pub fn new(store: Option<Store>, default_fuel: u64) -> Engine {
         Engine {
             stats: ServerStats::default(),
             store,
@@ -421,8 +409,8 @@ impl Drop for Handle {
 }
 
 impl Server {
-    /// Bind the listen socket, open the sharded store, and spawn the
-    /// worker pool. The accept loop does not run until [`Server::run`].
+    /// Bind the listen socket, open the store, and spawn the worker
+    /// pool. The accept loop does not run until [`Server::run`].
     ///
     /// # Errors
     ///
@@ -436,9 +424,7 @@ impl Server {
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
         let store = match &cfg.cache_dir {
-            Some(d) => {
-                Some(ShardedStore::open(d, cfg.shards).map_err(|e| format!("cache dir {e}"))?)
-            }
+            Some(d) => Some(Store::open(d).map_err(|e| format!("cache dir {e}"))?),
             None => None,
         };
         if let Some(dir) = &cfg.flight_dir {
@@ -595,12 +581,16 @@ impl Server {
 /// scheduling slop).
 const RESPONSE_GRACE: Duration = Duration::from_millis(500);
 
+/// How long an idle connection read blocks before re-checking shutdown:
+/// what makes a drain prompt, not a client-visible timeout.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
 /// Serve one connection: read frames, admit, queue, relay responses.
 /// Every exit path answers or closes cleanly — the protocol has no
 /// half-written frames because responses are single `write_frame` calls.
 fn connection_loop(shared: &Arc<Shared>, mut conn: Conn) {
     let engine = &shared.engine;
-    let _ = conn.set_read_timeout(Some(shared.cfg.idle_poll));
+    let _ = conn.set_read_timeout(Some(IDLE_POLL));
     loop {
         let frame = match read_frame(&mut conn, shared.cfg.max_frame) {
             Ok(f) => f,

@@ -42,9 +42,9 @@ use crate::proto::{
     write_frame, ErrClass, ProtoError, Request, Response,
 };
 use crate::server::{panic_message, process, Engine, ServerConfig};
-use crate::shard::ShardedStore;
 use lpat_core::trace;
 use lpat_vm::store::DenyRecord;
+use lpat_vm::Store;
 
 /// Where request pipelines execute.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -113,17 +113,12 @@ impl ProcWorker {
     /// messages, abort notices) belong in the daemon's log. `slot` names
     /// this supervisor's flight-recorder spill file.
     pub(crate) fn spawn(cfg: &ServerConfig, slot: usize) -> std::io::Result<ProcWorker> {
-        let exe = match &cfg.worker_cmd {
-            Some(p) => p.clone(),
-            None => std::env::current_exe()?,
-        };
-        let mut cmd = std::process::Command::new(exe);
+        let mut cmd = std::process::Command::new(std::env::current_exe()?);
         cmd.arg("--worker");
         cmd.arg("--default-fuel").arg(cfg.default_fuel.to_string());
         cmd.arg("--max-frame-bytes").arg(cfg.max_frame.to_string());
         if let Some(dir) = &cfg.cache_dir {
             cmd.arg("--cache-dir").arg(dir);
-            cmd.arg("--shards").arg(cfg.shards.to_string());
         }
         if let Some(mode) = cfg.worker_trace {
             cmd.arg("--trace-clock").arg(match mode {
@@ -307,10 +302,10 @@ impl CrashBreaker {
         &self,
         map: &'a mut HashMap<u64, BreakerEntry>,
         hash: u64,
-        store: Option<&ShardedStore>,
+        store: Option<&Store>,
     ) -> &'a mut BreakerEntry {
         map.entry(hash).or_insert_with(|| {
-            let rec = store.and_then(|s| s.shard(hash).load_deny(hash));
+            let rec = store.and_then(|s| s.load_deny(hash));
             let now = Instant::now();
             match rec {
                 Some(r) => {
@@ -334,14 +329,14 @@ impl CrashBreaker {
     }
 
     /// Is this payload hash denylisted?
-    pub(crate) fn is_denied(&self, hash: u64, store: Option<&ShardedStore>) -> bool {
+    pub(crate) fn is_denied(&self, hash: u64, store: Option<&Store>) -> bool {
         let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         self.entry(&mut map, hash, store).denied
     }
 
     /// Charge one worker crash to `hash`. Returns `true` when this strike
     /// trips the breaker (K reached inside the window).
-    pub(crate) fn record_crash(&self, hash: u64, store: Option<&ShardedStore>) -> bool {
+    pub(crate) fn record_crash(&self, hash: u64, store: Option<&Store>) -> bool {
         let now_ms = unix_ms();
         let (rec, newly) = {
             let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -374,7 +369,7 @@ impl CrashBreaker {
         // Persist outside the map lock; every strike is recorded so the
         // count survives even a daemon crash between strikes.
         if let Some(s) = store {
-            let _ = s.shard(hash).save_deny(&rec);
+            let _ = s.save_deny(&rec);
         }
         newly
     }
@@ -511,7 +506,7 @@ mod tests {
     fn breaker_persists_and_reloads_denials() {
         let dir = std::env::temp_dir().join(format!("lpat-breaker-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ShardedStore::open(&dir, 2).unwrap();
+        let store = Store::open(&dir).unwrap();
         let b = CrashBreaker::new(2, Duration::from_secs(300));
         assert!(!b.record_crash(0xBAD, Some(&store)));
         assert!(b.record_crash(0xBAD, Some(&store)));

@@ -3,10 +3,12 @@
 //!
 //! `lpatc` and the `lpatd` request path are thin callers: each turns its
 //! own options (argv, wire flags) into an [`OptConfig`], a [`RunConfig`]
-//! or a [`PgoOptions`], calls [`optimize`], [`run`] or [`reopt`], and
-//! renders the report — stderr notes and an exit code on one side, a
-//! response frame on the other. What callers must *not* have to know lives
-//! here (DESIGN.md §9 gives the reasons):
+//! or a [`PgoOptions`], calls [`optimize`], [`run`] or [`reopt`] with the
+//! one [`Store`] of its cache directory, and renders the report — stderr
+//! notes and an exit code on one side, a response frame on the other. Both
+//! lay a directory out alike, so either reads what the other wrote. What
+//! callers must *not* have to know lives here (DESIGN.md §9 gives the
+//! reasons):
 //!
 //! * **I1** a profile is keyed by the hash of the module *actually
 //!   executed* — the cached reoptimized module when there is one;
@@ -39,20 +41,6 @@ use crate::{
     module_hash, reoptimize, ExecError, PgoOptions, PgoReport, ProfileData, Store, StoreError,
     StoredProfile, Vm, VmOptions,
 };
-
-/// Resolves a module hash to the [`Store`] its artifacts live in: a
-/// single cache directory answers with itself, a sharded one with the
-/// shard the hash routes to.
-pub trait Stores {
-    /// The store holding every artifact keyed by `module_hash`.
-    fn store_for(&self, module_hash: u64) -> &Store;
-}
-
-impl Stores for Store {
-    fn store_for(&self, _module_hash: u64) -> &Store {
-        self
-    }
-}
 
 /// Something the session did or had to work around, in the order it
 /// happened. Nothing here failed the run; callers render what they care
@@ -226,9 +214,9 @@ pub enum RunError<A> {
 ///
 /// See [`RunError`]. A trap is not an error here: it is the report's
 /// `result`, and its profile is flushed like any other run's.
-pub fn run<S: Stores, A, T>(
+pub fn run<A, T>(
     mut module: Module,
-    stores: Option<&S>,
+    store: Option<&Store>,
     config: RunConfig<'_>,
     pre_exec: impl FnOnce() -> Result<(), A>,
     inspect: impl FnOnce(&Vm<'_>) -> T,
@@ -236,11 +224,8 @@ pub fn run<S: Stores, A, T>(
     let mut notes = Vec::new();
     let mut run_hash = module_hash(&module);
     let mut cache_hit = false;
-    if let Some(stores) = stores {
-        match stores
-            .store_for(run_hash)
-            .load_reopt(run_hash, &module.name)
-        {
+    if let Some(store) = store {
+        match store.load_reopt(run_hash, &module.name) {
             Ok(loaded) => {
                 quarantines(&mut notes, loaded.quarantined);
                 if let Some(reoptimized) = loaded.value {
@@ -255,7 +240,6 @@ pub fn run<S: Stores, A, T>(
             Err(e) => notes.push(Note::LoadFailed(e)),
         }
     }
-    let store = stores.map(|s| s.store_for(run_hash));
     let mut explicit = None;
     if let Some(path) = config.profile_in {
         match read_profile_file(path) {
@@ -418,15 +402,14 @@ impl std::fmt::Display for ReoptError {
 /// # Errors
 ///
 /// See [`ReoptError`]; the store is left as it was.
-pub fn reopt<S: Stores>(
+pub fn reopt(
     mut module: Module,
-    stores: Option<&S>,
+    store: Option<&Store>,
     pgo: &PgoOptions,
     profile_in: Option<&Path>,
 ) -> Result<ReoptReport, ReoptError> {
     let mut notes = Vec::new();
     let source_hash = module_hash(&module);
-    let store = stores.map(|s| s.store_for(source_hash));
     let mut profile = ProfileData::default();
     let mut runs = 0u64;
     if let Some(store) = store {

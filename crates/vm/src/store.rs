@@ -27,13 +27,18 @@
 //! | concurrent writer persists   | [`StoreError::Locked`]         | skip persisting this run |
 //! | I/O failure                  | [`StoreError::Io`]             | surface; cache untouched |
 //!
-//! Writers serialize on the kernel's advisory lock on `<dir>/lock`
-//! (`File::try_lock`), with a bounded, deterministic retry-with-backoff
-//! schedule (the clock is injectable for tests). The lock lives with the
+//! A writer locks the key it writes: the kernel's advisory lock
+//! (`File::try_lock`) on `<dir>/lock-XX`, `XX` the key's top byte in hex,
+//! with a bounded, deterministic retry-with-backoff schedule (the clock is
+//! injectable for tests). Two writers of one module always serialize —
+//! the append/compact protocol needs that order — while writers of
+//! different modules share a stripe one time in 256, so a daemon's
+//! concurrent flushes do not queue behind each other's fsync and one
+//! directory serves `lpatc` and `lpatd` alike. The lock lives with the
 //! holder's open descriptor, so the kernel releases it when that closes —
 //! on drop, on exit and on SIGKILL alike: a dead writer never holds the
-//! store, and nothing guesses whether one is alive. The `lock` file is
-//! created once and never removed. Readers take no lock.
+//! store, and nothing guesses whether one is alive. A `lock-XX` file is
+//! created on first use and never removed. Readers take no lock.
 //!
 //! # What is on disk
 //!
@@ -52,12 +57,13 @@
 //!
 //! A file is replaced whole by one `atomic_replace` (temp file, fsync,
 //! rename, directory fsync): a kill at any byte leaves the old version or
-//! the new, and [`Store::open`] sweeps, under the lock, the temp it left.
+//! the new, and [`Store::open`] sweeps, under the file's lock, the temp it
+//! left.
 //!
 //! A profile is a log that compacts itself. [`Store::record_run`] takes
-//! the lock, appends the run's record with a single `write` (header and
-//! head in front of a module's first), fsyncs once, and returns: the delta
-//! is durable. [`Store::load_profile`] returns the saturating sum of the
+//! the module's lock, appends the run's record with a single `write`
+//! (header and head in front of a module's first), fsyncs once, and
+//! returns: the delta is durable. [`Store::load_profile`] returns the saturating sum of the
 //! records — addition commutes, so that is what a read-merge-rewrite per
 //! run would have stored. Compaction is an `atomic_replace` of the file by
 //! one whose history is that sum: at idle time ([`Store::compact`], from
@@ -285,13 +291,7 @@ impl Store {
             faults: None,
             clock: Box::new(RealClock),
         };
-        // Sweep the temp files a killed writer left — but only if the lock
-        // is free right now. A held lock means a live writer may own one
-        // of them; whoever opens the store next sweeps what it leaves.
-        if let Ok(Some(guard)) = store.try_lock_once() {
-            store.sweep_temps_locked();
-            drop(guard);
-        }
+        store.sweep_debris();
         Ok(store)
     }
 
@@ -464,7 +464,7 @@ impl Store {
     // -- writing ---------------------------------------------------------
 
     /// Replace one whole artifact under a `write <file>` span. Callers
-    /// hold the store lock.
+    /// hold its key's lock.
     fn write_file(&self, path: &Path, bytes: Vec<u8>) -> Result<(), StoreError> {
         traced("write", path, |_| {
             atomic_replace(path, bytes, self.faults.as_deref())
@@ -475,12 +475,12 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Locked`] when another writer holds the store past
-    /// the retry budget; [`StoreError::Io`] on write failure.
+    /// [`StoreError::Locked`] when another writer holds `module_hash`'s
+    /// lock past the retry budget; [`StoreError::Io`] on write failure.
     pub fn save_reopt(&self, module_hash: u64, m: &Module) -> Result<(), StoreError> {
         let mut payload = module_hash.to_le_bytes().to_vec();
         payload.extend_from_slice(&lpat_bytecode::write_module(m));
-        let _guard = self.lock()?;
+        let _guard = self.lock(module_hash)?;
         self.write_file(
             &self.reopt_path(module_hash),
             one_record_file(REOPT_MAGIC, &payload),
@@ -488,23 +488,23 @@ impl Store {
     }
 
     /// Make one run's counters part of the stored lifetime profile: under
-    /// the store lock, append them to the module's profile file and fsync
-    /// it. When this returns `Ok` the delta survives a kill or a power cut.
+    /// the module's lock, append them to its profile file and fsync it.
+    /// When this returns `Ok` the delta survives a kill or a power cut.
     /// Returns what had to be moved aside to get there (a file whose head
     /// or history does not validate).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Locked`] when another writer holds the store past the
-    /// retry budget, [`StoreError::Io`] on write failure. In both cases
-    /// the on-disk state is unchanged (this run's counts are simply not
-    /// recorded — the always-make-progress posture).
+    /// [`StoreError::Locked`] when another writer holds the module's lock
+    /// past the retry budget, [`StoreError::Io`] on write failure. In both
+    /// cases the on-disk state is unchanged (this run's counts are simply
+    /// not recorded — the always-make-progress posture).
     pub fn record_run(
         &self,
         module_hash: u64,
         run: &ProfileData,
     ) -> Result<Vec<Quarantine>, StoreError> {
-        let _guard = self.lock()?;
+        let _guard = self.lock(module_hash)?;
         let path = self.profile_path(module_hash);
         let mut quarantined = Vec::new();
         let pending = traced("append", &path, |sp| {
@@ -592,7 +592,7 @@ impl Store {
     /// [`StoreError::Locked`] or [`StoreError::Io`]; the file then simply
     /// stays, and every run in it still reads back.
     pub fn compact(&self, module_hash: u64) -> Result<Vec<Quarantine>, StoreError> {
-        let _guard = self.lock()?;
+        let _guard = self.lock(module_hash)?;
         self.compact_locked(module_hash)
     }
 
@@ -613,16 +613,17 @@ impl Store {
 
     // -- locking ---------------------------------------------------------
 
-    /// Acquire the store-wide writer lock with bounded, deterministic
-    /// backoff.
+    /// Acquire the writer lock of `key` — an artifact's module, source or
+    /// payload hash — with bounded, deterministic backoff. Keys with the
+    /// same top byte share one lock.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] after the retry budget; [`StoreError::Io`]
     /// for unexpected filesystem failures.
-    pub fn lock(&self) -> Result<LockGuard, StoreError> {
+    pub fn lock(&self, key: u64) -> Result<LockGuard, StoreError> {
         let mut sp = trace::span("store", "lock");
-        let r = self.lock_inner();
+        let r = self.lock_inner(key);
         if trace::enabled() {
             if let Err(e) = &r {
                 sp.arg("error", e.class());
@@ -631,7 +632,7 @@ impl Store {
         r
     }
 
-    fn lock_inner(&self) -> Result<LockGuard, StoreError> {
+    fn lock_inner(&self, key: u64) -> Result<LockGuard, StoreError> {
         for attempt in 0..=LOCK_RETRIES {
             // The fault site models a held/contended lock: any non-delay
             // action fails this acquisition attempt.
@@ -644,7 +645,7 @@ impl Store {
                 Some(_) => true,
             };
             if !contended {
-                if let Some(guard) = self.try_lock_once()? {
+                if let Some(guard) = self.try_lock_once(key)? {
                     return Ok(guard);
                 }
             }
@@ -657,12 +658,18 @@ impl Store {
         Err(StoreError::Locked)
     }
 
-    /// One attempt at the lock, through a descriptor of its own: the lock
-    /// belongs to the open file description, so two opens conflict even
-    /// within one process (daemon threads on one shard), where two
-    /// `try_lock`s on one handle would both succeed. `None` = held.
-    fn try_lock_once(&self) -> Result<Option<LockGuard>, StoreError> {
-        let path = self.dir.join("lock");
+    /// The file whose kernel lock is `key`'s: one of 256 stripes.
+    fn lock_path(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("lock-{:02x}", key >> 56))
+    }
+
+    /// One attempt at `key`'s lock, through a descriptor of its own: the
+    /// lock belongs to the open file description, so two opens conflict
+    /// even within one process (two daemon threads writing one module),
+    /// where two `try_lock`s on one handle would both succeed. `None` =
+    /// held.
+    fn try_lock_once(&self, key: u64) -> Result<Option<LockGuard>, StoreError> {
+        let path = self.lock_path(key);
         let io = |e| StoreError::Io(format!("lock {}: {e}", path.display()));
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -680,20 +687,27 @@ impl Store {
     // -- crash debris ----------------------------------------------------
 
     /// Remove the `.tmp-<pid>` files of writers killed between their temp
-    /// write and their rename — every such writer held the lock the caller
-    /// holds now, so none of them is still alive — and any `profile-*.log`,
-    /// which only a store from before the one-file profile wrote.
-    fn sweep_temps_locked(&self) {
+    /// write and their rename, and any `profile-*.log`, which only a store
+    /// from before the one-file profile wrote — each only if one try of
+    /// its key's lock succeeds. Every writer of a temp held that lock, so
+    /// a free lock means none of them is alive; a held one may be a live
+    /// writer's, and whoever opens the store next sweeps what it leaves. A
+    /// name that carries no key is not the store's and stays.
+    fn sweep_debris(&self) {
         let mut swept = 0u64;
         if let Ok(rd) = std::fs::read_dir(&self.dir) {
             for entry in rd.filter_map(|e| e.ok()) {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                if (name.contains(".tmp-")
-                    || name.starts_with("profile-") && name.ends_with(".log"))
-                    && std::fs::remove_file(entry.path()).is_ok()
-                {
-                    swept += 1;
+                let debris = name.contains(".tmp-")
+                    || name.starts_with("profile-") && name.ends_with(".log");
+                let Some(key) = artifact_key(&name).filter(|_| debris) else {
+                    continue;
+                };
+                if let Ok(Some(_guard)) = self.try_lock_once(key) {
+                    if std::fs::remove_file(entry.path()).is_ok() {
+                        swept += 1;
+                    }
                 }
             }
         }
@@ -705,6 +719,13 @@ impl Store {
             );
         }
     }
+}
+
+/// The key an artifact's file name carries — the 16 hex digits after its
+/// kind, as in `profile-<key>.lpp.tmp-<pid>` — or `None`.
+fn artifact_key(name: &str) -> Option<u64> {
+    let (_, rest) = name.split_once('-')?;
+    u64::from_str_radix(rest.get(..16)?, 16).ok()
 }
 
 // -- fault sites and the one whole-file write ------------------------------
@@ -1026,14 +1047,15 @@ impl Store {
         }
     }
 
-    /// Persist a crash-loop record (atomically, under the store lock).
+    /// Persist a crash-loop record (atomically, under its payload hash's
+    /// lock).
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] or [`StoreError::Io`] — the caller keeps
     /// its in-memory breaker state either way.
     pub fn save_deny(&self, rec: &DenyRecord) -> Result<(), StoreError> {
-        let _guard = self.lock()?;
+        let _guard = self.lock(rec.hash)?;
         self.write_file(&self.deny_path(rec.hash), rec.encode())
     }
 }
@@ -1145,7 +1167,7 @@ impl Drop for FlushGuard<'_> {
     }
 }
 
-/// Holds the store lock: the descriptor the kernel's lock lives on.
+/// Holds one key's lock: the descriptor the kernel's lock lives on.
 /// Dropping it closes the descriptor, which releases the lock.
 #[derive(Debug)]
 pub struct LockGuard {
@@ -1453,24 +1475,25 @@ mod tests {
         let mut store = Store::open(tmpdir("lock"))
             .unwrap()
             .with_clock(Box::new(CountingClock(AtomicU32::new(0))));
+        let key = 0x55;
         // Unconditional contention: every attempt fails, then Locked.
         store.faults = plan("store.lock:panic");
-        let err = store.lock().unwrap_err();
+        let err = store.lock(key).unwrap_err();
         assert_eq!(err, StoreError::Locked);
         // record_run surfaces Locked without touching the cache.
-        let err = store.record_run(0x55, &sample_profile()).unwrap_err();
+        let err = store.record_run(key, &sample_profile()).unwrap_err();
         assert_eq!(err, StoreError::Locked);
-        assert!(!store.profile_path(0x55).exists());
+        assert!(!store.profile_path(key).exists());
         // Transient contention: first two attempts fail, then success.
         store.faults = plan("store.lock:panic@1,store.lock:panic@2");
-        let guard = store.lock().expect("acquires after retries");
+        let guard = store.lock(key).expect("acquires after retries");
         // A second descriptor in the same process is refused while the
         // first holds the lock ...
         store.faults = None;
-        assert_eq!(store.lock().unwrap_err(), StoreError::Locked);
+        assert_eq!(store.lock(key).unwrap_err(), StoreError::Locked);
         // ... and dropping the guard releases it.
         drop(guard);
-        drop(store.lock().expect("the lock is free after drop"));
+        drop(store.lock(key).expect("the lock is free after drop"));
     }
 
     #[test]
@@ -1501,7 +1524,7 @@ mod tests {
         }
     }
 
-    /// The file's contents mean nothing: a `lock` naming a live process
+    /// The file's contents mean nothing: a `lock-XX` naming a live process
     /// (PID 1, standing in for a recycled PID) is taken on the first
     /// attempt, with no backoff.
     #[test]
@@ -1510,9 +1533,28 @@ mod tests {
         let store = Store::open(tmpdir("livepid"))
             .unwrap()
             .with_clock(Box::new(SharedCountingClock(sleeps.clone())));
-        std::fs::write(store.dir().join("lock"), "1\n").unwrap();
-        drop(store.lock().expect("a PID in the file holds nothing"));
+        let key = 0x42;
+        std::fs::write(store.lock_path(key), "1\n").unwrap();
+        drop(store.lock(key).expect("a PID in the file holds nothing"));
         assert_eq!(sleeps.load(Ordering::SeqCst), 0, "no backoff needed");
+    }
+
+    /// A held key blocks its own stripe and nothing else: writers of two
+    /// modules do not wait on each other, writers of one module do.
+    #[test]
+    fn keys_in_different_stripes_lock_independently() {
+        let sleeps = Arc::new(AtomicU32::new(0));
+        let store = Store::open(tmpdir("stripes"))
+            .unwrap()
+            .with_clock(Box::new(SharedCountingClock(sleeps.clone())));
+        let (a, b) = (0xAB00_0000_0000_0001u64, 0xCD00_0000_0000_0001u64);
+        let held = store.lock(a).unwrap();
+        drop(store.lock(b).expect("another stripe is free"));
+        assert_eq!(sleeps.load(Ordering::SeqCst), 0, "no backoff needed");
+        assert_eq!(store.lock(a).unwrap_err(), StoreError::Locked);
+        assert_eq!(sleeps.load(Ordering::SeqCst), LOCK_RETRIES, "full schedule");
+        drop(held);
+        drop(store.lock(a).expect("the lock is free after drop"));
     }
 
     /// `store.journal:io@N` at each of the four steps of the one
@@ -1570,7 +1612,7 @@ mod tests {
     }
 
     /// A writer SIGKILLed between its temp write and its rename leaves an
-    /// orphan temp; the next locked open sweeps it.
+    /// orphan temp; the next open that gets the temp's lock sweeps it.
     #[test]
     fn orphan_temp_is_swept_by_the_next_open() {
         let dir = tmpdir("sweep");
@@ -1585,6 +1627,24 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert!(!orphan.exists() && !old_log.exists());
         assert_eq!(runs_of(&store, 0x42), 1);
+
+        // A temp under a held lock may be a live writer's and stays; one
+        // in a free stripe goes; a name with no key is not the store's.
+        let held_key = 0xAB00_0000_0000_0007u64;
+        let held = dir.join(format!("reopt-{held_key:016x}.lbc.tmp-1"));
+        let free = dir.join("deny-cd00000000000007.lpd.tmp-1");
+        let keyless = dir.join("x.tmp-1");
+        for temp in [&held, &free, &keyless] {
+            std::fs::write(temp, b"a temp").unwrap();
+        }
+        let guard = store.lock(held_key).unwrap();
+        drop(Store::open(&dir).unwrap());
+        assert!(held.exists(), "a temp under a held lock was swept");
+        assert!(!free.exists(), "a temp in a free stripe survived");
+        assert!(keyless.exists(), "a name without a key was swept");
+        drop(guard);
+        drop(Store::open(&dir).unwrap());
+        assert!(!held.exists(), "the next open sweeps what it left");
     }
 
     #[test]

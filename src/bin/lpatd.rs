@@ -3,8 +3,7 @@
 //! ```text
 //! lpatd [--listen ADDR] [--workers N] [--queue N]
 //!       [--isolate thread|process] [--crash-k N] [--crash-window-ms N]
-//!       [--watchdog-grace-ms N] [--restart-backoff-ms N]
-//!       [--cache-dir DIR] [--shards N]
+//!       [--watchdog-grace-ms N] [--restart-backoff-ms N] [--cache-dir DIR]
 //!       [--max-frame-bytes N] [--default-fuel N] [--deadline-ms N]
 //!       [--tenant-inflight N] [--tenant-bytes N] [--tenant-fuel N]
 //!       [--max-requests N] [--inject-faults PLAN] [--quiet]
@@ -24,6 +23,11 @@
 //! (tests and benchmarks use this for a clean, trace-flushing exit).
 //! SIGTERM and SIGINT request the same graceful drain: stop accepting,
 //! finish the queue, flush, exit 0.
+//!
+//! `--cache-dir DIR` (or `LPAT_CACHE_DIR`) is the lifelong store of `lpatc
+//! run --cache-dir DIR`, laid out the same: `lpatc reopt --cache-dir DIR`
+//! reoptimizes with the profiles the daemon recorded there, and the
+//! daemon's next run serves what `lpatc` cached.
 //!
 //! Every request is fault-isolated: a panicking, hostile, or runaway
 //! request becomes a structured error on its own connection while the
@@ -68,7 +72,7 @@ use lpat::serve::{Isolation, ServerConfig};
 const DAEMON: Flags = Flags {
     switches: "--help -h",
     valued: "--listen --workers --queue --isolate --crash-k --crash-window-ms \
-             --watchdog-grace-ms --restart-backoff-ms --cache-dir --shards \
+             --watchdog-grace-ms --restart-backoff-ms --cache-dir \
              --max-frame-bytes --default-fuel --deadline-ms --tenant-inflight \
              --tenant-bytes --tenant-fuel --max-requests --flight-dir",
 };
@@ -76,8 +80,8 @@ const DAEMON: Flags = Flags {
 /// What `lpatd --worker` reads: exactly what `ProcWorker::spawn` forwards.
 const WORKER: Flags = Flags {
     switches: "",
-    valued: "--default-fuel --max-frame-bytes --cache-dir --shards --trace-clock \
-             --flight-file --inject-faults",
+    valued: "--default-fuel --max-frame-bytes --cache-dir --trace-clock --flight-file \
+             --inject-faults",
 };
 
 fn main() -> ExitCode {
@@ -104,7 +108,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
             "usage: lpatd [--listen tcp:host:port|unix:/path] [--workers N] [--queue N]\n\
              \x20      [--isolate thread|process] [--crash-k N] [--crash-window-ms N]\n\
              \x20      [--watchdog-grace-ms N] [--restart-backoff-ms N]\n\
-             \x20      [--cache-dir DIR] [--shards N] [--max-frame-bytes N]\n\
+             \x20      [--cache-dir DIR] [--max-frame-bytes N]\n\
              \x20      [--default-fuel N] [--deadline-ms N]\n\
              \x20      [--tenant-inflight N] [--tenant-bytes N] [--tenant-fuel N]\n\
              \x20      [--max-requests N] [--inject-faults PLAN] [--quiet]\n\
@@ -154,7 +158,6 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     set(&args, "--tenant-bytes", &mut cfg.quota.max_bytes)?;
     set(&args, "--tenant-fuel", &mut cfg.quota.max_fuel)?;
     cfg.max_requests = args.parsed("--max-requests")?;
-    set(&args, "--shards", &mut cfg.shards)?;
     cfg.cache_dir = args
         .value("--cache-dir")
         .map(str::to_string)
@@ -238,12 +241,8 @@ fn run_worker(argv: &[String]) -> Result<ExitCode, String> {
     let mut cfg = ServerConfig::default();
     set(&args, "--max-frame-bytes", &mut cfg.max_frame)?;
     set(&args, "--default-fuel", &mut cfg.default_fuel)?;
-    set(&args, "--shards", &mut cfg.shards)?;
     let store = match args.value("--cache-dir") {
-        Some(dir) => Some(
-            lpat::serve::ShardedStore::open(std::path::Path::new(dir), cfg.shards)
-                .map_err(|e| format!("cache dir {e}"))?,
-        ),
+        Some(dir) => Some(lpat::vm::Store::open(dir).map_err(|e| format!("cache dir {e}"))?),
         None => None,
     };
     // Observability plumbing from the supervisor: `--trace-clock` turns

@@ -18,8 +18,8 @@ use std::io::Read as _;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use lpat::serve::{Addr, Client, ErrClass, Op, Request, Response, ShardedStore};
-use lpat::vm::module_hash;
+use lpat::serve::{Addr, Client, ErrClass, Op, Request, Response};
+use lpat::vm::{module_hash, Store};
 
 const ADD_PROG: &str = "\
 define int @main() {
@@ -217,12 +217,11 @@ fn assert_no_corrupt_files(root: &std::path::Path) {
 }
 
 /// Stored run count for `module` (0 when no profile was persisted).
-fn stored_runs(cache: &std::path::Path, shards: u32, module: &str) -> u64 {
+fn stored_runs(cache: &std::path::Path, module: &str) -> u64 {
     let m = lpat::asm::parse_module("chaos", module).unwrap();
-    let store = ShardedStore::open(cache, shards).unwrap();
+    let store = Store::open(cache).unwrap();
     let hash = module_hash(&m);
     store
-        .shard(hash)
         .load_profile(hash)
         .unwrap()
         .value
@@ -450,7 +449,7 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
     let to_compact = {
         let scratch = tmp("journal-brink");
         let _ = std::fs::remove_dir_all(&scratch);
-        let store = lpat::vm::Store::open(&scratch).unwrap();
+        let store = Store::open(&scratch).unwrap();
         let (mut runs, mut len) = (0u64, 0);
         loop {
             store.record_run(hash, &delta).unwrap();
@@ -469,12 +468,12 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
         // n earlier runs: the next one appends AND compacts, so in a fresh
         // worker the site's ordinals 1..=4 are exactly the four steps.
         {
-            let store = ShardedStore::open(&cache, 2).unwrap();
+            let store = Store::open(&cache).unwrap();
             for _ in 0..n {
-                store.shard(hash).record_run(hash, &delta).unwrap();
+                store.record_run(hash, &delta).unwrap();
             }
         }
-        assert_eq!(stored_runs(&cache, 2, ADD_PROG), n);
+        assert_eq!(stored_runs(&cache, ADD_PROG), n);
         let mut d = Daemon::spawn(&[
             "--isolate",
             "process",
@@ -484,8 +483,6 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
             "100",
             "--restart-backoff-ms",
             "10",
-            "--shards",
-            "2",
             "--cache-dir",
             cache.to_str().unwrap(),
             "--inject-faults",
@@ -511,7 +508,7 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
         // its one profile file and nothing else.
         let kept = u64::from(step > 1);
         assert_eq!(
-            stored_runs(&cache, 2, ADD_PROG),
+            stored_runs(&cache, ADD_PROG),
             n + kept,
             "step {step}: killed run should be {}",
             if kept == 1 { "kept" } else { "lost" }
@@ -530,11 +527,7 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
         assert!(d.alive(), "step {step}: daemon died");
         drop(d);
         assert_no_corrupt_files(&cache);
-        assert_eq!(
-            stored_runs(&cache, 2, ADD_PROG),
-            n + kept + 1,
-            "step {step}"
-        );
+        assert_eq!(stored_runs(&cache, ADD_PROG), n + kept + 1, "step {step}");
     }
 }
 
@@ -558,8 +551,6 @@ fn crash_loop_quarantine_trips_and_survives_daemon_restart() {
         "2",
         "--restart-backoff-ms",
         "10",
-        "--shards",
-        "2",
         "--cache-dir",
     ];
     {

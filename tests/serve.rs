@@ -14,7 +14,7 @@
 //!    structured error (or drop that one connection) while *subsequent*
 //!    requests succeed. CI fans one leg per site via `LPAT_SERVE_MATRIX`.
 //! 3. **Multi-tenant isolation**: two tenants hammer the same module
-//!    hash concurrently through the sharded store — no quarantine
+//!    hash concurrently through the daemon's store — no quarantine
 //!    storms, an order-independent saturating merge, and deterministic
 //!    per-tenant quota rejection.
 
@@ -346,7 +346,6 @@ fn two_tenants_hammering_one_module_hash_is_clean() {
     let _ = std::fs::remove_dir_all(&cache);
     let cfg = ServerConfig {
         cache_dir: Some(cache.clone()),
-        shards: 8,
         workers: 4,
         ..Default::default()
     };
@@ -387,7 +386,7 @@ fn two_tenants_hammering_one_module_hash_is_clean() {
     h.stop();
 
     // No quarantine storm: concurrent same-hash flushes went through the
-    // shard lock, so no store file was ever read half-written.
+    // module's lock, so no store file was ever read half-written.
     let mut corrupt = Vec::new();
     for entry in walk(&cache) {
         if entry.to_string_lossy().contains(".corrupt-") {
@@ -403,8 +402,8 @@ fn two_tenants_hammering_one_module_hash_is_clean() {
     // successful run exactly once, regardless of interleaving.
     let m = lpat::asm::parse_module("module", ADD_PROG).unwrap();
     let hash = lpat::vm::module_hash(&m);
-    let store = lpat::serve::ShardedStore::open(&cache, 8).unwrap();
-    let loaded = store.shard(hash).load_profile(hash).unwrap();
+    let store = lpat::vm::Store::open(&cache).unwrap();
+    let loaded = store.load_profile(hash).unwrap();
     assert!(loaded.quarantined.is_empty());
     let sp = loaded.value.expect("profile must exist");
     assert_eq!(
@@ -681,16 +680,7 @@ fn the_cli_and_the_daemon_are_the_same_program() {
             std::fs::write(&src, &workload.source).unwrap();
             let (a, b) = (path("A"), path("B"));
             let mut d = Daemon::spawn(
-                &[
-                    "--isolate",
-                    isolate,
-                    "--workers",
-                    "1",
-                    "--shards",
-                    "1",
-                    "--cache-dir",
-                    &b,
-                ],
+                &["--isolate", isolate, "--workers", "1", "--cache-dir", &b],
                 None,
             );
             let addr = d.addr.to_string();
@@ -798,7 +788,7 @@ fn the_cli_and_the_daemon_are_the_same_program() {
                 files
             };
             let local_files = artifacts(std::path::Path::new(&a));
-            let remote_files = artifacts(&std::path::Path::new(&b).join("shard-00"));
+            let remote_files = artifacts(std::path::Path::new(&b));
             assert!(local_files.len() >= 3, "{ctx}: {local_files:?}");
             let leaves = |files: &[(String, Vec<u8>)]| -> Vec<String> {
                 files.iter().map(|(leaf, _)| leaf.clone()).collect()
@@ -807,6 +797,13 @@ fn the_cli_and_the_daemon_are_the_same_program() {
             for ((leaf, local), (_, remote)) in local_files.iter().zip(&remote_files) {
                 assert_eq!(local, remote, "{ctx}: {leaf} differs");
             }
+            // One layout: `lpatc` on the daemon's directory runs what the
+            // daemon's reopt cached there.
+            let (_, _, err) = lpatc(&["run", &src, "--tiered", "--cache-dir", &b]);
+            assert!(
+                err.contains("[cache] using reoptimized module"),
+                "{ctx}: {err}"
+            );
         }
     }
 }
@@ -817,30 +814,27 @@ fn a_quarantined_store_file_is_counted_not_dropped() {
     let _ = std::fs::remove_dir_all(&cache);
     let metrics = tmp("quarantine-metrics.json");
     let _ = std::fs::remove_file(&metrics);
-    // A real compacted profile for ADD_PROG in the daemon's shard, its
+    // A real compacted profile for ADD_PROG in the daemon's store, its
     // folded history short of its last byte: damage no kill can cause.
     let m = lpat::asm::parse_module("module", ADD_PROG).unwrap();
     let hash = lpat::vm::module_hash(&m);
     {
-        let store = lpat::serve::ShardedStore::open(&cache, 1).unwrap();
-        let shard = store.shard(hash);
+        let store = lpat::vm::Store::open(&cache).unwrap();
         let opts = lpat::vm::VmOptions {
             profile: true,
             ..Default::default()
         };
         let mut vm = lpat::vm::Vm::new(&m, opts).unwrap();
         vm.run_main().unwrap();
-        shard.record_run(hash, &vm.profile).unwrap();
-        shard.compact(hash).unwrap();
-        let profile = shard.profile_path(hash);
+        store.record_run(hash, &vm.profile).unwrap();
+        store.compact(hash).unwrap();
+        let profile = store.profile_path(hash);
         let bytes = std::fs::read(&profile).unwrap();
         std::fs::write(&profile, &bytes[..bytes.len() - 1]).unwrap();
     }
     let mut d = Daemon::spawn(
         &[
             "--workers",
-            "1",
-            "--shards",
             "1",
             "--cache-dir",
             cache.to_str().unwrap(),
