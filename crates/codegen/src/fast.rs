@@ -47,9 +47,9 @@
 //! switch tables), exactly as real RISC binaries park jump tables and
 //! relocation records out of line. Accounting words ([`enc::ACCT`]) mark
 //! the start of each IR instruction's machine sequence with its opcode
-//! index; the emulator's decoder folds them into the next op so fuel
-//! metering and the opcode histogram stay *per IR instruction*, identical
-//! to the interpreter.
+//! index; the emulator's decoder groups them into accounting regions it
+//! charges once each, so fuel metering and the opcode histogram stay *per
+//! IR instruction*, identical to the interpreter.
 
 use lpat_core::{
     BinOp, BlockId, CmpPred, Const, FuncId, Function, GepStep, Inst, InstId, IntKind, Module, Type,
@@ -209,8 +209,9 @@ fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, String> {
 /// * **E**: `op(8) | idx(24)` — edge/descriptor/table references and
 ///   accounting words.
 pub mod enc {
-    /// Accounting word (format E): `idx` is the IR opcode index charged
-    /// before the next executable op. Decoders fuse it into that op.
+    /// Accounting word (format E): `idx` is the IR opcode index of the
+    /// instruction whose machine sequence begins at the next executable
+    /// op.
     pub const ACCT: u8 = 0x00;
     /// `rd = ra + rb` (wrapping).
     pub const ADD: u8 = 0x01;

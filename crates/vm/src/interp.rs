@@ -171,12 +171,16 @@ pub struct Vm<'m> {
     /// forms returns, `Ok` or `Err` — read it between runs.
     pub profile: ProfileData,
     pub(crate) counters: Counters,
-    /// Total instructions executed.
+    /// Total instructions executed. Complete whenever a run entry point
+    /// has returned: machine code counts region entries, folded in by
+    /// the drain that ends every run.
     pub insts_executed: u64,
     /// Executed-instruction histogram, indexed by
-    /// [`Inst::opcode_index`]. Counted unconditionally (one array add per
-    /// dispatched instruction); rendered by `--stats` and folded into the
-    /// trace by [`Vm::flush_trace`].
+    /// [`Inst::opcode_index`]. Counted unconditionally: the interpreter
+    /// and the JIT add one per dispatched instruction, machine code one
+    /// region count × the region's opcode vector per region at the end
+    /// of each run. Rendered by `--stats` and folded into the trace by
+    /// [`Vm::flush_trace`].
     pub opcode_counts: [u64; Inst::NUM_OPCODES],
     /// Tiered-execution statistics (promotions, per-tier instruction
     /// counts, translation time). Populated by every engine; the tiered
@@ -295,10 +299,12 @@ impl<'m> Vm<'m> {
         self.spec_stats.retracted = retracted;
     }
 
-    /// Fold the counter slabs into [`Vm::profile`], and the guards' edges
-    /// into [`Vm::spec_stats`]; every run entry point ends here, whether
-    /// the run returned a value, trapped or ran dry.
+    /// Fold the counter slabs into [`Vm::profile`], the guards' edges
+    /// into [`Vm::spec_stats`], and machine code's region counts into the
+    /// instruction counts and the histogram; every run entry point ends
+    /// here, whether the run returned a value, trapped or ran dry.
     pub(crate) fn drain_counters(&mut self) {
+        self.drain_regions();
         let (passed, failed) = self
             .counters
             .drain_into(self.spec.as_deref(), &mut self.profile);
@@ -483,8 +489,10 @@ impl<'m> Vm<'m> {
     }
 
     /// Charge one executed IR instruction against the fuel budget and the
-    /// dispatch counters. Every tier accounts through here, so fuel and
-    /// the opcode histogram are engine-independent.
+    /// dispatch counters. The interpreter and the JIT account through here
+    /// per instruction; machine code charges whole regions and comes here
+    /// only when fuel is shorter than one (`native.rs`). Both add up to
+    /// the same fuel and opcode histogram.
     ///
     /// `inline(always)`, like the other per-instruction helpers the engine
     /// loops call (`value`, `exec_bin`, `exec_cmp`, the JIT's `read`, the
@@ -520,7 +528,8 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
-    /// [`Vm::charge`], attributed to the native tier.
+    /// [`Vm::charge`], attributed to the native tier: machine code's
+    /// exact-fuel path.
     #[inline(always)]
     pub(crate) fn charge_native(&mut self, opidx: usize) -> Result<(), ExecError> {
         self.charge(opidx)?;

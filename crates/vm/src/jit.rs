@@ -718,6 +718,32 @@ const OP_VAARG: usize = 15;
 const OP_BIN_BASE: usize = 16;
 const OP_CMP_BASE: usize = 26;
 
+/// Run the translated frame `fr` until it calls, returns or unwinds, or
+/// (`Flow::Next`) until a back-edge has just promoted its function to
+/// machine code: the frame then sits at the loop header and
+/// `Vm::pending_native_osr` names the block to enter it at. Out of line,
+/// like the native tier's `run_frame`, so the frame switches in
+/// `mixed_loop` do not weigh on the dispatch.
+#[inline(never)]
+pub(crate) fn jit_burst(
+    vm: &mut Vm<'_>,
+    fr: &mut JitFrame,
+    lf: &LowFunc,
+) -> Result<Flow, ExecError> {
+    loop {
+        let op = &lf.code[fr.pc];
+        fr.pc += 1;
+        match exec_low(vm, fr, lf, op)? {
+            Flow::Next => {
+                if vm.pending_native_osr.is_some() {
+                    return Ok(Flow::Next);
+                }
+            }
+            flow => return Ok(flow),
+        }
+    }
+}
+
 /// Execute one translated instruction, charging fuel and the opcode
 /// histogram exactly as the interpreter would for the source
 /// instruction(s).

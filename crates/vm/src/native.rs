@@ -13,11 +13,19 @@
 //! that output, return value, trap kind, remaining fuel, the opcode
 //! histogram and profile counters are identical:
 //!
-//! * **fuel / histogram** — every decoded op carries the accounting tag
-//!   ([`lpat_codegen::fast::enc::ACCT`]) of the IR instruction it begins,
-//!   charged through `Vm::charge_native` *before* the op executes, so
-//!   fuel exhaustion traps on exactly the same IR instruction as the
-//!   interpreter and each IR instruction is charged exactly once;
+//! * **fuel / histogram** — the decoder splits a function's
+//!   [`lpat_codegen::fast::enc::ACCT`] words into *accounting regions*:
+//!   maximal runs of IR instructions inside one block, each ended by a
+//!   `call` / `invoke` or by the terminator, so that only a region's last
+//!   instruction can leave it. Machine code charges a region once, on its
+//!   first op: fuel drops by its length and its entry count goes up by
+//!   one. Instruction counts and the histogram are views of those counts,
+//!   folded in by `Vm::drain_counters` (count × length, count × the
+//!   region's static opcode vector). Fuel shorter than a region sends that
+//!   region to a cold copy of the loop that charges each instruction
+//!   through `Vm::charge_native`, so `OutOfFuel` traps on exactly the
+//!   interpreter's instruction; a trap in the middle of a region refunds
+//!   the instructions it did not reach (fuel, counts and histogram);
 //! * **memory traps** — loads/stores go through the same [`Memory`]
 //!   access checks (NullAccess / BadAccess / OutOfMemory), at the same
 //!   width (an `L64` load checks all 8 bytes before keeping the low
@@ -65,8 +73,9 @@ use crate::value::VmValue;
 // ----------------------------------------------------------------------
 
 /// One pre-decoded op. `imm` is pre-massaged per op (sign-extended for
-/// `ADDI`, shifted for `LUI`, raw index otherwise); `acct` is the IR
-/// opcode index + 1 to charge before executing, 0 for none.
+/// `ADDI`, shifted for `LUI`, raw index otherwise). The first op of an
+/// accounting region carries the region's length in IR instructions
+/// (`len`) and its index (`region`); every other op has `len == 0`.
 #[derive(Copy, Clone)]
 struct NOp {
     op: u8,
@@ -74,8 +83,21 @@ struct NOp {
     b: u8,
     c: u8,
     extra: u16,
-    acct: u16,
+    len: u16,
     imm: u32,
+    region: u32,
+}
+
+/// An accounting region: a maximal run of IR instructions inside one
+/// block that only its last instruction can leave — it ends at a `call`
+/// or `invoke` or at the terminator (and after `u16::MAX` instructions,
+/// the width of [`NOp::len`]).
+struct Region {
+    /// Decoded index of its first op.
+    first_op: u32,
+    /// Index of its first instruction in [`NatCode::insts`].
+    first_inst: u32,
+    len: u32,
 }
 
 /// A decoded edge: φ-copies (already sequentialised by the encoder), the
@@ -101,6 +123,13 @@ struct NatCall {
 /// conversion (entry, OSR) a table-driven copy.
 pub(crate) struct NatCode {
     ops: Vec<NOp>,
+    regions: Vec<Region>,
+    /// Every IR instruction the code charges, in code order: the decoded
+    /// op its machine sequence begins at, and its opcode index (the
+    /// payload of its `ACCT` word).
+    insts: Vec<(u32, u8)>,
+    /// Entries into each region since the last drain.
+    entered: Box<[Cell<u64>]>,
     /// Decoded-op index of each block start (the OSR entry points).
     block_dec: Vec<u32>,
     edges: Vec<NatEdge>,
@@ -123,21 +152,50 @@ pub(crate) enum NativeSlot {
     Refused(String),
 }
 
+impl NatCode {
+    /// Region `r`'s instructions: where each begins and its opcode index.
+    fn region_insts(&self, r: &Region) -> &[(u32, u8)] {
+        &self.insts[r.first_inst as usize..][..r.len as usize]
+    }
+}
+
 /// Decode the word buffer into the dense dispatch form. Accounting words
-/// disappear into the following op's `acct` tag; branch targets are
+/// become [`NatCode::insts`] entries, grouped into regions that start at
+/// each block's first word and after each `CALLD`; branch targets are
 /// remapped from word indices to decoded indices, and each edge gets its
 /// counter slot (a VM-side table: the emitted words do not change).
 fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
     let layout = EdgeLayout::new(m.func(fid));
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
-    let mut pending: u16 = 0;
-    for &w in &ff.words {
+    let mut regions: Vec<Region> = Vec::new();
+    let mut insts: Vec<(u32, u8)> = Vec::new();
+    let mut block_starts = ff.block_word.iter().peekable();
+    // Whether the next instruction may join the last region.
+    let mut open = false;
+    for (i, &w) in ff.words.iter().enumerate() {
         word_to_dec.push(ops.len() as u32);
+        while block_starts.next_if(|&&b| b as usize == i).is_some() {
+            open = false;
+        }
         let op = enc::op(w);
         if op == enc::ACCT {
-            pending = enc::idx24(w) as u16 + 1;
+            match regions.last_mut() {
+                Some(r) if open && r.len < u16::MAX as u32 => r.len += 1,
+                _ => {
+                    regions.push(Region {
+                        first_op: ops.len() as u32,
+                        first_inst: insts.len() as u32,
+                        len: 1,
+                    });
+                    open = true;
+                }
+            }
+            insts.push((ops.len() as u32, enc::idx24(w) as u8));
             continue;
+        }
+        if op == enc::CALLD {
+            open = false;
         }
         let imm = match op {
             enc::ADDI | enc::LDI => enc::simm14(w) as u32,
@@ -154,10 +212,17 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
             b: enc::ra(w),
             c: enc::rb(w),
             extra: enc::extra(w),
-            acct: pending,
+            len: 0,
             imm,
+            region: 0,
         });
-        pending = 0;
+    }
+    // A region ends in a call or a terminator, both of which emit an op,
+    // so no two regions share a first op.
+    for (i, r) in regions.iter().enumerate() {
+        let first = &mut ops[r.first_op as usize];
+        first.len = r.len as u16;
+        first.region = i as u32;
     }
     word_to_dec.push(ops.len() as u32);
     let block_dec = ff
@@ -186,6 +251,9 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
         .collect();
     NatCode {
         ops,
+        entered: regions.iter().map(|_| Cell::new(0)).collect(),
+        regions,
+        insts,
         block_dec,
         edges,
         calls,
@@ -199,6 +267,9 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
 // ----------------------------------------------------------------------
 // Frames and value boundaries
 // ----------------------------------------------------------------------
+
+// Register fields are 5 bits wide, and the loop indexes with `& 31`.
+const _: () = assert!(enc::NUM_REGS == 32);
 
 /// A native activation record: flat `u32` registers plus spill slots.
 pub(crate) struct NatFrame {
@@ -221,7 +292,7 @@ impl NatFrame {
     #[inline]
     pub(crate) fn put(&mut self, h: Home, v: u32) {
         match h {
-            Home::Reg(r) => self.regs[r as usize] = v,
+            Home::Reg(r) => self.regs[(r & 31) as usize] = v,
             Home::Slot(s) => self.slots[s as usize] = v,
         }
     }
@@ -229,7 +300,7 @@ impl NatFrame {
     #[inline]
     fn get(&self, s: Src) -> u32 {
         match s {
-            Src::Reg(r) => self.regs[r as usize],
+            Src::Reg(r) => self.regs[(r & 31) as usize],
             Src::Slot(s) => self.slots[s as usize],
             Src::Imm(k) => k,
         }
@@ -442,26 +513,50 @@ impl<'m> Vm<'m> {
         }
         Ok(())
     }
+
+    /// Fold every region's entry count into `insts_executed`,
+    /// `TierStats::native_insts` and the opcode histogram — count ×
+    /// length and count × the region's opcode vector — and zero it.
+    pub(crate) fn drain_regions(&mut self) {
+        let mut n = 0;
+        for slot in &self.native_cache {
+            let NativeSlot::Code(code) = slot else {
+                continue;
+            };
+            for (r, entered) in code.regions.iter().zip(&code.entered[..]) {
+                let k = entered.replace(0);
+                if k == 0 {
+                    continue;
+                }
+                n += k * r.len as u64;
+                for &(_, t) in code.region_insts(r) {
+                    self.opcode_counts[t as usize] += k;
+                }
+            }
+        }
+        self.insts_executed += n;
+        self.tier_stats.native_insts += n;
+    }
 }
 
 // ----------------------------------------------------------------------
 // Execution
 // ----------------------------------------------------------------------
 
-/// Transfer control along edge `e`: apply the sequentialised φ-copies,
-/// move the pc, and record the edge/block profile (matching the
-/// interpreter's `transfer`).
+/// Transfer control along edge `e`: apply the sequentialised φ-copies
+/// and record the edge/block profile (matching the interpreter's
+/// `transfer`). Returns the pc the edge lands on.
 #[inline(always)]
-pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, e: usize) {
+pub(crate) fn take_nat_edge(vm: &mut Vm<'_>, fr: &mut NatFrame, code: &NatCode, e: usize) -> usize {
     let edge = &code.edges[e];
     for c in &edge.copies {
         let v = fr.get(c.src);
         fr.put(c.dst, v);
     }
-    fr.pc = edge.target as usize;
     if vm.opts.profile {
         vm.counters.edge(fr.func, edge.slot, edge.to);
     }
+    edge.target as usize
 }
 
 /// A trap raised by machine code. Out of line and cold: building the
@@ -546,8 +641,8 @@ pub(crate) fn run_native_burst(
         let Some(TFrame::N(fr)) = stack.last_mut() else {
             unreachable!("a native burst on a native frame")
         };
-        match run_frame(vm, fr)? {
-            Exit::Call(callee, code, call) => {
+        match run_frame(vm, fr) {
+            Ok(Exit::Call(callee, code, call)) => {
                 if stack.len() >= vm.opts.max_stack {
                     return Err(trap(TrapKind::StackOverflow, "call depth"));
                 }
@@ -566,7 +661,7 @@ pub(crate) fn run_native_burst(
                 }
                 caller.pending = Some((desc.dst, desc.eh));
             }
-            Exit::Ret(v) => {
+            Ok(Exit::Ret(v)) => {
                 let [.., TFrame::N(fr), TFrame::N(done)] = &mut stack[..] else {
                     return Ok(Flow::Ret(v.map(|(w, cl)| value_of(w, cl))));
                 };
@@ -576,7 +671,12 @@ pub(crate) fn run_native_burst(
                 stack.truncate(stack.len() - 1);
                 vm.tier_stats.native_calls += 1;
             }
-            Exit::Leave(flow) => return Ok(flow),
+            Ok(Exit::Leave(flow)) => return Ok(flow),
+            Ok(Exit::Exact) => return Err(run_exact(vm, fr)),
+            Err(e) => {
+                refund(vm, fr);
+                return Err(e);
+            }
         }
     }
 }
@@ -589,6 +689,36 @@ enum Exit {
     Ret(Option<(u32, Class)>),
     /// Control leaves machine code.
     Leave(Flow),
+    /// The frame stands at the first op of a region its finite fuel
+    /// cannot pay for: [`run_exact`] runs it.
+    Exact,
+}
+
+/// Give back what a region's entry charged for the instructions a trap
+/// in its middle kept from running: the frame's pc is one past the op
+/// that raised it. The region's entry is taken back and the instructions
+/// up to and including the trapping one are charged singly, so fuel,
+/// counts and histogram read as the interpreter's.
+#[cold]
+#[inline(never)]
+fn refund(vm: &mut Vm<'_>, fr: &NatFrame) {
+    let code = &fr.code;
+    let at = fr.pc - 1;
+    let r = code.regions.partition_point(|r| r.first_op as usize <= at) - 1;
+    let insts = code.region_insts(&code.regions[r]);
+    let done = insts.partition_point(|&(op, _)| op as usize <= at);
+    if done == insts.len() {
+        return;
+    }
+    code.entered[r].set(code.entered[r].get() - 1);
+    if let Some(fuel) = &mut vm.opts.fuel {
+        *fuel += (insts.len() - done) as u64;
+    }
+    vm.insts_executed += done as u64;
+    vm.tier_stats.native_insts += done as u64;
+    for &(_, t) in &insts[..done] {
+        vm.opcode_counts[t as usize] += 1;
+    }
 }
 
 /// Resume the native frame `fr` after its call `(dst, eh)` returned `v`
@@ -610,7 +740,7 @@ pub(crate) fn resume_native(
     }
     if let Some((normal, _)) = eh {
         let code = fr.code.clone();
-        take_nat_edge(vm, fr, &code, normal as usize);
+        fr.pc = take_nat_edge(vm, fr, &code, normal as usize);
     }
     Ok(())
 }
@@ -623,189 +753,388 @@ pub(crate) fn resume_native(
 /// weigh on its registers.
 #[inline(never)]
 fn run_frame(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exit, ExecError> {
+    dispatch::<false>(vm, fr)
+}
+
+/// The per-instruction copy of [`run_frame`], entered at the first op of
+/// a region that finite fuel cannot pay for. Only a region's last
+/// instruction can leave it and the fuel does not reach that one, so the
+/// copy always ends in a trap: `OutOfFuel` on the interpreter's
+/// instruction, or whatever trapped before it.
+#[cold]
+#[inline(never)]
+fn run_exact(vm: &mut Vm<'_>, fr: &mut NatFrame) -> ExecError {
+    match dispatch::<true>(vm, fr) {
+        Err(e) => e,
+        Ok(_) => unreachable!("machine code left a region its fuel could not pay for"),
+    }
+}
+
+/// The exact copy's accounting: charge, one at a time, the instructions
+/// whose machine sequence begins at op `pc`, from `code.insts[*next]` on.
+#[inline(always)]
+fn charge_exact(
+    vm: &mut Vm<'_>,
+    code: &NatCode,
+    next: &mut usize,
+    pc: usize,
+) -> Result<(), ExecError> {
+    while let Some(&(at, t)) = code.insts.get(*next) {
+        if at as usize != pc {
+            break;
+        }
+        vm.charge_native(t as usize)?;
+        *next += 1;
+    }
+    Ok(())
+}
+
+/// The dispatch loop. Without `EXACT` it charges each region once, on
+/// its first op, and stops at a region finite fuel cannot pay for with
+/// [`Exit::Exact`]; with it, it charges instruction by instruction. The
+/// pc lives in a local: the frame's copy is written at `CALLD` and
+/// whenever the loop stops. Register fields are 5 bits wide, so `& 31`
+/// indexes the register file without a bounds check.
+#[inline(always)]
+fn dispatch<const EXACT: bool>(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exit, ExecError> {
     let code = fr.code.clone();
-    loop {
-        let op = code.ops[fr.pc];
-        fr.pc += 1;
-        if op.acct != 0 {
-            vm.charge_native((op.acct - 1) as usize)?;
-        }
-        let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
-        match op.op {
-            enc::ADD => fr.regs[a] = fr.regs[b].wrapping_add(fr.regs[c]),
-            enc::SUB => fr.regs[a] = fr.regs[b].wrapping_sub(fr.regs[c]),
-            enc::MUL => fr.regs[a] = fr.regs[b].wrapping_mul(fr.regs[c]),
-            enc::MADD => fr.regs[a] = fr.regs[a].wrapping_add(fr.regs[b].wrapping_mul(fr.regs[c])),
-            enc::AND => fr.regs[a] = fr.regs[b] & fr.regs[c],
-            enc::OR => fr.regs[a] = fr.regs[b] | fr.regs[c],
-            enc::XOR => fr.regs[a] = fr.regs[b] ^ fr.regs[c],
-            enc::SLL => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
-                fr.regs[a] = fr.regs[b] << sh;
-            }
-            enc::SRL => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
-                fr.regs[a] = fr.regs[b] >> sh;
-            }
-            enc::SRA => {
-                let sh = fr.regs[c] & (op.extra as u32 - 1);
-                fr.regs[a] = ((fr.regs[b] as i32) >> sh) as u32;
-            }
-            enc::DIVS => {
-                let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
-                if y == 0 {
-                    return Err(trap(TrapKind::DivByZero, "integer division"));
-                }
-                fr.regs[a] = x.wrapping_div(y) as u32;
-            }
-            enc::DIVU => {
-                let (x, y) = (fr.regs[b], fr.regs[c]);
-                if y == 0 {
-                    return Err(trap(TrapKind::DivByZero, "integer division"));
-                }
-                fr.regs[a] = x / y;
-            }
-            enc::REMS => {
-                let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
-                if y == 0 {
-                    return Err(trap(TrapKind::DivByZero, "integer remainder"));
-                }
-                fr.regs[a] = x.wrapping_rem(y) as u32;
-            }
-            enc::REMU => {
-                let (x, y) = (fr.regs[b], fr.regs[c]);
-                if y == 0 {
-                    return Err(trap(TrapKind::DivByZero, "integer remainder"));
-                }
-                fr.regs[a] = x % y;
-            }
-            enc::CMP => {
-                let (x, y) = (fr.regs[b], fr.regs[c]);
-                let ord = if op.extra & 8 != 0 {
-                    x.cmp(&y)
+    // Read once: through `code` every op reloaded the array's base.
+    let ops = &code.ops[..];
+    let mut pc = fr.pc;
+    // The exact copy's cursor into `code.insts`.
+    let mut next = 0;
+    let mut run = || -> Result<Exit, ExecError> {
+        loop {
+            let op = ops[pc];
+            if op.len != 0 {
+                if EXACT {
+                    next = code.regions[op.region as usize].first_inst as usize;
                 } else {
-                    (x as i32).cmp(&(y as i32))
-                };
-                let hit = match op.extra & 7 {
-                    0 => ord.is_eq(),
-                    1 => ord.is_ne(),
-                    2 => ord.is_lt(),
-                    3 => ord.is_gt(),
-                    4 => ord.is_le(),
-                    _ => ord.is_ge(),
-                };
-                fr.regs[a] = hit as u32;
-            }
-            enc::SETNZ => fr.regs[a] = (fr.regs[b] != 0) as u32,
-            enc::NORM => {
-                let v = fr.regs[b];
-                fr.regs[a] = match Class::from_code(op.extra) {
-                    Some(Class::S8) => v as i8 as i32 as u32,
-                    Some(Class::U8) => v & 0xFF,
-                    Some(Class::S16) => v as i16 as i32 as u32,
-                    Some(Class::U16) => v & 0xFFFF,
-                    _ => v,
-                };
-            }
-            enc::MOV => fr.regs[a] = fr.regs[b],
-            enc::ADDI => fr.regs[a] = fr.regs[b].wrapping_add(op.imm),
-            enc::LDI => fr.regs[a] = op.imm,
-            enc::ORI => fr.regs[a] = fr.regs[b] | op.imm,
-            enc::LDS => fr.regs[a] = fr.slots[op.imm as usize],
-            enc::STS => fr.slots[op.imm as usize] = fr.regs[b],
-            enc::LD => {
-                let addr = fr.regs[b];
-                fr.regs[a] = match Class::from_code(op.extra) {
-                    Some(Class::Bool) => low32(&vm.mem.load_bool(addr)?),
-                    Some(Class::Ptr) => low32(&vm.mem.load_ptr(addr)?),
-                    Some(cl) => {
-                        let kind = cl
-                            .int_kind()
-                            .ok_or_else(|| trap(TrapKind::Invalid, "bad load class"))?;
-                        low32(&vm.mem.load_int(addr, kind)?)
+                    if let Some(fuel) = &mut vm.opts.fuel {
+                        let len = op.len as u64;
+                        if *fuel < len {
+                            return Ok(Exit::Exact);
+                        }
+                        *fuel -= len;
                     }
-                    None => return Err(trap(TrapKind::Invalid, "bad load class")),
-                };
-            }
-            enc::ST => {
-                let addr = fr.regs[b];
-                let cl = Class::from_code(op.extra)
-                    .filter(|c| c.is_exact())
-                    .ok_or_else(|| trap(TrapKind::Invalid, "bad store class"))?;
-                vm.mem.store(addr, value_of(fr.regs[c], cl))?;
-            }
-            enc::ALLOC => {
-                let n: u64 = if op.extra & 2 != 0 {
-                    1
-                } else if op.extra & 4 != 0 {
-                    fr.regs[b] as u64
-                } else {
-                    (fr.regs[b] as i32 as i64).max(0) as u64
-                };
-                let size = (fr.regs[c] as u64) * n;
-                let size32: u32 = size
-                    .try_into()
-                    .map_err(|_| trap(TrapKind::OutOfMemory, "allocation too large"))?;
-                let addr = vm.mem.alloc(size32.max(1))?;
-                if op.extra & 1 != 0 {
-                    fr.allocas.push(addr);
-                }
-                fr.regs[a] = addr;
-            }
-            enc::FREE => {
-                let p = fr.regs[b];
-                if p != 0 {
-                    vm.mem.release(p)?;
+                    let n = &code.entered[op.region as usize];
+                    n.set(n.get() + 1);
                 }
             }
-            enc::BR => take_nat_edge(vm, fr, &code, op.imm as usize),
-            enc::CBNZ => {
-                if fr.regs[b] != 0 {
-                    // Skip the paired fall-through BR.
-                    fr.pc += 1;
-                    take_nat_edge(vm, fr, &code, op.imm as usize);
-                }
+            if EXACT {
+                charge_exact(vm, &code, &mut next, pc)?;
             }
-            enc::SWITCH => {
-                let v = fr.regs[b];
-                let tbl = &code.switches[op.imm as usize];
-                let mut e = tbl.default;
-                for &(cv, ce) in &tbl.cases {
-                    if cv == v {
-                        e = ce;
-                        break;
+            pc += 1;
+            let (a, b, c) = (
+                (op.a & 31) as usize,
+                (op.b & 31) as usize,
+                (op.c & 31) as usize,
+            );
+            match op.op {
+                enc::ADD => fr.regs[a] = fr.regs[b].wrapping_add(fr.regs[c]),
+                enc::SUB => fr.regs[a] = fr.regs[b].wrapping_sub(fr.regs[c]),
+                enc::MUL => fr.regs[a] = fr.regs[b].wrapping_mul(fr.regs[c]),
+                enc::MADD => {
+                    fr.regs[a] = fr.regs[a].wrapping_add(fr.regs[b].wrapping_mul(fr.regs[c]))
+                }
+                enc::AND => fr.regs[a] = fr.regs[b] & fr.regs[c],
+                enc::OR => fr.regs[a] = fr.regs[b] | fr.regs[c],
+                enc::XOR => fr.regs[a] = fr.regs[b] ^ fr.regs[c],
+                enc::SLL => {
+                    let sh = fr.regs[c] & (op.extra as u32 - 1);
+                    fr.regs[a] = fr.regs[b] << sh;
+                }
+                enc::SRL => {
+                    let sh = fr.regs[c] & (op.extra as u32 - 1);
+                    fr.regs[a] = fr.regs[b] >> sh;
+                }
+                enc::SRA => {
+                    let sh = fr.regs[c] & (op.extra as u32 - 1);
+                    fr.regs[a] = ((fr.regs[b] as i32) >> sh) as u32;
+                }
+                enc::DIVS => {
+                    let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
+                    if y == 0 {
+                        return Err(trap(TrapKind::DivByZero, "integer division"));
+                    }
+                    fr.regs[a] = x.wrapping_div(y) as u32;
+                }
+                enc::DIVU => {
+                    let (x, y) = (fr.regs[b], fr.regs[c]);
+                    if y == 0 {
+                        return Err(trap(TrapKind::DivByZero, "integer division"));
+                    }
+                    fr.regs[a] = x / y;
+                }
+                enc::REMS => {
+                    let (x, y) = (fr.regs[b] as i32, fr.regs[c] as i32);
+                    if y == 0 {
+                        return Err(trap(TrapKind::DivByZero, "integer remainder"));
+                    }
+                    fr.regs[a] = x.wrapping_rem(y) as u32;
+                }
+                enc::REMU => {
+                    let (x, y) = (fr.regs[b], fr.regs[c]);
+                    if y == 0 {
+                        return Err(trap(TrapKind::DivByZero, "integer remainder"));
+                    }
+                    fr.regs[a] = x % y;
+                }
+                enc::CMP => {
+                    let (x, y) = (fr.regs[b], fr.regs[c]);
+                    let ord = if op.extra & 8 != 0 {
+                        x.cmp(&y)
+                    } else {
+                        (x as i32).cmp(&(y as i32))
+                    };
+                    let hit = match op.extra & 7 {
+                        0 => ord.is_eq(),
+                        1 => ord.is_ne(),
+                        2 => ord.is_lt(),
+                        3 => ord.is_gt(),
+                        4 => ord.is_le(),
+                        _ => ord.is_ge(),
+                    };
+                    fr.regs[a] = hit as u32;
+                }
+                enc::SETNZ => fr.regs[a] = (fr.regs[b] != 0) as u32,
+                enc::NORM => {
+                    let v = fr.regs[b];
+                    fr.regs[a] = match Class::from_code(op.extra) {
+                        Some(Class::S8) => v as i8 as i32 as u32,
+                        Some(Class::U8) => v & 0xFF,
+                        Some(Class::S16) => v as i16 as i32 as u32,
+                        Some(Class::U16) => v & 0xFFFF,
+                        _ => v,
+                    };
+                }
+                enc::MOV => fr.regs[a] = fr.regs[b],
+                enc::ADDI => fr.regs[a] = fr.regs[b].wrapping_add(op.imm),
+                enc::LDI => fr.regs[a] = op.imm,
+                enc::ORI => fr.regs[a] = fr.regs[b] | op.imm,
+                enc::LDS => fr.regs[a] = fr.slots[op.imm as usize],
+                enc::STS => fr.slots[op.imm as usize] = fr.regs[b],
+                enc::LD => {
+                    let addr = fr.regs[b];
+                    fr.regs[a] = match Class::from_code(op.extra) {
+                        Some(Class::Bool) => low32(&vm.mem.load_bool(addr)?),
+                        Some(Class::Ptr) => low32(&vm.mem.load_ptr(addr)?),
+                        Some(cl) => {
+                            let kind = cl
+                                .int_kind()
+                                .ok_or_else(|| trap(TrapKind::Invalid, "bad load class"))?;
+                            low32(&vm.mem.load_int(addr, kind)?)
+                        }
+                        None => return Err(trap(TrapKind::Invalid, "bad load class")),
+                    };
+                }
+                enc::ST => {
+                    let addr = fr.regs[b];
+                    let cl = Class::from_code(op.extra)
+                        .filter(|c| c.is_exact())
+                        .ok_or_else(|| trap(TrapKind::Invalid, "bad store class"))?;
+                    vm.mem.store(addr, value_of(fr.regs[c], cl))?;
+                }
+                enc::ALLOC => {
+                    let n: u64 = if op.extra & 2 != 0 {
+                        1
+                    } else if op.extra & 4 != 0 {
+                        fr.regs[b] as u64
+                    } else {
+                        (fr.regs[b] as i32 as i64).max(0) as u64
+                    };
+                    let size = (fr.regs[c] as u64) * n;
+                    let size32: u32 = size
+                        .try_into()
+                        .map_err(|_| trap(TrapKind::OutOfMemory, "allocation too large"))?;
+                    let addr = vm.mem.alloc(size32.max(1))?;
+                    if op.extra & 1 != 0 {
+                        fr.allocas.push(addr);
+                    }
+                    fr.regs[a] = addr;
+                }
+                enc::FREE => {
+                    let p = fr.regs[b];
+                    if p != 0 {
+                        vm.mem.release(p)?;
                     }
                 }
-                take_nat_edge(vm, fr, &code, e as usize);
+                enc::BR => pc = take_nat_edge(vm, fr, &code, op.imm as usize),
+                enc::CBNZ => {
+                    if fr.regs[b] != 0 {
+                        pc = take_nat_edge(vm, fr, &code, op.imm as usize);
+                    }
+                }
+                enc::SWITCH => {
+                    let v = fr.regs[b];
+                    let tbl = &code.switches[op.imm as usize];
+                    let mut e = tbl.default;
+                    for &(cv, ce) in &tbl.cases {
+                        if cv == v {
+                            e = ce;
+                            break;
+                        }
+                    }
+                    pc = take_nat_edge(vm, fr, &code, e as usize);
+                }
+                enc::CALLD => {
+                    let call = &code.calls[op.imm as usize];
+                    if vm.opts.profile {
+                        vm.counters.site(fr.func, call.desc.site as usize);
+                    }
+                    let target = match &call.desc.callee {
+                        FastCallee::Direct(f) => *f,
+                        FastCallee::Indirect(s) => vm.resolve_cached(fr.get(*s), &call.ic)?,
+                    };
+                    if let Some(callee) = native_callee(vm, call, target) {
+                        return Ok(Exit::Call(target, callee, op.imm as usize));
+                    }
+                    // An external's return may take an invoke's normal edge.
+                    fr.pc = pc;
+                    if let Some(flow) = call_out(vm, fr, call, target)? {
+                        return Ok(Exit::Leave(flow));
+                    }
+                    pc = fr.pc;
+                }
+                enc::RET => {
+                    if op.imm & 1 == 0 {
+                        return Ok(Exit::Ret(None));
+                    }
+                    let cl = Class::from_code((op.imm >> 1) as u16)
+                        .filter(|c| c.is_exact())
+                        .ok_or_else(|| trap(TrapKind::Invalid, "bad ret class"))?;
+                    return Ok(Exit::Ret(Some((fr.regs[b], cl))));
+                }
+                enc::UNWIND => return Ok(Exit::Leave(Flow::Unwinding)),
+                enc::UNREACHABLE => {
+                    return Err(trap(TrapKind::Unreachable, "unreachable executed"))
+                }
+                _ => return Err(trap(TrapKind::Invalid, "bad native opcode")),
             }
-            enc::CALLD => {
-                let call = &code.calls[op.imm as usize];
-                if vm.opts.profile {
-                    vm.counters.site(fr.func, call.desc.site as usize);
-                }
-                let target = match &call.desc.callee {
-                    FastCallee::Direct(f) => *f,
-                    FastCallee::Indirect(s) => vm.resolve_cached(fr.get(*s), &call.ic)?,
-                };
-                if let Some(callee) = native_callee(vm, call, target) {
-                    return Ok(Exit::Call(target, callee, op.imm as usize));
-                }
-                if let Some(flow) = call_out(vm, fr, call, target)? {
-                    return Ok(Exit::Leave(flow));
-                }
-            }
-            enc::RET => {
-                if op.imm & 1 == 0 {
-                    return Ok(Exit::Ret(None));
-                }
-                let cl = Class::from_code((op.imm >> 1) as u16)
-                    .filter(|c| c.is_exact())
-                    .ok_or_else(|| trap(TrapKind::Invalid, "bad ret class"))?;
-                return Ok(Exit::Ret(Some((fr.regs[b], cl))));
-            }
-            enc::UNWIND => return Ok(Exit::Leave(Flow::Unwinding)),
-            enc::UNREACHABLE => return Err(trap(TrapKind::Unreachable, "unreachable executed")),
-            _ => return Err(trap(TrapKind::Invalid, "bad native opcode")),
         }
+    };
+    let exit = run();
+    fr.pc = pc;
+    exit
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VmOptions;
+    use lpat_core::Inst;
+
+    /// Straight-line code, a loop, calls in the middle of a block, an
+    /// `invoke` and a `switch`.
+    const SHAPES: &str = "
+declare void @print_int(int)
+define internal int @straight(int %a, int %b) {
+e:
+  %x = add int %a, %b
+  %y = mul int %x, %a
+  %z = sub int %y, 3
+  ret int %z
+}
+define internal int @loop(int %n) {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %b ]
+  %s = phi int [ 0, %e ], [ %s2, %b ]
+  %c = setlt int %i, %n
+  br bool %c, label %b, label %x
+b:
+  %s2 = add int %s, %i
+  %i2 = add int %i, 1
+  br label %h
+x:
+  ret int %s
+}
+define internal void @thrower(int %v) {
+e:
+  %c = seteq int %v, 3
+  br bool %c, label %t, label %ok
+t:
+  unwind
+ok:
+  ret void
+}
+define int @main() {
+e:
+  %a = call int @straight(int 2, int 5)
+  %b = add int %a, 1
+  call void @print_int(int %b)
+  %l = call int @loop(int %b)
+  %r = rem int %l, 4
+  invoke void @thrower(int %r) to label %ok unwind label %bad
+ok:
+  %k = add int %r, 1
+  switch int %k, label %d [ int 1, label %one int 2, label %two ]
+one:
+  ret int 1
+two:
+  ret int 2
+d:
+  %z = mul int %k, %k
+  ret int %z
+bad:
+  ret int -1
+}";
+
+    #[test]
+    fn regions_start_at_blocks_and_after_calls() {
+        let m = lpat_asm::parse_module("t", SHAPES).unwrap();
+        m.verify().unwrap();
+        let vm = Vm::new(&m, VmOptions::default()).unwrap();
+        let env = FastEnv {
+            func_addr: &|f| Memory::func_addr(f.index()),
+            global_addr: &|i| vm.global_addrs.get(i).copied(),
+            guarded: &|_| false,
+        };
+        let mut calls = 0;
+        for (fid, f) in m.funcs().filter(|(_, f)| !f.is_declaration()) {
+            let ff = translate_fast(&m, fid, &env).unwrap();
+            let tags: Vec<u8> = (ff.words.iter())
+                .filter(|&&w| enc::op(w) == enc::ACCT)
+                .map(|&w| enc::idx24(w) as u8)
+                .collect();
+            let code = decode(ff, &m, fid);
+            // The IR's side: every charged instruction in code order, and
+            // the ones a region must start at.
+            let (mut opcodes, mut starts) = (Vec::new(), Vec::new());
+            for b in f.block_ids() {
+                let mut start = true;
+                for inst in f.block_insts(b).iter().map(|&i| f.inst(i)) {
+                    if matches!(inst, Inst::Phi { .. }) {
+                        continue;
+                    }
+                    if start {
+                        starts.push(opcodes.len() as u32);
+                    }
+                    opcodes.push(inst.opcode_index() as u8);
+                    start = matches!(inst, Inst::Call { .. } | Inst::Invoke { .. });
+                    calls += start as usize;
+                }
+            }
+            let name = f.name();
+            let got: Vec<u32> = code.regions.iter().map(|r| r.first_inst).collect();
+            assert_eq!(got, starts, "@{name}: region starts");
+            let total: u32 = code.regions.iter().map(|r| r.len).sum();
+            assert_eq!(total as usize, tags.len(), "@{name}: lengths vs ACCT words");
+            assert_eq!(tags, opcodes, "@{name}: ACCT tags vs IR opcodes");
+            for (i, r) in code.regions.iter().enumerate() {
+                let vector: Vec<u8> = code.region_insts(r).iter().map(|&(_, t)| t).collect();
+                let span = r.first_inst as usize..(r.first_inst + r.len) as usize;
+                assert_eq!(vector, tags[span], "@{name}: region {i}'s opcodes");
+                assert_eq!(code.insts[r.first_inst as usize].0, r.first_op);
+                let first = code.ops[r.first_op as usize];
+                assert_eq!((first.len as u32, first.region), (r.len, i as u32));
+            }
+            let stamped = code.ops.iter().filter(|op| op.len != 0).count();
+            assert_eq!(stamped, code.regions.len(), "@{name}: stamped ops");
+            assert!(code.entered.iter().all(|n| n.get() == 0));
+        }
+        // Three calls and an invoke in @main, none elsewhere.
+        assert_eq!(calls, 4);
     }
 }

@@ -340,51 +340,34 @@ impl<'m> Vm<'m> {
                     Flow::Next => unreachable!("native bursts end at call/ret/unwind"),
                 }
             } else if tier_top == 1 {
-                let lf = match stack.last().expect("frame") {
-                    TFrame::J(fr) => fr.lf.clone(),
-                    _ => unreachable!(),
+                let Some(TFrame::J(fr)) = stack.last_mut() else {
+                    unreachable!()
                 };
-                // Tight dispatch over the current translated frame.
-                loop {
-                    let fr = match stack.last_mut().expect("frame") {
-                        TFrame::J(fr) => fr,
-                        _ => unreachable!(),
-                    };
-                    let op = &lf.code[fr.pc];
-                    fr.pc += 1;
-                    match crate::jit::exec_low(self, fr, &lf, op)? {
-                        Flow::Next => {
-                            // A back-edge may just have promoted this
-                            // function to machine code; the frame sits at
-                            // the loop-header boundary, so switch now.
-                            if self.pending_native_osr.is_some() {
-                                let block = self.pending_native_osr.take();
-                                self.native_osr(stack, block);
-                                continue 'outer;
-                            }
-                        }
-                        Flow::Call {
-                            target,
-                            args,
-                            varargs,
-                            dst,
-                            eh,
-                        } => {
-                            fr.pending = Some((dst, eh));
-                            self.push_mixed(stack, target, args, varargs, mode)?;
-                            continue 'outer;
-                        }
-                        Flow::Ret(v) => {
-                            if let Some(out) = self.deliver_return(stack, v)? {
-                                return Ok(out);
-                            }
-                            continue 'outer;
-                        }
-                        Flow::Unwinding => {
-                            self.deliver_unwind(stack)?;
-                            continue 'outer;
+                let lf = fr.lf.clone();
+                match crate::jit::jit_burst(self, fr, &lf)? {
+                    Flow::Next => {
+                        // A back-edge just promoted this function to
+                        // machine code; the frame sits at the loop-header
+                        // boundary, so switch now.
+                        let block = self.pending_native_osr.take();
+                        self.native_osr(stack, block);
+                    }
+                    Flow::Call {
+                        target,
+                        args,
+                        varargs,
+                        dst,
+                        eh,
+                    } => {
+                        fr.pending = Some((dst, eh));
+                        self.push_mixed(stack, target, args, varargs, mode)?;
+                    }
+                    Flow::Ret(v) => {
+                        if let Some(out) = self.deliver_return(stack, v)? {
+                            return Ok(out);
                         }
                     }
+                    Flow::Unwinding => self.deliver_unwind(stack)?,
                 }
             } else {
                 let fr = match stack.last_mut().expect("frame") {
@@ -628,7 +611,7 @@ impl<'m> Vm<'m> {
                     let (_, eh) = fr.pending.take().expect("pending call");
                     if let Some((_, unwind)) = eh {
                         let code = fr.code.clone();
-                        crate::native::take_nat_edge(self, fr, &code, unwind as usize);
+                        fr.pc = crate::native::take_nat_edge(self, fr, &code, unwind as usize);
                         return Ok(());
                     }
                 }

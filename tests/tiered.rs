@@ -704,6 +704,48 @@ e:
     }
 }
 
+/// Machine code charges a run of instructions that only its last can
+/// leave once, on entry. The loop's one block is such a run up to its
+/// `print_int` call, with a `div` in its middle whose divisor reaches 0
+/// on iteration 120 — after every threshold has reached machine code.
+/// At every fuel value up to that trap, fuel running dry anywhere in the
+/// run and the `div` trapping halfway through it leave the interpreter's
+/// fuel remainder, instruction count, histogram and profile.
+#[test]
+fn a_trap_in_the_middle_of_a_region_refunds_its_rest() {
+    let m = parse(
+        "
+declare void @print_int(int)
+@cell = global int 7
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %v = load int* @cell
+  %d = sub int 120, %i
+  %q = div int 1200, %d
+  %s = add int %v, %q
+  store int %s, int* @cell
+  call void @print_int(int %s)
+  %i2 = add int %i, 1
+  br label %h
+}",
+    );
+    let full = same_in_every_engine(&m, 20_000_000);
+    assert_eq!(full.outcome, Err(TrapKind::DivByZero));
+    assert_eq!(full.output.lines().count(), 120);
+    for fuel in 0..=full.insts {
+        let dry = same_in_every_engine(&m, fuel);
+        let expect = if fuel == full.insts {
+            Err(TrapKind::DivByZero)
+        } else {
+            Err(TrapKind::OutOfFuel)
+        };
+        assert_eq!(dry.outcome, expect, "fuel={fuel}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Profile recording: the engines count in index-addressed slabs that are
 // folded into `Vm::profile` when a run returns. Edge identity and the
