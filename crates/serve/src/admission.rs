@@ -1,4 +1,4 @@
-//! Admission control: per-tenant quotas and the bounded work queue.
+//! Admission control: per-tenant quotas and the slots requests run in.
 //!
 //! Nothing past this module is allowed to allocate unbounded memory on
 //! behalf of a client. A request is admitted only if
@@ -8,21 +8,23 @@
 //!    the same request is rejected every time, with [`crate::proto::ErrClass::Quota`]);
 //! 2. the tenant's in-flight count is below its cap (violations are
 //!    *load-dependent* and answered with `Busy`, inviting a retry); and
-//! 3. the bounded work queue has a free slot (otherwise `Busy` — the
-//!    load-shedding path: the queue never grows, memory never does).
+//! 3. a slot is free, or one comes free while the request waits in a line
+//!    of bounded length (`Slots`; a full line answers `Busy` — the
+//!    load-shedding path: the line never grows, memory never does).
 //!
 //! In-flight accounting is RAII: an [`InflightGuard`] decrements its
-//! tenant's count on drop, so a panicking worker or an abandoned
-//! connection can never leak a quota slot.
+//! tenant's count on drop and a `Held` slot goes back on drop, so a
+//! panicking request or a dropped connection can leak neither.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Per-tenant resource limits, enforced at admission.
 #[derive(Clone, Debug)]
 pub struct TenantQuota {
-    /// Maximum requests a tenant may have in flight (queued + running).
+    /// Maximum requests a tenant may have in flight (waiting + running).
     pub max_inflight: u32,
     /// Maximum request payload bytes.
     pub max_bytes: u64,
@@ -106,11 +108,6 @@ impl Admission {
         })
     }
 
-    /// The configured quota.
-    pub fn quota(&self) -> &TenantQuota {
-        &self.quota
-    }
-
     /// Admit a request: check deterministic quotas first (so their
     /// rejection never depends on load), then reserve an in-flight slot.
     ///
@@ -191,97 +188,123 @@ impl Drop for InflightGuard {
     }
 }
 
-// -- bounded queue --------------------------------------------------------
+// -- slots --------------------------------------------------------------
 
-/// A bounded MPMC queue: `try_push` never blocks (load shedding is the
-/// caller's job), `pop` blocks until an item or shutdown.
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    cond: Condvar,
-    cap: usize,
+/// Why [`Slots::acquire`] lent no slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NoSlot {
+    /// Every slot is held and the line is full: shed with `Busy`.
+    Full,
+    /// The deadline passed while waiting in line.
+    Expired,
 }
 
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    shutdown: bool,
+/// A fixed set of slots, each lent to one request at a time. A request
+/// that finds none free waits in line for one; at most `depth` requests
+/// wait (0: nobody does), a request past them is refused at once, and a
+/// waiter leaves the line the moment its deadline passes.
+pub(crate) struct Slots<T> {
+    inner: Mutex<SlotsInner<T>>,
+    freed: Condvar,
+    depth: usize,
 }
 
-impl<T> BoundedQueue<T> {
-    /// New queue with capacity `cap` (minimum 1).
-    pub fn new(cap: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                shutdown: false,
+struct SlotsInner<T> {
+    /// The free slots; the one given back last is lent first.
+    free: Vec<T>,
+    waiting: usize,
+}
+
+impl<T> Slots<T> {
+    /// `slots`, lent first to last while all are free, behind a line of
+    /// at most `depth` waiters.
+    pub(crate) fn new(mut slots: Vec<T>, depth: usize) -> Slots<T> {
+        slots.reverse();
+        Slots {
+            inner: Mutex::new(SlotsInner {
+                free: slots,
+                waiting: 0,
             }),
-            cond: Condvar::new(),
-            cap: cap.max(1),
+            freed: Condvar::new(),
+            depth,
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
+    fn lock(&self) -> MutexGuard<'_, SlotsInner<T>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue without blocking.
+    /// Take a free slot, waiting in line for one until `deadline`.
     ///
     /// # Errors
     ///
-    /// Returns the item back when the queue is full or shut down — the
-    /// caller sheds load with an explicit `Busy`, never by waiting.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if q.shutdown || q.items.len() >= self.cap {
-            return Err(item);
-        }
-        q.items.push_back(item);
-        drop(q);
-        self.cond.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue, blocking until an item arrives or the queue shuts down
-    /// (then `None`, after draining).
-    pub fn pop(&self) -> Option<T> {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = q.items.pop_front() {
-                return Some(item);
+    /// [`NoSlot::Full`] when the line is full, [`NoSlot::Expired`] when
+    /// the deadline passed in it.
+    pub(crate) fn acquire(&self, deadline: Instant) -> Result<Held<'_, T>, NoSlot> {
+        let mut inner = self.lock();
+        if inner.free.is_empty() {
+            if inner.waiting >= self.depth {
+                return Err(NoSlot::Full);
             }
-            if q.shutdown {
-                return None;
+            inner.waiting += 1;
+            while inner.free.is_empty() {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    inner.waiting -= 1;
+                    return Err(NoSlot::Expired);
+                }
+                inner = self
+                    .freed
+                    .wait_timeout(inner, left)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
             }
-            q = self.cond.wait(q).unwrap_or_else(|e| e.into_inner());
+            inner.waiting -= 1;
         }
+        let slot = inner.free.pop();
+        Ok(Held { slots: self, slot })
     }
 
-    /// Shut down: wake all poppers; subsequent pushes fail.
-    pub fn shutdown(&self) {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        q.shutdown = true;
-        drop(q);
-        self.cond.notify_all();
+    /// Take every free slot out for good (shutdown, once nothing holds
+    /// one).
+    pub(crate) fn take_all(&self) -> Vec<T> {
+        std::mem::take(&mut self.lock().free)
     }
+}
 
-    /// Current depth (stats).
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
+/// A slot lent by [`Slots::acquire`]; dropping it gives the slot back and
+/// wakes one waiter, so a panicking holder cannot leak it.
+pub(crate) struct Held<'a, T> {
+    slots: &'a Slots<T>,
+    slot: Option<T>,
+}
+
+impl<T> Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.slot.as_ref().expect("held until dropped")
     }
+}
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+impl<T> DerefMut for Held<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.slot.as_mut().expect("held until dropped")
+    }
+}
+
+impl<T> Drop for Held<'_, T> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            self.slots.lock().free.push(slot);
+            self.slots.freed.notify_one();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn deterministic_quotas_reject_before_inflight() {
@@ -336,29 +359,59 @@ mod tests {
         assert_eq!(a.inflight("anon"), 1);
     }
 
-    #[test]
-    fn queue_sheds_when_full_and_drains_on_shutdown() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(3), "full queue sheds, never grows");
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
-        q.shutdown();
-        assert_eq!(q.try_push(4), Err(4), "no pushes after shutdown");
-        // Draining continues after shutdown, then None.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
+    fn soon(ms: u64) -> Instant {
+        Instant::now() + Duration::from_millis(ms)
     }
 
     #[test]
-    fn shutdown_wakes_blocked_poppers() {
-        let q = std::sync::Arc::new(BoundedQueue::<u32>::new(1));
-        let q2 = std::sync::Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.shutdown();
-        assert_eq!(t.join().unwrap(), None);
+    fn slots_lend_in_order_and_come_back_on_drop() {
+        let s = Slots::new(vec![0, 1], 4);
+        let a = s.acquire(soon(1000)).unwrap();
+        let b = s.acquire(soon(1000)).unwrap();
+        assert_eq!((*a, *b), (0, 1));
+        drop(a);
+        assert_eq!(*s.acquire(soon(1000)).unwrap(), 0);
+        drop(b);
+        assert_eq!(s.take_all().len(), 2);
+    }
+
+    #[test]
+    fn no_line_at_depth_zero_sheds_the_second_request_at_once() {
+        let s = Slots::new(vec![()], 0);
+        let _held = s.acquire(soon(10_000)).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(s.acquire(soon(10_000)).err(), Some(NoSlot::Full));
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    /// Spin until `n` requests wait in line.
+    fn until_waiting<T>(s: &Slots<T>, n: usize) {
+        while s.lock().waiting != n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_line_is_bounded_and_a_waiter_leaves_at_its_deadline() {
+        let s = Slots::new(vec![()], 1);
+        let held = s.acquire(soon(10_000)).unwrap();
+        std::thread::scope(|scope| {
+            // One waiter fills the line; the next request is shed.
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                (s.acquire(soon(100)).err(), t0.elapsed())
+            });
+            until_waiting(&s, 1);
+            assert_eq!(s.acquire(soon(10_000)).err(), Some(NoSlot::Full));
+            let (got, waited) = waiter.join().unwrap();
+            assert_eq!(got, Some(NoSlot::Expired));
+            assert!(waited < Duration::from_millis(400), "{waited:?}");
+            // The expired waiter gave its place up: the next request
+            // waits there and gets the slot when it is freed.
+            let next = scope.spawn(|| s.acquire(soon(10_000)).is_ok());
+            until_waiting(&s, 1);
+            drop(held);
+            assert!(next.join().unwrap(), "a freed slot goes to the waiter");
+        });
     }
 }

@@ -1,5 +1,7 @@
-//! The `lpatd` server core: accept loop, per-connection framing, bounded
-//! worker pool, and the fault-isolated request pipeline.
+//! The `lpatd` server core: accept loop, per-connection framing, the slots
+//! requests run in, and the fault-isolated request pipeline. A request
+//! runs on the thread of the connection that read it, once it holds one
+//! of `workers` slots; no other thread executes requests.
 //!
 //! # Isolation model
 //!
@@ -14,8 +16,8 @@
 //!   that frame with a structured error and keeps the connection.
 //! - **worker** (`serve.worker`): the whole compile/run pipeline for one
 //!   request runs under `catch_unwind`; a panic becomes an
-//!   [`ErrClass::Panic`] response to that one client while the worker
-//!   thread survives to take the next job.
+//!   [`ErrClass::Panic`] response to that one client while the
+//!   connection's thread goes on to read its next frame.
 //! - **deadline** (`serve.deadline`): cooperative deadline checks at stage
 //!   boundaries turn a runaway request into [`ErrClass::Deadline`];
 //!   execution itself is always fuel-bounded so overrun is bounded by one
@@ -25,14 +27,15 @@
 //!
 //! Admission is two-tiered (see [`crate::admission`]): deterministic
 //! quota violations answer [`ErrClass::Quota`]; load-dependent pressure —
-//! tenant in-flight caps and a full bounded queue — answers
-//! [`Response::Busy`] with a retry hint. Memory use is bounded by
-//! `max_frame` × (connections + queue depth); nothing queues unboundedly.
+//! tenant in-flight caps and a full line for a slot — answers
+//! [`Response::Busy`] with a retry hint. A connection holds one frame at
+//! a time, waiting for a slot or not, so memory use is bounded by
+//! `max_frame` × connections; nothing queues unboundedly.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -43,7 +46,7 @@ use lpat_vm::{PgoOptions, Store, VmOptions};
 
 use lpat_core::hash::fnv1a64;
 
-use crate::admission::{Admission, BoundedQueue, InflightGuard, TenantQuota};
+use crate::admission::{Admission, NoSlot, Slots, TenantQuota};
 use crate::net::{Conn, Listener};
 use crate::proto::{
     decode_request, encode_response, read_frame, write_frame, Addr, ErrClass, Op, ProtoError,
@@ -58,9 +61,11 @@ pub struct ServerConfig {
     /// Listen address (`tcp:host:port` or `unix:/path`). Port 0 binds an
     /// ephemeral port; read it back from [`Server::local_addr`].
     pub addr: String,
-    /// Worker threads executing requests.
+    /// Slots: how many requests execute at once, each on the thread of
+    /// the connection that sent it.
     pub workers: usize,
-    /// Bounded work-queue depth; a full queue sheds with `Busy`.
+    /// How many requests may wait for a slot while every slot is busy; a
+    /// request past them is answered `Busy` at once. 0: none waits.
     pub queue_depth: usize,
     /// Maximum accepted frame length (request payload bound).
     pub max_frame: u32,
@@ -76,18 +81,12 @@ pub struct ServerConfig {
     pub cache_dir: Option<std::path::PathBuf>,
     /// Stop after completing this many requests (tests, benchmarks).
     pub max_requests: Option<u64>,
-    /// Worker isolation: in-process threads (default) or pooled
-    /// re-exec'd `lpatd --worker` subprocesses under a supervisor.
+    /// Request isolation: on the connection's thread (default) or in a
+    /// re-exec'd `lpatd --worker` subprocess, one per slot.
     pub isolate: Isolation,
     /// Extra argv appended to worker subprocesses (e.g. a fault plan
     /// that must arm inside workers rather than in the daemon).
     pub worker_args: Vec<String>,
-    /// Base delay of the supervisor's exponential respawn backoff
-    /// (doubles per consecutive crash, capped internally).
-    pub restart_backoff: Duration,
-    /// Watchdog slack past a request's deadline before a silent worker
-    /// is declared wedged and hard-killed.
-    pub watchdog_grace: Duration,
     /// Crash-loop breaker: worker crashes charged to one payload hash
     /// within [`ServerConfig::crash_window`] before it is quarantined.
     pub crash_k: u32,
@@ -100,7 +99,7 @@ pub struct ServerConfig {
     pub worker_trace: Option<trace::ClockMode>,
     /// Directory for per-slot flight-recorder spill files. When set, each
     /// worker keeps a bounded ring of its recent trace events spilled to
-    /// `slot<N>.spill`; after a crash or watchdog kill the supervisor
+    /// `slot<N>.spill`; after a crash or watchdog kill the daemon
     /// salvages the checksum-valid prefix into a `*.flight` dump that the
     /// `Crashed` diagnostic references. `None` disables the recorder.
     pub flight_dir: Option<std::path::PathBuf>,
@@ -120,8 +119,6 @@ impl Default for ServerConfig {
             max_requests: None,
             isolate: Isolation::Thread,
             worker_args: Vec::new(),
-            restart_backoff: Duration::from_millis(50),
-            watchdog_grace: Duration::from_millis(500),
             crash_k: 3,
             crash_window: Duration::from_secs(300),
             worker_trace: None,
@@ -143,7 +140,7 @@ pub struct Telemetry {
     /// End-to-end request latency in microseconds (decode to response),
     /// keyed `op:<op>` and `tenant:<tenant>`.
     pub latency_us: trace::HistogramSet,
-    /// Queue wait in microseconds: admission to worker pop.
+    /// Wait for a slot in microseconds, from admission.
     pub queue_wait_us: trace::Histogram,
     /// Fuel granted per request, after defaulting.
     pub fuel: trace::Histogram,
@@ -176,9 +173,9 @@ pub struct ServerStats {
     pub ok: AtomicU64,
     /// Requests answered with a structured error (any class).
     pub errors: AtomicU64,
-    /// Requests answered `Busy` (tenant cap or queue shed).
+    /// Requests answered `Busy` (tenant cap or a full line).
     pub busy: AtomicU64,
-    /// `Busy` responses specifically from a full work queue (shedding).
+    /// `Busy` responses because the line for a slot was full (shedding).
     pub shed_queue: AtomicU64,
     /// `Busy` responses from a tenant's in-flight cap.
     pub busy_tenant: AtomicU64,
@@ -199,8 +196,7 @@ pub struct ServerStats {
     /// Worker subprocesses that died mid-request or between requests
     /// (process isolation only).
     pub worker_crashes: AtomicU64,
-    /// Worker subprocesses respawned by the supervisor after a crash or
-    /// watchdog kill.
+    /// Worker subprocesses respawned after a crash or watchdog kill.
     pub worker_restarts: AtomicU64,
     /// Wedged workers hard-killed by the per-request watchdog.
     pub watchdog_kills: AtomicU64,
@@ -287,7 +283,7 @@ impl ServerStats {
 }
 
 /// Everything needed to execute one request, independent of transport or
-/// supervision: the counters, the lifelong store, and the fuel policy.
+/// isolation: the counters, the lifelong store, and the fuel policy.
 /// The daemon owns one inside its shared state; an `lpatd --worker`
 /// subprocess builds its own around stdio
 /// ([`crate::worker::run_worker_stdio`]).
@@ -308,30 +304,36 @@ impl Engine {
     }
 }
 
-/// One admitted request queued for a worker. Dropping a `Job` without
-/// processing it (queue shutdown) releases its in-flight slot via the
-/// guard and leaves the client to its deadline.
-struct Job {
-    req: Request,
-    /// FNV-1a of the raw module payload — the crash breaker's key (0 for
-    /// payload-less ops, which are never charged).
-    payload_hash: u64,
-    deadline: Instant,
-    /// When the job entered the queue (queue-wait telemetry).
-    enqueued: Instant,
-    /// The `serve.queued` span, opened at enqueue and recorded when the
-    /// popping worker drops it — one stopwatch for the queue wait.
-    queued: trace::Span,
-    tx: mpsc::Sender<Response>,
-    _inflight: InflightGuard,
+/// One of the `workers` slots a request runs in. Under thread isolation
+/// it is only a permit; under process isolation it owns the slot's worker
+/// subprocess and what respawning it needs.
+struct Slot {
+    /// Names the slot's pid in the stats and its flight-recorder spill.
+    index: usize,
+    worker: Option<ProcWorker>,
+    /// Worker deaths since the last clean answer.
+    crashes: u32,
+    /// No worker is spawned before this: the respawn backoff.
+    not_before: Instant,
+    /// Whether the slot ever had a worker (a later spawn is a restart).
+    spawned: bool,
 }
 
-/// State shared by the accept loop, connection threads, and workers.
+impl Slot {
+    /// Count one more death in a row and hold off the next spawn for its
+    /// backoff.
+    fn back_off(&mut self) {
+        self.not_before = Instant::now() + respawn_backoff(self.crashes);
+        self.crashes = self.crashes.saturating_add(1);
+    }
+}
+
+/// State shared by the accept loop and the connection threads.
 struct Shared {
     cfg: ServerConfig,
     engine: Engine,
     admission: Arc<Admission>,
-    queue: BoundedQueue<Job>,
+    slots: Slots<Slot>,
     breaker: Option<CrashBreaker>,
     shutdown: AtomicBool,
     completed: AtomicU64,
@@ -340,7 +342,6 @@ struct Shared {
 impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.shutdown();
     }
 
     fn shutting_down(&self) -> bool {
@@ -356,13 +357,25 @@ impl Shared {
             }
         }
     }
+
+    /// Publish the live worker pid of `slot` (0: none) for the stats.
+    fn set_pid(&self, slot: usize, pid: u32) {
+        let mut pids = self
+            .engine
+            .stats
+            .worker_pids
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(p) = pids.get_mut(slot) {
+            *p = u64::from(pid);
+        }
+    }
 }
 
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: Listener,
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 /// Handle to a server running on a background thread.
@@ -409,8 +422,8 @@ impl Drop for Handle {
 }
 
 impl Server {
-    /// Bind the listen socket, open the store, and spawn the worker
-    /// pool. The accept loop does not run until [`Server::run`].
+    /// Bind the listen socket, open the store, and set out the slots.
+    /// The accept loop does not run until [`Server::run`].
     ///
     /// # Errors
     ///
@@ -435,48 +448,37 @@ impl Server {
             Isolation::Process => Some(CrashBreaker::new(cfg.crash_k, cfg.crash_window)),
             Isolation::Thread => None,
         };
+        let nslots = cfg.workers.max(1);
+        let slots = (0..nslots)
+            .map(|index| Slot {
+                index,
+                worker: None,
+                crashes: 0,
+                not_before: Instant::now(),
+                spawned: false,
+            })
+            .collect();
         let engine = Engine::new(store, cfg.default_fuel);
+        if cfg.isolate == Isolation::Process {
+            // One pid per slot; chaos tests scrape these from the Stats op
+            // to aim their kills.
+            engine
+                .stats
+                .worker_pids
+                .lock()
+                .expect("a new mutex is not poisoned")
+                .resize(nslots, 0);
+        }
         let shared = Arc::new(Shared {
             admission: Admission::new(cfg.quota.clone()),
-            queue: BoundedQueue::new(cfg.queue_depth),
+            slots: Slots::new(slots, cfg.queue_depth),
             engine,
             breaker,
             shutdown: AtomicBool::new(false),
             completed: AtomicU64::new(0),
             cfg,
         });
-        let nworkers = shared.cfg.workers.max(1);
-        if shared.cfg.isolate == Isolation::Process {
-            // One pid slot per supervisor; chaos tests scrape these from
-            // the Stats op to aim their kills.
-            let mut pids = shared
-                .engine
-                .stats
-                .worker_pids
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            pids.resize(nworkers, 0);
-        }
-        let workers = (0..nworkers)
-            .map(|i| {
-                let sh = Arc::clone(&shared);
-                match shared.cfg.isolate {
-                    Isolation::Thread => thread::Builder::new()
-                        .name(format!("lpatd-worker-{i}"))
-                        .spawn(move || worker_loop(&sh))
-                        .expect("spawn worker"),
-                    Isolation::Process => thread::Builder::new()
-                        .name(format!("lpatd-supervisor-{i}"))
-                        .spawn(move || proc_worker_loop(&sh, i))
-                        .expect("spawn supervisor"),
-                }
-            })
-            .collect();
-        Ok(Server {
-            listener,
-            shared,
-            workers,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (ephemeral ports resolved).
@@ -484,19 +486,16 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Run the accept loop on this thread until shutdown, then join
-    /// workers and connection threads.
+    /// Run the accept loop on this thread until shutdown, then join the
+    /// connection threads and let the slots' workers exit.
     pub fn run(self) {
-        let Server {
-            listener,
-            shared,
-            workers,
-        } = self;
+        let Server { listener, shared } = self;
         let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
         let engine = &shared.engine;
         while !shared.shutting_down() {
             // SIGTERM/SIGINT request the same drain `--max-requests`
-            // takes: stop accepting, finish the queue, join everything.
+            // takes: stop accepting, finish what was admitted, join
+            // everything.
             if signal::drain_requested() {
                 shared.begin_shutdown();
                 break;
@@ -550,12 +549,14 @@ impl Server {
                 Err(_) => thread::sleep(Duration::from_millis(2)),
             }
         }
-        shared.queue.shutdown();
-        for j in workers {
-            let _ = j.join();
-        }
         for j in conns {
             let _ = j.join();
+        }
+        // Nothing holds a slot now: each worker exits on stdin EOF.
+        for slot in shared.slots.take_all() {
+            if let Some(w) = slot.worker {
+                w.shutdown();
+            }
         }
     }
 
@@ -576,16 +577,11 @@ impl Server {
     }
 }
 
-/// How long a connection waits for its response beyond the request's own
-/// deadline before answering `Deadline` itself (covers queue shutdown and
-/// scheduling slop).
-const RESPONSE_GRACE: Duration = Duration::from_millis(500);
-
 /// How long an idle connection read blocks before re-checking shutdown:
 /// what makes a drain prompt, not a client-visible timeout.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// Serve one connection: read frames, admit, queue, relay responses.
+/// Serve one connection: read frames, admit, run, answer.
 /// Every exit path answers or closes cleanly — the protocol has no
 /// half-written frames because responses are single `write_frame` calls.
 fn connection_loop(shared: &Arc<Shared>, mut conn: Conn) {
@@ -667,7 +663,7 @@ fn connection_loop(shared: &Arc<Shared>, mut conn: Conn) {
 /// process, so serial request sequences get deterministic ids.
 static NEXT_RID: AtomicU64 = AtomicU64::new(1);
 
-/// Admit, enqueue, and await one decoded request.
+/// Admit one decoded request, wait for a slot, and run it there.
 fn handle_request(shared: &Arc<Shared>, mut req: Request) -> Response {
     let engine = &shared.engine;
     engine.stats.bump(&engine.stats.requests, "serve.requests");
@@ -722,7 +718,7 @@ fn handle_request(shared: &Arc<Shared>, mut req: Request) -> Response {
             );
         }
     }
-    let inflight = match shared
+    let _inflight = match shared
         .admission
         .admit(&req.tenant, req.module.len() as u64, req.fuel)
     {
@@ -753,52 +749,45 @@ fn handle_request(shared: &Arc<Shared>, mut req: Request) -> Response {
     drop(adm);
     let mut queued = trace::span("serve", "queued");
     queued.arg("rid", rid.to_string());
-    let is_run = matches!(req.op, Op::Run);
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        req,
-        payload_hash,
-        deadline,
-        enqueued: Instant::now(),
-        queued,
-        tx,
-        _inflight: inflight,
-    };
-    if shared.queue.try_push(job).is_err() {
-        // The load-shedding path: the queue is full (or shutting down);
-        // the job (and its in-flight slot) is dropped right here.
-        engine
-            .stats
-            .bump(&engine.stats.shed_queue, "serve.shed_queue");
-        return Response::Busy {
-            retry_after_ms: 100,
-            reason: "work queue full".into(),
-        };
-    }
-    let wait = deadline.saturating_duration_since(Instant::now()) + RESPONSE_GRACE;
-    match rx.recv_timeout(wait) {
-        Ok(resp) => {
-            // Counted here, from the answer, and not where the run
-            // executes: under process isolation that is a worker
-            // subprocess with counters of its own.
-            if let (true, Response::Ok { cache_hit, .. }) = (is_run, &resp) {
-                if *cache_hit {
-                    engine
-                        .stats
-                        .bump(&engine.stats.cache_hits, "serve.cache_hits");
-                } else if engine.store.is_some() {
-                    engine
-                        .stats
-                        .bump(&engine.stats.cache_misses, "serve.cache_misses");
-                }
-            }
-            resp
+    let waiting = Instant::now();
+    let slot = shared.slots.acquire(deadline);
+    drop(queued);
+    let mut slot = match slot {
+        Ok(slot) => slot,
+        Err(NoSlot::Full) => {
+            // The load-shedding path: every slot is busy and the line is
+            // full.
+            engine
+                .stats
+                .bump(&engine.stats.shed_queue, "serve.shed_queue");
+            return Response::Busy {
+                retry_after_ms: 100,
+                reason: "work queue full".into(),
+            };
         }
-        Err(_) => Response::err(
-            ErrClass::Deadline,
-            "request abandoned: no response within deadline",
-        ),
+        Err(NoSlot::Expired) => return expired("queued"),
+    };
+    engine
+        .stats
+        .telemetry()
+        .queue_wait_us
+        .record(waiting.elapsed().as_micros() as u64);
+    let resp = execute(shared, &mut slot, &req, payload_hash, deadline);
+    // Counted here, from the answer, and not where the run executes:
+    // under process isolation that is a worker subprocess with counters
+    // of its own.
+    if let (Op::Run, Response::Ok { cache_hit, .. }) = (req.op, &resp) {
+        if *cache_hit {
+            engine
+                .stats
+                .bump(&engine.stats.cache_hits, "serve.cache_hits");
+        } else if engine.store.is_some() {
+            engine
+                .stats
+                .bump(&engine.stats.cache_misses, "serve.cache_misses");
+        }
     }
+    resp
 }
 
 /// Attribute one outgoing response in the stats.
@@ -829,177 +818,135 @@ fn send(conn: &mut Conn, resp: &Response) -> bool {
     write_frame(conn, &payload).is_ok() && conn.flush().is_ok()
 }
 
-/// Worker thread: pop jobs until shutdown; isolate each job's pipeline.
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        let Job {
-            req,
-            deadline,
-            enqueued,
-            queued,
-            tx,
-            ..
-        } = job;
-        drop(queued); // record the queue-wait span
-        shared
-            .engine
-            .stats
-            .telemetry()
-            .queue_wait_us
-            .record(enqueued.elapsed().as_micros() as u64);
-        let mut sp = trace::span("serve", "request");
-        sp.arg("rid", req.request_id.to_string());
-        sp.arg("op", req.op.name());
-        sp.arg("tenant", req.tenant.clone());
+/// Run one request in the slot it holds: in place under `catch_unwind`,
+/// or in the slot's worker subprocess.
+fn execute(
+    shared: &Shared,
+    slot: &mut Slot,
+    req: &Request,
+    payload_hash: u64,
+    deadline: Instant,
+) -> Response {
+    let mut sp = trace::span("serve", "request");
+    sp.arg("rid", req.request_id.to_string());
+    sp.arg("op", req.op.name());
+    sp.arg("tenant", req.tenant.clone());
+    let resp = match shared.cfg.isolate {
         // The whole pipeline for one request is one isolation domain: a
         // panic anywhere inside — parser, optimizer, VM, store — becomes
-        // a structured error for THIS client; the worker survives.
-        let resp = match catch_unwind(AssertUnwindSafe(|| process(&shared.engine, &req, deadline)))
-        {
-            Ok(resp) => resp,
-            Err(payload) => {
-                let msg = panic_message(&payload);
-                Response::err(ErrClass::Panic, format!("request pipeline panicked: {msg}"))
-            }
-        };
-        sp.arg("status", resp.status_label());
-        drop(sp);
-        // A dead receiver means the client gave up (deadline, hangup);
-        // the work is discarded and the in-flight slot frees on drop.
-        let _ = tx.send(resp);
-    }
+        // a structured error for THIS client; the daemon survives.
+        Isolation::Thread => {
+            catch_unwind(AssertUnwindSafe(|| process(&shared.engine, req, deadline)))
+                .unwrap_or_else(|payload| {
+                    let msg = panic_message(&payload);
+                    Response::err(ErrClass::Panic, format!("request pipeline panicked: {msg}"))
+                })
+        }
+        Isolation::Process => in_worker(shared, slot, req, payload_hash, deadline, &mut sp),
+    };
+    sp.arg("status", resp.status_label());
+    resp
 }
 
-/// Supervisor thread for one process-isolated worker slot: keep an
-/// `lpatd --worker` subprocess alive, feed it jobs one at a time, and
-/// absorb its deaths. A crash or watchdog kill costs the in-flight
+/// Hand one request to the slot's `lpatd --worker` subprocess, spawning
+/// one first if the slot has none. A crash or watchdog kill costs this
 /// client a structured error ([`ErrClass::Crashed`] / deadline), charges
-/// the crash breaker, and respawns the slot with exponential backoff;
-/// the daemon itself never goes down with a worker.
-fn proc_worker_loop(shared: &Arc<Shared>, slot: usize) {
+/// the crash breaker and reaps the worker; the slot's next holder spawns
+/// a fresh one once the respawn backoff has passed, so this client is
+/// answered without waiting for it. The daemon never goes down with a
+/// worker.
+fn in_worker(
+    shared: &Shared,
+    slot: &mut Slot,
+    req: &Request,
+    payload_hash: u64,
+    deadline: Instant,
+    sp: &mut trace::Span,
+) -> Response {
     let engine = &shared.engine;
-    let set_pid = |pid: u64| {
-        let mut pids = engine
-            .stats
-            .worker_pids
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = pids.get_mut(slot) {
-            *p = pid;
+    if slot.worker.is_none() {
+        thread::sleep(
+            slot.not_before
+                .min(deadline)
+                .saturating_duration_since(Instant::now()),
+        );
+        if Instant::now() >= deadline {
+            return expired("queued");
+        }
+        match ProcWorker::spawn(&shared.cfg, slot.index) {
+            Ok(w) => {
+                if slot.spawned {
+                    engine
+                        .stats
+                        .bump(&engine.stats.worker_restarts, "serve.worker_restarts");
+                }
+                slot.spawned = true;
+                shared.set_pid(slot.index, w.pid);
+                slot.worker = Some(w);
+            }
+            Err(e) => {
+                // Can't even exec the worker binary: answer this client
+                // and let a later holder try again after the backoff.
+                slot.back_off();
+                return Response::err(
+                    ErrClass::Internal,
+                    format!("cannot spawn worker process: {e}"),
+                );
+            }
+        }
+    }
+    let w = slot.worker.as_mut().expect("worker spawned above");
+    if trace::clock_mode() == trace::ClockMode::Real {
+        // Real pids vary run to run; the virtual-clock export must stay a
+        // pure function of the request sequence.
+        sp.arg("worker_pid", w.pid.to_string());
+    }
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    // Absorbed worker events are re-timed relative to dispatch start.
+    let ts_base = trace::now_us();
+    let (class, what) = match w.dispatch(req, remaining) {
+        Dispatch::Reply(resp, sidecar) => {
+            slot.crashes = 0;
+            if let Some(blob) = sidecar {
+                // A garbled sidecar costs the trace lane, never the
+                // response that already arrived intact.
+                let _ = trace::absorb_foreign(&blob, ts_base);
+            }
+            return resp;
+        }
+        Dispatch::Crashed(detail) => {
+            engine
+                .stats
+                .bump(&engine.stats.worker_crashes, "serve.worker_crashes");
+            (
+                ErrClass::Crashed,
+                format!("worker died mid-request: {detail}"),
+            )
+        }
+        Dispatch::Wedged => {
+            // Past deadline + grace with no answer: cooperative checks
+            // have failed; SIGKILL is the only deadline an uncooperative
+            // pipeline respects.
+            engine
+                .stats
+                .bump(&engine.stats.watchdog_kills, "serve.watchdog_kills");
+            (
+                ErrClass::Deadline,
+                "worker exceeded its deadline and was hard-killed by the watchdog".to_string(),
+            )
         }
     };
-    let mut worker: Option<ProcWorker> = None;
-    let mut consecutive: u32 = 0; // crashes since the last clean answer
-    let mut ever_spawned = false;
-    while let Some(job) = shared.queue.pop() {
-        let Job {
-            req,
-            payload_hash,
-            deadline,
-            enqueued,
-            queued,
-            tx,
-            ..
-        } = job;
-        drop(queued); // record the queue-wait span
-        engine
-            .stats
-            .telemetry()
-            .queue_wait_us
-            .record(enqueued.elapsed().as_micros() as u64);
-        if worker.is_none() {
-            match ProcWorker::spawn(&shared.cfg, slot) {
-                Ok(w) => {
-                    if ever_spawned {
-                        engine
-                            .stats
-                            .bump(&engine.stats.worker_restarts, "serve.worker_restarts");
-                    }
-                    ever_spawned = true;
-                    set_pid(u64::from(w.pid));
-                    worker = Some(w);
-                }
-                Err(e) => {
-                    // Can't even exec the worker binary: answer this
-                    // client, back off, and keep trying on later jobs.
-                    let _ = tx.send(Response::err(
-                        ErrClass::Internal,
-                        format!("cannot spawn worker process: {e}"),
-                    ));
-                    thread::sleep(respawn_backoff(shared.cfg.restart_backoff, consecutive));
-                    consecutive = consecutive.saturating_add(1);
-                    continue;
-                }
-            }
-        }
-        let w = worker.as_mut().expect("worker spawned above");
-        let mut sp = trace::span("serve", "request");
-        sp.arg("rid", req.request_id.to_string());
-        sp.arg("op", req.op.name());
-        sp.arg("tenant", req.tenant.clone());
-        if trace::clock_mode() == trace::ClockMode::Real {
-            // Real pids vary run to run; the virtual-clock export must
-            // stay a pure function of the request sequence.
-            sp.arg("worker_pid", w.pid.to_string());
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        // Absorbed worker events are re-timed relative to dispatch start.
-        let ts_base = trace::now_us();
-        let (resp, died) = match w.dispatch(&req, remaining, shared.cfg.watchdog_grace) {
-            Dispatch::Reply(resp, sidecar) => {
-                consecutive = 0;
-                if let Some(blob) = sidecar {
-                    // A garbled sidecar costs the trace lane, never the
-                    // response that already arrived intact.
-                    let _ = trace::absorb_foreign(&blob, ts_base);
-                }
-                (resp, false)
-            }
-            Dispatch::Crashed(detail) => {
-                engine
-                    .stats
-                    .bump(&engine.stats.worker_crashes, "serve.worker_crashes");
-                charge_crash(shared, payload_hash);
-                let msg = match salvage_flight(shared, slot, req.request_id) {
-                    Some(note) => format!("worker died mid-request: {detail}; {note}"),
-                    None => format!("worker died mid-request: {detail}"),
-                };
-                (Response::err(ErrClass::Crashed, msg), true)
-            }
-            Dispatch::Wedged => {
-                // Past deadline + grace with no answer: cooperative
-                // checks have failed; SIGKILL is the only deadline an
-                // uncooperative pipeline respects.
-                engine
-                    .stats
-                    .bump(&engine.stats.watchdog_kills, "serve.watchdog_kills");
-                charge_crash(shared, payload_hash);
-                let base = "worker exceeded its deadline and was hard-killed by the watchdog";
-                let msg = match salvage_flight(shared, slot, req.request_id) {
-                    Some(note) => format!("{base}; {note}"),
-                    None => base.to_string(),
-                };
-                (Response::err(ErrClass::Deadline, msg), true)
-            }
-        };
-        sp.arg("status", resp.status_label());
-        drop(sp);
-        // Answer the client before paying the respawn backoff.
-        let _ = tx.send(resp);
-        if died {
-            if let Some(mut w) = worker.take() {
-                w.reap();
-            }
-            set_pid(0);
-            thread::sleep(respawn_backoff(shared.cfg.restart_backoff, consecutive));
-            consecutive = consecutive.saturating_add(1);
-        }
+    charge_crash(shared, payload_hash);
+    let msg = match salvage_flight(shared, slot.index, req.request_id) {
+        Some(note) => format!("{what}; {note}"),
+        None => what,
+    };
+    if let Some(mut w) = slot.worker.take() {
+        w.reap();
     }
-    // Queue drained and shut down: let the worker exit on stdin EOF.
-    if let Some(w) = worker.take() {
-        w.shutdown();
-    }
-    set_pid(0);
+    shared.set_pid(slot.index, 0);
+    slot.back_off();
+    Response::err(class, msg)
 }
 
 /// Salvage a dead (or wedged) worker's flight-recorder spill: parse the
@@ -1061,6 +1008,14 @@ pub(crate) fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The answer to a request whose deadline passed at `stage`.
+fn expired(stage: &str) -> Response {
+    Response::err(
+        ErrClass::Deadline,
+        format!("deadline expired at stage '{stage}'"),
+    )
+}
+
 /// Cooperative deadline check at a stage boundary. The `serve.deadline`
 /// fault site can force expiry (corrupt/io), panic, or stall here.
 fn check_deadline(stage: &str, deadline: Instant) -> Result<(), Response> {
@@ -1072,17 +1027,14 @@ fn check_deadline(stage: &str, deadline: Instant) -> Result<(), Response> {
         None => {}
     }
     if forced || Instant::now() >= deadline {
-        return Err(Response::err(
-            ErrClass::Deadline,
-            format!("deadline expired at stage '{stage}'"),
-        ));
+        return Err(expired(stage));
     }
     Ok(())
 }
 
-/// Execute one request end to end against an [`Engine`]. Runs inside the
-/// worker's `catch_unwind` (thread isolation) or inside an `lpatd
-/// --worker` subprocess (process isolation); may panic freely.
+/// Execute one request end to end against an [`Engine`]. Runs under the
+/// connection thread's `catch_unwind` (thread isolation) or inside an
+/// `lpatd --worker` subprocess (process isolation); may panic freely.
 pub(crate) fn process(engine: &Engine, req: &Request, deadline: Instant) -> Response {
     // The worker fault site, manifested before any real work.
     match faultpoint!("serve.worker") {

@@ -1,10 +1,11 @@
 //! Minimal, dependency-free SIGTERM/SIGINT handling for graceful drain.
 //!
 //! `lpatd` historically only exited cleanly via `--max-requests`; a
-//! ctrl-c or service-manager SIGTERM tore it down mid-queue. This module
-//! turns both signals into a *drain request*: an async-signal-safe flag
-//! the accept loop polls, after which the server stops accepting,
-//! finishes the queue, flushes, and joins workers — the same clean path
+//! ctrl-c or service-manager SIGTERM tore it down mid-request. This
+//! module turns both signals into a *drain request*: an async-signal-safe
+//! flag the accept loop polls, after which the server stops accepting,
+//! finishes what it admitted, flushes, and joins its connection threads —
+//! the same clean path
 //! `--max-requests` takes.
 //!
 //! No `libc` crate: the workspace is zero-dependency, and `std` already
@@ -62,7 +63,7 @@ pub fn install_term_handlers() {
 
 /// Make SIGTERM/SIGINT no-ops. Worker subprocesses use this: a ctrl-c
 /// delivered to the whole process group must not make mid-drain workers
-/// look like crashes — the supervisor alone decides their fate (stdin
+/// look like crashes — the daemon alone decides their fate (stdin
 /// EOF for drain, SIGKILL for wedges).
 pub fn ignore_term_signals() {
     imp::ignore_term_signals();

@@ -1,24 +1,25 @@
-//! Process-isolated workers: the supervision layer behind
+//! Process-isolated workers: the crash-only layer behind
 //! `lpatd --isolate process`.
 //!
-//! The thread-pool isolation in [`crate::server`] is `catch_unwind`-deep:
-//! it absorbs panics, but an abort, stack smash, OOM kill, or `kill -9`
-//! still takes the whole daemon down. This module adds the missing layer
-//! of the supervision tree. Each worker *slot* is a supervisor thread
-//! that re-execs the daemon binary as `lpatd --worker` — a subprocess
-//! speaking the existing LPRQ/LPRS framing over its inherited
-//! stdin/stdout pipes — and feeds it one request at a time:
+//! The thread isolation in [`crate::server`] is `catch_unwind`-deep: it
+//! absorbs panics, but an abort, stack smash, OOM kill, or `kill -9`
+//! still takes the whole daemon down. Under process isolation each of the
+//! daemon's slots owns a worker: the daemon binary re-exec'd as
+//! `lpatd --worker`, a subprocess speaking the existing LPRQ/LPRS framing
+//! over its inherited stdin/stdout pipes. The connection thread holding
+//! the slot hands its request to the slot's worker and waits:
 //!
-//! - a worker that **answers** delivers its response frame to the waiting
-//!   client, exactly as a thread worker would;
+//! - a worker that **answers** delivers its response frame to the client,
+//!   exactly as a thread-isolated request would;
 //! - a worker that **dies** mid-request (any exit, any signal) costs that
-//!   one client a structured [`ErrClass::Crashed`] response; the
-//!   supervisor reaps the corpse and respawns the slot with exponential
-//!   backoff (consecutive crashes back off, a success resets);
+//!   one client a structured [`ErrClass::Crashed`] response; the corpse is
+//!   reaped and the slot's next holder spawns a fresh worker once the
+//!   exponential respawn backoff has passed (consecutive crashes back
+//!   off, a success resets);
 //! - a worker that **wedges** — no answer by the request's deadline plus
-//!   [`crate::server::ServerConfig::watchdog_grace`] — is hard-killed
-//!   (SIGKILL; cooperative deadline checks cannot stop a runaway native
-//!   path), answered as [`ErrClass::Deadline`], and the slot respawns.
+//!   `WATCHDOG_GRACE` — is hard-killed (SIGKILL; cooperative deadline
+//!   checks cannot stop a runaway native path), answered as
+//!   [`ErrClass::Deadline`], and replaced the same way.
 //!
 //! On top sits the crash-loop circuit breaker ([`CrashBreaker`]): every
 //! crash or watchdog kill is charged to the FNV-1a hash of the raw
@@ -49,12 +50,12 @@ use lpat_vm::Store;
 /// Where request pipelines execute.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Isolation {
-    /// In-process worker threads under `catch_unwind` (the PR-7 model):
-    /// cheapest, absorbs panics, dies with aborts.
+    /// On the connection's thread under `catch_unwind`: cheapest,
+    /// absorbs panics, dies with aborts.
     #[default]
     Thread,
-    /// Pooled `lpatd --worker` subprocesses under a supervisor: absorbs
-    /// aborts, stack overflows, OOM kills, and `kill -9`.
+    /// One `lpatd --worker` subprocess per slot: absorbs aborts, stack
+    /// overflows, OOM kills, and `kill -9`.
     Process,
 }
 
@@ -73,8 +74,14 @@ impl Isolation {
     }
 }
 
-/// Upper bound on supervisor respawn backoff regardless of base.
+/// The first respawn backoff of a slot whose worker died; it doubles per
+/// consecutive death.
+const RESPAWN_BACKOFF: Duration = Duration::from_millis(50);
+/// Upper bound on the respawn backoff.
 const RESPAWN_BACKOFF_CAP: Duration = Duration::from_secs(5);
+/// Slack past a request's deadline before a silent worker is declared
+/// wedged and hard-killed.
+const WATCHDOG_GRACE: Duration = Duration::from_millis(500);
 /// How long a graceful shutdown waits for a worker to exit on stdin EOF
 /// before hard-killing it.
 const SHUTDOWN_PATIENCE: Duration = Duration::from_secs(2);
@@ -87,13 +94,13 @@ pub(crate) enum Dispatch {
     Reply(Response, Option<Vec<u8>>),
     /// The worker process died before answering (exit, abort, signal).
     Crashed(String),
-    /// The worker blew the deadline plus the watchdog grace; the caller
+    /// The worker blew the deadline plus `WATCHDOG_GRACE`; the caller
     /// must hard-kill it.
     Wedged,
 }
 
-/// One pooled worker subprocess plus the reader thread that pumps its
-/// stdout frames into a channel (so the supervisor can time out a read
+/// One worker subprocess plus the reader thread that pumps its stdout
+/// frames into a channel (so its slot's holder can time out a read
 /// without platform-specific pipe polling).
 pub(crate) struct ProcWorker {
     child: std::process::Child,
@@ -111,7 +118,7 @@ impl ProcWorker {
     /// Re-exec this binary as `lpatd --worker` with pipes on
     /// stdin/stdout. Stderr is inherited: a worker's dying words (panic
     /// messages, abort notices) belong in the daemon's log. `slot` names
-    /// this supervisor's flight-recorder spill file.
+    /// the slot's flight-recorder spill file.
     pub(crate) fn spawn(cfg: &ServerConfig, slot: usize) -> std::io::Result<ProcWorker> {
         let mut cmd = std::process::Command::new(std::env::current_exe()?);
         cmd.arg("--worker");
@@ -145,7 +152,7 @@ impl ProcWorker {
             .spawn(move || {
                 // Frames flow until the pipe closes (worker death or
                 // clean EOF exit); either way the channel disconnects and
-                // the supervisor sees it as recv failure.
+                // the dispatcher sees it as recv failure.
                 while let Ok(frame) = read_frame(&mut stdout, max_frame) {
                     if tx.send(frame).is_err() {
                         break;
@@ -165,14 +172,9 @@ impl ProcWorker {
     /// Hand one request to the worker and wait for its answer, the
     /// watchdog timeout, or its death. `remaining` is the request's
     /// remaining wall-clock budget; the worker sees it as its own
-    /// deadline, and the supervisor waits `remaining + grace` before
+    /// deadline, and the caller waits `remaining + WATCHDOG_GRACE` before
     /// declaring a wedge.
-    pub(crate) fn dispatch(
-        &mut self,
-        req: &Request,
-        remaining: Duration,
-        grace: Duration,
-    ) -> Dispatch {
+    pub(crate) fn dispatch(&mut self, req: &Request, remaining: Duration) -> Dispatch {
         let mut fwd = req.clone();
         fwd.deadline_ms = u32::try_from(remaining.as_millis())
             .unwrap_or(u32::MAX)
@@ -185,7 +187,7 @@ impl ProcWorker {
             // EPIPE: the worker died between requests.
             return Dispatch::Crashed("write to worker failed (EPIPE)".into());
         }
-        match self.rx.recv_timeout(remaining + grace) {
+        match self.rx.recv_timeout(remaining + WATCHDOG_GRACE) {
             Ok(frame) => match decode_response(&frame) {
                 Ok(resp) => {
                     // A tracing worker writes its sidecar frame back to
@@ -193,9 +195,7 @@ impl ProcWorker {
                     // stalls) in between forfeits the trace, never the
                     // answer that already arrived intact.
                     let sidecar = if self.ships_trace {
-                        self.rx
-                            .recv_timeout(grace.max(Duration::from_millis(100)))
-                            .ok()
+                        self.rx.recv_timeout(WATCHDOG_GRACE).ok()
                     } else {
                         None
                     };
@@ -250,7 +250,8 @@ impl ProcWorker {
 
 impl Drop for ProcWorker {
     fn drop(&mut self) {
-        // Backstop for abnormal supervisor exits: never leak a child.
+        // Backstop for a slot dropped without `shutdown`: never leak a
+        // child.
         let _ = self.child.kill();
         let _ = self.child.wait();
         if let Some(j) = self.reader.take() {
@@ -378,15 +379,15 @@ impl CrashBreaker {
 // -- worker-process main loop ---------------------------------------------
 
 /// The `lpatd --worker` main loop: read request frames from stdin,
-/// execute each through the same [`process`] pipeline the thread pool
+/// execute each through the same [`process`] pipeline thread isolation
 /// uses (still under `catch_unwind` — a plain panic should cost one
 /// *request*, not one worker process), write response frames to stdout.
-/// Exits 0 on stdin EOF (the supervisor's graceful drain signal).
+/// Exits 0 on stdin EOF (the daemon's graceful drain signal).
 ///
 /// With `trace_clock` set the worker runs one fresh trace session per
 /// request — ordinals and timestamps restart at zero, so the recorded
 /// buffer is a pure function of the request, independent of how many
-/// workers the daemon pools. When `ships_trace` is also set, every
+/// slots the daemon has. When `ships_trace` is also set, every
 /// response frame is followed by a sidecar frame carrying the serialized
 /// buffer ([`lpat_core::trace::encode_wire_trace`]) for the daemon to
 /// absorb as this process's lane. Enabling the session without shipping
@@ -429,7 +430,7 @@ pub fn run_worker_stdio(
                         ("rid", req.request_id.to_string()),
                     ],
                 );
-                // The supervisor always forwards the budget that is left
+                // The daemon always forwards the budget that is left
                 // (`ProcWorker::dispatch`), never 0 for "use a default".
                 let deadline = Instant::now() + Duration::from_millis(u64::from(req.deadline_ms));
                 match catch_unwind(AssertUnwindSafe(|| process(engine, &req, deadline))) {
@@ -450,7 +451,7 @@ pub fn run_worker_stdio(
             None
         };
         if write_frame(&mut output, &encode_response(&resp)).is_err() || output.flush().is_err() {
-            // The supervisor is gone; nothing left to serve.
+            // The daemon is gone; nothing left to serve.
             return 0;
         }
         if let Some(blob) = sidecar {
@@ -461,11 +462,10 @@ pub fn run_worker_stdio(
     }
 }
 
-// -- supervisor glue used by server.rs ------------------------------------
-
-/// Exponential backoff for respawning a crash-looping worker slot.
-pub(crate) fn respawn_backoff(base: Duration, consecutive: u32) -> Duration {
-    backoff_delay(base, consecutive, RESPAWN_BACKOFF_CAP)
+/// How long a slot waits before respawning a worker after `consecutive`
+/// deaths in a row (0 for the first).
+pub(crate) fn respawn_backoff(consecutive: u32) -> Duration {
+    backoff_delay(RESPAWN_BACKOFF, consecutive, RESPAWN_BACKOFF_CAP)
 }
 
 #[cfg(test)]
@@ -520,9 +520,8 @@ mod tests {
 
     #[test]
     fn respawn_backoff_grows_and_caps() {
-        let base = Duration::from_millis(50);
-        assert_eq!(respawn_backoff(base, 0), base);
-        assert_eq!(respawn_backoff(base, 1), base * 2);
-        assert!(respawn_backoff(base, 30) <= RESPAWN_BACKOFF_CAP);
+        assert_eq!(respawn_backoff(0), RESPAWN_BACKOFF);
+        assert_eq!(respawn_backoff(1), RESPAWN_BACKOFF * 2);
+        assert!(respawn_backoff(30) <= RESPAWN_BACKOFF_CAP);
     }
 }

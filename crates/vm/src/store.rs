@@ -991,8 +991,8 @@ impl ProfileFile {
 
 /// Persisted crash-loop state for one module payload hash: how many times
 /// it has crashed a worker, when, and whether it crossed the breaker
-/// threshold (denylisted). Written by the `lpatd` supervisor; surviving a
-/// daemon restart is the point.
+/// threshold (denylisted). Written by `lpatd` when a worker dies;
+/// surviving a daemon restart is the point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenyRecord {
     /// FNV-1a hash of the raw request payload (not the parsed module —

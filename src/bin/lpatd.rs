@@ -1,9 +1,8 @@
 //! `lpatd` — the fault-isolated multi-tenant compile-and-run daemon.
 //!
 //! ```text
-//! lpatd [--listen ADDR] [--workers N] [--queue N]
+//! lpatd [--listen ADDR] [--workers N] [--queue N] [--cache-dir DIR]
 //!       [--isolate thread|process] [--crash-k N] [--crash-window-ms N]
-//!       [--watchdog-grace-ms N] [--restart-backoff-ms N] [--cache-dir DIR]
 //!       [--max-frame-bytes N] [--default-fuel N] [--deadline-ms N]
 //!       [--tenant-inflight N] [--tenant-bytes N] [--tenant-fuel N]
 //!       [--max-requests N] [--inject-faults PLAN] [--quiet]
@@ -22,7 +21,13 @@
 //! until killed, or until `--max-requests N` requests have completed
 //! (tests and benchmarks use this for a clean, trace-flushing exit).
 //! SIGTERM and SIGINT request the same graceful drain: stop accepting,
-//! finish the queue, flush, exit 0.
+//! finish every admitted request, flush, exit 0.
+//!
+//! A request runs on the thread of the connection that sent it, once it
+//! holds one of `--workers` slots (default 4). While every slot is busy,
+//! up to `--queue` requests (default 16) wait for one, each until its own
+//! deadline; one more is answered `busy` at once, so `--queue 0` means no
+//! request waits.
 //!
 //! `--cache-dir DIR` (or `LPAT_CACHE_DIR`) is the lifelong store of `lpatc
 //! run --cache-dir DIR`, laid out the same: `lpatc reopt --cache-dir DIR`
@@ -32,12 +37,15 @@
 //! Every request is fault-isolated: a panicking, hostile, or runaway
 //! request becomes a structured error on its own connection while the
 //! daemon keeps serving everyone else. `--isolate process` raises the
-//! blast shield from `catch_unwind` to process boundaries: requests run
-//! in pooled `lpatd --worker` subprocesses, so aborts, stack overflows,
-//! OOM kills, and `kill -9` cost one worker (that client gets a
-//! `crashed` error) while the daemon keeps serving; a payload whose
-//! workers keep dying is quarantined by the crash-loop breaker
-//! (`--crash-k` strikes inside `--crash-window-ms`).
+//! blast shield from `catch_unwind` to process boundaries: each slot runs
+//! its requests in an `lpatd --worker` subprocess of its own, so aborts,
+//! stack overflows, OOM kills, and `kill -9` cost one worker (that client
+//! gets a `crashed` error) while the daemon keeps serving. A worker
+//! silent 500 ms past its request's deadline is killed; a dead worker is
+//! respawned by the slot's next request after a backoff of 50 ms that
+//! doubles per death in a row. A payload whose workers keep dying is
+//! quarantined by the crash-loop breaker (`--crash-k` strikes inside
+//! `--crash-window-ms`).
 //!
 //! Observability: `--trace-out` merges the daemon's spans with every
 //! worker subprocess's per-request trace buffer (shipped back over the
@@ -47,20 +55,21 @@
 //! worker also keeps a crash flight recorder — a bounded ring of its
 //! recent trace events spilled to a checksummed file under `--flight-dir`
 //! (default: `<cache-dir>/flight`, or a temp directory) — which the
-//! supervisor salvages into a `*.flight` dump referenced by the `crashed`
+//! daemon salvages into a `*.flight` dump referenced by the `crashed`
 //! diagnostic whenever a worker dies. The final `--stats`/`--metrics-out`
 //! dump happens on every graceful exit path, including SIGTERM/SIGINT
 //! drain.
 //!
 //! `--inject-faults` (or the `LPAT_FAULTS` environment variable) arms
-//! the `serve.accept`, `serve.decode`, `serve.worker`, `serve.deadline`,
-//! and `store.journal` (one hit per durability step of a profile flush:
-//! append, fsync and, when the run compacts, temp write and rename)
-//! sites, and the engines' `jit.translate` and `native.translate` (a
-//! refused translation leaves the function one tier lower) — the same deterministic fault grammar the optimizer and store
-//! use — which is how CI proves the isolation actually holds. Under `--isolate process` the plan is forwarded to
-//! the worker subprocesses rather than armed in the daemon, so faults
-//! land where requests execute.
+//! fault sites with the deterministic grammar the optimizer and the store
+//! use; it is how CI proves the isolation holds. The daemon's sites are
+//! `serve.accept`, `serve.decode`, `serve.worker` and `serve.deadline`.
+//! `store.journal` is hit once per durability step of a profile flush:
+//! the append, its fsync and, when the run compacts, the temp write and
+//! the rename. At `jit.translate` and `native.translate` a refused
+//! translation leaves the function one tier lower. Under `--isolate
+//! process` the plan is forwarded to the worker subprocesses rather than
+//! armed in the daemon, so faults land where requests execute.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -72,8 +81,7 @@ use lpat::serve::{Isolation, ServerConfig};
 const DAEMON: Flags = Flags {
     switches: "--help -h",
     valued: "--listen --workers --queue --isolate --crash-k --crash-window-ms \
-             --watchdog-grace-ms --restart-backoff-ms --cache-dir \
-             --max-frame-bytes --default-fuel --deadline-ms --tenant-inflight \
+             --cache-dir --max-frame-bytes --default-fuel --deadline-ms --tenant-inflight \
              --tenant-bytes --tenant-fuel --max-requests --flight-dir",
 };
 
@@ -86,7 +94,7 @@ const WORKER: Flags = Flags {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `--worker` selects a mode the way a subcommand would; the supervisor
+    // `--worker` selects a mode the way a subcommand would; the daemon
     // always passes it first.
     let result = match argv.split_first() {
         Some((first, rest)) if first == "--worker" => run_worker(rest),
@@ -107,13 +115,15 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         eprintln!(
             "usage: lpatd [--listen tcp:host:port|unix:/path] [--workers N] [--queue N]\n\
              \x20      [--isolate thread|process] [--crash-k N] [--crash-window-ms N]\n\
-             \x20      [--watchdog-grace-ms N] [--restart-backoff-ms N]\n\
-             \x20      [--cache-dir DIR] [--max-frame-bytes N]\n\
-             \x20      [--default-fuel N] [--deadline-ms N]\n\
+             \x20      [--cache-dir DIR] [--max-frame-bytes N] [--default-fuel N]\n\
+             \x20      [--deadline-ms N]\n\
              \x20      [--tenant-inflight N] [--tenant-bytes N] [--tenant-fuel N]\n\
              \x20      [--max-requests N] [--inject-faults PLAN] [--quiet]\n\
              \x20      [--trace-out FILE] [--metrics-out FILE] [--stats]\n\
              \x20      [--trace-clock virtual|real] [--flight-dir DIR]\n\
+             --workers N slots run requests (default 4); --queue N more wait for\n\
+             one (default 16; 0: none waits, a request finding every slot busy\n\
+             is answered busy at once)\n\
              flags may appear in any order; an unknown flag is an error"
         );
         return Ok(ExitCode::SUCCESS);
@@ -165,8 +175,6 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         .map(Into::into);
     set(&args, "--crash-k", &mut cfg.crash_k)?;
     set_ms(&args, "--crash-window-ms", &mut cfg.crash_window)?;
-    set_ms(&args, "--watchdog-grace-ms", &mut cfg.watchdog_grace)?;
-    set_ms(&args, "--restart-backoff-ms", &mut cfg.restart_backoff)?;
     if cfg.isolate == Isolation::Process {
         // Workers trace each request and ship the buffer back whenever
         // the daemon itself is exporting a trace.
@@ -185,7 +193,7 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     }
 
     // SIGTERM/SIGINT drain the daemon through the same clean path
-    // `--max-requests` takes (finish the queue, flush, exit 0).
+    // `--max-requests` takes (finish what was admitted, flush, exit 0).
     lpat::serve::signal::install_term_handlers();
     let server = lpat::serve::Server::bind(cfg)?;
     let addr = server.local_addr();
@@ -200,8 +208,8 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     if !quiet {
         eprintln!("lpatd: shut down cleanly");
     }
-    // Export the trace only after the pool has drained so every request
-    // span and serve.* counter is in the file.
+    // Export the trace only after every request has drained so every
+    // request span and serve.* counter is in the file.
     trace.finish(quiet)?;
     Ok(ExitCode::SUCCESS)
 }
@@ -225,19 +233,19 @@ fn set_ms(args: &Args, flag: &str, field: &mut Duration) -> Result<(), String> {
 /// The `--worker` mode: a supervised subprocess speaking the LPRQ/LPRS
 /// framing over stdin/stdout. No listen socket, no startup line —
 /// stdout carries nothing but response frames. Exits 0 on stdin EOF
-/// (the supervisor's graceful-drain signal).
+/// (the daemon's graceful-drain signal).
 fn run_worker(argv: &[String]) -> Result<ExitCode, String> {
     let args = Args::parse(argv, &[&WORKER])?;
     // A ctrl-c to the process group must not kill workers out from
-    // under the supervisor mid-drain; the supervisor alone decides
+    // under the daemon mid-drain; the daemon alone decides
     // worker fate (stdin EOF to drain, SIGKILL for wedges).
     lpat::serve::signal::ignore_term_signals();
     // The worker is where requests actually execute, so the fault plan
-    // arms here (the supervisor forwards `--inject-faults` verbatim).
+    // arms here (the daemon forwards `--inject-faults` verbatim).
     if let Some(plan) = args.fault_plan()? {
         lpat::core::fault::install(plan);
     }
-    // What the supervisor does not forward it leaves at the default.
+    // What the daemon does not forward it leaves at the default.
     let mut cfg = ServerConfig::default();
     set(&args, "--max-frame-bytes", &mut cfg.max_frame)?;
     set(&args, "--default-fuel", &mut cfg.default_fuel)?;
@@ -245,7 +253,7 @@ fn run_worker(argv: &[String]) -> Result<ExitCode, String> {
         Some(dir) => Some(lpat::vm::Store::open(dir).map_err(|e| format!("cache dir {e}"))?),
         None => None,
     };
-    // Observability plumbing from the supervisor: `--trace-clock` turns
+    // Observability plumbing from the daemon: `--trace-clock` turns
     // on per-request trace sessions shipped back as sidecar frames;
     // `--flight-file` additionally spills a bounded ring of recent
     // events for post-mortem salvage. A flight file without a trace

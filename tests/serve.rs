@@ -336,6 +336,40 @@ fn worker_delay_fault_trips_the_request_deadline() {
     assert_eq!(expect_ok(&resp).0, 42);
 }
 
+#[test]
+fn a_request_that_outwaits_its_deadline_frees_its_place() {
+    // One slot, a line of one. A stalls 1.5 s in the slot; B waits in the
+    // line with a 200 ms deadline. B must be answered at its deadline,
+    // naming the wait, and its place must go with it: C, sent while A
+    // still stalls, waits in that place and is served after A.
+    let mut d = Daemon::spawn(
+        &["--workers", "1", "--queue", "1"],
+        Some("serve.worker:delay=1500@1"),
+    );
+    let addr = d.addr.clone();
+    let a = std::thread::spawn(move || connect(&addr).request(&run_request(ADD_PROG)).unwrap());
+    std::thread::sleep(Duration::from_millis(300)); // let A take the slot
+    let mut b = run_request(ADD_PROG);
+    b.deadline_ms = 200;
+    let t0 = std::time::Instant::now();
+    match connect(&d.addr).request(&b).unwrap() {
+        Response::Err { class, message } => {
+            assert_eq!(class, ErrClass::Deadline, "{message}");
+            assert!(message.contains("'queued'"), "{message}");
+        }
+        other => panic!("B answered {other:?}"),
+    }
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "B answered after {waited:?}"
+    );
+    let resp = connect(&d.addr).request(&run_request(ADD_PROG)).unwrap();
+    assert_eq!(expect_ok(&resp).0, 42, "C");
+    assert_eq!(expect_ok(&a.join().unwrap()).0, 42, "A");
+    assert!(d.alive());
+}
+
 // ---------------------------------------------------------------------------
 // 3. Multi-tenant isolation and quotas.
 // ---------------------------------------------------------------------------
