@@ -176,8 +176,6 @@ pub struct Dsa {
     nodes: Vec<NodeData>,
     global_nodes: Vec<NodeId>,
     func_obj_nodes: Vec<NodeId>,
-    param_nodes: Vec<Vec<Option<NodeId>>>,
-    ret_nodes: Vec<Option<NodeId>>,
     /// Per-function map from pointer values to nodes.
     val_nodes: Vec<HashMap<Value, NodeId>>,
     /// Per-function pointer offsets.
@@ -264,11 +262,6 @@ impl Dsa {
         self.nodes[self.find(n.0) as usize].collapsed
     }
 
-    /// The node's speculative declared type, when intact.
-    pub fn node_type(&self, n: NodeId) -> Option<TypeId> {
-        self.nodes[self.find(n.0) as usize].ty
-    }
-
     /// Storage/usage flags of the node.
     pub fn node_flags(&self, n: NodeId) -> NodeFlags {
         self.nodes[self.find(n.0) as usize].flags
@@ -285,21 +278,6 @@ impl Dsa {
         }
     }
 
-    /// The points-to node of parameter `i` of function `f`, when the
-    /// parameter is pointer-typed.
-    pub fn param_node(&self, f: FuncId, i: usize) -> Option<NodeId> {
-        self.param_nodes[f.index()]
-            .get(i)
-            .copied()
-            .flatten()
-            .map(|n| NodeId(self.find(n.0)))
-    }
-
-    /// The points-to node of `f`'s return value, when pointer-typed.
-    pub fn ret_node(&self, f: FuncId) -> Option<NodeId> {
-        self.ret_nodes[f.index()].map(|n| NodeId(self.find(n.0)))
-    }
-
     /// The static byte offset of pointer value `v` into its node, when
     /// known exactly (`None` covers both untracked values and unknown
     /// offsets).
@@ -308,13 +286,6 @@ impl Dsa {
             Some(Off::Known(o)) => Some(*o),
             _ => None,
         }
-    }
-
-    /// Iterate all representative nodes.
-    pub fn rep_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.uf.len() as u32)
-            .filter(move |&i| self.uf[i as usize] == i)
-            .map(NodeId)
     }
 }
 
@@ -931,8 +902,6 @@ impl<'a> Builder<'a> {
             nodes: self.nodes,
             global_nodes: self.global_nodes,
             func_obj_nodes: self.func_obj_nodes,
-            param_nodes: self.param_nodes,
-            ret_nodes: self.ret_nodes,
             val_nodes: self.val_nodes,
             offsets: self.offsets,
             accesses: self.accesses,

@@ -54,11 +54,6 @@ impl Module {
 }
 
 impl<'m> FuncBuilder<'m> {
-    /// The function being built.
-    pub fn func_id(&self) -> FuncId {
-        self.func
-    }
-
     /// The underlying module.
     pub fn module(&mut self) -> &mut Module {
         self.module
@@ -242,14 +237,6 @@ impl<'m> FuncBuilder<'m> {
         Value::Inst(self.emit(Inst::Alloca {
             elem_ty,
             count: None,
-        }))
-    }
-
-    /// Emit `alloca` of `count` elements.
-    pub fn alloca_n(&mut self, elem_ty: TypeId, count: Value) -> Value {
-        Value::Inst(self.emit(Inst::Alloca {
-            elem_ty,
-            count: Some(count),
         }))
     }
 

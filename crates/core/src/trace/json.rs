@@ -401,12 +401,6 @@ impl JsonWriter {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Signed integer field of the enclosing object.
-    pub fn field_i64(&mut self, k: &str, v: i64) {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
-    }
-
     /// Boolean field of the enclosing object.
     pub fn field_bool(&mut self, k: &str, v: bool) {
         self.key(k);
@@ -439,12 +433,6 @@ impl JsonWriter {
         self.out.push('"');
         escape_json(v, &mut self.out);
         self.out.push('"');
-    }
-
-    /// Float element of the enclosing array, with fixed `decimals`.
-    pub fn value_f64(&mut self, v: f64, decimals: usize) {
-        self.sep();
-        let _ = write!(self.out, "{v:.decimals$}");
     }
 
     /// The finished document.

@@ -1180,7 +1180,7 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
     opts.input.extend(req.inputs.iter().copied());
     // FLAG_TIERED is the whole ladder at its default thresholds, as
     // `lpatc run --tiered` is. The wire has no way to ask for the JIT
-    // alone, other thresholds, speculation or an explicit profile file.
+    // alone, other thresholds or speculation.
     let config = RunConfig {
         mode: if req.flags & FLAG_TIERED != 0 {
             Mode::Tiered
@@ -1189,8 +1189,6 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
         },
         opts,
         spec: None,
-        profile_in: None,
-        lifetime: false,
     };
     let pre_exec = || check_deadline("pre-exec", deadline);
     let report =
@@ -1227,14 +1225,13 @@ fn do_reopt(engine: &Engine, req: &Request, deadline: Instant) -> Result<Respons
         ));
     };
     let m = parse_module(req, deadline)?;
-    let report =
-        session::reopt(m, Some(store), &PgoOptions::default(), None).map_err(|e| match e {
-            ReoptError::NoProfile => Response::err(ErrClass::Unsupported, e.to_string()),
-            ReoptError::Verify(e) => {
-                Response::err(ErrClass::Internal, format!("verifier after reopt: {e}"))
-            }
-            e => Response::err(ErrClass::Internal, e.to_string()),
-        })?;
+    let report = session::reopt(m, store, &PgoOptions::default()).map_err(|e| match e {
+        ReoptError::NoProfile => Response::err(ErrClass::Unsupported, e.to_string()),
+        ReoptError::Verify(e) => {
+            Response::err(ErrClass::Internal, format!("verifier after reopt: {e}"))
+        }
+        e => Response::err(ErrClass::Internal, e.to_string()),
+    })?;
     count_notes(&report.notes);
     check_deadline("post-exec", deadline)?;
     Ok(Response::Ok {

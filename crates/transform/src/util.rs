@@ -1,6 +1,6 @@
 //! Shared CFG utilities for transforms.
 
-use lpat_core::{Function, Module};
+use lpat_core::Function;
 
 /// Remove blocks unreachable from the entry, fixing φ-nodes.
 ///
@@ -26,12 +26,6 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
     }
     f.retain_blocks(&reach);
     true
-}
-
-/// Count the linked instructions of every function (a convenient change
-/// metric for tests).
-pub fn inst_count(m: &Module) -> usize {
-    m.total_insts()
 }
 
 #[cfg(test)]

@@ -15,31 +15,28 @@
 //! * **I2** that hash is taken *before* speculation: guards are an
 //!   in-memory overlay, never part of a persisted module or its key;
 //! * **I3** speculation and warm-start read the same accumulated profile:
-//!   the store's, plus an explicit file only if it was recorded for
-//!   `run_hash`;
+//!   the store's, the only place a profile lives;
 //! * **I4** the [`FlushGuard`] is armed before execution and flushes
 //!   exactly once on every exit; a flush failure never fails the run;
 //! * **I5** a store failure at any step degrades to an uncached or
 //!   unprofiled run and is *reported* (a [`Note`]), never fatal;
 //! * **I6** the module is verified after every mutation, before it is
 //!   executed or saved;
-//! * **I7** reopt is compact → load → merge the explicit file → no runs is
-//!   an error → [`reoptimize`] → verify → save under the *source* hash.
+//! * **I7** reopt is compact → load → no runs is an error →
+//!   [`reoptimize`] → verify → save under the *source* hash.
 //!
 //! `Vm::new` comes after the profile load because speculation (which needs
 //! the profile) must mutate the module before an engine borrows it.
 
-use std::path::Path;
 use std::rc::Rc;
 use std::time::Duration;
 
 use lpat_core::Module;
 use lpat_transform::{PipelineReport, SpecOptions, SpecPlan};
 
-use crate::store::{read_profile_file, FlushGuard, FlushOutcome, Quarantine};
+use crate::store::{FlushGuard, FlushOutcome, Quarantine};
 use crate::{
-    module_hash, reoptimize, ExecError, PgoOptions, PgoReport, ProfileData, Store, StoreError,
-    StoredProfile, Vm, VmOptions,
+    module_hash, reoptimize, ExecError, PgoOptions, PgoReport, Store, StoreError, Vm, VmOptions,
 };
 
 /// Something the session did or had to work around, in the order it
@@ -61,15 +58,6 @@ pub enum Note {
         /// Hash of the module as loaded, before the replacement.
         source_hash: u64,
     },
-    /// The explicit profile file was recorded for other module bytes.
-    StaleProfileIn {
-        /// The hash the file carries.
-        found: u64,
-        /// The hash of the module about to run.
-        have: u64,
-    },
-    /// The explicit profile file could not be read.
-    UnreadableProfileIn(StoreError),
     /// Speculation ran against the prior profile.
     Speculated {
         /// Guards emitted into the executing module.
@@ -152,7 +140,7 @@ pub enum Mode {
 }
 
 /// What one run is asked to do.
-pub struct RunConfig<'a> {
+pub struct RunConfig {
     /// The engine.
     pub mode: Mode,
     /// The VM options, as the caller filled them. `opts.profile` decides
@@ -162,11 +150,6 @@ pub struct RunConfig<'a> {
     pub opts: VmOptions,
     /// Speculate on the prior profile with these thresholds.
     pub spec: Option<SpecOptions>,
-    /// An explicit prior profile file (`--profile-in`).
-    pub profile_in: Option<&'a Path>,
-    /// Return the explicit profile merged with this run's counters in
-    /// [`RunReport::lifetime`] (costs one copy of the counters).
-    pub lifetime: bool,
 }
 
 /// What one run did.
@@ -177,16 +160,10 @@ pub struct RunReport<T> {
     pub output: String,
     /// Instructions executed.
     pub insts: u64,
-    /// The module that was executed (reoptimized, speculated).
-    pub module: Module,
-    /// Its hash before speculation: the key of this run's profile.
-    pub run_hash: u64,
     /// Whether a cached reoptimized module replaced the one passed in.
     pub cache_hit: bool,
     /// The speculation plan, when speculation ran.
     pub spec_plan: Option<SpecPlan>,
-    /// The explicit profile plus this run ([`RunConfig::lifetime`]).
-    pub lifetime: Option<StoredProfile>,
     /// In order, what happened on the way.
     pub notes: Vec<Note>,
     /// What the caller's `inspect` returned.
@@ -207,8 +184,9 @@ pub enum RunError<A> {
 /// Execute `module`'s `main` through the whole lifelong pipeline: reopt
 /// cache, prior profile, speculation, warm-start, execution, profile
 /// flush. `pre_exec` is called once, between set-up and execution (the
-/// daemon's deadline check); `inspect` sees the finished [`Vm`] after the
-/// flush, for whatever counters the caller renders.
+/// daemon's deadline check); `inspect` sees the finished [`Vm`] — its
+/// module, and this run's profile before it moves into the flush — for
+/// whatever the caller renders.
 ///
 /// # Errors
 ///
@@ -217,7 +195,7 @@ pub enum RunError<A> {
 pub fn run<A, T>(
     mut module: Module,
     store: Option<&Store>,
-    config: RunConfig<'_>,
+    config: RunConfig,
     pre_exec: impl FnOnce() -> Result<(), A>,
     inspect: impl FnOnce(&Vm<'_>) -> T,
 ) -> Result<RunReport<T>, RunError<A>> {
@@ -240,30 +218,12 @@ pub fn run<A, T>(
             Err(e) => notes.push(Note::LoadFailed(e)),
         }
     }
-    let mut explicit = None;
-    if let Some(path) = config.profile_in {
-        match read_profile_file(path) {
-            Ok((found, stored)) if found == run_hash => explicit = Some(stored),
-            Ok((found, _)) => notes.push(Note::StaleProfileIn {
-                found,
-                have: run_hash,
-            }),
-            Err(e) => notes.push(Note::UnreadableProfileIn(e)),
-        }
-    }
-    let mut prior: Option<ProfileData> = explicit
-        .as_ref()
-        .filter(|stored| stored.runs > 0)
-        .map(|stored| stored.profile.clone());
+    let mut prior = None;
     if let Some(store) = store {
         match store.load_profile(run_hash) {
             Ok(loaded) => {
                 quarantines(&mut notes, loaded.quarantined);
-                match (&mut prior, loaded.value) {
-                    (Some(p), Some(stored)) => p.merge_saturating(&stored.profile),
-                    (None, Some(stored)) => prior = Some(stored.profile),
-                    (_, None) => {}
-                }
+                prior = loaded.value.map(|stored| stored.profile);
             }
             Err(e) => notes.push(Note::LoadFailed(e)),
         }
@@ -306,19 +266,10 @@ pub fn run<A, T>(
     };
     // Fold the VM's counters into the trace before it is drained.
     vm.flush_trace();
+    let inspected = inspect(&vm);
     // Flushed on clean exit AND on trap: a lifetime profile that loses its
     // crashing runs is blind to the behaviour most worth reoptimizing.
-    let mut lifetime = None;
     if profiling {
-        if config.lifetime {
-            let mut stored = explicit.unwrap_or(StoredProfile {
-                profile: ProfileData::default(),
-                runs: 0,
-            });
-            stored.profile.merge_saturating(&vm.profile);
-            stored.runs = stored.runs.saturating_add(1);
-            lifetime = Some(stored);
-        }
         flush.set_delta(std::mem::take(&mut vm.profile));
     }
     match flush.flush() {
@@ -326,7 +277,6 @@ pub fn run<A, T>(
         FlushOutcome::Failed(e) => notes.push(Note::FlushFailed(e)),
         FlushOutcome::Skipped => {}
     }
-    let inspected = inspect(&vm);
     let output = std::mem::take(&mut vm.output);
     let insts = vm.insts_executed;
     drop(vm);
@@ -334,11 +284,8 @@ pub fn run<A, T>(
         result,
         output,
         insts,
-        module,
-        run_hash,
         cache_hit,
         spec_plan: spec.map(|(_, plan)| plan),
-        lifetime,
         notes,
         inspected,
     })
@@ -366,16 +313,7 @@ pub struct ReoptReport {
 pub enum ReoptError {
     /// Loading the profile or saving the module failed.
     Store(StoreError),
-    /// The explicit profile file could not be read.
-    UnreadableProfileIn(StoreError),
-    /// The explicit profile file was recorded for other module bytes.
-    StaleProfileIn {
-        /// The hash the file carries.
-        found: u64,
-        /// The hash of the module in hand.
-        source_hash: u64,
-    },
-    /// No run of this module has been recorded anywhere.
+    /// No run of this module has been recorded in the store.
     NoProfile,
     /// Reoptimization left a module the verifier rejects.
     Verify(String),
@@ -384,73 +322,50 @@ pub enum ReoptError {
 impl std::fmt::Display for ReoptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReoptError::Store(e) | ReoptError::UnreadableProfileIn(e) => write!(f, "{e}"),
-            ReoptError::StaleProfileIn { found, source_hash } => write!(
-                f,
-                "profile was recorded for module {found:016x}, \
-                 this module is {source_hash:016x} (stale; not applied)"
-            ),
+            ReoptError::Store(e) => write!(f, "{e}"),
             ReoptError::NoProfile => write!(f, "no profile recorded for this module yet"),
             ReoptError::Verify(e) => write!(f, "verifier: {e}"),
         }
     }
 }
 
-/// Reoptimize `module` offline with every profile recorded for its bytes
-/// (I7) and, given a store, cache the result for the next [`run`].
+/// Reoptimize `module` offline with every run the store recorded for its
+/// bytes (I7) and cache the result there for the next [`run`].
 ///
 /// # Errors
 ///
 /// See [`ReoptError`]; the store is left as it was.
 pub fn reopt(
     mut module: Module,
-    store: Option<&Store>,
+    store: &Store,
     pgo: &PgoOptions,
-    profile_in: Option<&Path>,
 ) -> Result<ReoptReport, ReoptError> {
     let mut notes = Vec::new();
     let source_hash = module_hash(&module);
-    let mut profile = ProfileData::default();
-    let mut runs = 0u64;
-    if let Some(store) = store {
-        // Idle time is when the runs appended since the last reopt are
-        // folded into the profile's history. Failing to is no reason not
-        // to reoptimize: they still read back.
-        match store.compact(source_hash) {
-            Ok(moved) => quarantines(&mut notes, moved),
-            Err(e) => notes.push(Note::CompactFailed(e)),
-        }
-        let loaded = store.load_profile(source_hash).map_err(ReoptError::Store)?;
-        quarantines(&mut notes, loaded.quarantined);
-        if let Some(stored) = loaded.value {
-            profile = stored.profile;
-            runs = stored.runs;
-        }
+    // Idle time is when the runs appended since the last reopt are folded
+    // into the profile's history. Failing to is no reason not to
+    // reoptimize: they still read back.
+    match store.compact(source_hash) {
+        Ok(moved) => quarantines(&mut notes, moved),
+        Err(e) => notes.push(Note::CompactFailed(e)),
     }
-    if let Some(path) = profile_in {
-        let (found, stored) = read_profile_file(path).map_err(ReoptError::UnreadableProfileIn)?;
-        if found != source_hash {
-            return Err(ReoptError::StaleProfileIn { found, source_hash });
-        }
-        profile.merge_saturating(&stored.profile);
-        runs += stored.runs;
-    }
-    if runs == 0 {
-        return Err(ReoptError::NoProfile);
-    }
-    let report = reoptimize(&mut module, &profile, pgo);
+    let loaded = store.load_profile(source_hash).map_err(ReoptError::Store)?;
+    quarantines(&mut notes, loaded.quarantined);
+    let stored = loaded
+        .value
+        .filter(|stored| stored.runs > 0)
+        .ok_or(ReoptError::NoProfile)?;
+    let report = reoptimize(&mut module, &stored.profile, pgo);
     module
         .verify()
         .map_err(|e| ReoptError::Verify(e[0].to_string()))?;
-    if let Some(store) = store {
-        store
-            .save_reopt(source_hash, &module)
-            .map_err(ReoptError::Store)?;
-    }
+    store
+        .save_reopt(source_hash, &module)
+        .map_err(ReoptError::Store)?;
     Ok(ReoptReport {
         module,
         source_hash,
-        runs,
+        runs: stored.runs,
         pgo: report,
         notes,
     })

@@ -42,8 +42,7 @@
 //!
 //! # What is on disk
 //!
-//! Every file the store keeps — and a `--profile-out` file, which is a
-//! store file by another name — is a `lpat_core::wire::file_header`
+//! Every file the store keeps is a `lpat_core::wire::file_header`
 //! followed by `lpat_core::wire` records (DESIGN.md §14):
 //!
 //! ```text
@@ -415,7 +414,7 @@ impl Store {
         quarantined: &mut Vec<Quarantine>,
     ) -> Result<Option<Folded>, StoreError> {
         let folded = self.read_artifact(&self.profile_path(module_hash), quarantined, |bytes| {
-            parse_profile(bytes, Some(module_hash))?
+            parse_profile(bytes, module_hash)?
                 .map(|file| file.fold())
                 .transpose()
         })?;
@@ -537,7 +536,7 @@ impl Store {
         let (keep, tail) = self
             .read_artifact(path, quarantined, |bytes| {
                 old_len = bytes.len();
-                parse_profile(bytes, Some(module_hash))
+                parse_profile(bytes, module_hash)
             })?
             .flatten()
             .map_or((0, PROFILE_HEAD_LEN), |file| (file.len, file.tail));
@@ -902,7 +901,6 @@ fn encode_profile(module_hash: u64, profile: &ProfileData, runs: u64) -> Vec<u8>
 /// A profile file as read, its payloads still encoded.
 struct ProfileFile {
     bytes: Vec<u8>,
-    hash: u64,
     folded_runs: u64,
     /// Where the appended records start: after the head and the history.
     tail: usize,
@@ -920,10 +918,10 @@ struct Folded {
 }
 
 /// Find a profile file's head and valid prefix; the module hash in the
-/// head must be `expected` when that is given. `Ok(None)` for a file that
-/// ends inside its header or head: its writer died creating it, nothing in
-/// it was ever durable, and the next appender starts it over.
-fn parse_profile(bytes: Vec<u8>, expected: Option<u64>) -> Result<Option<ProfileFile>, StoreError> {
+/// head must be `expected`. `Ok(None)` for a file that ends inside its
+/// header or head: its writer died creating it, nothing in it was ever
+/// durable, and the next appender starts it over.
+fn parse_profile(bytes: Vec<u8>, expected: u64) -> Result<Option<ProfileFile>, StoreError> {
     let body = match file_records(&bytes, PROFILE_MAGIC, STORE_VERSION) {
         Err(HeaderError::Truncated) => return Ok(None),
         body => body.map_err(header_err)?,
@@ -941,7 +939,7 @@ fn parse_profile(bytes: Vec<u8>, expected: Option<u64>) -> Result<Option<Profile
     ) else {
         return Err(bad("damaged head"));
     };
-    if let Some(expected) = expected.filter(|&e| e != hash) {
+    if hash != expected {
         return Err(StoreError::StaleHash {
             expected,
             found: hash,
@@ -957,7 +955,6 @@ fn parse_profile(bytes: Vec<u8>, expected: Option<u64>) -> Result<Option<Profile
     let len = tail + scan.map(|payload| 8 + payload.len()).sum::<usize>();
     Ok(Some(ProfileFile {
         bytes,
-        hash,
         folded_runs,
         tail,
         len,
@@ -1058,40 +1055,6 @@ impl Store {
         let _guard = self.lock(rec.hash)?;
         self.write_file(&self.deny_path(rec.hash), rec.encode())
     }
-}
-
-// -- --profile-out / --profile-in: a store file by another name -------------
-
-/// Write a profile to a standalone file (`--profile-out`): byte for byte
-/// the file a store holding these runs has after a compaction, written by
-/// the same atomic replace. Honors the global `store.write` fault site.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] on write failure; the previous file, if any, is
-/// left intact.
-pub fn write_profile_file(
-    path: &Path,
-    module_hash: u64,
-    profile: &ProfileData,
-    runs: u64,
-) -> Result<(), StoreError> {
-    atomic_replace(path, encode_profile(module_hash, profile, runs), None)
-}
-
-/// Read a standalone profile file (`--profile-in`) — or a store's, with
-/// every run appended to it since its last compaction. Returns the module
-/// hash it was recorded against plus the stored profile; the caller
-/// decides whether a hash mismatch is fatal. Nothing is quarantined — the
-/// caller owns the file.
-///
-/// # Errors
-///
-/// The same classification as the store's loads.
-pub fn read_profile_file(path: &Path) -> Result<(u64, StoredProfile), StoreError> {
-    let file = parse_profile(read_faulted(path, None)?, None)?
-        .ok_or_else(|| StoreError::ChecksumFail("profile: truncated head".into()))?;
-    Ok((file.hash, file.fold()?.stored))
 }
 
 // -- exactly-once profile flushing ----------------------------------------
@@ -1213,7 +1176,7 @@ mod tests {
     /// The profile file of `h` as it stands, which must parse.
     fn file_of(store: &Store, h: u64) -> ProfileFile {
         let bytes = std::fs::read(store.profile_path(h)).unwrap();
-        parse_profile(bytes, Some(h)).unwrap().unwrap()
+        parse_profile(bytes, h).unwrap().unwrap()
     }
 
     fn runs_of(store: &Store, h: u64) -> u64 {
@@ -1272,7 +1235,7 @@ mod tests {
             "two runs merge to exactly doubled counts"
         );
         // Compaction moves the same profile from two records into the
-        // history, in the same file — the one `--profile-out` would write.
+        // history, in the same file.
         assert_eq!(file_of(&store, h).folded_runs, 0);
         assert!(store.compact(h).unwrap().is_empty());
         assert_eq!(files_with(&store, "profile-").len(), 1);

@@ -68,17 +68,6 @@ impl VmValue {
             _ => None,
         }
     }
-
-    /// Size in bytes when stored to memory.
-    pub fn byte_size(&self) -> u32 {
-        match self {
-            VmValue::Bool(_) => 1,
-            VmValue::Int { kind, .. } => kind.bytes() as u32,
-            VmValue::F32(_) => 4,
-            VmValue::F64(_) => 8,
-            VmValue::Ptr(_) => 4,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
 //!               [--jit | --tiered] [--tier-up N] [--native-up N]
-//!               [--speculate] [--spec-threshold N]
-//!               [--cache-dir DIR] [--profile-in F] [--profile-out F]
-//! lpatc reopt   <in>    [--cache-dir DIR] [--profile-in F] [-o out] [--jobs N]
+//!               [--speculate] [--spec-threshold N] [--cache-dir DIR]
+//! lpatc reopt   <in>    --cache-dir DIR [-o out] [--jobs N]
 //!               [--speculate] [--spec-threshold N]
 //! lpatc analyze <in>                                        DSA + call graph report
 //! lpatc size    <in>                                        code-size report
@@ -55,12 +54,12 @@
 //! fuel-metered emulator in `lpat_vm::native`; `--native-up N` sets the
 //! extra hotness that takes after JIT promotion (default 200; it implies
 //! `--tiered`, and a huge value means "never", as for `--tier-up`). With a
-//! lifelong store (`--cache-dir`) or `--profile-in`, functions recorded
-//! hot in *prior* runs are translated eagerly at load (warm-start), so a
-//! repeat run skips the warm-up entirely. `--stats` prints a per-tier
-//! instruction table and, for each function the native backend refused,
-//! why. Tiered execution is observationally identical to the plain
-//! interpreter at any threshold, machine-code tier included.
+//! lifelong store (`--cache-dir`), functions recorded hot in *prior* runs
+//! are translated eagerly at load (warm-start), so a repeat run skips the
+//! warm-up entirely. `--stats` prints a per-tier instruction table and,
+//! for each function the native backend refused, why. Tiered execution is
+//! observationally identical to the plain interpreter at any threshold,
+//! machine-code tier included.
 //!
 //! # Speculative PGO
 //!
@@ -84,10 +83,11 @@
 //! of the module: each run appends its counts to the module's one profile
 //! file (flushed on clean exit *and* on trap), and `reopt` folds and
 //! consumes the accumulated profile offline, caching the reoptimized
-//! module so the next `run` picks it up automatically. Corrupt, truncated,
-//! or stale store files are quarantined and regenerated, never trusted.
-//! `--profile-out` writes, and `--profile-in` reads, a file of the store's
-//! own profile format at a path of the user's choosing.
+//! module so the next `run` picks it up automatically; `reopt` reads no
+//! other profile, so it needs a cache directory. Corrupt, truncated, or
+//! stale store files are quarantined and regenerated, never trusted. A
+//! profile moves elsewhere as the file it is: `profile-<hash>.lpp`, copied
+//! into another cache directory.
 
 use std::convert::Infallible;
 use std::path::Path;
@@ -100,7 +100,7 @@ use lpat::vm::session::{self, Mode, Note, OptConfig, ReoptError, RunConfig, RunE
 
 /// What `compile`, `opt` and `link` read, beside [`cli::GLOBAL`].
 const COMPILE: Flags = Flags {
-    switches: "-O -O2 --link-pipeline --verify-each --time-passes --no-degrade",
+    switches: "-O --link-pipeline --verify-each --time-passes --no-degrade",
     valued: "-o --emit --jobs --pass-budget-ms",
 };
 
@@ -111,19 +111,19 @@ const INPUT_ONLY: Flags = Flags {
 };
 
 const RUN: Flags = Flags {
-    switches: "-O -O2 --profile --jit --tiered --speculate",
+    switches: "-O --profile --jit --tiered --speculate",
     valued: "--jobs --fuel --input --max-stack --tier-up --native-up --spec-threshold \
-             --cache-dir --profile-in --profile-out",
+             --cache-dir",
 };
 
 const REOPT: Flags = Flags {
     switches: "--speculate",
-    valued: "--cache-dir --profile-in -o --emit --jobs --hot-threshold --spec-threshold",
+    valued: "--cache-dir -o --emit --jobs --hot-threshold --spec-threshold",
 };
 
 /// `remote ping|run|compile|reopt|stats`.
 const REMOTE: Flags = Flags {
-    switches: "-O -O2 --tiered",
+    switches: "-O --tiered",
     valued: "--connect --connect-timeout-ms --tenant --fuel --deadline-ms --input \
              --request-id --retries -o",
 };
@@ -190,14 +190,13 @@ fn usage() {
          \x20      [--tenant T] [--fuel N] [--deadline-ms N] [--input a,b,c]\n\
          \x20      [-O] [--tiered] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
          \x20      [--request-id N]; top: [--interval-ms N] [--iterations N]\n\
-         flags: -o FILE, --emit text|bc, -O/-O2, --link-pipeline,\n\
+         flags: -o FILE, --emit text|bc, -O, --link-pipeline,\n\
          \x20      --jobs N, --verify-each, --time-passes,\n\
          \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
          \x20      --profile, --jit, --tiered, --tier-up N, --native-up N,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
-         \x20      --cache-dir DIR (or LPAT_CACHE_DIR), --profile-in FILE,\n\
-         \x20      --profile-out FILE, --hot-threshold N,\n\
-         \x20      --speculate, --spec-threshold N,\n\
+         \x20      --cache-dir DIR (or LPAT_CACHE_DIR; reopt needs one),\n\
+         \x20      --hot-threshold N, --speculate, --spec-threshold N,\n\
          \x20      --trace-out FILE, --metrics-out FILE, --stats,\n\
          \x20      --trace-clock virtual|real (or LPAT_TRACE_CLOCK), --quiet\n\
          flags may appear anywhere after the command; a flag the command does\n\
@@ -217,7 +216,7 @@ fn compile(cmd: &str, args: &Args, diag: &Diag) -> Result<ExitCode, String> {
     } else {
         load(&inputs[0])?
     };
-    let o = args.has("-O") || args.has("-O2");
+    let o = args.has("-O");
     let cfg = OptConfig {
         function: o || cmd == "opt",
         link_time: args.has("--link-pipeline") || (cmd == "link" && o),
@@ -292,7 +291,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let mut m = load(input)?;
     // `run -O` optimizes in-process first, so a single traced run covers
     // the compiler, the VM, the heap, and the store.
-    if args.has("-O") || args.has("-O2") {
+    if args.has("-O") {
         let cfg = OptConfig {
             function: true,
             jobs: jobs(args)?,
@@ -301,11 +300,10 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         optimize(&mut m, &cfg, false, diag)?;
     }
     let cache_dir = cache_dir(args);
-    let profile_out = args.value("--profile-out");
     let mut opts = lpat::vm::VmOptions {
         // Persistence implies instrumentation: the profile is exactly
         // what gets persisted.
-        profile: args.has("--profile") || cache_dir.is_some() || profile_out.is_some(),
+        profile: args.has("--profile") || cache_dir.is_some(),
         fuel: args.parsed("--fuel")?,
         input: scripted_input(args)?.into(),
         ..Default::default()
@@ -349,44 +347,32 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     };
     let spec = spec_options(args)?;
     let speculating = spec.is_some();
-    let config = RunConfig {
-        mode,
-        opts,
-        spec,
-        profile_in: args.value("--profile-in").map(Path::new),
-        lifetime: profile_out.is_some() || args.has("--profile"),
-    };
-    let stats = args.has("--stats");
+    let config = RunConfig { mode, opts, spec };
+    let (profile, stats) = (args.has("--profile"), args.has("--stats"));
     let report = session::run(
         m,
         store.as_ref(),
         config,
         || Ok::<(), Infallible>(()),
-        |vm| stats.then(|| vm_stats(vm, mode == Mode::Tiered, speculating)),
+        |vm| {
+            (
+                profile.then(|| hot_spots(vm.module(), &vm.profile)),
+                stats.then(|| vm_stats(vm, mode == Mode::Tiered, speculating)),
+            )
+        },
     )
     .map_err(|e| match e {
         RunError::Verify(e) => format!("verifier after speculation: {e}"),
         RunError::BadModule(e) => e.to_string(),
         RunError::Aborted(never) => match never {},
     })?;
-    render_notes(&report.notes, args, diag);
+    render_notes(&report.notes, diag);
     print!("{}", report.output);
-    if let Some(lifetime) = &report.lifetime {
-        if let Some(p) = profile_out {
-            if let Err(e) = lpat::vm::store::write_profile_file(
-                Path::new(p),
-                report.run_hash,
-                &lifetime.profile,
-                lifetime.runs,
-            ) {
-                diag.warn(&format!("--profile-out {p}: {e}"));
-            }
-        }
-        if args.has("--profile") {
-            report_profile(&report.module, &lifetime.profile, diag);
-        }
+    let (hot, table) = &report.inspected;
+    if let Some(hot) = hot {
+        diag.dump_raw(hot);
     }
-    if let Some(table) = &report.inspected {
+    if let Some(table) = table {
         diag.dump_raw(table);
         if let Some(plan) = &report.spec_plan {
             diag.dump_raw(&plan.render());
@@ -435,8 +421,7 @@ fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
 
 /// One stderr line per thing the session reports, in the order it
 /// happened.
-fn render_notes(notes: &[Note], args: &Args, diag: &mut Diag) {
-    let profile_in = args.value("--profile-in").unwrap_or_default();
+fn render_notes(notes: &[Note], diag: &mut Diag) {
     for note in notes {
         match note {
             Note::Quarantined(q) => diag.cache_warn(q.error.class(), &q.to_string()),
@@ -446,13 +431,6 @@ fn render_notes(notes: &[Note], args: &Args, diag: &mut Diag) {
             Note::UsingReopt { source_hash } => diag.note(&format!(
                 "[cache] using reoptimized module for {source_hash:016x}"
             )),
-            Note::StaleProfileIn { found, have } => diag.warn(&format!(
-                "--profile-in {profile_in}: recorded for module \
-                 {found:016x}, have {have:016x}; starting fresh"
-            )),
-            Note::UnreadableProfileIn(e) => {
-                diag.warn(&format!("--profile-in {profile_in}: {e}; starting fresh"))
-            }
             Note::Speculated { emitted, retracted } => diag.note(&format!(
                 "[spec] {emitted} guard(s) emitted, {retracted} retracted"
             )),
@@ -466,14 +444,13 @@ fn render_notes(notes: &[Note], args: &Args, diag: &mut Diag) {
     }
 }
 
-/// `reopt`: the offline half of the lifelong loop.
+/// `reopt`: the offline half of the lifelong loop, on the profile the
+/// store holds for the module.
 fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let input = args.positionals().first().ok_or("reopt: no input file")?;
+    let dir = cache_dir(args).ok_or("reopt: --cache-dir DIR (or LPAT_CACHE_DIR) is required")?;
     let m = load(input)?;
-    let store = match cache_dir(args) {
-        Some(d) => Some(lpat::vm::Store::open(d).map_err(|e| e.to_string())?),
-        None => None,
-    };
+    let store = lpat::vm::Store::open(&dir).map_err(|e| e.to_string())?;
     let mut pgo = lpat::vm::PgoOptions {
         jobs: jobs(args)?,
         spec: spec_options(args)?,
@@ -482,19 +459,11 @@ fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     if let Some(t) = args.parsed("--hot-threshold")? {
         pgo.hot_call_threshold = t;
     }
-    let profile_in = args.value("--profile-in");
-    let report = session::reopt(m, store.as_ref(), &pgo, profile_in.map(Path::new)).map_err(
-        |e| match e {
-            ReoptError::UnreadableProfileIn(_) | ReoptError::StaleProfileIn { .. } => {
-                format!("--profile-in {}: {e}", profile_in.unwrap_or_default())
-            }
-            ReoptError::NoProfile => {
-                "reopt: no profile available (use --cache-dir and/or --profile-in)".into()
-            }
-            other => other.to_string(),
-        },
-    )?;
-    render_notes(&report.notes, args, diag);
+    let report = session::reopt(m, &store, &pgo).map_err(|e| match e {
+        ReoptError::NoProfile => format!("reopt: no run of this module recorded in {dir}"),
+        other => other.to_string(),
+    })?;
+    render_notes(&report.notes, diag);
     diag.note(&format!(
         "[reopt] inlined {} hot sites, re-laid {} functions ({} runs of profile)",
         report.pgo.inlined, report.pgo.relaid, report.runs
@@ -512,12 +481,10 @@ fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     for f in &report.pgo.faults {
         diag.warn(&format!("reopt: isolated fault: {f}"));
     }
-    if store.is_some() {
-        diag.note(&format!(
-            "[reopt] cached reoptimized module for {:016x}",
-            report.source_hash
-        ));
-    }
+    diag.note(&format!(
+        "[reopt] cached reoptimized module for {:016x}",
+        report.source_hash
+    ));
     if args.value("-o").is_some() {
         emit(&report.module, args)?;
     }
@@ -629,7 +596,7 @@ fn remote(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         req.deadline_ms = d;
     }
     req.inputs = scripted_input(args)?;
-    if args.has("-O") || args.has("-O2") {
+    if args.has("-O") {
         req.flags |= lpat::serve::FLAG_OPT;
     }
     if args.has("--tiered") {
@@ -672,7 +639,7 @@ fn remote(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     }
     let mut policy = RetryPolicy::default();
     if let Some(retries) = args.parsed::<u32>("--retries")? {
-        policy.max_attempts = retries + 1;
+        policy.max_attempts = retries.saturating_add(1);
     }
     let mut client = Client::connect(&addr, connect_timeout).map_err(|e| format!("remote: {e}"))?;
     let mut sp = lpat::core::trace::span("serve.client", "request");
@@ -974,25 +941,31 @@ fn emit(m: &Module, args: &Args) -> Result<(), String> {
     }
 }
 
-fn report_profile(m: &Module, profile: &lpat::vm::ProfileData, diag: &Diag) {
-    diag.dump("\n[profile]");
+/// The `--profile` dump: this run's hottest loops, with the trace through
+/// each, and its hottest call sites.
+fn hot_spots(m: &Module, profile: &lpat::vm::ProfileData) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from("\n[profile]\n");
     let hot = profile.hot_loops(m, 100);
     for h in hot.iter().take(8) {
         let (trace, cov) = lpat::vm::form_trace(m, profile, h);
-        diag.dump(&format!(
+        let _ = writeln!(
+            out,
             "  hot loop @{} bb{} x{}  trace {:?} ({:.0}% coverage)",
             m.func(h.func).name(),
             h.header.index(),
             h.header_count,
             trace.iter().map(|b| b.index()).collect::<Vec<_>>(),
             cov * 100.0
-        ));
+        );
     }
     for (caller, site, n) in profile.hot_callsites(100).iter().take(8) {
-        diag.dump(&format!(
+        let _ = writeln!(
+            out,
             "  hot call site @{} %t{} x{n}",
             m.func(*caller).name(),
             site.index()
-        ));
+        );
     }
+    out
 }

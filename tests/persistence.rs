@@ -13,7 +13,8 @@
 //! * a compacted profile whose folded history is torn is quarantined and
 //!   the store regenerates, never crashes, never silently reuses; a torn
 //!   tail of appended records costs the one run that was being appended;
-//! * `--profile-out` writes a store file and `--profile-in` reads one;
+//! * a profile file copied into another cache directory is that
+//!   directory's profile;
 //! * every [`StoreError`] class degrades a run to "uncached with a
 //!   warning", never a failure;
 //! * two instrumented runs + offline `lpatc reopt` produce the same
@@ -120,6 +121,18 @@ fn run_cached(bc: &Path, cache: &Path, extra: &[&str], env: &[(&str, &str)]) -> 
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// Plant a compacted one-run profile of `m` at `hash`'s path in `cache`,
+/// keyed to `key`: `hash` itself, or another module's, which makes it a
+/// stale file.
+fn plant_profile(cache: &Path, m: &Module, hash: u64, key: u64) -> PathBuf {
+    let store = Store::open(cache).unwrap();
+    store.record_run(key, &profile_of(m)).unwrap();
+    store.compact(key).unwrap();
+    let p = store.profile_path(hash);
+    std::fs::rename(store.profile_path(key), &p).unwrap();
+    p
 }
 
 fn corrupt_files(cache: &Path) -> Vec<PathBuf> {
@@ -389,8 +402,7 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             env: &[],
             seed: |cache, m, hash| {
                 // Flip a byte in the middle of a previously good profile.
-                let p = Store::open(cache).unwrap().profile_path(hash);
-                lpat::vm::store::write_profile_file(&p, hash, &profile_of(m), 1).unwrap();
+                let p = plant_profile(cache, m, hash, hash);
                 let mut b = std::fs::read(&p).unwrap();
                 let mid = b.len() / 2;
                 b[mid] ^= 0xFF;
@@ -402,8 +414,7 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             expect: "version",
             env: &[],
             seed: |cache, m, hash| {
-                let p = Store::open(cache).unwrap().profile_path(hash);
-                lpat::vm::store::write_profile_file(&p, hash, &profile_of(m), 1).unwrap();
+                let p = plant_profile(cache, m, hash, hash);
                 let mut b = std::fs::read(&p).unwrap();
                 b[4..8].copy_from_slice(&0xFEu32.to_le_bytes());
                 std::fs::write(&p, b).unwrap();
@@ -416,8 +427,7 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             seed: |cache, m, hash| {
                 // A profile keyed to different module bytes, parked at
                 // this module's path: gathered on an older build.
-                let p = Store::open(cache).unwrap().profile_path(hash);
-                lpat::vm::store::write_profile_file(&p, hash ^ 1, &profile_of(m), 1).unwrap();
+                plant_profile(cache, m, hash, hash ^ 1);
             },
         },
         Leg {
@@ -442,8 +452,7 @@ fn every_store_error_class_degrades_to_an_uncached_run() {
             expect: "I/O error",
             env: &[("LPAT_FAULTS", "store.read:io@1")],
             seed: |cache, m, hash| {
-                let p = Store::open(cache).unwrap().profile_path(hash);
-                lpat::vm::store::write_profile_file(&p, hash, &profile_of(m), 1).unwrap();
+                plant_profile(cache, m, hash, hash);
             },
         },
     ];
@@ -632,7 +641,8 @@ fn mutated_store_files_never_panic() {
     let hash = module_hash(&m);
     let store = Store::open(&cache).unwrap();
     let one = profile_of(&m);
-    lpat::vm::store::write_profile_file(&store.profile_path(hash), hash, &one, 1).unwrap();
+    store.record_run(hash, &one).unwrap();
+    store.compact(hash).unwrap();
     for _ in 0..2 {
         FlushGuard::new(Some(&store), hash).set_delta(one.clone());
     }
@@ -813,65 +823,8 @@ fn offline_reopt_matches_in_memory_session_at_any_jobs() {
 }
 
 // ---------------------------------------------------------------------
-// Explicit profile files (--profile-out / --profile-in).
+// A profile moves as the file it is.
 // ---------------------------------------------------------------------
-
-#[test]
-fn explicit_profile_files_accumulate_across_runs() {
-    let dir = fresh_dir("persist-files");
-    let m = build(600);
-    let bc = write_bc(&dir, &m);
-    let p1 = dir.join("p1.lpp");
-    let p2 = dir.join("p2.lpp");
-
-    let run = |args: &[&str]| {
-        let out = lpatc()
-            .args(["run", bc.to_str().unwrap()])
-            .args(args)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    };
-    run(&["--profile-out", p1.to_str().unwrap()]);
-    run(&[
-        "--profile-in",
-        p1.to_str().unwrap(),
-        "--profile-out",
-        p2.to_str().unwrap(),
-    ]);
-
-    let (h1, sp1) = lpat::vm::store::read_profile_file(&p1).unwrap();
-    let (h2, sp2) = lpat::vm::store::read_profile_file(&p2).unwrap();
-    assert_eq!(h1, module_hash(&m));
-    assert_eq!(h2, h1);
-    assert_eq!(sp1.runs, 1);
-    assert_eq!(sp2.runs, 2);
-    for (k, v) in &sp1.profile.block_counts {
-        assert_eq!(sp2.profile.block_counts.get(k), Some(&(v * 2)));
-    }
-
-    // A stale explicit profile (different module bytes) is refused by
-    // reopt, not silently applied.
-    let other = build(601);
-    let stale = dir.join("stale.lpp");
-    lpat::vm::store::write_profile_file(&stale, module_hash(&other), &profile_of(&other), 1)
-        .unwrap();
-    let out = lpatc()
-        .args([
-            "reopt",
-            bc.to_str().unwrap(),
-            "--profile-in",
-            stale.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "stale profile must not be applied");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("stale"));
-}
 
 /// `lpatc reopt <bc> <source...> -o <out>`; returns stderr.
 fn reopt_to(bc: &Path, source: &[&str], out: &Path) -> String {
@@ -886,65 +839,49 @@ fn reopt_to(bc: &Path, source: &[&str], out: &Path) -> String {
     stderr
 }
 
-/// One profile format: what `--profile-out` writes is a store's file, and
-/// a store's file — appended runs and all — is what `--profile-in` reads.
+/// A profile moves between machines as the file it already is: cache A's
+/// `profile-<hash>.lpp`, a history of one run with two more appended
+/// behind it, copied into cache B is B's profile, so `reopt` there reads
+/// the same three runs and emits the same bytes as in A. A tiered run
+/// warm-starts from the same file copied into cache C (B's own runs
+/// execute the module its reopt cached, under that module's hash).
 #[test]
-fn profile_files_and_store_files_are_one_format() {
-    let dir = fresh_dir("persist-one-format");
+fn a_profile_file_copied_into_another_cache_is_its_profile() {
+    let dir = fresh_dir("persist-copied");
     let m = build(600);
     let hash = module_hash(&m);
     let bc = write_bc(&dir, &m);
-    let p = dir.join("p.lpp");
-    let ran = lpatc()
-        .args(["run", bc.to_str().unwrap(), "--profile-out"])
-        .arg(&p)
-        .output()
-        .unwrap();
-    assert!(ran.status.success());
-
-    // Byte for byte what a fresh store that saw the same run holds after
-    // a compaction.
-    let shipped = lpat::bytecode::read_module("app", &write_module(&m)).unwrap();
-    let fresh = Store::open(dir.join("fresh")).unwrap();
-    fresh.record_run(hash, &profile_of(&shipped)).unwrap();
-    fresh.compact(hash).unwrap();
-    assert_eq!(
-        std::fs::read(&p).unwrap(),
-        std::fs::read(fresh.profile_path(hash)).unwrap()
-    );
-
-    // Dropped into a cache directory it is that store's profile.
-    let planted = Store::open(dir.join("planted")).unwrap();
-    std::fs::copy(&p, planted.profile_path(hash)).unwrap();
-    let (via_store, via_file) = (dir.join("via-store.bc"), dir.join("via-file.bc"));
-    let cache = planted.dir().to_str().unwrap();
-    let stderr = reopt_to(&bc, &["--cache-dir", cache], &via_store);
-    assert!(stderr.contains("(1 runs of profile)"), "{stderr}");
-    assert!(!stderr.contains("quarantined"), "{stderr}");
-    reopt_to(&bc, &["--profile-in", p.to_str().unwrap()], &via_file);
-    assert_eq!(
-        std::fs::read(&via_store).unwrap(),
-        std::fs::read(&via_file).unwrap()
-    );
-
-    // And a store's file read as `--profile-in` holds every run logged in
-    // it, folded or not: a history of one run with two more behind it.
+    let a = Store::open(dir.join("a")).unwrap();
+    run_cached(&bc, a.dir(), &[], &[]);
+    a.compact(hash).unwrap();
     for _ in 0..2 {
-        run_cached(&bc, fresh.dir(), &[], &[]);
+        run_cached(&bc, a.dir(), &[], &[]);
     }
-    let logged = fresh.profile_path(hash);
-    let (h, stored) = lpat::vm::store::read_profile_file(&logged).unwrap();
-    assert_eq!((h, stored.runs), (hash, 3));
-    let (from_file, from_store) = (dir.join("from-file.bc"), dir.join("from-store.bc"));
-    let stderr = reopt_to(&bc, &["--profile-in", logged.to_str().unwrap()], &from_file);
-    assert!(stderr.contains("(3 runs of profile)"), "{stderr}");
-    reopt_to(
-        &bc,
-        &["--cache-dir", fresh.dir().to_str().unwrap()],
-        &from_store,
+    let shipped = std::fs::read(a.profile_path(hash)).unwrap();
+    let (b, c) = (
+        Store::open(dir.join("b")).unwrap(),
+        Store::open(dir.join("c")).unwrap(),
     );
-    assert_eq!(
-        std::fs::read(&from_file).unwrap(),
-        std::fs::read(&from_store).unwrap()
+    for to in [&b, &c] {
+        std::fs::write(to.profile_path(hash), &shipped).unwrap();
+    }
+
+    let mut emitted = Vec::new();
+    for from in [&a, &b] {
+        let out = dir.join("reopt.bc");
+        let stderr = reopt_to(&bc, &["--cache-dir", from.dir().to_str().unwrap()], &out);
+        assert!(stderr.contains("(3 runs of profile)"), "{stderr}");
+        assert!(!stderr.contains("quarantined"), "{stderr}");
+        emitted.push(std::fs::read(&out).unwrap());
+    }
+    assert_eq!(emitted[0], emitted[1], "B reoptimized unlike A");
+    assert_ne!(
+        std::fs::read(a.profile_path(hash)).unwrap(),
+        shipped,
+        "the copied file had no appended runs left to fold"
     );
+
+    let (_, stderr) = run_cached(&bc, c.dir(), &["--tiered"], &[]);
+    assert!(stderr.contains("warm-start:"), "{stderr}");
+    assert!(corrupt_files(c.dir()).is_empty());
 }

@@ -1709,12 +1709,13 @@ x:
     // is translated like any other, so there is no row at all.
     let p = tmp("bail_spec.ll");
     std::fs::write(&p, SPEC_WORKLOAD).unwrap();
-    let prof = tmp("bail_spec.prof");
+    let cache = tmp("bail_spec_cache");
+    let _ = std::fs::remove_dir_all(&cache);
     let seed = lpatc()
         .arg("run")
         .arg(&p)
-        .args(["--profile-out"])
-        .arg(&prof)
+        .args(["--cache-dir"])
+        .arg(&cache)
         .arg("--quiet")
         .output()
         .unwrap();
@@ -1722,8 +1723,8 @@ x:
     let out = lpatc()
         .arg("run")
         .arg(&p)
-        .arg("--profile-in")
-        .arg(&prof)
+        .arg("--cache-dir")
+        .arg(&cache)
         .args([
             "--speculate",
             "--tier-up",

@@ -233,17 +233,18 @@ x:
 }",
     )
     .unwrap();
-    let prof = dir.join("disp.prof");
+    let cache = dir.join("cache");
+    let _ = std::fs::remove_dir_all(&cache);
     let st = lpatc()
         .args(["run", prog.to_str().unwrap(), "--profile"])
-        .args(["--profile-out", prof.to_str().unwrap(), "--quiet"])
+        .args(["--cache-dir", cache.to_str().unwrap(), "--quiet"])
         .status()
         .unwrap();
     assert!(st.code().is_some());
     let metrics_out = dir.join("metrics.json");
     let out = lpatc()
         .args(["run", prog.to_str().unwrap()])
-        .args(["--profile-in", prof.to_str().unwrap()])
+        .args(["--cache-dir", cache.to_str().unwrap()])
         .args(["--speculate", "--stats"])
         .args(["--metrics-out", metrics_out.to_str().unwrap()])
         .args(["--trace-clock", "virtual"])
