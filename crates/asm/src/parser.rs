@@ -196,6 +196,9 @@ impl Parser {
                         self.module.types.named_struct(&name);
                     } else if matches!(c.peek(), Some(Tok::Punct('{'))) {
                         let id = self.module.types.named_struct(&name);
+                        if !matches!(self.module.types.ty(id), Type::Opaque(_)) {
+                            return c.err(format!("duplicate type %{name}"));
+                        }
                         let fields = self.parse_struct_fields(&mut c)?;
                         self.module.types.set_struct_body(id, fields);
                     } else {
@@ -226,6 +229,9 @@ impl Parser {
                     } else {
                         Linkage::External
                     };
+                    if self.module.global_by_name(&name).is_some() {
+                        return c.err(format!("duplicate global @{name}"));
+                    }
                     let id = self.module.add_global(&name, ty, None, is_const, linkage);
                     if !external {
                         // Initializer parsed in pass 2 (it may reference
@@ -239,6 +245,9 @@ impl Parser {
                 Some(Tok::Word(w)) if w == "declare" => {
                     c.next();
                     let (name, params, _names, ret, varargs) = self.parse_signature(&mut c)?;
+                    if self.module.func_by_name(&name).is_some() {
+                        return c.err(format!("duplicate function @{name}"));
+                    }
                     self.module
                         .add_function(&name, &params, ret, varargs, Linkage::External);
                     c.expect_end()?;
@@ -248,6 +257,9 @@ impl Parser {
                     c.next();
                     let internal = c.eat_word("internal");
                     let (name, params, names, ret, varargs) = self.parse_signature(&mut c)?;
+                    if self.module.func_by_name(&name).is_some() {
+                        return c.err(format!("duplicate function @{name}"));
+                    }
                     c.expect_punct('{')?;
                     c.expect_end()?;
                     let linkage = if internal {

@@ -186,6 +186,9 @@ fn read_func_sigs(m: &mut Module, r: &mut Reader<'_>) -> Result<Vec<FuncId>, Dec
         } else {
             Linkage::External
         };
+        if m.func_by_name(&name).is_some() {
+            return Err(DecodeError(format!("duplicate function @{name}")));
+        }
         let id = m.add_function(&name, &params, ret, varargs, linkage);
         if flags & 2 != 0 {
             bodies.push(id);
@@ -207,6 +210,9 @@ fn read_global_heads(m: &mut Module, r: &mut Reader<'_>) -> Result<Vec<GlobalId>
         } else {
             Linkage::External
         };
+        if m.global_by_name(&name).is_some() {
+            return Err(DecodeError(format!("duplicate global @{name}")));
+        }
         let id = m.add_global(&name, t, None, flags & 1 != 0, linkage);
         if flags & 4 != 0 {
             inits.push(id);

@@ -56,6 +56,9 @@ pub fn irgen(name: &str, prog: &Program) -> GResult<Module> {
     };
     // Struct types (two-phase for recursion).
     for s in &prog.structs {
+        if cx.structs.contains_key(&s.name) {
+            return Err(duplicate("struct", &s.name));
+        }
         let id = m.types.named_struct(&format!("struct.{}", s.name));
         cx.structs.insert(s.name.clone(), id);
     }
@@ -78,6 +81,9 @@ pub fn irgen(name: &str, prog: &Program) -> GResult<Module> {
     }
     // Globals.
     for g in &prog.globals {
+        if cx.globals.contains_key(&g.name) {
+            return Err(duplicate("global", &g.name));
+        }
         let ty = cx.ty_of(&mut m, &g.ty, 0)?;
         let init = if g.is_extern {
             None
@@ -95,6 +101,9 @@ pub fn irgen(name: &str, prog: &Program) -> GResult<Module> {
     }
     // Function signatures.
     for f in &prog.funcs {
+        if cx.funcs.contains_key(&f.name) {
+            return Err(duplicate("function", &f.name));
+        }
         let params: GResult<Vec<TypeId>> = f
             .params
             .iter()
@@ -123,6 +132,15 @@ pub fn irgen(name: &str, prog: &Program) -> GResult<Module> {
         }
     }
     Ok(m)
+}
+
+/// A second struct, global or function of one name; declarations carry no
+/// line.
+fn duplicate(what: &str, name: &str) -> SemError {
+    SemError {
+        line: 0,
+        message: format!("duplicate {what} '{name}'"),
+    }
 }
 
 /// Array-to-pointer decay for parameter types.
@@ -390,11 +408,10 @@ impl<'a, 'm> FuncGen<'a, 'm> {
             Stmt::Block(inner) => self.stmts(inner),
             Stmt::If(c, then, els) => {
                 self.ensure_block();
-                let cond = self.truthy(c)?;
                 let then_bb = self.b.new_block();
                 let else_bb = self.b.new_block();
                 let join = self.b.new_block();
-                self.b.cond_br(cond, then_bb, else_bb);
+                self.branch_on(c, then_bb, else_bb)?;
                 self.b.switch_to(then_bb);
                 self.terminated = false;
                 self.stmts(then)?;
@@ -413,27 +430,7 @@ impl<'a, 'm> FuncGen<'a, 'm> {
             }
             Stmt::While(c, body) => {
                 self.ensure_block();
-                let header = self.b.new_block();
-                let body_bb = self.b.new_block();
-                let exit = self.b.new_block();
-                self.b.br(header);
-                self.b.switch_to(header);
-                self.terminated = false;
-                let cond = self.truthy(c)?;
-                self.b.cond_br(cond, body_bb, exit);
-                self.b.switch_to(body_bb);
-                self.terminated = false;
-                self.breaks.push(exit);
-                self.continues.push(header);
-                self.stmts(body)?;
-                self.breaks.pop();
-                self.continues.pop();
-                if !self.terminated {
-                    self.b.br(header);
-                }
-                self.b.switch_to(exit);
-                self.terminated = false;
-                Ok(())
+                self.rotated_loop(Some(c), None, body)
             }
             Stmt::For(init, cond, step, body) => {
                 self.ensure_block();
@@ -441,38 +438,7 @@ impl<'a, 'm> FuncGen<'a, 'm> {
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
-                let header = self.b.new_block();
-                let body_bb = self.b.new_block();
-                let step_bb = self.b.new_block();
-                let exit = self.b.new_block();
-                self.b.br(header);
-                self.b.switch_to(header);
-                self.terminated = false;
-                match cond {
-                    Some(c) => {
-                        let cv = self.truthy(c)?;
-                        self.b.cond_br(cv, body_bb, exit);
-                    }
-                    None => self.b.br(body_bb),
-                }
-                self.b.switch_to(body_bb);
-                self.terminated = false;
-                self.breaks.push(exit);
-                self.continues.push(step_bb);
-                self.stmts(body)?;
-                self.breaks.pop();
-                self.continues.pop();
-                if !self.terminated {
-                    self.b.br(step_bb);
-                }
-                self.b.switch_to(step_bb);
-                self.terminated = false;
-                if let Some(e) = step {
-                    self.rvalue(e)?;
-                }
-                self.b.br(header);
-                self.b.switch_to(exit);
-                self.terminated = false;
+                self.rotated_loop(cond.as_ref(), step.as_ref(), body)?;
                 self.scopes.pop();
                 Ok(())
             }
@@ -551,6 +517,80 @@ impl<'a, 'm> FuncGen<'a, 'm> {
                     return self.err(e.line, "delete of non-pointer");
                 }
                 self.b.free(v);
+                Ok(())
+            }
+        }
+    }
+
+    /// Lower a loop rotated, as `if (c) do { body; step } while (c)`: the
+    /// test is emitted once as the guard and once in the latch, so an
+    /// iteration runs one branch, and `continue` goes to the latch. The
+    /// variables are still allocas here, so the copy of the test needs no
+    /// SSA repair; the guard of a counted loop folds away once they are
+    /// promoted.
+    fn rotated_loop(
+        &mut self,
+        cond: Option<&Expr>,
+        step: Option<&Expr>,
+        body: &[Stmt],
+    ) -> GResult<()> {
+        let body_bb = self.b.new_block();
+        let latch = self.b.new_block();
+        let exit = self.b.new_block();
+        self.loop_test(cond, body_bb, exit)?;
+        self.b.switch_to(body_bb);
+        self.terminated = false;
+        self.breaks.push(exit);
+        self.continues.push(latch);
+        self.stmts(body)?;
+        self.breaks.pop();
+        self.continues.pop();
+        if !self.terminated {
+            self.b.br(latch);
+        }
+        self.b.switch_to(latch);
+        self.terminated = false;
+        if let Some(e) = step {
+            self.rvalue(e)?;
+        }
+        self.loop_test(cond, body_bb, exit)?;
+        self.b.switch_to(exit);
+        self.terminated = false;
+        Ok(())
+    }
+
+    /// A loop's test; a `for` without one always enters the body.
+    fn loop_test(&mut self, cond: Option<&Expr>, body: BlockId, exit: BlockId) -> GResult<()> {
+        match cond {
+            Some(c) => self.branch_on(c, body, exit),
+            None => {
+                self.b.br(body);
+                Ok(())
+            }
+        }
+    }
+
+    /// Branch to `t` when `e` is true and to `f` otherwise, lowering `&&`,
+    /// `||` and `!` as control flow (jumping code) rather than as a `bool`
+    /// value tested afterwards. Leaves the current block terminated.
+    fn branch_on(&mut self, e: &Expr, t: BlockId, f: BlockId) -> GResult<()> {
+        match &e.kind {
+            ExprKind::Bin(BinOpKind::LAnd, lhs, rhs) => {
+                let more = self.b.new_block();
+                self.branch_on(lhs, more, f)?;
+                self.b.switch_to(more);
+                self.branch_on(rhs, t, f)
+            }
+            ExprKind::Bin(BinOpKind::LOr, lhs, rhs) => {
+                let more = self.b.new_block();
+                self.branch_on(lhs, t, more)?;
+                self.b.switch_to(more);
+                self.branch_on(rhs, t, f)
+            }
+            ExprKind::Not(inner) => self.branch_on(inner, f, t),
+            _ => {
+                let cond = self.truthy(e)?;
+                self.b.cond_br(cond, t, f);
                 Ok(())
             }
         }
@@ -801,11 +841,10 @@ impl<'a, 'm> FuncGen<'a, 'm> {
                 Ok((v, CType::Ptr(Box::new(t.clone()))))
             }
             ExprKind::Ternary(c, a, b) => {
-                let cond = self.truthy(c)?;
                 let then_bb = self.b.new_block();
                 let else_bb = self.b.new_block();
                 let join = self.b.new_block();
-                self.b.cond_br(cond, then_bb, else_bb);
+                self.branch_on(c, then_bb, else_bb)?;
                 self.b.switch_to(then_bb);
                 let (av, at) = self.rvalue(a)?;
                 let a_end = self.b.current();

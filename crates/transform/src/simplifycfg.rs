@@ -1,5 +1,5 @@
 //! CFG simplification: constant-fold terminators, delete unreachable
-//! blocks, and merge straight-line block chains.
+//! blocks, merge straight-line block chains, and forward empty blocks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -16,6 +16,7 @@ pub struct SimplifyCfg {
     folded: AtomicUsize,
     merged: AtomicUsize,
     removed: AtomicUsize,
+    forwarded: AtomicUsize,
 }
 
 impl FunctionPass for SimplifyCfg {
@@ -25,11 +26,12 @@ impl FunctionPass for SimplifyCfg {
     fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
         let mut changed = false;
         loop {
-            let (f1, f2, f3) = simplify_cfg_unit(u);
+            let (f1, f2, f3, f4) = simplify_cfg_unit(u);
             self.folded.fetch_add(f1, Ordering::Relaxed);
             self.removed.fetch_add(f2, Ordering::Relaxed);
             self.merged.fetch_add(f3, Ordering::Relaxed);
-            if f1 + f2 + f3 == 0 {
+            self.forwarded.fetch_add(f4, Ordering::Relaxed);
+            if f1 + f2 + f3 + f4 == 0 {
                 break;
             }
             changed = true;
@@ -40,24 +42,25 @@ impl FunctionPass for SimplifyCfg {
     }
     fn stats(&self) -> String {
         format!(
-            "folded {} branches, removed {} blocks, merged {} chains",
+            "folded {} branches, removed {} blocks, merged {} chains, forwarded {} blocks",
             self.folded.load(Ordering::Relaxed),
             self.removed.load(Ordering::Relaxed),
-            self.merged.load(Ordering::Relaxed)
+            self.merged.load(Ordering::Relaxed),
+            self.forwarded.load(Ordering::Relaxed)
         )
     }
 }
 
 /// One round of CFG simplification; returns
-/// `(branches folded, blocks removed, chains merged)`.
-pub fn simplify_cfg_function(m: &mut Module, fid: FuncId) -> (usize, usize, usize) {
+/// `(branches folded, blocks removed, chains merged, blocks forwarded)`.
+pub fn simplify_cfg_function(m: &mut Module, fid: FuncId) -> (usize, usize, usize, usize) {
     crate::fpm::with_unit(m, fid, simplify_cfg_unit)
 }
 
 /// One round of CFG simplification against a [`FuncUnit`].
-pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
+pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize, usize) {
     if u.func.is_declaration() {
-        return (0, 0, 0);
+        return (0, 0, 0, 0);
     }
     let mut folded = 0;
 
@@ -143,7 +146,144 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize) {
     //    unique predecessor (splice the chain).
     let merged = merge_chains(u.func);
 
-    (folded, removed, merged)
+    // 4. Retarget the edges into a block that only branches on. After the
+    //    merge, so that a successor with one predecessor absorbs the block
+    //    and its φs, rather than keeping one-entry φs.
+    let forwarded = forward_empty_blocks(u.func);
+
+    (folded, removed, merged, forwarded)
+}
+
+/// Remove every non-entry block whose only instruction is `br label %s`
+/// (`s` not the block itself): its predecessors branch to `s` directly,
+/// and its entry in each φ of `s` becomes one entry per predecessor.
+/// Returns the number of blocks removed.
+///
+/// A block is kept when one of its predecessors reaches it twice or
+/// already reaches `s`, since `s`'s φs could then need two entries for one
+/// predecessor. It is done in one sweep: each block is decided after the
+/// block it branches to, so a forwarded block's predecessors are
+/// retargeted once, straight to where a run of empty blocks ends (an
+/// empty predecessor that goes later passes its own predecessors on to
+/// that end). `via[b]` keeps the predecessors a forwarded block had when
+/// it went; the φ rewrite resolves those that went later to the blocks
+/// that remain, as [`resolve`] does for φ values.
+fn forward_empty_blocks(f: &mut Function) -> usize {
+    let entry = f.entry();
+    let n = f.num_blocks();
+    let target: Vec<Option<BlockId>> = f
+        .block_ids()
+        .map(|b| match *f.block_insts(b) {
+            [only] if b != entry => match *f.inst(only) {
+                Inst::Br(s) if s != b => Some(s),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    if target.iter().all(Option::is_none) {
+        return 0;
+    }
+    let mut order = Vec::new();
+    let mut placed = vec![false; n];
+    for b in f.block_ids() {
+        let mut run = Vec::new();
+        let mut x = b;
+        while let (false, Some(s)) = (placed[x.index()], target[x.index()]) {
+            placed[x.index()] = true;
+            run.push(x);
+            x = s;
+        }
+        order.extend(run.into_iter().rev());
+    }
+
+    let mut preds = f.predecessors();
+    let mut via: Vec<Option<Vec<BlockId>>> = vec![None; n];
+    // The blocks forwarded into: the only ones whose φs name a forwarded
+    // block.
+    let mut joins = Vec::new();
+    // `seen[p] == b`: `p` was met among `b`'s predecessors.
+    let mut seen = vec![usize::MAX; n];
+    let mut forwarded = 0;
+    for b in order {
+        // Read again: an earlier forward may have retargeted it.
+        let Inst::Br(s) = *f.inst(f.block_insts(b)[0]) else {
+            unreachable!("an empty block ends in br")
+        };
+        if s == b {
+            continue;
+        }
+        // `preds` lists a retargeted edge under its new target and leaves
+        // the stale one under the forwarded block, so skip forwarded ones.
+        let live: Vec<BlockId> = preds[b.index()]
+            .iter()
+            .copied()
+            .filter(|p| via[p.index()].is_none())
+            .collect();
+        let clash = live.iter().any(|&p| {
+            let twice = std::mem::replace(&mut seen[p.index()], b.index()) == b.index();
+            twice || f.successors(p).contains(&s)
+        });
+        if live.is_empty() || clash {
+            continue;
+        }
+        for &p in &live {
+            let t = f.terminator(p).expect("a predecessor ends in a terminator");
+            f.inst_mut(t).map_successors(|x| if x == b { s } else { x });
+        }
+        // Read again only when `s` is decided later: on a cycle of empty
+        // blocks.
+        preds[s.index()].extend_from_slice(&live);
+        via[b.index()] = Some(live);
+        joins.push(s);
+        forwarded += 1;
+    }
+    if forwarded == 0 {
+        return 0;
+    }
+
+    // A join that went later has no φs: its only instruction was a `br`.
+    joins.sort_unstable();
+    joins.dedup();
+    for s in joins {
+        let phis: Vec<InstId> = (f.block_insts(s).iter().copied())
+            .take_while(|&i| matches!(f.inst(i), Inst::Phi { .. }))
+            .collect();
+        for iid in phis {
+            let Inst::Phi { incoming } = f.inst(iid) else {
+                unreachable!("taken as a φ")
+            };
+            let mut rewritten = Vec::with_capacity(incoming.len());
+            for &(v, pb) in incoming {
+                match via[pb.index()] {
+                    Some(_) => rewritten.extend(sources(&mut via, pb).into_iter().map(|p| (v, p))),
+                    None => rewritten.push((v, pb)),
+                }
+            }
+            *f.inst_mut(iid) = Inst::Phi {
+                incoming: rewritten,
+            };
+        }
+    }
+    let keep: Vec<bool> = via.iter().map(Option::is_none).collect();
+    f.retain_blocks(&keep);
+    forwarded
+}
+
+/// The remaining blocks whose edges now stand where the forwarded block
+/// `b`'s did, in predecessor order. A block in `via[b]` was forwarded
+/// later than `b`, so the walk ends; its result replaces `via[b]`.
+fn sources(via: &mut [Option<Vec<BlockId>>], b: BlockId) -> Vec<BlockId> {
+    let mut out = Vec::new();
+    let mut stack: Vec<BlockId> = via[b.index()].iter().flatten().rev().copied().collect();
+    while let Some(p) = stack.pop() {
+        match &via[p.index()] {
+            Some(ps) => stack.extend(ps.iter().rev()),
+            None => out.push(p),
+        }
+    }
+    via[b.index()] = Some(out.clone());
+    out
 }
 
 /// Splice every maximal chain `head → s1 → s2 → …`, where each link is a
@@ -262,12 +402,7 @@ mod tests {
         let mut m = parse_module("t", src).unwrap();
         m.verify().unwrap();
         let fid = m.func_by_name("f").unwrap();
-        loop {
-            let (a, b, c) = simplify_cfg_function(&mut m, fid);
-            if a + b + c == 0 {
-                break;
-            }
-        }
+        while simplify_cfg_function(&mut m, fid) != (0, 0, 0, 0) {}
         m.verify()
             .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
         m
@@ -329,9 +464,10 @@ m2:
         assert_eq!(m.func(fid).num_insts(), 4);
     }
 
-    /// The cases below print the same text under the implementation that
-    /// merged one block per CFG rescan; the expected strings were captured
-    /// from it.
+    /// The chain-merge cases below print the same text under the
+    /// implementation that merged one block per CFG rescan; their expected
+    /// strings were captured from it. The forwarding cases' strings were
+    /// checked by hand.
     fn check(src: &str, expected: &str) {
         let text = opt(src).display();
         let body = text.split_once("define").expect("one function").1;
@@ -511,6 +647,163 @@ bb0:
   br label %bb0
 }",
         );
+    }
+
+    #[test]
+    fn an_empty_block_is_forwarded_into_a_phi_successor() {
+        // %a goes: each of its predecessors gets its own φ entry.
+        check(
+            "
+define int @f(int %x, bool %k, bool %m) {
+e:
+  br bool %k, label %c, label %d
+c:
+  br bool %m, label %a, label %o
+d:
+  br bool %m, label %a, label %q
+q:
+  %y = add int %x, 1
+  br label %j
+a:
+  br label %j
+j:
+  %p = phi int [ %x, %a ], [ %y, %q ]
+  ret int %p
+o:
+  ret int 0
+}",
+            "
+int @f(int %a0, bool %a1, bool %a2) {
+bb0:
+  br bool %a1, label %bb1, label %bb2
+bb1:
+  br bool %a2, label %bb4, label %bb5
+bb2:
+  br bool %a2, label %bb4, label %bb3
+bb3:
+  %t3 = add int %a0, 1
+  br label %bb4
+bb4:
+  %t6 = phi int [ %a0, %bb1 ], [ %a0, %bb2 ], [ %t3, %bb3 ]
+  ret int %t6
+bb5:
+  ret int 0
+}",
+        );
+    }
+
+    #[test]
+    fn forwarding_is_refused_when_a_predecessor_already_reaches_the_successor() {
+        // %e reaches %j both through %a and directly, with different
+        // values: one φ entry for %e could not say which.
+        check(
+            "
+define int @f(int %x, bool %k) {
+e:
+  br bool %k, label %a, label %j
+a:
+  br label %j
+j:
+  %p = phi int [ %x, %a ], [ 7, %e ]
+  ret int %p
+}",
+            "
+int @f(int %a0, bool %a1) {
+bb0:
+  br bool %a1, label %bb1, label %bb2
+bb1:
+  br label %bb2
+bb2:
+  %t2 = phi int [ %a0, %bb1 ], [ 7, %bb0 ]
+  ret int %t2
+}",
+        );
+    }
+
+    #[test]
+    fn the_entry_block_and_a_self_loop_are_not_forwarded() {
+        // %e and %l each hold only a `br`; %h2 goes.
+        check(
+            "
+define void @f(bool %k) {
+e:
+  br label %h
+h:
+  br bool %k, label %h2, label %l
+h2:
+  br label %h
+l:
+  br label %l
+}",
+            "
+void @f(bool %a0) {
+bb0:
+  br label %bb1
+bb1:
+  br bool %a0, label %bb1, label %bb2
+bb2:
+  br label %bb2
+}",
+        );
+    }
+
+    /// `b1 → … → bN → j`, in layout order or reversed, where `ck` branches
+    /// to `bk` or on to `c(k+1)`: each `bk` has two predecessors, so none
+    /// merges, and all N go.
+    fn empty_chain(n: usize, reversed: bool) -> String {
+        let mut tests = String::new();
+        let mut links = Vec::new();
+        for k in 1..=n {
+            let on = if k == n {
+                "o".into()
+            } else {
+                format!("c{}", k + 1)
+            };
+            let next = if k == n {
+                "j".into()
+            } else {
+                format!("b{}", k + 1)
+            };
+            tests += &format!("c{k}:\n  br bool %m, label %b{k}, label %{on}\n");
+            links.push(format!("b{k}:\n  br label %{next}\n"));
+        }
+        if reversed {
+            links.reverse();
+        }
+        format!(
+            "define int @f(int %x, bool %k, bool %m) {{
+e:
+  br bool %k, label %c1, label %o
+{tests}{}o:
+  %y = add int %x, 1
+  br label %j
+j:
+  %p = phi int [ 1, %b{n} ], [ %y, %o ]
+  ret int %p
+}}",
+            links.concat()
+        )
+    }
+
+    #[test]
+    fn a_chain_of_empty_blocks_goes_in_one_sweep() {
+        let n = 50;
+        for reversed in [false, true] {
+            let mut m = parse_module("t", &empty_chain(n, reversed)).unwrap();
+            let fid = m.func_by_name("f").unwrap();
+            assert_eq!(simplify_cfg_function(&mut m, fid), (0, 0, 0, n));
+            m.verify().unwrap();
+            let f = m.func(fid);
+            // e, c1 … cN, o, j: every ck now branches to j, which has one
+            // φ entry per ck and one for o.
+            assert_eq!(f.num_blocks(), n + 3, "reversed: {reversed}");
+            let j = BlockId::from_index(n + 2);
+            assert_eq!(f.predecessors()[j.index()].len(), n + 1);
+            match f.inst(f.block_insts(j)[0]) {
+                Inst::Phi { incoming } => assert_eq!(incoming.len(), n + 1),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

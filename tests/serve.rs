@@ -26,7 +26,7 @@ use std::time::Duration;
 use lpat::core::hash::SplitMix64;
 use lpat::serve::{
     encode_request, Addr, Client, ErrClass, Op, Request, Response, RetryPolicy, Server,
-    ServerConfig,
+    ServerConfig, FLAG_MINIC,
 };
 
 const ADD_PROG: &str = "\
@@ -924,6 +924,39 @@ fn process_isolation_serves_the_same_protocol() {
         Response::Ok { output, .. } => {
             let json = String::from_utf8(output).unwrap();
             assert!(json.contains("\"worker_pids\":["), "{json}");
+            assert!(json.contains("\"worker_crashes\":0"), "{json}");
+        }
+        other => panic!("stats answered {other:?}"),
+    }
+    assert!(d.alive());
+}
+
+/// A module that names one global twice is the client's fault: the daemon
+/// answers `BadModule` naming the symbol, in-process and from a worker
+/// subprocess alike, and goes on serving.
+#[test]
+fn a_duplicate_global_is_a_bad_module() {
+    let mut req = run_request("int g; int g;\nint main() { return 0; }");
+    req.flags |= FLAG_MINIC;
+    let expect_bad = |resp: Response| match resp {
+        Response::Err { class, message } => {
+            assert_eq!(class, ErrClass::BadModule, "{message}");
+            assert!(message.contains("duplicate global 'g'"), "{message}");
+        }
+        other => panic!("expected BadModule, got {other:?}"),
+    };
+    let h = Server::bind(ServerConfig::default()).unwrap().start();
+    expect_bad(connect(h.addr()).request(&req).unwrap());
+    let resp = connect(h.addr()).request(&run_request(ADD_PROG)).unwrap();
+    assert_eq!(expect_ok(&resp).0, 42);
+
+    let mut d = Daemon::spawn(&["--isolate", "process", "--workers", "1"], None);
+    let mut c = connect(&d.addr);
+    expect_bad(c.request(&req).unwrap());
+    assert_eq!(expect_ok(&c.request(&run_request(ADD_PROG)).unwrap()).0, 42);
+    match c.request(&Request::new(Op::Stats)).unwrap() {
+        Response::Ok { output, .. } => {
+            let json = String::from_utf8(output).unwrap();
             assert!(json.contains("\"worker_crashes\":0"), "{json}");
         }
         other => panic!("stats answered {other:?}"),

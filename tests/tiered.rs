@@ -1932,3 +1932,186 @@ x:
         "second run did not warm-start: {notices}"
     );
 }
+
+/// `src` as the front end emits it and after the `-O` pipeline: loops are
+/// rotated and conditions lowered as jumping code in both, and every
+/// engine must agree with the interpreter on each.
+fn minic_same_in_every_engine(src: &str) -> [Observed; 2] {
+    let m = lpat::minic::compile("t", src).unwrap_or_else(|e| panic!("{e}"));
+    m.verify().unwrap_or_else(|e| panic!("{e:?}"));
+    let mut opt = m.clone();
+    lpat::transform::function_pipeline().run(&mut opt);
+    opt.verify().unwrap_or_else(|e| panic!("{e:?}"));
+    let [plain, opt] = [&m, &opt].map(|m| same_in_every_engine(m, 20_000_000));
+    assert_eq!(
+        (&plain.outcome, &plain.output),
+        (&opt.outcome, &opt.output),
+        "-O changed what the program does"
+    );
+    [plain, opt]
+}
+
+#[test]
+fn zero_trip_loops_skip_their_body_and_step() {
+    let [seen, _] = minic_same_in_every_engine(
+        "extern void print_int(int v);
+int n;
+int main() {
+  int i; int s;
+  s = 0;
+  i = 5;
+  while (i < n) { s = s + 1; i = i + 1; }
+  for (i = 0; i < 0; i = i + 1) s = s + 100;
+  for (i = 10; i < n; i = i + 1) s = s + 1000;
+  while (false) s = s + 7;
+  print_int(s);
+  print_int(i);
+  return s + i;
+}",
+    );
+    assert_eq!((seen.outcome, seen.output.as_str()), (Ok(10), "0\n10\n"));
+}
+
+#[test]
+fn continue_and_break_in_nested_while_and_for_loops() {
+    // `continue` in a `for` runs the step; a `for` without a test leaves
+    // only by `break`.
+    let [seen, _] = minic_same_in_every_engine(
+        "extern void print_int(int v);
+int main() {
+  int i; int j; int s;
+  s = 0;
+  for (i = 0; i < 10; i = i + 1) {
+    if (i % 3 == 0) continue;
+    if (i == 8) break;
+    j = 0;
+    while (true) {
+      j = j + 1;
+      if (j > i) break;
+      if (j % 2 == 0) continue;
+      s = s + j * 10 + i;
+    }
+  }
+  print_int(s);
+  print_int(i);
+  i = 0;
+  while (i < 20) {
+    i = i + 1;
+    if (i % 4 == 0) continue;
+    if (i > 13) break;
+    for (j = 0; ; j = j + 1) {
+      if (j == i % 3) break;
+      s = s + 1;
+    }
+    s = s + 100;
+  }
+  print_int(s);
+  print_int(i);
+  return s % 256;
+}",
+    );
+    assert_eq!(
+        (seen.outcome, seen.output.as_str()),
+        (Ok(94), "364\n8\n1374\n14\n")
+    );
+}
+
+#[test]
+fn a_loop_test_with_side_effects_runs_once_per_iteration_and_once_more() {
+    let [seen, _] = minic_same_in_every_engine(
+        "extern void print_int(int v);
+int calls;
+int next() { calls = calls + 1; return calls; }
+int main() {
+  int it;
+  it = 0;
+  while (next() < 5) it = it + 1;
+  print_int(it);
+  print_int(calls);
+  for (calls = 0; next() < 3; ) it = it + 10;
+  print_int(it);
+  print_int(calls);
+  calls = 10;
+  while (next() < 5) it = it + 1000;
+  print_int(it);
+  print_int(calls);
+  return it;
+}",
+    );
+    assert_eq!(
+        (seen.outcome, seen.output.as_str()),
+        (Ok(24), "4\n5\n24\n3\n24\n11\n")
+    );
+}
+
+#[test]
+fn and_or_not_conditions_keep_the_short_circuit_order() {
+    // `trace` records which operands ran, in order; `&&` and `||` in value
+    // position and in a `?:` test as well as in `if`, `while` and `for`.
+    let [seen, _] = minic_same_in_every_engine(
+        "extern void print_int(int v);
+int trace;
+int t(int id, int v) { trace = trace * 10 + id; return v; }
+int main() {
+  int n; int k; int v;
+  n = 0;
+  trace = 0;
+  if (t(1, 0) && t(2, 1)) n = n + 1;
+  print_int(trace);
+  trace = 0;
+  if (t(1, 1) && t(2, 0)) n = n + 1; else n = n + 2;
+  print_int(trace);
+  trace = 0;
+  if (t(1, 1) || t(2, 1)) n = n + 4;
+  print_int(trace);
+  trace = 0;
+  if (!(t(1, 0) || t(2, 0)) && !t(3, 0)) n = n + 8;
+  print_int(trace);
+  trace = 0;
+  k = 0;
+  while (t(1, k < 3) && !t(2, k == 1)) k = k + 1;
+  print_int(trace);
+  trace = 0;
+  for (k = 0; t(1, k == 0) || t(2, k < 2); k = k + 1) n = n + 16;
+  print_int(trace);
+  trace = 0;
+  v = t(1, 0) || t(2, 5);
+  print_int(trace);
+  print_int(v);
+  trace = 0;
+  v = t(1, 1) && t(2, 0) ? 5 : 6;
+  print_int(trace);
+  print_int(v);
+  print_int(n);
+  return n;
+}",
+    );
+    assert_eq!(
+        (seen.outcome, seen.output.as_str()),
+        (Ok(46), "1\n12\n1\n123\n1212\n11212\n12\n1\n12\n6\n46\n")
+    );
+}
+
+/// A counted loop runs one branch per iteration after `-O`: its guard
+/// folds away and the test sits in the latch, so 1000 iterations execute
+/// the latch's 1000 `br`s and at most two more.
+#[test]
+fn an_optimized_counted_loop_runs_one_branch_per_iteration() {
+    let [_, seen] = minic_same_in_every_engine(
+        "extern void print_int(int v);
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 1000; i = i + 1) s = s + i;
+  print_int(s);
+  return 0;
+}",
+    );
+    assert_eq!(seen.output, "499500\n");
+    let br = lpat::core::Inst::Br(lpat::core::BlockId::from_index(0)).opcode_index();
+    assert!(
+        seen.opcode_counts[br] <= 1000 + 2,
+        "{} br executed",
+        seen.opcode_counts[br]
+    );
+}
