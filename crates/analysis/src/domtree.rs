@@ -13,6 +13,9 @@ pub struct DomTree {
     doms: Dominators,
     children: Vec<Vec<BlockId>>,
     frontier: Vec<Vec<BlockId>>,
+    /// `span[b]`: when a depth-first walk of the tree enters and leaves
+    /// `b`. `a` dominates `b` exactly when `a`'s span holds `b`'s.
+    span: Vec<(u32, u32)>,
 }
 
 impl DomTree {
@@ -60,10 +63,33 @@ impl DomTree {
                 }
             }
         }
+        // Number the tree depth first, without recursion: a deep tree
+        // (a long chain of loops) must not cost stack.
+        let mut span = vec![(u32::MAX, 0); n];
+        let mut clock = 0u32;
+        let mut stack = vec![(f.entry(), 0usize)];
+        span[f.entry().index()].0 = 0;
+        while let Some((b, next)) = stack.last_mut() {
+            let b = *b;
+            match children[b.index()].get(*next) {
+                Some(&c) => {
+                    *next += 1;
+                    clock += 1;
+                    span[c.index()].0 = clock;
+                    stack.push((c, 0));
+                }
+                None => {
+                    clock += 1;
+                    span[b.index()].1 = clock;
+                    stack.pop();
+                }
+            }
+        }
         DomTree {
             doms,
             children,
             frontier,
+            span,
         }
     }
 
@@ -81,9 +107,15 @@ impl DomTree {
         }
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive), in constant time. Like
+    /// [`Dominators::dominates`], everything dominates an unreachable
+    /// block.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.doms.dominates(a, b)
+        if !self.is_reachable(b) {
+            return true;
+        }
+        let ((a_in, a_out), (b_in, b_out)) = (self.span[a.index()], self.span[b.index()]);
+        a_in <= b_in && b_out <= a_out
     }
 
     /// Dominator-tree children of `b`.

@@ -2,6 +2,8 @@
 //!
 //! The analyses the compiler framework builds on (paper §3.3, §4.1.1):
 //!
+//! * [`alias`] — a local memory oracle: may two accesses in one function
+//!   touch the same bytes (GVN's load availability);
 //! * [`domtree`] — dominator trees and dominance frontiers (SSA
 //!   construction, verifier support);
 //! * [`loops`] — natural-loop detection (runtime hot-region profiling);
@@ -18,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alias;
 pub mod callgraph;
 pub mod domtree;
 pub mod dsa;
@@ -26,6 +29,7 @@ pub mod manager;
 pub mod modref;
 pub mod summary;
 
+pub use alias::Alias;
 pub use callgraph::CallGraph;
 pub use domtree::DomTree;
 pub use dsa::{AccessStats, Dsa, DsaOptions};

@@ -35,35 +35,39 @@ impl LoopInfo {
     /// Compute loop info for `f` using `dt`.
     pub fn compute(f: &Function, dt: &DomTree) -> LoopInfo {
         let n = f.num_blocks();
-        // Find back edges: s -> h where h dominates s.
+        // Find back edges: s -> h where h dominates s. `slot[h]` is the
+        // index of h's entry in `headers`.
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+        let mut slot = vec![usize::MAX; n];
         for b in f.block_ids() {
             if !dt.is_reachable(b) {
                 continue;
             }
             for s in f.successors(b) {
                 if dt.dominates(s, b) {
-                    match headers.iter_mut().find(|(h, _)| *h == s) {
-                        Some((_, latches)) => latches.push(b),
-                        None => headers.push((s, vec![b])),
+                    if slot[s.index()] == usize::MAX {
+                        slot[s.index()] = headers.len();
+                        headers.push((s, Vec::new()));
                     }
+                    headers[slot[s.index()]].1.push(b);
                 }
             }
         }
         let preds = f.predecessors();
         let mut loops = Vec::new();
-        for (header, latches) in headers {
+        // `seen[b] == k + 1` while the body of the k-th loop is collected.
+        let mut seen = vec![0usize; n];
+        for (k, (header, latches)) in headers.into_iter().enumerate() {
             // Natural loop: header + all blocks that reach a latch without
             // passing through the header.
-            let mut in_body = vec![false; n];
-            in_body[header.index()] = true;
+            seen[header.index()] = k + 1;
             let mut body = vec![header];
             let mut work: Vec<BlockId> = latches.clone();
             while let Some(b) = work.pop() {
-                if in_body[b.index()] {
+                if seen[b.index()] == k + 1 {
                     continue;
                 }
-                in_body[b.index()] = true;
+                seen[b.index()] = k + 1;
                 body.push(b);
                 for &p in &preds[b.index()] {
                     if dt.is_reachable(p) {

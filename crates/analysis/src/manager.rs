@@ -164,6 +164,18 @@ impl FuncAnalyses {
         &self.loops.as_ref().unwrap().1
     }
 
+    /// The dominator tree and the natural-loop forest of `f` together,
+    /// each cached as by [`FuncAnalyses::domtree`] and
+    /// [`FuncAnalyses::loops`].
+    pub fn domtree_and_loops(&mut self, f: &Function) -> (&DomTree, &LoopInfo) {
+        self.loops(f);
+        self.domtree(f);
+        (
+            &self.domtree.as_ref().unwrap().1,
+            &self.loops.as_ref().unwrap().1,
+        )
+    }
+
     /// Apply a pass's [`PreservedAnalyses`] at function version
     /// `new_version` (the version after the pass ran): re-stamp preserved
     /// entries so later requests hit, drop the rest.

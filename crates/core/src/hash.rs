@@ -12,7 +12,9 @@
 //!   instead of applied.
 //!
 //! Both are implemented in-tree (no external deps) and are stable across
-//! platforms and releases: they are part of the on-disk format.
+//! platforms and releases: they are part of the on-disk format. Beside
+//! them live the seeded mixer [`splitmix64`] and [`IdHasher`], the hasher
+//! of the optimizer's in-memory tables.
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), the checksum used by
 /// zip/gzip/PNG. Table-driven; the table is built at compile time.
@@ -58,6 +60,54 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// A multiply-rotate hasher for tables keyed by ids and small enums of
+/// ids (rustc's `FxHasher`): a few cycles a word where the standard
+/// library's SipHash costs tens. Not resistant to chosen keys, so only
+/// for compiler-internal tables, never for anything read from outside.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` / `HashSet` hasher builder for [`IdHasher`].
+pub type IdHashBuilder = std::hash::BuildHasherDefault<IdHasher>;
 
 /// SplitMix64's output function at `z`: the workspace's one seeded mixer
 /// (retry jitter, request ids, the randomized tests). No state beyond the

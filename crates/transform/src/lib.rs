@@ -15,7 +15,8 @@
 //! | const fold / identities | [`scalar`] | §2.2 |
 //! | reassociation | [`reassociate`] | §2.2 (explicit address arithmetic) |
 //! | CFG simplification | [`simplifycfg`] | — |
-//! | redundancy elimination | [`gvn`] | §2.1 (SSA benefits) |
+//! | redundancy elimination, load availability | [`gvn`] | §2.1 (SSA benefits) |
+//! | loop-invariant code motion | [`licm`] | §2.1 |
 //! | aggressive DCE | [`adce`] | footnote 9 |
 //! | inlining | [`inline`] | Table 2, §2.4 unwind→branch |
 //! | devirtualization | [`devirtualize`] | §4.1.1 virtual-call resolution |
@@ -30,6 +31,7 @@ pub mod fpm;
 pub mod gvn;
 pub mod inline;
 pub mod ipo;
+pub mod licm;
 pub mod mem2reg;
 pub mod pipelines;
 pub mod pm;

@@ -13,6 +13,7 @@ use crate::fpm::FunctionPassAdapter;
 use crate::gvn::Gvn;
 use crate::inline::Inline;
 use crate::ipo::{Dae, Dge, Internalize, Ipcp};
+use crate::licm::Licm;
 use crate::mem2reg::Mem2Reg;
 use crate::pm::PassManager;
 use crate::prune_eh::PruneEh;
@@ -38,6 +39,7 @@ pub fn function_pipeline() -> PassManager {
             .add(InstSimplify::default())
             .add(Gvn::default())
             .add(SimplifyCfg::default())
+            .add(Licm::default())
             .add(Adce::default())
             .add(SimplifyCfg::default()),
     );
@@ -65,6 +67,7 @@ pub fn link_time_pipeline() -> PassManager {
             .add(Gvn::default())
             .add(InstSimplify::default())
             .add(SimplifyCfg::default())
+            .add(Licm::default())
             .add(Adce::default())
             .add(SimplifyCfg::default())
             .add(Dce::default()),

@@ -194,7 +194,11 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
             if let Some(c) = as_const(u, val) {
                 if let Some(folded) = fold_cast(u.types, &c, to) {
                     let id = u.consts.intern(folded);
-                    return Some(Value::Const(id));
+                    // A global's address keeps its own type: a cast of it
+                    // to another pointer type has no constant to fold to.
+                    if u.const_type(id) == to {
+                        return Some(Value::Const(id));
+                    }
                 }
             }
             // cast (cast x to A) to B where both casts are pointer casts:
@@ -338,6 +342,28 @@ e:
   ret int %d
 }");
         assert!(m.display().contains("ret int %a0"), "{}", m.display());
+    }
+
+    #[test]
+    fn a_punning_cast_of_a_global_stays() {
+        // `(char*)&g`: the global's address has no `sbyte*` constant, so
+        // the cast is kept (folding it retyped the address under its
+        // `getelementptr`, which the verifier then refused).
+        let m = opt("
+%s = type { int, int }
+@g = global %s zeroinitializer
+define void @f() {
+e:
+  %c = cast %s* @g to sbyte*
+  %p = getelementptr sbyte* %c, int 5
+  store sbyte 1, sbyte* %p
+  ret void
+}");
+        assert!(
+            m.display().contains("cast %s* @g to sbyte*"),
+            "{}",
+            m.display()
+        );
     }
 
     #[test]

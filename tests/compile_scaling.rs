@@ -5,7 +5,9 @@
 //! the shape link-time inlining produces; quadrupling N must not cost
 //! anywhere near sixteen times as much. The same holds for `simplifycfg`'s
 //! forwarding of empty blocks on a ladder of N nested `if`s without
-//! `else`, whose empty joins form one run that every level enters.
+//! `else`, whose empty joins form one run that every level enters. GVN's
+//! load availability and `licm` hold the same bound on a function of N
+//! sequential loops.
 //!
 //! Timing test: only with `--features slow-tests`, and only meaningful in
 //! release (`cargo test --release --features slow-tests --test compile_scaling`).
@@ -172,6 +174,85 @@ fn an_if_ladder_four_times_as_deep_costs_less_than_eight_times_the_time() {
     assert!(
         large < 8 * small,
         "N = 5000: {small:?}, N = 20000: {large:?} ({:.1}x; linear is 4x)",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
+
+/// `N` loops one after another, each behind its own preheader: every
+/// iteration loads and stores four globals and computes one invariant
+/// product. GVN's load availability sees `N` back edges and sixteen
+/// `N` memory operations; `licm` visits `N` loops.
+fn sequential_loops(n: usize) -> Module {
+    let mut src = String::from(
+        "@g0 = global int 0\n@g1 = global int 1\n@g2 = global int 2\n@g3 = global int 3\n\
+         define int @main(int %n, int %k) {\np0:\n  br label %l1\n",
+    );
+    for k in 1..=n {
+        let next = if k == n {
+            "x".to_string()
+        } else {
+            format!("p{k}")
+        };
+        write!(
+            src,
+            "l{k}:
+  %i{k} = phi int [ 0, %p{prev} ], [ %i{k}x, %l{k} ]
+  %m{k} = mul int %k, {k}
+  %a{k} = load int* @g0
+  %b{k} = load int* @g1
+  %c{k} = load int* @g2
+  %d{k} = load int* @g3
+  %s{k} = add int %a{k}, %m{k}
+  store int %s{k}, int* @g0
+  store int %a{k}, int* @g1
+  %t{k} = add int %b{k}, %c{k}
+  store int %t{k}, int* @g2
+  store int %d{k}, int* @g3
+  %i{k}x = add int %i{k}, 1
+  %c{k}x = setlt int %i{k}x, %n
+  br bool %c{k}x, label %l{k}, label %{next}
+",
+            prev = k - 1
+        )
+        .unwrap();
+        if k < n {
+            write!(src, "p{k}:\n  br label %l{}\n", k + 1).unwrap();
+        }
+    }
+    src += "x:\n  %r = load int* @g0\n  ret int %r\n}\n";
+    let m = lpat::asm::parse_module("loops", &src).expect("generated IR parses");
+    m.verify().expect("generated IR verifies");
+    m
+}
+
+/// Best of three: `gvn` then `licm` on a copy.
+fn loops_cost(n: usize) -> Duration {
+    let m = sequential_loops(n);
+    let fid = m.func_by_name("main").unwrap();
+    (0..3)
+        .map(|_| {
+            let mut m = m.clone();
+            let t = Instant::now();
+            let reused = lpat::transform::gvn::gvn_function(&mut m, fid);
+            let hoisted = lpat::transform::licm::licm_function(&mut m, fid);
+            let took = t.elapsed();
+            // `@g3` only ever gets its own value stored back, so every loop
+            // after the first reuses the first loop's load, and the exit
+            // reuses the last store to `@g0`; each loop hoists its product.
+            assert_eq!((reused, hoisted), (n, n), "each loop's work was done");
+            took
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn four_times_the_loops_cost_less_than_eight_times_the_time() {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (loops_cost(1_000), loops_cost(4_000));
+    assert!(
+        large < 8 * small,
+        "N = 1000: {small:?}, N = 4000: {large:?} ({:.1}x; linear is 4x)",
         large.as_secs_f64() / small.as_secs_f64()
     );
 }

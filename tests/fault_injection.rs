@@ -16,6 +16,7 @@ use lpat::transform::devirtualize::Devirtualize;
 use lpat::transform::gvn::Gvn;
 use lpat::transform::inline::Inline;
 use lpat::transform::ipo::{Dae, Dge, Internalize, Ipcp};
+use lpat::transform::licm::Licm;
 use lpat::transform::mem2reg::Mem2Reg;
 use lpat::transform::pm::FnPass;
 use lpat::transform::prune_eh::PruneEh;
@@ -401,6 +402,7 @@ const FUNCTION_OPTS: [Stage; 1] = [Stage::Functions(
         "instsimplify",
         "gvn",
         "simplifycfg",
+        "licm",
         "adce",
         "simplifycfg",
     ],
@@ -422,6 +424,7 @@ const LINK_TIME: [Stage; 9] = [
             "gvn",
             "instsimplify",
             "simplifycfg",
+            "licm",
             "adce",
             "simplifycfg",
             "dce",
@@ -455,6 +458,7 @@ fn function_pass(name: &str) -> Box<dyn FunctionPass> {
         "instsimplify" => Box::new(InstSimplify::default()),
         "reassociate" => Box::new(Reassociate::default()),
         "gvn" => Box::new(Gvn::default()),
+        "licm" => Box::new(Licm::default()),
         "simplifycfg" => Box::new(SimplifyCfg::default()),
         "adce" => Box::new(Adce::default()),
         "dce" => Box::new(Dce::default()),
@@ -656,17 +660,17 @@ fn rollback_corner_cases() {
         .unwrap();
     let unit = |pi: usize| -> Skip { (0, Some((pi, victim.clone()))) };
     for jobs in [1, 4] {
-        // Two faults in one function's pipeline: sub-passes 3 and 7.
+        // Two faults in one function's pipeline: sub-passes 3 and 8.
         let spec = format!("reassociate:panic@{},adce:panic@{}", k + 1, k + 1);
         let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
         assert_eq!(r.faults.len(), 2);
-        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(3), unit(7)], None, jobs);
+        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(3), unit(8)], None, jobs);
         assert_eq!(faulted, without, "{spec}");
         // The first sub-pass, and the last (the second `simplifycfg`).
         let spec = format!("sroa:panic@{},simplifycfg:panic@{}", k + 1, n + k + 1);
         let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
         assert_eq!(r.faults.len(), 2);
-        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(0), unit(8)], None, jobs);
+        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(0), unit(9)], None, jobs);
         assert_eq!(faulted, without, "{spec}");
         // A simulated miscompile nothing later cleans up (the last
         // sub-pass) beside a panic in the same function: the replay must
@@ -1001,8 +1005,8 @@ x:
 /// from the implementation that took a deep copy of the function before
 /// every sub-pass (the commit before rollback points became shared
 /// structure), with the same command line. The output bytes hash to
-/// `BYTES` from the commit after 70df9ba, where miniC lowers loops
-/// rotated and `simplifycfg` forwards empty blocks; the faults are the
+/// `BYTES` from the commit after 631818c, where GVN answers loads across
+/// blocks and loops and `licm` joins both pipelines; the faults are the
 /// same seven.
 #[test]
 fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
@@ -1017,7 +1021,7 @@ fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
         ("dae", None),
         ("dge", None),
     ];
-    const BYTES: u64 = 0xa358_9d2b_7cb1_d01b;
+    const BYTES: u64 = 0xef6b_7415_ac1d_064b;
     let input = tmp("fi-pinned.bc");
     std::fs::write(&input, write_module(&linked(&FOUR_UNITS))).unwrap();
     for jobs in ["1", "4"] {
