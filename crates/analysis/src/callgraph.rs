@@ -3,7 +3,7 @@
 //! Handles direct calls precisely and indirect calls through function
 //! pointers conservatively, by matching every *address-taken* function with
 //! a compatible type. Used by the interprocedural optimizers (inlining,
-//! dead-global elimination, dead-argument elimination) and by Mod/Ref.
+//! dead-global elimination, dead-argument elimination) and by DSA.
 
 use std::collections::HashSet;
 

@@ -50,10 +50,6 @@ pub struct NodeFlags {
     pub global: bool,
     /// Reachable by external (unanalyzed) code.
     pub external: bool,
-    /// Written through some pointer.
-    pub modified: bool,
-    /// Read through some pointer.
-    pub read: bool,
     /// Represents a function (code, not data).
     pub function: bool,
 }
@@ -64,8 +60,6 @@ impl NodeFlags {
         self.stack |= o.stack;
         self.global |= o.global;
         self.external |= o.external;
-        self.modified |= o.modified;
-        self.read |= o.read;
         self.function |= o.function;
     }
 }
@@ -253,7 +247,7 @@ impl Dsa {
     }
 
     /// The node of a global variable.
-    pub fn node_of_global(&self, g: GlobalId) -> NodeId {
+    fn node_of_global(&self, g: GlobalId) -> NodeId {
         NodeId(self.find(self.global_nodes[g.index()].0))
     }
 
@@ -265,17 +259,6 @@ impl Dsa {
     /// Storage/usage flags of the node.
     pub fn node_flags(&self, n: NodeId) -> NodeFlags {
         self.nodes[self.find(n.0) as usize].flags
-    }
-
-    /// May `a` and `b` alias (point into the same object)?
-    ///
-    /// Unification-based: two pointers alias iff they map to the same node.
-    /// Returns `true` (conservative) when either value is untracked.
-    pub fn may_alias(&self, m: &Module, f: FuncId, a: Value, b: Value) -> bool {
-        match (self.node_of(m, f, a), self.node_of(m, f, b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => true,
-        }
     }
 
     /// The static byte offset of pointer value `v` into its node, when
@@ -727,7 +710,6 @@ impl<'a> Builder<'a> {
                 }
                 Inst::Load { ptr } => {
                     let n = self.node_of(fid, ptr);
-                    self.flags_mut(n).read = true;
                     let ty = f.inst_ty(iid);
                     if tys_is_ptr(self, ty) {
                         let off = self.off_of(fid, ptr);
@@ -738,7 +720,6 @@ impl<'a> Builder<'a> {
                 }
                 Inst::Store { val, ptr } => {
                     let n = self.node_of(fid, ptr);
-                    self.flags_mut(n).modified = true;
                     let vt = self.m.value_type(&f, val);
                     if tys_is_ptr(self, vt) {
                         let off = self.off_of(fid, ptr);
@@ -1132,12 +1113,10 @@ e:
         let g = m.global_by_name("g").unwrap();
         let n = dsa.node_of_global(g);
         assert!(dsa.node_flags(n).global);
-        assert!(dsa.node_flags(n).modified);
-        assert!(dsa.node_flags(n).read);
     }
 
     #[test]
-    fn may_alias_distinguishes_allocations() {
+    fn distinct_allocations_get_distinct_nodes() {
         let (m, dsa) = run("
 define void @f() {
 e:
@@ -1150,8 +1129,9 @@ e:
         let f = m.func_by_name("f").unwrap();
         let a = Value::Inst(lpat_core::InstId::from_index(0));
         let b = Value::Inst(lpat_core::InstId::from_index(1));
-        assert!(!dsa.may_alias(&m, f, a, b));
-        assert!(dsa.may_alias(&m, f, a, a));
+        let (na, nb) = (dsa.node_of(&m, f, a), dsa.node_of(&m, f, b));
+        assert!(na.is_some() && nb.is_some());
+        assert_ne!(na, nb);
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! * [`dsa`] — Data Structure Analysis: flow-insensitive, field-sensitive,
 //!   unification-based points-to analysis with *speculative type checking*,
 //!   the engine behind the paper's Table 1 typed-access statistics;
-//! * [`modref`] — interprocedural Mod/Ref built on DSA and the call graph;
-//! * [`summary`] — compile-time interprocedural summaries that travel with
-//!   the bytecode so link-time passes can skip recomputation (§3.3);
 //! * [`manager`] — the analysis cache the pass framework requests analyses
 //!   through, with modification-counter staleness checks and
 //!   `PreservedAnalyses`-driven invalidation.
@@ -26,8 +23,6 @@ pub mod domtree;
 pub mod dsa;
 pub mod loops;
 pub mod manager;
-pub mod modref;
-pub mod summary;
 
 pub use alias::Alias;
 pub use callgraph::CallGraph;
@@ -35,5 +30,3 @@ pub use domtree::DomTree;
 pub use dsa::{AccessStats, Dsa, DsaOptions};
 pub use loops::LoopInfo;
 pub use manager::{AnalysisManager, CacheStats, FuncAnalyses, PreservedAnalyses};
-pub use modref::ModRef;
-pub use summary::{compute_summaries, FuncSummary, ModuleSummaries};

@@ -248,11 +248,6 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// Current offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Whether the stream is exhausted.
     pub fn at_end(&self) -> bool {
         self.pos >= self.buf.len()

@@ -33,44 +33,6 @@ pub use format::DecodeError;
 pub use reader::read_module;
 pub use writer::{write_module, write_module_with, WriteOptions};
 
-/// Magic separating the module payload from the attached-summaries section.
-const SUMM_MAGIC: &[u8; 4] = b"SUMM";
-
-/// Serialize a module together with its compile-time interprocedural
-/// summaries (paper §3.3): the link-time optimizer can consume the
-/// summaries instead of recomputing its analyses from scratch.
-pub fn write_module_with_summaries(m: &lpat_core::Module) -> Vec<u8> {
-    let mut bytes = write_module(m);
-    let sums = lpat_analysis::compute_summaries(m);
-    bytes.extend_from_slice(SUMM_MAGIC);
-    bytes.extend_from_slice(&sums.to_bytes());
-    bytes
-}
-
-/// Deserialize a module and, when present, its attached summaries.
-///
-/// Plain [`write_module`] output yields `(module, None)`; readers that do
-/// not care about summaries can keep using [`read_module`], which ignores
-/// the trailing section.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for malformed module payloads or summary
-/// sections.
-pub fn read_module_and_summaries(
-    name: &str,
-    buf: &[u8],
-) -> Result<(lpat_core::Module, Option<lpat_analysis::ModuleSummaries>), DecodeError> {
-    let (m, consumed) = reader::read_module_counting(name, buf)?;
-    let rest = &buf[consumed..];
-    if rest.len() >= 4 && &rest[..4] == SUMM_MAGIC {
-        let sums = lpat_analysis::ModuleSummaries::from_bytes(&rest[4..]).map_err(DecodeError)?;
-        Ok((m, Some(sums)))
-    } else {
-        Ok((m, None))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +210,12 @@ bb0:
         let mut bytes = write_module(&m);
         bytes.truncate(bytes.len() - 1);
         assert!(read_module("t", &bytes).is_err());
+        let mut padded = write_module(&m);
+        padded.extend_from_slice(b"junk");
+        assert_eq!(
+            read_module("t", &padded).unwrap_err(),
+            DecodeError("trailing bytes after module".into())
+        );
     }
 
     #[test]

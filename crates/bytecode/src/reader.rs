@@ -26,16 +26,6 @@ use crate::format::{unpack_head, unzigzag, DecodeError, Op, Reader, MAGIC, VERSI
 /// Returns a [`DecodeError`] on malformed input. The result is not
 /// verified; run [`Module::verify`] for semantic checks.
 pub fn read_module(name: &str, buf: &[u8]) -> Result<Module, DecodeError> {
-    read_module_counting(name, buf).map(|(m, _)| m)
-}
-
-/// Like [`read_module`], additionally returning how many bytes the module
-/// payload consumed (trailing sections, e.g. attached summaries, follow).
-///
-/// # Errors
-///
-/// Same as [`read_module`].
-pub fn read_module_counting(name: &str, buf: &[u8]) -> Result<(Module, usize), DecodeError> {
     // Fault site on a no-panic path: panic/corrupt manifest as a decode
     // error, exercising the caller's degraded-ingestion handling.
     match lpat_core::faultpoint!("bytecode.read") {
@@ -65,7 +55,10 @@ pub fn read_module_counting(name: &str, buf: &[u8]) -> Result<(Module, usize), D
     for f in bodies {
         read_body(&mut m, f, &mut r)?;
     }
-    Ok((m, r.pos()))
+    if !r.at_end() {
+        return Err(DecodeError("trailing bytes after module".into()));
+    }
+    Ok(m)
 }
 
 const N_PRIMS: usize = 12;

@@ -12,7 +12,7 @@
 
 use std::collections::HashSet;
 
-use lpat_analysis::{CallGraph, PreservedAnalyses};
+use lpat_analysis::PreservedAnalyses;
 use lpat_core::{Const, FuncId, Inst, Module, Value};
 
 use crate::pm::{ModulePass, PassContext, PassEffect};
@@ -28,10 +28,8 @@ impl ModulePass for PruneEh {
     fn name(&self) -> &'static str {
         "prune-eh"
     }
-    fn run(&mut self, m: &mut Module, cx: &mut PassContext) -> PassEffect {
-        let cg = cx.am.call_graph(m).clone();
-        let may = may_unwind_set(m, &cg);
-        let n = prune_with_set(m, &may);
+    fn run(&mut self, m: &mut Module, _cx: &mut PassContext) -> PassEffect {
+        let n = run_prune_eh(m);
         self.devirtualized += n;
         // invoke -> call rewrites edges and deletes handler blocks.
         PassEffect::from_change(n > 0, PreservedAnalyses::none())
@@ -43,7 +41,7 @@ impl ModulePass for PruneEh {
 
 /// Compute the set of functions that may unwind (contain a reachable
 /// `unwind`, call something that may, or are unanalyzable).
-pub fn may_unwind_set(m: &Module, cg: &CallGraph) -> HashSet<FuncId> {
+fn may_unwind_set(m: &Module) -> HashSet<FuncId> {
     let mut may: HashSet<FuncId> = HashSet::new();
     for (fid, f) in m.funcs() {
         if f.is_declaration() {
@@ -101,7 +99,6 @@ pub fn may_unwind_set(m: &Module, cg: &CallGraph) -> HashSet<FuncId> {
             }
         }
     }
-    let _ = cg;
     may
 }
 
@@ -118,28 +115,7 @@ fn direct_target(m: &Module, v: Value) -> Option<FuncId> {
 /// Convert non-throwing invokes to calls and delete dead handlers.
 /// Returns the number of invokes converted.
 pub fn run_prune_eh(m: &mut Module) -> usize {
-    let cg = CallGraph::build(m);
-    let may = may_unwind_set(m, &cg);
-    prune_with_set(m, &may)
-}
-
-/// Like [`run_prune_eh`], but consuming precomputed compile-time
-/// summaries (paper §3.3: the link-time optimizer "can process these
-/// interprocedural summaries as input instead of having to compute
-/// results from scratch").
-pub fn run_prune_eh_with_summaries(m: &mut Module, sums: &lpat_analysis::ModuleSummaries) -> usize {
-    let names = sums.may_unwind_closure();
-    let summarized: std::collections::HashSet<&str> =
-        sums.funcs.iter().map(|s| s.name.as_str()).collect();
-    // A function the summaries do not cover (e.g. an internal symbol the
-    // linker renamed, or a module compiled without summaries) must be
-    // assumed to throw — stale summaries may only lose optimization,
-    // never delete a live handler.
-    let may: HashSet<FuncId> = m
-        .funcs()
-        .filter(|(_, f)| names.contains(f.name()) || !summarized.contains(f.name()))
-        .map(|(id, _)| id)
-        .collect();
+    let may = may_unwind_set(m);
     prune_with_set(m, &may)
 }
 

@@ -15,7 +15,7 @@
 //! | [`core`] | `lpat-core` | the representation (types, SSA IR, verifier, printer) |
 //! | [`asm`] | `lpat-asm` | textual form parser |
 //! | [`bytecode`] | `lpat-bytecode` | compact binary form |
-//! | [`analysis`] | `lpat-analysis` | dominators, loops, call graph, DSA, Mod/Ref |
+//! | [`analysis`] | `lpat-analysis` | dominators, loops, call graph, DSA, local alias oracle |
 //! | [`transform`] | `lpat-transform` | scalar & interprocedural optimizers |
 //! | [`linker`] | `lpat-linker` | module linking |
 //! | [`vm`] | `lpat-vm` | execution engine, EH runtime, profiling, PGO |
