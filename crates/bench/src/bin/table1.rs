@@ -4,7 +4,8 @@
 //! ```text
 //! cargo run -p lpat-bench --release --bin table1 [-- --scale N]
 //!     [--field-insensitive]   ablation: disable field sensitivity
-//!     [--no-mem2reg]          ablation: skip SSA construction first
+//!     [--no-mem2reg]          ablation: skip SSA construction (every local
+//!                             stays in memory, no function pipeline)
 //! ```
 
 use lpat_analysis::{CallGraph, Dsa, DsaOptions};
@@ -30,10 +31,13 @@ fn main() {
     let mut paper_sum = 0.0;
     let n = lpat_workloads::suite(scale).len();
     for w in lpat_workloads::suite(scale) {
-        let mut m = lpat_minic::compile(w.name, &w.source).expect("suite compiles");
-        if mem2reg {
+        let m = if mem2reg {
+            let mut m = lpat_minic::compile(w.name, &w.source).expect("suite compiles");
             lpat_transform::function_pipeline().run(&mut m);
-        }
+            m
+        } else {
+            lpat_minic::compile_in_memory(w.name, &w.source).expect("suite compiles")
+        };
         let cg = CallGraph::build(&m);
         let opts = DsaOptions {
             field_sensitive,

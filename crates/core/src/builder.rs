@@ -232,14 +232,6 @@ impl<'m> FuncBuilder<'m> {
 
     // ---- memory ---------------------------------------------------------
 
-    /// Emit `alloca` of one `elem_ty`.
-    pub fn alloca(&mut self, elem_ty: TypeId) -> Value {
-        Value::Inst(self.emit(Inst::Alloca {
-            elem_ty,
-            count: None,
-        }))
-    }
-
     /// Emit `malloc` of one `elem_ty`.
     pub fn malloc(&mut self, elem_ty: TypeId) -> Value {
         Value::Inst(self.emit(Inst::Malloc {

@@ -431,6 +431,42 @@ impl Function {
         }
     }
 
+    /// Renumber the linked instructions densely in block layout order, the
+    /// numbering reading the function back from bytecode gives, and drop
+    /// the unlinked arena slots. `forward` first rewrites each operand (in
+    /// the old numbering), say to stand a removed instruction's
+    /// replacement in for it; every instruction an operand names after
+    /// that must be linked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand names an unlinked instruction.
+    pub fn compact(&mut self, mut forward: impl FnMut(Value) -> Value) {
+        let Body { blocks, insts } = self.edit();
+        let mut new_id = vec![u32::MAX; insts.len()];
+        let mut n = 0u32;
+        for i in blocks.iter().flat_map(|b| &b.insts) {
+            new_id[i.0 as usize] = n;
+            n += 1;
+        }
+        let mut dense = Vec::with_capacity(n as usize);
+        for i in blocks.iter_mut().flat_map(|b| &mut b.insts) {
+            let data = &mut insts[i.0 as usize];
+            let mut inst = std::mem::replace(&mut data.inst, Inst::Unreachable);
+            inst.map_operands(|v| match forward(v) {
+                Value::Inst(d) => {
+                    let k = new_id[d.0 as usize];
+                    assert!(k != u32::MAX, "an operand names unlinked %t{}", d.0);
+                    Value::Inst(InstId(k))
+                }
+                v => v,
+            });
+            *i = InstId(dense.len() as u32);
+            dense.push(InstData { inst, ty: data.ty });
+        }
+        *insts = dense;
+    }
+
     /// Count uses of each instruction result among linked instructions.
     pub fn use_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.body.insts.len()];
@@ -769,6 +805,53 @@ mod block_surgery_tests {
             1,
             "one incoming edge left: {text}"
         );
+    }
+
+    #[test]
+    fn compact_numbers_in_layout_order_and_forwards() {
+        use crate::inst::InstId;
+        let mut m = Module::new("t");
+        let i32t = m.types.i32();
+        let f = m.add_function(
+            "f",
+            &[i32t],
+            i32t,
+            false,
+            crate::function::Linkage::External,
+        );
+        let mut b = m.builder(f);
+        b.block();
+        let one = b.iconst32(1);
+        let a = b.add(Value::Arg(0), one);
+        let c = b.bin(BinOp::Mul, a, a);
+        b.ret(Some(c));
+        let fm = m.func_mut(f);
+        // An instruction made after the others and linked at the head, and
+        // a dead one left unlinked, as a front end placing a φ leaves them.
+        let head = fm.new_inst(
+            Inst::Bin {
+                op: BinOp::Sub,
+                lhs: Value::Arg(0),
+                rhs: one,
+            },
+            i32t,
+        );
+        fm.new_inst(Inst::Unreachable, i32t);
+        let entry = crate::inst::BlockId::from_index(0);
+        let mut insts = vec![head];
+        insts.extend_from_slice(fm.block_insts(entry));
+        fm.set_block_insts(entry, insts);
+        // Stand the new `sub` in for the `add`.
+        fm.compact(|v| if v == a { Value::Inst(head) } else { v });
+        assert_eq!(fm.num_inst_slots(), 4, "the unlinked slot is dropped");
+        let ids: Vec<usize> = fm.block_insts(entry).iter().map(|i| i.index()).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        let first = Value::Inst(InstId::from_index(0));
+        assert!(
+            matches!(fm.inst(InstId::from_index(2)), Inst::Bin { op: BinOp::Mul, lhs, rhs } if *lhs == first && *rhs == first)
+        );
+        m.verify()
+            .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
     }
 
     #[test]

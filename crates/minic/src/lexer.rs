@@ -58,10 +58,50 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-const PUNCTS: &[&str] = &[
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "->", "(", ")", "{", "}", "[", "]", ";", ",",
-    "+", "-", "*", "/", "%", "&", "|", "^", "!", "<", ">", "=", ".", "?", ":",
-];
+/// The punctuator `rest` starts with, the longest that matches.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let two = match rest {
+        [b'<', b'<', ..] => "<<",
+        [b'>', b'>', ..] => ">>",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b'=', b'=', ..] => "==",
+        [b'!', b'=', ..] => "!=",
+        [b'&', b'&', ..] => "&&",
+        [b'|', b'|', ..] => "||",
+        [b'-', b'>', ..] => "->",
+        _ => "",
+    };
+    if !two.is_empty() {
+        return Some(two);
+    }
+    Some(match rest.first()? {
+        b'(' => "(",
+        b')' => ")",
+        b'{' => "{",
+        b'}' => "}",
+        b'[' => "[",
+        b']' => "]",
+        b';' => ";",
+        b',' => ",",
+        b'+' => "+",
+        b'-' => "-",
+        b'*' => "*",
+        b'/' => "/",
+        b'%' => "%",
+        b'&' => "&",
+        b'|' => "|",
+        b'^' => "^",
+        b'!' => "!",
+        b'<' => "<",
+        b'>' => ">",
+        b'=' => "=",
+        b'.' => ".",
+        b'?' => "?",
+        b':' => ":",
+        _ => return None,
+    })
+}
 
 /// Tokenize miniC source. `//` and `/* */` comments are skipped.
 ///
@@ -218,20 +258,16 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     line,
                 });
             }
-            _ => {
-                let rest = &src[i..];
-                let p = PUNCTS.iter().find(|p| rest.starts_with(**p));
-                match p {
-                    Some(p) => {
-                        out.push(Spanned {
-                            tok: Tok::P(p),
-                            line,
-                        });
-                        i += p.len();
-                    }
-                    None => return Err(err(line, &format!("unexpected character {c:?}"))),
+            _ => match punct(&b[i..]) {
+                Some(p) => {
+                    out.push(Spanned {
+                        tok: Tok::P(p),
+                        line,
+                    });
+                    i += p.len();
                 }
-            }
+                None => return Err(err(line, &format!("unexpected character {c:?}"))),
+            },
         }
     }
     Ok(out)

@@ -6,9 +6,12 @@
 //! `malloc`/`free`), and structured exception handling (`try`/`catch`/
 //! `throw`) lowered onto the `invoke`/`unwind` primitives (§2.4).
 //!
-//! Per the front-end contract, miniC does **not** construct SSA: locals
-//! become `alloca`s, and the optimizer's scalar-expansion and
-//! stack-promotion passes build SSA afterwards.
+//! miniC builds SSA itself (Braun et al., CC 2013): a scalar local whose
+//! address is never taken never becomes an `alloca`. Aggregates and
+//! address-taken locals stay `alloca`s, for the optimizer's
+//! scalar-expansion and stack-promotion passes, which also serve textual IR
+//! input and inlined callees. [`compile_in_memory`] keeps every local in
+//! memory, the form §3.2 lets a front end hand over.
 //!
 //! # Examples
 //!
@@ -55,11 +58,32 @@ impl std::error::Error for CompileError {}
 ///
 /// Returns the first parse or semantic error.
 pub fn compile(name: &str, src: &str) -> Result<Module, CompileError> {
+    lower(name, src, irgen::irgen)
+}
+
+/// Compile miniC source text with every local, parameters included, in an
+/// entry-block `alloca`, read by `load` and written by `store`; only
+/// `mem2reg` puts the module in SSA form. This is the reference
+/// [`compile`]'s SSA construction is tested against, and the input of the
+/// "skip SSA construction" ablation of Table 1.
+///
+/// # Errors
+///
+/// Returns the first parse or semantic error.
+pub fn compile_in_memory(name: &str, src: &str) -> Result<Module, CompileError> {
+    lower(name, src, irgen::irgen_in_memory)
+}
+
+fn lower(
+    name: &str,
+    src: &str,
+    irgen: fn(&str, &ast::Program) -> Result<Module, irgen::SemError>,
+) -> Result<Module, CompileError> {
     let prog = parser::parse(src).map_err(|e| CompileError {
         line: e.line,
         message: e.message,
     })?;
-    irgen::irgen(name, &prog).map_err(|e| CompileError {
+    irgen(name, &prog).map_err(|e| CompileError {
         line: e.line,
         message: e.message,
     })
@@ -345,6 +369,64 @@ int main() {
         assert!(!text.contains("call"), "{text}");
         let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
         assert_eq!(vm.run_main().unwrap(), 285);
+    }
+
+    #[test]
+    fn only_aggregates_and_address_taken_locals_get_an_alloca_in_the_entry_block() {
+        let src = "
+struct pair { int a; int b; };
+int sum(int *p) { return *p; }
+int f(int n, int k) {
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        int x = i + k;
+        struct pair q;
+        q.a = sum(&x);
+        q.b = i;
+        s = s + q.a + q.b;
+    }
+    return s;
+}
+int bump(int n) { int *p = &n; *p = *p + 1; return n; }
+int main() { return f(4, 1) + bump(1) - 2; }";
+        for (lowering, m) in [
+            ("ssa", compile("t", src).unwrap()),
+            ("in memory", compile_in_memory("t", src).unwrap()),
+        ] {
+            m.verify().unwrap();
+            let fid = m.func_by_name("f").unwrap();
+            let f = m.func(fid);
+            let allocas: Vec<_> = f
+                .block_ids()
+                .flat_map(|b| f.block_insts(b).iter().map(move |&i| (b, i)))
+                .filter(|&(_, i)| matches!(f.inst(i), lpat_core::Inst::Alloca { .. }))
+                .collect();
+            // `x` and `q`; in memory also `n`, `k`, `s` and `i`.
+            let want = if lowering == "ssa" { 2 } else { 6 };
+            assert_eq!(allocas.len(), want, "{lowering}\n{}", m.display());
+            assert!(
+                allocas.iter().all(|&(b, _)| b == f.entry()),
+                "{lowering}\n{}",
+                m.display()
+            );
+            // An address-taken parameter is stored to a slot on entry.
+            let bump = m.func(m.func_by_name("bump").unwrap());
+            let entry = bump.block_insts(bump.entry());
+            let slot = entry.iter().find_map(|&i| match bump.inst(i) {
+                lpat_core::Inst::Store {
+                    val: lpat_core::Value::Arg(0),
+                    ptr: lpat_core::Value::Inst(p),
+                } => Some(*p),
+                _ => None,
+            });
+            assert!(
+                slot.is_some_and(|p| matches!(bump.inst(p), lpat_core::Inst::Alloca { .. })),
+                "{lowering}\n{}",
+                m.display()
+            );
+            let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
+            assert_eq!(vm.run_main().unwrap(), 16, "{lowering}");
+        }
     }
 
     #[test]

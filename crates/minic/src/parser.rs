@@ -64,12 +64,12 @@ impl Parser {
     fn peek2(&self) -> Option<&Tok> {
         self.toks.get(self.pos + 1).map(|s| &s.tok)
     }
+    /// Consume the next token. Nothing reads a token again once it is
+    /// consumed, so it is moved out rather than cloned.
     fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let s = self.toks.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(&mut s.tok, Tok::P("")))
     }
     fn eat_p(&mut self, p: &str) -> bool {
         if let Some(Tok::P(x)) = self.peek() {
@@ -438,46 +438,42 @@ impl Parser {
         Ok(c)
     }
 
-    fn bin_op_at(&self, level: usize) -> Option<(&'static str, BinOpKind)> {
-        const LEVELS: &[&[(&str, BinOpKind)]] = &[
-            &[("||", BinOpKind::LOr)],
-            &[("&&", BinOpKind::LAnd)],
-            &[("|", BinOpKind::Or)],
-            &[("^", BinOpKind::Xor)],
-            &[("&", BinOpKind::And)],
-            &[("==", BinOpKind::Eq), ("!=", BinOpKind::Ne)],
-            &[
-                ("<=", BinOpKind::Le),
-                (">=", BinOpKind::Ge),
-                ("<", BinOpKind::Lt),
-                (">", BinOpKind::Gt),
-            ],
-            &[("<<", BinOpKind::Shl), (">>", BinOpKind::Shr)],
-            &[("+", BinOpKind::Add), ("-", BinOpKind::Sub)],
-            &[
-                ("*", BinOpKind::Mul),
-                ("/", BinOpKind::Div),
-                ("%", BinOpKind::Rem),
-            ],
-        ];
-        let table = LEVELS.get(level)?;
-        if let Some(Tok::P(p)) = self.peek() {
-            for (s, k) in *table {
-                if p == s {
-                    return Some((s, *k));
-                }
-            }
-        }
-        None
+    /// The binary operator at the cursor, with its precedence level:
+    /// `||` binds loosest (0), `*` `/` `%` tightest (9).
+    fn bin_op(&self) -> Option<(usize, BinOpKind)> {
+        let Some(Tok::P(p)) = self.peek() else {
+            return None;
+        };
+        Some(match *p {
+            "||" => (0, BinOpKind::LOr),
+            "&&" => (1, BinOpKind::LAnd),
+            "|" => (2, BinOpKind::Or),
+            "^" => (3, BinOpKind::Xor),
+            "&" => (4, BinOpKind::And),
+            "==" => (5, BinOpKind::Eq),
+            "!=" => (5, BinOpKind::Ne),
+            "<=" => (6, BinOpKind::Le),
+            ">=" => (6, BinOpKind::Ge),
+            "<" => (6, BinOpKind::Lt),
+            ">" => (6, BinOpKind::Gt),
+            "<<" => (7, BinOpKind::Shl),
+            ">>" => (7, BinOpKind::Shr),
+            "+" => (8, BinOpKind::Add),
+            "-" => (8, BinOpKind::Sub),
+            "*" => (9, BinOpKind::Mul),
+            "/" => (9, BinOpKind::Div),
+            "%" => (9, BinOpKind::Rem),
+            _ => return None,
+        })
     }
 
-    fn binary(&mut self, level: usize) -> PResult<Expr> {
-        if level >= 10 {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        while let Some((p, k)) = self.bin_op_at(level) {
-            self.expect_p(p)?;
+    /// Binary operators of level `min` and tighter, left-associative
+    /// (precedence climbing: one operator lookup per operator, not one per
+    /// level per operand).
+    fn binary(&mut self, min: usize) -> PResult<Expr> {
+        let mut lhs = self.unary()?;
+        while let Some((level, k)) = self.bin_op().filter(|&(level, _)| level >= min) {
+            self.pos += 1;
             let rhs = self.binary(level + 1)?;
             lhs = self.mk(ExprKind::Bin(k, Box::new(lhs), Box::new(rhs)));
         }

@@ -1,10 +1,13 @@
 //! Stack promotion: `alloca` → SSA registers (paper §3.2).
 //!
-//! Front-ends do not construct SSA; they allocate mutable variables on the
-//! stack and this pass promotes them to SSA registers, inserting φ-nodes on
-//! the iterated dominance frontier of the stores and renaming along the
-//! dominator tree. An alloca is promotable when its address never escapes:
-//! every use is a direct load or store through it.
+//! A front end may leave SSA construction to this pass: it allocates
+//! mutable variables on the stack, and the pass promotes them to SSA
+//! registers, inserting φ-nodes on the iterated dominance frontier of the
+//! stores and renaming along the dominator tree. miniC builds SSA itself,
+//! so what is promoted here is textual IR's, the scalars `sroa` splits
+//! out of aggregates, and inlined callees'. An alloca is promotable when
+//! its address never escapes: every use is a direct load or store through
+//! it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

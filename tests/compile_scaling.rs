@@ -7,7 +7,9 @@
 //! forwarding of empty blocks on a ladder of N nested `if`s without
 //! `else`, whose empty joins form one run that every level enters. GVN's
 //! load availability and `licm` hold the same bound on a function of N
-//! sequential loops.
+//! sequential loops, and miniC's SSA construction on a function of N
+//! sequential `if`s whose one read of a variable looks it up back through
+//! all N joins (the lookup is iterative: no recursion that deep).
 //!
 //! Timing test: only with `--features slow-tests`, and only meaningful in
 //! release (`cargo test --release --features slow-tests --test compile_scaling`).
@@ -253,6 +255,48 @@ fn four_times_the_loops_cost_less_than_eight_times_the_time() {
     assert!(
         large < 8 * small,
         "N = 1000: {small:?}, N = 4000: {large:?} ({:.1}x; linear is 4x)",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
+
+/// `int main(int x) { int v = 0; if (x < 1) v = 1; … if (x < N) v = N;
+/// return v; }`: the one read of `v` walks back through every join.
+fn if_sequence(n: usize) -> String {
+    let mut src = String::from("int main(int x) {\n    int v = 0;\n");
+    for k in 1..=n {
+        writeln!(src, "    if (x < {k}) v = {k};").unwrap();
+    }
+    src += "    return v;\n}\n";
+    src
+}
+
+/// Best of three: miniC from source to IR, on the test's own thread.
+fn ssa_cost(n: usize) -> Duration {
+    let src = if_sequence(n);
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            let m = lpat::minic::compile("ifs", &src).expect("compiles");
+            let took = t.elapsed();
+            let main = m.func(m.func_by_name("main").unwrap());
+            assert_eq!(
+                main.num_blocks(),
+                3 * n + 1,
+                "one test, arm and join per if"
+            );
+            took
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn four_times_the_joins_cost_less_than_eight_times_the_time() {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (ssa_cost(5_000), ssa_cost(20_000));
+    assert!(
+        large < 8 * small,
+        "N = 5000: {small:?}, N = 20000: {large:?} ({:.1}x; linear is 4x)",
         large.as_secs_f64() / small.as_secs_f64()
     );
 }

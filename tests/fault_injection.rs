@@ -1005,9 +1005,10 @@ x:
 /// from the implementation that took a deep copy of the function before
 /// every sub-pass (the commit before rollback points became shared
 /// structure), with the same command line. The output bytes hash to
-/// `BYTES` from the commit after 631818c, where GVN answers loads across
-/// blocks and loops and `licm` joins both pipelines; the faults are the
-/// same seven.
+/// `BYTES` from the commit after 8008f9e, where miniC builds SSA itself
+/// (before it, from the commit after 631818c, where GVN answers loads
+/// across blocks and loops and `licm` joins both pipelines); the faults
+/// are the same seven.
 #[test]
 fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
     const PLAN: &str = "mem2reg:panic@3,gvn:panic@12,simplifycfg:panic@30,adce:panic@12,\
@@ -1021,7 +1022,7 @@ fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
         ("dae", None),
         ("dge", None),
     ];
-    const BYTES: u64 = 0xef6b_7415_ac1d_064b;
+    const BYTES: u64 = 0xa61d_7196_56f5_b250;
     let input = tmp("fi-pinned.bc");
     std::fs::write(&input, write_module(&linked(&FOUR_UNITS))).unwrap();
     for jobs in ["1", "4"] {

@@ -11,6 +11,13 @@
 //! through a punned pointer, and a loop that prints before it traps. The
 //! generator writes seeded programs that mix all three with calls; run
 //! it with `--features slow-tests` for 5 000 seeds instead of 200.
+//!
+//! The generator also writes the shapes miniC's SSA construction must get
+//! right: a local assigned on one arm of an `if`, `break` and `continue`
+//! in nested loops, a local changed before a `throw` (direct, or from a
+//! callee) and read in the handler, a shadowing declaration, and `&&`,
+//! `||` and `?:` over locals. Each seed is also built with every local in
+//! memory (`compile_in_memory`), and the two builds must run alike.
 
 use lpat::core::hash::SplitMix64;
 use lpat::core::Module;
@@ -166,6 +173,25 @@ fn seeds() -> u64 {
 }
 
 #[test]
+fn generated_programs_mean_the_same_built_in_memory() {
+    let mut caught = 0;
+    for seed in 0..seeds() {
+        let src = generate(seed);
+        let ssa = lpat::minic::compile("t", &src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let memory =
+            lpat::minic::compile_in_memory("t", &src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        memory
+            .verify()
+            .unwrap_or_else(|e| panic!("{e:?}\n{src}\n{}", memory.display()));
+        let reference = run(&memory, None);
+        assert_eq!(run(&ssa, None), reference, "SSA vs in memory:\n{src}");
+        caught += reference.1.contains("-424242") as u32;
+    }
+    // Some handler ran.
+    assert!(caught > 0);
+}
+
+#[test]
 fn generated_aliasing_loops_mean_the_same_optimized() {
     let (mut traps, mut calls) = (0, 0);
     for seed in 0..seeds() {
@@ -198,6 +224,7 @@ fn generate(seed: u64) -> String {
     }
     s += "struct rec R;\nint sel;\n";
     s += "int touch(int *p, int v) { *p = *p + v; return *p + R.a; }\n";
+    s += "int risky(int v) { if (v % 5 == 0) throw; return v % 11; }\n";
     s += "int main() {\n";
     s += &format!(
         "    int s = {};\n    int t = {};\n",
@@ -292,7 +319,7 @@ impl Gen {
             (1, _) | (2, 0) => ("B", nb),
             _ => ("C", nc),
         };
-        match self.below(17) {
+        match self.below(21) {
             0 => format!("s = s + {}[(i + {k}) % {}];", arr.0, arr.1),
             1 => format!("{}[(i + {k}) % {}] = s % 1000;", arr.0, arr.1),
             2 => "s = s + *p;".into(),
@@ -313,6 +340,29 @@ impl Gen {
             ),
             14 => "t = t + s * 3 + sel;".into(),
             15 if self.below(6) == 0 => format!("s = s + {} / B[(i + {k}) % {nb}];", 100 + k),
+            // Assigned on one arm only.
+            16 => format!("{{ int u = t % 100; if ((s + i) % 4 == 1) {{ u = s % 50 + {k}; }} s = s + u; }}"),
+            // `break` and `continue` in nested loops.
+            17 => format!(
+                "for (int jj = 0; jj < {}; jj = jj + 1) {{ if ((s + jj) % 5 == 0) continue; \
+                 for (int kk = 0; kk < 4; kk = kk + 1) {{ if (kk == jj) break; t = t + kk; }} \
+                 if (t % 7 == 3) break; s = s + jj; }}",
+                1 + k % 5
+            ),
+            // Changed before a throw, direct or from a callee, and read in
+            // the handler and after it; `-424242` marks a handler run.
+            18 => format!(
+                "{{ int w = s % 50; try {{ w = w + {k}; if ((s + i) % 3 == 0) throw; w = w * 2; \
+                 t = t + risky(w + i); w = w + 1; }} catch {{ print_int(-424242); s = s + w; }} t = t + w % 7; }}"
+            ),
+            // A declaration that shadows another in a nested block.
+            19 => format!("{{ int v = s % 9; {{ int v = t % 5 + {k}; s = s + v; }} t = t + v; }}"),
+            // Short-circuit and conditional expressions over locals.
+            20 => format!(
+                "if (s > t && t % 2 == 0 || i == 1) {{ s = s + 1; }} \
+                 t = s > t ? (s - t) % 1000 : (t - s) % 1000 + {k}; \
+                 {{ bool b = s % 3 == 0 || t < {k} && i > 0; if (!b) {{ s = s + 2; }} }}"
+            ),
             _ => "s = s - t % 13;".into(),
         }
     }
