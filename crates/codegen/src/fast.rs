@@ -1,18 +1,19 @@
-//! # Single-pass "fast" backend: lpat IR → risc32 machine words
+//! # Two-pass "fast" backend: lpat IR → risc32 machine words
 //!
 //! A TPDE-style low-latency backend (PAPERS.md: "TPDE: A Fast Adaptable
-//! Compiler Back-End Framework"): instruction selection, register
-//! allocation and binary encoding are fused into **one forward walk** of
-//! the IR per function. There is no MIR, no separate liveness analysis and
-//! no iterative allocator — translation cost is a small constant per IR
-//! instruction, which is what lets the tiered VM afford a third tier.
+//! Compiler Back-End Framework"): one analysis pass, then instruction
+//! selection and binary encoding fused into **one forward walk** of the IR
+//! per function. There is no MIR and no iterative allocator — the analysis
+//! ([`crate::regalloc`]: blocks in reverse post-order, each value's live
+//! range, one linear scan) and the emission are each linear in the
+//! function, which is what lets the tiered VM afford a third tier.
 //!
 //! ## Value model
 //!
 //! Every SSA value is assigned a [`Class`] from its static type and one
-//! permanent **home**: a register of the risc32 file, or a frame slot when
-//! the file is full (spill on pressure). Registers hold the low 32 bits of
-//! the interpreter's canonical two's-complement value:
+//! **home** for its whole live range: a register of the risc32 file, or a
+//! frame slot where the file is full (spill on pressure). Registers hold
+//! the low 32 bits of the interpreter's canonical two's-complement value:
 //!
 //! * classes ≤ 32 bits (`Bool`, `S8`…`U32`, `Ptr`) are **exact**: the
 //!   canonical `i64` is the sign/zero-extension of the register, so every
@@ -33,12 +34,21 @@
 //! ## Register file
 //!
 //! 32 × `u32`. `r0` is hardwired zero; `r1`–`r3` are translator scratch
-//! (immediate materialisation, spill staging, φ-cycle breaking); `r4`–`r31`
-//! (28 registers) are allocatable homes. Homes are fixed for the lifetime
-//! of the function — the allocator is a single priority pass (static use
-//! count × 4^loop-depth), so the mapping InstId → home is a pure function
-//! of the IR. That is what makes on-stack replacement trivial: converting
-//! an interpreter or JIT frame to a native frame is a table-driven copy.
+//! (wide constants, spill staging, φ-cycle breaking); `r4`–`r31` (28
+//! registers) are allocatable homes, handed out by the linear scan of
+//! [`crate::regalloc`] to live ranges that do not overlap. A home is
+//! shared by values never live at once, and a result may take the home
+//! of an operand that dies at it; a value spills to a frame slot only
+//! where more than 28 ranges overlap. So a frame is entered (a call, or
+//! on-stack replacement at a loop header) by copying exactly the values
+//! live into that block: [`FastFunc::live_in`] lists them, with their
+//! homes, for the entry block and each loop header.
+//!
+//! Constants that fit a signed 14-bit field fold into the
+//! register-immediate form of their op (`ADDI`, `MULI`, `ANDI`, `ORI`,
+//! `XORI`, the shifts, `CMPI`, a GEP stride's `MADDI`); a wider one is
+//! built by `LUI`+`ORI` in the destination when no operand is read from
+//! it.
 //!
 //! ## Encoding
 //!
@@ -55,6 +65,8 @@ use lpat_core::{
     BinOp, BlockId, CmpPred, Const, FuncId, Function, GepStep, Inst, InstId, IntKind, Module, Type,
     TypeId, Value,
 };
+
+use crate::regalloc::{self, Assign};
 
 // ----------------------------------------------------------------------
 // Value classes
@@ -161,6 +173,19 @@ impl Class {
         matches!(self, Class::S8 | Class::U8 | Class::S16 | Class::U16)
     }
 
+    /// The register image of a value's low word `v` in this class: a
+    /// narrow class sign- or zero-extends its low 8 or 16 bits, any
+    /// other keeps the word.
+    pub fn norm(self, v: u32) -> u32 {
+        match self {
+            Class::S8 => v as i8 as i32 as u32,
+            Class::U8 => v & 0xFF,
+            Class::S16 => v as i16 as i32 as u32,
+            Class::U16 => v & 0xFFFF,
+            _ => v,
+        }
+    }
+
     /// Whether the register representation is the full canonical value
     /// (everything except the `L64` low-word view).
     pub fn is_exact(self) -> bool {
@@ -200,9 +225,10 @@ fn classify(m: &Module, t: TypeId) -> Result<Option<Class>, String> {
 ///
 /// * **R**: `op(8) | rd(5) | ra(5) | rb(5) | extra(9)` — three-address ALU,
 ///   memory and compare ops; `extra` carries the class/predicate.
-/// * **I**: `op(8) | rd(5) | ra(5) | imm14` — immediates, spill-slot
-///   traffic, conditional branch (edge index), `ret` flags. `imm14` is
-///   signed for `ADDI`/`LDI` and unsigned for indices.
+/// * **I**: `op(8) | rd(5) | ra(5) | imm14` — register-immediate ALU
+///   ops and compares, spill-slot traffic, conditional branch (edge
+///   index), `ret` flags. `imm14` is signed for ALU operands and unsigned
+///   for shift amounts and indices.
 /// * **U**: `op(8) | rd(5) | imm19` — `LUI` loads `imm19 << 13`; paired
 ///   with `ORI`'s 13-bit immediate it materialises any 32-bit constant in
 ///   two words (the classic `sethi`/`or` split).
@@ -252,18 +278,39 @@ pub mod enc {
     pub const NORM: u8 = 0x11;
     /// `rd = ra`.
     pub const MOV: u8 = 0x12;
+    /// `rd = ra * simm14` (wrapping).
+    pub const MULI: u8 = 0x13;
+    /// `rd = ra & simm14`.
+    pub const ANDI: u8 = 0x14;
+    /// `rd = ra ^ simm14`.
+    pub const XORI: u8 = 0x15;
+    /// `rd = ra << uimm14`; the amount is masked to the operand width at
+    /// translation.
+    pub const SLLI: u8 = 0x16;
+    /// Logical right shift by an immediate, same masking.
+    pub const SRLI: u8 = 0x17;
     /// `rd = ra + simm14`.
     pub const ADDI: u8 = 0x18;
     /// `rd = simm14`.
     pub const LDI: u8 = 0x19;
     /// `rd = imm19 << 13` (format U).
     pub const LUI: u8 = 0x1A;
-    /// `rd = ra | uimm13`.
+    /// `rd = ra | simm14` (`LUI`'s partner: a 13-bit low part is positive).
     pub const ORI: u8 = 0x1B;
     /// `rd = slots[uimm14]` — spill reload.
     pub const LDS: u8 = 0x1C;
     /// `slots[uimm14] = ra` — spill store.
     pub const STS: u8 = 0x1D;
+    /// Arithmetic right shift by an immediate, same masking as `SLLI`.
+    pub const SRAI: u8 = 0x1E;
+    /// `rd = rd + ra * simm14` (wrapping) — a GEP index times its stride.
+    pub const MADDI: u8 = 0x1F;
+    /// `rd = ra <pred> simm14`: one opcode per predicate, `CMPI + code`
+    /// with `code` as in [`CMP`]'s `extra` (bits 0–2 predicate, bit 3
+    /// unsigned); the sixteen opcodes from `CMPI` are compares.
+    pub const CMPI: u8 = 0x30;
+    /// The last opcode of the `CMPI` family.
+    pub const CMPI_LAST: u8 = CMPI + 15;
     /// Memory load: `rd = mem[ra]` at the class in `extra` (full access
     /// checks; `L64` checks 8 bytes and keeps the low word).
     pub const LD: u8 = 0x20;
@@ -308,6 +355,16 @@ pub mod enc {
     pub fn r(op: u8, rd: u8, ra: u8, rb: u8, extra: u16) -> u32 {
         debug_assert!(rd < 32 && ra < 32 && rb < 32 && extra < 512);
         (op as u32) << 24 | (rd as u32) << 19 | (ra as u32) << 14 | (rb as u32) << 9 | extra as u32
+    }
+
+    /// Whether a 32-bit constant fits a signed 14-bit immediate field.
+    pub fn fits14(k: u32) -> bool {
+        (-(1 << 13)..(1 << 13)).contains(&(k as i32))
+    }
+
+    /// A constant that [`fits14`], reduced to the field.
+    pub fn imm14(k: u32) -> u32 {
+        k & 0x3FFF
     }
 
     /// Pack an I-format word (`imm` already reduced to 14 bits).
@@ -370,7 +427,7 @@ pub mod enc {
 // Side tables
 // ----------------------------------------------------------------------
 
-/// A value's permanent storage home.
+/// A value's storage for its whole live range.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Home {
     /// An allocatable register (`r4`–`r31`).
@@ -479,12 +536,19 @@ pub struct FastFunc {
     pub n_slots: u32,
     /// Home and class of each formal argument.
     pub arg_homes: Vec<(Home, Class)>,
-    /// Home and class of each value-producing instruction, indexed by
-    /// `InstId` — the frame-mapping table for OSR.
-    pub homes: Vec<Option<(Home, Class)>>,
+    /// Where a frame can be entered — the entry block (a call) and each
+    /// loop header (on-stack replacement at a back edge) — the block index
+    /// and the values live into it, with their homes and classes,
+    /// ascending by block. Homes are shared between values that are never
+    /// live at once, so a frame is entered by copying exactly these.
+    pub live_in: Vec<(u32, LiveIn)>,
     /// Function name (diagnostics, trace spans).
     pub name: String,
 }
+
+/// The values live into a block where a frame can be entered, with the
+/// home and class of each.
+pub type LiveIn = Vec<(Value, Home, Class)>;
 
 /// Engine facts the translator needs but must not compute itself: the
 /// address layout, which the VM owns.
@@ -522,6 +586,10 @@ impl Opnd {
             Opnd::Imm(k, _) => Src::Imm(k),
         }
     }
+    /// Whether the operand is read from register `r`.
+    fn in_reg(&self, r: u8) -> bool {
+        matches!(*self, Opnd::Home(Home::Reg(x), _) if x == r)
+    }
 }
 
 struct Tr<'a> {
@@ -535,10 +603,13 @@ struct Tr<'a> {
     switches: Vec<FastSwitch>,
     homes: Vec<Option<(Home, Class)>>,
     arg_homes: Vec<(Home, Class)>,
+    /// Per instruction: never read (its φ needs no copies).
+    unused: Vec<bool>,
     n_slots: u32,
 }
 
-/// Translate one function to native words in a single forward pass.
+/// Translate one function to native words: the analysis pass, then one
+/// forward emission pass.
 ///
 /// `Err` means "this function stays on the JIT tier" — unsupported types
 /// or operations, or encoding limits. The error text names the first
@@ -570,81 +641,66 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         }
     }
 
-    // -- loop weights + use counts (one counting sweep, no liveness) ---
-    // A back-edge span [to, from] approximates a loop; a block's depth is
-    // the number of spans containing it, and uses are weighted 4^depth so
-    // loop-carried values win the register file.
-    let mut spans: Vec<(u32, u32)> = Vec::new();
+    // -- analysis: live ranges over the blocks in reverse post-order ---
+    // A frame can be entered at the entry block (a call) and at each loop
+    // header, where a back edge can move a running frame into machine
+    // code; those blocks get a table of the values live into them.
+    let mut entries = vec![f.entry()];
     for b in f.block_ids() {
-        let bi = b.index() as u32;
-        if let Some(&last) = f.block_insts(b).last() {
-            for t in term_targets(f.inst(last)) {
-                let ti = t.index() as u32;
-                if ti <= bi {
-                    spans.push((ti, bi));
+        if let Some(t) = f.terminator(b) {
+            f.inst(t).for_each_successor(|s| {
+                if s.index() <= b.index() {
+                    entries.push(s);
                 }
-            }
+            });
         }
     }
-    let weight = |b: BlockId| -> u64 {
-        let x = b.index() as u32;
-        let d = spans.iter().filter(|&&(t, fr)| t <= x && x <= fr).count();
-        4u64.saturating_pow(d.min(8) as u32)
-    };
-    let mut arg_prio = vec![0u64; arg_classes.len()];
-    let mut inst_prio = vec![0u64; n_insts];
-    for b in f.block_ids() {
-        let w = weight(b);
-        for &iid in f.block_insts(b) {
-            let inst = f.inst(iid);
-            if inst_class[iid.index()].is_some() {
-                inst_prio[iid.index()] = inst_prio[iid.index()].saturating_add(w);
-            }
-            if let Inst::Phi { incoming } = inst {
-                for &(v, pred) in incoming {
-                    bump(&mut arg_prio, &mut inst_prio, v, weight(pred));
-                }
-            } else {
-                inst.for_each_operand(|v| bump(&mut arg_prio, &mut inst_prio, v, w));
-            }
+    entries.sort_unstable();
+    entries.dedup();
+    let params = arg_classes.len();
+    let mut live = regalloc::live_ranges(f, &entries);
+    for (i, c) in inst_class.iter().enumerate() {
+        if c.is_none() {
+            live.range[params + i] = None; // no value, no home
         }
     }
 
-    // -- home assignment (priority order, top 28 in registers) ---------
-    // kind 0 = arg, 1 = inst; sort is stable on (priority desc, id) so
-    // the mapping is deterministic.
-    let mut cand: Vec<(u64, u8, u32)> = Vec::new();
-    for (i, _) in arg_classes.iter().enumerate() {
-        cand.push((arg_prio[i].max(1), 0, i as u32));
+    // -- allocation: one linear scan hands out the 28 register homes ---
+    let n_regs = (enc::NUM_REGS - enc::R_FIRST as usize) as u8;
+    let (assign, n_slots) = regalloc::linear_scan(&live.range, n_regs);
+    if n_slots > 16_000 {
+        return Err("frame too large for slot encoding".into());
     }
-    for i in 0..n_insts {
-        if inst_class[i].is_some() {
-            cand.push((inst_prio[i].max(1), 1, i as u32));
-        }
-    }
-    cand.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let n_regs_avail = enc::NUM_REGS - enc::R_FIRST as usize;
-    let mut homes: Vec<Option<(Home, Class)>> = vec![None; n_insts];
-    let mut arg_homes: Vec<(Home, Class)> = Vec::with_capacity(arg_classes.len());
-    arg_homes.resize(arg_classes.len(), (Home::Slot(0), Class::S32));
-    let mut next_slot: u32 = 0;
-    for (rank, &(_, kind, id)) in cand.iter().enumerate() {
-        let home = if rank < n_regs_avail {
-            Home::Reg(enc::R_FIRST + rank as u8)
-        } else {
-            let s = next_slot;
-            next_slot += 1;
-            if s > 16_000 {
-                return Err("frame too large for slot encoding".into());
-            }
-            Home::Slot(s as u16)
-        };
-        if kind == 0 {
-            arg_homes[id as usize] = (home, arg_classes[id as usize]);
-        } else {
-            homes[id as usize] = Some((home, inst_class[id as usize].unwrap()));
-        }
-    }
+    let home = |v: usize| match assign[v] {
+        Assign::Reg(r) => Home::Reg(enc::R_FIRST + r),
+        Assign::Slot(s) => Home::Slot(s as u16),
+        // Never read: written to scratch.
+        Assign::Dead => Home::Reg(enc::R_S3),
+    };
+    let arg_homes: Vec<(Home, Class)> = (arg_classes.iter().enumerate())
+        .map(|(v, &c)| (home(v), c))
+        .collect();
+    let homes: Vec<Option<(Home, Class)>> = (inst_class.iter().enumerate())
+        .map(|(i, c)| c.map(|c| (home(params + i), c)))
+        .collect();
+    let live_in = (entries.iter().zip(&live.live_in))
+        .map(|(b, vals)| {
+            let vals = vals.iter().map(|&v| {
+                let v = v as usize;
+                match v.checked_sub(params) {
+                    None => (Value::Arg(v as u32), arg_homes[v].0, arg_homes[v].1),
+                    Some(i) => {
+                        let (h, c) = homes[i].expect("a live value has a class");
+                        (Value::Inst(InstId::from_index(i)), h, c)
+                    }
+                }
+            });
+            (b.index() as u32, vals.collect())
+        })
+        .collect();
+    let unused = (0..n_insts)
+        .map(|i| live.range[params + i].is_some_and(|(s, e)| s == e))
+        .collect();
 
     let mut tr = Tr {
         m,
@@ -657,7 +713,8 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         switches: Vec::new(),
         homes,
         arg_homes,
-        n_slots: next_slot,
+        unused,
+        n_slots,
     };
 
     // -- emission: one forward walk ------------------------------------
@@ -686,41 +743,9 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         switches: tr.switches,
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
-        homes: tr.homes,
+        live_in,
         name: f.name().to_string(),
     })
-}
-
-fn bump(args: &mut [u64], insts: &mut [u64], v: Value, w: u64) {
-    match v {
-        Value::Arg(a) => {
-            if let Some(p) = args.get_mut(a as usize) {
-                *p = p.saturating_add(w);
-            }
-        }
-        Value::Inst(i) => {
-            if let Some(p) = insts.get_mut(i.index()) {
-                *p = p.saturating_add(w);
-            }
-        }
-        Value::Const(_) => {}
-    }
-}
-
-fn term_targets(inst: &Inst) -> Vec<BlockId> {
-    match inst {
-        Inst::Br(t) => vec![*t],
-        Inst::CondBr {
-            then_bb, else_bb, ..
-        } => vec![*then_bb, *else_bb],
-        Inst::Switch { default, cases, .. } => {
-            let mut v = vec![*default];
-            v.extend(cases.iter().map(|&(_, b)| b));
-            v
-        }
-        Inst::Invoke { normal, unwind, .. } => vec![*normal, *unwind],
-        _ => Vec::new(),
-    }
 }
 
 impl<'a> Tr<'a> {
@@ -771,9 +796,8 @@ impl<'a> Tr<'a> {
 
     /// Materialise a 32-bit constant into `rd`.
     fn load_imm(&mut self, rd: u8, k: u32) {
-        let v = k as i32;
-        if (-(1 << 13)..(1 << 13)).contains(&v) {
-            self.word(enc::i(enc::LDI, rd, 0, (v as u32) & 0x3FFF));
+        if enc::fits14(k) {
+            self.word(enc::i(enc::LDI, rd, 0, enc::imm14(k)));
         } else {
             self.word(enc::u(enc::LUI, rd, k >> 13));
             if k & 0x1FFF != 0 {
@@ -827,6 +851,9 @@ impl<'a> Tr<'a> {
                 let Some((dst, _)) = self.homes[iid.index()] else {
                     continue;
                 };
+                if self.unused[iid.index()] {
+                    continue;
+                }
                 let Some(&(v, _)) = incoming.iter().find(|&&(_, p)| p == from) else {
                     return Err("phi missing incoming for edge".into());
                 };
@@ -1043,6 +1070,13 @@ impl<'a> Tr<'a> {
         }
     }
 
+    /// `use_reg` for an operand of an op whose result goes to `rd`: a
+    /// constant or spilled operand is staged in `rd` itself unless
+    /// `rd_busy` (another operand is read from it), else in `scratch`.
+    fn stage(&mut self, o: Opnd, rd: u8, rd_busy: bool, scratch: u8) -> u8 {
+        self.use_reg(o, if rd_busy { scratch } else { rd })
+    }
+
     fn emit_bin(
         &mut self,
         iid: InstId,
@@ -1077,8 +1111,6 @@ impl<'a> Tr<'a> {
             _ => {}
         }
         self.acct(inst);
-        let la = self.use_reg(l, enc::R_S1);
-        let rb = self.use_reg(r, enc::R_S2);
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void bin".into());
         };
@@ -1099,6 +1131,42 @@ impl<'a> Tr<'a> {
             BinOp::Rem if signed => (enc::REMS, 0, true),
             BinOp::Rem => (enc::REMU, 0, false),
         };
+        // A constant operand that fits folds into the immediate form;
+        // commutative ops take it on either side.
+        let commutes = matches!(
+            op,
+            BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
+        );
+        let (l, r) = match (l, r) {
+            (Opnd::Imm(..), Opnd::Home(..)) if commutes => (r, l),
+            lr => lr,
+        };
+        if let Opnd::Imm(k, _) = r {
+            let folded = match op {
+                BinOp::Add => Some((enc::ADDI, k)),
+                BinOp::Sub => Some((enc::ADDI, k.wrapping_neg())),
+                BinOp::Mul => Some((enc::MULI, k)),
+                BinOp::And => Some((enc::ANDI, k)),
+                BinOp::Or => Some((enc::ORI, k)),
+                BinOp::Xor => Some((enc::XORI, k)),
+                // The amount is masked to the width, so it always fits.
+                BinOp::Shl => Some((enc::SLLI, k & (bits as u32 - 1))),
+                BinOp::Shr if signed => Some((enc::SRAI, k & (bits as u32 - 1))),
+                BinOp::Shr => Some((enc::SRLI, k & (bits as u32 - 1))),
+                BinOp::Div | BinOp::Rem => None,
+            };
+            if let Some((iop, k)) = folded.filter(|&(_, k)| enc::fits14(k)) {
+                let la = self.stage(l, rd, false, enc::R_S1);
+                self.word(enc::i(iop, rd, la, enc::imm14(k)));
+                if renorm {
+                    self.norm_if_narrow(class, rd);
+                }
+                self.dst_done(spill);
+                return Ok(());
+            }
+        }
+        let la = self.stage(l, rd, r.in_reg(rd), enc::R_S1);
+        let rb = self.stage(r, rd, la == rd, enc::R_S2);
         self.word(enc::r(word_op, rd, la, rb, extra));
         if renorm {
             self.norm_if_narrow(class, rd);
@@ -1129,10 +1197,13 @@ impl<'a> Tr<'a> {
         // bools compare unsigned.
         let unsigned = !c.is_signed_int();
         self.acct(inst);
-        let la = self.use_reg(l, enc::R_S1);
-        let rb = self.use_reg(r, enc::R_S2);
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void cmp".into());
+        };
+        // A constant goes on the right, where it folds when it fits.
+        let (pred, l, r) = match (l, r) {
+            (Opnd::Imm(..), Opnd::Home(..)) => (pred.swapped(), r, l),
+            lr => (pred, lr.0, lr.1),
         };
         let pcode = match pred {
             CmpPred::Eq => 0u16,
@@ -1141,14 +1212,18 @@ impl<'a> Tr<'a> {
             CmpPred::Gt => 3,
             CmpPred::Le => 4,
             CmpPred::Ge => 5,
-        };
-        self.word(enc::r(
-            enc::CMP,
-            rd,
-            la,
-            rb,
-            pcode | if unsigned { 8 } else { 0 },
-        ));
+        } | if unsigned { 8 } else { 0 };
+        match r {
+            Opnd::Imm(k, _) if enc::fits14(k) => {
+                let la = self.stage(l, rd, false, enc::R_S1);
+                self.word(enc::i(enc::CMPI + pcode as u8, rd, la, enc::imm14(k)));
+            }
+            _ => {
+                let la = self.stage(l, rd, r.in_reg(rd), enc::R_S1);
+                let rb = self.stage(r, rd, la == rd, enc::R_S2);
+                self.word(enc::r(enc::CMP, rd, la, rb, pcode));
+            }
+        }
         self.dst_done(spill);
         Ok(())
     }
@@ -1169,25 +1244,34 @@ impl<'a> Tr<'a> {
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void cast".into());
         };
+        // != 0 test for bool: sound for every exact class. A 64-bit
+        // source needs all 64 bits.
+        if tc == Class::Bool && !fc.is_exact() {
+            return Err("64-bit to bool".into());
+        }
+        if let Opnd::Imm(k, _) = v {
+            // A constant's cast is a constant, built in the destination.
+            let k = match tc {
+                Class::Bool => (k != 0) as u32,
+                _ => tc.norm(k),
+            };
+            self.load_imm(rd, k);
+            self.dst_done(spill);
+            return Ok(());
+        }
+        let r = self.stage(v, rd, false, enc::R_S1);
         match tc {
-            Class::Bool => {
-                // != 0 test; sound for every exact class. A 64-bit source
-                // needs all 64 bits.
-                if !fc.is_exact() {
-                    return Err("64-bit to bool".into());
-                }
-                let r = self.use_reg(v, enc::R_S1);
-                self.word(enc::r(enc::SETNZ, rd, r, 0, 0));
-            }
+            Class::Bool => self.word(enc::r(enc::SETNZ, rd, r, 0, 0)),
             Class::Ptr | Class::L64 | Class::S32 | Class::U32 => {
                 // Low 32 bits carried over unchanged: int→ptr truncates,
                 // ptr→int zero-extends, widening sign/zero-extends — in
-                // every case the canonical low word is the register.
-                let r = self.use_reg(v, enc::R_S1);
-                self.word(enc::r(enc::MOV, rd, r, 0, 0));
+                // every case the canonical low word is the register, so a
+                // result that shares its source's home costs nothing.
+                if rd != r {
+                    self.word(enc::r(enc::MOV, rd, r, 0, 0));
+                }
             }
             Class::S8 | Class::U8 | Class::S16 | Class::U16 => {
-                let r = self.use_reg(v, enc::R_S1);
                 self.word(enc::r(enc::NORM, rd, r, 0, tc.code()));
             }
         }
@@ -1250,27 +1334,38 @@ impl<'a> Tr<'a> {
             }
         }
         self.acct(inst);
-        let br = self.use_reg(base, enc::R_S1);
         let Some((rd, spill)) = self.dst_reg(iid) else {
             return Err("void gep".into());
         };
         // dst = base + const_off, then dst += idx · scale per dynamic
-        // index. Homes are unique, so rd never aliases a live operand.
+        // index. The live ranges keep rd off every operand's home when
+        // there are dynamic indices (it is written before they are read);
+        // without any, rd may be the base's.
         let off = const_off as u32;
-        if off == 0 {
-            if rd != br {
-                self.word(enc::r(enc::MOV, rd, br, 0, 0));
-            }
-        } else if (-(1 << 13)..(1 << 13)).contains(&(off as i32)) {
-            self.word(enc::i(enc::ADDI, rd, br, off & 0x3FFF));
+        if let Opnd::Imm(addr, _) = base {
+            self.load_imm(rd, addr.wrapping_add(off));
         } else {
-            self.load_imm(enc::R_S2, off);
-            self.word(enc::r(enc::ADD, rd, br, enc::R_S2, 0));
+            let br = self.use_reg(base, enc::R_S1);
+            if off == 0 {
+                if rd != br {
+                    self.word(enc::r(enc::MOV, rd, br, 0, 0));
+                }
+            } else if enc::fits14(off) {
+                self.word(enc::i(enc::ADDI, rd, br, enc::imm14(off)));
+            } else {
+                self.load_imm(enc::R_S2, off);
+                self.word(enc::r(enc::ADD, rd, br, enc::R_S2, 0));
+            }
         }
         for (o, scale) in scaled {
             let ir = self.use_reg(o, enc::R_S1);
-            self.load_imm(enc::R_S2, scale as u32);
-            self.word(enc::r(enc::MADD, rd, ir, enc::R_S2, 0));
+            let scale = scale as u32;
+            if enc::fits14(scale) {
+                self.word(enc::i(enc::MADDI, rd, ir, enc::imm14(scale)));
+            } else {
+                self.load_imm(enc::R_S2, scale);
+                self.word(enc::r(enc::MADD, rd, ir, enc::R_S2, 0));
+            }
         }
         self.dst_done(spill);
         Ok(())
@@ -1386,5 +1481,192 @@ fn sequentialize(mut pend: Vec<(Home, Src)>) -> Vec<FastCopy> {
             }
         }
         out.push(FastCopy { dst: d0, src: s0 });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn translate(src: &str) -> (Module, FastFunc) {
+        let m = lpat_asm::parse_module("t", src).unwrap();
+        m.verify().unwrap_or_else(|e| panic!("{e:?}"));
+        let env = FastEnv {
+            func_addr: &|f| 0x1000 + (f.index() as u32) * 16,
+            global_addr: &|i| Some(0x2000 + (i as u32) * 64),
+            guarded: &|_| false,
+        };
+        let ff = translate_fast(&m, m.func_by_name("f").unwrap(), &env).unwrap();
+        (m, ff)
+    }
+
+    /// The executable words of each IR instruction, in code order.
+    fn per_inst(ff: &FastFunc) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        for &w in &ff.words {
+            if enc::op(w) == enc::ACCT {
+                out.push(Vec::new());
+            } else {
+                out.last_mut().expect("an ACCT word first").push(w);
+            }
+        }
+        out
+    }
+
+    /// A loop body of `n` values where each reads the one before it and
+    /// the one `window` back: about `window` values are live at once.
+    fn windowed(n: usize, window: usize) -> String {
+        let mut src = String::from(
+            "define int @f(int %a) {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %s = phi int [ 0, %e ], [ %v0, %h ]
+  %w0 = add int %s, %i
+",
+        );
+        for k in 1..n {
+            let back = if k >= window {
+                format!("%w{}", k - window)
+            } else {
+                "%a".into()
+            };
+            src += &format!("  %w{k} = add int %w{}, {back}\n", k - 1);
+        }
+        src += &format!(
+            "  %v0 = add int %w{}, %w{}
+  %i2 = add int %i, 1
+  %c = setlt int %i2, %a
+  br bool %c, label %h, label %x
+x:
+  ret int %v0
+}}
+",
+            n - 1,
+            n - window
+        );
+        src
+    }
+
+    fn spill_words(ff: &FastFunc) -> usize {
+        (ff.words.iter())
+            .filter(|&&w| matches!(enc::op(w), enc::LDS | enc::STS))
+            .count()
+    }
+
+    /// 300 values, but never more than 28 live at once: no spill code.
+    /// Sixty live at once do spill, so the check is not vacuous.
+    #[test]
+    fn a_function_whose_pressure_fits_the_homes_never_spills() {
+        for (window, spills) in [(20, false), (60, true)] {
+            let (m, ff) = translate(&windowed(300, window));
+            let f = m.func(m.func_by_name("f").unwrap());
+            let pressure = regalloc::max_pressure(&regalloc::live_ranges(f, &[]).range);
+            assert_eq!(
+                pressure <= 28,
+                !spills,
+                "window {window}: pressure {pressure}"
+            );
+            assert_eq!(spill_words(&ff) > 0, spills, "window {window}");
+            assert_eq!(ff.n_slots > 0, spills, "window {window}");
+        }
+    }
+
+    /// Every foldable op with a constant that fits takes it as an
+    /// immediate — on either side when the op commutes or is a compare —
+    /// and costs exactly one word; a GEP's stride does too.
+    #[test]
+    fn a_constant_that_fits_costs_no_word_of_its_own() {
+        let (_, ff) = translate(
+            "define int @f(int %a, uint %u, [8 x int]* %p) {
+e:
+  %1 = add int %a, 8191
+  %2 = sub int %1, -8191
+  %3 = mul int -3, %2
+  %4 = and int %3, -8
+  %5 = or int 12, %4
+  %6 = xor int %5, 77
+  %7 = shl int %6, 35
+  %8 = shr int %7, 2
+  %9 = shr uint %u, 31
+  %10 = setlt int %8, 100
+  %11 = setgt int -5, %8
+  %12 = setle uint %9, 4294967295
+  %13 = getelementptr [8 x int]* %p, int %a, int 3
+  %14 = load int* %13
+  %15 = add int %14, 1
+  ret int %15
+}",
+        );
+        let insts = per_inst(&ff);
+        assert_eq!(insts.len(), 16);
+        for (k, words) in insts.iter().enumerate() {
+            let ops: Vec<u8> = words.iter().map(|&w| enc::op(w)).collect();
+            assert!(
+                !ops.iter().any(|&o| matches!(o, enc::LDI | enc::LUI)),
+                "instruction {k}: {ops:x?}"
+            );
+            // The GEP moves its base and adds the index times 32.
+            let expect = if k == 12 { 2 } else { 1 };
+            assert_eq!(words.len(), expect, "instruction {k}: {ops:x?}");
+        }
+        let op = |k: usize, i: usize| enc::op(insts[k][i]);
+        assert_eq!(
+            (0..12).map(|k| op(k, 0)).collect::<Vec<_>>(),
+            [
+                enc::ADDI,
+                enc::ADDI,
+                enc::MULI,
+                enc::ANDI,
+                enc::ORI,
+                enc::XORI,
+                enc::SLLI,
+                enc::SRAI,
+                enc::SRLI,
+                enc::CMPI + 2,     // lt
+                enc::CMPI + 2,     // -5 > x is x < -5
+                enc::CMPI + 8 + 4, // unsigned le
+            ]
+        );
+        assert_eq!(enc::simm14(insts[1][0]), 8191, "x - -8191 is x + 8191");
+        assert_eq!(enc::uimm14(insts[6][0]), 3, "35 masked to the width");
+        assert_eq!(enc::simm14(insts[11][0]), -1, "the all-ones word fits");
+        assert_eq!((op(12, 1), enc::simm14(insts[12][1])), (enc::MADDI, 32));
+    }
+
+    /// A constant too wide for the field is built in the destination, not
+    /// in scratch, when no operand is read from it (`%a` is live on).
+    #[test]
+    fn a_wide_constant_is_built_in_its_destination() {
+        let (_, ff) = translate(
+            "define int @f(int %a) {
+e:
+  %1 = add int %a, 100000
+  %2 = cast int 100000 to uint
+  %3 = cast uint %2 to int
+  %4 = add int %1, %3
+  %5 = add int %4, %a
+  ret int %5
+}",
+        );
+        let insts = per_inst(&ff);
+        let ops = |k: usize| insts[k].iter().map(|&w| enc::op(w)).collect::<Vec<_>>();
+        assert_eq!(ops(0), [enc::LUI, enc::ORI, enc::ADD]);
+        let rd = enc::rd(insts[0][2]);
+        assert!(
+            insts[0].iter().all(|&w| enc::rd(w) == rd),
+            "built in the destination"
+        );
+        assert_eq!(enc::rb(insts[0][2]), rd);
+        assert_eq!(
+            ops(1),
+            [enc::LUI, enc::ORI],
+            "a constant's cast is a constant"
+        );
+        assert!(
+            ops(2).is_empty(),
+            "a cast that shares its source's home is free"
+        );
     }
 }

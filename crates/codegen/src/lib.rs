@@ -11,8 +11,9 @@
 //!   delay slots, 20 allocatable registers.
 //!
 //! Both share one genuine backend pipeline — lowering (φ-elimination, GEP
-//! address chains), linear-scan register allocation with spilling, and
-//! compare/branch fusion — and differ in their encoders. The resulting
+//! address chains), linear-scan register allocation with spilling (the
+//! [`regalloc`] the executable [`fast`] tier uses too), and compare/branch
+//! fusion — and differ in their encoders. The resulting
 //! section sizes regenerate the paper's Figure 5 (executable size:
 //! representation bytecode vs. native X86 vs. native SPARC); the claim
 //! under test is about instruction-encoding *density*, which these models
@@ -24,6 +25,7 @@ pub mod cisc32;
 pub mod fast;
 pub mod lower;
 pub mod mir;
+pub mod regalloc;
 pub mod risc32;
 pub mod target;
 
@@ -119,11 +121,10 @@ x:
     #[test]
     fn code_size_is_a_function_of_the_module() {
         // Ten arguments, all used in the outer loop's body after the inner
-        // loop, so every one crosses a back edge and is extended to the
-        // last one: ten intervals `[0, last back edge]` for the allocator
-        // to order. Argument k is used k + 1 times, so which ones it
-        // spills shows in the code size. The scan order is
-        // (start, end, value number).
+        // loop, so every one is live around both loops: ten ranges that
+        // start together for the allocator to order. Argument k is used
+        // k + 1 times, so which ones it spills shows in the code size.
+        // The scan order is (start, end, value number).
         let params: Vec<String> = (0..10).map(|k| format!("int %a{k}")).collect();
         let mut src = format!("define int @main({}) {{\n", params.join(", "));
         src.push_str(

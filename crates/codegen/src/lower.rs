@@ -1,10 +1,12 @@
-//! IR → machine-IR lowering with linear-scan register allocation.
+//! IR → machine-IR lowering, with registers from the shared linear-scan
+//! allocator ([`crate::regalloc`]).
 
 use lpat_core::{
     BinOp, Const, FuncId, Function, GepError, GepStep, Inst, InstId, Module, Type, Value,
 };
 
 use crate::mir::{Loc, MFunc, MInst, MKind, PReg, Src};
+use crate::regalloc::{self, Assign};
 
 /// Register budget of a target.
 #[derive(Copy, Clone, Debug)]
@@ -290,145 +292,28 @@ fn lower_gep(
 }
 
 // ----------------------------------------------------------------------
-// Linear-scan register allocation
+// Register allocation
 // ----------------------------------------------------------------------
 
-/// Every SSA value of a function has a *value number*: parameter `n` is
-/// `n`, the instruction in arena slot `i` is `params + i`. All the
-/// allocator's tables are `Vec`s indexed by it.
+/// The instruction in arena slot `i` has value number `params + i` (see
+/// [`regalloc`]); the allocator's tables are indexed by it.
 fn inst_num(params: usize, i: InstId) -> usize {
     params + i.index()
 }
 
-/// The value number of `v`; constants have none.
-fn val_num(params: usize, v: Value) -> Option<usize> {
-    match v {
-        Value::Arg(n) => Some(n as usize),
-        Value::Inst(i) => Some(inst_num(params, i)),
-        Value::Const(_) => None,
-    }
-}
-
-/// Compute a location for every SSA value, by value number (unlinked
-/// arena slots keep a placeholder nobody reads); returns the table and the
-/// number of spill slots used.
-///
-/// Linear scan over live intervals `[start, end]` in linear instruction
-/// positions (parameters are defined at 0, linked instructions at 1.. in
-/// layout order). Values are scanned in `(start, end, value number)`
-/// order, which is total, so the result is a function of the IR alone.
-/// One pass over the body builds the intervals, a binary search per value
-/// over the back-edge positions extends the loop-carried ones, and the
-/// scan keeps at most `budget.gprs` intervals active: O(n log n).
+/// A location for every SSA value, by value number, from the allocator
+/// the executable back end uses ([`regalloc`]), and the number of spill
+/// slots. A value that is never read lands in the first register.
 fn allocate(f: &Function, budget: RegBudget) -> (Vec<Loc>, u32) {
-    let params = f.num_params();
-    let n_vals = params + f.num_inst_slots();
-    let mut start = vec![0usize; n_vals];
-    let mut end = vec![0usize; n_vals];
-    let mut order: Vec<usize> = (0..params).collect();
-    for (i, iid) in f.inst_ids_in_order().enumerate() {
-        let v = inst_num(params, iid);
-        start[v] = i + 1;
-        end[v] = i + 1;
-        order.push(v);
-    }
-    // Position of each block's terminator, and of the terminators that
-    // are sources of a back edge; blocks are visited in layout order, so
-    // the latter come out sorted.
-    let mut term_pos: Vec<Option<usize>> = vec![None; f.num_blocks()];
-    let mut back_edges: Vec<usize> = Vec::new();
-    for b in f.block_ids() {
-        let Some(t) = f.terminator(b) else { continue };
-        let pos = start[inst_num(params, t)];
-        term_pos[b.index()] = Some(pos);
-        let succs = f.inst(t).successors();
-        if succs.iter().any(|s| s.index() <= b.index()) {
-            back_edges.push(pos);
-        }
-    }
-    // Uses extend intervals; φ-uses extend to the predecessor's terminator.
-    for iid in f.inst_ids_in_order() {
-        let at = start[inst_num(params, iid)];
-        match f.inst(iid) {
-            Inst::Phi { incoming } => {
-                for (v, pb) in incoming {
-                    if let Some(v) = val_num(params, *v) {
-                        let upto = term_pos[pb.index()].unwrap_or(at);
-                        end[v] = end[v].max(upto);
-                    }
-                }
-            }
-            other => other.for_each_operand(|v| {
-                if let Some(v) = val_num(params, v) {
-                    end[v] = end[v].max(at);
-                }
-            }),
-        }
-    }
-    // Any value whose range crosses a loop back edge is conservatively
-    // extended to the last back-edge source: values live around a loop
-    // must not share registers with loop-local ones. This errs towards
-    // more spills, which is safe for the size model.
-    if let Some(&last) = back_edges.last() {
-        for &v in &order {
-            let (s, e) = (start[v], end[v]);
-            if s < e && e < last {
-                let next = back_edges.partition_point(|&t| t < s);
-                if back_edges[next] <= e {
-                    end[v] = last;
-                }
-            }
-        }
-    }
-
-    order.sort_unstable_by_key(|&v| (start[v], end[v], v));
-    let mut active: Vec<(usize, usize, PReg)> = Vec::new(); // (val, end, reg)
-    let mut free: Vec<PReg> = (0..budget.gprs).rev().map(PReg).collect();
-    let mut locs = vec![Loc::Slot(0); n_vals];
-    let mut spill_slots = 0u32;
-    for v in order {
-        let s = start[v];
-        let e = end[v];
-        if e <= s && v >= params {
-            // Dead value: give it a register transiently if available,
-            // else a slot; it costs nothing either way.
-            if let Some(r) = free.last() {
-                locs[v] = Loc::Reg(*r);
-            } else {
-                locs[v] = Loc::Slot(spill_slots * 8);
-                spill_slots += 1;
-            }
-            continue;
-        }
-        // Expire.
-        active.retain(|&(_, ae, r)| {
-            if ae < s {
-                free.push(r);
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(r) = free.pop() {
-            active.push((v, e, r));
-            locs[v] = Loc::Reg(r);
-        } else {
-            // Spill the interval with the furthest end.
-            let (pos, &(vk, ve, vr)) = active
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &(_, ae, _))| ae)
-                .expect("active non-empty when out of registers");
-            if ve > e {
-                locs[vk] = Loc::Slot(spill_slots * 8);
-                spill_slots += 1;
-                active[pos] = (v, e, vr);
-                locs[v] = Loc::Reg(vr);
-            } else {
-                locs[v] = Loc::Slot(spill_slots * 8);
-                spill_slots += 1;
-            }
-        }
-    }
-    (locs, spill_slots)
+    let live = regalloc::live_ranges(f, &[]);
+    let (assign, slots) = regalloc::linear_scan(&live.range, budget.gprs);
+    let locs = assign
+        .into_iter()
+        .map(|a| match a {
+            Assign::Reg(r) => Loc::Reg(PReg(r)),
+            Assign::Slot(s) => Loc::Slot(s * 8),
+            Assign::Dead => Loc::Reg(PReg(0)),
+        })
+        .collect();
+    (locs, slots)
 }

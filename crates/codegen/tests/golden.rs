@@ -63,7 +63,8 @@ fn ops(ff: &FastFunc) -> Vec<u8> {
 #[test]
 fn golden_alu_family() {
     // Three-address R-format for every two-operand ALU op; each IR
-    // instruction is preceded by its ACCT fuel word.
+    // instruction is preceded by its ACCT fuel word. Each result takes
+    // the home of the previous one, which dies at it.
     let ff = translate(
         "define int @alu(int %a, int %b) {
 e:
@@ -80,13 +81,13 @@ e:
     assert_words(
         &ff,
         &[
-            0x00000010, 0x012ac800, // acct; add  r5, r11(%a), r4(%b)
-            0x00000011, 0x02314800, // acct; sub  r6, r5, r4
-            0x00000012, 0x03398800, // acct; mul  r7, r6, r4
-            0x00000017, 0x0741c800, // acct; xor  r8, r7, r4
-            0x00000016, 0x064a0800, // acct; or   r9, r8, r4
-            0x00000015, 0x05524800, // acct; and  r10, r9, r4
-            0x00000000, 0x2c02800b, // acct; ret  r10 (S32)
+            0x00000010, 0x01210a00, // acct; add  r4, r4(%a), r5(%b)
+            0x00000011, 0x02210a00, // acct; sub  r4, r4, r5
+            0x00000012, 0x03210a00, // acct; mul  r4, r4, r5
+            0x00000017, 0x07210a00, // acct; xor  r4, r4, r5
+            0x00000016, 0x06210a00, // acct; or   r4, r4, r5
+            0x00000015, 0x05210a00, // acct; and  r4, r4, r5
+            0x00000000, 0x2c01000b, // acct; ret  r4 (S32)
         ],
     );
     assert_eq!(
@@ -101,22 +102,25 @@ e:
             enc::RET
         ]
     );
-    assert_eq!(ff.n_slots, 0, "8 live values fit the 28 register homes");
+    assert_eq!(ff.n_slots, 0, "2 live values fit the 28 register homes");
     // Spot-check the R-format fields of the dependent chain: each op
-    // reads the previous result in `ra` and the shared `%b` home in `rb`,
-    // and results are allocated to consecutive homes from r5.
+    // reads the previous result in `ra` and `%b`'s home in `rb`, and
+    // writes the home it read.
     let (add, sub) = (ff.words[1], ff.words[3]);
     assert_eq!(enc::op(add), enc::ADD);
-    assert_eq!(enc::rd(add), 5);
+    assert_eq!(enc::rd(add), 4);
     assert_eq!(enc::ra(sub), enc::rd(add), "sub reads add's result");
-    assert_eq!(enc::rb(sub), enc::rb(add), "%b's home is shared");
+    assert_eq!(enc::rd(sub), enc::ra(sub), "and takes its home");
+    assert_eq!(enc::rb(sub), enc::rb(add), "%b's home is read by both");
 }
 
 #[test]
 fn golden_shift_div_family() {
-    // Shift amounts are register operands (masked at execution); the
-    // constant amounts here materialise through LDI first. Signed `shr`
-    // selects SRA, unsigned selects SRL; signed div/rem select DIVS/REMS.
+    // Constant shift amounts are immediates, masked to the width at
+    // translation. Signed `shr` selects SRAI, unsigned SRLI; signed
+    // div/rem select DIVS/REMS, which take no immediate: the 7 is built
+    // in scratch, as the destination is the dividend's home. A cast that
+    // keeps the low word and shares its source's home costs no word.
     let ff = translate(
         "define int @shifts(int %a, uint %u) {
 e:
@@ -133,26 +137,21 @@ e:
     assert_words(
         &ff,
         &[
-            0x00000018, 0x19100003,
-            0x08228420, // acct; ldi r2, 3;  sll r4, r10(%a), r2 (width 32)
-            0x00000019, 0x19100002, 0x0a290420, // acct; ldi r2, 2;  sra r5, r4, r2
-            0x00000019, 0x19100001, 0x0932c420, // acct; ldi r2, 1;  srl r6, r11(%u), r2
-            0x0000000e, 0x12398000, //             acct; mov r7, r6 (uint→int cast)
-            0x00000013, 0x0b414e00, //             acct; divs r8, r5, r7
-            0x00000014, 0x19100007, 0x0d4a0400, // acct; ldi r2, 7;  rems r9, r8, r2
-            0x00000000, 0x2c02400b, //             acct; ret r9 (S32)
+            0x00000018, 0x16210003, //             acct; slli r4, r4(%a), 3
+            0x00000019, 0x1e210002, //             acct; srai r4, r4, 2
+            0x00000019, 0x17294001, //             acct; srli r5, r5(%u), 1
+            0x0000000e, //                         acct (uint→int cast, in r5)
+            0x00000013, 0x0b290a00, //             acct; divs r5, r4, r5
+            0x00000014, 0x19100007, 0x0d294400, // acct; ldi r2, 7;  rems r5, r5, r2
+            0x00000000, 0x2c01400b, //             acct; ret r5 (S32)
         ],
     );
     assert_eq!(
         ops(&ff),
         [
-            enc::LDI,
-            enc::SLL,
-            enc::LDI,
-            enc::SRA,
-            enc::LDI,
-            enc::SRL,
-            enc::MOV,
+            enc::SLLI,
+            enc::SRAI,
+            enc::SRLI,
             enc::DIVS,
             enc::LDI,
             enc::REMS,
@@ -182,11 +181,11 @@ f:
     assert_words(
         &ff,
         &[
-            0x0000001c, 0x0f214c02, // acct; cmp.lt r4, r5(%a), r6(%b)
-            0x00000001, 0x29010000, 0x28000001, // acct; cbnz r4 → edge 0; br edge 1
-            0x00000000, 0x2c010001, // acct; ret r4 (Bool)
-            0x0000001a, 0x0f394c00, // acct; cmp.eq r7, r5, r6
-            0x00000000, 0x2c01c001, // acct; ret r7 (Bool)
+            0x0000001c, 0x0f310a02, // acct; cmp.lt r6, r4(%a), r5(%b)
+            0x00000001, 0x29018000, 0x28000001, // acct; cbnz r6 → edge 0; br edge 1
+            0x00000000, 0x2c018001, // acct; ret r6 (Bool)
+            0x0000001a, 0x0f290a00, // acct; cmp.eq r5, r4, r5
+            0x00000000, 0x2c014001, // acct; ret r5 (Bool)
         ],
     );
     assert_eq!(
@@ -201,9 +200,10 @@ f:
 
 #[test]
 fn golden_immediate_family() {
-    // Small constants ride LDI's signed 14-bit immediate; wide constants
-    // split into LUI (high 19 bits) + ORI (low 13 bits):
-    // 123456789 = 0x75BCD15 = (0x3ADE << 13) | 0xD15.
+    // Small constants fold into ADDI's signed 14-bit immediate; wide
+    // constants split into LUI (high 19 bits) + ORI (low 13 bits):
+    // 123456789 = 0x75BCD15 = (0x3ADE << 13) | 0xD15, built in scratch
+    // here because the destination is `%s`'s home, still to be read.
     let ff = translate(
         "define int @imm(int %a) {
 e:
@@ -216,18 +216,18 @@ e:
     assert_words(
         &ff,
         &[
-            0x00000010, 0x1910000b, 0x01218400, // acct; ldi r2, 11;  add r4, r6(%a), r2
+            0x00000010, 0x1821000b, //             acct; addi r4, r4(%a), 11
             0x00000010, 0x1a103ade, 0x1b108d15,
-            0x01290400, // acct; lui r2, 0x3ade; ori r2, r2, 0xd15; add r5, r4, r2
-            0x00000000, 0x2c01400b, //             acct; ret r5 (S32)
+            0x01210400, // acct; lui r2, 0x3ade; ori r2, r2, 0xd15; add r4, r4, r2
+            0x00000000, 0x2c01000b, //             acct; ret r4 (S32)
         ],
     );
     assert_eq!(
         ops(&ff),
-        [enc::LDI, enc::ADD, enc::LUI, enc::ORI, enc::ADD, enc::RET]
+        [enc::ADDI, enc::LUI, enc::ORI, enc::ADD, enc::RET]
     );
     // The LUI/ORI pair reassembles exactly the constant's low 32 bits.
-    let (lui, ori) = (ff.words[4], ff.words[5]);
+    let (lui, ori) = (ff.words[3], ff.words[4]);
     assert_eq!(enc::op(lui), enc::LUI);
     assert_eq!(enc::op(ori), enc::ORI);
     assert_eq!((lui & 0x7FFFF) << 13 | (ori & 0x1FFF), 123_456_789);
@@ -249,8 +249,8 @@ e:
     assert_words(
         &ff,
         &[
-            0x0000000a, 0x21010c05, // acct; st [r4(%p)], r6(%v)  (class S32)
-            0x00000009, 0x20290005, // acct; ld r5, [r4]  (class S32)
+            0x0000000a, 0x21014805, // acct; st [r5(%p)], r4(%v)  (class S32)
+            0x00000009, 0x20294005, // acct; ld r5, [r5]  (class S32)
             0x00000000, 0x2c01400b, // acct; ret r5 (S32)
         ],
     );
@@ -277,13 +277,13 @@ e:
         &ff,
         &[
             0x00000008, 0x19100004,
-            0x22200403, // acct; ldi r2, 4;  alloc r4, r2 (stack, count-one)
-            0x0000000a, 0x19100007, 0x21010405, // acct; ldi r2, 7;  st [r4], r2 (S32)
+            0x22280403, // acct; ldi r2, 4;  alloc r5, r2 (stack, count-one)
+            0x0000000a, 0x19100007, 0x21014405, // acct; ldi r2, 7;  st [r5], r2 (S32)
             0x00000006, 0x19100004,
-            0x2229c404, // acct; ldi r2, 4;  alloc r5, r2 × r7(%n) (heap, unsigned count)
-            0x00000007, 0x23014000, //             acct; free r5
-            0x00000009, 0x20310005, //             acct; ld r6, [r4] (S32)
-            0x00000000, 0x2c01800b, //             acct; ret r6 (S32)
+            0x22210404, // acct; ldi r2, 4;  alloc r4, r2 × r4(%n) (heap, unsigned count)
+            0x00000007, 0x23010000, //             acct; free r4
+            0x00000009, 0x20294005, //             acct; ld r5, [r5] (S32)
+            0x00000000, 0x2c01400b, //             acct; ret r5 (S32)
         ],
     );
     assert_eq!(
@@ -332,19 +332,19 @@ x:
         &ff,
         &[
             0x00000001, 0x28000000, // acct; br edge 0  (e → h, copies 0 → %i)
-            0x0000001c, 0x0f290e02, // acct; cmp.lt r5, r4(%i), r7(%n)
-            0x00000001, 0x29014001, 0x28000002, // acct; cbnz r5 → edge 1; br edge 2
-            0x00000010, 0x19100001, 0x01310400, // acct; ldi r2, 1;  add r6, r4, r2
+            0x0000001c, 0x0f314802, // acct; cmp.lt r6, r5(%i), r4(%n)
+            0x00000001, 0x29018001, 0x28000002, // acct; cbnz r6 → edge 1; br edge 2
+            0x00000010, 0x18294001, // acct; addi r5, r5, 1
             0x00000001, 0x28000003, // acct; br edge 3  (back-edge b → h)
-            0x00000000, 0x2c01000b, // acct; ret r4 (S32)
+            0x00000000, 0x2c01400b, // acct; ret r5 (S32)
         ],
     );
     assert_eq!(ff.block_word.len(), 4);
-    // The φ web keeps one home for %i across iterations: the back-edge
-    // copies %i2 into it.
+    // %i2 takes %i's home, which dies at it, so the back edge that
+    // carries %i2 into %i copies nothing.
     let back = ff.edges.iter().find(|e| e.back).expect("loop back-edge");
     assert_eq!((back.from, back.to), (2, 1));
-    assert_eq!(back.copies.len(), 1);
+    assert_eq!(back.copies.len(), 0);
 }
 
 #[test]

@@ -483,6 +483,29 @@ impl Inst {
         }
     }
 
+    /// Visit the successor blocks of a terminator, in
+    /// [`Inst::successors`] order, without building a list.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
+        match self {
+            Inst::Br(b) => f(*b),
+            Inst::CondBr {
+                then_bb, else_bb, ..
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            Inst::Switch { default, cases, .. } => {
+                f(*default);
+                cases.iter().for_each(|&(_, b)| f(b));
+            }
+            Inst::Invoke { normal, unwind, .. } => {
+                f(*normal);
+                f(*unwind);
+            }
+            _ => {}
+        }
+    }
+
     /// Visit every operand [`Value`] of this instruction.
     pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {

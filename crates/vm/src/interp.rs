@@ -216,6 +216,10 @@ pub struct Vm<'m> {
     /// to enter machine code at, consumed by the dispatch loop at the
     /// next boundary check and dropped on any other control transfer.
     pub(crate) pending_native_osr: Option<u32>,
+    /// The values of one edge's φ-copies, read before any is written:
+    /// reused by every edge of the interpreter and the JIT, so taking an
+    /// edge allocates nothing.
+    pub(crate) phi_buf: Vec<(u32, VmValue)>,
 }
 
 impl<'m> Vm<'m> {
@@ -261,6 +265,7 @@ impl<'m> Vm<'m> {
             interp_reg_pool: Vec::new(),
             tier_native_on: false,
             pending_native_osr: None,
+            phi_buf: Vec::new(),
         };
         for (gid, g) in m.globals() {
             if let Some(init) = g.init {
@@ -593,7 +598,8 @@ impl<'m> Vm<'m> {
     ) -> Result<(), ExecError> {
         let func = self.m.func(fr.func);
         // Simultaneous φ assignment: read all inputs first.
-        let mut updates: Vec<(InstId, VmValue)> = Vec::new();
+        let mut buf = std::mem::take(&mut self.phi_buf);
+        buf.clear();
         for &iid in func.block_insts(to) {
             if let Inst::Phi { incoming } = func.inst(iid) {
                 let (v, _) = incoming.iter().find(|(_, b)| *b == from).ok_or_else(|| {
@@ -602,12 +608,13 @@ impl<'m> Vm<'m> {
                         format!("phi in bb{} lacks edge from bb{}", to.index(), from.index()),
                     )
                 })?;
-                updates.push((iid, self.value(fr, *v)?));
+                buf.push((iid.index() as u32, self.value(fr, *v)?));
             }
         }
-        for (iid, v) in updates {
-            fr.regs[iid.index()] = Some(v);
+        for &(i, v) in &buf {
+            fr.regs[i as usize] = Some(v);
         }
+        self.phi_buf = buf;
         if self.opts.profile {
             self.counters.edge_between(fr.func, from, to);
         }

@@ -645,14 +645,15 @@ impl<'m> Vm<'m> {
                 fr.regs[*d as usize] = read(fr, s)?;
             }
             _ => {
-                let vals = edge
-                    .copies
-                    .iter()
-                    .map(|(_, s)| read(fr, s))
-                    .collect::<Result<Vec<_>, _>>()?;
-                for ((d, _), v) in edge.copies.iter().zip(vals) {
-                    fr.regs[*d as usize] = v;
+                let mut buf = std::mem::take(&mut self.phi_buf);
+                buf.clear();
+                for (d, s) in &edge.copies {
+                    buf.push((*d, read(fr, s)?));
                 }
+                for &(d, v) in &buf {
+                    fr.regs[d as usize] = v;
+                }
+                self.phi_buf = buf;
             }
         }
         fr.pc = edge.target;

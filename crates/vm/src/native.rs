@@ -55,10 +55,10 @@ use std::rc::Rc;
 
 use lpat_codegen::fast::{
     enc, translate_fast, Class, FastCall, FastCallee, FastCopy, FastEnv, FastFunc, FastSwitch,
-    Home, Src,
+    Home, LiveIn, Src,
 };
 use lpat_core::trace;
-use lpat_core::{FuncId, IntKind, Module};
+use lpat_core::{FuncId, InstId, IntKind, Module, Value};
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
@@ -119,7 +119,7 @@ struct NatCall {
     native: Cell<u32>,
 }
 
-/// A function's decoded native code plus the home tables that make frame
+/// A function's decoded native code plus the tables that make frame
 /// conversion (entry, OSR) a table-driven copy.
 pub(crate) struct NatCode {
     ops: Vec<NOp>,
@@ -137,7 +137,9 @@ pub(crate) struct NatCode {
     switches: Vec<FastSwitch>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
-    homes: Vec<Option<(Home, Class)>>,
+    /// The values live into each block a frame can be entered at, with
+    /// their homes (see [`FastFunc::live_in`]).
+    live_in: Vec<(u32, LiveIn)>,
 }
 
 /// What the native translation cache holds for one function.
@@ -198,20 +200,30 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
             open = false;
         }
         let imm = match op {
-            enc::ADDI | enc::LDI => enc::simm14(w) as u32,
+            enc::ADDI | enc::LDI | enc::ORI | enc::MULI | enc::ANDI | enc::XORI | enc::MADDI => {
+                enc::simm14(w) as u32
+            }
+            enc::CMPI..=enc::CMPI_LAST => enc::simm14(w) as u32,
             enc::LUI => enc::imm19(w) << 13,
-            enc::ORI | enc::LDS | enc::STS | enc::CBNZ | enc::SWITCH | enc::RET => enc::uimm14(w),
+            enc::SLLI | enc::SRLI | enc::SRAI => enc::uimm14(w) & 31,
+            enc::LDS | enc::STS | enc::CBNZ | enc::SWITCH | enc::RET => enc::uimm14(w),
             enc::BR | enc::CALLD | enc::UNWIND | enc::UNREACHABLE => enc::idx24(w),
             _ => 0,
         };
-        // LUI decodes to LDI-with-full-immediate: one hot-loop case.
-        let op = if op == enc::LUI { enc::LDI } else { op };
+        // LUI decodes to LDI-with-full-immediate and each CMPI predicate
+        // to one CMPI carrying it in `extra`, as CMP does: one hot-loop
+        // case each.
+        let (op, extra) = match op {
+            enc::LUI => (enc::LDI, 0),
+            enc::CMPI..=enc::CMPI_LAST => (enc::CMPI, (op - enc::CMPI) as u16),
+            _ => (op, enc::extra(w)),
+        };
         ops.push(NOp {
             op,
             a: enc::rd(w),
             b: enc::ra(w),
             c: enc::rb(w),
-            extra: enc::extra(w),
+            extra,
             len: 0,
             imm,
             region: 0,
@@ -260,7 +272,7 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
         switches: ff.switches,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
-        homes: ff.homes,
+        live_in: ff.live_in,
     }
 }
 
@@ -464,20 +476,31 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// `f`'s native frame at `block` with `args`, and the `regs` (by
-    /// `InstId`: homes are a pure function of it) and `allocas` an OSR
-    /// carries over. `None`, nothing taken, when the arity or an argument's
-    /// class defies the signature (only mistyped indirect calls can): the
-    /// caller falls back to a JIT frame, which represents any value.
+    /// `f`'s native frame at `block` with `args`, the value of each
+    /// instruction from `reg` (by `InstId`; `None` when unset) and the
+    /// `allocas` an OSR carries over. Only the values live into `block`
+    /// are copied: homes are shared between values never live at once, so
+    /// a dead value's stale or filler word would clobber a live one's.
+    /// `None`, nothing taken, when the arity or an argument's class defies
+    /// the signature (only mistyped indirect calls can) or `block` is not
+    /// an entry the code has a table for: the caller falls back to a JIT
+    /// frame, which represents any value.
     pub(crate) fn native_frame_for(
         &mut self,
         f: FuncId,
         block: usize,
         args: &[VmValue],
-        regs: impl Iterator<Item = Option<VmValue>>,
+        reg: impl Fn(InstId) -> Option<VmValue>,
         allocas: &mut Vec<u32>,
     ) -> Result<Option<NatFrame>, ExecError> {
         let code = self.ensure_native_translated(f)?;
+        let Some((_, live)) = code.live_in.iter().find(|(b, _)| *b as usize == block) else {
+            debug_assert!(
+                false,
+                "@{f:?} entered at bb{block}, which has no live-in table"
+            );
+            return Ok(None);
+        };
         if args.len() != code.arg_homes.len()
             || !args
                 .iter()
@@ -488,14 +511,15 @@ impl<'m> Vm<'m> {
         }
         let mut fr = self.native_frame(f, code.clone(), code.block_dec[block] as usize);
         fr.allocas = std::mem::take(allocas);
-        for (v, &(h, _)) in args.iter().zip(&code.arg_homes) {
-            fr.put(h, low32(v));
-        }
-        // Unset registers keep the zero filler: definitions dominate
-        // uses, so an unset register is unobservable.
-        for (v, home) in regs.zip(&code.homes) {
-            if let (Some(v), Some((h, _))) = (v, home) {
-                fr.put(*h, low32(&v));
+        for &(v, h, _) in live {
+            let v = match v {
+                Value::Arg(a) => Some(args[a as usize]),
+                Value::Inst(i) => reg(i),
+                Value::Const(_) => None,
+            };
+            // An unset register is unobservable: definitions dominate uses.
+            if let Some(v) = v {
+                fr.put(h, low32(&v));
             }
         }
         Ok(Some(fr))
@@ -789,6 +813,25 @@ fn charge_exact(
     Ok(())
 }
 
+/// `x <pred> y` for a `CMP`/`CMPI` `extra`: bits 0–2 the predicate
+/// (eq, ne, lt, gt, le, ge), bit 3 unsigned.
+#[inline(always)]
+fn compare(x: u32, y: u32, extra: u16) -> bool {
+    let ord = if extra & 8 != 0 {
+        x.cmp(&y)
+    } else {
+        (x as i32).cmp(&(y as i32))
+    };
+    match extra & 7 {
+        0 => ord.is_eq(),
+        1 => ord.is_ne(),
+        2 => ord.is_lt(),
+        3 => ord.is_gt(),
+        4 => ord.is_le(),
+        _ => ord.is_ge(),
+    }
+}
+
 /// The dispatch loop. Without `EXACT` it charges each region once, on
 /// its first op, and stops at a region finite fuel cannot pay for with
 /// [`Exit::Exact`]; with it, it charges instruction by instruction. The
@@ -880,38 +923,24 @@ fn dispatch<const EXACT: bool>(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exi
                     }
                     fr.regs[a] = x % y;
                 }
-                enc::CMP => {
-                    let (x, y) = (fr.regs[b], fr.regs[c]);
-                    let ord = if op.extra & 8 != 0 {
-                        x.cmp(&y)
-                    } else {
-                        (x as i32).cmp(&(y as i32))
-                    };
-                    let hit = match op.extra & 7 {
-                        0 => ord.is_eq(),
-                        1 => ord.is_ne(),
-                        2 => ord.is_lt(),
-                        3 => ord.is_gt(),
-                        4 => ord.is_le(),
-                        _ => ord.is_ge(),
-                    };
-                    fr.regs[a] = hit as u32;
-                }
+                enc::CMP => fr.regs[a] = compare(fr.regs[b], fr.regs[c], op.extra) as u32,
+                enc::CMPI => fr.regs[a] = compare(fr.regs[b], op.imm, op.extra) as u32,
                 enc::SETNZ => fr.regs[a] = (fr.regs[b] != 0) as u32,
                 enc::NORM => {
                     let v = fr.regs[b];
-                    fr.regs[a] = match Class::from_code(op.extra) {
-                        Some(Class::S8) => v as i8 as i32 as u32,
-                        Some(Class::U8) => v & 0xFF,
-                        Some(Class::S16) => v as i16 as i32 as u32,
-                        Some(Class::U16) => v & 0xFFFF,
-                        _ => v,
-                    };
+                    fr.regs[a] = Class::from_code(op.extra).map_or(v, |c| c.norm(v));
                 }
                 enc::MOV => fr.regs[a] = fr.regs[b],
                 enc::ADDI => fr.regs[a] = fr.regs[b].wrapping_add(op.imm),
-                enc::LDI => fr.regs[a] = op.imm,
+                enc::MULI => fr.regs[a] = fr.regs[b].wrapping_mul(op.imm),
+                enc::ANDI => fr.regs[a] = fr.regs[b] & op.imm,
                 enc::ORI => fr.regs[a] = fr.regs[b] | op.imm,
+                enc::XORI => fr.regs[a] = fr.regs[b] ^ op.imm,
+                enc::SLLI => fr.regs[a] = fr.regs[b] << op.imm,
+                enc::SRLI => fr.regs[a] = fr.regs[b] >> op.imm,
+                enc::SRAI => fr.regs[a] = ((fr.regs[b] as i32) >> op.imm) as u32,
+                enc::MADDI => fr.regs[a] = fr.regs[a].wrapping_add(fr.regs[b].wrapping_mul(op.imm)),
+                enc::LDI => fr.regs[a] = op.imm,
                 enc::LDS => fr.regs[a] = fr.slots[op.imm as usize],
                 enc::STS => fr.slots[op.imm as usize] = fr.regs[b],
                 enc::LD => {

@@ -42,7 +42,7 @@
 //! workload suite.
 
 use lpat_core::trace;
-use lpat_core::{FuncId, Inst};
+use lpat_core::{FuncId, Inst, InstId};
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, StepResult, Vm};
@@ -482,7 +482,7 @@ impl<'m> Vm<'m> {
         };
         match choice {
             TierChoice::Native => {
-                let fr = self.native_frame_for(f, 0, &args, std::iter::empty(), &mut Vec::new())?;
+                let fr = self.native_frame_for(f, 0, &args, |_| None, &mut Vec::new())?;
                 if let Some(fr) = fr {
                     if self.opts.profile {
                         self.counters.enter(self.module(), f);
@@ -807,12 +807,15 @@ impl<'m> Vm<'m> {
         let nf = match top {
             TFrame::I(fr) => {
                 debug_assert_eq!(fr.idx, 0, "OSR only at a block boundary");
-                let regs = fr.regs.iter().copied();
-                self.native_frame_for(fr.func, fr.block.index(), &fr.args, regs, &mut fr.allocas)
+                let reg = |i: InstId| fr.regs[i.index()];
+                self.native_frame_for(fr.func, fr.block.index(), &fr.args, reg, &mut fr.allocas)
             }
             TFrame::J(fr) => {
-                let (regs, b) = (fr.regs.iter().map(|&v| Some(v)), block.expect("OSR block"));
-                self.native_frame_for(fr.func, b as usize, &fr.args, regs, &mut fr.allocas)
+                let (reg, b) = (
+                    |i: InstId| Some(fr.regs[i.index()]),
+                    block.expect("OSR block"),
+                );
+                self.native_frame_for(fr.func, b as usize, &fr.args, reg, &mut fr.allocas)
             }
             TFrame::N(_) => return false,
         };

@@ -6,8 +6,14 @@
 //! cisc32 size is left out because an earlier allocator broke its ties by
 //! hash-map iteration order and had no single value.
 //!
-//! The constants come from the commit after 8008f9e, the one where miniC
-//! builds SSA itself (scalar locals never become `alloca`s): the risc32
+//! The constants come from the commit after d621658, the one where the
+//! size models take their registers from the `fast` back end's allocator
+//! (exact live ranges instead of intervals stretched over every back
+//! edge): the bytecode did not move, and of the risc32 sizes only
+//! 183.equake's after link time did, 760 → 728 bytes. From the commit
+//! after 8008f9e, the one where miniC
+//! builds SSA itself (scalar locals never become `alloca`s), up to d621658
+//! they were that commit's: the risc32
 //! sizes did not move; the bytecode did, with φs and their operands in
 //! another order. From the commit
 //! after 631818c (GVN answers a load across blocks, loops and stores that
@@ -54,7 +60,7 @@ const GOLDEN: [(&str, Row, Row); 15] = [
     ("177.mesa", [(0x329453096483cc85, 640), (0xb46466b7f9415784, 480)], [(0xf5393941168b9658, 10252), (0x78d5f26e2b058715, 480)]),
     ("179.art", [(0x7f8035d5fa3fa507, 424), (0x3541d8768e6be85c, 408)], [(0x97a069f2cfd29961, 10036), (0x68d3515eff4bc78b, 408)]),
     ("181.mcf", [(0xd0d5e67beca8a58b, 736), (0x629de70c0767c22e, 684)], [(0x75851ee23bc92b82, 10348), (0x4e5207d834895a44, 684)]),
-    ("183.equake", [(0xfeda288e4320842c, 736), (0x7751ace1e173223f, 760)], [(0x23e0636c2d3ea755, 10348), (0xa8eff163bf8a4724, 760)]),
+    ("183.equake", [(0xfeda288e4320842c, 736), (0x7751ace1e173223f, 728)], [(0x23e0636c2d3ea755, 10348), (0xa8eff163bf8a4724, 728)]),
     ("186.crafty", [(0xc61213e60ac0cd76, 548), (0xe74a5def42755567, 512)], [(0x03beda9de874b489, 10160), (0x8d25b8ebc2aef2bc, 512)]),
     ("188.ammp", [(0x4136f649b3b5b750, 720), (0xc3517bd55fc44205, 644)], [(0x41e3f2a49d0712c5, 10332), (0x953df9fa3b5881e5, 644)]),
     ("197.parser", [(0x4aa33d731ad23f07, 500), (0x67820c0571ccebc9, 448)], [(0x8319cc1953d6f29e, 10112), (0x48d159ef49d2d115, 448)]),

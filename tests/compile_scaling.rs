@@ -9,7 +9,10 @@
 //! load availability and `licm` hold the same bound on a function of N
 //! sequential loops, and miniC's SSA construction on a function of N
 //! sequential `if`s whose one read of a variable looks it up back through
-//! all N joins (the lookup is iterative: no recursion that deep).
+//! all N joins (the lookup is iterative: no recursion that deep). The
+//! `fast` back end's analysis pass (live ranges over the blocks in
+//! reverse post-order, then one linear scan) holds it on a straight line
+//! of N values and on N / 20 loop nests.
 //!
 //! Timing test: only with `--features slow-tests`, and only meaningful in
 //! release (`cargo test --release --features slow-tests --test compile_scaling`).
@@ -297,6 +300,109 @@ fn four_times_the_joins_cost_less_than_eight_times_the_time() {
     assert!(
         large < 8 * small,
         "N = 5000: {small:?}, N = 20000: {large:?} ({:.1}x; linear is 4x)",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
+
+/// A straight line of `n` values, each reading the one before it and the
+/// one eight back.
+fn straight_line(n: usize) -> String {
+    let mut src = String::from("define int @line(int %a) {\ne:\n  %v0 = add int %a, 1\n");
+    for k in 1..n {
+        let back = if k >= 8 {
+            format!("%v{}", k - 8)
+        } else {
+            "%a".into()
+        };
+        writeln!(src, "  %v{k} = xor int %v{}, {back}", k - 1).unwrap();
+    }
+    writeln!(src, "  ret int %v{}\n}}", n - 1).unwrap();
+    src
+}
+
+/// `n` three-deep loop nests in sequence, about twenty instructions each:
+/// every level's counter is live across the levels inside it, and the
+/// innermost body stores to `@g`.
+fn loop_nests(n: usize) -> String {
+    let mut src =
+        String::from("@g = global int 0\ndefine void @nests(int %n) {\ne:\n  br label %a0\n");
+    for k in 0..n {
+        let next = if k + 1 == n {
+            "x".to_string()
+        } else {
+            format!("a{}", k + 1)
+        };
+        let prev = if k == 0 {
+            "e".to_string()
+        } else {
+            format!("c{}", k - 1)
+        };
+        write!(
+            src,
+            "a{k}:
+  %i{k} = phi int [ 0, %{prev} ], [ %i{k}n, %c{k} ]
+  br label %b{k}
+b{k}:
+  %j{k} = phi int [ 0, %a{k} ], [ %j{k}n, %l{k} ]
+  br label %d{k}
+d{k}:
+  %m{k} = phi int [ 0, %b{k} ], [ %m{k}n, %d{k} ]
+  %p{k} = mul int %i{k}, %j{k}
+  %q{k} = add int %p{k}, %m{k}
+  %r{k} = xor int %q{k}, %n
+  store int %r{k}, int* @g
+  %m{k}n = add int %m{k}, 1
+  %dc{k} = setlt int %m{k}n, %n
+  br bool %dc{k}, label %d{k}, label %l{k}
+l{k}:
+  %j{k}n = add int %j{k}, 1
+  %lc{k} = setlt int %j{k}n, %n
+  br bool %lc{k}, label %b{k}, label %c{k}
+c{k}:
+  %i{k}n = add int %i{k}, 1
+  %cc{k} = setlt int %i{k}n, %n
+  br bool %cc{k}, label %a{k}, label %{next}
+"
+        )
+        .unwrap();
+    }
+    src += "x:\n  ret void\n}\n";
+    src
+}
+
+/// Best of three: `fast`'s translation of the straight line of `n`
+/// values and of `n / 20` loop nests (about `n` instructions each), the
+/// shapes of a large inlined `main`.
+fn translate_cost(n: usize) -> Duration {
+    let src = straight_line(n) + &loop_nests(n / 20);
+    let m = lpat::asm::parse_module("fast", &src).expect("generated IR parses");
+    m.verify().expect("generated IR verifies");
+    let env = lpat::codegen::fast::FastEnv {
+        func_addr: &|f| 0x1000 + 16 * f.index() as u32,
+        global_addr: &|i| Some(0x2000 + 64 * i as u32),
+        guarded: &|_| false,
+    };
+    let funcs: Vec<_> = m.funcs().map(|(fid, _)| fid).collect();
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            for &fid in &funcs {
+                let ff = lpat::codegen::fast::translate_fast(&m, fid, &env).expect("translates");
+                assert_eq!(ff.n_slots, 0, "no more than 28 values are ever live");
+            }
+            t.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn four_times_the_code_costs_less_than_eight_times_the_fast_translation() {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (translate_cost(3_500), translate_cost(14_000));
+    assert!(
+        large < 8 * small,
+        "N = 3500: {small:?}, N = 14000: {large:?} ({:.1}x; linear is 4x)",
         large.as_secs_f64() / small.as_secs_f64()
     );
 }

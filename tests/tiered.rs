@@ -746,6 +746,217 @@ h:
     }
 }
 
+/// Machine code shares a register between values that are never live at
+/// once, so entering it mid-function must copy only the values live at
+/// the loop header. In `@work`, 24 values plus the loop's two φs are live
+/// at `%h`, and two values dead there sit in registers a live one shares:
+/// `%t` (`xor 77`), defined before the loop on the path every run takes,
+/// and `%f` (`xor 99`), on a path no run takes, so an interpreter frame
+/// holds `%t`'s stale value and a JIT frame holds both `%t`'s and `%f`'s
+/// filler. Both have higher instruction ids than every live value, so a
+/// copy of every value would write them last. `@work(1)` runs `@work(0)`
+/// first: its loop climbs to machine code by OSR from a JIT frame, and
+/// `@work(1)`'s own loop then enters it by OSR from an interpreter frame.
+#[test]
+fn entering_machine_code_at_a_loop_copies_only_the_values_live_there() {
+    let live: Vec<String> = (1..=24).map(|k| format!("%v{k}")).collect();
+    let mut src = String::from(
+        "declare void @print_int(int)
+@g = global int 3
+@sink = global int 0
+define internal int @work(int %d) {
+e:
+  %a = load int* @g
+  %r = seteq int %a, 12345
+  br bool %r, label %rare, label %p0
+p2:
+",
+    );
+    for (k, v) in live.iter().enumerate() {
+        src += &format!("  {v} = add int %a, {}\n", k + 1);
+    }
+    src += "  br label %h
+h:
+  %i = phi int [ 0, %p2 ], [ %i2, %h ]
+  %s = phi int [ 0, %p2 ], [ %s2, %h ]
+  %m = mul int %s, 3
+  %s2 = add int %m, %i
+  %i2 = add int %i, 1
+  %c = setlt int %i2, 300
+  br bool %c, label %h, label %x
+x:
+  %o0 = and int %s2, 65535
+";
+    for (k, v) in live.iter().enumerate() {
+        src += &format!("  %o{} = add int %o{k}, {v}\n", k + 1);
+    }
+    src += &format!(
+        "  ret int %o{}
+p0:
+  %dd = setgt int %d, 0
+  br bool %dd, label %rec, label %p1
+rec:
+  %sub = sub int %d, 1
+  %rr = call int @work(int %sub)
+  call void @print_int(int %rr)
+  br label %p1
+p1:
+  %t = xor int %a, 77
+  store int %t, int* @sink
+  br label %p2
+rare:
+  %f = xor int %a, 99
+  call void @print_int(int %f)
+  br label %p0
+}}
+define int @main() {{
+e:
+  %w = call int @work(int 1)
+  call void @print_int(int %w)
+  ret int 0
+}}
+",
+        live.len()
+    );
+    let m = parse(&src);
+
+    // The premise: `%t`'s and `%f`'s registers each hold a value live
+    // into `%h` (block 2) — the interpreter and the JIT would write them.
+    use lpat::codegen::fast::{enc, translate_fast, FastEnv, Home};
+    let env = FastEnv {
+        func_addr: &|f| lpat::vm::mem::Memory::func_addr(f.index()),
+        global_addr: &|i| Some(0x1_0000 + 64 * i as u32),
+        guarded: &|_| false,
+    };
+    let ff = translate_fast(&m, m.func_by_name("work").unwrap(), &env).unwrap();
+    let (_, at_h) = ff
+        .live_in
+        .iter()
+        .find(|(b, _)| *b == 2)
+        .expect("%h is a loop header");
+    for imm in [77, 99] {
+        let w = ff
+            .words
+            .iter()
+            .find(|&&w| enc::op(w) == enc::XORI && enc::simm14(w) == imm);
+        let home = Home::Reg(enc::rd(*w.expect("xori")));
+        assert!(
+            at_h.iter().any(|&(_, h, _)| h == home),
+            "xor {imm}: {home:?} shared at %h"
+        );
+    }
+    assert_eq!(at_h.len(), live.len() + 2, "the 24 values and the two φs");
+
+    let full = same_in_every_engine(&m, 20_000_000);
+    assert_eq!(full.outcome, Ok(0));
+    // Both ways in happen: at the default thresholds `@work(0)`'s frame
+    // goes interpreter → JIT → machine code, and `@work(1)`'s
+    // interpreter frame straight into machine code.
+    let (_, tiers, _) = observe_counted(&m, "tiered", 50, Some(50), None, None, 20_000_000);
+    assert_eq!((tiers.osr, tiers.native_osr), (1, 2), "{tiers:?}");
+}
+
+/// Every register-immediate form machine code has — `addi` (and `sub` as
+/// `addi` of the negation), `muli`, `andi`, `ori`, `xori`, the three
+/// shifts with their amount masked to the width, `cmpi` under each
+/// signedness with the constant on either side — on every integer class,
+/// narrow ones renormalised and `long` in its low-word view, with
+/// constants at the edges of the 14-bit field and past them: the same
+/// output, fuel and histogram as the interpreter, all of it in machine
+/// code at the lowest thresholds.
+#[test]
+fn every_immediate_form_computes_what_the_interpreter_does() {
+    let m = parse(IMMEDIATES);
+    let full = same_in_every_engine(&m, 20_000_000);
+    assert_eq!((full.outcome, full.output.lines().count()), (Ok(0), 300));
+    let (seen, tiers, _) = observe_counted(&m, "tiered", 0, Some(0), None, None, 20_000_000);
+    assert_eq!(tiers.native_insts, seen.insts, "{tiers:?}");
+}
+
+const IMMEDIATES: &str = "
+declare void @print_int(int)
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %acc = phi int [ 0, %e ], [ %acc9, %h ]
+  %a1 = mul int %i, -37
+  %a2 = and int %a1, -8
+  %a3 = or int %a2, 8191
+  %a4 = xor int %a3, -8192
+  %a5 = shl int %a4, 33
+  %a6 = shr int %a5, 3
+  %a7 = sub int 8000, %a6
+  %a8 = sub int %a7, -8192
+  %u = cast int %a6 to uint
+  %u2 = shr uint %u, 29
+  %u3 = mul uint %u2, 4294967295
+  %b = cast int %i to sbyte
+  %b2 = add sbyte %b, 100
+  %b3 = mul sbyte %b2, 3
+  %b4 = shr sbyte %b3, 1
+  %ub = cast int %i to ubyte
+  %ub2 = sub ubyte %ub, 7
+  %ub3 = shl ubyte %ub2, 3
+  %ub4 = shr ubyte %ub3, 9
+  %s = cast int %i to short
+  %s2 = xor short %s, -1
+  %s3 = shl short %s2, 12
+  %us = cast int %i to ushort
+  %us2 = or ushort %us, 40000
+  %us3 = add ushort %us2, 30000
+  %c1 = setlt int %a4, -100
+  %c2 = setge uint %u, 4294967295
+  %c3 = setgt sbyte %b4, -3
+  %c4 = setle ubyte %ub3, 200
+  %c5 = setne short 5, %s2
+  %c6 = setlt int 7, %i
+  %c7 = xor bool %c1, true
+  %c8 = and bool %c7, %c3
+  %l = cast int %i to long
+  %l2 = mul long %l, 100000000000
+  %l3 = add long %l2, -5
+  %l4 = and long %l3, 4095
+  %l5 = cast long %l4 to int
+  %x0 = add int %a8, %l5
+  %x1 = cast uint %u3 to int
+  %x2 = cast sbyte %b4 to int
+  %x3 = cast ubyte %ub4 to int
+  %x4 = cast short %s3 to int
+  %x5 = cast ushort %us3 to int
+  %y1 = cast bool %c2 to int
+  %y2 = cast bool %c4 to int
+  %y3 = cast bool %c5 to int
+  %y4 = cast bool %c6 to int
+  %y5 = cast bool %c8 to int
+  %acc1 = mul int %acc, 31
+  %acc2 = xor int %acc1, %x0
+  %acc3 = add int %acc2, %x1
+  %acc4 = xor int %acc3, %x2
+  %acc5 = add int %acc4, %x3
+  %acc6 = xor int %acc5, %x4
+  %acc7 = add int %acc6, %x5
+  %z1 = shl int %y1, 1
+  %z2 = shl int %y2, 2
+  %z3 = shl int %y3, 3
+  %z4 = shl int %y4, 4
+  %z5 = shl int %y5, 5
+  %z6 = or int %z1, %z2
+  %z7 = or int %z6, %z3
+  %z8 = or int %z7, %z4
+  %z9 = or int %z8, %z5
+  %acc8 = xor int %acc7, %z9
+  %acc9 = add int %acc8, %i
+  call void @print_int(int %acc9)
+  %i2 = add int %i, 1
+  %c = setlt int %i2, 300
+  br bool %c, label %h, label %x
+x:
+  ret int 0
+}
+";
+
 // ---------------------------------------------------------------------
 // Profile recording: the engines count in index-addressed slabs that are
 // folded into `Vm::profile` when a run returns. Edge identity and the
