@@ -39,10 +39,9 @@
 //! [`crate::regalloc`] to live ranges that do not overlap. A home is
 //! shared by values never live at once, and a result may take the home
 //! of an operand that dies at it; a value spills to a frame slot only
-//! where more than 28 ranges overlap. So a frame is entered (a call, or
-//! on-stack replacement at a loop header) by copying exactly the values
-//! live into that block: [`FastFunc::live_in`] lists them, with their
-//! homes, for the entry block and each loop header.
+//! where more than 28 ranges overlap. A frame is entered only at the
+//! entry block, by a call, with each argument in its home
+//! ([`FastFunc::arg_homes`]).
 //!
 //! Constants that fit a signed 14-bit field fold into the
 //! register-immediate form of their op (`ADDI`, `MULI`, `ANDI`, `ORI`,
@@ -466,7 +465,7 @@ pub struct FastCopy {
 }
 
 /// A control-flow edge: φ-copies plus the branch target, with the CFG
-/// metadata the profiler and tier ladder need.
+/// metadata the profiler needs.
 #[derive(Clone, Debug)]
 pub struct FastEdge {
     /// Sequentialised parallel copy for the target block's φs.
@@ -477,8 +476,7 @@ pub struct FastEdge {
     pub from: u32,
     /// Target block index.
     pub to: u32,
-    /// Whether this is a loop back-edge (`to <= from`), the tier ladder's
-    /// hotness signal.
+    /// Whether this is a loop back-edge (`to <= from`).
     pub back: bool,
 }
 
@@ -523,8 +521,7 @@ pub struct FastSwitch {
 pub struct FastFunc {
     /// Encoded machine words.
     pub words: Vec<u32>,
-    /// Word index of each block's first word (φs emit no code, so this is
-    /// also the on-stack-replacement entry point of the block).
+    /// Word index of each block's first word (φs emit no code).
     pub block_word: Vec<u32>,
     /// Edge table.
     pub edges: Vec<FastEdge>,
@@ -534,21 +531,13 @@ pub struct FastFunc {
     pub switches: Vec<FastSwitch>,
     /// Number of frame spill slots.
     pub n_slots: u32,
-    /// Home and class of each formal argument.
+    /// Home and class of each formal argument: a call enters the frame
+    /// by writing them. Arguments are all written at the entry, so no two
+    /// that are used share a register.
     pub arg_homes: Vec<(Home, Class)>,
-    /// Where a frame can be entered — the entry block (a call) and each
-    /// loop header (on-stack replacement at a back edge) — the block index
-    /// and the values live into it, with their homes and classes,
-    /// ascending by block. Homes are shared between values that are never
-    /// live at once, so a frame is entered by copying exactly these.
-    pub live_in: Vec<(u32, LiveIn)>,
     /// Function name (diagnostics, trace spans).
     pub name: String,
 }
-
-/// The values live into a block where a frame can be entered, with the
-/// home and class of each.
-pub type LiveIn = Vec<(Value, Home, Class)>;
 
 /// Engine facts the translator needs but must not compute itself: the
 /// address layout, which the VM owns.
@@ -642,23 +631,8 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
     }
 
     // -- analysis: live ranges over the blocks in reverse post-order ---
-    // A frame can be entered at the entry block (a call) and at each loop
-    // header, where a back edge can move a running frame into machine
-    // code; those blocks get a table of the values live into them.
-    let mut entries = vec![f.entry()];
-    for b in f.block_ids() {
-        if let Some(t) = f.terminator(b) {
-            f.inst(t).for_each_successor(|s| {
-                if s.index() <= b.index() {
-                    entries.push(s);
-                }
-            });
-        }
-    }
-    entries.sort_unstable();
-    entries.dedup();
     let params = arg_classes.len();
-    let mut live = regalloc::live_ranges(f, &entries);
+    let mut live = regalloc::live_ranges(f);
     for (i, c) in inst_class.iter().enumerate() {
         if c.is_none() {
             live.range[params + i] = None; // no value, no home
@@ -682,21 +656,6 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         .collect();
     let homes: Vec<Option<(Home, Class)>> = (inst_class.iter().enumerate())
         .map(|(i, c)| c.map(|c| (home(params + i), c)))
-        .collect();
-    let live_in = (entries.iter().zip(&live.live_in))
-        .map(|(b, vals)| {
-            let vals = vals.iter().map(|&v| {
-                let v = v as usize;
-                match v.checked_sub(params) {
-                    None => (Value::Arg(v as u32), arg_homes[v].0, arg_homes[v].1),
-                    Some(i) => {
-                        let (h, c) = homes[i].expect("a live value has a class");
-                        (Value::Inst(InstId::from_index(i)), h, c)
-                    }
-                }
-            });
-            (b.index() as u32, vals.collect())
-        })
         .collect();
     let unused = (0..n_insts)
         .map(|i| live.range[params + i].is_some_and(|(s, e)| s == e))
@@ -743,7 +702,6 @@ pub fn translate_fast(m: &Module, fid: FuncId, env: &FastEnv) -> Result<FastFunc
         switches: tr.switches,
         n_slots: tr.n_slots,
         arg_homes: tr.arg_homes,
-        live_in,
         name: f.name().to_string(),
     })
 }
@@ -1562,7 +1520,7 @@ x:
         for (window, spills) in [(20, false), (60, true)] {
             let (m, ff) = translate(&windowed(300, window));
             let f = m.func(m.func_by_name("f").unwrap());
-            let pressure = regalloc::max_pressure(&regalloc::live_ranges(f, &[]).range);
+            let pressure = regalloc::max_pressure(&regalloc::live_ranges(f).range);
             assert_eq!(
                 pressure <= 28,
                 !spills,

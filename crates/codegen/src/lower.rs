@@ -305,7 +305,7 @@ fn inst_num(params: usize, i: InstId) -> usize {
 /// the executable back end uses ([`regalloc`]), and the number of spill
 /// slots. A value that is never read lands in the first register.
 fn allocate(f: &Function, budget: RegBudget) -> (Vec<Loc>, u32) {
-    let live = regalloc::live_ranges(f, &[]);
+    let live = regalloc::live_ranges(f);
     let (assign, slots) = regalloc::linear_scan(&live.range, budget.gprs);
     let locs = assign
         .into_iter()

@@ -45,16 +45,11 @@ pub struct LiveRanges {
     /// `[start, end]` per value number; `None` for unlinked arena slots.
     /// `start == end` exactly when the value is never used.
     pub range: Vec<Option<(u32, u32)>>,
-    /// For each block asked about, the values live on entry to it, in
-    /// ascending value-number order: those live into it from a
-    /// predecessor, its used φs and, at the entry block, its used
-    /// arguments.
-    pub live_in: Vec<Vec<u32>>,
 }
 
 /// Per block: where its successors and predecessors start in the edge
-/// list, its start and edge-slot positions, the last value found live
-/// into it (`value + 1`), and its index in `entries`.
+/// list, its start and edge-slot positions, and the last value found
+/// live into it (`value + 1`).
 #[derive(Copy, Clone)]
 struct Blk {
     succ: u32,
@@ -62,7 +57,6 @@ struct Blk {
     start: u32,
     end: u32,
     seen: u32,
-    entry: u32,
 }
 
 /// Per value: where it is written, its block, and where its uses start in
@@ -77,9 +71,9 @@ struct Val {
 const NONE: u32 = u32::MAX;
 
 /// Number `f`'s blocks in reverse post-order and compute every value's
-/// live range, plus the values live into each block of `entries`. The
-/// tables are a few flat arrays, whatever the function's size.
-pub fn live_ranges(f: &Function, entries: &[BlockId]) -> LiveRanges {
+/// live range. The tables are a few flat arrays, whatever the function's
+/// size.
+pub fn live_ranges(f: &Function) -> LiveRanges {
     let params = f.num_params();
     let n_blocks = f.num_blocks();
     let n_vals = params + f.num_inst_slots();
@@ -90,7 +84,6 @@ pub fn live_ranges(f: &Function, entries: &[BlockId]) -> LiveRanges {
             start: 0,
             end: 0,
             seen: 0,
-            entry: NONE,
         };
         n_blocks + 1
     ];
@@ -210,10 +203,6 @@ pub fn live_ranges(f: &Function, entries: &[BlockId]) -> LiveRanges {
     drop(fill);
 
     // -- live sets, one backward walk per value -------------------------
-    for (k, b) in entries.iter().enumerate() {
-        blk[b.index()].entry = k as u32;
-    }
-    let mut live_in: Vec<Vec<u32>> = vec![Vec::new(); entries.len()];
     let mut range: Vec<Option<(u32, u32)>> = vec![None; n_vals];
     let mut work: Vec<u32> = Vec::new();
     for v in 0..n_vals {
@@ -227,15 +216,12 @@ pub fn live_ranges(f: &Function, entries: &[BlockId]) -> LiveRanges {
         }
         let mark = v as u32 + 1;
         let (mut lo, mut hi) = (def, def);
-        // `v` is live into `b`: note it, and walk on from there.
-        let mut enter = |blk: &mut [Blk], b: u32, lo: &mut u32, work: &mut Vec<u32>| {
+        // `v` is live into `b`: walk on from there.
+        let enter = |blk: &mut [Blk], b: u32, lo: &mut u32, work: &mut Vec<u32>| {
             let at = &mut blk[b as usize];
             if b != d && at.seen != mark {
                 at.seen = mark;
                 *lo = (*lo).min(at.start);
-                if at.entry != NONE {
-                    live_in[at.entry as usize].push(v as u32);
-                }
                 work.push(b);
             }
         };
@@ -252,15 +238,9 @@ pub fn live_ranges(f: &Function, entries: &[BlockId]) -> LiveRanges {
                 enter(&mut blk, p, &mut lo, &mut work);
             }
         }
-        // Values written at a block's start (its φs, and the arguments
-        // at the entry) are live into it when used at all.
-        let home = blk[d as usize];
-        if !vs.is_empty() && def == home.start && home.entry != NONE {
-            live_in[home.entry as usize].push(v as u32);
-        }
         range[v] = Some((lo, hi));
     }
-    LiveRanges { range, live_in }
+    LiveRanges { range }
 }
 
 /// Visit every use `(value, block, position)` of `f`'s values, blocks in
@@ -405,8 +385,8 @@ mod tests {
 
     /// A cycle with two entries (`l` and `r` each reach the other) is not
     /// a loop with a header, so no loop-based extension would see `%k`
-    /// live in both; the backward walk does, and `%k` stays live into
-    /// either entry block from the other.
+    /// live in both; the backward walk does, and `%k`'s range covers
+    /// every value of either block, their φs included.
     #[test]
     fn liveness_is_exact_on_an_irreducible_cycle() {
         let m = func(
@@ -431,14 +411,8 @@ out:
 }",
         );
         let f = m.func(m.func_by_name("f").unwrap());
-        let (l, r) = (BlockId::from_index(1), BlockId::from_index(2));
-        let live = live_ranges(f, &[l, r]);
-        let k = num(&m, 0, 0);
-        for at in [0, 1] {
-            let set = &live.live_in[at];
-            assert!(set.contains(&(k as u32)), "%k live into the cycle");
-            assert!(set.contains(&(num(&m, at + 1, 0) as u32)), "a used φ");
-        }
+        let live = live_ranges(f);
+        let (k, c) = (num(&m, 0, 0), num(&m, 0, 1));
         // `%k` is read on every trip around the cycle: its range covers
         // every value defined in it.
         for (b, i) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
@@ -447,10 +421,13 @@ out:
                 "%k vs {b}:{i}"
             );
         }
-        assert!(
-            !live.live_in[0].contains(&(num(&m, 0, 1) as u32)),
-            "%c dies in e"
-        );
+        // `%c` dies at the branch that ends `e`.
+        for b in [1, 2] {
+            assert!(
+                !overlap(live.range[c], live.range[num(&m, b, 0)]),
+                "%c vs the φ of block {b}"
+            );
+        }
     }
 
     /// `%i2 = add %i, 1` takes `%i`'s register (the back edge's φ-copy is
@@ -475,7 +452,7 @@ x:
 }",
         );
         let f = m.func(m.func_by_name("f").unwrap());
-        let live = live_ranges(f, &[]);
+        let live = live_ranges(f);
         let (assign, slots) = linear_scan(&live.range, 28);
         assert_eq!(slots, 0);
         let (i, dead, i2, q) = (num(&m, 1, 0), num(&m, 1, 1), num(&m, 1, 2), num(&m, 2, 0));

@@ -311,7 +311,7 @@ e:
 #[test]
 fn golden_control_flow_family() {
     // A counted loop: φs become edge copies (no words), branches name
-    // edge-table entries, and every block's first word is an OSR entry.
+    // edge-table entries, and each block's first word is recorded.
     let ff = translate(
         "define int @flow(int %n) {
 e:

@@ -22,9 +22,10 @@
 //!   (`bytecode.read`), the profile-guided reoptimizer (the names
 //!   of its two module passes, `pgo-inline` and `pgo-layout`),
 //!   the lifelong store (`store.read`, `store.write`, `store.lock`), the
-//!   tier engine (`jit.translate` — fail a function's translation;
-//!   `native.translate` — fail the single-pass machine-code backend,
-//!   permanently demoting the function to the JIT tier), the
+//!   tier engine (`native.translate` — fail the single-pass
+//!   machine-code backend, so the function runs on the JIT;
+//!   `jit.translate` — fail a function's JIT translation, so the tiered
+//!   engine interprets it), the
 //!   `lpatd` daemon (`serve.accept`, `serve.decode`, `serve.worker`,
 //!   `serve.deadline` — one per layer of the request path; each must be
 //!   absorbed as a structured per-request error, never a daemon crash),

@@ -1178,9 +1178,8 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
         ..VmOptions::default()
     };
     opts.input.extend(req.inputs.iter().copied());
-    // FLAG_TIERED is the whole ladder at its default thresholds, as
-    // `lpatc run --tiered` is. The wire has no way to ask for the JIT
-    // alone, other thresholds or speculation.
+    // FLAG_TIERED is the tiered engine, as `lpatc run --tiered` is. The
+    // wire has no way to ask for the JIT alone or for speculation.
     let config = RunConfig {
         mode: if req.flags & FLAG_TIERED != 0 {
             Mode::Tiered

@@ -79,19 +79,12 @@ pub struct VmOptions {
     /// (the interpreter's call stack is heap-allocated, so the limit is a
     /// policy bound, not a host constraint).
     pub max_stack: usize,
-    /// Tier-up threshold for [`Vm::run_main_tiered`]: a function is
-    /// promoted from the profiling interpreter to the translated (JIT)
-    /// tier once its hotness counter — calls plus loop back-edges —
-    /// *exceeds* this value. `0` promotes every function on first call
-    /// (full-JIT behavior); a very large value never promotes (pure
-    /// interpretation).
+    /// Ignored: the tiered engine decides each function's tier at its
+    /// first call. Kept only because the benchmark (`lpbench/`) sets it;
+    /// ROADMAP 1(b) deletes it.
     pub tier_up: u64,
-    /// Native (tier-3) promotion threshold for [`Vm::run_main_tiered`]:
-    /// once a JIT-tier function's hotness counter exceeds this value it
-    /// is promoted again, to single-pass machine code. `Some(0)`
-    /// promotes every JIT-tier function immediately; a very large value
-    /// never does; `None` runs the two-tier ladder with no native
-    /// hotness counting at all (the differential tests' JIT-only legs).
+    /// Ignored, like [`VmOptions::tier_up`], and kept for the same
+    /// reason.
     pub native_up: Option<u64>,
 }
 
@@ -103,8 +96,8 @@ impl Default for VmOptions {
             mem_limit: 64 << 20,
             input: VecDeque::new(),
             max_stack: 10_000,
-            tier_up: 50,
-            native_up: Some(200),
+            tier_up: 0,
+            native_up: None,
         }
     }
 }
@@ -182,7 +175,7 @@ pub struct Vm<'m> {
     /// of each run. Rendered by `--stats` and folded into the trace by
     /// [`Vm::flush_trace`].
     pub opcode_counts: [u64; Inst::NUM_OPCODES],
-    /// Tiered-execution statistics (promotions, per-tier instruction
+    /// Tiered-execution statistics (tier decisions, per-tier instruction
     /// counts, translation time). Populated by every engine; the tiered
     /// engine is the main writer.
     pub tier_stats: crate::tier::TierStats,
@@ -197,25 +190,19 @@ pub struct Vm<'m> {
     /// Address of each global, by index.
     pub(crate) global_addrs: Vec<u32>,
     /// JIT translation cache, dense over `FuncId` (translated on first
-    /// call or promotion, reused across `run_*` invocations).
+    /// call, reused across `run_*` invocations).
     pub(crate) jit_cache: Vec<Option<std::rc::Rc<crate::jit::LowFunc>>>,
     /// Native (tier-3) translation cache, dense over `FuncId`.
     pub(crate) native_cache: Vec<crate::native::NativeSlot>,
     /// Free-list arena of native spill-slot slabs (see `jit_reg_pool`).
     pub(crate) native_slot_pool: Vec<Vec<u32>>,
-    /// Per-function tier state, dense over `FuncId`.
-    pub(crate) tier: Vec<crate::tier::TierCell>,
+    /// Each function's tier once the tiered engine has called it, dense
+    /// over `FuncId`.
+    pub(crate) tier: Vec<Option<crate::tier::Tier>>,
     /// Free-list arenas of register slabs, recycled across frames so the
     /// hot call path does not allocate.
     pub(crate) jit_reg_pool: Vec<Vec<VmValue>>,
     pub(crate) interp_reg_pool: Vec<Vec<Option<VmValue>>>,
-    /// Whether the running mixed loop has the native tier enabled — the
-    /// one branch the JIT edge path pays for tier-3 hotness tracking.
-    pub(crate) tier_native_on: bool,
-    /// A JIT back-edge just promoted its function to native: the block
-    /// to enter machine code at, consumed by the dispatch loop at the
-    /// next boundary check and dropped on any other control transfer.
-    pub(crate) pending_native_osr: Option<u32>,
     /// The values of one edge's φ-copies, read before any is written:
     /// reused by every edge of the interpreter and the JIT, so taking an
     /// edge allocates nothing.
@@ -260,11 +247,9 @@ impl<'m> Vm<'m> {
             jit_cache: vec![None; m.num_funcs()],
             native_cache: vec![crate::native::NativeSlot::Untried; m.num_funcs()],
             native_slot_pool: Vec::new(),
-            tier: vec![crate::tier::TierCell::Cold(0); m.num_funcs()],
+            tier: vec![None; m.num_funcs()],
             jit_reg_pool: Vec::new(),
             interp_reg_pool: Vec::new(),
-            tier_native_on: false,
-            pending_native_osr: None,
             phi_buf: Vec::new(),
         };
         for (gid, g) in m.globals() {
@@ -979,14 +964,11 @@ impl<'m> Vm<'m> {
         let t = &self.tier_stats;
         trace::counter("vm.tier.promotions", t.promoted);
         trace::counter("vm.tier.demotions", t.demoted);
-        trace::counter("vm.tier.warm", t.warmed);
-        trace::counter("vm.tier.osr", t.osr);
         trace::counter("vm.tier.translated", t.translated);
         trace::counter("vm.tier.interp_insts", t.interp_insts);
         trace::counter("vm.tier.jit_insts", t.jit_insts);
         trace::counter("vm.tier.native.promotions", t.native_promoted);
         trace::counter("vm.tier.native.demotions", t.native_demoted);
-        trace::counter("vm.tier.native.osr", t.native_osr);
         trace::counter("vm.tier.native.translated", t.native_translated);
         trace::counter("vm.tier.native.insts", t.native_insts);
         trace::counter("vm.tier.native.calls", t.native_calls);

@@ -67,15 +67,14 @@ pub(crate) enum MemKind {
     Ptr,
 }
 
-/// A CFG edge: φ-moves then a jump target. `from`/`to` are the source
-/// block indices and `slot` the edge's place in the function's counter
-/// slab, resolved here so translated dispatch records the same edge
-/// profile the interpreter would with one indexed add.
+/// A CFG edge: φ-moves then a jump target. `to` is the target block's
+/// index and `slot` the edge's place in the function's counter slab,
+/// resolved here so translated dispatch records the same edge profile
+/// the interpreter would with one indexed add.
 #[derive(Clone, Debug)]
 pub(crate) struct Edge {
     pub(crate) copies: Vec<(u32, Slot)>,
     pub(crate) target: usize,
-    pub(crate) from: u32,
     pub(crate) to: u32,
     pub(crate) slot: u32,
 }
@@ -187,9 +186,6 @@ pub struct LowFunc {
     pub(crate) n_regs: usize,
     pub(crate) code: Vec<LowOp>,
     pub(crate) edges: Vec<Edge>,
-    /// pc of each block's first instruction, indexed by block. Used by
-    /// the tiered engine for on-stack replacement at loop headers.
-    pub(crate) block_pc: Vec<usize>,
     /// Function name (for diagnostics and listings).
     pub name: String,
 }
@@ -247,7 +243,6 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
         edges.push(Edge {
             copies,
             target: block_pc[to.index()],
-            from: from.index() as u32,
             to: to.index() as u32,
             slot: layout.slot(from.index() as u32, to.index() as u32),
         });
@@ -403,7 +398,6 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
         n_regs: f.num_inst_slots(),
         code,
         edges,
-        block_pc,
         name: f.name().to_string(),
     })
 }
@@ -412,8 +406,8 @@ pub(crate) fn translate(vm: &Vm<'_>, fid: FuncId) -> Result<LowFunc, ExecError> 
 ///
 /// The fused op replaces `code[i]`; `code[i+1]` is left untouched — it
 /// becomes sequentially dead (the fused op always jumps) but remains a
-/// valid jump target, so no pc in `block_pc`/`edges` needs rewriting and
-/// a jump *into* the second slot behaves exactly as before fusion.
+/// valid jump target, so no pc in `edges` needs rewriting and a jump
+/// *into* the second slot behaves exactly as before fusion.
 fn fuse(code: &mut [LowOp]) {
     for i in 0..code.len().saturating_sub(1) {
         let fused = match (&code[i], &code[i + 1]) {
@@ -522,7 +516,7 @@ impl<'m> Vm<'m> {
 
     /// Call `f` with `args` under the JIT engine. Every function is
     /// translated on first call; a translation failure is fatal (the
-    /// tiered engine, by contrast, demotes and keeps interpreting).
+    /// tiered engine, by contrast, interprets the function).
     pub fn run_function_jit(
         &mut self,
         f: FuncId,
@@ -534,7 +528,7 @@ impl<'m> Vm<'m> {
     /// The translated form of `f`, translating (and caching) on first
     /// use. The `jit.translate` fault site fires here; any injected
     /// non-delay action surfaces as a translation error (pure-JIT treats
-    /// it as fatal, the tiered engine demotes the function).
+    /// it as fatal, the tiered engine interprets the function).
     pub(crate) fn ensure_translated(&mut self, f: FuncId) -> Result<Rc<LowFunc>, ExecError> {
         if let Some(lf) = &self.jit_cache[f.index()] {
             return Ok(lf.clone());
@@ -660,10 +654,6 @@ impl<'m> Vm<'m> {
         if self.opts.profile {
             self.counters.edge(fr.func, edge.slot, edge.to);
         }
-        if self.tier_native_on && edge.to <= edge.from {
-            // A loop back-edge on the JIT tier is a tier-3 hotness event.
-            self.native_backedge_bump(fr.func, edge.to);
-        }
         Ok(())
     }
 }
@@ -719,11 +709,8 @@ const OP_VAARG: usize = 15;
 const OP_BIN_BASE: usize = 16;
 const OP_CMP_BASE: usize = 26;
 
-/// Run the translated frame `fr` until it calls, returns or unwinds, or
-/// (`Flow::Next`) until a back-edge has just promoted its function to
-/// machine code: the frame then sits at the loop header and
-/// `Vm::pending_native_osr` names the block to enter it at. Out of line,
-/// like the native tier's `run_frame`, so the frame switches in
+/// Run the translated frame `fr` until it calls, returns or unwinds. Out
+/// of line, like the native tier's `run_frame`, so the frame switches in
 /// `mixed_loop` do not weigh on the dispatch.
 #[inline(never)]
 pub(crate) fn jit_burst(
@@ -735,11 +722,7 @@ pub(crate) fn jit_burst(
         let op = &lf.code[fr.pc];
         fr.pc += 1;
         match exec_low(vm, fr, lf, op)? {
-            Flow::Next => {
-                if vm.pending_native_osr.is_some() {
-                    return Ok(Flow::Next);
-                }
-            }
+            Flow::Next => {}
             flow => return Ok(flow),
         }
     }

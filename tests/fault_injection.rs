@@ -811,8 +811,8 @@ fn lpatc_degrades_cleanly_under_fault_matrix() {
 }
 
 /// Runtime fault-site matrix: `native.translate` (the single-pass machine
-/// code backend fails — the function is permanently demoted to the JIT
-/// tier and the answer is unchanged). CI runs one leg per job via
+/// code backend fails — the function runs on the JIT for good and the
+/// answer is unchanged). CI runs one leg per job via
 /// `LPAT_FAULTS_MATRIX=<site>`; locally all legs run.
 #[test]
 fn lpatc_vm_fault_sites_degrade_cleanly() {
@@ -871,14 +871,13 @@ x:
     for site in sites {
         match site.as_str() {
             "native.translate" => {
-                // The machine-code backend fails on every candidate: each
-                // hot function is permanently demoted to the JIT tier, no
-                // native instructions ever retire, and the answer is
-                // unchanged.
+                // The machine-code backend fails on every function: each
+                // runs on the JIT from its first call, no native
+                // instructions ever retire, and the answer is unchanged.
                 let out = lpatc()
                     .arg("run")
                     .arg(&p)
-                    .args(["--tier-up", "1", "--native-up", "1", "--stats"])
+                    .args(["--tiered", "--stats"])
                     .args(["--inject-faults", "native.translate:io", "--quiet"])
                     .output()
                     .unwrap();

@@ -38,19 +38,18 @@ fn builds(src: &str) -> [Module; 2] {
     [o0, opt]
 }
 
-/// Run `main` on the interpreter (`native_up` `None`) or on the tiered
-/// engine from the first call, with machine code after `native_up` calls.
-fn run(m: &Module, tiered: Option<u64>) -> Outcome {
+/// Run `main` on the interpreter, the JIT or the tiered engine (machine
+/// code wherever the native backend accepts a function).
+fn run(m: &Module, engine: &str) -> Outcome {
     let opts = VmOptions {
         fuel: Some(50_000_000),
-        tier_up: 0,
-        native_up: tiered,
         ..VmOptions::default()
     };
     let mut vm = Vm::new(m, opts).expect("vm init");
-    let r = match tiered {
-        None => vm.run_main(),
-        Some(_) => vm.run_main_tiered(),
+    let r = match engine {
+        "interp" => vm.run_main(),
+        "jit" => vm.run_main_jit(),
+        _ => vm.run_main_tiered(),
     };
     let end = match r {
         Ok(v) => Ok(v),
@@ -60,15 +59,14 @@ fn run(m: &Module, tiered: Option<u64>) -> Outcome {
     (end, vm.output.clone())
 }
 
-/// Interpreter, tiered engine (never reaching machine code) and machine
-/// code from the first call.
-const ENGINES: [Option<u64>; 3] = [None, Some(u64::MAX), Some(0)];
+/// Every engine.
+const ENGINES: [&str; 3] = ["interp", "jit", "tiered"];
 
 /// Every build on every engine ends as the unoptimized interpreter run
 /// does; returns that outcome.
-fn same_everywhere(src: &str, engines: &[Option<u64>]) -> Outcome {
+fn same_everywhere(src: &str, engines: &[&str]) -> Outcome {
     let [o0, opt] = builds(src);
-    let reference = run(&o0, None);
+    let reference = run(&o0, "interp");
     assert!(
         !matches!(reference.0, Err(TrapKind::OutOfFuel)),
         "runs out of fuel:\n{src}"
@@ -76,7 +74,7 @@ fn same_everywhere(src: &str, engines: &[Option<u64>]) -> Outcome {
     for (level, m) in [("-O0", &o0), ("-O", &opt)] {
         for &e in engines {
             let got = run(m, e);
-            assert_eq!(got, reference, "{level} on {e:?}:\n{src}");
+            assert_eq!(got, reference, "{level} on {e}:\n{src}");
         }
     }
     reference
@@ -183,8 +181,8 @@ fn generated_programs_mean_the_same_built_in_memory() {
         memory
             .verify()
             .unwrap_or_else(|e| panic!("{e:?}\n{src}\n{}", memory.display()));
-        let reference = run(&memory, None);
-        assert_eq!(run(&ssa, None), reference, "SSA vs in memory:\n{src}");
+        let reference = run(&memory, "interp");
+        assert_eq!(run(&ssa, "interp"), reference, "SSA vs in memory:\n{src}");
         caught += reference.1.contains("-424242") as u32;
     }
     // Some handler ran.
@@ -197,9 +195,8 @@ fn generated_aliasing_loops_mean_the_same_optimized() {
     for seed in 0..seeds() {
         let src = generate(seed);
         calls += src.contains("touch(") as u32;
-        // The interpreter and the whole tiered ladder, machine code
-        // included.
-        let (end, _) = same_everywhere(&src, &[None, Some(0)]);
+        // The interpreter and the tiered engine, machine code included.
+        let (end, _) = same_everywhere(&src, &["interp", "tiered"]);
         traps += end.is_err() as u32;
     }
     // The generator reaches both ends of its range.

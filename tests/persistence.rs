@@ -202,8 +202,6 @@ fn flush_guard_persists_the_profile_of_a_run_that_ran_dry() {
         let opts = VmOptions {
             profile: true,
             fuel: Some(200_000),
-            tier_up: 0,
-            native_up: native.then_some(0),
             ..VmOptions::default()
         };
         let mut vm = Vm::new(&m, opts).expect("vm");
@@ -843,8 +841,9 @@ fn reopt_to(bc: &Path, source: &[&str], out: &Path) -> String {
 /// `profile-<hash>.lpp`, a history of one run with two more appended
 /// behind it, copied into cache B is B's profile, so `reopt` there reads
 /// the same three runs and emits the same bytes as in A. A tiered run
-/// warm-starts from the same file copied into cache C (B's own runs
-/// execute the module its reopt cached, under that module's hash).
+/// appends to the same file copied into cache C (B's own runs execute
+/// the module its reopt cached, under that module's hash), which its
+/// next `reopt` reads as four runs.
 #[test]
 fn a_profile_file_copied_into_another_cache_is_its_profile() {
     let dir = fresh_dir("persist-copied");
@@ -882,6 +881,9 @@ fn a_profile_file_copied_into_another_cache_is_its_profile() {
     );
 
     let (_, stderr) = run_cached(&bc, c.dir(), &["--tiered"], &[]);
-    assert!(stderr.contains("warm-start:"), "{stderr}");
+    assert!(!stderr.contains("quarantined"), "{stderr}");
+    let out = dir.join("reopt-c.bc");
+    let stderr = reopt_to(&bc, &["--cache-dir", c.dir().to_str().unwrap()], &out);
+    assert!(stderr.contains("(4 runs of profile)"), "{stderr}");
     assert!(corrupt_files(c.dir()).is_empty());
 }

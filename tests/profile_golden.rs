@@ -30,16 +30,9 @@ fn profile_of(
     engine: &str,
     spec: Option<&Rc<lpat::transform::SpecMap>>,
 ) -> ProfileData {
-    let (tier_up, native_up) = match engine {
-        "native" => (0, Some(0)),
-        "tiered50" => (50, None),
-        _ => (0, None),
-    };
     let opts = VmOptions {
         profile: true,
         fuel: Some(20_000_000),
-        tier_up,
-        native_up,
         ..VmOptions::default()
     };
     let mut vm = Vm::new(m, opts).expect("vm init");
@@ -49,7 +42,8 @@ fn profile_of(
     match engine {
         "interp" => vm.run_main(),
         "jit" => vm.run_main_jit(),
-        _ => vm.run_main_tiered(),
+        "tiered" => vm.run_main_tiered(),
+        other => panic!("unknown engine {other}"),
     }
     .unwrap_or_else(|e| panic!("{engine}: {e}"));
     std::mem::take(&mut vm.profile)
@@ -98,7 +92,7 @@ fn profile_bytes_match_the_map_recording_implementation() {
         assert!(plan.emitted() >= 1, "perlbmk no longer speculates");
         sm.verify().expect("speculated module verifies");
         let map = Rc::new(map);
-        for engine in ["interp", "jit", "native", "tiered0", "tiered50"] {
+        for engine in ["interp", "jit", "tiered"] {
             let p = profile_of(&sm, engine, Some(&map));
             assert!(!p.guard_exec_counts.is_empty(), "{engine}: no guard ran");
             let got = fnv1a64(&p.to_bytes());

@@ -606,17 +606,8 @@ fn one_gep_every_consumer_agrees() {
             guarded: &|_| false,
         };
         let native_ok = translate_fast(&m, gid, &env).is_ok();
-        let tiered = VmOptions {
-            tier_up: 0,
-            native_up: Some(0),
-            ..VmOptions::default()
-        };
-        for (engine, opts) in [
-            ("interp", VmOptions::default()),
-            ("jit", VmOptions::default()),
-            ("tiered", tiered),
-        ] {
-            let mut vm = Vm::new(&m, opts).unwrap();
+        for engine in ["interp", "jit", "tiered"] {
+            let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
             let got = match engine {
                 "interp" => vm.run_main(),
                 "jit" => vm.run_main_jit(),

@@ -1,12 +1,12 @@
-//! Differential tests for the tiered execution engine: at *any* tier-up
-//! threshold — 0 (promote everything on first call), 1, the default, or
-//! effectively-infinite (never promote) — the tiered engine must be
-//! observationally identical to the reference interpreter: same program
-//! output, same return value or trap kind, same instruction count, fuel
+//! Differential tests for the tiered execution engine, which decides each
+//! function's tier once, at its first call — machine code when the
+//! native backend accepts it, else the JIT, else (JIT translation
+//! faulted) the interpreter. It must be observationally identical to the
+//! reference interpreter, and so must the full JIT: same program output,
+//! same return value or trap kind, same instruction count, fuel
 //! consumption, opcode histogram, and profile counters. This holds across
-//! the whole workload suite, for trapping programs, under injected
-//! translation faults (the tiered engine demotes and keeps going), and
-//! with warm-started tier decisions.
+//! the whole workload suite, for trapping programs, and under injected
+//! translation faults that put single functions on each tier.
 
 use std::process::Command;
 
@@ -23,51 +23,28 @@ struct Observed {
     profile: lpat::vm::ProfileData,
 }
 
-fn observe(
-    m: &lpat::core::Module,
-    engine: &str,
-    tier_up: u64,
-    warm: Option<&lpat::vm::ProfileData>,
-) -> Observed {
-    observe_spec(m, engine, tier_up, warm, None)
+/// The engines every differential case compares with the interpreter.
+const ENGINES: [&str; 2] = ["jit", "tiered"];
+
+fn observe(m: &lpat::core::Module, engine: &str) -> Observed {
+    observe_spec(m, engine, None)
 }
 
 fn observe_spec(
     m: &lpat::core::Module,
     engine: &str,
-    tier_up: u64,
-    warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
 ) -> Observed {
-    observe_full(m, engine, tier_up, None, warm, spec)
-}
-
-/// Tiered run with the third (machine-code) tier enabled.
-fn observe_native(m: &lpat::core::Module, tier_up: u64, native_up: u64) -> Observed {
-    observe_full(m, "tiered", tier_up, Some(native_up), None, None)
-}
-
-fn observe_full(
-    m: &lpat::core::Module,
-    engine: &str,
-    tier_up: u64,
-    native_up: Option<u64>,
-    warm: Option<&lpat::vm::ProfileData>,
-    spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
-) -> Observed {
-    observe_fueled(m, engine, tier_up, native_up, warm, spec, 20_000_000)
+    observe_fueled(m, engine, spec, 20_000_000)
 }
 
 fn observe_fueled(
     m: &lpat::core::Module,
     engine: &str,
-    tier_up: u64,
-    native_up: Option<u64>,
-    warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
     fuel: u64,
 ) -> Observed {
-    observe_counted(m, engine, tier_up, native_up, warm, spec, fuel).0
+    observe_counted(m, engine, spec, fuel).0
 }
 
 /// [`observe_fueled`], and the engine's own account of how it got there
@@ -75,20 +52,15 @@ fn observe_fueled(
 fn observe_counted(
     m: &lpat::core::Module,
     engine: &str,
-    tier_up: u64,
-    native_up: Option<u64>,
-    warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
     fuel: u64,
 ) -> (Observed, lpat::vm::TierStats, lpat::vm::SpecStats) {
     let opts = VmOptions {
         profile: true,
         fuel: Some(fuel),
-        tier_up,
-        native_up,
         ..VmOptions::default()
     };
-    observe_with(m, engine, opts, warm, spec)
+    observe_with(m, engine, opts, spec)
 }
 
 /// [`observe_counted`] under any options.
@@ -96,15 +68,11 @@ fn observe_with(
     m: &lpat::core::Module,
     engine: &str,
     opts: VmOptions,
-    warm: Option<&lpat::vm::ProfileData>,
     spec: Option<&std::rc::Rc<lpat::transform::SpecMap>>,
 ) -> (Observed, lpat::vm::TierStats, lpat::vm::SpecStats) {
     let mut vm = Vm::new(m, opts).expect("vm init");
     if let Some(map) = spec {
         vm.install_speculation(map.clone(), map.len() as u64, 0);
-    }
-    if let Some(p) = warm {
-        vm.warm_start(p);
     }
     let r = match engine {
         "interp" => vm.run_main(),
@@ -128,147 +96,109 @@ fn observe_with(
     (seen, vm.tier_stats.clone(), vm.spec_stats.clone())
 }
 
-/// The thresholds every differential case runs at: full-JIT-equivalent,
-/// near-instant promotion, the default, and never-promote.
-const THRESHOLDS: [u64; 4] = [0, 1, 50, u64::MAX];
-
 #[test]
 fn tiered_matches_interp_across_suite_at_every_threshold() {
     for (name, m) in lpat::workloads::compile_suite(0) {
-        let reference = observe(&m, "interp", 0, None);
-        for t in THRESHOLDS {
-            let tiered = observe(&m, "tiered", t, None);
-            assert_eq!(reference, tiered, "workload {name} diverged at tier_up={t}");
+        let reference = observe(&m, "interp");
+        for engine in ENGINES {
+            let got = observe(&m, engine);
+            assert_eq!(reference, got, "workload {name} diverged under {engine}");
         }
-        // The full JIT must agree too (it shares the mixed-frame loop).
-        let jit = observe(&m, "jit", 0, None);
-        assert_eq!(reference, jit, "workload {name} diverged under full JIT");
     }
 }
 
+/// With no fault, every function of every suite program runs on the tier
+/// decided at its first call — machine code, or the JIT where the native
+/// backend refuses it — so a tiered run interprets nothing, and no frame
+/// ever changes tier while it runs.
 #[test]
 fn native_tier_matches_interp_across_suite_at_every_threshold() {
-    // The observational-identity contract extends to machine code: with
-    // the third tier enabled at every threshold pairing — including
-    // tier_up 0 / native_up 0, where every function runs native from its
-    // first call — output, return value, trap kind, fuel, histogram, and
-    // profile counters must match the reference interpreter exactly.
     for (name, m) in lpat::workloads::compile_suite(0) {
-        let reference = observe(&m, "interp", 0, None);
-        for t in THRESHOLDS {
-            let native = observe_native(&m, t, t);
-            assert_eq!(
-                reference, native,
-                "workload {name} diverged at tier_up={t}/native_up={t}"
-            );
-        }
+        let reference = observe(&m, "interp");
+        let (got, t, _) = observe_counted(&m, "tiered", None, 20_000_000);
+        assert_eq!(reference, got, "workload {name} diverged");
+        assert_eq!(t.interp_insts, 0, "{name}: {t:?}");
+        assert_eq!((t.osr, t.native_osr), (0, 0), "{name}: {t:?}");
+        assert_eq!(t.native_insts + t.jit_insts, got.insts, "{name}: {t:?}");
     }
 }
 
 #[test]
 fn native_tier_executes_the_bulk_of_a_hot_loop() {
-    // Not just correct but *used*: on a loop-dominated workload with
-    // immediate promotion, the machine-code tier must dispatch the vast
-    // majority of instructions, and staged thresholds must reach native
-    // through both OSR paths.
+    // Not just correct but *used*: on a loop-dominated workload, the
+    // machine-code tier must dispatch the vast majority of instructions.
     let suite = lpat::workloads::compile_suite(0);
     let (name, m) = &suite[0]; // 164.gzip: loop-heavy
-    let opts = VmOptions {
-        tier_up: 0,
-        native_up: Some(0),
-        ..VmOptions::default()
-    };
-    let mut vm = Vm::new(m, opts).unwrap();
+    let mut vm = Vm::new(m, VmOptions::default()).unwrap();
     vm.run_main_tiered()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let t = &vm.tier_stats;
-    assert!(t.native_promoted > 0, "{name}: nothing promoted to native");
+    assert!(t.native_promoted > 0, "{name}: nothing on machine code");
     assert!(
         t.native_insts > 9 * (t.jit_insts + t.interp_insts),
         "{name}: native tier dispatched too little: {t:?}"
     );
-
-    // Staged thresholds: the hot loop crosses interp → jit → native
-    // while running, so at least one on-stack replacement lands in
-    // machine code.
-    let opts = VmOptions {
-        tier_up: 1,
-        native_up: Some(1),
-        ..VmOptions::default()
-    };
-    let mut vm = Vm::new(m, opts).unwrap();
-    vm.run_main_tiered()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert!(
-        vm.tier_stats.native_osr > 0,
-        "{name}: staged run never OSR'd into native: {:?}",
-        vm.tier_stats
-    );
-    assert!(vm.tier_stats.native_insts > 0);
 }
 
+/// A program whose every function the native backend accepts runs all of
+/// its instructions as machine code: the JIT retires none.
 #[test]
-fn tiered_matches_interp_with_warm_start() {
-    for (name, m) in lpat::workloads::compile_suite(0) {
-        // First run populates the profile (as the lifelong store would).
-        let first = observe(&m, "tiered", 50, None);
-        let warm = observe(&m, "tiered", 50, Some(&first.profile));
-        assert_eq!(
-            first, warm,
-            "workload {name} diverged between cold and warm-started runs"
-        );
-        // A profile past tier_up + native_up warm-starts into machine code.
-        let first = observe_full(&m, "tiered", 50, Some(200), None, None);
-        let warm = observe_full(&m, "tiered", 50, Some(200), Some(&first.profile), None);
-        assert_eq!(
-            first, warm,
-            "workload {name} diverged between cold and warm-started native runs"
-        );
-    }
+fn native_code_retires_every_instruction_when_every_function_is_accepted() {
+    let m = parse(NATIVE_EVERYWHERE);
+    let reference = same_in_every_engine(&m, 20_000_000);
+    assert_eq!(reference.outcome, Ok(0));
+    let (got, t, _) = observe_counted(&m, "tiered", None, 20_000_000);
+    assert_eq!(
+        (t.native_demoted, t.jit_insts, t.interp_insts),
+        (0, 0, 0),
+        "{t:?}"
+    );
+    assert_eq!(t.native_insts, got.insts, "{t:?}");
+    assert_eq!(t.native_promoted, 3, "{t:?}");
 }
 
-#[test]
-fn warm_start_promotes_hot_functions_eagerly() {
-    let suite = lpat::workloads::compile_suite(0);
-    let (name, m) = &suite[0]; // 164.gzip: loop-heavy, several hot functions
-    let opts = VmOptions {
-        profile: true,
-        ..VmOptions::default()
-    };
-    let mut vm = Vm::new(m, opts.clone()).unwrap();
-    vm.run_main_tiered()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let profile = vm.profile.clone();
-    let cold_promoted = vm.tier_stats.promoted;
-    assert!(cold_promoted > 0, "{name}: nothing promoted in a cold run");
-
-    let mut vm2 = Vm::new(m, opts).unwrap();
-    let warmed = vm2.warm_start(&profile);
-    assert!(warmed > 0, "{name}: warm-start promoted nothing");
-    assert_eq!(vm2.tier_stats.warmed, warmed as u64);
-    vm2.run_main_tiered()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    // The warm run starts hot: it never needs OSR for the functions the
-    // profile already identified, so less of it is interpreted.
-    assert!(
-        vm2.tier_stats.interp_insts <= vm.tier_stats.interp_insts,
-        "{name}: warm run interpreted more instructions than cold"
-    );
-    // Functions past tier_up + native_up start in machine code, so the
-    // warm run does not re-climb the JIT rung either.
-    assert!(
-        vm2.tier_stats.native_promoted > 0,
-        "{name}: warm-start promoted nothing to machine code"
-    );
-    assert!(
-        vm2.tier_stats.jit_insts <= vm.tier_stats.jit_insts,
-        "{name}: warm run dispatched more JIT instructions than cold"
-    );
+/// Three functions — a loop, a recursive callee and a leaf — that the
+/// native backend all accepts.
+const NATIVE_EVERYWHERE: &str = "
+declare void @print_int(int)
+define internal int @leaf(int %x) {
+e:
+  %r = mul int %x, 7
+  %s = and int %r, 1023
+  ret int %s
 }
+define internal int @sum(int %n) {
+e:
+  %z = setle int %n, 0
+  br bool %z, label %base, label %rec
+base:
+  ret int 0
+rec:
+  %m = sub int %n, 1
+  %a = call int @sum(int %m)
+  %b = call int @leaf(int %n)
+  %r = add int %a, %b
+  ret int %r
+}
+define int @main() {
+e:
+  br label %h
+h:
+  %i = phi int [ 0, %e ], [ %i2, %h ]
+  %s = phi int [ 0, %e ], [ %s2, %h ]
+  %v = call int @sum(int %i)
+  %s2 = add int %s, %v
+  %i2 = add int %i, 1
+  %c = setlt int %i2, 40
+  br bool %c, label %h, label %x
+x:
+  call void @print_int(int %s2)
+  ret int 0
+}";
 
 // ---------------------------------------------------------------------
 // Trap differentials: the trap kind and everything executed before the
-// trap must match at every threshold.
+// trap must match on every engine.
 // ---------------------------------------------------------------------
 
 fn trap_case(src: &str, expect: TrapKind) {
@@ -313,25 +243,15 @@ l:
 }",
     )
     .unwrap();
-    for t in THRESHOLDS {
-        for native_up in [None, Some(t)] {
-            let opts = VmOptions {
-                fuel: Some(10_000),
-                tier_up: t,
-                native_up,
-                ..VmOptions::default()
-            };
-            let mut vm = Vm::new(&m, opts).unwrap();
-            match vm.run_main_tiered().unwrap_err() {
-                ExecError::Trap { kind, .. } => assert_eq!(kind, TrapKind::OutOfFuel),
-                other => panic!("{other:?}"),
-            }
-            assert_eq!(vm.opts.fuel, Some(0));
-            assert_eq!(
-                vm.insts_executed, 10_000,
-                "tier_up={t} native_up={native_up:?}"
-            );
-        }
+    for engine in ENGINES {
+        let opts = VmOptions {
+            fuel: Some(10_000),
+            ..VmOptions::default()
+        };
+        let (seen, _, _) = observe_with(&m, engine, opts, None);
+        assert_eq!(seen.outcome, Err(TrapKind::OutOfFuel), "{engine}");
+        assert_eq!(seen.fuel_left, Some(0), "{engine}");
+        assert_eq!(seen.insts, 10_000, "{engine}");
     }
 }
 
@@ -363,11 +283,12 @@ t:
 
 #[test]
 fn invoke_across_tier_boundary_catches_unwind() {
-    // The invoke sits in `main` (interpreted until OSR); the thrower gets
-    // hot and throws from translated code. The unwind must cross the
-    // tier boundary and land in the handler.
-    let src = "
-define void @maybe_throw(int %i) {
+    // The invoke sits in `main`, which a 64-bit compare keeps on the JIT;
+    // the thrower runs as machine code and throws from there. The unwind
+    // must cross the tier boundary and land in the handler.
+    let src = format!(
+        "
+define void @maybe_throw(int %i) {{
 e:
   %c = seteq int %i, 900
   br bool %c, label %t, label %ok
@@ -375,12 +296,13 @@ t:
   unwind
 ok:
   ret void
-}
-define int @main() {
+}}
+define int @main() {{
 e:
   br label %h
 h:
   %i = phi int [ 0, %e ], [ %i2, %cont ]
+{LONG_COMPARE}
   invoke void @maybe_throw(int %i) to label %cont unwind label %caught
 cont:
   %i2 = add int %i, 1
@@ -390,22 +312,18 @@ caught:
   ret int 77
 x:
   ret int 0
-}";
-    let m = lpat::asm::parse_module("t", src).unwrap();
-    m.verify().unwrap_or_else(|e| panic!("{e:?}"));
-    let reference = observe(&m, "interp", 0, None);
+}}"
+    );
+    let m = parse(&src);
+    let reference = same_in_every_engine(&m, 20_000_000);
     assert_eq!(reference.outcome, Ok(77));
-    for t in THRESHOLDS {
-        let tiered = observe(&m, "tiered", t, None);
-        assert_eq!(reference, tiered, "invoke case diverged at tier_up={t}");
-        let native = observe_native(&m, t, t);
-        assert_eq!(reference, native, "invoke case diverged at native_up={t}");
-    }
+    let (_, t, _) = observe_counted(&m, "tiered", None, 20_000_000);
+    assert_eq!((t.promoted, t.native_promoted), (1, 1), "{t:?}");
 }
 
 // ---------------------------------------------------------------------
-// Native calls: a call from machine code into a function on the native
-// rung pushes its frame inside the burst, and the return lands in the
+// Native calls: a call from machine code into a function on machine
+// code pushes its frame inside the burst, and the return lands in the
 // caller's registers. Nothing observable may change.
 // ---------------------------------------------------------------------
 
@@ -414,7 +332,7 @@ x:
 /// every time), `char` / `short` / `bool` / pointer returns, a `void`
 /// callee, an `invoke` whose callee unwinds from two frames down, and an
 /// indirect call whose `sbyte` argument defies `@k7`'s `int`: that one
-/// runs on the JIT rung.
+/// runs on the JIT.
 const NATIVE_CALLS: &str = "
 declare void @print_int(int)
 @tbl = global [8 x int (int)*] zeroinitializer
@@ -620,11 +538,11 @@ fn native_calls_stay_in_machine_code_and_match_interp() {
     let reference = same_in_every_engine(&m, 20_000_000);
     assert_eq!(reference.outcome, Ok(57));
     assert_eq!(reference.output, "144\n5\n0\n6168\n784\n");
-    // At tier_up 0 / native_up 0 every function is native from its
-    // first call, so every call returns inside the burst except the
-    // 8 × 2 frames the unwind pops and the 64 mistyped calls — which run
-    // `@k7`'s one `ret` each on the JIT rung.
-    let (got, t, _) = observe_counted(&m, "tiered", 0, Some(0), None, None, 20_000_000);
+    // Every function is native from its first call, so every call
+    // returns inside the burst except the 8 × 2 frames the unwind pops
+    // and the 64 mistyped calls — which run `@k7`'s one `ret` each on the
+    // JIT.
+    let (got, t, _) = observe_counted(&m, "tiered", None, 20_000_000);
     assert_eq!(reference, got);
     assert_eq!((t.interp_insts, t.jit_insts), (0, 64), "{t:?}");
     let main = m.func_by_name("main").unwrap();
@@ -707,7 +625,7 @@ e:
 /// Machine code charges a run of instructions that only its last can
 /// leave once, on entry. The loop's one block is such a run up to its
 /// `print_int` call, with a `div` in its middle whose divisor reaches 0
-/// on iteration 120 — after every threshold has reached machine code.
+/// on iteration 120.
 /// At every fuel value up to that trap, fuel running dry anywhere in the
 /// run and the `div` trapping halfway through it leave the interpreter's
 /// fuel remainder, instruction count, histogram and profile.
@@ -747,16 +665,11 @@ h:
 }
 
 /// Machine code shares a register between values that are never live at
-/// once, so entering it mid-function must copy only the values live at
-/// the loop header. In `@work`, 24 values plus the loop's two φs are live
-/// at `%h`, and two values dead there sit in registers a live one shares:
-/// `%t` (`xor 77`), defined before the loop on the path every run takes,
-/// and `%f` (`xor 99`), on a path no run takes, so an interpreter frame
-/// holds `%t`'s stale value and a JIT frame holds both `%t`'s and `%f`'s
-/// filler. Both have higher instruction ids than every live value, so a
-/// copy of every value would write them last. `@work(1)` runs `@work(0)`
-/// first: its loop climbs to machine code by OSR from a JIT frame, and
-/// `@work(1)`'s own loop then enters it by OSR from an interpreter frame.
+/// once. In `@work`, 24 values plus the loop's two φs are live at `%h`,
+/// and two values dead there — `%t` (`xor 77`), defined before the loop
+/// on the path every run takes, and `%f` (`xor 99`), on a path no run
+/// takes — may sit in registers a live one shares; `@work(1)` calls
+/// `@work(0)` from before its own loop. Every engine must agree.
 #[test]
 fn entering_machine_code_at_a_loop_copies_only_the_values_live_there() {
     let live: Vec<String> = (1..=24).map(|k| format!("%v{k}")).collect();
@@ -819,41 +732,8 @@ e:
         live.len()
     );
     let m = parse(&src);
-
-    // The premise: `%t`'s and `%f`'s registers each hold a value live
-    // into `%h` (block 2) — the interpreter and the JIT would write them.
-    use lpat::codegen::fast::{enc, translate_fast, FastEnv, Home};
-    let env = FastEnv {
-        func_addr: &|f| lpat::vm::mem::Memory::func_addr(f.index()),
-        global_addr: &|i| Some(0x1_0000 + 64 * i as u32),
-        guarded: &|_| false,
-    };
-    let ff = translate_fast(&m, m.func_by_name("work").unwrap(), &env).unwrap();
-    let (_, at_h) = ff
-        .live_in
-        .iter()
-        .find(|(b, _)| *b == 2)
-        .expect("%h is a loop header");
-    for imm in [77, 99] {
-        let w = ff
-            .words
-            .iter()
-            .find(|&&w| enc::op(w) == enc::XORI && enc::simm14(w) == imm);
-        let home = Home::Reg(enc::rd(*w.expect("xori")));
-        assert!(
-            at_h.iter().any(|&(_, h, _)| h == home),
-            "xor {imm}: {home:?} shared at %h"
-        );
-    }
-    assert_eq!(at_h.len(), live.len() + 2, "the 24 values and the two φs");
-
     let full = same_in_every_engine(&m, 20_000_000);
     assert_eq!(full.outcome, Ok(0));
-    // Both ways in happen: at the default thresholds `@work(0)`'s frame
-    // goes interpreter → JIT → machine code, and `@work(1)`'s
-    // interpreter frame straight into machine code.
-    let (_, tiers, _) = observe_counted(&m, "tiered", 50, Some(50), None, None, 20_000_000);
-    assert_eq!((tiers.osr, tiers.native_osr), (1, 2), "{tiers:?}");
 }
 
 /// Every register-immediate form machine code has — `addi` (and `sub` as
@@ -863,13 +743,13 @@ e:
 /// narrow ones renormalised and `long` in its low-word view, with
 /// constants at the edges of the 14-bit field and past them: the same
 /// output, fuel and histogram as the interpreter, all of it in machine
-/// code at the lowest thresholds.
+/// code.
 #[test]
 fn every_immediate_form_computes_what_the_interpreter_does() {
     let m = parse(IMMEDIATES);
     let full = same_in_every_engine(&m, 20_000_000);
     assert_eq!((full.outcome, full.output.lines().count()), (Ok(0), 300));
-    let (seen, tiers, _) = observe_counted(&m, "tiered", 0, Some(0), None, None, 20_000_000);
+    let (seen, tiers, _) = observe_counted(&m, "tiered", None, 20_000_000);
     assert_eq!(tiers.native_insts, seen.insts, "{tiers:?}");
 }
 
@@ -963,10 +843,9 @@ x:
 // drain must hold in every engine and on every way out of a run.
 // ---------------------------------------------------------------------
 
-/// `m` under every engine configuration — full JIT, and the tiered engine
-/// at each threshold with and without the machine-code tier — each of
-/// which must observe what the reference interpreter (returned) observes
-/// at the same fuel, down to the bytes of the profile the store persists.
+/// `m` under the full JIT and the tiered engine, each of which must
+/// observe what the reference interpreter (returned) observes at the same
+/// fuel, down to the bytes of the profile the store persists.
 fn same_in_every_engine(m: &lpat::core::Module, fuel: u64) -> Observed {
     let opts = VmOptions {
         profile: true,
@@ -976,33 +855,18 @@ fn same_in_every_engine(m: &lpat::core::Module, fuel: u64) -> Observed {
     same_in_every_engine_under(m, opts)
 }
 
-/// [`same_in_every_engine`] with `opts` (its thresholds aside) in every run.
+/// [`same_in_every_engine`] with `opts` in every run.
 fn same_in_every_engine_under(m: &lpat::core::Module, opts: VmOptions) -> Observed {
-    let run = |engine: &str, tier_up: u64, native_up: Option<u64>| {
-        let opts = VmOptions {
-            tier_up,
-            native_up,
-            ..opts.clone()
-        };
-        observe_with(m, engine, opts, None, None).0
-    };
-    let reference = run("interp", 0, None);
-    let check = |what: String, got: Observed| {
+    let run = |engine: &str| observe_with(m, engine, opts.clone(), None).0;
+    let reference = run("interp");
+    for engine in ENGINES {
+        let got = run(engine);
         assert_eq!(
             reference.profile.to_bytes(),
             got.profile.to_bytes(),
-            "{what}: profile bytes"
+            "{engine}: profile bytes"
         );
-        assert_eq!(reference, got, "{what}");
-    };
-    check("jit".into(), run("jit", 0, None));
-    for t in THRESHOLDS {
-        for native_up in [None, Some(t)] {
-            check(
-                format!("tier_up={t} native_up={native_up:?}"),
-                run("tiered", t, native_up),
-            );
-        }
+        assert_eq!(reference, got, "{engine}");
     }
     reference
 }
@@ -1183,9 +1047,10 @@ h:
 }
 
 // ---------------------------------------------------------------------
-// Injected translation faults: the tiered engine demotes the function
-// and keeps interpreting; output is unchanged. Fault plans are
-// process-global, so this runs through the lpatc driver in a subprocess.
+// Injected translation faults: a `native.translate` fault puts the
+// function on the JIT, and one on `jit.translate` after it on the
+// interpreter; output is unchanged. Fault plans are process-global, so
+// this runs through the lpatc driver in a subprocess.
 // ---------------------------------------------------------------------
 
 fn lpatc() -> Command {
@@ -1198,9 +1063,9 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-#[test]
-fn tiered_demotes_and_matches_interp_under_translate_fault() {
-    let src = "
+/// `main` calls `@hot` 500 times: `main` is the first function a run
+/// translates and `@hot` the second.
+const HOT_CALLEE: &str = "
 declare void @print_int(int)
 define int @hot(int %x) {
 e:
@@ -1225,28 +1090,35 @@ x:
   call void @print_int(int %m)
   ret int %m
 }";
-    let p = tmp("tiered_fault.ll");
-    std::fs::write(&p, src).unwrap();
 
+/// `lpatc run <p> --tiered --stats --quiet`, with `faults` injected.
+fn tiered_under(p: &std::path::Path, faults: &str) -> std::process::Output {
+    let mut c = lpatc();
+    c.arg("run").arg(p).args(["--tiered", "--stats", "--quiet"]);
+    if !faults.is_empty() {
+        c.args(["--inject-faults", faults]);
+    }
+    c.output().unwrap()
+}
+
+#[test]
+fn tiered_demotes_and_matches_interp_under_translate_fault() {
+    let p = tmp("tiered_fault.ll");
+    std::fs::write(&p, HOT_CALLEE).unwrap();
     let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
-    // Every translation attempt faults: all promotions demote, the whole
-    // run interprets, and the answer is still right.
-    let faulted = lpatc()
-        .arg("run")
-        .arg(&p)
-        .arg("--tiered")
-        .arg("--tier-up")
-        .arg("1")
-        .arg("--inject-faults")
-        .arg("jit.translate:io")
-        .arg("--quiet")
-        .output()
-        .unwrap();
+
+    // Every translation attempt faults: both functions are interpreted,
+    // and the answer is still right.
+    let faulted = tiered_under(&p, "native.translate:io,jit.translate:io");
     assert_eq!(reference.status.code(), faulted.status.code());
     assert_eq!(reference.stdout, faulted.stdout);
+    let stats = String::from_utf8_lossy(&faulted.stderr);
+    assert_eq!(stats_row(&stats, "demoted"), 2, "{stats}");
+    assert_eq!(stats_row(&stats, "jit insts"), 0, "{stats}");
+    assert_eq!(stats_row(&stats, "native insts"), 0, "{stats}");
 
-    // Same plan under the pure JIT is fatal — demotion is a tiered-only
-    // recovery.
+    // Same plan under the pure JIT is fatal — falling back is the tiered
+    // engine's recovery.
     let jit_faulted = lpatc()
         .arg("run")
         .arg(&p)
@@ -1258,117 +1130,155 @@ x:
         .unwrap();
     assert_eq!(jit_faulted.status.code(), Some(2), "pure JIT must fail");
 
-    // A fault on only the *first* translation demotes one function; the
-    // rest still promote, and the answer is still right.
-    let partial = lpatc()
-        .arg("run")
-        .arg(&p)
-        .arg("--tier-up")
-        .arg("1")
-        .arg("--inject-faults")
-        .arg("jit.translate:io@1")
-        .arg("--quiet")
-        .output()
-        .unwrap();
+    // Faults on the *first* translation of each kind interpret `main`
+    // alone; `@hot` is still machine code, and the answer is still right.
+    let partial = tiered_under(&p, "native.translate:io@1,jit.translate:io@1");
     assert_eq!(reference.status.code(), partial.status.code());
     assert_eq!(reference.stdout, partial.stdout);
+    let stats = String::from_utf8_lossy(&partial.stderr);
+    assert_eq!(stats_row(&stats, "demoted"), 1, "{stats}");
+    assert_eq!(stats_row(&stats, "native promoted"), 1, "{stats}");
 }
 
 #[test]
 fn native_demotes_to_jit_and_matches_interp_under_translate_fault() {
-    // The `native.translate` site mirrors `jit.translate` one tier up: a
-    // fault there permanently demotes the function to the JIT tier and
-    // the run's answer is unchanged. Fault plans are process-global, so
-    // this goes through the driver in a subprocess.
-    let src = "
+    // The `native.translate` site: a fault there puts the function on
+    // the JIT for good and the run's answer is unchanged.
+    let p = tmp("native_fault.ll");
+    std::fs::write(&p, HOT_CALLEE).unwrap();
+    let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
+
+    // Clean tiered run: all of it machine code, same answer.
+    let native = tiered_under(&p, "");
+    assert_eq!(reference.status.code(), native.status.code());
+    assert_eq!(reference.stdout, native.stdout);
+    let stats = String::from_utf8_lossy(&native.stderr);
+    assert_eq!(stats_row(&stats, "native promoted"), 2, "{stats}");
+    assert_eq!(stats_row(&stats, "jit insts"), 0, "{stats}");
+
+    // Every native translation faults: both functions run on the JIT
+    // (which still translates fine) and the answer is unchanged. The
+    // tier table shows it: refused functions, zero native instructions,
+    // and JIT instructions picking up the slack.
+    let faulted = tiered_under(&p, "native.translate:io");
+    assert_eq!(reference.status.code(), faulted.status.code());
+    assert_eq!(reference.stdout, faulted.stdout);
+    let stats = String::from_utf8_lossy(&faulted.stderr);
+    assert_eq!(stats_row(&stats, "native demoted"), 2, "{stats}");
+    assert_eq!(stats_row(&stats, "native insts"), 0, "{stats}");
+    assert!(stats_row(&stats, "jit insts") > 0, "{stats}");
+
+    // A fault on only the *first* native translation puts `main` on the
+    // JIT; `@hot` still reaches machine code.
+    let partial = tiered_under(&p, "native.translate:io@1");
+    assert_eq!(reference.status.code(), partial.status.code());
+    assert_eq!(reference.stdout, partial.stdout);
+    let stats = String::from_utf8_lossy(&partial.stderr);
+    assert_eq!(stats_row(&stats, "native demoted"), 1, "{stats}");
+    assert!(stats_row(&stats, "native insts") > 0, "{stats}");
+}
+
+/// `main` invokes `@mid`, which invokes `@leaf` and then calls it: a
+/// `@leaf` that unwinds is caught by `@mid`'s invoke, or passes through
+/// `@mid`'s plain call to `main`'s. Functions are first called in that
+/// order, so a run's k-th native (or JIT) translation is that of the
+/// k-th function to reach it.
+const THREE_TIERS: &str = "
 declare void @print_int(int)
-define int @hot(int %x) {
+define internal int @leaf(int %i) {
 e:
-  %r = mul int %x, 3
+  %t = rem int %i, 7
+  %z = seteq int %t, 6
+  br bool %z, label %throw, label %ok
+throw:
+  unwind
+ok:
+  %r = mul int %i, 3
   ret int %r
+}
+define internal int @mid(int %i) {
+e:
+  %a = invoke int @leaf(int %i) to label %ok unwind label %caught
+ok:
+  %b = call int @leaf(int %a)
+  %s = add int %a, %b
+  ret int %s
+caught:
+  ret int -1
 }
 define int @main() {
 e:
   br label %h
 h:
-  %i = phi int [ 0, %e ], [ %i2, %b ]
-  %s = phi int [ 0, %e ], [ %s2, %b ]
-  %c = setlt int %i, 500
+  %i = phi int [ 0, %e ], [ %i2, %latch ]
+  %s = phi int [ 0, %e ], [ %s2, %latch ]
+  %c = setlt int %i, 50
   br bool %c, label %b, label %x
 b:
-  %v = call int @hot(int %i)
-  %s2 = add int %s, %v
+  %v = invoke int @mid(int %i) to label %ok unwind label %caught
+ok:
+  br label %latch
+caught:
+  br label %latch
+latch:
+  %w = phi int [ %v, %ok ], [ 1000, %caught ]
+  %s2 = add int %s, %w
   %i2 = add int %i, 1
   br label %h
 x:
-  %m = rem int %s, 97
-  call void @print_int(int %m)
-  ret int %m
+  call void @print_int(int %s)
+  %r = rem int %s, 97
+  ret int %r
 }";
-    let p = tmp("native_fault.ll");
-    std::fs::write(&p, src).unwrap();
 
+/// Returns and unwinds cross every pair of tiers: each of `main`, `@mid`
+/// and `@leaf` is put on each tier — machine code, the JIT after a
+/// `native.translate` fault, the interpreter after a `jit.translate`
+/// fault as well — in all 27 combinations, and every run prints the
+/// interpreter's answer with the tier table the plan asked for.
+#[test]
+fn returns_and_unwinds_cross_every_pair_of_tiers() {
+    let p = tmp("three_tiers.ll");
+    std::fs::write(&p, THREE_TIERS).unwrap();
     let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
-
-    // Clean third-tier run: same answer as the interpreter.
-    let native = lpatc()
-        .arg("run")
-        .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1", "--quiet"])
-        .output()
-        .unwrap();
-    assert_eq!(reference.status.code(), native.status.code());
-    assert_eq!(reference.stdout, native.stdout);
-
-    // Every native translation faults: all candidates demote to the JIT
-    // tier (which still translates fine) and the answer is unchanged.
-    let faulted = lpatc()
-        .arg("run")
-        .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1"])
-        .args(["--inject-faults", "native.translate:io"])
-        .args(["--stats", "--quiet"])
-        .output()
-        .unwrap();
-    assert_eq!(reference.status.code(), faulted.status.code());
-    assert_eq!(reference.stdout, faulted.stdout);
-    // The demotion is visible in the tier table: demoted functions, zero
-    // native instructions, and JIT instructions picking up the slack.
-    let stats = String::from_utf8_lossy(&faulted.stderr);
-    let row = |label: &str| -> u64 {
-        stats
-            .lines()
-            .find(|l| l.trim_start().starts_with(label))
-            .and_then(|l| {
-                l.split_whitespace()
-                    .filter_map(|w| w.parse::<u64>().ok())
-                    .next()
-            })
-            .unwrap_or_else(|| panic!("no '{label}' row in stats:\n{stats}"))
-    };
-    assert!(row("native demoted") >= 1, "stats:\n{stats}");
-    assert_eq!(row("native insts"), 0, "stats:\n{stats}");
-    assert!(row("jit insts") > 0, "stats:\n{stats}");
-
-    // A fault on only the *first* native translation demotes one
-    // function; the rest still reach machine code.
-    let partial = lpatc()
-        .arg("run")
-        .arg(&p)
-        .args(["--tier-up", "1", "--native-up", "1"])
-        .args(["--inject-faults", "native.translate:io@1"])
-        .arg("--quiet")
-        .output()
-        .unwrap();
-    assert_eq!(reference.status.code(), partial.status.code());
-    assert_eq!(reference.stdout, partial.stdout);
+    assert_eq!(reference.status.code(), Some(33));
+    // 0 = interpreter, 1 = JIT, 2 = machine code; by first call.
+    for combo in 0..27u32 {
+        let tiers = [combo % 3, combo / 3 % 3, combo / 9];
+        let (mut plan, mut refused) = (Vec::new(), 0);
+        for (k, &tier) in tiers.iter().enumerate() {
+            if tier < 2 {
+                plan.push(format!("native.translate:io@{}", k + 1));
+                refused += 1;
+                if tier == 0 {
+                    plan.push(format!("jit.translate:io@{refused}"));
+                }
+            }
+        }
+        let out = tiered_under(&p, &plan.join(","));
+        let stats = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            reference.status.code(),
+            out.status.code(),
+            "{tiers:?}: {stats}"
+        );
+        assert_eq!(reference.stdout, out.stdout, "{tiers:?}");
+        let on = |t| tiers.iter().filter(|&&x| x == t).count() as u64;
+        assert_eq!(stats_row(&stats, "demoted"), on(0), "{tiers:?}: {stats}");
+        assert_eq!(stats_row(&stats, "promoted"), on(1), "{tiers:?}: {stats}");
+        assert_eq!(
+            stats_row(&stats, "native promoted"),
+            on(2),
+            "{tiers:?}: {stats}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
 // Speculation differentials: a speculated module (guards installed as an
 // in-memory overlay) must stay observationally identical across the
-// interpreter, the tiered engine at every threshold, the full JIT and
-// the machine-code tier — fuel, opcode histogram, and profile counters
+// interpreter, the full JIT and the tiered engine, machine code
+// included — fuel, opcode histogram, and profile counters
 // included. A guard is a conditional branch on every engine: a failing
 // one takes its else edge, and its counts are its two edges' counts.
 // ---------------------------------------------------------------------
@@ -1431,7 +1341,7 @@ fn speculate_on(m: &lpat::core::Module, profile: &lpat::transform::SpecProfile) 
 
 /// `m` speculated on the profile of one interpreted run of itself.
 fn speculate_on_own_profile(m: &lpat::core::Module) -> Speculated {
-    speculate_on(m, &observe(m, "interp", 0, None).profile.to_spec_profile())
+    speculate_on(m, &observe(m, "interp").profile.to_spec_profile())
 }
 
 /// SPEC_WORKLOAD speculated on its own profile. Asserts speculation
@@ -1445,32 +1355,20 @@ fn speculated_workload() -> Speculated {
 #[test]
 fn speculated_tiered_matches_interp_at_every_threshold() {
     let (sm, map) = speculated_workload();
-    let reference = observe_spec(&sm, "interp", 0, None, Some(&map));
+    let reference = observe_spec(&sm, "interp", Some(&map));
     // Same answer as the unspeculated program.
-    let plain = observe(
-        &lpat::asm::parse_module("t", SPEC_WORKLOAD).unwrap(),
-        "interp",
-        0,
-        None,
-    );
+    let plain = observe(&parse(SPEC_WORKLOAD), "interp");
     assert_eq!(reference.outcome, plain.outcome);
     assert_eq!(reference.output, plain.output);
-    for t in THRESHOLDS {
-        let tiered = observe_spec(&sm, "tiered", t, None, Some(&map));
-        assert_eq!(reference, tiered, "speculated run diverged at tier_up={t}");
-        let native = observe_full(&sm, "tiered", t, Some(t), None, Some(&map));
-        assert_eq!(
-            reference, native,
-            "speculated run diverged at native_up={t}"
-        );
+    for engine in ENGINES {
+        let got = observe_spec(&sm, engine, Some(&map));
+        assert_eq!(reference, got, "speculated run diverged under {engine}");
     }
-    let jit = observe_spec(&sm, "jit", 0, None, Some(&map));
-    assert_eq!(reference, jit, "speculated run diverged under full JIT");
 
-    // A guard is no reason to stay off the native tier: promoted on first
-    // call, the guarded `disp` and everything around it run as machine
-    // code, and the one failing guard takes its slow path there.
-    let (seen, t, sp) = observe_counted(&sm, "tiered", 0, Some(0), None, Some(&map), 20_000_000);
+    // A guard is no reason to stay off the native tier: translated at its
+    // first call, the guarded `disp` and everything around it run as
+    // machine code, and the one failing guard takes its slow path there.
+    let (seen, t, sp) = observe_counted(&sm, "tiered", Some(&map), 20_000_000);
     assert_eq!(t.native_demoted, 0, "{t:?}");
     assert!(
         t.native_insts * 10 > seen.insts * 9,
@@ -1483,7 +1381,7 @@ fn speculated_tiered_matches_interp_at_every_threshold() {
 /// times in ten: speculation puts a guard *inside the loop of `main`*,
 /// failing on every tenth iteration. `extra` is spliced into the loop
 /// body (an instruction the native backend refuses keeps `main` on the
-/// JIT rung).
+/// JIT).
 fn loop_guard_workload(extra: &str) -> (lpat::core::Module, std::rc::Rc<lpat::transform::SpecMap>) {
     let src = format!(
         "
@@ -1542,38 +1440,23 @@ const LONG_COMPARE: &str = "  %w = cast int %i to long
   %big = setgt long %w, 100000";
 
 /// A failing guard never leaves translated code. `main` carries a guard
-/// in its loop that fails every tenth iteration, and stays on the JIT
-/// rung for an unrelated reason (a 64-bit compare). Once promoted, its
-/// activation enters translated code once and stays there: what is
-/// interpreted is the cold start — the entry, the iteration before the
-/// promotion and each callee's first call — and not one instruction per
-/// failing guard, on the two-tier ladder and on the three-tier one.
+/// in its loop that fails every tenth iteration, and runs on the JIT for
+/// an unrelated reason (a 64-bit compare): it is translated at its first
+/// call and stays there, so not one instruction is interpreted, however
+/// often the guard fails.
 #[test]
 fn a_failing_guard_never_leaves_translated_code() {
     let (sm, map) = loop_guard_workload(LONG_COMPARE);
-    let reference = observe_spec(&sm, "interp", 0, None, Some(&map));
-    // Instructions per iteration, callee included.
-    let body = reference.insts / LOOP_GUARD_ITERS + 1;
-    for native_up in [Some(1), None] {
-        let (got, t, sp) =
-            observe_counted(&sm, "tiered", 1, native_up, None, Some(&map), 20_000_000);
-        if native_up.is_some() {
-            assert_eq!(t.native_demoted, 1, "main should be refused: {t:?}");
-        }
-        assert_eq!(
-            sp.failed,
-            LOOP_GUARD_ITERS / 10,
-            "native_up={native_up:?}: the guard fails every tenth iteration: {sp:?}"
-        );
-        assert_eq!(t.osr, 1, "native_up={native_up:?}: {t:?}");
-        assert!(
-            t.interp_insts <= body + 4,
-            "native_up={native_up:?}: {} instructions interpreted, one iteration is \
-             {body}: {t:?}",
-            t.interp_insts
-        );
-        assert_eq!(reference, got, "native_up={native_up:?}");
-    }
+    let reference = observe_spec(&sm, "interp", Some(&map));
+    let (got, t, sp) = observe_counted(&sm, "tiered", Some(&map), 20_000_000);
+    assert_eq!(t.native_demoted, 1, "main should be refused: {t:?}");
+    assert_eq!(
+        sp.failed,
+        LOOP_GUARD_ITERS / 10,
+        "the guard fails every tenth iteration: {sp:?}"
+    );
+    assert_eq!(t.interp_insts, 0, "{t:?}");
+    assert_eq!(reference, got);
 }
 
 /// Fuel runs dry on every instruction of a native loop iteration in
@@ -1583,15 +1466,15 @@ fn a_failing_guard_never_leaves_translated_code() {
 #[test]
 fn fuel_running_dry_on_a_native_guard_matches_interp() {
     let (sm, map) = loop_guard_workload("");
-    let full = observe_spec(&sm, "interp", 0, None, Some(&map));
+    let full = observe_spec(&sm, "interp", Some(&map));
     let gid = map.guards[0].id;
     let body = full.insts / LOOP_GUARD_ITERS + 1;
     // Iterations 8 and 9 of the loop: a passing and a failing guard.
     let mut guard_counts = std::collections::BTreeSet::new();
     for fuel in 8 * body..10 * body + 2 {
-        let reference = observe_fueled(&sm, "interp", 0, None, None, Some(&map), fuel);
+        let reference = observe_fueled(&sm, "interp", Some(&map), fuel);
         assert_eq!(reference.outcome, Err(TrapKind::OutOfFuel));
-        let native = observe_fueled(&sm, "tiered", 0, Some(0), None, Some(&map), fuel);
+        let native = observe_fueled(&sm, "tiered", Some(&map), fuel);
         assert_eq!(
             reference.profile.to_bytes(),
             native.profile.to_bytes(),
@@ -1613,24 +1496,20 @@ fn fuel_running_dry_on_a_native_guard_matches_interp() {
 fn speculated_suite_matches_interp() {
     // Speculation over the whole workload suite: profile a run, apply
     // whatever the profile justifies, and require observational identity
-    // between interpreter and tiered engine on the speculated module.
+    // between the interpreter and the other engines on the speculated
+    // module.
     for (name, m) in lpat::workloads::compile_suite(0) {
-        let profiled = observe(&m, "interp", 0, None);
+        let profiled = observe(&m, "interp");
         let (sm, map) = speculate_on(&m, &profiled.profile.to_spec_profile());
-        let reference = observe_spec(&sm, "interp", 0, None, Some(&map));
+        let reference = observe_spec(&sm, "interp", Some(&map));
         assert_eq!(
             reference.outcome, profiled.outcome,
             "{name}: answer changed"
         );
         assert_eq!(reference.output, profiled.output, "{name}: output changed");
-        for t in [0, 1, 50] {
-            for native_up in [None, Some(t)] {
-                let tiered = observe_full(&sm, "tiered", t, native_up, None, Some(&map));
-                assert_eq!(
-                    reference, tiered,
-                    "{name} diverged at tier_up={t} native_up={native_up:?}"
-                );
-            }
+        for engine in ENGINES {
+            let got = observe_spec(&sm, engine, Some(&map));
+            assert_eq!(reference, got, "{name} diverged under {engine}");
         }
     }
 }
@@ -1720,16 +1599,16 @@ fn lying_workload() -> (lpat::core::Module, Speculated) {
 
 /// Every guard fails: a profile that lies makes each guard take its
 /// generic path on every execution, so a speculated run must print the
-/// plain run's answer — interpreted, under the JIT, on the two-tier and
-/// the default ladder, or as machine code from the first call — and
+/// plain run's answer — interpreted, under the JIT, or tiered, which is
+/// machine code from the first call — and
 /// leave what the interpreter leaves: instruction count, fuel, opcode
 /// table, and the profile's bytes, per-guard executions and
 /// misspeculations included.
 #[test]
 fn forced_guard_failure_is_observationally_clean() {
     let (plain, (sm, map)) = lying_workload();
-    let unspeculated = observe(&plain, "interp", 0, None);
-    let interp = observe_spec(&sm, "interp", 0, None, Some(&map));
+    let unspeculated = observe(&plain, "interp");
+    let interp = observe_spec(&sm, "interp", Some(&map));
     assert_eq!(unspeculated.outcome, interp.outcome);
     assert_eq!(
         unspeculated.output, interp.output,
@@ -1739,28 +1618,15 @@ fn forced_guard_failure_is_observationally_clean() {
         assert_eq!(interp.profile.guard_exec(g.id), 401, "{}", g.desc);
         assert_eq!(interp.profile.guard_misspec(g.id), 401, "{}", g.desc);
     }
-    for (leg, engine, tier_up, native_up) in [
-        ("jit", "jit", 0, None),
-        ("two tiers", "tiered", 1, None),
-        ("default ladder", "tiered", 1, Some(200)),
-        ("native", "tiered", 0, Some(0)),
-    ] {
-        let (got, t, _) = observe_counted(
-            &sm,
-            engine,
-            tier_up,
-            native_up,
-            None,
-            Some(&map),
-            20_000_000,
-        );
+    for engine in ENGINES {
+        let (got, t, _) = observe_counted(&sm, engine, Some(&map), 20_000_000);
         assert_eq!(
             interp.profile.to_bytes(),
             got.profile.to_bytes(),
-            "{leg}: profile bytes"
+            "{engine}: profile bytes"
         );
-        assert_eq!(interp, got, "{leg}");
-        if leg == "native" {
+        assert_eq!(interp, got, "{engine}");
+        if engine == "tiered" {
             assert_eq!(t.native_demoted, 0, "{t:?}");
             assert!(t.native_insts * 10 > got.insts * 9, "{t:?}");
         }
@@ -1813,7 +1679,7 @@ x:
 /// A guard's counts are a view of the edge profile: every emitted guard
 /// has executed exactly as often as its branch took either edge, and
 /// misspeculated exactly as often as it took the else edge — on every
-/// engine, threshold and program, in the profile each run leaves.
+/// engine and program, in the profile each run leaves.
 #[test]
 fn guard_counts_are_the_edge_counts_of_their_branch() {
     let mut programs: Vec<(String, Speculated)> = lpat::workloads::compile_suite(0)
@@ -1834,7 +1700,7 @@ fn guard_counts_are_the_edge_counts_of_their_branch() {
     let mut guards = 0;
     for (name, (sm, map)) in &programs {
         guards += map.len();
-        let check = |leg: String, seen: Observed| {
+        let check = |leg: &str, seen: Observed| {
             for g in &map.guards {
                 let lpat::core::Inst::CondBr {
                     then_bb, else_bb, ..
@@ -1857,16 +1723,8 @@ fn guard_counts_are_the_edge_counts_of_their_branch() {
                 );
             }
         };
-        let spec = Some(map);
-        check("interp".into(), observe_spec(sm, "interp", 0, None, spec));
-        check("jit".into(), observe_spec(sm, "jit", 0, None, spec));
-        for t in [0, 1, 50] {
-            for native_up in [None, Some(t)] {
-                check(
-                    format!("tier_up={t} native_up={native_up:?}"),
-                    observe_full(sm, "tiered", t, native_up, None, spec),
-                );
-            }
+        for engine in ["interp", "jit", "tiered"] {
+            check(engine, observe_spec(sm, engine, Some(map)));
         }
     }
     assert!(guards >= 6, "only {guards} guards were emitted");
@@ -1936,14 +1794,7 @@ x:
         .arg(&p)
         .arg("--cache-dir")
         .arg(&cache)
-        .args([
-            "--speculate",
-            "--tier-up",
-            "0",
-            "--native-up",
-            "0",
-            "--stats",
-        ])
+        .args(["--speculate", "--tiered", "--stats"])
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -2095,6 +1946,10 @@ x:
     assert_eq!(stats_row(&stderr, "guard failed"), 0, "{stderr}");
 }
 
+/// A tiered run that finds its module's profile in the store decides
+/// each function's tier as a cold run does, at its first call: nothing
+/// is translated ahead of the run, and the second run is the first one
+/// again — same answer, same instructions on each tier.
 #[test]
 fn lpatc_tiered_warm_start_from_store_matches_cold() {
     let src = "
@@ -2133,15 +1988,28 @@ x:
         }
         c.output().unwrap()
     };
-    let cold = run(&["--quiet"]);
-    let warm = run(&[]);
+    let cold = run(&["--stats"]);
+    let warm = run(&["--stats"]);
     assert_eq!(cold.status.code(), warm.status.code());
     assert_eq!(cold.stdout, warm.stdout);
-    let notices = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        notices.contains("warm-start"),
-        "second run did not warm-start: {notices}"
+    let (cold, warm) = (
+        String::from_utf8_lossy(&cold.stderr),
+        String::from_utf8_lossy(&warm.stderr),
     );
+    assert!(!warm.contains("warm-start"), "{warm}");
+    for row in [
+        "interp insts",
+        "jit insts",
+        "native insts",
+        "native promoted",
+    ] {
+        assert_eq!(
+            stats_row(&cold, row),
+            stats_row(&warm, row),
+            "{row}:\n{warm}"
+        );
+    }
+    assert_eq!(stats_row(&warm, "interp insts"), 0, "{warm}");
 }
 
 /// `src` as the front end emits it and after the `-O` pipeline: loops are

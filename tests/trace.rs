@@ -142,7 +142,8 @@ fn run_trace_covers_subsystems() {
 }
 
 /// The store says what it did: a run's profile flush is an `append` span
-/// (with the bytes appended), a later load reports how many appended
+/// (with the bytes appended), a later load — a speculated run's, the one
+/// kind of run that reads the profile — reports how many appended
 /// records it folded, and `reopt`'s idle-time compaction is a `compact`
 /// span (with the records and bytes it folded) — never a `write` of the
 /// profile.
@@ -151,11 +152,12 @@ fn store_spans_tell_append_fold_and_compact_apart() {
     let dir = tmpdir("trace-store");
     let prog = write_program(&dir);
     let cache = dir.join("cache");
-    let traced = |cmd: &str, n: u32| {
+    let traced = |cmd: &str, n: u32, extra: &[&str]| {
         let trace_out = dir.join(format!("{cmd}-{n}.json"));
         let metrics_out = dir.join(format!("{cmd}-{n}-metrics.json"));
         let st = lpatc()
             .args([cmd, prog.to_str().unwrap()])
+            .args(extra)
             .args(["--cache-dir", cache.to_str().unwrap()])
             .args(["--trace-out", trace_out.to_str().unwrap()])
             .args(["--metrics-out", metrics_out.to_str().unwrap()])
@@ -165,18 +167,18 @@ fn store_spans_tell_append_fold_and_compact_apart() {
         assert!(st.code().is_some());
         (read(&trace_out), read(&metrics_out))
     };
-    let (first, metrics) = traced("run", 1);
+    let (first, metrics) = traced("run", 1, &[]);
     assert!(first.contains("\"name\":\"append profile-"), "{first}");
     assert!(first.contains("\"args\":{\"bytes\":\""), "{first}");
     assert!(!first.contains("\"name\":\"write profile-"), "{first}");
     assert!(!first.contains("\"name\":\"compact "), "{first}");
     assert!(!metrics.contains("store.log_records_folded"), "{metrics}");
-    let (_, metrics) = traced("run", 2);
+    let (_, metrics) = traced("run", 2, &["--speculate"]);
     assert!(
         metrics.contains("\"store.log_records_folded\":1"),
         "{metrics}"
     );
-    let (reopt, _) = traced("reopt", 1);
+    let (reopt, _) = traced("reopt", 1, &[]);
     assert!(reopt.contains("\"name\":\"compact profile-"), "{reopt}");
     assert!(
         reopt.contains("\"args\":{\"records\":\"2\",\"bytes\":\""),
