@@ -6,8 +6,7 @@
 //! down. The pass managers implement that isolation with snapshots and
 //! rollback; this module provides the *test driver* for it — a
 //! [`FaultPlan`] that makes named fault sites misbehave on demand, fully
-//! deterministically, so tests can assert the exact recovery behavior at
-//! any parallelism level.
+//! deterministically, so tests can assert the exact recovery behavior.
 //!
 //! # Plan grammar
 //!
@@ -52,13 +51,12 @@
 //!
 //! # Determinism
 //!
-//! Hits are counted per site. Serial sites (module passes, the bytecode
-//! reader) simply increment the counter. The parallel function-pass
-//! executor instead *reserves* a contiguous ordinal range per sub-pass
-//! before spawning workers and assigns `base + function_index` to each
-//! per-function unit — so which unit faults depends only on function
-//! order, never on thread scheduling, and output is byte-identical at any
-//! `--jobs` value.
+//! Hits are counted per site. Most sites (module passes, the bytecode
+//! reader) simply increment the counter. A function-pass stage instead
+//! *reserves* a contiguous ordinal range per sub-pass before its first
+//! unit runs and assigns `base + function_index` to each per-function
+//! unit, so ordinal N of a pass occurrence is function N of the module:
+//! which unit faults depends on function order alone.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -83,9 +81,9 @@ pub enum FaultAction {
     /// un-unwindable death that only process-level supervision (the
     /// `lpatd --isolate process` worker pool) can absorb. Fired directly
     /// inside [`FaultPlan::next`] so every existing site is abort-capable
-    /// without per-site handling; the parallel [`FaultPlan::fires_at`]
-    /// path intentionally does *not* abort (callers there treat it as
-    /// [`FaultAction::Panic`]).
+    /// without per-site handling; the function-pass stages'
+    /// [`FaultPlan::fires_at`] path intentionally does *not* abort (the
+    /// stage treats it as [`FaultAction::Panic`]).
     Abort,
 }
 
@@ -195,10 +193,11 @@ impl FaultPlan {
         action
     }
 
-    /// Reserve `n` consecutive ordinals of `site` for a parallel stage and
-    /// return the first (1-based). Workers then evaluate
-    /// [`FaultPlan::fires_at`] with `base + unit_index`, which keeps the
-    /// fault placement independent of thread scheduling.
+    /// Reserve `n` consecutive ordinals of `site` for a function-pass
+    /// stage and return the first (1-based). Unit `i` then evaluates
+    /// [`FaultPlan::fires_at`] with `base + i`, so the ordinal names the
+    /// function, and an `abort` it fires is the caller's to act on (the
+    /// stage treats it as a panic).
     pub fn reserve(&self, site: &str, n: u64) -> u64 {
         let mut hits = self.hits.lock().unwrap_or_else(|e| e.into_inner());
         let c = hits.entry(site.to_string()).or_insert(0);

@@ -10,7 +10,6 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use crate::constant::ConstId;
 use crate::inst::{BlockId, Inst, InstId, Value};
 use crate::types::TypeId;
 
@@ -86,12 +85,6 @@ thread_local! {
 /// point cost.
 pub fn body_copies() -> BodyCopies {
     BODY_COPIES.with(Cell::get)
-}
-
-/// Fold copies another thread made (a worker reporting back) into the
-/// calling thread's total.
-pub fn add_body_copies(n: BodyCopies) {
-    BODY_COPIES.with(|c| c.set(c.get() + n));
 }
 
 /// The blocks and the instruction arena of a function: the part a clone
@@ -177,8 +170,11 @@ impl Function {
         // No `Weak` to a body is ever made, so a strong count of one means
         // `make_mut` will not copy.
         if Arc::strong_count(&self.body) != 1 {
-            let insts = self.num_insts() as u64;
-            add_body_copies(BodyCopies { funcs: 1, insts });
+            let copy = BodyCopies {
+                funcs: 1,
+                insts: self.num_insts() as u64,
+            };
+            BODY_COPIES.with(|c| c.set(c.get() + copy));
         }
         Arc::make_mut(&mut self.body)
     }
@@ -566,62 +562,6 @@ impl Function {
                 .map_successors(|b| remap.get(b.0 as usize).copied().flatten().unwrap_or(b));
         }
         remap
-    }
-
-    /// Renumber every type and constant reference in the body whose id is
-    /// `>=` the given base, through the corresponding map (`map[i]` is the
-    /// new id of old id `base + i`). Ids below the base are untouched.
-    ///
-    /// This is the merge step of the parallel function-pass executor:
-    /// workers intern new types/constants into a private overlay on top of
-    /// a pool snapshot, and after the overlay entries are re-interned into
-    /// the master pools the body is rewritten to the master ids. The
-    /// rewrite is id-for-id (it cannot change the printed IR or the CFG),
-    /// so it deliberately does **not** bump the modification counter —
-    /// analyses cached against the pre-merge body stay valid.
-    pub fn remap_pool_ids(
-        &mut self,
-        ty_base: usize,
-        ty_map: &[TypeId],
-        c_base: usize,
-        c_map: &[ConstId],
-    ) {
-        let mt = |t: TypeId| {
-            if t.index() >= ty_base {
-                ty_map[t.index() - ty_base]
-            } else {
-                t
-            }
-        };
-        let mc = |c: ConstId| {
-            if c.index() >= c_base {
-                c_map[c.index() - c_base]
-            } else {
-                c
-            }
-        };
-        for data in &mut self.body_mut().insts {
-            data.ty = mt(data.ty);
-            match &mut data.inst {
-                Inst::Cast { to, .. } => *to = mt(*to),
-                Inst::Alloca { elem_ty, .. } | Inst::Malloc { elem_ty, .. } => {
-                    *elem_ty = mt(*elem_ty)
-                }
-                Inst::VaArg { ty } => *ty = mt(*ty),
-                // `Switch` case labels are constants outside the operand
-                // list, so `map_operands` below does not see them.
-                Inst::Switch { cases, .. } => {
-                    for (c, _) in cases {
-                        *c = mc(*c);
-                    }
-                }
-                _ => {}
-            }
-            data.inst.map_operands(|v| match v {
-                Value::Const(c) => Value::Const(mc(c)),
-                other => other,
-            });
-        }
     }
 }
 

@@ -70,7 +70,7 @@ pub mod wire;
 pub use builder::FuncBuilder;
 pub use constant::{Const, ConstId, ConstPool, FuncId, GlobalId};
 pub use fault::{FaultAction, FaultPlan, FaultSpec};
-pub use function::{add_body_copies, body_copies, BodyCopies, Function, InstData, Linkage};
+pub use function::{body_copies, BodyCopies, Function, InstData, Linkage};
 pub use inst::{BinOp, BlockId, CmpPred, Inst, InstId, Value};
 pub use module::{AddrTypeTable, Checkpoint, Global, Module, ResultType, TypeError};
 pub use types::{GepError, GepStep, IntKind, Type, TypeCtx, TypeId};

@@ -172,7 +172,7 @@ pub fn decode_wire_trace(bytes: &[u8]) -> Result<WireTrace, String> {
 
 /// Absorb a remote process's serialized trace buffer into the current
 /// session: its events are re-ordered by remote ordinal, re-based onto a
-/// [`reserve`]d block of local ordinals (so merged export order is
+/// reserved block of local ordinals (so merged export order is
 /// deterministic), shifted by `ts_base_us` (the local time the remote
 /// work started), and kept as a [`ForeignLane`]; its counters fold into
 /// the session counters. No-op (but still validated) when tracing is

@@ -20,14 +20,12 @@
 //!
 //! # Determinism
 //!
-//! Two mechanisms keep the exported trace byte-identical regardless of
-//! `--jobs`, mirroring the fault-injection design:
+//! Two mechanisms keep the exported trace byte-identical from run to run:
 //!
-//! 1. **Ordinals.** Every event carries a `u64` ordinal; export sorts by
-//!    it. Serial code draws ordinals from a global counter; parallel
-//!    stages [`reserve`] a contiguous block *before* spawning workers and
-//!    index it by function number (exactly like `FaultPlan::reserve`), so
-//!    the set of (ordinal, event) pairs is independent of interleaving.
+//! 1. **Ordinals.** Every event carries a `u64` ordinal, drawn from one
+//!    global counter when the event starts; export sorts by it. The
+//!    optimizer records on one thread, so its ordinals follow program
+//!    order; foreign lanes are re-based onto a block of their own (below).
 //! 2. **Virtual clock.** Under [`ClockMode::Virtual`] (the injectable
 //!    clock pattern from `lpat_vm::store`), exported timestamps, durations
 //!    and thread ids are pure functions of the ordinal: `ts = ordinal *
@@ -42,8 +40,8 @@
 //! processes (the `lpatd` workers): the remote side serializes its
 //! drained session with [`encode_wire_trace`], ships the bytes over
 //! whatever transport it already has, and the collecting side calls
-//! [`absorb_foreign`]. Foreign events are re-based onto this session's
-//! ordinal space (via [`reserve`]) and exported as their own Chrome
+//! [`absorb_foreign`]. Foreign events are re-based onto a contiguous
+//! block of this session's ordinal space and exported as their own Chrome
 //! `pid` lane; under the virtual clock all foreign lanes collapse to
 //! one stable virtual pid so the merged export stays byte-deterministic
 //! no matter how many worker processes served the requests.
@@ -91,7 +89,7 @@ pub enum ClockMode {
     /// Wall-clock microseconds since [`enable`].
     Real,
     /// Timestamps derived purely from event ordinals — byte-deterministic
-    /// across runs and `--jobs` values.
+    /// across runs.
     Virtual,
 }
 
@@ -258,13 +256,9 @@ fn next_ordinal() -> u64 {
     global().ordinal.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Reserve a contiguous block of `n` ordinals and return its base.
-///
-/// Call this *serially* before fanning work out to parallel workers; each
-/// worker then records with `base + deterministic_index` via
-/// [`record_span_at`], so the exported trace is independent of `--jobs`
-/// (the same protocol `FaultPlan::reserve` uses for fault sites).
-pub fn reserve(n: u64) -> u64 {
+/// Reserve a contiguous block of `n` ordinals and return its base (a
+/// foreign lane's events, re-based by [`absorb_foreign`]).
+fn reserve(n: u64) -> u64 {
     global().ordinal.fetch_add(n, Ordering::Relaxed)
 }
 
@@ -284,8 +278,7 @@ pub struct Span {
     args: Vec<(&'static str, String)>,
 }
 
-/// Open a [`Span`] in category `cat`. Draws a serial ordinal — parallel
-/// workers must use [`record_span_at`] with reserved ordinals instead.
+/// Open a [`Span`] in category `cat`, drawing its ordinal now.
 pub fn span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
     let recording = enabled();
     Span {
@@ -346,38 +339,6 @@ impl Drop for Span {
             });
         }
     }
-}
-
-/// Record a completed span with a *reserved* ordinal (parallel workers).
-///
-/// `ts_us` should come from [`now_us`] at region start; `dur` is the
-/// measured duration. Only call when [`enabled`] — reserved ordinals only
-/// exist in that case.
-pub fn record_span_at(
-    cat: &'static str,
-    name: String,
-    ordinal: u64,
-    ts_us: u64,
-    dur: Duration,
-    args: Vec<(&'static str, String)>,
-) {
-    if !enabled() {
-        return;
-    }
-    with_local(|b| {
-        let lane = b.lane;
-        b.push(TraceEvent {
-            ordinal,
-            cat,
-            name,
-            kind: EventKind::Span {
-                dur_us: dur.as_micros() as u64,
-            },
-            ts_us,
-            lane,
-            args,
-        });
-    });
 }
 
 /// Record a point-in-time event.
@@ -488,8 +449,7 @@ pub fn drain() -> TraceData {
 }
 impl TraceData {
     /// Exported (ts, dur, tid) for an event — virtualized under
-    /// [`ClockMode::Virtual`] so the JSON is byte-identical across runs
-    /// and `--jobs` values.
+    /// [`ClockMode::Virtual`] so the JSON is byte-identical across runs.
     fn view(&self, e: &TraceEvent) -> (u64, u64, u32) {
         let dur = match e.kind {
             EventKind::Span { dur_us } => dur_us,
@@ -787,33 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_ordinals_sort_deterministically() {
-        let _g = locked();
-        enable(ClockMode::Virtual);
-        let base = reserve(4);
-        // Record out of order, as racing workers would.
-        for idx in [2u64, 0, 3, 1] {
-            record_span_at(
-                "test",
-                format!("unit-{idx}"),
-                base + idx,
-                0,
-                Duration::from_micros(7),
-                Vec::new(),
-            );
-        }
-        disable();
-        let data = drain();
-        let names: Vec<&str> = data.events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["unit-0", "unit-1", "unit-2", "unit-3"]);
-        // Virtual clock: export is a pure function of ordinals.
-        let json = data.to_chrome_json();
-        assert!(json.contains("\"ts\":0,\"dur\":5"));
-        assert!(json.contains(&format!("\"ts\":{}", (base + 3) * 10)));
-        assert!(!json.contains("\"tid\":1"));
-    }
-
-    #[test]
     fn ring_overflow_counts_drops() {
         let _g = locked();
         enable(ClockMode::Virtual);
@@ -879,18 +812,10 @@ mod tests {
     fn worker_threads_fold_into_one_drain() {
         let _g = locked();
         enable(ClockMode::Virtual);
-        let base = reserve(8);
         std::thread::scope(|scope| {
             for w in 0..4u64 {
                 scope.spawn(move || {
-                    record_span_at(
-                        "test",
-                        format!("w{w}"),
-                        base + w,
-                        0,
-                        Duration::from_micros(1),
-                        Vec::new(),
-                    );
+                    drop(span("test", format!("w{w}")));
                     counter("t.worker", 1);
                 });
             }

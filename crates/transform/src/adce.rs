@@ -6,8 +6,6 @@
 //! e.g. a dead loop-carried φ chain — in one pass, and also deletes dead
 //! loads and allocations.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::{FuncId, Inst, InstId, Module, Value};
 
@@ -17,25 +15,22 @@ use crate::pm::PassEffect;
 /// The aggressive DCE pass.
 #[derive(Default)]
 pub struct Adce {
-    removed: AtomicUsize,
+    removed: usize,
 }
 
 impl FunctionPass for Adce {
     fn name(&self) -> &'static str {
         "adce"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let n = adce_unit(u);
-        self.removed.fetch_add(n, Ordering::Relaxed);
+        self.removed += n;
         // Only instructions with no observable effect are deleted; blocks
         // and calls survive.
         PassEffect::from_change(n > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "removed {} dead instructions",
-            self.removed.load(Ordering::Relaxed)
-        )
+        format!("removed {} dead instructions", self.removed)
     }
 }
 

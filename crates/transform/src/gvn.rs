@@ -18,7 +18,6 @@
 //! or stored to its address before it, so no trap moves.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lpat_analysis::{Alias, DomTree, PreservedAnalyses};
 use lpat_core::hash::IdHashBuilder;
@@ -30,24 +29,21 @@ use crate::pm::PassEffect;
 /// The value-numbering pass.
 #[derive(Default)]
 pub struct Gvn {
-    eliminated: AtomicUsize,
+    eliminated: usize,
 }
 
 impl FunctionPass for Gvn {
     fn name(&self) -> &'static str {
         "gvn"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let n = gvn_unit(u);
-        self.eliminated.fetch_add(n, Ordering::Relaxed);
+        self.eliminated += n;
         // CFG untouched; only pure, non-call instructions are removed.
         PassEffect::from_change(n > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "eliminated {} redundant instructions",
-            self.eliminated.load(Ordering::Relaxed)
-        )
+        format!("eliminated {} redundant instructions", self.eliminated)
     }
 }
 

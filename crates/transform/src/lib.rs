@@ -46,7 +46,7 @@ pub mod util;
 pub use fpm::{FuncUnit, FunctionPass, FunctionPassAdapter};
 pub use pipelines::{function_pipeline, link_time_pipeline};
 pub use pm::{
-    default_jobs, FaultCause, FuncTiming, ModulePass, PassContext, PassDetails, PassEffect,
-    PassExecution, PassFault, PassManager, PipelineReport,
+    FaultCause, FuncTiming, ModulePass, PassContext, PassDetails, PassEffect, PassExecution,
+    PassFault, PassManager, PipelineReport,
 };
 pub use speculate::{SpecMap, SpecOptions, SpecPlan, SpecProfile};

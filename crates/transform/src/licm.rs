@@ -15,8 +15,6 @@
 //! executed on every entry of the loop, a loss on loops that mostly run
 //! once) and moves no load, so the CFG and every analysis of it survive.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lpat_analysis::{DomTree, PreservedAnalyses};
 use lpat_core::{
     BinOp, BlockId, ConstPool, FuncId, Function, Inst, InstId, Module, TypeCtx, Value,
@@ -28,23 +26,23 @@ use crate::pm::PassEffect;
 /// The loop-invariant code motion pass.
 #[derive(Default)]
 pub struct Licm {
-    hoisted: AtomicUsize,
+    hoisted: usize,
 }
 
 impl FunctionPass for Licm {
     fn name(&self) -> &'static str {
         "licm"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let n = licm_unit(u);
-        self.hoisted.fetch_add(n, Ordering::Relaxed);
+        self.hoisted += n;
         // Instructions move between existing blocks; edges stay put.
         PassEffect::from_change(n > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
         format!(
             "hoisted {} loop-invariant instructions (one per loop left)",
-            self.hoisted.load(Ordering::Relaxed)
+            self.hoisted
         )
     }
 }

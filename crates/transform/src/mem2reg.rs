@@ -10,7 +10,6 @@
 //! it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::{BlockId, FuncId, Inst, InstId, Module, Value};
@@ -22,15 +21,15 @@ use crate::util::remove_unreachable_blocks;
 /// The stack-promotion (SSA construction) pass.
 #[derive(Default)]
 pub struct Mem2Reg {
-    promoted: AtomicUsize,
-    phis: AtomicUsize,
+    promoted: usize,
+    phis: usize,
 }
 
 impl FunctionPass for Mem2Reg {
     fn name(&self) -> &'static str {
         "mem2reg"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         if u.func.is_declaration() {
             return PassEffect::unchanged();
         }
@@ -41,8 +40,8 @@ impl FunctionPass for Mem2Reg {
         // passes that keep the CFG intact reuse it instead of recomputing.
         let _ = u.analyses.domtree(u.func);
         let (p, ph) = promote_unit(u);
-        self.promoted.fetch_add(p, Ordering::Relaxed);
-        self.phis.fetch_add(ph, Ordering::Relaxed);
+        self.promoted += p;
+        self.phis += ph;
         // The cached tree post-dates every CFG edit this pass makes
         // (promotion adds no blocks or edges), so CFG-derived analyses are
         // preserved; removed blocks may have contained calls, though.
@@ -57,8 +56,7 @@ impl FunctionPass for Mem2Reg {
     fn stats(&self) -> String {
         format!(
             "promoted {} allocas, inserted {} phis",
-            self.promoted.load(Ordering::Relaxed),
-            self.phis.load(Ordering::Relaxed)
+            self.promoted, self.phis
         )
     }
 }

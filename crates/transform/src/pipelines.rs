@@ -26,8 +26,7 @@ use crate::sroa::Sroa;
 ///
 /// All passes are function passes, so the whole pipeline runs as one
 /// [`FunctionPassAdapter`] stage: each function flows through every pass
-/// (sharing cached analyses), and independent functions run on worker
-/// threads.
+/// (sharing cached analyses) before the next function starts.
 pub fn function_pipeline() -> PassManager {
     let mut pm = PassManager::new();
     pm.add(

@@ -5,9 +5,8 @@
 //! * [`ModulePass`] — a whole-module transformation. Interprocedural
 //!   passes (internalize, inlining, DGE, ...) implement this directly.
 //! * [`crate::fpm::FunctionPass`] — an intra-procedural transformation
-//!   over one function, run across all functions (possibly in parallel)
-//!   by [`crate::fpm::FunctionPassAdapter`], which itself is a
-//!   `ModulePass`.
+//!   over one function, run over the functions one at a time by
+//!   [`crate::fpm::FunctionPassAdapter`], which itself is a `ModulePass`.
 //!
 //! Every pass returns a [`PassEffect`]: a change flag plus the
 //! [`PreservedAnalyses`] set that drives the
@@ -86,15 +85,12 @@ impl PassEffect {
     }
 }
 
-/// Shared state threaded through a pipeline run: the analysis cache, the
-/// parallelism budget for function-pass stages, and the fault-isolation
-/// policy the managers apply.
+/// Shared state threaded through a pipeline run: the analysis cache and
+/// the fault-isolation policy the managers apply.
 pub struct PassContext {
     /// The analysis cache. Passes request analyses through this instead of
     /// recomputing them.
     pub am: AnalysisManager,
-    /// Worker-thread budget for the function-pass executor (`>= 1`).
-    pub jobs: usize,
     /// Active fault-injection plan, if any. [`PassManager::run_with`]
     /// resolves this from the manager's own plan or the process-wide one.
     pub faults: Option<Arc<FaultPlan>>,
@@ -107,38 +103,16 @@ pub struct PassContext {
     pub degrade: bool,
 }
 
-impl PassContext {
-    /// A context with an explicit job count, or the environment/default
-    /// resolution when `None`: `LPAT_JOBS`, then available parallelism.
-    pub fn new(jobs: Option<usize>) -> PassContext {
+impl Default for PassContext {
+    /// An empty cache, no fault plan, no budget, degrade mode.
+    fn default() -> PassContext {
         PassContext {
             am: AnalysisManager::new(),
-            jobs: jobs.unwrap_or_else(default_jobs).max(1),
             faults: None,
             budget: None,
             degrade: true,
         }
     }
-}
-
-impl Default for PassContext {
-    fn default() -> PassContext {
-        PassContext::new(None)
-    }
-}
-
-/// The job count used when none is given explicitly: the `LPAT_JOBS`
-/// environment variable, else `std::thread::available_parallelism`.
-pub fn default_jobs() -> usize {
-    std::env::var("LPAT_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 /// A whole-module transformation.
@@ -240,9 +214,9 @@ pub struct FuncTiming {
 pub struct PassExecution {
     /// Pass name.
     pub name: &'static str,
-    /// Wall-clock duration. For a parallel function-pass stage the
-    /// top-level row is elapsed time; its `sub` rows are CPU-time sums
-    /// across functions and can exceed it.
+    /// Wall-clock duration. For a function-pass stage the `sub` rows sum
+    /// each sub-pass's time across functions and add up to the top-level
+    /// row less the stage's own bookkeeping.
     pub duration: Duration,
     /// Whether the pass reported a change.
     pub changed: bool,
@@ -353,9 +327,6 @@ pub struct PassManager {
     /// in strict mode the manager panics — type mismatches are useful for
     /// detecting optimizer bugs (paper §2.2).
     pub verify_each: bool,
-    /// Worker-thread budget for function-pass stages. `None` resolves via
-    /// `LPAT_JOBS` / available parallelism at run time.
-    pub jobs: Option<usize>,
     /// Degrade mode (default `true`): faulting passes are rolled back to
     /// a rollback point and the pipeline continues. `false`
     /// (`--no-degrade`) propagates panics and aborts on verifier/budget
@@ -373,7 +344,6 @@ impl Default for PassManager {
         PassManager {
             passes: Vec::new(),
             verify_each: false,
-            jobs: None,
             degrade: true,
             budget: None,
             faults: None,
@@ -401,7 +371,7 @@ impl PassManager {
     /// panics on verifier or budget failures. In degrade mode faults are
     /// isolated and reported instead.
     pub fn run(&mut self, m: &mut Module) -> PipelineReport {
-        let mut cx = PassContext::new(self.jobs);
+        let mut cx = PassContext::default();
         self.run_with(m, &mut cx)
     }
 
@@ -482,8 +452,7 @@ impl PassManager {
             }
             let details = p.take_details();
             // What the rollback point cost: bodies this pass had to
-            // duplicate because the point still shared them (a function-pass
-            // stage folds its workers' counts into this thread's).
+            // duplicate because the point still shared them.
             let copied = body_copies() - copies0;
             if trace::enabled() {
                 sp.arg("copied_funcs", copied.funcs.to_string());
@@ -525,9 +494,7 @@ impl PassManager {
             sp.arg("changed", if changed { "true" } else { "false" });
             drop(sp);
             // Per-function units isolated inside a composite pass surface
-            // here; the stage itself completed. Their fault events are
-            // emitted serially, in function order, so ordinals stay
-            // deterministic under any --jobs.
+            // here, in function order; the stage itself completed.
             if trace::enabled() {
                 for f in &details.faults {
                     let mut args = vec![("cause", f.cause.to_string())];
@@ -570,9 +537,8 @@ fn run_pass(
     injected: Option<FaultAction>,
 ) -> PassEffect {
     match injected {
-        // Abort can reach here only via the parallel fires_at path (the
-        // serial path aborts inside FaultPlan::next); treat it as a panic
-        // so the rollback machinery still gets exercised deterministically.
+        // `FaultPlan::next` aborts in place, so `abort` never reaches
+        // here; the arm keeps the match exhaustive.
         Some(FaultAction::Panic) | Some(FaultAction::Abort) => {
             panic!("injected fault at pass '{}'", p.name())
         }
@@ -660,12 +626,5 @@ mod tests {
         assert_eq!(report.passes[0].name, "a");
         assert!(report.changed());
         assert!(report.render().contains("TOTAL"));
-    }
-
-    #[test]
-    fn jobs_resolution_prefers_explicit() {
-        let cx = PassContext::new(Some(3));
-        assert_eq!(cx.jobs, 3);
-        assert!(PassContext::new(None).jobs >= 1);
     }
 }

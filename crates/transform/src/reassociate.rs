@@ -7,8 +7,6 @@
 //! `(x + c1) + c2` becomes `x + (c1 + c2)` (folded by `instsimplify`), and
 //! `c + x` becomes `x + c`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::fold::fold_bin;
 use lpat_core::{FuncId, Inst, Module, Value};
@@ -19,24 +17,21 @@ use crate::pm::PassEffect;
 /// The reassociation pass.
 #[derive(Default)]
 pub struct Reassociate {
-    rewritten: AtomicUsize,
+    rewritten: usize,
 }
 
 impl FunctionPass for Reassociate {
     fn name(&self) -> &'static str {
         "reassociate"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let n = reassociate_unit(u);
-        self.rewritten.fetch_add(n, Ordering::Relaxed);
+        self.rewritten += n;
         // Rewrites operands in place; CFG and calls untouched.
         PassEffect::from_change(n > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "rewrote {} expressions",
-            self.rewritten.load(Ordering::Relaxed)
-        )
+        format!("rewrote {} expressions", self.rewritten)
     }
 }
 

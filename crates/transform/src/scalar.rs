@@ -5,7 +5,6 @@
 //! passes; `Dce` removes unused side-effect-free instructions.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::fold::{fold_bin, fold_cast, fold_cmp};
@@ -17,27 +16,24 @@ use crate::pm::PassEffect;
 /// Constant folding plus algebraic identity simplification.
 #[derive(Default)]
 pub struct InstSimplify {
-    simplified: AtomicUsize,
+    simplified: usize,
 }
 
 impl FunctionPass for InstSimplify {
     fn name(&self) -> &'static str {
         "instsimplify"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let mut rounds = 0;
         while simplify_unit(u) {
             rounds += 1;
         }
-        self.simplified.fetch_add(rounds, Ordering::Relaxed);
+        self.simplified += rounds;
         // Only pure instructions are replaced; CFG and calls untouched.
         PassEffect::from_change(rounds > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "{} simplification rounds",
-            self.simplified.load(Ordering::Relaxed)
-        )
+        format!("{} simplification rounds", self.simplified)
     }
 }
 
@@ -245,24 +241,21 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
 /// results are unused, iterating to a fixpoint.
 #[derive(Default)]
 pub struct Dce {
-    removed: AtomicUsize,
+    removed: usize,
 }
 
 impl FunctionPass for Dce {
     fn name(&self) -> &'static str {
         "dce"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let n = dce_unit(u);
-        self.removed.fetch_add(n, Ordering::Relaxed);
+        self.removed += n;
         // Removed instructions have no side effects, so no calls are lost.
         PassEffect::from_change(n > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "removed {} dead instructions",
-            self.removed.load(Ordering::Relaxed)
-        )
+        format!("removed {} dead instructions", self.removed)
     }
 }
 

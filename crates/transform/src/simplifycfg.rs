@@ -1,8 +1,6 @@
 //! CFG simplification: constant-fold terminators, delete unreachable
 //! blocks, merge straight-line block chains, and forward empty blocks.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::{BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
 
@@ -13,24 +11,24 @@ use crate::util::remove_unreachable_blocks;
 /// The CFG simplification pass.
 #[derive(Default)]
 pub struct SimplifyCfg {
-    folded: AtomicUsize,
-    merged: AtomicUsize,
-    removed: AtomicUsize,
-    forwarded: AtomicUsize,
+    folded: usize,
+    merged: usize,
+    removed: usize,
+    forwarded: usize,
 }
 
 impl FunctionPass for SimplifyCfg {
     fn name(&self) -> &'static str {
         "simplifycfg"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         let mut changed = false;
         loop {
             let (f1, f2, f3, f4) = simplify_cfg_unit(u);
-            self.folded.fetch_add(f1, Ordering::Relaxed);
-            self.removed.fetch_add(f2, Ordering::Relaxed);
-            self.merged.fetch_add(f3, Ordering::Relaxed);
-            self.forwarded.fetch_add(f4, Ordering::Relaxed);
+            self.folded += f1;
+            self.removed += f2;
+            self.merged += f3;
+            self.forwarded += f4;
             if f1 + f2 + f3 + f4 == 0 {
                 break;
             }
@@ -43,10 +41,7 @@ impl FunctionPass for SimplifyCfg {
     fn stats(&self) -> String {
         format!(
             "folded {} branches, removed {} blocks, merged {} chains, forwarded {} blocks",
-            self.folded.load(Ordering::Relaxed),
-            self.removed.load(Ordering::Relaxed),
-            self.merged.load(Ordering::Relaxed),
-            self.forwarded.load(Ordering::Relaxed)
+            self.folded, self.removed, self.merged, self.forwarded
         )
     }
 }

@@ -31,7 +31,7 @@
 //! misspeculation rate exceeds the threshold is simply not re-emitted.
 //! The decision function is pure integer arithmetic over the merged
 //! lifetime counters, so the offline reoptimizer and the in-memory run
-//! reach byte-identical [`SpecPlan`]s at any `--jobs`.
+//! reach byte-identical [`SpecPlan`]s, run after run.
 //!
 //! [misspeculations]: SpecProfile::guard_misspec
 

@@ -6,8 +6,6 @@
 //! all constant-field GEPs into one alloca per field, and `mem2reg` then
 //! promotes those.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::{FuncId, Inst, InstId, Module, Type, Value};
 
@@ -17,14 +15,14 @@ use crate::pm::PassEffect;
 /// The scalar-expansion pass.
 #[derive(Default)]
 pub struct Sroa {
-    expanded: AtomicUsize,
+    expanded: usize,
 }
 
 impl FunctionPass for Sroa {
     fn name(&self) -> &'static str {
         "sroa"
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         // Iterate: splitting a struct of structs exposes new candidates.
         let mut total = 0;
         loop {
@@ -34,15 +32,12 @@ impl FunctionPass for Sroa {
                 break;
             }
         }
-        self.expanded.fetch_add(total, Ordering::Relaxed);
+        self.expanded += total;
         // Rewrites allocas and GEPs only; CFG and calls untouched.
         PassEffect::from_change(total > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!(
-            "expanded {} aggregate allocas",
-            self.expanded.load(Ordering::Relaxed)
-        )
+        format!("expanded {} aggregate allocas", self.expanded)
     }
 }
 

@@ -38,9 +38,6 @@ pub struct PgoOptions {
     pub max_callee_size: usize,
     /// Ceiling on caller growth (instructions).
     pub caller_cap: usize,
-    /// Worker threads for the cleanup pipeline run after hot inlining
-    /// (`None` = the pass manager's default).
-    pub jobs: Option<usize>,
     /// When set, compute the speculation plan against the reoptimized
     /// module: which guards the accumulated profile justifies emitting,
     /// and which prior speculations it retracts (misspeculation rate over
@@ -56,7 +53,6 @@ impl Default for PgoOptions {
             hot_call_threshold: 64,
             max_callee_size: 2000,
             caller_cap: 50_000,
-            jobs: None,
             spec: None,
         }
     }
@@ -81,8 +77,8 @@ pub struct PgoReport {
     pub faults: Vec<PassFault>,
     /// The speculation plan computed against the final module (when
     /// [`PgoOptions::spec`] is set). Its canonical rendering is pure in
-    /// `(module, profile, options)`, so offline reopt at any `--jobs`
-    /// produces byte-identical plan text to the in-memory decision.
+    /// `(module, profile, options)`, so offline reopt produces
+    /// byte-identical plan text to the in-memory decision.
     pub spec_plan: Option<lpat_transform::SpecPlan>,
 }
 
@@ -104,14 +100,13 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
     // A pass the manager owns must own what it reads.
     let shared = Rc::new(profile.clone());
     let (p, o) = (shared.clone(), opts.clone());
-    report.inlined = run_stage(m, opts.jobs, &mut report.faults, "pgo-inline", move |m| {
+    report.inlined = run_stage(m, &mut report.faults, "pgo-inline", move |m| {
         inline_hot_sites(m, &p, &o)
     });
     if report.inlined > 0 {
         // Clean up what hot inlining exposed before choosing a layout,
         // through the instrumented pass framework.
         let mut pm = PassManager::new();
-        pm.jobs = opts.jobs;
         pm.add(
             FunctionPassAdapter::new("pgo-cleanup")
                 .add(InstSimplify::default())
@@ -122,7 +117,7 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
         report.cleanup = pm.run(m);
         report.faults.extend(report.cleanup.faults.iter().cloned());
     }
-    report.relaid = run_stage(m, opts.jobs, &mut report.faults, "pgo-layout", move |m| {
+    report.relaid = run_stage(m, &mut report.faults, "pgo-layout", move |m| {
         layout_by_profile(m, &shared)
     });
     if let Some(sopts) = &opts.spec {
@@ -161,14 +156,12 @@ impl<F: FnMut(&mut Module) -> usize> ModulePass for Stage<F> {
 /// changed nothing and counts 0; its fault joins `faults`.
 fn run_stage(
     m: &mut Module,
-    jobs: Option<usize>,
     faults: &mut Vec<PassFault>,
     name: &'static str,
     run: impl FnMut(&mut Module) -> usize + 'static,
 ) -> usize {
     let count = Rc::new(Cell::new(0));
     let mut pm = PassManager::new();
-    pm.jobs = jobs;
     pm.add(Stage {
         name,
         run,

@@ -82,8 +82,6 @@ pub struct OptConfig {
     pub function: bool,
     /// Run the link-time interprocedural pipeline after it.
     pub link_time: bool,
-    /// Worker threads (`None` = the pass manager's default).
-    pub jobs: Option<usize>,
     /// Verify the module after every pass.
     pub verify_each: bool,
     /// Make a faulting pass fatal instead of rolling it back.
@@ -105,7 +103,6 @@ pub fn optimize(
 ) -> Result<Vec<(&'static str, PipelineReport)>, String> {
     let mut reports = Vec::new();
     let mut stage = |title, mut pm: lpat_transform::PassManager| {
-        pm.jobs = cfg.jobs;
         pm.verify_each = cfg.verify_each;
         pm.degrade = !cfg.no_degrade;
         pm.budget = cfg.budget;

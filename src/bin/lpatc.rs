@@ -3,13 +3,13 @@
 //! ```text
 //! lpatc compile <in.mc> [-o out.bc] [--emit text|bc] [-O]   miniC -> IR
 //! lpatc opt     <in>    [-o out]    [--emit text|bc] [--link-pipeline]
-//!               [--jobs N] [--verify-each] [--time-passes]
+//!               [--verify-each] [--time-passes]
 //!               [--inject-faults PLAN] [--no-degrade] [--pass-budget-ms N]
 //! lpatc link    <in...> -o out      [--emit text|bc] [-O]
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
 //!               [--jit | --tiered] [--speculate] [--spec-threshold N] [--cache-dir DIR]
-//! lpatc reopt   <in>    --cache-dir DIR [-o out] [--jobs N]
+//! lpatc reopt   <in>    --cache-dir DIR [-o out]
 //!               [--speculate] [--spec-threshold N]
 //! lpatc analyze <in>                                        DSA + call graph report
 //! lpatc size    <in>                                        code-size report
@@ -67,7 +67,7 @@
 //! guards the profile justifies and which are *retracted* because their
 //! misspeculation rate reaches `--spec-threshold` percent (0 to 100,
 //! default 25; the flag implies `--speculate`) — byte-identically to the
-//! in-memory decision at any `--jobs`. Speculation is an in-memory
+//! in-memory decision. Speculation is an in-memory
 //! overlay: the stored module and its profile stay unspeculated.
 //!
 //! # Lifelong persistence
@@ -95,7 +95,7 @@ use lpat::vm::session::{self, Mode, Note, OptConfig, ReoptError, RunConfig, RunE
 /// What `compile`, `opt` and `link` read, beside [`cli::GLOBAL`].
 const COMPILE: Flags = Flags {
     switches: "-O --link-pipeline --verify-each --time-passes --no-degrade",
-    valued: "-o --emit --jobs --pass-budget-ms",
+    valued: "-o --emit --pass-budget-ms",
 };
 
 /// `dis`, `analyze` and `size` read an input and the global flags.
@@ -106,12 +106,12 @@ const INPUT_ONLY: Flags = Flags {
 
 const RUN: Flags = Flags {
     switches: "-O --profile --jit --tiered --speculate",
-    valued: "--jobs --fuel --input --max-stack --spec-threshold --cache-dir",
+    valued: "--fuel --input --max-stack --spec-threshold --cache-dir",
 };
 
 const REOPT: Flags = Flags {
     switches: "--speculate",
-    valued: "--cache-dir -o --emit --jobs --hot-threshold --spec-threshold",
+    valued: "--cache-dir -o --emit --hot-threshold --spec-threshold",
 };
 
 /// `remote ping|run|compile|reopt|stats`.
@@ -184,7 +184,7 @@ fn usage() {
          \x20      [-O] [--tiered] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
          \x20      [--request-id N]; top: [--interval-ms N] [--iterations N]\n\
          flags: -o FILE, --emit text|bc, -O, --link-pipeline,\n\
-         \x20      --jobs N, --verify-each, --time-passes,\n\
+         \x20      --verify-each, --time-passes,\n\
          \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
          \x20      --profile, --jit | --tiered,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
@@ -213,7 +213,6 @@ fn compile(cmd: &str, args: &Args, diag: &Diag) -> Result<ExitCode, String> {
     let cfg = OptConfig {
         function: o || cmd == "opt",
         link_time: args.has("--link-pipeline") || (cmd == "link" && o),
-        jobs: jobs(args)?,
         verify_each: args.has("--verify-each"),
         no_degrade: args.has("--no-degrade"),
         budget: args.parsed("--pass-budget-ms")?.map(Duration::from_millis),
@@ -239,11 +238,6 @@ fn optimize(m: &mut Module, cfg: &OptConfig, time_passes: bool, diag: &Diag) -> 
         }
     }
     Ok(())
-}
-
-/// `--jobs N`, at least 1.
-fn jobs(args: &Args) -> Result<Option<usize>, String> {
-    Ok(args.parsed::<usize>("--jobs")?.map(|n| n.max(1)))
 }
 
 /// `--speculate`, or `--spec-threshold N` (a percentage), which implies
@@ -293,7 +287,6 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     if args.has("-O") {
         let cfg = OptConfig {
             function: true,
-            jobs: jobs(args)?,
             ..Default::default()
         };
         optimize(&mut m, &cfg, false, diag)?;
@@ -429,7 +422,6 @@ fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let m = load(input)?;
     let store = lpat::vm::Store::open(&dir).map_err(|e| e.to_string())?;
     let mut pgo = lpat::vm::PgoOptions {
-        jobs: jobs(args)?,
         spec: spec_options(args)?,
         ..Default::default()
     };
@@ -452,7 +444,7 @@ fn reopt(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
             plan.retracted()
         ));
         // The canonical plan rendering goes to stdout so tests can
-        // compare offline decisions byte-for-byte across --jobs.
+        // compare offline decisions byte-for-byte with in-memory ones.
         print!("{}", plan.render());
     }
     for f in &report.pgo.faults {

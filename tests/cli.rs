@@ -216,6 +216,28 @@ fn run_refuses_two_engines_and_the_retired_tier_thresholds() {
     }
 }
 
+/// Function passes run on one thread, so there is no job count to set:
+/// `--jobs` is an unknown flag to every command that once read it.
+#[test]
+fn compile_opt_link_run_and_reopt_refuse_the_retired_job_count() {
+    let (d, mc, bc) = program("retired-jobs");
+    let cache = d.join("cache");
+    let out = d.join("out.bc");
+    let (cache, out) = (cache.to_str().unwrap(), out.to_str().unwrap());
+    for cmd in [
+        &["compile", &mc, "-o", out][..],
+        &["opt", &bc, "-o", out],
+        &["link", &bc, "-o", out],
+        &["run", &bc],
+        &["reopt", &bc, "--cache-dir", cache],
+    ] {
+        let mut args = cmd.to_vec();
+        args.extend(["--jobs", "4"]);
+        assert_refused(&lpatc(&args), "--jobs");
+    }
+    assert!(!std::path::Path::new(out).exists());
+}
+
 /// A profile lives in the store and nowhere else: `run` and `reopt` read
 /// no profile file and write none, and `-O` has one spelling.
 #[test]

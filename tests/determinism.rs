@@ -1,37 +1,35 @@
-//! The parallel function-pass stage must be deterministic: optimizing the
-//! same module with any `--jobs` value yields byte-identical IR, because
-//! every worker runs against a snapshot of the stage-entry constant/type
-//! pools and the adapter merges per-function pool overlays in function
-//! order.
+//! The optimizer is a function of its input: optimizing the same module
+//! twice yields byte-identical IR. Function passes run one function at a
+//! time against the module's own pools, so nothing about the run but the
+//! module decides which ids new pool entries get — and two pipelines
+//! running at once in one process (as `lpatd` serves compiles on its
+//! connection threads) must not disturb each other either.
 
-fn optimized(m: &lpat::core::Module, jobs: usize) -> String {
+use std::sync::Barrier;
+
+fn optimized(m: &lpat::core::Module) -> String {
     let mut c = m.clone();
-    let mut pm = lpat::transform::function_pipeline();
-    pm.jobs = Some(jobs);
-    pm.run(&mut c);
-    let mut pm = lpat::transform::link_time_pipeline();
-    pm.jobs = Some(jobs);
-    pm.run(&mut c);
-    c.verify().unwrap_or_else(|e| panic!("jobs={jobs}: {e:?}"));
+    lpat::transform::function_pipeline().run(&mut c);
+    lpat::transform::link_time_pipeline().run(&mut c);
+    c.verify().unwrap_or_else(|e| panic!("{e:?}"));
     c.display()
 }
 
 #[test]
-fn jobs_one_and_four_produce_identical_ir() {
-    for (name, m) in lpat::workloads::compile_suite(4) {
-        let seq = optimized(&m, 1);
-        let par = optimized(&m, 4);
-        assert_eq!(
-            seq, par,
-            "workload {name} diverged between jobs=1 and jobs=4"
-        );
-    }
-}
-
-#[test]
 fn repeated_parallel_runs_are_stable() {
-    let (name, m) = lpat::workloads::compile_suite(4).swap_remove(0);
-    let a = optimized(&m, 4);
-    let b = optimized(&m, 4);
-    assert_eq!(a, b, "workload {name} not stable across runs");
+    let suite = lpat::workloads::compile_suite(4);
+    let start = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let run = || {
+            s.spawn(|| {
+                start.wait();
+                suite.iter().map(|(_, m)| optimized(m)).collect::<Vec<_>>()
+            })
+        };
+        let (a, b) = (run(), run());
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for ((name, _), (a, b)) in suite.iter().zip(a.iter().zip(&b)) {
+        assert_eq!(a, b, "workload {name} not stable across runs");
+    }
 }

@@ -1,16 +1,17 @@
 //! Fault isolation end-to-end: injected panics, timeouts, and
 //! miscompiles must roll back cleanly, surface as structured
 //! [`PassFault`]s, and leave the output byte-identical to skipping the
-//! faulted pass — at any `--jobs` value.
+//! faulted pass — on the same unit, run after run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
+use lpat::analysis::PreservedAnalyses;
 use lpat::asm::parse_module;
 use lpat::bytecode::write_module;
-use lpat::core::{FaultPlan, Module};
+use lpat::core::{Const, FaultPlan, Inst, IntKind, Module, Type, TypeId, Value};
 use lpat::transform::adce::Adce;
 use lpat::transform::devirtualize::Devirtualize;
 use lpat::transform::gvn::Gvn;
@@ -144,10 +145,9 @@ fn injected_panic_output_identical_to_skipping_the_pass() {
 
 /// Run the standard function pipeline with a fault plan and return the
 /// output bytes plus (pass, function) for each isolated fault.
-fn run_fn_pipeline(jobs: usize, fault_plan: &str) -> (Vec<u8>, Vec<(String, Option<String>)>) {
+fn run_fn_pipeline(fault_plan: &str) -> (Vec<u8>, Vec<(String, Option<String>)>) {
     let mut m = sample();
     let mut pm = function_pipeline();
-    pm.jobs = Some(jobs);
     pm.faults = plan(fault_plan);
     let report = pm.run(&mut m);
     let faults = report
@@ -159,18 +159,18 @@ fn run_fn_pipeline(jobs: usize, fault_plan: &str) -> (Vec<u8>, Vec<(String, Opti
 }
 
 #[test]
-fn unit_fault_is_deterministic_across_job_counts() {
-    let (b1, f1) = run_fn_pipeline(1, "gvn:panic@2");
-    let (b8, f8) = run_fn_pipeline(8, "gvn:panic@2");
+fn unit_fault_is_deterministic_across_runs() {
+    let (b1, f1) = run_fn_pipeline("gvn:panic@2");
+    let (b2, f2) = run_fn_pipeline("gvn:panic@2");
     assert_eq!(f1.len(), 1);
-    assert_eq!(f1, f8, "fault must land on the same unit at any -jobs");
-    assert_eq!(f1[0].0, "gvn");
-    assert!(f1[0].1.is_some(), "unit faults carry the function name");
-    assert_eq!(b1, b8, "output must be byte-identical at any --jobs");
+    assert_eq!(f1, f2, "fault must land on the same unit every run");
+    // Ordinal N of a pass occurrence is function N: `@2` is the second.
+    assert_eq!(f1[0], ("gvn".to_string(), Some("sum_squares".to_string())));
+    assert_eq!(b1, b2, "output must be byte-identical every run");
 }
 
 /// Build [mem2reg, gvn?, simplifycfg] as one function-pass stage.
-fn run_units(with_gvn: bool, fault_plan: Option<&str>, jobs: usize) -> (Vec<u8>, usize) {
+fn run_units(with_gvn: bool, fault_plan: Option<&str>) -> (Vec<u8>, usize) {
     let mut m = sample();
     let mut a = FunctionPassAdapter::new("units").add(Mem2Reg::default());
     if with_gvn {
@@ -178,7 +178,6 @@ fn run_units(with_gvn: bool, fault_plan: Option<&str>, jobs: usize) -> (Vec<u8>,
     }
     let a = a.add(SimplifyCfg::default());
     let mut pm = PassManager::new();
-    pm.jobs = Some(jobs);
     pm.add(a);
     if let Some(p) = fault_plan {
         pm.faults = plan(p);
@@ -189,31 +188,27 @@ fn run_units(with_gvn: bool, fault_plan: Option<&str>, jobs: usize) -> (Vec<u8>,
 
 #[test]
 fn faulting_every_unit_equals_dropping_the_pass() {
-    let (skip, n_skip) = run_units(false, None, 1);
-    let (fault1, n1) = run_units(true, Some("gvn:panic"), 1);
-    let (fault8, n8) = run_units(true, Some("gvn:panic"), 8);
+    let (skip, n_skip) = run_units(false, None);
+    let (faulted, n) = run_units(true, Some("gvn:panic"));
     assert_eq!(n_skip, 0);
-    assert!(n1 >= 1, "the unconditional plan must fire on every unit");
-    assert_eq!(n1, n8);
-    assert_eq!(fault1, skip, "all-units rollback == pipeline without gvn");
-    assert_eq!(fault8, skip);
+    assert_eq!(n, 4, "the unconditional plan must fire on every unit");
+    assert_eq!(faulted, skip, "all-units rollback == pipeline without gvn");
 }
 
 #[test]
 fn suite_wide_fault_determinism() {
     for (name, m0) in lpat::workloads::compile_suite(0) {
-        let run = |jobs: usize| {
+        let run = || {
             let mut m = m0.clone();
             let mut pm = function_pipeline();
-            pm.jobs = Some(jobs);
             pm.faults = plan("instsimplify:panic@3,gvn:panic@1");
             let report = pm.run(&mut m);
             (write_module(&m), report.faults.len())
         };
-        let (b1, n1) = run(1);
-        let (b8, n8) = run(8);
-        assert_eq!(b1, b8, "{name}: output differs across job counts");
-        assert_eq!(n1, n8, "{name}: fault count differs across job counts");
+        let (b1, n1) = run();
+        let (b2, n2) = run();
+        assert_eq!(b1, b2, "{name}: output differs across runs");
+        assert_eq!(n1, n2, "{name}: fault count differs across runs");
     }
 }
 
@@ -275,11 +270,10 @@ fn strict_mode_propagates_faults() {
     pm.add(Internalize::default());
     assert!(catch_unwind(AssertUnwindSafe(|| pm.run(&mut m))).is_err());
 
-    // A panic on a parallel worker is re-raised on the caller.
+    // So does a panic in one function's unit.
     let mut m = sample();
     let mut pm = function_pipeline();
     pm.degrade = false;
-    pm.jobs = Some(4);
     pm.faults = plan("gvn:panic@1");
     assert!(catch_unwind(AssertUnwindSafe(|| pm.run(&mut m))).is_err());
 
@@ -443,7 +437,7 @@ impl FunctionPass for Except {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn run_on(&self, u: &mut FuncUnit<'_>) -> PassEffect {
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
         if self.skip.as_deref() == Some(u.func.name()) {
             return PassEffect::unchanged();
         }
@@ -537,16 +531,15 @@ enum Kind {
     Delay,
 }
 
-fn armed(stages: &[Stage], skips: &[Skip], kind: Kind, jobs: usize) -> PassManager {
+fn armed(stages: &[Stage], skips: &[Skip], kind: Kind) -> PassManager {
     let mut pm = build(stages, skips);
-    pm.jobs = Some(jobs);
     pm.verify_each = kind == Kind::Corrupt;
     pm
 }
 
-/// Every ordinal of pass `pass` in `stages` over `input`, under `kind`, at
-/// `--jobs` 1 and 4: the bytes must equal those of the pipeline built
-/// without whatever the report says was rolled back. Returns how many
+/// Every ordinal of pass `pass` in `stages` over `input`, under `kind`:
+/// the bytes must equal those of the pipeline built without whatever the
+/// report says was rolled back. Returns how many
 /// ordinals there were.
 fn every_ordinal(stages: &[Stage], input: &Module, pass: &str, kind: Kind) -> usize {
     // Where each ordinal lands. Nothing differs from a clean run before the
@@ -573,50 +566,48 @@ fn every_ordinal(stages: &[Stage], input: &Module, pass: &str, kind: Kind) -> us
             Kind::Corrupt => format!("{pass}:corrupt@{}", n + 1),
             Kind::Delay => format!("{pass}:delay=60ms@{}", n + 1),
         };
-        for jobs in [1, 4] {
-            let mut faulted = input.clone();
-            let mut pm = armed(stages, &[], kind, jobs);
-            pm.faults = plan(&spec);
-            if kind == Kind::Delay {
-                pm.budget = Some(Duration::from_millis(30));
-            }
-            let report = pm.run(&mut faulted);
-            // Whole stages the manager rolled back (a module pass; or a
-            // function-pass stage that a corrupted or delayed unit took
-            // down with it — or, under the budget, a slow machine).
-            let mut skips: Vec<Skip> = (report.passes.iter().enumerate())
-                .filter(|(_, p)| p.stats == "faulted; rolled back")
-                .map(|(si, _)| (si, None))
-                .collect();
-            if kind == Kind::Panic {
-                // A panic is contained where it happened, and reported.
-                let expected: Vec<_> = match unit {
-                    (_, None) => vec![(pass.to_string(), None)],
-                    (_, Some((_, f))) => vec![(pass.to_string(), Some(f.clone()))],
-                };
-                let got: Vec<_> = (report.faults.iter())
-                    .map(|f| (f.pass.clone(), f.function.clone()))
-                    .collect();
-                assert_eq!(got, expected, "{spec} --jobs {jobs}");
-                match unit {
-                    (si, None) => assert_eq!(skips, [(*si, None)], "{spec}"),
-                    unit => {
-                        assert_eq!(skips, [], "{spec}");
-                        skips.push(unit.clone());
-                    }
-                }
-            } else if let (si, None) = unit {
-                assert!(skips.contains(&(*si, None)), "{spec}: not rolled back");
-            }
-            let mut without = input.clone();
-            let r = armed(stages, &skips, kind, jobs).run(&mut without);
-            assert!(r.faults.is_empty(), "{spec}: the reference faulted");
-            assert_eq!(
-                write_module(&faulted),
-                write_module(&without),
-                "{spec} --jobs {jobs}: not what the pipeline without {skips:?} leaves"
-            );
+        let mut faulted = input.clone();
+        let mut pm = armed(stages, &[], kind);
+        pm.faults = plan(&spec);
+        if kind == Kind::Delay {
+            pm.budget = Some(Duration::from_millis(30));
         }
+        let report = pm.run(&mut faulted);
+        // Whole stages the manager rolled back (a module pass; or a
+        // function-pass stage that a corrupted or delayed unit took
+        // down with it — or, under the budget, a slow machine).
+        let mut skips: Vec<Skip> = (report.passes.iter().enumerate())
+            .filter(|(_, p)| p.stats == "faulted; rolled back")
+            .map(|(si, _)| (si, None))
+            .collect();
+        if kind == Kind::Panic {
+            // A panic is contained where it happened, and reported.
+            let expected: Vec<_> = match unit {
+                (_, None) => vec![(pass.to_string(), None)],
+                (_, Some((_, f))) => vec![(pass.to_string(), Some(f.clone()))],
+            };
+            let got: Vec<_> = (report.faults.iter())
+                .map(|f| (f.pass.clone(), f.function.clone()))
+                .collect();
+            assert_eq!(got, expected, "{spec}");
+            match unit {
+                (si, None) => assert_eq!(skips, [(*si, None)], "{spec}"),
+                unit => {
+                    assert_eq!(skips, [], "{spec}");
+                    skips.push(unit.clone());
+                }
+            }
+        } else if let (si, None) = unit {
+            assert!(skips.contains(&(*si, None)), "{spec}: not rolled back");
+        }
+        let mut without = input.clone();
+        let r = armed(stages, &skips, kind).run(&mut without);
+        assert!(r.faults.is_empty(), "{spec}: the reference faulted");
+        assert_eq!(
+            write_module(&faulted),
+            write_module(&without),
+            "{spec}: not what the pipeline without {skips:?} leaves"
+        );
     }
     units.len()
 }
@@ -642,15 +633,15 @@ fn every_unit_rolls_back_to_the_pipeline_without_it() {
 #[test]
 fn rollback_corner_cases() {
     let raw = linked(&FOUR_UNITS);
-    let run = |stages: &[Stage], input: &Module, skips: &[Skip], spec: Option<&str>, jobs| {
+    let run = |stages: &[Stage], input: &Module, skips: &[Skip], spec: Option<&str>| {
         let mut m = input.clone();
         // `--verify-each` on throughout, so a `corrupt` is noticed.
-        let mut pm = armed(stages, skips, Kind::Corrupt, jobs);
+        let mut pm = armed(stages, skips, Kind::Corrupt);
         pm.faults = spec.and_then(plan);
         let report = pm.run(&mut m);
         (write_module(&m), report)
     };
-    let (_, clean) = run(&FUNCTION_OPTS, &raw, &[], None, 1);
+    let (_, clean) = run(&FUNCTION_OPTS, &raw, &[], None);
     let funcs = &clean.passes[0].functions;
     let n = funcs.len();
     // A function every sub-pass has something to do in.
@@ -659,43 +650,121 @@ fn rollback_corner_cases() {
         .map(|(k, f)| (k, f.name.clone()))
         .unwrap();
     let unit = |pi: usize| -> Skip { (0, Some((pi, victim.clone()))) };
-    for jobs in [1, 4] {
-        // Two faults in one function's pipeline: sub-passes 3 and 8.
-        let spec = format!("reassociate:panic@{},adce:panic@{}", k + 1, k + 1);
-        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
-        assert_eq!(r.faults.len(), 2);
-        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(3), unit(8)], None, jobs);
-        assert_eq!(faulted, without, "{spec}");
-        // The first sub-pass, and the last (the second `simplifycfg`).
-        let spec = format!("sroa:panic@{},simplifycfg:panic@{}", k + 1, n + k + 1);
-        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
-        assert_eq!(r.faults.len(), 2);
-        let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(0), unit(9)], None, jobs);
-        assert_eq!(faulted, without, "{spec}");
-        // A simulated miscompile nothing later cleans up (the last
-        // sub-pass) beside a panic in the same function: the replay must
-        // leave the miscompile behind again for `--verify-each` to take
-        // the stage down.
-        let spec = format!("simplifycfg:corrupt@{},gvn:panic@{}", n + k + 1, k + 1);
-        let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec), jobs);
-        assert!(matches!(r.faults[0].cause, FaultCause::VerifyFailed(_)));
-        assert_eq!(faulted, write_module(&raw), "{spec}");
-    }
+    // Two faults in one function's pipeline: sub-passes 3 and 8.
+    let spec = format!("reassociate:panic@{},adce:panic@{}", k + 1, k + 1);
+    let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec));
+    assert_eq!(r.faults.len(), 2);
+    let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(3), unit(8)], None);
+    assert_eq!(faulted, without, "{spec}");
+    // The first sub-pass, and the last (the second `simplifycfg`).
+    let spec = format!("sroa:panic@{},simplifycfg:panic@{}", k + 1, n + k + 1);
+    let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec));
+    assert_eq!(r.faults.len(), 2);
+    let (without, _) = run(&FUNCTION_OPTS, &raw, &[unit(0), unit(9)], None);
+    assert_eq!(faulted, without, "{spec}");
+    // A simulated miscompile nothing later cleans up (the last
+    // sub-pass) beside a panic in the same function: the replay must
+    // leave the miscompile behind again for `--verify-each` to take
+    // the stage down.
+    let spec = format!("simplifycfg:corrupt@{},gvn:panic@{}", n + k + 1, k + 1);
+    let (faulted, r) = run(&FUNCTION_OPTS, &raw, &[], Some(&spec));
+    assert!(matches!(r.faults[0].cause, FaultCause::VerifyFailed(_)));
+    assert_eq!(faulted, write_module(&raw), "{spec}");
 
     // Module passes that had already edited the function table when they
     // were rolled back: DAE appends rewritten functions and deletes the
     // originals, DGE and the inliner delete.
     let mut optimized = raw.clone();
     function_pipeline().run(&mut optimized);
-    let (_, clean) = run(&LINK_TIME, &optimized, &[], None, 1);
+    let (_, clean) = run(&LINK_TIME, &optimized, &[], None);
     for (si, name) in [(3, "dae"), (4, "dge"), (5, "inline")] {
         assert!(clean.passes[si].changed, "{name} has nothing to do here");
         let spec = format!("{name}:corrupt@1");
-        let (faulted, r) = run(&LINK_TIME, &optimized, &[], Some(&spec), 1);
+        let (faulted, r) = run(&LINK_TIME, &optimized, &[], Some(&spec));
         assert_eq!(r.faults.len(), 1, "{spec}");
         assert!(matches!(r.faults[0].cause, FaultCause::VerifyFailed(_)));
-        let (without, _) = run(&LINK_TIME, &optimized, &[(si, None)], None, 1);
+        let (without, _) = run(&LINK_TIME, &optimized, &[(si, None)], None);
         assert_eq!(faulted, without, "{spec}");
+    }
+}
+
+/// A function pass that puts an `alloca [N x long], uint C` at the top of
+/// each function's entry block, `N` and `C` drawn from the function's
+/// name: every unit interns a constant and two types of its own.
+struct Interner;
+
+fn interned_by(name: &str) -> (u64, u32) {
+    let h = name
+        .bytes()
+        .fold(17u32, |h, b| h.wrapping_mul(31) ^ b as u32)
+        % 100_000;
+    (1_000 + h as u64, 2_000_000 + h)
+}
+
+impl FunctionPass for Interner {
+    fn name(&self) -> &'static str {
+        "interner"
+    }
+    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
+        if u.func.is_declaration() {
+            return PassEffect::unchanged();
+        }
+        let (len, count) = interned_by(u.func.name());
+        let long = u.types.i64();
+        let elem_ty = u.types.array(long, len);
+        let ptr = u.types.ptr(elem_ty);
+        let count = Some(Value::Const(u.consts.u32(count)));
+        let id = u.func.new_inst(Inst::Alloca { elem_ty, count }, ptr);
+        let entry = u.func.entry();
+        u.func.insert_inst(entry, 0, id);
+        PassEffect::changed(PreservedAnalyses::none())
+    }
+}
+
+/// A rollback in a later unit goes back to the pool lengths *that unit*
+/// began with: what units 0..=k interned stays, and the module is the one
+/// the pipeline without the faulted sub-pass on unit k+1 leaves.
+#[test]
+fn a_later_units_rollback_keeps_what_earlier_units_interned() {
+    let run = |skip: Option<String>, spec: Option<&str>| {
+        let mut m = sample();
+        let mut pm = PassManager::new();
+        pm.add(FunctionPassAdapter::new("units").add(Interner).add(Except {
+            inner: Box::new(Gvn::default()),
+            skip,
+        }));
+        pm.faults = spec.and_then(plan);
+        let report = pm.run(&mut m);
+        (m, report)
+    };
+    let names: Vec<String> = (sample().func_ids())
+        .map(|f| sample().func(f).name().to_string())
+        .collect();
+    let k = 1;
+    let victim = names[k + 1].clone();
+    // Ordinal k + 2 of `gvn` is function k + 1.
+    let (faulted, report) = run(None, Some(&format!("gvn:panic@{}", k + 2)));
+    let got: Vec<_> = (report.faults.iter())
+        .map(|f| (f.pass.as_str(), f.function.clone()))
+        .collect();
+    assert_eq!(got, [("gvn", Some(victim.clone()))]);
+    faulted.verify().unwrap();
+    let (without, r) = run(Some(victim), None);
+    assert!(r.faults.is_empty());
+    assert_eq!(write_module(&faulted), write_module(&without));
+    let long = faulted.types.i64();
+    for name in &names[..=k] {
+        let (len, count) = interned_by(name);
+        let c = Const::Int {
+            kind: IntKind::U32,
+            value: count as i64,
+        };
+        assert!(faulted.consts.iter().any(|(_, x)| *x == c), "{name}: {c:?}");
+        let t = Type::Array { elem: long, len };
+        assert!(
+            (0..faulted.types.len()).any(|i| *faulted.types.ty(TypeId::from_index(i)) == t),
+            "{name}: {t:?}"
+        );
     }
 }
 
@@ -770,42 +839,33 @@ fn lpatc_degrades_cleanly_under_fault_matrix() {
         for (name, m) in lpat::workloads::compile_suite(0) {
             let input = tmp(&format!("fi-{pass}-{name}.bc"));
             std::fs::write(&input, write_module(&m)).unwrap();
-            let mut outputs = Vec::new();
-            for jobs in ["1", "8"] {
-                let out_path = tmp(&format!("fi-{pass}-{name}-j{jobs}.bc"));
-                let out = lpatc()
-                    .args([
-                        "opt",
-                        input.to_str().unwrap(),
-                        "--link-pipeline",
-                        "-o",
-                        out_path.to_str().unwrap(),
-                        "--emit",
-                        "bc",
-                        "--jobs",
-                        jobs,
-                    ])
-                    .env("LPAT_FAULTS", format!("{pass}:panic@1"))
-                    .output()
-                    .unwrap();
-                assert!(
-                    out.status.success(),
-                    "lpatc died on {pass}/{name}:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                assert_eq!(
-                    stderr.matches("isolated fault").count(),
-                    1,
-                    "{pass}/{name} --jobs {jobs}: expected exactly one isolated \
-                     fault, stderr:\n{stderr}"
-                );
-                outputs.push(std::fs::read(&out_path).unwrap());
-            }
-            assert_eq!(
-                outputs[0], outputs[1],
-                "{pass}/{name}: output differs across --jobs"
+            let out_path = tmp(&format!("fi-{pass}-{name}-out.bc"));
+            let out = lpatc()
+                .args([
+                    "opt",
+                    input.to_str().unwrap(),
+                    "--link-pipeline",
+                    "-o",
+                    out_path.to_str().unwrap(),
+                    "--emit",
+                    "bc",
+                ])
+                .env("LPAT_FAULTS", format!("{pass}:panic@1"))
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "lpatc died on {pass}/{name}:\n{}",
+                String::from_utf8_lossy(&out.stderr)
             );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                stderr.matches("isolated fault").count(),
+                1,
+                "{pass}/{name}: expected exactly one isolated fault, stderr:\n{stderr}"
+            );
+            let m = lpat::bytecode::read_module("out", &std::fs::read(&out_path).unwrap()).unwrap();
+            m.verify().unwrap();
         }
     }
 }
@@ -1000,7 +1060,7 @@ x:
 
 /// The faults one plan isolates, as `lpatc` reports them (the
 /// `PipelineReport::faults` rows on stderr) and as the trace records them
-/// (`fault` instants), at `--jobs` 1 and 4. The seven faults were captured
+/// (`fault` instants). The seven faults were captured
 /// from the implementation that took a deep copy of the function before
 /// every sub-pass (the commit before rollback points became shared
 /// structure), with the same command line. The output bytes hash to
@@ -1024,58 +1084,53 @@ fn lpatc_reports_the_same_faults_as_the_deep_copy_implementation() {
     const BYTES: u64 = 0xa61d_7196_56f5_b250;
     let input = tmp("fi-pinned.bc");
     std::fs::write(&input, write_module(&linked(&FOUR_UNITS))).unwrap();
-    for jobs in ["1", "4"] {
-        let (out_path, trace_path) = (
-            tmp(&format!("fi-pinned-j{jobs}.bc")),
-            tmp(&format!("fi-pinned-j{jobs}.json")),
-        );
-        let out = lpatc()
-            .args(["opt", input.to_str().unwrap(), "-O", "--link-pipeline"])
-            .args(["--jobs", jobs, "--inject-faults", PLAN])
-            .args(["--trace-out", trace_path.to_str().unwrap()])
-            .args(["--trace-clock", "virtual", "--emit", "bc", "-o"])
-            .arg(&out_path)
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let reported: Vec<(String, Option<String>)> = stderr
-            .lines()
-            .filter_map(|l| l.split_once("isolated fault: pass '"))
-            .map(|(_, rest)| {
-                let (pass, rest) = rest.split_once('\'').unwrap();
-                let function = rest
-                    .strip_prefix(" on @")
-                    .map(|r| r.split_once(':').unwrap().0.to_string());
-                (pass.to_string(), function)
-            })
-            .collect();
-        let trace = std::fs::read_to_string(&trace_path).unwrap();
-        let field = |ev: &str, key: &str| -> Option<String> {
-            let (_, rest) = ev.split_once(&format!("\"{key}\":\""))?;
-            Some(rest.split_once('"').unwrap().0.to_string())
-        };
-        let instants: Vec<(String, Option<String>)> = trace
-            .split("{\"name\":")
-            .filter(|ev| ev.contains("\"cat\":\"fault\""))
-            .map(|ev| {
-                let name = ev.split('"').nth(1).unwrap().to_string();
-                assert!(field(ev, "cause").unwrap().starts_with("panic: injected"));
-                (name, field(ev, "function"))
-            })
-            .collect();
-        let expected: Vec<(String, Option<String>)> = FAULTS
-            .iter()
-            .map(|(p, f)| (p.to_string(), f.map(str::to_string)))
-            .collect();
-        assert_eq!(reported, expected, "--jobs {jobs}:\n{stderr}");
-        assert_eq!(instants, expected, "--jobs {jobs}");
-        let bytes = std::fs::read(&out_path).unwrap();
-        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!(hash, BYTES, "--jobs {jobs}: {hash:#018x}");
-    }
+    let (out_path, trace_path) = (tmp("fi-pinned-out.bc"), tmp("fi-pinned-out.json"));
+    let out = lpatc()
+        .args(["opt", input.to_str().unwrap(), "-O", "--link-pipeline"])
+        .args(["--inject-faults", PLAN])
+        .args(["--trace-out", trace_path.to_str().unwrap()])
+        .args(["--trace-clock", "virtual", "--emit", "bc", "-o"])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let reported: Vec<(String, Option<String>)> = stderr
+        .lines()
+        .filter_map(|l| l.split_once("isolated fault: pass '"))
+        .map(|(_, rest)| {
+            let (pass, rest) = rest.split_once('\'').unwrap();
+            let function = rest
+                .strip_prefix(" on @")
+                .map(|r| r.split_once(':').unwrap().0.to_string());
+            (pass.to_string(), function)
+        })
+        .collect();
+    let trace = std::fs::read_to_string(&trace_path).unwrap();
+    let field = |ev: &str, key: &str| -> Option<String> {
+        let (_, rest) = ev.split_once(&format!("\"{key}\":\""))?;
+        Some(rest.split_once('"').unwrap().0.to_string())
+    };
+    let instants: Vec<(String, Option<String>)> = trace
+        .split("{\"name\":")
+        .filter(|ev| ev.contains("\"cat\":\"fault\""))
+        .map(|ev| {
+            let name = ev.split('"').nth(1).unwrap().to_string();
+            assert!(field(ev, "cause").unwrap().starts_with("panic: injected"));
+            (name, field(ev, "function"))
+        })
+        .collect();
+    let expected: Vec<(String, Option<String>)> = FAULTS
+        .iter()
+        .map(|(p, f)| (p.to_string(), f.map(str::to_string)))
+        .collect();
+    assert_eq!(reported, expected, "{stderr}");
+    assert_eq!(instants, expected);
+    let bytes = std::fs::read(&out_path).unwrap();
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(hash, BYTES, "{hash:#018x}");
 }
 
 #[test]

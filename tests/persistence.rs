@@ -18,7 +18,7 @@
 //! * every [`StoreError`] class degrades a run to "uncached with a
 //!   warning", never a failure;
 //! * two instrumented runs + offline `lpatc reopt` produce the same
-//!   bytes as one in-memory profile→reoptimize session, at any `--jobs`.
+//!   bytes as one in-memory profile→reoptimize session.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -753,7 +753,7 @@ fn mutated_store_files_never_panic() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn offline_reopt_matches_in_memory_session_at_any_jobs() {
+fn offline_reopt_matches_in_memory_session() {
     let dir = fresh_dir("persist-reopt");
     let cache = dir.join("cache");
     let m = build(5000);
@@ -763,39 +763,24 @@ fn offline_reopt_matches_in_memory_session_at_any_jobs() {
     run_cached(&bc, &cache, &[], &[]);
     run_cached(&bc, &cache, &[], &[]);
 
-    // Idle-time side: offline reopt over the accumulated store, at two
-    // worker counts — the result must not depend on scheduling.
-    let mut outs = Vec::new();
-    for jobs in ["1", "8"] {
-        let out_path = dir.join(format!("reopt-j{jobs}.bc"));
-        let out = lpatc()
-            .args([
-                "reopt",
-                bc.to_str().unwrap(),
-                "--cache-dir",
-                cache.to_str().unwrap(),
-                "--jobs",
-                jobs,
-                "-o",
-                out_path.to_str().unwrap(),
-                "--emit",
-                "bc",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "reopt --jobs {jobs} failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("inlined"),
-            "--jobs {jobs}: no reopt summary:\n{stderr}"
-        );
-        outs.push(std::fs::read(&out_path).unwrap());
-    }
-    assert_eq!(outs[0], outs[1], "reopt output differs across --jobs");
+    // Idle-time side: offline reopt over the accumulated store.
+    let out_path = dir.join("reopt.bc");
+    let out = lpatc()
+        .args([
+            "reopt",
+            bc.to_str().unwrap(),
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "-o",
+            out_path.to_str().unwrap(),
+            "--emit",
+            "bc",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "reopt failed:\n{stderr}");
+    assert!(stderr.contains("inlined"), "no reopt summary:\n{stderr}");
 
     // The same session replayed entirely in memory: two profiled runs,
     // merge, reoptimize. Byte-identical to the offline path. The driver
@@ -807,7 +792,7 @@ fn offline_reopt_matches_in_memory_session_at_any_jobs() {
     merged.merge_saturating(&second);
     reoptimize(&mut mm, &merged, &PgoOptions::default());
     assert_eq!(
-        outs[0],
+        std::fs::read(&out_path).unwrap(),
         write_module(&mm),
         "offline store-driven reopt diverged from the in-memory session"
     );

