@@ -58,7 +58,7 @@ impl From<GepError> for NoOffset {
     }
 }
 
-/// The memory oracle of one function. Each pointer's [`Loc`] is computed
+/// The memory oracle of one function. Each pointer's `Loc` is computed
 /// once, on first use.
 pub struct Alias<'a> {
     types: &'a TypeCtx,

@@ -17,9 +17,10 @@
 //!   causes the cached entries to be dropped (*invalidations*).
 //!
 //! Per-function analyses (dominator trees, loops) live in [`FuncAnalyses`]
-//! slots — one per function — so the parallel function-pass executor can
-//! hand each worker its functions' slots without sharing. The module-level
-//! call graph is cached directly on the [`AnalysisManager`].
+//! slots — one per function — so a function-pass stage, which walks the
+//! functions one at a time on one thread, hands each unit its own slot,
+//! and a unit's rollback drops that slot alone. The module-level call
+//! graph is cached directly on the [`AnalysisManager`].
 
 use std::ops::Sub;
 

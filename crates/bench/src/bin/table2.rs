@@ -4,9 +4,9 @@
 //! reference column).
 //!
 //! The link-time pipeline runs once per benchmark through the
-//! [`PassManager`], and every timing column is read from the structured
-//! [`PipelineReport`] it returns — the same instrumentation `lpatc
-//! --time-passes` prints. The aggregated per-pass table at the bottom also
+//! [`lpat_transform::PassManager`], and every timing column is read from
+//! the structured [`PipelineReport`] it returns — the same instrumentation
+//! `lpatc --time-passes` prints. The aggregated per-pass table at the bottom also
 //! shows the analysis-cache traffic (dominator trees and call graphs
 //! reused across passes vs. recomputed after invalidation).
 //!

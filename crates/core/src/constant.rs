@@ -160,8 +160,9 @@ impl ConstPool {
     }
 
     /// Drop every constant with index `>= len`, restoring the pool to an
-    /// earlier snapshot. Used by the parallel function-pass executor to
-    /// reset a worker's pool overlay between functions.
+    /// earlier length. Rollback uses it: `Module::restore` truncates to a
+    /// checkpoint's length, and a faulted function-pass unit to the length
+    /// the pool had when that unit began.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.consts.len() {
             return;

@@ -1,9 +1,8 @@
 //! Deterministic fault injection.
 //!
 //! The framework's lifelong-optimization story (paper §3.6) requires the
-//! optimizer to be safe to run against a live program: a crashing or
-//! runaway pass must degrade gracefully instead of taking the process
-//! down. The pass managers implement that isolation with snapshots and
+//! optimizer to be safe to run against a live program: a crashing pass
+//! must degrade gracefully instead of taking the process down. The pass managers implement that isolation with snapshots and
 //! rollback; this module provides the *test driver* for it — a
 //! [`FaultPlan`] that makes named fault sites misbehave on demand, fully
 //! deterministically, so tests can assert the exact recovery behavior.
@@ -38,8 +37,10 @@
 //! * `action` — `panic` (the site panics), `abort` (the site calls
 //!   `std::process::abort()`, modeling a stack smash or allocator abort
 //!   that no `catch_unwind` can absorb — only process-level supervision
-//!   survives it), `delay=50ms` (the site sleeps, blowing any per-pass
-//!   wall-clock budget), `corrupt` (the pass manager breaks the module
+//!   survives it), `delay=50ms` (the site sleeps and carries on: at a pass
+//!   it only lengthens the pass's time — nothing is timed against a budget
+//!   — and elsewhere it trips a request deadline or parks a worker between
+//!   two steps), `corrupt` (the pass manager breaks the module
 //!   *after* the pass runs, simulating a miscompiling pass for
 //!   `--verify-each` to catch; store writes flip a payload byte before it
 //!   reaches disk), or `io` (store sites fail with a synthetic I/O
@@ -67,7 +68,8 @@ use std::time::Duration;
 pub enum FaultAction {
     /// The site panics (exercises `catch_unwind` isolation).
     Panic,
-    /// The site sleeps for the given duration (exercises pass budgets).
+    /// The site sleeps for the given duration, then carries on (exercises
+    /// request deadlines and the windows between durability steps).
     Delay(Duration),
     /// The surrounding manager corrupts the unit after the pass runs
     /// (exercises verifier-driven rollback); at store sites, the payload

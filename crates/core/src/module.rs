@@ -486,9 +486,9 @@ impl Module {
     }
 
     /// Split the module into disjoint mutable borrows of the type context,
-    /// the constant pool, and the function table — the shape the parallel
-    /// function-pass executor needs (each worker gets its own pool clones
-    /// plus exclusive access to a subset of the functions).
+    /// the constant pool, and the function table — the shape a
+    /// function-pass stage needs: it walks the functions one at a time on
+    /// one thread, each interning straight into the module's two pools.
     pub fn split_mut(&mut self) -> (&mut TypeCtx, &mut ConstPool, &mut [Function]) {
         (&mut self.types, &mut self.consts, &mut self.funcs)
     }

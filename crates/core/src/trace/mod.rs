@@ -491,7 +491,7 @@ impl TraceData {
     /// Serialize as Chrome trace-event JSON (`{"traceEvents": [...]}`),
     /// loadable in Perfetto and `chrome://tracing`. Span events use phase
     /// `"X"`, instants `"i"`, counters `"C"`. Local events export under
-    /// [`Self::local_pid`]; absorbed worker lanes under their own pid
+    /// `Self::local_pid`; absorbed worker lanes under their own pid
     /// (phase `"M"` `process_name` metadata labels the lanes), the whole
     /// merged stream sorted by ordinal.
     pub fn to_chrome_json(&self) -> String {

@@ -301,8 +301,9 @@ impl TypeCtx {
     }
 
     /// Drop every type with index `>= len`, restoring the context to an
-    /// earlier snapshot. Used by the parallel function-pass executor to
-    /// reset a worker's pool overlay between functions.
+    /// earlier length. Rollback uses it: `Module::restore` truncates to a
+    /// checkpoint's length, and a faulted function-pass unit to the length
+    /// the context had when that unit began.
     ///
     /// # Panics
     ///

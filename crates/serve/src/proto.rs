@@ -98,8 +98,9 @@ impl Op {
 
 /// Request flag: run the optimization pipeline first (`-O`).
 pub const FLAG_OPT: u8 = 1 << 0;
-/// Request flag: execute under the tiered engine instead of the
-/// interpreter.
+/// Request flag, ignored: every `Run` is tiered. The bit stays assigned
+/// because clients still set it (`lpbench`'s `serve-mixed` does on every
+/// request), and setting it changes nothing.
 pub const FLAG_TIERED: u8 = 1 << 1;
 /// Request flag: the module payload is miniC source, not bytecode/text IR.
 pub const FLAG_MINIC: u8 = 1 << 2;

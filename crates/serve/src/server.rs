@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use lpat_core::fault::FaultAction;
 use lpat_core::{faultpoint, trace, Module};
-use lpat_vm::session::{self, Mode, Note, ReoptError, RunConfig, RunError};
+use lpat_vm::session::{self, Note, ReoptError, RunConfig, RunError};
 use lpat_vm::{PgoOptions, Store, VmOptions};
 
 use lpat_core::hash::fnv1a64;
@@ -50,7 +50,7 @@ use crate::admission::{Admission, NoSlot, Slots, TenantQuota};
 use crate::net::{Conn, Listener};
 use crate::proto::{
     decode_request, encode_response, read_frame, write_frame, Addr, ErrClass, Op, ProtoError,
-    Request, Response, DEFAULT_MAX_FRAME, FLAG_MINIC, FLAG_OPT, FLAG_TIERED,
+    Request, Response, DEFAULT_MAX_FRAME, FLAG_MINIC, FLAG_OPT,
 };
 use crate::signal;
 use crate::worker::{respawn_backoff, CrashBreaker, Dispatch, Isolation, ProcWorker};
@@ -1109,8 +1109,8 @@ fn parse_module(req: &Request, deadline: Instant) -> Result<Module, Response> {
 }
 
 /// Optimize a request's module under `FLAG_OPT` — the function pipeline,
-/// plus the link-time one for a compile — in degrade mode: a crashing pass
-/// is rolled back and counted, never fatal.
+/// plus the link-time one for a compile. A crashing pass is rolled back
+/// and counted, never fatal.
 fn optimize(m: &mut Module, link_time: bool) -> Result<(), Response> {
     let cfg = session::OptConfig {
         function: true,
@@ -1178,17 +1178,9 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
         ..VmOptions::default()
     };
     opts.input.extend(req.inputs.iter().copied());
-    // FLAG_TIERED is the tiered engine, as `lpatc run --tiered` is. The
+    // Every run is tiered, as `lpatc run` is; FLAG_TIERED is ignored. The
     // wire has no way to ask for the JIT alone or for speculation.
-    let config = RunConfig {
-        mode: if req.flags & FLAG_TIERED != 0 {
-            Mode::Tiered
-        } else {
-            Mode::Interp
-        },
-        opts,
-        spec: None,
-    };
+    let config = RunConfig { opts, spec: None };
     let pre_exec = || check_deadline("pre-exec", deadline);
     let report =
         session::run(m, engine.store.as_ref(), config, pre_exec, |_| ()).map_err(|e| match e {

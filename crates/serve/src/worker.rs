@@ -21,7 +21,7 @@
 //!   checks cannot stop a runaway native path), answered as
 //!   [`ErrClass::Deadline`], and replaced the same way.
 //!
-//! On top sits the crash-loop circuit breaker ([`CrashBreaker`]): every
+//! On top sits the crash-loop circuit breaker (`CrashBreaker`): every
 //! crash or watchdog kill is charged to the FNV-1a hash of the raw
 //! request payload (never the parsed module — the daemon must not parse
 //! a payload that kills workers). K strikes inside the breaker window
@@ -379,7 +379,7 @@ impl CrashBreaker {
 // -- worker-process main loop ---------------------------------------------
 
 /// The `lpatd --worker` main loop: read request frames from stdin,
-/// execute each through the same [`process`] pipeline thread isolation
+/// execute each through the same `process` pipeline thread isolation
 /// uses (still under `catch_unwind` — a plain panic should cost one
 /// *request*, not one worker process), write response frames to stdout.
 /// Exits 0 on stdin EOF (the daemon's graceful drain signal).

@@ -17,10 +17,10 @@
 //! (a [`Function`] clone shares the body, so holding it costs nothing
 //! until a sub-pass writes, and then one body copy for the whole stage),
 //! and the lengths the two pools had when *that unit* began. Every
-//! sub-pass runs under `catch_unwind`; when one panics or blows its budget
-//! the adapter goes back to the unit's entry state — function restored,
-//! pools truncated to the unit's own lengths (what earlier units interned
-//! stays), the function's analysis slot invalidated — and *replays* the
+//! sub-pass runs under `catch_unwind`; when one panics the adapter goes
+//! back to the unit's entry state — function restored, pools truncated to
+//! the unit's own lengths (what earlier units interned stays), the
+//! function's analysis slot invalidated — and *replays* the
 //! sub-passes that had already succeeded, records a [`PassFault`], and
 //! carries on: the other functions and the rest of the pipeline are
 //! unaffected. Replay is exact because a sub-pass is a deterministic
@@ -118,14 +118,12 @@ pub trait FunctionPass {
     }
 }
 
-/// Fault-isolation inputs each per-function unit runs under.
+/// The fault plan each per-function unit runs under.
 struct UnitExec<'a> {
     plan: Option<&'a FaultPlan>,
     /// Reserved 1-based hit-ordinal base per sub-pass (aligned with the
     /// pass list; empty when no plan is active).
     bases: &'a [u64],
-    budget: Option<Duration>,
-    degrade: bool,
 }
 
 /// Runs a pipeline of [`FunctionPass`]es over every function of a module,
@@ -193,8 +191,6 @@ impl ModulePass for FunctionPassAdapter {
         let exec = UnitExec {
             plan,
             bases: &bases,
-            budget: cx.budget,
-            degrade: cx.degrade,
         };
 
         let mut details = PassDetails {
@@ -263,10 +259,9 @@ impl ModulePass for FunctionPassAdapter {
 /// Each sub-pass is an isolation domain, and the whole unit has one
 /// rollback point: the function as it entered the stage (a clone, so it
 /// shares the body until a sub-pass writes) and the pool lengths the unit
-/// began with. In degrade mode a sub-pass that panics or blows its budget
-/// is undone by going back to that point and running the sub-passes that
-/// had succeeded again ([`replay`]); a fault row is recorded instead of
-/// unwinding.
+/// began with. A sub-pass that panics is undone by going back to that
+/// point and running the sub-passes that had succeeded again ([`replay`]);
+/// a fault row is recorded instead of unwinding.
 fn run_pipeline_on(
     passes: &mut [Box<dyn FunctionPass>],
     u: &mut FuncUnit<'_>,
@@ -283,7 +278,7 @@ fn run_pipeline_on(
     let mut cg_preserved = true;
     // The unit's one rollback point, and the sub-passes to run again after
     // going back to it: `(index, left a simulated miscompile behind)`.
-    let entry = exec.degrade.then(|| u.func.clone());
+    let entry = u.func.clone();
     let mut done: Vec<(usize, bool)> = Vec::new();
     for pi in 0..passes.len() {
         let name = passes[pi].name();
@@ -304,40 +299,23 @@ fn run_pipeline_on(
             },
         );
         let p = passes[pi].as_mut();
-        let outcome = if exec.degrade {
-            catch_unwind(AssertUnwindSafe(|| run_unit(p, u, injected)))
-        } else {
-            Ok(run_unit(p, u, injected))
-        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_unit(p, u, injected)));
         let elapsed = sp.stop();
         let mut fault = None;
         let mut changed = false;
         match outcome {
             Ok(eff) => {
-                if let Some(budget) = exec.budget.filter(|&b| elapsed > b) {
-                    if !exec.degrade {
-                        panic!(
-                            "pass '{name}' exceeded its {budget:.1?} budget on @{} \
-                             (ran {elapsed:.1?})",
-                            timing.name,
-                        );
-                    }
-                    fault = Some(FaultCause::Timeout { budget });
-                } else {
-                    // The analysis caches take "same version" to mean
-                    // "same function"; hold the passes to it.
-                    debug_assert!(
-                        entry
-                            .as_ref()
-                            .is_none_or(|e| e.version() != u.func.version() || e == &*u.func),
-                        "pass '{name}' changed @{} without moving its version",
-                        timing.name,
-                    );
-                    u.analyses.apply(&eff.preserved, u.func.version());
-                    changed = eff.changed;
-                    cg_preserved &= eff.preserved.call_graph || !eff.changed;
-                    done.push((pi, injected == Some(FaultAction::Corrupt)));
-                }
+                // The analysis caches take "same version" to mean "same
+                // function"; hold the passes to it.
+                debug_assert!(
+                    entry.version() != u.func.version() || entry == *u.func,
+                    "pass '{name}' changed @{} without moving its version",
+                    timing.name,
+                );
+                u.analyses.apply(&eff.preserved, u.func.version());
+                changed = eff.changed;
+                cg_preserved &= eff.preserved.call_graph || !eff.changed;
+                done.push((pi, injected == Some(FaultAction::Corrupt)));
             }
             Err(payload) => fault = Some(FaultCause::Panic(panic_message(payload.as_ref()))),
         }
@@ -347,7 +325,7 @@ fn run_pipeline_on(
         }
         drop(sp);
         if let Some(cause) = fault {
-            *u.func = entry.clone().expect("degrade mode keeps the entry state");
+            *u.func = entry.clone();
             u.types.truncate(ty_base);
             u.consts.truncate(c_base);
             // The restored function reuses version numbers the faulted
@@ -384,8 +362,7 @@ fn run_pipeline_on(
 /// and leaves the body they left: exactly the pipeline without the
 /// faulted sub-pass. No panic or delay is injected (a simulated
 /// miscompile one of them left behind is left behind again), nothing is
-/// timed against the budget or traced: these runs already happened and
-/// were reported.
+/// timed or traced: these runs already happened and were reported.
 fn replay(passes: &mut [Box<dyn FunctionPass>], done: &[(usize, bool)], u: &mut FuncUnit<'_>) {
     for &(qi, corrupt) in done {
         let injected = corrupt.then_some(FaultAction::Corrupt);
@@ -396,9 +373,9 @@ fn replay(passes: &mut [Box<dyn FunctionPass>], done: &[(usize, bool)], u: &mut 
 
 /// Execute one sub-pass on one function, manifesting any injected fault:
 /// `panic` panics here (inside the unit's `catch_unwind`), `delay` sleeps
-/// inside the timed region so budgets see it, and `corrupt` leaves a
-/// terminator-less block behind *after* the pass — a simulated miscompile
-/// for module-level `--verify-each` to catch.
+/// inside the timed region (only the row's time shows it), and `corrupt`
+/// leaves a terminator-less block behind *after* the pass — a simulated
+/// miscompile for module-level `--verify-each` to catch.
 fn run_unit(
     p: &mut dyn FunctionPass,
     u: &mut FuncUnit<'_>,

@@ -18,22 +18,21 @@
 //! # Fault isolation
 //!
 //! The lifelong-optimization model (paper §3.6) runs the optimizer
-//! against live programs, so a crashing or runaway pass must degrade
-//! gracefully rather than take the process down. By default every module
-//! pass executes under [`std::panic::catch_unwind`] against a rollback
-//! point — [`lpat_core::Module::checkpoint`]: the function table with
-//! every body *shared*, the global table, and the lengths of the two
-//! interning pools. Taking it copies no instruction; a body is duplicated
+//! against live programs, so a crashing pass must degrade gracefully
+//! rather than take the process down. Every module pass executes under
+//! [`std::panic::catch_unwind`] against a rollback point —
+//! [`lpat_core::Module::checkpoint`]: the function table with every body
+//! *shared*, the global table, and the lengths of the two interning
+//! pools. Taking it copies no instruction; a body is duplicated
 //! when, and only if, the pass writes to that function (reported per pass
 //! as `copied_funcs` / `copied_insts`: what the fault boundary cost). On
-//! a panic, a `--verify-each` failure, or a blown per-pass wall-clock
-//! budget the module is restored to the point, every cached analysis is
-//! invalidated (the restored functions reuse version numbers, so stale
-//! entries could otherwise ABA-collide), a structured [`PassFault`] is
-//! appended to the report, and the pipeline continues with the remaining
-//! passes. Strict mode ([`PassManager::degrade`]` = false`,
-//! `--no-degrade`) takes no rollback point and propagates the failure
-//! instead. Deterministic fault
+//! a panic or a `--verify-each` failure the module is restored to the
+//! point, every cached analysis is invalidated (the restored functions
+//! reuse version numbers, so stale entries could otherwise ABA-collide),
+//! a structured [`PassFault`] is appended to the report, and the pipeline
+//! continues with the remaining passes. Nothing is timed against a
+//! budget: for a given module and fault plan, the output and the fault
+//! list are the same however fast the host is. Deterministic fault
 //! *injection* — [`lpat_core::fault::FaultPlan`] — drives the whole
 //! machinery from tests and from `LPAT_FAULTS`/`--inject-faults`.
 
@@ -86,7 +85,7 @@ impl PassEffect {
 }
 
 /// Shared state threaded through a pipeline run: the analysis cache and
-/// the fault-isolation policy the managers apply.
+/// the fault plan the managers apply.
 pub struct PassContext {
     /// The analysis cache. Passes request analyses through this instead of
     /// recomputing them.
@@ -94,23 +93,14 @@ pub struct PassContext {
     /// Active fault-injection plan, if any. [`PassManager::run_with`]
     /// resolves this from the manager's own plan or the process-wide one.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Per-pass (and per-function-unit) wall-clock budget. A pass that
-    /// exceeds it is rolled back with [`FaultCause::Timeout`].
-    pub budget: Option<Duration>,
-    /// Degrade mode: isolate faults via rollback point + restore and
-    /// continue (`true`, the default), or propagate them (`false`,
-    /// `--no-degrade`).
-    pub degrade: bool,
 }
 
 impl Default for PassContext {
-    /// An empty cache, no fault plan, no budget, degrade mode.
+    /// An empty cache, no fault plan.
     fn default() -> PassContext {
         PassContext {
             am: AnalysisManager::new(),
             faults: None,
-            budget: None,
-            degrade: true,
         }
     }
 }
@@ -141,11 +131,6 @@ pub enum FaultCause {
     Panic(String),
     /// `--verify-each` found the module broken after the pass.
     VerifyFailed(String),
-    /// The pass exceeded the per-pass wall-clock budget.
-    Timeout {
-        /// The budget that was exceeded.
-        budget: Duration,
-    },
 }
 
 impl std::fmt::Display for FaultCause {
@@ -153,7 +138,6 @@ impl std::fmt::Display for FaultCause {
         match self {
             FaultCause::Panic(msg) => write!(f, "panic: {msg}"),
             FaultCause::VerifyFailed(msg) => write!(f, "verifier: {msg}"),
-            FaultCause::Timeout { budget } => write!(f, "exceeded {budget:.1?} budget"),
         }
     }
 }
@@ -225,8 +209,8 @@ pub struct PassExecution {
     /// Analysis cache traffic attributed to this pass.
     pub cache: CacheStats,
     /// Function bodies duplicated on behalf of the rollback point: the
-    /// pass wrote to a function whose body the point still shared. Zero in
-    /// strict mode, and for any function the pass left alone.
+    /// pass wrote to a function whose body the point still shared. Zero
+    /// for any function the pass left alone.
     pub copied_funcs: u64,
     /// Linked instructions in those bodies.
     pub copied_insts: u64,
@@ -320,35 +304,16 @@ fn render_row(out: &mut String, p: &PassExecution, depth: usize) {
 }
 
 /// An ordered pipeline of module passes.
+#[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn ModulePass>>,
-    /// When set, the module is verified after every pass. In degrade mode
-    /// a verifier error rolls the pass back ([`FaultCause::VerifyFailed`]);
-    /// in strict mode the manager panics — type mismatches are useful for
-    /// detecting optimizer bugs (paper §2.2).
+    /// When set, the module is verified after every pass, and a verifier
+    /// error rolls the pass back ([`FaultCause::VerifyFailed`]) — type
+    /// mismatches are useful for detecting optimizer bugs (paper §2.2).
     pub verify_each: bool,
-    /// Degrade mode (default `true`): faulting passes are rolled back to
-    /// a rollback point and the pipeline continues. `false`
-    /// (`--no-degrade`) propagates panics and aborts on verifier/budget
-    /// failures instead, and takes no rollback point at all.
-    pub degrade: bool,
-    /// Per-pass wall-clock budget (`--pass-budget-ms`); `None` = no budget.
-    pub budget: Option<Duration>,
     /// Explicit fault-injection plan. `None` resolves the process-wide
     /// plan ([`fault::global`], i.e. `--inject-faults` / `LPAT_FAULTS`).
     pub faults: Option<Arc<FaultPlan>>,
-}
-
-impl Default for PassManager {
-    fn default() -> PassManager {
-        PassManager {
-            passes: Vec::new(),
-            verify_each: false,
-            degrade: true,
-            budget: None,
-            faults: None,
-        }
-    }
 }
 
 impl PassManager {
@@ -363,13 +328,8 @@ impl PassManager {
         self
     }
 
-    /// Run all passes in order with a fresh [`PassContext`].
-    ///
-    /// # Panics
-    ///
-    /// In strict mode (`degrade = false`): propagates pass panics and
-    /// panics on verifier or budget failures. In degrade mode faults are
-    /// isolated and reported instead.
+    /// Run all passes in order with a fresh [`PassContext`]. Faults are
+    /// isolated and reported, never propagated.
     pub fn run(&mut self, m: &mut Module) -> PipelineReport {
         let mut cx = PassContext::default();
         self.run_with(m, &mut cx)
@@ -379,8 +339,6 @@ impl PassManager {
     /// caches can persist across pipelines (the VM's reoptimizer reruns
     /// pipelines over its lifetime).
     pub fn run_with(&mut self, m: &mut Module, cx: &mut PassContext) -> PipelineReport {
-        cx.degrade = self.degrade;
-        cx.budget = self.budget;
         cx.faults = self.faults.clone().or_else(fault::global);
         let mut run_sp = trace::span("pipeline", "run");
         let cache0 = cx.am.stats();
@@ -390,20 +348,15 @@ impl PassManager {
             let name = p.name();
             let pass_cache0 = cx.am.stats();
             // The rollback point: shared structure, not a copy (see
-            // `Module::checkpoint`). Strict mode takes none: a fault aborts
-            // the process anyway, so the module never survives it.
-            let rollback = cx.degrade.then(|| m.checkpoint());
+            // `Module::checkpoint`).
+            let rollback = m.checkpoint();
             let copies0 = body_copies();
             let injected = cx.faults.as_deref().and_then(|pl| pl.next(name));
             // One stopwatch: the report's per-pass duration *is* this
             // span's duration, so `--time-passes` and `--trace-out` can
             // never disagree.
             let mut sp = trace::span("pass", name);
-            let outcome = if cx.degrade {
-                catch_unwind(AssertUnwindSafe(|| run_pass(p.as_mut(), m, cx, injected)))
-            } else {
-                Ok(run_pass(p.as_mut(), m, cx, injected))
-            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_pass(p.as_mut(), m, cx, injected)));
             let duration = sp.stop();
             let mut fault = None;
             let mut changed = false;
@@ -426,25 +379,7 @@ impl PassManager {
                                 .map(|e| e.to_string())
                                 .collect::<Vec<_>>()
                                 .join("; ");
-                            if cx.degrade {
-                                fault = Some(FaultCause::VerifyFailed(msg));
-                            } else {
-                                panic!("verifier failed after pass '{name}':\n{msg}");
-                            }
-                        }
-                    }
-                    if fault.is_none() {
-                        if let Some(budget) = cx.budget {
-                            if duration > budget {
-                                if cx.degrade {
-                                    fault = Some(FaultCause::Timeout { budget });
-                                } else {
-                                    panic!(
-                                        "pass '{name}' exceeded its {budget:.1?} budget \
-                                         (ran {duration:.1?})"
-                                    );
-                                }
-                            }
+                            fault = Some(FaultCause::VerifyFailed(msg));
                         }
                     }
                 }
@@ -459,7 +394,7 @@ impl PassManager {
                 sp.arg("copied_insts", copied.insts.to_string());
             }
             if let Some(cause) = fault {
-                m.restore(rollback.expect("degrade mode always takes a rollback point"));
+                m.restore(rollback);
                 // The restored functions reuse version numbers the faulted
                 // pass already bumped past, so any entry cached during it
                 // could ABA-collide with a future version. Drop everything.
@@ -528,8 +463,8 @@ impl PassManager {
 
 /// Execute one pass, manifesting any injected fault first: `panic` panics
 /// here (inside the `catch_unwind`), `delay` sleeps inside the timed
-/// region so budgets see it. `corrupt` is handled by the caller after the
-/// pass runs.
+/// region (the pass's row shows it; nothing else does). `corrupt` is
+/// handled by the caller after the pass runs.
 fn run_pass(
     p: &mut dyn ModulePass,
     m: &mut Module,

@@ -48,7 +48,7 @@
 //! built when every actual argument matches its declared class, else the
 //! call runs on the JIT; a *returned* value of the wrong
 //! class (only in unverified, type-confused modules) traps as `Invalid`
-//! ([`resume_native`], DESIGN.md §16).
+//! (`resume_native`, DESIGN.md §16).
 
 use std::cell::Cell;
 use std::rc::Rc;

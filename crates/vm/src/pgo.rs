@@ -91,10 +91,10 @@ impl PgoReport {
 
 /// Apply profile-guided reoptimization to `m` using `profile`.
 ///
-/// Each stage is a module pass run by the pass manager in degrade mode —
-/// hot inlining as `pgo-inline`, layout as `pgo-layout` (both fault
-/// sites too) — so a panic in one restores the module it started from and
-/// is recorded in [`PgoReport::faults`]; the stages after it still run.
+/// Each stage is a module pass run by the pass manager — hot inlining as
+/// `pgo-inline`, layout as `pgo-layout` (both fault sites too) — so a
+/// panic in one restores the module it started from and is recorded in
+/// [`PgoReport::faults`]; the stages after it still run.
 pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> PgoReport {
     let mut report = PgoReport::default();
     // A pass the manager owns must own what it reads.

@@ -29,7 +29,6 @@
 //! the profile) must mutate the module before an engine borrows it.
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use lpat_core::Module;
 use lpat_transform::{PipelineReport, SpecOptions, SpecPlan};
@@ -84,10 +83,6 @@ pub struct OptConfig {
     pub link_time: bool,
     /// Verify the module after every pass.
     pub verify_each: bool,
-    /// Make a faulting pass fatal instead of rolling it back.
-    pub no_degrade: bool,
-    /// Per-pass wall-clock budget.
-    pub budget: Option<Duration>,
 }
 
 /// Run the pipelines `cfg` selects over `m`, then verify it (I6). Returns
@@ -104,8 +99,6 @@ pub fn optimize(
     let mut reports = Vec::new();
     let mut stage = |title, mut pm: lpat_transform::PassManager| {
         pm.verify_each = cfg.verify_each;
-        pm.degrade = !cfg.no_degrade;
-        pm.budget = cfg.budget;
         reports.push((title, pm.run(m)));
     };
     if cfg.function {
@@ -120,22 +113,10 @@ pub fn optimize(
 
 // -- run -------------------------------------------------------------------
 
-/// Which engine executes `main`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// The profiling interpreter.
-    Interp,
-    /// Translate every function on first call.
-    Jit,
-    /// Decide each function's tier at its first call: machine code when
-    /// the native backend accepts it, else the JIT.
-    Tiered,
-}
-
-/// What one run is asked to do.
+/// What one run is asked to do. Every run is tiered: each function's
+/// tier is decided at its first call — machine code when the native
+/// backend accepts it, else the JIT ([`Vm::run_main_tiered`]).
 pub struct RunConfig {
-    /// The engine.
-    pub mode: Mode,
     /// The VM options, as the caller filled them. `opts.profile` decides
     /// whether this run's profile is flushed. A speculated run collects
     /// counters either way — a guard's outcomes are edge counts — and
@@ -249,11 +230,7 @@ pub fn run<A, T>(
     }
     pre_exec().map_err(RunError::Aborted)?;
     let mut flush = FlushGuard::new(store, run_hash);
-    let result = match config.mode {
-        Mode::Interp => vm.run_main(),
-        Mode::Jit => vm.run_main_jit(),
-        Mode::Tiered => vm.run_main_tiered(),
-    };
+    let result = vm.run_main_tiered();
     // Fold the VM's counters into the trace before it is drained.
     vm.flush_trace();
     let inspected = inspect(&vm);

@@ -3,12 +3,11 @@
 //! ```text
 //! lpatc compile <in.mc> [-o out.bc] [--emit text|bc] [-O]   miniC -> IR
 //! lpatc opt     <in>    [-o out]    [--emit text|bc] [--link-pipeline]
-//!               [--verify-each] [--time-passes]
-//!               [--inject-faults PLAN] [--no-degrade] [--pass-budget-ms N]
+//!               [--verify-each] [--time-passes] [--inject-faults PLAN]
 //! lpatc link    <in...> -o out      [--emit text|bc] [-O]
 //! lpatc dis     <in.bc>                                     bytecode -> text
 //! lpatc run     <in>    [-O] [--profile] [--fuel N] [--input a,b,c] [--max-stack N]
-//!               [--jit | --tiered] [--speculate] [--spec-threshold N] [--cache-dir DIR]
+//!               [--speculate] [--spec-threshold N] [--cache-dir DIR]
 //! lpatc reopt   <in>    --cache-dir DIR [-o out]
 //!               [--speculate] [--spec-threshold N]
 //! lpatc analyze <in>                                        DSA + call graph report
@@ -34,26 +33,27 @@
 //!
 //! # Degraded compilation
 //!
-//! By default a pass that panics, miscompiles (under `--verify-each`), or
-//! blows its `--pass-budget-ms` wall-clock budget is rolled back and the
-//! pipeline continues — each fault is reported on stderr and the output is
-//! exactly what skipping that pass would produce. `--no-degrade` makes
-//! such faults fatal instead. `--inject-faults 'gvn:panic@2,...'` (or the
-//! `LPAT_FAULTS` environment variable) deterministically triggers faults
-//! at named sites for testing; see `lpat_core::fault`.
+//! A pass that panics or miscompiles (under `--verify-each`) is rolled
+//! back and the pipeline continues — each fault is reported on stderr and
+//! the output is exactly what skipping that pass would produce. There is
+//! no strict mode and no time budget: the output is a function of the
+//! input and the fault plan alone. `--inject-faults 'gvn:panic@2,...'`
+//! (or the `LPAT_FAULTS` environment variable) deterministically triggers
+//! faults at named sites for testing; see `lpat_core::fault`.
 //!
 //! # Tiered execution
 //!
-//! `run --tiered` decides each function's tier once, at its first call:
-//! risc32 machine code — from the single-pass backend in
+//! `run` decides each function's tier once, at its first call: risc32
+//! machine code — from the single-pass backend in
 //! `lpat_codegen::fast`, executed by the fuel-metered emulator in
 //! `lpat_vm::native` — when that backend accepts the function, else the
 //! translated (JIT) tier, which handles every type, else (only when JIT
 //! translation faults) the interpreter. `--stats` prints a per-tier
 //! instruction table and, for each function the native backend refused,
 //! why. Tiered execution is observationally identical to the plain
-//! interpreter. `--jit` and `--tiered` name two engines, so giving both
-//! is an error.
+//! interpreter (`Vm::run_main`), which, like the JIT alone
+//! (`Vm::run_main_jit`), stays a reference engine for tests and
+//! benchmarks rather than a `run` flag.
 //!
 //! # Speculative PGO
 //!
@@ -90,12 +90,12 @@ use std::time::Duration;
 
 use lpat::cli::{self, Args, Flags, TraceOutputs};
 use lpat::core::Module;
-use lpat::vm::session::{self, Mode, Note, OptConfig, ReoptError, RunConfig, RunError};
+use lpat::vm::session::{self, Note, OptConfig, ReoptError, RunConfig, RunError};
 
 /// What `compile`, `opt` and `link` read, beside [`cli::GLOBAL`].
 const COMPILE: Flags = Flags {
-    switches: "-O --link-pipeline --verify-each --time-passes --no-degrade",
-    valued: "-o --emit --pass-budget-ms",
+    switches: "-O --link-pipeline --verify-each --time-passes",
+    valued: "-o --emit",
 };
 
 /// `dis`, `analyze` and `size` read an input and the global flags.
@@ -105,7 +105,7 @@ const INPUT_ONLY: Flags = Flags {
 };
 
 const RUN: Flags = Flags {
-    switches: "-O --profile --jit --tiered --speculate",
+    switches: "-O --profile --speculate",
     valued: "--fuel --input --max-stack --spec-threshold --cache-dir",
 };
 
@@ -116,7 +116,7 @@ const REOPT: Flags = Flags {
 
 /// `remote ping|run|compile|reopt|stats`.
 const REMOTE: Flags = Flags {
-    switches: "-O --tiered",
+    switches: "-O",
     valued: "--connect --connect-timeout-ms --tenant --fuel --deadline-ms --input \
              --request-id --retries -o",
 };
@@ -181,12 +181,11 @@ fn usage() {
         "usage: lpatc <compile|opt|link|dis|run|reopt|analyze|size|remote> <inputs> [flags]\n\
          remote: lpatc remote <ping|run|compile|reopt|stats|top> [input] --connect ADDR\n\
          \x20      [--tenant T] [--fuel N] [--deadline-ms N] [--input a,b,c]\n\
-         \x20      [-O] [--tiered] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
+         \x20      [-O] [--retries N] [--connect-timeout-ms N] [-o FILE]\n\
          \x20      [--request-id N]; top: [--interval-ms N] [--iterations N]\n\
          flags: -o FILE, --emit text|bc, -O, --link-pipeline,\n\
          \x20      --verify-each, --time-passes,\n\
-         \x20      --inject-faults PLAN, --no-degrade, --pass-budget-ms N,\n\
-         \x20      --profile, --jit | --tiered,\n\
+         \x20      --inject-faults PLAN, --profile,\n\
          \x20      --fuel N, --input a,b,c, --max-stack N,\n\
          \x20      --cache-dir DIR (or LPAT_CACHE_DIR; reopt needs one),\n\
          \x20      --hot-threshold N, --speculate, --spec-threshold N,\n\
@@ -214,8 +213,6 @@ fn compile(cmd: &str, args: &Args, diag: &Diag) -> Result<ExitCode, String> {
         function: o || cmd == "opt",
         link_time: args.has("--link-pipeline") || (cmd == "link" && o),
         verify_each: args.has("--verify-each"),
-        no_degrade: args.has("--no-degrade"),
-        budget: args.parsed("--pass-budget-ms")?.map(Duration::from_millis),
     };
     optimize(&mut m, &cfg, args.has("--time-passes"), diag)?;
     emit(&m, args)?;
@@ -275,12 +272,6 @@ fn scripted_input(args: &Args) -> Result<Vec<i64>, String> {
 /// session, render its report.
 fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let input = args.positionals().first().ok_or("run: no input file")?;
-    let mode = match (args.has("--jit"), args.has("--tiered")) {
-        (true, true) => return Err("run: --jit and --tiered name two engines; give one".into()),
-        (true, false) => Mode::Jit,
-        (false, true) => Mode::Tiered,
-        (false, false) => Mode::Interp,
-    };
     let mut m = load(input)?;
     // `run -O` optimizes in-process first, so a single traced run covers
     // the compiler, the VM, the heap, and the store.
@@ -320,7 +311,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     };
     let spec = spec_options(args)?;
     let speculating = spec.is_some();
-    let config = RunConfig { mode, opts, spec };
+    let config = RunConfig { opts, spec };
     let (profile, stats) = (args.has("--profile"), args.has("--stats"));
     let report = session::run(
         m,
@@ -330,7 +321,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
         |vm| {
             (
                 profile.then(|| hot_spots(vm.module(), &vm.profile)),
-                stats.then(|| vm_stats(vm, mode == Mode::Tiered, speculating)),
+                stats.then(|| vm_stats(vm, speculating)),
             )
         },
     )
@@ -359,7 +350,7 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
 /// The per-run `--stats` tables: opcode histogram, what collecting the
 /// profile allocated and recorded (all zero without `--profile`,
 /// `--cache-dir` or speculation), and the tier and speculation counters.
-fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
+fn vm_stats(vm: &lpat::vm::Vm<'_>, speculating: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let top = vm.top_opcodes(10);
@@ -378,12 +369,10 @@ fn vm_stats(vm: &lpat::vm::Vm<'_>, tiered: bool, speculating: bool) -> String {
     ] {
         let _ = writeln!(out, "  {name:<18} {n:>8}");
     }
-    if tiered {
-        out.push_str("\n[tier]\n");
-        out.push_str(&vm.tier_stats.render());
-        for (name, reason) in vm.native_refusals() {
-            let _ = writeln!(out, "  not native: @{name}: {reason}");
-        }
+    out.push_str("\n[tier]\n");
+    out.push_str(&vm.tier_stats.render());
+    for (name, reason) in vm.native_refusals() {
+        let _ = writeln!(out, "  not native: @{name}: {reason}");
     }
     if speculating {
         out.push_str("\n[spec]\n");
@@ -567,9 +556,6 @@ fn remote(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     req.inputs = scripted_input(args)?;
     if args.has("-O") {
         req.flags |= lpat::serve::FLAG_OPT;
-    }
-    if args.has("--tiered") {
-        req.flags |= lpat::serve::FLAG_TIERED;
     }
     // Originate the distributed-trace context: the id rides the wire,
     // every daemon and worker span for this request carries it, and the

@@ -32,7 +32,8 @@
 //! `--cache-dir DIR` (or `LPAT_CACHE_DIR`) is the lifelong store of `lpatc
 //! run --cache-dir DIR`, laid out the same: `lpatc reopt --cache-dir DIR`
 //! reoptimizes with the profiles the daemon recorded there, and the
-//! daemon's next run serves what `lpatc` cached.
+//! daemon's next run serves what `lpatc` cached. A `run` request executes
+//! as `lpatc run` does, tiered; the wire's tiered flag is ignored.
 //!
 //! Every request is fault-isolated: a panicking, hostile, or runaway
 //! request becomes a structured error on its own connection while the

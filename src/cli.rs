@@ -214,7 +214,7 @@ mod tests {
     use super::*;
 
     const RUN: Flags = Flags {
-        switches: "--tiered",
+        switches: "--profile",
         valued: "--fuel",
     };
 
@@ -225,9 +225,9 @@ mod tests {
 
     #[test]
     fn flags_and_positionals_separate_in_any_order() {
-        let a = parse(&["--fuel", "100", "p.bc", "--tiered", "--quiet"]).unwrap();
+        let a = parse(&["--fuel", "100", "p.bc", "--profile", "--quiet"]).unwrap();
         assert_eq!(a.positionals(), ["p.bc"]);
-        assert!(a.has("--tiered") && a.has("--quiet") && !a.has("--stats"));
+        assert!(a.has("--profile") && a.has("--quiet") && !a.has("--stats"));
         assert_eq!(a.parsed::<u64>("--fuel"), Ok(Some(100)));
         assert_eq!(a.parsed::<u64>("--trace-out"), Ok(None));
     }

@@ -115,7 +115,7 @@ fn lpatc_refuses_flags_the_command_does_not_read() {
     assert_refused(&lpatc(&["run", &bc, "--teired"]), "--teired");
     assert_refused(&lpatc(&["opt", &bc, "--link-pipline"]), "--link-pipline");
     // A real flag of another command is just as unknown here.
-    assert_refused(&lpatc(&["dis", &bc, "--tiered"]), "--tiered");
+    assert_refused(&lpatc(&["dis", &bc, "--profile"]), "--profile");
 }
 
 #[test]
@@ -168,9 +168,9 @@ fn spec_threshold_is_a_percentage_that_implies_speculate() {
     assert!(stderr.contains("[spec] plan:"), "{stderr}");
 }
 
-// -- `--tiered` is the whole ladder -----------------------------------------
+// -- every run is tiered ----------------------------------------------------
 
-/// `--tiered` alone reaches machine code, and the switch that used to ask
+/// A plain `run` reaches machine code, and the switch that used to ask
 /// for that is not a flag any more.
 #[test]
 fn tiered_alone_reaches_machine_code() {
@@ -187,7 +187,7 @@ fn tiered_alone_reaches_machine_code() {
     )
     .unwrap();
     let mc = mc.to_str().unwrap();
-    let out = lpatc(&["run", mc, "--tiered", "--stats"]);
+    let out = lpatc(&["run", mc, "--stats"]);
     let stderr = text(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     let native: u64 = stderr
@@ -195,25 +195,52 @@ fn tiered_alone_reaches_machine_code() {
         .find_map(|l| l.trim_start().strip_prefix("native insts"))
         .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
         .unwrap_or_else(|| panic!("no `native insts` row in:\n{stderr}"));
-    assert!(native > 0, "--tiered never reached machine code:\n{stderr}");
+    assert!(native > 0, "run never reached machine code:\n{stderr}");
     // (Spelt in two pieces: CI greps the tree for the retired name.)
     let retired = concat!("--tier", "-native");
-    assert_refused(&lpatc(&["run", mc, "--tiered", retired]), retired);
+    assert_refused(&lpatc(&["run", mc, retired]), retired);
 }
 
-/// `--jit` and `--tiered` name two engines, so both at once is refused
-/// naming both, not settled by a silent precedence; and the tiered
-/// engine's two hotness thresholds are not flags any more.
+/// The tiered engine decides each function's tier at its first call, so
+/// its two hotness thresholds are not flags any more.
 #[test]
-fn run_refuses_two_engines_and_the_retired_tier_thresholds() {
-    let (_, _, bc) = program("two-engines");
-    let out = lpatc(&["run", &bc, "--jit", "--tiered"]);
-    assert_refused(&out, "--jit");
-    assert_refused(&out, "--tiered");
+fn run_refuses_the_retired_tier_thresholds() {
+    let (_, _, bc) = program("tier-thresholds");
     // (Spelt in two pieces: CI greps the tree for the retired names.)
     for retired in [concat!("--tier", "-up"), concat!("--native", "-up")] {
         assert_refused(&lpatc(&["run", &bc, retired, "1"]), retired);
     }
+}
+
+/// The pass manager has one fault policy and every run is tiered: the
+/// strict mode, the pass budget and the three-way engine choice are
+/// unknown flags, on `lpatc remote` too (refused before it connects).
+#[test]
+fn the_retired_fault_policy_and_engine_flags_are_refused() {
+    let (d, _, bc) = program("retired-policy");
+    let out = d.join("out.bc");
+    let out = out.to_str().unwrap();
+    // (Spelt in pieces: CI greps the tree for the retired names.)
+    let (strict, budget, jit) = (
+        concat!("--no", "-degrade"),
+        concat!("--pass", "-budget-ms"),
+        concat!("--", "jit"),
+    );
+    let sock = d.join("no-daemon.sock");
+    let addr = format!("unix:{}", sock.display());
+    for (cmd, flag) in [
+        (&["opt", &bc, "-o", out, strict][..], strict),
+        (&["opt", &bc, "-o", out, budget, "5"], budget),
+        (&["run", &bc, jit], jit),
+        (&["run", &bc, "--tiered"], "--tiered"),
+        (
+            &["remote", "run", &bc, "--tiered", "--connect", &addr],
+            "--tiered",
+        ),
+    ] {
+        assert_refused(&lpatc(cmd), flag);
+    }
+    assert!(!std::path::Path::new(out).exists());
 }
 
 /// Function passes run on one thread, so there is no job count to set:

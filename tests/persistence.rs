@@ -825,8 +825,8 @@ fn reopt_to(bc: &Path, source: &[&str], out: &Path) -> String {
 /// A profile moves between machines as the file it already is: cache A's
 /// `profile-<hash>.lpp`, a history of one run with two more appended
 /// behind it, copied into cache B is B's profile, so `reopt` there reads
-/// the same three runs and emits the same bytes as in A. A tiered run
-/// appends to the same file copied into cache C (B's own runs execute
+/// the same three runs and emits the same bytes as in A. A run appends
+/// to the same file copied into cache C (B's own runs execute
 /// the module its reopt cached, under that module's hash), which its
 /// next `reopt` reads as four runs.
 #[test]
@@ -865,7 +865,7 @@ fn a_profile_file_copied_into_another_cache_is_its_profile() {
         "the copied file had no appended runs left to fold"
     );
 
-    let (_, stderr) = run_cached(&bc, c.dir(), &["--tiered"], &[]);
+    let (_, stderr) = run_cached(&bc, c.dir(), &[], &[]);
     assert!(!stderr.contains("quarantined"), "{stderr}");
     let out = dir.join("reopt-c.bc");
     let stderr = reopt_to(&bc, &["--cache-dir", c.dir().to_str().unwrap()], &out);

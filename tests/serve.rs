@@ -731,8 +731,8 @@ fn the_cli_and_the_daemon_are_the_same_program() {
                 )
             };
             let run_both_on = |src: &str, step: &str| {
-                let local = lpatc(&["run", src, "--tiered", "--cache-dir", &a]);
-                let remote = lpatc(&["remote", "run", src, "--tiered", "--connect", &addr]);
+                let local = lpatc(&["run", src, "--cache-dir", &a]);
+                let remote = lpatc(&["remote", "run", src, "--connect", &addr]);
                 assert_eq!(local.0, remote.0, "{ctx}, {step}: exit code");
                 assert_eq!(local.1, remote.1, "{ctx}, {step}: stdout");
                 assert_eq!(
@@ -782,9 +782,9 @@ fn the_cli_and_the_daemon_are_the_same_program() {
                 remote_err.contains("served from reopt cache"),
                 "{ctx}: {remote_err}"
             );
-            // `--tiered` and the wire's FLAG_TIERED are one ladder, machine
-            // code included: a kernel hot enough to climb all of it is
-            // answered with the same output and instruction count.
+            // Both sides run tiered, machine code included: a kernel that
+            // reaches machine code is answered with the same output and
+            // instruction count.
             let kernel = path("kernel.mc");
             std::fs::write(
                 &kernel,
@@ -798,7 +798,7 @@ fn the_cli_and_the_daemon_are_the_same_program() {
             )
             .unwrap();
             run_both_on(&kernel, "kernel");
-            let stats = lpatc(&["run", &kernel, "--tiered", "--stats"]).2;
+            let stats = lpatc(&["run", &kernel, "--stats"]).2;
             let native: Option<u64> = stats
                 .lines()
                 .find_map(|l| l.trim_start().strip_prefix("native insts"))
@@ -833,7 +833,7 @@ fn the_cli_and_the_daemon_are_the_same_program() {
             }
             // One layout: `lpatc` on the daemon's directory runs what the
             // daemon's reopt cached there.
-            let (_, _, err) = lpatc(&["run", &src, "--tiered", "--cache-dir", &b]);
+            let (_, _, err) = lpatc(&["run", &src, "--cache-dir", &b]);
             assert!(
                 err.contains("[cache] using reoptimized module"),
                 "{ctx}: {err}"

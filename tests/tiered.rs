@@ -1050,7 +1050,8 @@ h:
 // Injected translation faults: a `native.translate` fault puts the
 // function on the JIT, and one on `jit.translate` after it on the
 // interpreter; output is unchanged. Fault plans are process-global, so
-// this runs through the lpatc driver in a subprocess.
+// this runs through the lpatc driver in a subprocess, against the
+// reference interpreter in-process.
 // ---------------------------------------------------------------------
 
 fn lpatc() -> Command {
@@ -1091,50 +1092,78 @@ x:
   ret int %m
 }";
 
-/// `lpatc run <p> --tiered --stats --quiet`, with `faults` injected.
+/// What `lpatc run` must report for `src`, from the reference
+/// interpreter (`Vm::run_main`) in this process: the exit code (`main`'s
+/// value & 0xFF, or 2 on a trap) and the program's output.
+fn interp_reference(src: &str) -> (Option<i32>, Vec<u8>) {
+    let m = parse(src);
+    let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
+    let code = vm.run_main().map_or(2, |v| (v & 0xFF) as i32);
+    (Some(code), std::mem::take(&mut vm.output).into_bytes())
+}
+
+/// `lpatc run <p> --stats --quiet`, with `faults` injected.
 fn tiered_under(p: &std::path::Path, faults: &str) -> std::process::Output {
     let mut c = lpatc();
-    c.arg("run").arg(p).args(["--tiered", "--stats", "--quiet"]);
+    c.arg("run").arg(p).args(["--stats", "--quiet"]);
     if !faults.is_empty() {
         c.args(["--inject-faults", faults]);
     }
     c.output().unwrap()
 }
 
+/// Set in the child of this test binary that runs the pure JIT under a
+/// `jit.translate` fault.
+const JIT_FAULT_CHILD: &str = "LPAT_TEST_PURE_JIT_UNDER_FAULT";
+
 #[test]
 fn tiered_demotes_and_matches_interp_under_translate_fault() {
+    if std::env::var_os(JIT_FAULT_CHILD).is_some() {
+        // The same plan under the pure JIT is fatal — falling back is the
+        // tiered engine's recovery. The plan is process-wide, so this
+        // runs alone, in a child of this binary.
+        let plan = lpat::core::FaultPlan::parse("jit.translate:io@1").unwrap();
+        assert!(lpat::core::fault::install(plan), "a plan was already fixed");
+        let m = parse(HOT_CALLEE);
+        let mut vm = Vm::new(&m, VmOptions::default()).unwrap();
+        let err = vm.run_main_jit().expect_err("pure JIT must fail");
+        assert!(err.to_string().contains("jit.translate"), "{err}");
+        return;
+    }
     let p = tmp("tiered_fault.ll");
     std::fs::write(&p, HOT_CALLEE).unwrap();
-    let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
+    let (code, stdout) = interp_reference(HOT_CALLEE);
 
     // Every translation attempt faults: both functions are interpreted,
     // and the answer is still right.
     let faulted = tiered_under(&p, "native.translate:io,jit.translate:io");
-    assert_eq!(reference.status.code(), faulted.status.code());
-    assert_eq!(reference.stdout, faulted.stdout);
+    assert_eq!(code, faulted.status.code());
+    assert_eq!(stdout, faulted.stdout);
     let stats = String::from_utf8_lossy(&faulted.stderr);
     assert_eq!(stats_row(&stats, "demoted"), 2, "{stats}");
     assert_eq!(stats_row(&stats, "jit insts"), 0, "{stats}");
     assert_eq!(stats_row(&stats, "native insts"), 0, "{stats}");
 
-    // Same plan under the pure JIT is fatal — falling back is the tiered
-    // engine's recovery.
-    let jit_faulted = lpatc()
-        .arg("run")
-        .arg(&p)
-        .arg("--jit")
-        .arg("--inject-faults")
-        .arg("jit.translate:io@1")
-        .arg("--quiet")
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "tiered_demotes_and_matches_interp_under_translate_fault",
+        ])
+        .env(JIT_FAULT_CHILD, "1")
         .output()
         .unwrap();
-    assert_eq!(jit_faulted.status.code(), Some(2), "pure JIT must fail");
+    let report = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success(), "{report}");
+    assert!(
+        report.contains("1 passed"),
+        "the child ran nothing:\n{report}"
+    );
 
     // Faults on the *first* translation of each kind interpret `main`
     // alone; `@hot` is still machine code, and the answer is still right.
     let partial = tiered_under(&p, "native.translate:io@1,jit.translate:io@1");
-    assert_eq!(reference.status.code(), partial.status.code());
-    assert_eq!(reference.stdout, partial.stdout);
+    assert_eq!(code, partial.status.code());
+    assert_eq!(stdout, partial.stdout);
     let stats = String::from_utf8_lossy(&partial.stderr);
     assert_eq!(stats_row(&stats, "demoted"), 1, "{stats}");
     assert_eq!(stats_row(&stats, "native promoted"), 1, "{stats}");
@@ -1146,12 +1175,12 @@ fn native_demotes_to_jit_and_matches_interp_under_translate_fault() {
     // the JIT for good and the run's answer is unchanged.
     let p = tmp("native_fault.ll");
     std::fs::write(&p, HOT_CALLEE).unwrap();
-    let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
+    let (code, stdout) = interp_reference(HOT_CALLEE);
 
     // Clean tiered run: all of it machine code, same answer.
     let native = tiered_under(&p, "");
-    assert_eq!(reference.status.code(), native.status.code());
-    assert_eq!(reference.stdout, native.stdout);
+    assert_eq!(code, native.status.code());
+    assert_eq!(stdout, native.stdout);
     let stats = String::from_utf8_lossy(&native.stderr);
     assert_eq!(stats_row(&stats, "native promoted"), 2, "{stats}");
     assert_eq!(stats_row(&stats, "jit insts"), 0, "{stats}");
@@ -1161,8 +1190,8 @@ fn native_demotes_to_jit_and_matches_interp_under_translate_fault() {
     // tier table shows it: refused functions, zero native instructions,
     // and JIT instructions picking up the slack.
     let faulted = tiered_under(&p, "native.translate:io");
-    assert_eq!(reference.status.code(), faulted.status.code());
-    assert_eq!(reference.stdout, faulted.stdout);
+    assert_eq!(code, faulted.status.code());
+    assert_eq!(stdout, faulted.stdout);
     let stats = String::from_utf8_lossy(&faulted.stderr);
     assert_eq!(stats_row(&stats, "native demoted"), 2, "{stats}");
     assert_eq!(stats_row(&stats, "native insts"), 0, "{stats}");
@@ -1171,8 +1200,8 @@ fn native_demotes_to_jit_and_matches_interp_under_translate_fault() {
     // A fault on only the *first* native translation puts `main` on the
     // JIT; `@hot` still reaches machine code.
     let partial = tiered_under(&p, "native.translate:io@1");
-    assert_eq!(reference.status.code(), partial.status.code());
-    assert_eq!(reference.stdout, partial.stdout);
+    assert_eq!(code, partial.status.code());
+    assert_eq!(stdout, partial.stdout);
     let stats = String::from_utf8_lossy(&partial.stderr);
     assert_eq!(stats_row(&stats, "native demoted"), 1, "{stats}");
     assert!(stats_row(&stats, "native insts") > 0, "{stats}");
@@ -1240,8 +1269,8 @@ x:
 fn returns_and_unwinds_cross_every_pair_of_tiers() {
     let p = tmp("three_tiers.ll");
     std::fs::write(&p, THREE_TIERS).unwrap();
-    let reference = lpatc().arg("run").arg(&p).arg("--quiet").output().unwrap();
-    assert_eq!(reference.status.code(), Some(33));
+    let (code, stdout) = interp_reference(THREE_TIERS);
+    assert_eq!(code, Some(33));
     // 0 = interpreter, 1 = JIT, 2 = machine code; by first call.
     for combo in 0..27u32 {
         let tiers = [combo % 3, combo / 3 % 3, combo / 9];
@@ -1257,12 +1286,8 @@ fn returns_and_unwinds_cross_every_pair_of_tiers() {
         }
         let out = tiered_under(&p, &plan.join(","));
         let stats = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            reference.status.code(),
-            out.status.code(),
-            "{tiers:?}: {stats}"
-        );
-        assert_eq!(reference.stdout, out.stdout, "{tiers:?}");
+        assert_eq!(code, out.status.code(), "{tiers:?}: {stats}");
+        assert_eq!(stdout, out.stdout, "{tiers:?}");
         let on = |t| tiers.iter().filter(|&&x| x == t).count() as u64;
         assert_eq!(stats_row(&stats, "demoted"), on(0), "{tiers:?}: {stats}");
         assert_eq!(stats_row(&stats, "promoted"), on(1), "{tiers:?}: {stats}");
@@ -1763,7 +1788,7 @@ x:
     let out = lpatc()
         .arg("run")
         .arg(&float)
-        .args(["--tiered", "--stats"])
+        .arg("--stats")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
@@ -1794,7 +1819,7 @@ x:
         .arg(&p)
         .arg("--cache-dir")
         .arg(&cache)
-        .args(["--speculate", "--tiered", "--stats"])
+        .args(["--speculate", "--stats"])
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -1977,11 +2002,7 @@ x:
 
     let run = |extra: &[&str]| {
         let mut c = lpatc();
-        c.arg("run")
-            .arg(&p)
-            .arg("--tiered")
-            .arg("--cache-dir")
-            .arg(&cache);
+        c.arg("run").arg(&p).arg("--cache-dir").arg(&cache);
         for a in extra {
             c.arg(a);
         }
