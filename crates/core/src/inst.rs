@@ -450,22 +450,6 @@ impl Inst {
         )
     }
 
-    /// Whether the instruction may read or write memory or have other side
-    /// effects (used by dead-code elimination).
-    pub fn has_side_effects(&self) -> bool {
-        matches!(
-            self,
-            Inst::Store { .. }
-                | Inst::Call { .. }
-                | Inst::Invoke { .. }
-                | Inst::Free(_)
-                | Inst::Malloc { .. } // conservatively: allocation observable
-                | Inst::Alloca { .. }
-                | Inst::Load { .. } // loads from volatile-unknown memory
-                | Inst::VaArg { .. }
-        ) || self.is_terminator()
-    }
-
     /// The successor blocks of a terminator (empty for non-terminators).
     pub fn successors(&self) -> Vec<BlockId> {
         match self {

@@ -1,10 +1,10 @@
 //! Aggressive dead-code elimination.
 //!
 //! Liveness is computed from roots (terminators, stores, calls) backwards
-//! through operands; everything unmarked is deleted. Unlike the simple
-//! [`crate::scalar::Dce`] fixpoint, this removes *cyclic* dead code —
-//! e.g. a dead loop-carried φ chain — in one pass, and also deletes dead
-//! loads and allocations.
+//! through operands; everything unmarked is deleted. Unlike a use-count
+//! fixpoint, this removes *cyclic* dead code — e.g. a dead loop-carried φ
+//! chain — in one pass, and also deletes dead loads and allocations. It
+//! is the optimizer's one dead-code pass.
 
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::{FuncId, Inst, InstId, Module, Value};

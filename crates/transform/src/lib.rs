@@ -44,7 +44,7 @@ pub mod sroa;
 pub mod util;
 
 pub use fpm::{FuncUnit, FunctionPass, FunctionPassAdapter};
-pub use pipelines::{function_pipeline, link_time_pipeline};
+pub use pipelines::{function_pipeline, link_time_pipeline, scalar_stage};
 pub use pm::{
     FaultCause, FuncTiming, ModulePass, PassContext, PassDetails, PassEffect, PassExecution,
     PassFault, PassManager, PipelineReport,

@@ -1,11 +1,19 @@
 //! Standard pass pipelines.
 //!
+//! * [`scalar_stage`] — the one scalar cleanup sequence every optimizer
+//!   runs over the representation: scalar expansion and stack promotion
+//!   (for textual IR, miniC's all-in-memory lowering and the allocas an
+//!   inlined callee brings in), folding, reassociation, value numbering,
+//!   CFG simplification, loop-invariant code motion and aggressive DCE.
 //! * [`function_pipeline`] — the per-module "static optimizer" a front-end
-//!   invokes at compile time (paper §3.2): SSA construction (scalar
-//!   expansion + stack promotion) followed by scalar cleanups.
+//!   invokes at compile time (paper §3.2): the scalar stage alone.
 //! * [`link_time_pipeline`] — the whole-program interprocedural pipeline
-//!   run by the linker (paper §3.3): internalize, IPCP, DAE, DGE,
-//!   inlining, EH pruning, then scalar cleanup of the inlined code.
+//!   run by the linker (paper §3.3): internalize, devirtualize, IPCP, DAE,
+//!   DGE, inlining, EH pruning, then the scalar stage over the inlined
+//!   code.
+//!
+//! The idle-time reoptimizer (paper §3.6, `lpat_vm::pgo`) runs the same
+//! scalar stage after profile-guided inlining.
 
 use crate::adce::Adce;
 use crate::devirtualize::Devirtualize;
@@ -18,30 +26,33 @@ use crate::mem2reg::Mem2Reg;
 use crate::pm::PassManager;
 use crate::prune_eh::PruneEh;
 use crate::reassociate::Reassociate;
-use crate::scalar::{Dce, InstSimplify};
+use crate::scalar::InstSimplify;
 use crate::simplifycfg::SimplifyCfg;
 use crate::sroa::Sroa;
 
-/// The per-module (compile-time) optimization pipeline.
+/// The scalar cleanup stage, named `name` in reports and fault plans.
 ///
-/// All passes are function passes, so the whole pipeline runs as one
-/// [`FunctionPassAdapter`] stage: each function flows through every pass
+/// All passes are function passes, so the stage runs as one
+/// [`FunctionPassAdapter`]: each function flows through every pass
 /// (sharing cached analyses) before the next function starts.
+pub fn scalar_stage(name: &'static str) -> FunctionPassAdapter {
+    FunctionPassAdapter::new(name)
+        .add(Sroa::default())
+        .add(Mem2Reg::default())
+        .add(InstSimplify::default())
+        .add(Reassociate::default())
+        .add(Gvn::default())
+        .add(InstSimplify::default())
+        .add(SimplifyCfg::default())
+        .add(Licm::default())
+        .add(Adce::default())
+        .add(SimplifyCfg::default())
+}
+
+/// The per-module (compile-time) optimization pipeline.
 pub fn function_pipeline() -> PassManager {
     let mut pm = PassManager::new();
-    pm.add(
-        FunctionPassAdapter::new("function-opts")
-            .add(Sroa::default())
-            .add(Mem2Reg::default())
-            .add(InstSimplify::default())
-            .add(Reassociate::default())
-            .add(InstSimplify::default())
-            .add(Gvn::default())
-            .add(SimplifyCfg::default())
-            .add(Licm::default())
-            .add(Adce::default())
-            .add(SimplifyCfg::default()),
-    );
+    pm.add(scalar_stage("function-opts"));
     pm
 }
 
@@ -55,22 +66,8 @@ pub fn link_time_pipeline() -> PassManager {
     pm.add(Dge::default());
     pm.add(Inline::default());
     pm.add(PruneEh::default());
-    // Clean up what inlining exposed: callee allocas promote again, then
-    // scalar folding (twice: GVN's store-to-load forwarding feeds the
-    // second round).
-    pm.add(
-        FunctionPassAdapter::new("cleanup")
-            .add(Sroa::default())
-            .add(Mem2Reg::default())
-            .add(InstSimplify::default())
-            .add(Gvn::default())
-            .add(InstSimplify::default())
-            .add(SimplifyCfg::default())
-            .add(Licm::default())
-            .add(Adce::default())
-            .add(SimplifyCfg::default())
-            .add(Dce::default()),
-    );
+    // Clean up what inlining exposed.
+    pm.add(scalar_stage("cleanup"));
     pm.add(Dge::default());
     pm
 }

@@ -4,8 +4,12 @@
 //! optimizations explicit `getelementptr` address arithmetic enables
 //! (§2.2).
 //!
-//! `(x + c1) + c2` becomes `x + (c1 + c2)` (folded by `instsimplify`), and
-//! `c + x` becomes `x + c`.
+//! `(x + c1) + c2` becomes `x + (c1 + c2)`, with `c1 + c2` folded here
+//! through `lpat_core::fold` (the inner `x + c1` is left for ADCE when
+//! nothing else uses it), and `c + x` becomes `x + c`. In the scalar stage
+//! it runs after the first `instsimplify`, whose folded constants it
+//! moves to the right, and before GVN, which then numbers the canonical
+//! forms.
 
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::fold::fold_bin;
@@ -119,7 +123,7 @@ e:
         assert!(text.contains("add int %a0, 5"), "{text}");
         assert!(text.contains("add int %a0, 12"), "{text}");
         // After DCE the chain is one instruction.
-        crate::scalar::dce_function(&mut m, fid);
+        crate::adce::adce_function(&mut m, fid);
         assert_eq!(m.func(fid).num_insts(), 2);
     }
 

@@ -1,8 +1,10 @@
-//! Scalar simplifications: constant folding, algebraic identities, and
-//! dead-instruction elimination.
+//! Scalar simplifications: constant folding and algebraic identities.
 //!
-//! `InstSimplify` is the workhorse run repeatedly between the structural
-//! passes; `Dce` removes unused side-effect-free instructions.
+//! [`InstSimplify`] runs twice in the scalar stage
+//! ([`crate::pipelines::scalar_stage`]): before `reassociate`, so that
+//! folded constants reach it, and after GVN. It deletes each instruction
+//! it replaces by a value; an operand that dies with it is left to
+//! [`crate::adce`], the optimizer's one dead-code pass.
 
 use std::collections::HashMap;
 
@@ -237,62 +239,6 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
     }
 }
 
-/// Dead-code elimination: unlink side-effect-free instructions whose
-/// results are unused, iterating to a fixpoint.
-#[derive(Default)]
-pub struct Dce {
-    removed: usize,
-}
-
-impl FunctionPass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-    fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
-        let n = dce_unit(u);
-        self.removed += n;
-        // Removed instructions have no side effects, so no calls are lost.
-        PassEffect::from_change(n > 0, PreservedAnalyses::all())
-    }
-    fn stats(&self) -> String {
-        format!("removed {} dead instructions", self.removed)
-    }
-}
-
-/// Remove dead instructions from one function; returns how many.
-pub fn dce_function(m: &mut Module, fid: FuncId) -> usize {
-    crate::fpm::with_unit(m, fid, dce_unit)
-}
-
-/// Dead-code elimination against a [`FuncUnit`]; returns removed count.
-pub fn dce_unit(u: &mut FuncUnit<'_>) -> usize {
-    if u.func.is_declaration() {
-        return 0;
-    }
-    let mut removed = 0;
-    loop {
-        let f = &*u.func;
-        let uses = f.use_counts();
-        let mut dead = Vec::new();
-        for b in f.block_ids() {
-            for &iid in f.block_insts(b) {
-                if uses[iid.index()] == 0 && !f.inst(iid).has_side_effects() {
-                    dead.push((b, iid));
-                }
-            }
-        }
-        if dead.is_empty() {
-            break;
-        }
-        removed += dead.len();
-        let fm = &mut *u.func;
-        for (b, iid) in dead {
-            fm.remove_inst(b, iid);
-        }
-    }
-    removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +249,7 @@ mod tests {
         m.verify().unwrap();
         let fid = m.func_by_name("f").unwrap();
         while simplify_function(&mut m, fid) {}
-        dce_function(&mut m, fid);
+        crate::adce::adce_function(&mut m, fid);
         m.verify()
             .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
         m
@@ -398,21 +344,6 @@ j:
   ret int %p
 }");
         assert!(m.display().contains("ret int %a1"), "{}", m.display());
-    }
-
-    #[test]
-    fn dce_keeps_side_effects() {
-        let m = opt("
-declare int @ext()
-define void @f() {
-e:
-  %unused = call int @ext()
-  %dead = add int 1, 2
-  ret void
-}");
-        let text = m.display();
-        assert!(text.contains("call int @ext()"), "{text}");
-        assert!(!text.contains("add"), "{text}");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! * **profile-guided code layout** — blocks are reordered so the hottest
 //!   successor of each block is its fall-through, improving the locality of
 //!   the native code a backend would emit.
+//!
+//! Between the two, when anything was inlined, the module goes through the
+//! scalar stage the compile-time and link-time pipelines run
+//! ([`lpat_transform::scalar_stage`], named `pgo-cleanup` here), so the
+//! inlined bodies get the same cleanups a static link would give them.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -18,13 +23,9 @@ use std::rc::Rc;
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::trace;
 use lpat_core::{BlockId, Const, FuncId, Inst, Module, Value};
-use lpat_transform::gvn::Gvn;
 use lpat_transform::inline::inline_site;
-use lpat_transform::scalar::{Dce, InstSimplify};
-use lpat_transform::simplifycfg::SimplifyCfg;
 use lpat_transform::{
-    FunctionPassAdapter, ModulePass, PassContext, PassEffect, PassFault, PassManager,
-    PipelineReport,
+    scalar_stage, ModulePass, PassContext, PassEffect, PassFault, PassManager, PipelineReport,
 };
 
 use crate::profile::ProfileData;
@@ -105,15 +106,9 @@ pub fn reoptimize(m: &mut Module, profile: &ProfileData, opts: &PgoOptions) -> P
     });
     if report.inlined > 0 {
         // Clean up what hot inlining exposed before choosing a layout,
-        // through the instrumented pass framework.
+        // with the scalar stage the static pipelines run.
         let mut pm = PassManager::new();
-        pm.add(
-            FunctionPassAdapter::new("pgo-cleanup")
-                .add(InstSimplify::default())
-                .add(Gvn::default())
-                .add(SimplifyCfg::default())
-                .add(Dce::default()),
-        );
+        pm.add(scalar_stage("pgo-cleanup"));
         report.cleanup = pm.run(m);
         report.faults.extend(report.cleanup.faults.iter().cloned());
     }

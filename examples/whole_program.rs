@@ -8,7 +8,6 @@
 //! cargo run --example whole_program
 //! ```
 
-use lpat::transform::fpm::FunctionPassAdapter;
 use lpat::transform::pm::PassManager;
 use lpat::vm::{Vm, VmOptions};
 
@@ -99,13 +98,7 @@ fn main() {
     pm.add(lpat::transform::ipo::Dge::default());
     pm.add(lpat::transform::inline::Inline::default());
     pm.add(lpat::transform::prune_eh::PruneEh::default());
-    pm.add(
-        FunctionPassAdapter::new("cleanup")
-            .add(lpat::transform::scalar::InstSimplify::default())
-            .add(lpat::transform::gvn::Gvn::default())
-            .add(lpat::transform::simplifycfg::SimplifyCfg::default())
-            .add(lpat::transform::adce::Adce::default()),
-    );
+    pm.add(lpat::transform::scalar_stage("cleanup"));
     pm.add(lpat::transform::ipo::Dge::default());
     println!();
     print!("{}", pm.run(&mut linked).render());

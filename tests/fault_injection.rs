@@ -21,7 +21,7 @@ use lpat::transform::mem2reg::Mem2Reg;
 use lpat::transform::pm::FnPass;
 use lpat::transform::prune_eh::PruneEh;
 use lpat::transform::reassociate::Reassociate;
-use lpat::transform::scalar::{Dce, InstSimplify};
+use lpat::transform::scalar::InstSimplify;
 use lpat::transform::simplifycfg::SimplifyCfg;
 use lpat::transform::sroa::Sroa;
 use lpat::transform::{
@@ -374,23 +374,23 @@ enum Stage {
     Functions(&'static str, &'static [&'static str]),
 }
 
-/// `function_pipeline()` and `link_time_pipeline()`, by name
-/// (`the_pipelines_by_name_are_the_real_ones` holds them to it).
-const FUNCTION_OPTS: [Stage; 1] = [Stage::Functions(
-    "function-opts",
-    &[
-        "sroa",
-        "mem2reg",
-        "instsimplify",
-        "reassociate",
-        "instsimplify",
-        "gvn",
-        "simplifycfg",
-        "licm",
-        "adce",
-        "simplifycfg",
-    ],
-)];
+/// The scalar stage (`scalar_stage`) by name: the compile-time pipeline
+/// is this alone, and the link-time pipeline and the reoptimizer clean up
+/// with it (`the_pipelines_by_name_are_the_real_ones` holds all three to it).
+const SCALAR: &[&str] = &[
+    "sroa",
+    "mem2reg",
+    "instsimplify",
+    "reassociate",
+    "gvn",
+    "instsimplify",
+    "simplifycfg",
+    "licm",
+    "adce",
+    "simplifycfg",
+];
+/// `function_pipeline()` and `link_time_pipeline()`, by name.
+const FUNCTION_OPTS: [Stage; 1] = [Stage::Functions("function-opts", SCALAR)];
 const LINK_TIME: [Stage; 9] = [
     Stage::Module("internalize"),
     Stage::Module("devirtualize"),
@@ -399,21 +399,7 @@ const LINK_TIME: [Stage; 9] = [
     Stage::Module("dge"),
     Stage::Module("inline"),
     Stage::Module("prune-eh"),
-    Stage::Functions(
-        "cleanup",
-        &[
-            "sroa",
-            "mem2reg",
-            "instsimplify",
-            "gvn",
-            "instsimplify",
-            "simplifycfg",
-            "licm",
-            "adce",
-            "simplifycfg",
-            "dce",
-        ],
-    ),
+    Stage::Functions("cleanup", SCALAR),
     Stage::Module("dge"),
 ];
 
@@ -445,7 +431,6 @@ fn function_pass(name: &str) -> Box<dyn FunctionPass> {
         "licm" => Box::new(Licm::default()),
         "simplifycfg" => Box::new(SimplifyCfg::default()),
         "adce" => Box::new(Adce::default()),
-        "dce" => Box::new(Dce::default()),
         other => panic!("no function pass named {other}"),
     }
 }
@@ -508,6 +493,25 @@ fn the_pipelines_by_name_are_the_real_ones() {
     );
     assert_eq!(names(&ra), names(&rb));
     assert_eq!(write_module(&a), write_module(&b));
+    // The reoptimizer cleans up after hot inlining with the same stage.
+    let mut m = sample();
+    let opts = lpat::vm::VmOptions {
+        profile: true,
+        ..lpat::vm::VmOptions::default()
+    };
+    let mut vm = lpat::vm::Vm::new(&m, opts).unwrap();
+    vm.run_main().unwrap();
+    let profile = vm.profile.clone();
+    let pgo = lpat::vm::PgoOptions {
+        hot_call_threshold: 1,
+        ..lpat::vm::PgoOptions::default()
+    };
+    let report = lpat::vm::reoptimize(&mut m, &profile, &pgo);
+    assert!(report.inlined > 0, "{report:?}");
+    assert_eq!(
+        names(&report.cleanup),
+        vec![("pgo-cleanup", SCALAR.to_vec())]
+    );
 }
 
 /// The two ways a unit can fault, as `--inject-faults` spells them and
@@ -949,17 +953,21 @@ x:
 
 /// The reoptimizer's stages run on the pass manager: `pgo-inline:panic`
 /// or `pgo-layout:panic` rolls back that stage alone, and `lpatc reopt`
-/// still exits 0 and writes a module that verifies. CI runs one leg per
-/// site via `LPAT_FAULTS_MATRIX=<site>`; locally both run.
+/// still exits 0 and writes a module that verifies. So does a panic in
+/// `licm`, which runs in reopt as part of the scalar stage that cleans up
+/// after hot inlining. CI runs one leg per site via
+/// `LPAT_FAULTS_MATRIX=<site>`; locally all three run.
 #[test]
 fn lpatc_reopt_isolates_a_faulting_pgo_stage() {
     let sites: Vec<String> = match std::env::var("LPAT_FAULTS_MATRIX") {
         Ok(v) if !v.trim().is_empty() => v
             .split(',')
             .map(|s| s.trim().to_string())
-            .filter(|s| s.starts_with("pgo-"))
+            .filter(|s| s.starts_with("pgo-") || s == "licm")
             .collect(),
-        _ => vec!["pgo-inline".to_string(), "pgo-layout".to_string()],
+        _ => ["pgo-inline", "pgo-layout", "licm"]
+            .map(String::from)
+            .to_vec(),
     };
     let src = "
 declare void @print_int(int)
@@ -1030,6 +1038,7 @@ x:
         let counts = match site.as_str() {
             "pgo-inline" => "inlined 0 hot sites, re-laid 1 functions",
             "pgo-layout" => "inlined 1 hot sites, re-laid 0 functions",
+            "licm" => "inlined 1 hot sites, re-laid 2 functions",
             other => panic!("unknown reoptimizer fault site {other}"),
         };
         assert!(stderr.contains(counts), "{site}:\n{stderr}");
