@@ -218,6 +218,57 @@ bb0:
         );
     }
 
+    /// One module, built after its pool has interned `pre` (unused unless
+    /// the module uses it).
+    fn built_after_interning(pre: &[i32]) -> Vec<u8> {
+        use lpat_core::{Linkage, Module, Value};
+        let mut m = Module::new("t");
+        for &v in pre {
+            m.consts.i32(v);
+        }
+        let i32t = m.types.i32();
+        let arr = m.types.array(i32t, 3);
+        let elems = vec![m.consts.i32(7), m.consts.i32(5), m.consts.i32(7)];
+        let init = m.consts.array(arr, elems);
+        m.add_global("t", arr, Some(init), false, Linkage::External);
+        let f = m.add_function("f", &[i32t], i32t, false, Linkage::External);
+        let case = m.consts.i32(9);
+        let mut b = m.builder(f);
+        b.block();
+        let done = b.new_block();
+        let five = b.iconst32(5);
+        let x = b.add(Value::Arg(0), five);
+        let nine = b.iconst32(9);
+        let y = b.mul(x, nine);
+        let z = b.add(y, five);
+        b.switch(z, done, vec![(case, done)]);
+        b.switch_to(done);
+        b.ret(Some(z));
+        m.verify().unwrap();
+        write_module(&m)
+    }
+
+    #[test]
+    fn constant_numbering_does_not_depend_on_interning_order() {
+        let bytes = built_after_interning(&[]);
+        assert_eq!(bytes, built_after_interning(&[9, 3, 7, 5]));
+        assert_eq!(bytes, built_after_interning(&[7, 9]));
+        // 5 is used three times (two operands, one element), 7 and 9 twice
+        // each, the array once: 5 comes first, then 7 (met first, in the
+        // initializer), then 9, then the array after its elements.
+        let m = read_module("t", &bytes).unwrap();
+        let pool: Vec<String> = m.consts.iter().map(|(_, c)| format!("{c:?}")).collect();
+        assert!(
+            pool[0].contains("value: 5") && pool[1].contains("value: 7"),
+            "{pool:?}"
+        );
+        assert!(
+            pool[2].contains("value: 9") && pool[3].starts_with("Array"),
+            "{pool:?}"
+        );
+        assert_eq!(pool.len(), 4, "the unused 3 is not written: {pool:?}");
+    }
+
     #[test]
     fn forward_layout_reference_types_resolve() {
         // bb1 uses a value defined in bb2; bb2 dominates bb1 despite later

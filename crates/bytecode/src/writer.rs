@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use lpat_core::{Const, Function, Inst, InstId, Module, Type, Value};
+use lpat_core::{Const, ConstId, Function, Inst, InstId, Module, Type, Value};
 
 use crate::format::{pack_head, write_string, write_varint, zigzag, Op, FIELD_MAX, MAGIC, VERSION};
 
@@ -42,8 +42,8 @@ pub fn write_module_with(m: &Module, opts: WriteOptions) -> Vec<u8> {
     // lifetime (transforms retire constants; symbol removal leaves
     // dangling address entries). Serialization garbage-collects: only
     // constants reachable from instructions and initializers are written,
-    // under a dense renumbering.
-    let cmap = reachable_consts(m);
+    // under a dense renumbering by use.
+    let cmap = number_consts(m);
 
     write_types(m, &mut out);
     write_func_sigs(m, &mut out);
@@ -58,21 +58,52 @@ pub fn write_module_with(m: &Module, opts: WriteOptions) -> Vec<u8> {
     out
 }
 
-/// Dense remap of reachable constants, in an order where aggregate
-/// elements precede the aggregates that contain them (original interning
-/// order has that property, so keeping old-id order suffices).
-fn reachable_consts(m: &Module) -> HashMap<lpat_core::ConstId, usize> {
-    let mut seen: Vec<bool> = vec![false; m.consts.len()];
-    let mut work: Vec<lpat_core::ConstId> = Vec::new();
-    fn mark(c: lpat_core::ConstId, seen: &mut [bool], work: &mut Vec<lpat_core::ConstId>) {
-        if !seen[c.index()] {
-            seen[c.index()] = true;
-            work.push(c);
-        }
+/// The constants a module writes, in file order, and the number each is
+/// written under.
+struct ConstNumbering {
+    order: Vec<ConstId>,
+    /// By pool index; `usize::MAX` for a constant nothing reaches.
+    number: Vec<usize>,
+}
+
+impl ConstNumbering {
+    fn of(&self, c: ConstId) -> u64 {
+        self.number[c.index()] as u64
     }
+}
+
+/// Number the constants the module reaches, most used first and ties by
+/// first use, so that the most used get the ids that encode in one byte
+/// (below 32 in an operand, below 128 as a `switch` case, an aggregate
+/// element or a global initializer). A use is an operand, a case, an
+/// initializer, or an element of an aggregate (once per aggregate: the
+/// pool writes each aggregate once). Each aggregate's elements are placed
+/// before it, as the reader requires. The numbering depends on what the
+/// module says, not on the order its pool interned the constants in.
+fn number_consts(m: &Module) -> ConstNumbering {
+    let elements = |c: ConstId| match m.consts.get(c) {
+        Const::Array { elems, .. } | Const::Struct { fields: elems, .. } => &elems[..],
+        _ => &[],
+    };
+    // Uses, and the order constants are first met in: initializers, then
+    // instructions in layout order; an aggregate's elements are met (and
+    // counted) right after it, the first time it is.
+    let mut uses = vec![0u32; m.consts.len()];
+    let mut met: Vec<ConstId> = Vec::new();
+    let mut stack: Vec<ConstId> = Vec::new();
+    let mut count = |c: ConstId| {
+        stack.push(c);
+        while let Some(c) = stack.pop() {
+            uses[c.index()] += 1;
+            if uses[c.index()] == 1 {
+                met.push(c);
+                stack.extend(elements(c).iter().rev());
+            }
+        }
+    };
     for (_, g) in m.globals() {
         if let Some(init) = g.init {
-            mark(init, &mut seen, &mut work);
+            count(init);
         }
     }
     for (_, f) in m.funcs() {
@@ -80,40 +111,39 @@ fn reachable_consts(m: &Module) -> HashMap<lpat_core::ConstId, usize> {
             let inst = f.inst(iid);
             inst.for_each_operand(|v| {
                 if let Value::Const(c) = v {
-                    mark(c, &mut seen, &mut work);
+                    count(c);
                 }
             });
             if let Inst::Switch { cases, .. } = inst {
-                for (c, _) in cases {
-                    mark(*c, &mut seen, &mut work);
+                for &(c, _) in cases {
+                    count(c);
                 }
             }
         }
     }
-    while let Some(c) = work.pop() {
-        match m.consts.get(c) {
-            Const::Array { elems, .. } => {
-                for &e in elems {
-                    mark(e, &mut seen, &mut work);
+    // `met` is in first-use order, so a stable sort breaks ties by it.
+    met.sort_by_key(|c| std::cmp::Reverse(uses[c.index()]));
+    let mut number = vec![usize::MAX; m.consts.len()];
+    let mut order = Vec::with_capacity(met.len());
+    // Post-order over the elements, without recursion: `(c, k)` is `c`
+    // with its elements before the `k`-th placed.
+    let mut stack: Vec<(ConstId, usize)> = Vec::new();
+    for c in met {
+        stack.push((c, 0));
+        while let Some((c, k)) = stack.pop() {
+            if number[c.index()] != usize::MAX {
+                continue;
+            }
+            match elements(c).get(k) {
+                Some(&e) => stack.extend([(c, k + 1), (e, 0)]),
+                None => {
+                    number[c.index()] = order.len();
+                    order.push(c);
                 }
             }
-            Const::Struct { fields, .. } => {
-                for &e in fields {
-                    mark(e, &mut seen, &mut work);
-                }
-            }
-            _ => {}
         }
     }
-    let mut cmap = HashMap::new();
-    let mut next = 0usize;
-    for (i, &sn) in seen.iter().enumerate() {
-        if sn {
-            cmap.insert(lpat_core::ConstId::from_index(i), next);
-            next += 1;
-        }
-    }
-    cmap
+    ConstNumbering { order, number }
 }
 
 /// Number of pre-interned primitive types that are never serialized.
@@ -197,13 +227,10 @@ fn write_global_heads(m: &Module, out: &mut Vec<u8>) {
     }
 }
 
-fn write_consts(m: &Module, cmap: &HashMap<lpat_core::ConstId, usize>, out: &mut Vec<u8>) {
-    write_varint(out, cmap.len() as u64);
-    for (id, c) in m.consts.iter() {
-        if !cmap.contains_key(&id) {
-            continue;
-        }
-        match c {
+fn write_consts(m: &Module, cmap: &ConstNumbering, out: &mut Vec<u8>) {
+    write_varint(out, cmap.order.len() as u64);
+    for &id in &cmap.order {
+        match m.consts.get(id) {
             Const::Bool(b) => {
                 out.push(0);
                 out.push(*b as u8);
@@ -238,7 +265,7 @@ fn write_consts(m: &Module, cmap: &HashMap<lpat_core::ConstId, usize>, out: &mut
                 write_varint(out, ty.index() as u64);
                 write_varint(out, elems.len() as u64);
                 for e in elems {
-                    write_varint(out, cmap[e] as u64);
+                    write_varint(out, cmap.of(*e));
                 }
             }
             Const::Struct { ty, fields } => {
@@ -246,7 +273,7 @@ fn write_consts(m: &Module, cmap: &HashMap<lpat_core::ConstId, usize>, out: &mut
                 write_varint(out, ty.index() as u64);
                 write_varint(out, fields.len() as u64);
                 for e in fields {
-                    write_varint(out, cmap[e] as u64);
+                    write_varint(out, cmap.of(*e));
                 }
             }
             Const::GlobalAddr(g) => {
@@ -261,35 +288,30 @@ fn write_consts(m: &Module, cmap: &HashMap<lpat_core::ConstId, usize>, out: &mut
     }
 }
 
-fn write_global_inits(m: &Module, cmap: &HashMap<lpat_core::ConstId, usize>, out: &mut Vec<u8>) {
+fn write_global_inits(m: &Module, cmap: &ConstNumbering, out: &mut Vec<u8>) {
     for (_, g) in m.globals() {
         if let Some(init) = g.init {
-            write_varint(out, cmap[&init] as u64);
+            write_varint(out, cmap.of(init));
         }
     }
 }
 
 /// Encode a [`Value`] as a tagged valnum relative to instruction `cur`.
-fn valnum(
-    idmap: &HashMap<InstId, usize>,
-    cmap: &HashMap<lpat_core::ConstId, usize>,
-    cur: usize,
-    v: Value,
-) -> u64 {
+fn valnum(idmap: &HashMap<InstId, usize>, cmap: &ConstNumbering, cur: usize, v: Value) -> u64 {
     match v {
         Value::Inst(d) => {
             let def = idmap[&d];
             zigzag(cur as i64 - def as i64) << 2
         }
         Value::Arg(n) => ((n as u64) << 2) | 1,
-        Value::Const(c) => ((cmap[&c] as u64) << 2) | 2,
+        Value::Const(c) => (cmap.of(c) << 2) | 2,
     }
 }
 
 fn write_body(
     m: &Module,
     f: &Function,
-    cmap: &HashMap<lpat_core::ConstId, usize>,
+    cmap: &ConstNumbering,
     opts: WriteOptions,
     out: &mut Vec<u8>,
 ) {
@@ -318,7 +340,7 @@ fn fits(vals: &[u64]) -> bool {
 fn write_inst(
     f: &Function,
     idmap: &HashMap<InstId, usize>,
-    cmap: &HashMap<lpat_core::ConstId, usize>,
+    cmap: &ConstNumbering,
     opts: WriteOptions,
     cur: usize,
     iid: InstId,
@@ -362,7 +384,7 @@ fn write_inst(
             write_varint(out, default.index() as u64);
             write_varint(out, cases.len() as u64);
             for (c, b) in cases {
-                write_varint(out, cmap[c] as u64);
+                write_varint(out, cmap.of(*c));
                 write_varint(out, b.index() as u64);
             }
         }

@@ -361,10 +361,55 @@ impl Function {
         self.edit().blocks[b.0 as usize].insts.insert(pos, id);
     }
 
-    /// Unlink instruction `id` from block `b` (the arena slot survives but
-    /// becomes unreachable from the CFG).
-    pub fn remove_inst(&mut self, b: BlockId, id: InstId) {
-        self.edit().blocks[b.0 as usize].insts.retain(|&x| x != id);
+    /// Apply a whole replacement map in one rewrite. `repl` is indexed by
+    /// [`InstId`] (slots past its end are not replaced): every instruction
+    /// `i` with `repl[i] = Some(v)` is unlinked, and every operand of a
+    /// linked instruction that names one names its replacement instead. A
+    /// replacement may itself be replaced; each entry is first resolved to
+    /// its final value (see [`resolve_replaced`]) and is left so. The map
+    /// must be acyclic. Returns the number of instructions unlinked; with
+    /// no entry at all the body is not written.
+    pub fn replace_insts(&mut self, repl: &mut [Option<Value>]) -> usize {
+        if repl.iter().all(Option::is_none) {
+            return 0;
+        }
+        for i in 0..repl.len() {
+            if let Some(v) = repl[i] {
+                repl[i] = Some(resolve_replaced(repl, v));
+            }
+        }
+        let repl = &*repl;
+        let replaced = |i: InstId| repl.get(i.0 as usize).is_some_and(Option::is_some);
+        let Body { blocks, insts } = self.edit();
+        let mut unlinked = 0;
+        for block in blocks {
+            let before = block.insts.len();
+            block.insts.retain(|&i| !replaced(i));
+            unlinked += before - block.insts.len();
+            for i in &block.insts {
+                insts[i.0 as usize].inst.map_operands(|v| match v {
+                    Value::Inst(d) => repl.get(d.0 as usize).copied().flatten().unwrap_or(v),
+                    v => v,
+                });
+            }
+        }
+        unlinked
+    }
+
+    /// Unlink every linked instruction `dead` holds, with no replacement:
+    /// no instruction left linked may name one. Returns how many; when
+    /// none is linked the body is not written.
+    pub fn unlink_insts(&mut self, dead: impl Fn(InstId) -> bool) -> usize {
+        if !self.inst_ids_in_order().any(&dead) {
+            return 0;
+        }
+        let mut unlinked = 0;
+        for block in &mut self.edit().blocks {
+            let before = block.insts.len();
+            block.insts.retain(|&i| !dead(i));
+            unlinked += before - block.insts.len();
+        }
+        unlinked
     }
 
     /// The terminator of block `b`, if the block is non-empty and ends in
@@ -463,12 +508,15 @@ impl Function {
         *insts = dense;
     }
 
-    /// Count uses of each instruction result among linked instructions.
-    pub fn use_counts(&self) -> Vec<u32> {
+    /// Count uses of each instruction result among linked instructions,
+    /// each operand read through the replacement map `repl` (see
+    /// [`resolve_replaced`]; `&mut []` for none): a use of a replaced
+    /// instruction counts for what replaces it.
+    pub fn use_counts(&self, repl: &mut [Option<Value>]) -> Vec<u32> {
         let mut counts = vec![0u32; self.body.insts.len()];
         for i in self.inst_ids_in_order() {
             self.inst(i).for_each_operand(|v| {
-                if let Value::Inst(d) = v {
+                if let Value::Inst(d) = resolve_replaced(repl, v) {
                     counts[d.0 as usize] += 1;
                 }
             });
@@ -563,6 +611,28 @@ impl Function {
         }
         remap
     }
+}
+
+/// The value `v` stands for under the replacement map `repl` (indexed by
+/// [`InstId`], as [`Function::replace_insts`] takes it; slots past its end
+/// are not replaced). A replacement may itself be replaced: the final
+/// value is written back along the path walked, so a long run of
+/// forwarding is walked once, not once per use. The map must be acyclic.
+pub fn resolve_replaced(repl: &mut [Option<Value>], v: Value) -> Value {
+    let step = |repl: &[Option<Value>], v: Value| match v {
+        Value::Inst(i) => repl.get(i.0 as usize).copied().flatten().map(|r| (i, r)),
+        _ => None,
+    };
+    let mut fin = v;
+    while let Some((_, r)) = step(repl, fin) {
+        fin = r;
+    }
+    let mut cur = v;
+    while let Some((i, r)) = step(repl, cur) {
+        repl[i.0 as usize] = Some(fin);
+        cur = r;
+    }
+    fin
 }
 
 #[cfg(test)]
@@ -795,6 +865,48 @@ mod block_surgery_tests {
     }
 
     #[test]
+    fn replace_insts_resolves_chains_and_unlinks_in_one_rewrite() {
+        use crate::inst::InstId;
+        let mut m = Module::new("t");
+        let i32t = m.types.i32();
+        let f = m.add_function(
+            "f",
+            &[i32t],
+            i32t,
+            false,
+            crate::function::Linkage::External,
+        );
+        let mut b = m.builder(f);
+        b.block();
+        let one = b.iconst32(1);
+        let a = b.add(Value::Arg(0), one);
+        let c = b.bin(BinOp::Mul, a, a);
+        let zero = b.iconst32(0);
+        let d = b.add(c, zero);
+        b.ret(Some(d));
+        let fm = m.func_mut(f);
+        // `d` stands for `c`, which stands for `a`.
+        let mut repl = vec![None; fm.num_inst_slots()];
+        let id = |v: Value| match v {
+            Value::Inst(i) => i.index(),
+            _ => unreachable!(),
+        };
+        repl[id(d)] = Some(c);
+        repl[id(c)] = Some(a);
+        assert_eq!(fm.replace_insts(&mut repl), 2);
+        assert_eq!(repl[id(d)], Some(a), "left resolved");
+        assert_eq!(fm.num_insts(), 2);
+        assert!(matches!(fm.inst(InstId::from_index(3)), Inst::Ret(Some(v)) if *v == a));
+        // Nothing to do writes nothing.
+        let version = fm.version();
+        assert_eq!(fm.replace_insts(&mut [None, None]), 0);
+        assert_eq!(fm.unlink_insts(|_| false), 0);
+        assert_eq!(fm.version(), version);
+        m.verify()
+            .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
+    }
+
+    #[test]
     fn use_counts_and_rau_interact() {
         let mut m = Module::new("t");
         let i32t = m.types.i32();
@@ -812,14 +924,14 @@ mod block_surgery_tests {
         let c = b.bin(BinOp::Mul, a, a);
         b.ret(Some(c));
         let fm = m.func_mut(f);
-        let counts = fm.use_counts();
+        let counts = fm.use_counts(&mut []);
         let aid = match a {
             Value::Inst(i) => i,
             _ => unreachable!(),
         };
         assert_eq!(counts[aid.index()], 2);
         fm.replace_all_uses(a, Value::Arg(0));
-        let counts = fm.use_counts();
+        let counts = fm.use_counts(&mut []);
         assert_eq!(counts[aid.index()], 0);
     }
 }

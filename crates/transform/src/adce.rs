@@ -3,7 +3,9 @@
 //! Liveness is computed from roots (terminators, stores, calls) backwards
 //! through operands; everything unmarked is deleted. Unlike a use-count
 //! fixpoint, this removes *cyclic* dead code — e.g. a dead loop-carried φ
-//! chain — in one pass, and also deletes dead loads and allocations. It
+//! chain — in one pass, and also deletes dead loads and allocations. The
+//! dead set is unlinked in one rewrite of the function
+//! ([`lpat_core::Function::unlink_insts`]), one pass over each block. It
 //! is the optimizer's one dead-code pass.
 
 use lpat_analysis::PreservedAnalyses;
@@ -77,20 +79,7 @@ pub fn adce_unit(u: &mut FuncUnit<'_>) -> usize {
             }
         });
     }
-    let mut dead = Vec::new();
-    for b in f.block_ids() {
-        for &iid in f.block_insts(b) {
-            if !live[iid.index()] {
-                dead.push((b, iid));
-            }
-        }
-    }
-    let removed = dead.len();
-    let fm = &mut *u.func;
-    for (b, iid) in dead {
-        fm.remove_inst(b, iid);
-    }
-    removed
+    u.func.unlink_insts(|i| !live[i.index()])
 }
 
 #[cfg(test)]

@@ -21,7 +21,10 @@ use std::collections::HashMap;
 
 use lpat_analysis::{Alias, DomTree, PreservedAnalyses};
 use lpat_core::hash::IdHashBuilder;
-use lpat_core::{BinOp, BlockId, CmpPred, FuncId, Function, Inst, InstId, Module, TypeId, Value};
+use lpat_core::{
+    resolve_replaced as resolve, BinOp, BlockId, CmpPred, FuncId, Function, Inst, InstId, Module,
+    TypeId, Value,
+};
 
 use crate::fpm::{FuncUnit, FunctionPass};
 use crate::pm::PassEffect;
@@ -75,7 +78,7 @@ pub fn gvn_unit(u: &mut FuncUnit<'_>) -> usize {
     if u.func.is_declaration() {
         return 0;
     }
-    let repl = {
+    let mut repl = {
         let dt = u.analyses.domtree(u.func);
         let f: &Function = u.func;
         // Without a load there is nothing to make available: no facts,
@@ -103,39 +106,12 @@ pub fn gvn_unit(u: &mut FuncUnit<'_>) -> usize {
             back = s.out;
         }
     };
-    let count = repl.iter().filter(|r| r.is_some()).count();
-    if count == 0 {
-        return 0;
-    }
-    let fm = &mut *u.func;
-    for i in 0..fm.num_inst_slots() {
-        fm.inst_mut(InstId::from_index(i))
-            .map_operands(|v| resolve(&repl, v));
-    }
-    for b in (0..fm.num_blocks()).map(BlockId::from_index) {
-        let insts = fm.block_insts(b);
-        if insts.iter().any(|i| repl[i.index()].is_some()) {
-            let kept = insts.iter().copied();
-            let kept = kept.filter(|i| repl[i.index()].is_none()).collect();
-            fm.set_block_insts(b, kept);
-        }
-    }
-    count
+    u.func.replace_insts(&mut repl)
 }
 
 /// Instructions to delete, each with the value that replaces it, by
 /// instruction index.
 type Repl = Vec<Option<Value>>;
-
-fn resolve(repl: &Repl, mut v: Value) -> Value {
-    while let Value::Inst(i) = v {
-        match repl[i.index()] {
-            Some(n) => v = n,
-            None => break,
-        }
-    }
-    v
-}
 
 /// What one sweep over the reachable blocks found.
 struct Sweep {
@@ -177,27 +153,28 @@ fn sweep(
         for &iid in f.block_insts(b) {
             let key = match f.inst(iid) {
                 Inst::Bin { op, lhs, rhs } => {
-                    let (mut l, mut r) = (resolve(&repl, *lhs), resolve(&repl, *rhs));
+                    let (mut l, mut r) = (resolve(&mut repl, *lhs), resolve(&mut repl, *rhs));
                     if op.is_commutative() && r < l {
                         std::mem::swap(&mut l, &mut r);
                     }
                     Some(Key::Bin(*op, l, r))
                 }
                 Inst::Cmp { pred, lhs, rhs } => {
-                    let (mut p, mut l, mut r) = (*pred, resolve(&repl, *lhs), resolve(&repl, *rhs));
+                    let (mut p, mut l, mut r) =
+                        (*pred, resolve(&mut repl, *lhs), resolve(&mut repl, *rhs));
                     if r < l {
                         std::mem::swap(&mut l, &mut r);
                         p = p.swapped();
                     }
                     Some(Key::Cmp(p, l, r))
                 }
-                Inst::Cast { val, to } => Some(Key::Cast(resolve(&repl, *val), *to)),
+                Inst::Cast { val, to } => Some(Key::Cast(resolve(&mut repl, *val), *to)),
                 Inst::Gep { ptr, indices } => Some(Key::Gep(
-                    resolve(&repl, *ptr),
-                    indices.iter().map(|&i| resolve(&repl, i)).collect(),
+                    resolve(&mut repl, *ptr),
+                    indices.iter().map(|&i| resolve(&mut repl, i)).collect(),
                 )),
                 Inst::Load { ptr } => {
-                    let p = resolve(&repl, *ptr);
+                    let p = resolve(&mut repl, *ptr);
                     match facts.binary_search_by(|&(q, _)| q.cmp(&p)) {
                         Ok(k) => repl[iid.index()] = Some(facts[k].1),
                         Err(k) => facts.insert(k, (p, Value::Inst(iid))),
@@ -205,10 +182,10 @@ fn sweep(
                     None
                 }
                 Inst::Store { val, ptr } => {
-                    let p = resolve(&repl, *ptr);
+                    let p = resolve(&mut repl, *ptr);
                     facts.retain(|&(q, _)| !alias.may_alias(q, p));
                     let k = facts.partition_point(|&(q, _)| q < p);
-                    facts.insert(k, (p, resolve(&repl, *val)));
+                    facts.insert(k, (p, resolve(&mut repl, *val)));
                     None
                 }
                 Inst::Call { .. } | Inst::Invoke { .. } | Inst::Free(_) | Inst::VaArg { .. } => {

@@ -11,11 +11,16 @@
 //! * inlining at ordinary call sites leaves `unwind` instructions intact,
 //!   which is semantics-preserving: the unwind continues into the caller's
 //!   dynamic context exactly as it would have at run time.
+//!
+//! A caller is rewritten once, however many sites go into it: each
+//! spliced site is recorded with the value that stands for its result,
+//! the scan for the next site reads through those records, and one
+//! [`Function::replace_insts`] applies them all at the end.
 
 use std::collections::HashSet;
 
 use lpat_analysis::{CallGraph, PreservedAnalyses};
-use lpat_core::{BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
+use lpat_core::{resolve_replaced, BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
 
 use crate::pm::{ModulePass, PassContext, PassEffect};
 
@@ -90,10 +95,15 @@ impl ModulePass for Inline {
 /// first a scan from the entry block finds once the one before it is
 /// spliced in. Returns how many.
 ///
+/// A spliced site's result is not rewritten at once: the site is recorded
+/// in a forwarding map with the value that stands for it, the scan reads
+/// operands through that map, and the map is applied to the caller in one
+/// rewrite when no eligible site is left ([`Function::replace_insts`]).
+///
 /// The scan does not go back to the entry block every time. A splice at
 /// `site` in block `b` leaves blocks `0..b` and the part of `b` before
-/// `site` as they were, except that uses of the call's result now name
-/// the returned value; so a site in that part that was passed over is
+/// `site` as they were, except that uses of the call's result now stand
+/// for the returned value; so a site in that part that was passed over is
 /// passed over again — unless the reason it was passed over can change
 /// with the caller. Two can: an indirect call through a computed value
 /// (the value may have just become a function address), and an invoke
@@ -110,23 +120,28 @@ fn inline_calls_in(
 ) -> usize {
     let mut inlined = 0;
     let mut first_block = 0;
+    let mut fwd: Vec<Option<Value>> = Vec::new();
+    // The caller's linked instructions. Every slot a splice makes is
+    // linked and the site it replaces is unlinked, so a splice adds one
+    // fewer than the slots it makes.
+    let mut size = m.func(caller).num_insts();
     loop {
         let f = m.func(caller);
-        if f.is_declaration() || f.num_insts() >= caller_cap {
-            return inlined;
+        if f.is_declaration() || size >= caller_cap {
+            break;
         }
         let mut site: Option<(BlockId, InstId, FuncId)> = None;
         let mut may_change = false;
         // Both are whole-function sweeps; one of each serves a whole scan.
         let mut uses: Option<Vec<u32>> = None;
         let mut preds: Option<Vec<Vec<BlockId>>> = None;
-        'outer: for b in f.block_ids().skip(first_block) {
+        'outer: for b in (first_block..f.num_blocks()).map(BlockId::from_index) {
             for &iid in f.block_insts(b) {
                 let callee_val = match f.inst(iid) {
                     Inst::Call { callee, .. } | Inst::Invoke { callee, .. } => *callee,
                     _ => continue,
                 };
-                let callee = match callee_val {
+                let callee = match resolve_replaced(&mut fwd, callee_val) {
                     Value::Const(c) => match m.consts.get(c) {
                         Const::FuncAddr(t) => *t,
                         _ => continue,
@@ -162,8 +177,8 @@ fn inline_calls_in(
                     if has_calls {
                         continue;
                     }
-                    let result_used = uses.get_or_insert_with(|| f.use_counts())[iid.index()] > 0;
-                    if result_used
+                    let uses = uses.get_or_insert_with(|| f.use_counts(&mut fwd));
+                    if uses[iid.index()] > 0
                         && preds.get_or_insert_with(|| f.predecessors())[normal.index()].len() != 1
                     {
                         may_change = true;
@@ -175,16 +190,49 @@ fn inline_calls_in(
             }
         }
         let Some((b, iid, callee)) = site else {
-            return inlined;
+            break;
         };
-        inline_site(m, caller, b, iid, callee);
+        let slots = m.func(caller).num_inst_slots();
+        let result = splice(m, caller, b, iid, callee);
+        size += m.func(caller).num_inst_slots() - slots - 1;
+        if let Some(r) = result {
+            // A self-use is only legal in unreachable code; the result
+            // cannot stand for itself there.
+            let r = match resolve_replaced(&mut fwd, r) {
+                r if r == Value::Inst(iid) => {
+                    Value::Const(m.consts.undef(m.func(caller).inst_ty(iid)))
+                }
+                r => r,
+            };
+            fwd.resize(m.func(caller).num_inst_slots(), None);
+            fwd[iid.index()] = Some(r);
+        }
         inlined += 1;
         first_block = if may_change { 0 } else { b.index() + 1 };
     }
+    m.func_mut(caller).replace_insts(&mut fwd);
+    inlined
 }
 
-/// Splice `callee`'s body into `caller` at call/invoke `site` in block `b`.
+/// Splice `callee`'s body into `caller` at call/invoke `site` in block
+/// `b`, and rewrite the caller's uses of the site's result to the value
+/// that stands for it.
 pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, callee_id: FuncId) {
+    if let Some(r) = splice(m, caller, b, site, callee_id) {
+        m.func_mut(caller).replace_all_uses(Value::Inst(site), r);
+    }
+}
+
+/// Splice `callee`'s body into `caller` at call/invoke `site` in block `b`
+/// and unlink the site. Returns the value that stands for the site's
+/// result (`None` for a void call); nothing is rewritten to it yet.
+fn splice(
+    m: &mut Module,
+    caller: FuncId,
+    b: BlockId,
+    site: InstId,
+    callee_id: FuncId,
+) -> Option<Value> {
     // A clone shares the body: a handle to read the callee through while
     // the caller is edited, not a copy.
     let callee: Function = m.func(callee_id).clone();
@@ -294,95 +342,71 @@ pub fn inline_site(m: &mut Module, caller: FuncId, b: BlockId, site: InstId, cal
         }
     }
 
-    // 4. Patch destination φs.
-    match invoke_dests {
-        None => {
-            // `cont`'s only preds are the ret blocks (it is freshly split,
-            // so it has no φs of its own yet). Build the result value.
-            let result: Option<Value> = if is_void {
-                None
-            } else if ret_edges.len() == 1 {
-                ret_edges[0].0
-            } else if ret_edges.is_empty() {
-                Some(Value::Const(m.consts.undef(ret_ty)))
-            } else {
-                let fm = m.func_mut(caller);
-                let phi = fm.new_inst(
-                    Inst::Phi {
-                        incoming: ret_edges
-                            .iter()
-                            .map(|(v, bb)| (v.expect("typed ret"), *bb))
-                            .collect(),
-                    },
-                    ret_ty,
-                );
-                fm.insert_inst(cont, 0, phi);
-                Some(Value::Inst(phi))
-            };
-            if let Some(r) = result {
-                m.func_mut(caller).replace_all_uses(Value::Inst(site), r);
-            }
-        }
-        Some((normal, unwind)) => {
-            // Every φ entry `(v, b)` in `normal` becomes one entry per ret
-            // block; in `unwind`, one per unwind block.
-            let fix = |m: &mut Module, dest: BlockId, new_preds: &[BlockId]| {
-                let fm = m.func_mut(caller);
-                for &pid in fm.block_insts(dest).to_vec().iter() {
-                    if let Inst::Phi { incoming } = fm.inst_mut(pid) {
-                        let mut out = Vec::with_capacity(incoming.len());
-                        for (v, pb) in incoming.iter() {
-                            if *pb == b {
-                                for &np in new_preds {
-                                    out.push((*v, np));
-                                }
-                            } else {
-                                out.push((*v, *pb));
+    // 4. Invoke sites: every φ entry `(v, b)` in `normal` becomes one
+    //    entry per ret block; in `unwind`, one per unwind block.
+    if let Some((normal, unwind)) = invoke_dests {
+        let fix = |m: &mut Module, dest: BlockId, new_preds: &[BlockId]| {
+            let fm = m.func_mut(caller);
+            for &pid in fm.block_insts(dest).to_vec().iter() {
+                if let Inst::Phi { incoming } = fm.inst_mut(pid) {
+                    let mut out = Vec::with_capacity(incoming.len());
+                    for (v, pb) in incoming.iter() {
+                        if *pb == b {
+                            for &np in new_preds {
+                                out.push((*v, np));
                             }
+                        } else {
+                            out.push((*v, *pb));
                         }
-                        *incoming = out;
                     }
+                    *incoming = out;
                 }
-            };
-            let ret_blocks: Vec<BlockId> = ret_edges.iter().map(|(_, bb)| *bb).collect();
-            fix(m, normal, &ret_blocks);
-            fix(m, unwind, &unwind_edges);
-            // Result value (policy guarantees single-pred normal dest when
-            // used).
-            if !is_void {
-                let result = if ret_edges.len() == 1 {
-                    ret_edges[0].0.expect("typed ret")
-                } else if ret_edges.is_empty() {
-                    Value::Const(m.consts.undef(ret_ty))
-                } else {
-                    let fm = m.func_mut(caller);
-                    let phi = fm.new_inst(
-                        Inst::Phi {
-                            incoming: ret_edges
-                                .iter()
-                                .map(|(v, bb)| (v.expect("typed ret"), *bb))
-                                .collect(),
-                        },
-                        ret_ty,
-                    );
-                    fm.insert_inst(normal, 0, phi);
-                    Value::Inst(phi)
-                };
-                m.func_mut(caller)
-                    .replace_all_uses(Value::Inst(site), result);
             }
-        }
+        };
+        let ret_blocks: Vec<BlockId> = ret_edges.iter().map(|(_, bb)| *bb).collect();
+        fix(m, normal, &ret_blocks);
+        fix(m, unwind, &unwind_edges);
     }
 
-    // 5. Replace the call site with a branch into the inlined entry.
+    // 5. The result value. A call's `cont` is freshly split, so its only
+    //    preds are the ret blocks and it has no φs of its own yet; an
+    //    invoke's is `normal`, which the policy guarantees has a single
+    //    pred when the result is used.
+    let result = if is_void {
+        None
+    } else if ret_edges.len() == 1 {
+        ret_edges[0].0
+    } else if ret_edges.is_empty() {
+        Some(Value::Const(m.consts.undef(ret_ty)))
+    } else {
+        let fm = m.func_mut(caller);
+        let phi = fm.new_inst(
+            Inst::Phi {
+                incoming: ret_edges
+                    .iter()
+                    .map(|(v, bb)| (v.expect("typed ret"), *bb))
+                    .collect(),
+            },
+            ret_ty,
+        );
+        fm.insert_inst(cont, 0, phi);
+        Some(Value::Inst(phi))
+    };
+
+    // 6. Replace the call site with a branch into the inlined entry. A
+    //    call's block was split before the site; an invoke ends its block.
     let entry_new = block_map(callee.entry());
     let void = m.types.void();
     let fm = m.func_mut(caller);
-    fm.remove_inst(b, site);
     let br = fm.new_inst(Inst::Br(entry_new), void);
     let mut insts = fm.block_insts(b).to_vec();
+    if invoke_dests.is_some() {
+        let last = insts.pop();
+        debug_assert_eq!(last, Some(site));
+    }
     insts.push(br);
     fm.set_block_insts(b, insts);
+    result
 }
 
 #[cfg(test)]
@@ -538,6 +562,99 @@ e:
         );
         let (m, p) = run_inline(&src);
         assert_eq!(p.inlined, 1, "{}", m.display());
+    }
+
+    #[test]
+    fn an_indirect_call_through_a_forwarded_result_is_inlined() {
+        // `%fp` is `@pick`'s call, spliced and forwarded to `@leaf`'s
+        // address but not yet rewritten when the scan reaches `%v`.
+        let (m, p) = run_inline(
+            "
+define internal int @leaf(int %x) {
+e:
+  %r = add int %x, 1
+  ret int %r
+}
+define internal int (int)* @pick() {
+e:
+  ret int (int)* @leaf
+}
+define int @main(int %a) {
+e:
+  %fp = call int (int)* @pick()
+  %v = call int %fp(int %a)
+  ret int %v
+}",
+        );
+        assert_eq!(p.inlined, 2, "{}", m.display());
+        let text = m.display();
+        assert!(!text.contains("call"), "{text}");
+        assert!(text.contains("add int %a0, 1"), "{text}");
+    }
+
+    #[test]
+    fn an_invoke_used_only_through_a_forwarded_result_counts_as_used() {
+        // `@id`'s call is spliced first (its block is laid out before the
+        // invoke's) and forwarded to `%r`, leaving `%r`'s only uses naming
+        // the call. Counted through the forwarding, `%r` is used and its
+        // normal destination has two predecessors, so it is not inlined:
+        // the φ the splice would put there could not cover the back edge.
+        let (m, p) = run_inline(
+            "
+define internal int @id(int %x) {
+e:
+  ret int %x
+}
+define internal int @two(bool %c) {
+e:
+  br bool %c, label %l, label %r
+l:
+  ret int 1
+r:
+  ret int 2
+}
+define int @main(bool %c, int %n) {
+e:
+  br label %inv
+use:
+  %s = call int @id(int %r)
+  %k = setlt int %s, %n
+  br bool %k, label %use, label %x
+inv:
+  %r = invoke int @two(bool %c) to label %use unwind label %h
+x:
+  ret int %s
+h:
+  ret int 0
+}",
+        );
+        assert_eq!(p.inlined, 1);
+        let text = m.display();
+        assert!(text.contains("%t4 = invoke int @two"), "{text}");
+        assert!(text.contains("setlt int %t4, %a1"), "{text}");
+    }
+
+    #[test]
+    fn a_call_passing_its_own_result_in_unreachable_code_is_inlined() {
+        // `%x` passes itself to `@id`, which only unreachable code may do:
+        // its result cannot stand for itself, so its uses get `undef`.
+        let (m, p) = run_inline(
+            "
+define internal int @id(int %x) {
+e:
+  ret int %x
+}
+define int @main(int %a) {
+e:
+  ret int %a
+dead:
+  %x = call int @id(int %x)
+  %y = add int %x, 1
+  br label %dead
+}",
+        );
+        assert_eq!(p.inlined, 1);
+        assert!(m.display().contains("add int undef, 1"), "{}", m.display());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use lpat_analysis::PreservedAnalyses;
-use lpat_core::{BlockId, FuncId, Inst, InstId, Module, Value};
+use lpat_core::{resolve_replaced, BlockId, FuncId, Inst, InstId, Module, Value};
 
 use crate::fpm::{FuncUnit, FunctionPass};
 use crate::pm::PassEffect;
@@ -175,21 +175,14 @@ pub fn promote_unit(u: &mut FuncUnit<'_>) -> (usize, usize) {
         .collect();
     let f = &*u.func;
     let phi_idx: HashMap<InstId, usize> = phi_at.iter().map(|(&(_, i), &p)| (p, i)).collect();
-    let mut repl: HashMap<InstId, Value> = HashMap::new();
-    let mut dead: Vec<InstId> = Vec::new();
+    // Each promoted load, with the value it reads; each promoted store and
+    // alloca is dead with no replacement.
+    let mut repl: Vec<Option<Value>> = vec![None; f.num_inst_slots()];
+    let mut dead = vec![false; f.num_inst_slots()];
     // Stack of (block, current values) to process in dominator-tree
     // preorder.
     let mut phi_incoming: HashMap<InstId, Vec<(Value, BlockId)>> = HashMap::new();
     let mut stack: Vec<(BlockId, Vec<Value>)> = vec![(f.entry(), undef.clone())];
-    let resolve = |repl: &HashMap<InstId, Value>, mut v: Value| -> Value {
-        while let Value::Inst(i) = v {
-            match repl.get(&i) {
-                Some(&n) => v = n,
-                None => break,
-            }
-        }
-        v
-    };
     while let Some((b, mut cur)) = stack.pop() {
         for &iid in f.block_insts(b) {
             match f.inst(iid) {
@@ -202,8 +195,7 @@ pub fn promote_unit(u: &mut FuncUnit<'_>) -> (usize, usize) {
                     ptr: Value::Inst(p),
                 } => {
                     if let Some(&idx) = promotable.get(p) {
-                        repl.insert(iid, cur[idx]);
-                        dead.push(iid);
+                        repl[iid.index()] = Some(cur[idx]);
                     }
                 }
                 Inst::Store {
@@ -211,12 +203,12 @@ pub fn promote_unit(u: &mut FuncUnit<'_>) -> (usize, usize) {
                     ptr: Value::Inst(p),
                 } => {
                     if let Some(&idx) = promotable.get(p) {
-                        cur[idx] = resolve(&repl, *val);
-                        dead.push(iid);
+                        cur[idx] = resolve_replaced(&mut repl, *val);
+                        dead[iid.index()] = true;
                     }
                 }
                 Inst::Alloca { .. } if promotable.contains_key(&iid) => {
-                    dead.push(iid);
+                    dead[iid.index()] = true;
                 }
                 _ => {}
             }
@@ -236,46 +228,20 @@ pub fn promote_unit(u: &mut FuncUnit<'_>) -> (usize, usize) {
         let _ = &mut cur;
     }
 
-    // 4. Apply: set φ incoming lists, rewrite uses, unlink dead insts.
+    // 4. Apply: set φ incoming lists, then unlink the promoted loads,
+    //    rewriting their uses, and the promoted stores and allocas.
     let fm = &mut *u.func;
-    for (p, mut inc) in phi_incoming {
+    for (p, inc) in phi_incoming {
         // A block can be a duplicate predecessor (e.g. both switch arms);
         // incoming entries must match predecessor multiset. Our collection
         // walks successors once per CFG edge via `successors()`, which
         // already yields duplicates, so `inc` is correct as-is.
-        for (v, _) in inc.iter_mut() {
-            let mut x = *v;
-            while let Value::Inst(i) = x {
-                match repl.get(&i) {
-                    Some(&n) => x = n,
-                    None => break,
-                }
-            }
-            *v = x;
-        }
         if let Inst::Phi { incoming } = fm.inst_mut(p) {
             *incoming = inc;
         }
     }
-    let n_slots = fm.num_inst_slots();
-    for i in 0..n_slots {
-        let iid = InstId::from_index(i);
-        fm.inst_mut(iid).map_operands(|mut v| {
-            while let Value::Inst(d) = v {
-                match repl.get(&d) {
-                    Some(&n) => v = n,
-                    None => break,
-                }
-            }
-            v
-        });
-    }
-    let inst_blocks = fm.inst_blocks();
-    for d in dead {
-        if let Some(b) = inst_blocks[d.index()] {
-            fm.remove_inst(b, d);
-        }
-    }
+    fm.replace_insts(&mut repl);
+    fm.unlink_insts(|i| dead[i.index()]);
     (n_allocas, phi_count)
 }
 

@@ -2,15 +2,21 @@
 //!
 //! [`InstSimplify`] runs twice in the scalar stage
 //! ([`crate::pipelines::scalar_stage`]): before `reassociate`, so that
-//! folded constants reach it, and after GVN. It deletes each instruction
-//! it replaces by a value; an operand that dies with it is left to
-//! [`crate::adce`], the optimizer's one dead-code pass.
-
-use std::collections::HashMap;
+//! folded constants reach it, and after GVN. It reaches its fixpoint in
+//! one sweep in layout order: each instruction's operands are read
+//! through the replacements the sweep has already made, so `(3 + 4) * 2`
+//! folds where it stands, and the sweep's whole map is applied in one
+//! rewrite ([`Function::replace_insts`]). It sweeps again only when an
+//! instruction it kept names a value it replaced later in the sweep (a
+//! back-edge φ operand, or a use laid out before its def). An operand
+//! that dies with a replaced instruction is left to [`crate::adce`], the
+//! optimizer's one dead-code pass.
+//!
+//! [`Function::replace_insts`]: lpat_core::Function::replace_insts
 
 use lpat_analysis::PreservedAnalyses;
 use lpat_core::fold::{fold_bin, fold_cast, fold_cmp};
-use lpat_core::{BinOp, Const, FuncId, Inst, InstId, Module, Value};
+use lpat_core::{resolve_replaced, BinOp, BlockId, Const, FuncId, Inst, InstId, Module, Value};
 
 use crate::fpm::{FuncUnit, FunctionPass};
 use crate::pm::PassEffect;
@@ -18,7 +24,7 @@ use crate::pm::PassEffect;
 /// Constant folding plus algebraic identity simplification.
 #[derive(Default)]
 pub struct InstSimplify {
-    simplified: usize,
+    sweeps: usize,
 }
 
 impl FunctionPass for InstSimplify {
@@ -26,109 +32,152 @@ impl FunctionPass for InstSimplify {
         "instsimplify"
     }
     fn run_on(&mut self, u: &mut FuncUnit<'_>) -> PassEffect {
-        let mut rounds = 0;
-        while simplify_unit(u) {
-            rounds += 1;
-        }
-        self.simplified += rounds;
+        let sweeps = simplify_unit(u);
+        self.sweeps += sweeps;
         // Only pure instructions are replaced; CFG and calls untouched.
-        PassEffect::from_change(rounds > 0, PreservedAnalyses::all())
+        PassEffect::from_change(sweeps > 0, PreservedAnalyses::all())
     }
     fn stats(&self) -> String {
-        format!("{} simplification rounds", self.simplified)
+        format!("{} simplifying sweeps", self.sweeps)
     }
 }
 
-/// One simplification sweep over a function; returns whether anything
-/// changed (callers iterate to a fixpoint).
-pub fn simplify_function(m: &mut Module, fid: FuncId) -> bool {
+/// Simplify one function to its fixpoint; returns the number of sweeps
+/// that replaced something (0: the function is unchanged).
+pub fn simplify_function(m: &mut Module, fid: FuncId) -> usize {
     crate::fpm::with_unit(m, fid, simplify_unit)
 }
 
-/// One simplification sweep against a [`FuncUnit`].
-pub fn simplify_unit(u: &mut FuncUnit<'_>) -> bool {
+/// [`simplify_function`] against a [`FuncUnit`].
+pub fn simplify_unit(u: &mut FuncUnit<'_>) -> usize {
     if u.func.is_declaration() {
-        return false;
+        return 0;
     }
-    let mut repl: HashMap<InstId, Value> = HashMap::new();
-    let ids: Vec<InstId> = u.func.inst_ids_in_order().collect();
-    for iid in ids {
-        if let Some(v) = simplify_inst(u, iid) {
-            repl.insert(iid, v);
+    let mut sweeps = 0;
+    loop {
+        let (mut repl, again) = sweep(u);
+        if u.func.replace_insts(&mut repl) == 0 {
+            return sweeps;
+        }
+        sweeps += 1;
+        if !again {
+            return sweeps;
         }
     }
-    if repl.is_empty() {
-        return false;
-    }
-    let fm = &mut *u.func;
-    let n = fm.num_inst_slots();
-    for i in 0..n {
-        let iid = InstId::from_index(i);
-        fm.inst_mut(iid).map_operands(|mut v| {
-            while let Value::Inst(d) = v {
-                match repl.get(&d) {
-                    Some(&x) => v = x,
-                    None => break,
-                }
-            }
-            v
-        });
-    }
-    // The replaced instructions are now dead; drop them.
-    let inst_blocks = fm.inst_blocks();
-    for &iid in repl.keys() {
-        if let Some(b) = inst_blocks[iid.index()] {
-            fm.remove_inst(b, iid);
-        }
-    }
-    true
 }
 
-/// Try to simplify one instruction to an existing value.
-fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
-    let inst = u.func.inst(iid).clone();
-    fn as_const(u: &FuncUnit<'_>, v: Value) -> Option<Const> {
+/// One sweep in layout order: the replacement map it found, and whether
+/// an instruction it kept names a value it replaced only after visiting
+/// that instruction (then another sweep may find more).
+fn sweep(u: &mut FuncUnit<'_>) -> (Vec<Option<Value>>, bool) {
+    let n = u.func.num_inst_slots();
+    let mut repl = vec![None; n];
+    // Named (after resolution) by an instruction visited and kept.
+    let mut named = vec![false; n];
+    let mut again = false;
+    for b in 0..u.func.num_blocks() {
+        let b = BlockId::from_index(b);
+        for k in 0..u.func.block_insts(b).len() {
+            let iid = u.func.block_insts(b)[k];
+            match simplify_inst(u, &mut repl, iid) {
+                // A self-use is only legal in unreachable code; standing
+                // the instruction in for itself would make a cycle.
+                Some(v) if v != Value::Inst(iid) => {
+                    again |= named[iid.index()];
+                    repl[iid.index()] = Some(v);
+                }
+                _ => u.func.inst(iid).for_each_operand(|v| {
+                    if let Value::Inst(d) = resolve_replaced(&mut repl, v) {
+                        named[d.index()] = true;
+                    }
+                }),
+            }
+        }
+    }
+    (repl, again)
+}
+
+/// Try to simplify one instruction, its operands read through `repl`, to
+/// an existing value.
+fn simplify_inst(u: &mut FuncUnit<'_>, repl: &mut [Option<Value>], iid: InstId) -> Option<Value> {
+    let inst = match *u.func.inst(iid) {
+        Inst::Bin { op, lhs, rhs } => Inst::Bin {
+            op,
+            lhs: resolve_replaced(repl, lhs),
+            rhs: resolve_replaced(repl, rhs),
+        },
+        Inst::Cmp { pred, lhs, rhs } => Inst::Cmp {
+            pred,
+            lhs: resolve_replaced(repl, lhs),
+            rhs: resolve_replaced(repl, rhs),
+        },
+        Inst::Cast { val, to } => Inst::Cast {
+            val: resolve_replaced(repl, val),
+            to,
+        },
+        Inst::Phi { ref incoming } => {
+            // φ with all-equal incoming values (ignoring self-references).
+            let me = Value::Inst(iid);
+            let mut uniq: Option<Value> = None;
+            for &(v, _) in incoming {
+                let v = resolve_replaced(repl, v);
+                if v == me {
+                    continue;
+                }
+                match uniq {
+                    None => uniq = Some(v),
+                    Some(u) if u == v => {}
+                    Some(_) => return None,
+                }
+            }
+            return uniq;
+        }
+        Inst::Gep { ptr, ref indices } => {
+            // gep p, 0 (and any all-zero constant index list) = p.
+            let all_zero = indices
+                .iter()
+                .all(|&i| u.consts.int_of(resolve_replaced(repl, i)) == Some(0));
+            let ptr = resolve_replaced(repl, ptr);
+            if all_zero && u.value_type(Value::Inst(iid)) == u.value_type(ptr) {
+                return Some(ptr);
+            }
+            return None;
+        }
+        _ => return None,
+    };
+    fn as_const<'a>(u: &'a FuncUnit<'_>, v: Value) -> Option<&'a Const> {
         match v {
-            Value::Const(c) => Some(u.consts.get(c).clone()),
+            Value::Const(c) => Some(u.consts.get(c)),
             _ => None,
         }
-    }
-    fn int_val(u: &FuncUnit<'_>, v: Value) -> Option<i64> {
-        match as_const(u, v)? {
-            Const::Int { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-    fn vty(u: &FuncUnit<'_>, v: Value) -> lpat_core::TypeId {
-        u.value_type(v)
     }
     match inst {
         Inst::Bin { op, lhs, rhs } => {
             // Constant folding.
             if let (Some(a), Some(b)) = (as_const(u, lhs), as_const(u, rhs)) {
-                if let Some(c) = fold_bin(op, &a, &b) {
+                if let Some(c) = fold_bin(op, a, b) {
                     let id = u.consts.intern(c);
                     return Some(Value::Const(id));
                 }
             }
-            let ty = vty(u, lhs);
+            let ty = u.value_type(lhs);
             let is_int = u.types.is_int(ty);
             // Identities (integer only: float identities are unsound under
             // NaN/-0.0).
             if is_int {
                 match op {
                     BinOp::Add | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr => {
-                        if int_val(u, rhs) == Some(0) {
+                        if u.consts.int_of(rhs) == Some(0) {
                             return Some(lhs);
                         }
                         if matches!(op, BinOp::Add | BinOp::Or | BinOp::Xor)
-                            && int_val(u, lhs) == Some(0)
+                            && u.consts.int_of(lhs) == Some(0)
                         {
                             return Some(rhs);
                         }
                     }
                     BinOp::Sub => {
-                        if int_val(u, rhs) == Some(0) {
+                        if u.consts.int_of(rhs) == Some(0) {
                             return Some(lhs);
                         }
                         if lhs == rhs {
@@ -137,25 +186,25 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
                         }
                     }
                     BinOp::Mul => {
-                        if int_val(u, rhs) == Some(1) {
+                        if u.consts.int_of(rhs) == Some(1) {
                             return Some(lhs);
                         }
-                        if int_val(u, lhs) == Some(1) {
+                        if u.consts.int_of(lhs) == Some(1) {
                             return Some(rhs);
                         }
-                        if int_val(u, rhs) == Some(0) || int_val(u, lhs) == Some(0) {
+                        if u.consts.int_of(rhs) == Some(0) || u.consts.int_of(lhs) == Some(0) {
                             let k = u.types.int_kind(ty)?;
                             return Some(Value::Const(u.consts.int(k, 0)));
                         }
                     }
-                    BinOp::Div if int_val(u, rhs) == Some(1) => {
+                    BinOp::Div if u.consts.int_of(rhs) == Some(1) => {
                         return Some(lhs);
                     }
                     BinOp::And => {
                         if lhs == rhs {
                             return Some(lhs);
                         }
-                        if int_val(u, rhs) == Some(0) {
+                        if u.consts.int_of(rhs) == Some(0) {
                             return Some(rhs);
                         }
                     }
@@ -173,11 +222,11 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
         }
         Inst::Cmp { pred, lhs, rhs } => {
             if let (Some(a), Some(b)) = (as_const(u, lhs), as_const(u, rhs)) {
-                if let Some(r) = fold_cmp(pred, &a, &b) {
+                if let Some(r) = fold_cmp(pred, a, b) {
                     return Some(Value::Const(u.consts.bool_(r)));
                 }
             }
-            if lhs == rhs && u.types.is_int(vty(u, lhs)) {
+            if lhs == rhs && u.types.is_int(u.value_type(lhs)) {
                 use lpat_core::CmpPred::*;
                 let r = matches!(pred, Eq | Le | Ge);
                 return Some(Value::Const(u.consts.bool_(r)));
@@ -186,11 +235,11 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
         }
         Inst::Cast { val, to } => {
             // Identity cast.
-            if vty(u, val) == to {
+            if u.value_type(val) == to {
                 return Some(val);
             }
             if let Some(c) = as_const(u, val) {
-                if let Some(folded) = fold_cast(u.types, &c, to) {
+                if let Some(folded) = fold_cast(u.types, c, to) {
                     let id = u.consts.intern(folded);
                     // A global's address keeps its own type: a cast of it
                     // to another pointer type has no constant to fold to.
@@ -202,8 +251,9 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
             // cast (cast x to A) to B where both casts are pointer casts:
             // collapse to a single cast.
             if let Value::Inst(src) = val {
-                if let Inst::Cast { val: inner, .. } = u.func.inst(src).clone() {
-                    let it = vty(u, inner);
+                if let Inst::Cast { val: inner, .. } = *u.func.inst(src) {
+                    let inner = resolve_replaced(repl, inner);
+                    let it = u.value_type(inner);
                     if u.types.is_ptr(it) && u.types.is_ptr(to) && it == to {
                         return Some(inner);
                     }
@@ -211,31 +261,7 @@ fn simplify_inst(u: &mut FuncUnit<'_>, iid: InstId) -> Option<Value> {
             }
             None
         }
-        Inst::Phi { incoming } => {
-            // φ with all-equal incoming values (ignoring self-references).
-            let me = Value::Inst(iid);
-            let mut uniq: Option<Value> = None;
-            for (v, _) in &incoming {
-                if *v == me {
-                    continue;
-                }
-                match uniq {
-                    None => uniq = Some(*v),
-                    Some(u) if u == *v => {}
-                    Some(_) => return None,
-                }
-            }
-            uniq
-        }
-        Inst::Gep { ptr, indices } => {
-            // gep p, 0 (and any all-zero constant index list) = p.
-            let all_zero = indices.iter().all(|&i| int_val(u, i) == Some(0));
-            if all_zero && vty(u, Value::Inst(iid)) == vty(u, ptr) {
-                return Some(ptr);
-            }
-            None
-        }
-        _ => None,
+        _ => unreachable!("only Bin, Cmp and Cast are copied out"),
     }
 }
 
@@ -248,7 +274,7 @@ mod tests {
         let mut m = parse_module("t", src).unwrap();
         m.verify().unwrap();
         let fid = m.func_by_name("f").unwrap();
-        while simplify_function(&mut m, fid) {}
+        simplify_function(&mut m, fid);
         crate::adce::adce_function(&mut m, fid);
         m.verify()
             .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
@@ -267,6 +293,77 @@ e:
 }");
         assert!(m.display().contains("ret int 0"), "{}", m.display());
         assert_eq!(m.func(m.func_by_name("f").unwrap()).num_insts(), 1);
+    }
+
+    #[test]
+    fn a_five_deep_fold_chain_takes_one_sweep() {
+        let mut m = parse_module(
+            "t",
+            "
+define int @f() {
+e:
+  %a = add int 3, 4
+  %b = mul int %a, 2
+  %c = sub int %b, 4
+  %d = shl int %c, 1
+  %e = add int %d, 1
+  ret int %e
+}",
+        )
+        .unwrap();
+        let fid = m.func_by_name("f").unwrap();
+        assert_eq!(simplify_function(&mut m, fid), 1);
+        assert_eq!(m.func(fid).num_insts(), 1, "{}", m.display());
+        assert!(m.display().contains("ret int 21"), "{}", m.display());
+        assert_eq!(simplify_function(&mut m, fid), 0, "already at the fixpoint");
+    }
+
+    #[test]
+    fn a_phi_whose_back_edge_operand_folds_later_in_layout_is_simplified() {
+        // `%q` folds to 7 after the sweep has passed `%p`, whose other
+        // operand is 7: only a second sweep sees `phi [7, 7]`.
+        let mut m = parse_module(
+            "t",
+            "
+define int @f(int %n) {
+e:
+  br label %h
+h:
+  %p = phi int [ 7, %e ], [ %q, %l ]
+  %c = setlt int %p, %n
+  br bool %c, label %l, label %x
+l:
+  %q = add int 3, 4
+  br label %h
+x:
+  ret int %p
+}",
+        )
+        .unwrap();
+        let fid = m.func_by_name("f").unwrap();
+        assert_eq!(simplify_function(&mut m, fid), 2);
+        m.verify()
+            .unwrap_or_else(|e| panic!("{e:?}\n{}", m.display()));
+        let text = m.display();
+        assert!(
+            !text.contains("phi") && text.contains("ret int 7"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn a_self_use_in_unreachable_code_is_left_alone() {
+        // `%x` names itself, which only unreachable code may do; standing
+        // it in for itself would leave a cycle to resolve.
+        let m = opt("
+define int @f(int %a) {
+e:
+  ret int %a
+dead:
+  %x = add int %x, 0
+  br label %dead
+}");
+        assert!(m.display().contains("ret int %a0"), "{}", m.display());
     }
 
     #[test]

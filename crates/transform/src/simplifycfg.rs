@@ -2,7 +2,7 @@
 //! blocks, merge straight-line block chains, and forward empty blocks.
 
 use lpat_analysis::PreservedAnalyses;
-use lpat_core::{BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
+use lpat_core::{resolve_replaced, BlockId, Const, FuncId, Function, Inst, InstId, Module, Value};
 
 use crate::fpm::{FuncUnit, FunctionPass};
 use crate::pm::PassEffect;
@@ -162,7 +162,7 @@ pub fn simplify_cfg_unit(u: &mut FuncUnit<'_>) -> (usize, usize, usize, usize) {
 /// empty predecessor that goes later passes its own predecessors on to
 /// that end). `via[b]` keeps the predecessors a forwarded block had when
 /// it went; the φ rewrite resolves those that went later to the blocks
-/// that remain, as [`resolve`] does for φ values.
+/// that remain, as [`resolve_replaced`] does for φ values.
 fn forward_empty_blocks(f: &mut Function) -> usize {
     let entry = f.entry();
     let n = f.num_blocks();
@@ -353,7 +353,7 @@ fn merge_chains(f: &mut Function) -> usize {
 
     for i in 0..f.num_inst_slots() {
         let inst = f.inst_mut(InstId::from_index(i));
-        inst.map_operands(|v| resolve(&mut replaced, v));
+        inst.map_operands(|v| resolve_replaced(&mut replaced, v));
         if let Inst::Phi { incoming } = inst {
             for (_, pb) in incoming {
                 if let Some(Some(head)) = into.get(pb.index()) {
@@ -365,27 +365,6 @@ fn merge_chains(f: &mut Function) -> usize {
     let keep: Vec<bool> = into.iter().map(Option::is_none).collect();
     f.retain_blocks(&keep);
     merged
-}
-
-/// The value `v` stands for once every replaced φ is gone. A replacement
-/// may itself be a replaced φ (of a block merged further up the same
-/// chain, or in another one); the final value is cached along the path
-/// walked, so a long run of forwarding φs is not walked once per use.
-fn resolve(replaced: &mut [Option<Value>], v: Value) -> Value {
-    let step = |replaced: &[Option<Value>], v: Value| match v {
-        Value::Inst(i) => replaced[i.index()].map(|r| (i, r)),
-        _ => None,
-    };
-    let mut fin = v;
-    while let Some((_, r)) = step(replaced, fin) {
-        fin = r;
-    }
-    let mut cur = v;
-    while let Some((i, r)) = step(replaced, cur) {
-        replaced[i.index()] = Some(fin);
-        cur = r;
-    }
-    fin
 }
 
 #[cfg(test)]

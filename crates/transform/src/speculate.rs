@@ -567,7 +567,7 @@ fn apply_devirt(
         return None;
     }
     let ret_ty = f.inst_ty(site);
-    let result_used = f.use_counts()[site.index()] > 0;
+    let result_used = f.use_counts(&mut [])[site.index()] > 0;
     let void = m.types.void();
     let is_void = ret_ty == void;
     let bool_ty = m.types.bool_();

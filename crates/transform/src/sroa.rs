@@ -148,22 +148,20 @@ fn split_alloca(u: &mut FuncUnit<'_>, alloca: InstId, fields: &[lpat_core::TypeI
     }
     let zero = u.consts.i64(0);
     let fm = &mut *u.func;
-    let inst_blocks = fm.inst_blocks();
+    let mut repl = vec![None; fm.num_inst_slots()];
     for (uid, fidx, rest) in gep_rewrites {
         let base = Value::Inst(field_allocas[fidx]);
         if rest.is_empty() {
             // `&s[0].f` is exactly the field alloca.
-            fm.replace_all_uses(Value::Inst(uid), base);
-            if let Some(b) = inst_blocks[uid.index()] {
-                fm.remove_inst(b, uid);
-            }
+            repl[uid.index()] = Some(base);
         } else {
             let mut indices = vec![Value::Const(zero)];
             indices.extend(rest);
             *fm.inst_mut(uid) = Inst::Gep { ptr: base, indices };
         }
     }
-    fm.remove_inst(home, alloca);
+    fm.replace_insts(&mut repl);
+    fm.unlink_insts(|i| i == alloca);
 }
 
 #[cfg(test)]

@@ -12,7 +12,11 @@
 //! all N joins (the lookup is iterative: no recursion that deep). The
 //! `fast` back end's analysis pass (live ranges over the blocks in
 //! reverse post-order, then one linear scan) holds it on a straight line
-//! of N values and on N / 20 loop nests.
+//! of N values and on N / 20 loop nests. `instsimplify` holds it on one
+//! block of N dependent folds (it used to sweep the whole function once
+//! per fold level), and the inliner on N chained calls to a
+//! three-instruction callee (it used to rewrite the whole caller once per
+//! inlined site).
 //!
 //! Timing test: only with `--features slow-tests`, and only meaningful in
 //! release (`cargo test --release --features slow-tests --test compile_scaling`).
@@ -403,6 +407,97 @@ fn four_times_the_code_costs_less_than_eight_times_the_fast_translation() {
     assert!(
         large < 8 * small,
         "N = 3500: {small:?}, N = 14000: {large:?} ({:.1}x; linear is 4x)",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
+
+/// One block holding a chain of `n` dependent folds, `%v{k} = add int
+/// %v{k-1}, 1` from `add int 1, 1`: each reads the one before it.
+fn fold_chain(n: usize) -> Module {
+    let mut src = String::from("define int @main() {\ne:\n  %v0 = add int 1, 1\n");
+    for k in 1..n {
+        writeln!(src, "  %v{k} = add int %v{}, 1", k - 1).unwrap();
+    }
+    writeln!(src, "  ret int %v{}\n}}", n - 1).unwrap();
+    let m = lpat::asm::parse_module("folds", &src).expect("generated IR parses");
+    m.verify().expect("generated IR verifies");
+    m
+}
+
+/// Best of three: `instsimplify` on a copy of the chain.
+fn fold_cost(n: usize) -> Duration {
+    let m = fold_chain(n);
+    let fid = m.func_by_name("main").unwrap();
+    (0..3)
+        .map(|_| {
+            let mut m = m.clone();
+            let t = Instant::now();
+            lpat::transform::scalar::simplify_function(&mut m, fid);
+            let took = t.elapsed();
+            let text = m.display();
+            assert!(text.contains(&format!("ret int {}", n + 1)), "folded");
+            assert_eq!(m.func(fid).num_insts(), 1, "every fold went");
+            took
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn four_times_the_folds_cost_less_than_eight_times_the_time() {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (fold_cost(2_000), fold_cost(8_000));
+    assert!(
+        large < 8 * small,
+        "N = 2000: {small:?}, N = 8000: {large:?} ({:.1}x; linear is 4x)",
+        large.as_secs_f64() / small.as_secs_f64()
+    );
+}
+
+/// `main` makes `n` chained calls to a three-instruction callee, each
+/// passing on the result of the one before.
+fn call_chain(n: usize) -> Module {
+    let mut src = String::from(
+        "define internal int @step(int %x) {\ne:\n  %a = add int %x, 1\n  %b = mul int %a, 3\n  ret int %b\n}\n\
+         define int @main(int %x) {\ne:\n  %v0 = call int @step(int %x)\n",
+    );
+    for k in 1..n {
+        writeln!(src, "  %v{k} = call int @step(int %v{})", k - 1).unwrap();
+    }
+    writeln!(src, "  ret int %v{}\n}}", n - 1).unwrap();
+    let m = lpat::asm::parse_module("calls", &src).expect("generated IR parses");
+    m.verify().expect("generated IR verifies");
+    m
+}
+
+/// Best of three: `Inline` on a copy of the chain, its caller cap raised
+/// so that every site is inlined.
+fn inline_cost(n: usize) -> Duration {
+    use lpat::transform::pm::{ModulePass, PassContext};
+    let m = call_chain(n);
+    (0..3)
+        .map(|_| {
+            let mut m = m.clone();
+            let mut inline = lpat::transform::inline::Inline::default();
+            inline.caller_cap = 8 * n;
+            let t = Instant::now();
+            inline.run(&mut m, &mut PassContext::default());
+            let took = t.elapsed();
+            assert!(!m.display().contains("call int"), "every site was inlined");
+            assert!(m.func_by_name("step").is_none(), "the callee went");
+            took
+        })
+        .min()
+        .unwrap()
+}
+
+#[test]
+fn four_times_the_calls_cost_less_than_eight_times_the_inlining() {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (inline_cost(1_000), inline_cost(4_000));
+    assert!(
+        large < 8 * small,
+        "N = 1000: {small:?}, N = 4000: {large:?} ({:.1}x; linear is 4x)",
         large.as_secs_f64() / small.as_secs_f64()
     );
 }
