@@ -42,6 +42,12 @@ impl Default for TenantQuota {
     }
 }
 
+/// What the daemon's module cache ([`lpat_vm::session::ModuleCache`])
+/// may hold, in charged bytes, across all tenants: beyond it the least
+/// recently used module is dropped. Like the quotas, a constant of the
+/// daemon, not a flag.
+pub const MODULE_CACHE_BYTES: usize = 32 << 20;
+
 /// Why admission refused a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AdmitError {

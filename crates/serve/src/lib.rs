@@ -45,7 +45,7 @@ pub mod server;
 pub mod signal;
 pub mod worker;
 
-pub use admission::{Admission, AdmitError, InflightGuard, TenantQuota};
+pub use admission::{Admission, AdmitError, InflightGuard, TenantQuota, MODULE_CACHE_BYTES};
 pub use client::{Client, RetryPolicy};
 pub use proto::{
     backoff_delay, decode_request, decode_response, encode_request, encode_response, read_frame,

@@ -231,7 +231,9 @@ pub enum Response {
         exit: i32,
         /// Instructions executed (`Run`; 0 otherwise).
         insts: u64,
-        /// Whether a cached reoptimized module served this request.
+        /// Whether a reoptimized module from the store served this
+        /// request. Not whether the daemon had loaded the payload before:
+        /// its module cache is counted in `Stats` (`module_cache_*`).
         cache_hit: bool,
         /// Program output (`Run`) or report text (`Reopt`, `Stats`).
         output: Vec<u8>,

@@ -41,12 +41,12 @@ use std::time::{Duration, Instant};
 
 use lpat_core::fault::FaultAction;
 use lpat_core::{faultpoint, trace, Module};
-use lpat_vm::session::{self, Note, ReoptError, RunConfig, RunError};
+use lpat_vm::session::{self, CacheStats, ModuleCache, Note, ReoptError, RunConfig, RunError};
 use lpat_vm::{PgoOptions, Store, VmOptions};
 
 use lpat_core::hash::fnv1a64;
 
-use crate::admission::{Admission, NoSlot, Slots, TenantQuota};
+use crate::admission::{Admission, NoSlot, Slots, TenantQuota, MODULE_CACHE_BYTES};
 use crate::net::{Conn, Listener};
 use crate::proto::{
     decode_request, encode_response, read_frame, write_frame, Addr, ErrClass, Op, ProtoError,
@@ -189,9 +189,11 @@ pub struct ServerStats {
     pub deadline_expired: AtomicU64,
     /// Guest traps (the guest's fault, not ours).
     pub traps: AtomicU64,
-    /// Run requests served from a cached reoptimized module.
+    /// Run requests served from a cached reoptimized module (the store's
+    /// `reopt-<hash>.lbc`, [`Response::Ok`]'s `cache_hit`); loaded modules
+    /// are counted apart, as `module_cache_*` in the JSON.
     pub cache_hits: AtomicU64,
-    /// Run requests that missed the reopt cache (store configured).
+    /// Run requests that found no reoptimized module (store configured).
     pub cache_misses: AtomicU64,
     /// Worker subprocesses that died mid-request or between requests
     /// (process isolation only).
@@ -224,10 +226,11 @@ impl ServerStats {
         self.telemetry.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Render the counters and quantile telemetry as a stable
-    /// `lpat-serve-stats/v2` JSON object (the `Stats` op's response body;
-    /// `lpbench`'s `serve-mixed` and `lpatc remote top` consume it).
-    pub fn render_json(&self) -> String {
+    /// Render the counters, the module cache's `modules` and the quantile
+    /// telemetry as a stable `lpat-serve-stats/v2` JSON object (the
+    /// `Stats` op's response body; `lpbench`'s `serve-mixed` and `lpatc
+    /// remote top` consume it). Fields are only ever added.
+    pub fn render_json(&self, modules: &CacheStats) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut w = trace::JsonWriter::new();
         w.begin_object();
@@ -252,6 +255,10 @@ impl ServerStats {
         w.field_u64("watchdog_kills", g(&self.watchdog_kills));
         w.field_u64("quarantined", g(&self.quarantined));
         w.field_u64("flight_salvaged", g(&self.flight_salvaged));
+        w.field_u64("module_cache_hits", modules.hits);
+        w.field_u64("module_cache_misses", modules.misses);
+        w.field_u64("module_cache_evictions", modules.evictions);
+        w.field_u64("module_cache_bytes", modules.bytes);
         w.begin_array_field("worker_pids");
         {
             let pids = self.worker_pids.lock().unwrap_or_else(|e| e.into_inner());
@@ -283,13 +290,17 @@ impl ServerStats {
 }
 
 /// Everything needed to execute one request, independent of transport or
-/// isolation: the counters, the lifelong store, and the fuel policy.
-/// The daemon owns one inside its shared state; an `lpatd --worker`
-/// subprocess builds its own around stdio
-/// ([`crate::worker::run_worker_stdio`]).
+/// isolation: the counters, the lifelong store, the modules loaded so
+/// far, and the fuel policy. The daemon owns one inside its shared state;
+/// an `lpatd --worker` subprocess builds its own around stdio
+/// ([`crate::worker::run_worker_stdio`]), and with it a module cache of
+/// its own, which the daemon's `Stats` does not see.
 pub struct Engine {
     pub(crate) stats: ServerStats,
     pub(crate) store: Option<Store>,
+    /// `Run` payloads and reoptimized modules, loaded once each
+    /// ([`MODULE_CACHE_BYTES`]).
+    pub(crate) modules: ModuleCache,
     pub(crate) default_fuel: u64,
 }
 
@@ -299,6 +310,7 @@ impl Engine {
         Engine {
             stats: ServerStats::default(),
             store,
+            modules: ModuleCache::new(MODULE_CACHE_BYTES),
             default_fuel,
         }
     }
@@ -1060,7 +1072,10 @@ pub(crate) fn process(engine: &Engine, req: &Request, deadline: Instant) -> Resp
             exit: 0,
             insts: 0,
             cache_hit: false,
-            output: engine.stats.render_json().into_bytes(),
+            output: engine
+                .stats
+                .render_json(&engine.modules.stats())
+                .into_bytes(),
             module: Vec::new(),
         }),
         Op::Compile => do_compile(req, deadline),
@@ -1160,11 +1175,39 @@ fn do_compile(req: &Request, deadline: Instant) -> Result<Response, Response> {
     })
 }
 
-fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response, Response> {
-    let mut m = parse_module(req, deadline)?;
-    if req.flags & FLAG_OPT != 0 {
-        optimize(&mut m, false)?;
+/// The module a `Run` request carries, through the engine's module cache:
+/// keyed by the payload, the flags that shape the module (`FLAG_MINIC`,
+/// `FLAG_OPT`), its name and the tenant. A miss loads, passes the
+/// `parsed` stage and optimizes as [`do_compile`] does (without the
+/// link-time pipeline); a hit passes `parsed` only.
+fn load_run(
+    engine: &Engine,
+    req: &Request,
+    deadline: Instant,
+) -> Result<Arc<session::LoadedModule>, Response> {
+    let shape = format!(
+        "{}\0{}\0{}",
+        req.flags & (FLAG_MINIC | FLAG_OPT),
+        req.name,
+        req.tenant
+    );
+    let mut missed = false;
+    let loaded = engine.modules.load(&shape, &req.module, || {
+        missed = true;
+        let mut m = parse_module(req, deadline)?;
+        if req.flags & FLAG_OPT != 0 {
+            optimize(&mut m, false)?;
+        }
+        Ok(m)
+    })?;
+    if !missed {
+        check_deadline("parsed", deadline)?;
     }
+    Ok(loaded)
+}
+
+fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response, Response> {
+    let loaded = load_run(engine, req, deadline)?;
     // Every daemon-side run is fuel-bounded: the request's ask, or the
     // server default — never unlimited.
     let fuel = if req.fuel > 0 {
@@ -1182,15 +1225,17 @@ fn do_run(engine: &Engine, req: &Request, deadline: Instant) -> Result<Response,
     // wire has no way to ask for the JIT alone or for speculation.
     let config = RunConfig { opts, spec: None };
     let pre_exec = || check_deadline("pre-exec", deadline);
-    let report =
-        session::run(m, engine.store.as_ref(), config, pre_exec, |_| ()).map_err(|e| match e {
+    let store = engine.store.as_ref();
+    let report = session::run(loaded, &engine.modules, store, config, pre_exec, |_| ()).map_err(
+        |e| match e {
             RunError::Aborted(resp) => resp,
             RunError::BadModule(e) => Response::err(ErrClass::BadModule, e.to_string()),
             RunError::Verify(e) => Response::err(
                 ErrClass::Internal,
                 format!("verifier after speculation: {e}"),
             ),
-        })?;
+        },
+    )?;
     count_notes(&report.notes);
     // The stage is passed (and its fault site hit) whether or not the
     // guest trapped; a trap is answered as a trap.

@@ -199,6 +199,9 @@ pub struct Vm<'m> {
     /// Each function's tier once the tiered engine has called it, dense
     /// over `FuncId`.
     pub(crate) tier: Vec<Option<crate::tier::Tier>>,
+    /// The tier decisions this engine shares with others running the
+    /// same module ([`Vm::share_tiers`]); `None` decides alone.
+    pub(crate) shared_tiers: Option<std::sync::Arc<crate::tier::TierCode>>,
     /// Free-list arenas of register slabs, recycled across frames so the
     /// hot call path does not allocate.
     pub(crate) jit_reg_pool: Vec<Vec<VmValue>>,
@@ -248,6 +251,7 @@ impl<'m> Vm<'m> {
             native_cache: vec![crate::native::NativeSlot::Untried; m.num_funcs()],
             native_slot_pool: Vec::new(),
             tier: vec![None; m.num_funcs()],
+            shared_tiers: None,
             jit_reg_pool: Vec::new(),
             interp_reg_pool: Vec::new(),
             phi_buf: Vec::new(),
@@ -853,27 +857,15 @@ impl<'m> Vm<'m> {
             })
     }
 
-    /// Resolve the function at `addr` through a call site's monomorphic
-    /// inline cache `(addr, func_index + 1)`, `(_, 0)` = empty. Function
-    /// addresses are fixed for the engine's lifetime, so a hit never goes
-    /// stale. Shared by the translated tiers.
+    /// The function at `addr`, for the translated tiers' indirect calls:
+    /// function addresses are a fixed arithmetic range, so this is a
+    /// range check and a shift.
     #[inline]
-    pub(crate) fn resolve_cached(
-        &self,
-        addr: u32,
-        ic: &std::cell::Cell<(u32, u32)>,
-    ) -> Result<FuncId, ExecError> {
-        let (hit_addr, hit_func) = ic.get();
-        if hit_func != 0 && hit_addr == addr {
-            return Ok(FuncId::from_index((hit_func - 1) as usize));
-        }
-        let f = self
-            .mem
+    pub(crate) fn resolve(&self, addr: u32) -> Result<FuncId, ExecError> {
+        self.mem
             .addr_to_func(addr)
             .map(FuncId::from_index)
-            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "call through data pointer"))?;
-        ic.set((addr, f.index() as u32 + 1));
-        Ok(f)
+            .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "call through data pointer"))
     }
 
     /// What a call to `target` with `argv` does on every engine: a

@@ -10,21 +10,20 @@
 //! is then executed by a tight dispatch loop. Later calls hit the
 //! translation cache (a dense `Vec` indexed by `FuncId`).
 //!
-//! Two dispatch-level optimizations ride on the translated form:
+//! **Superinstructions** ride on the translated form: the dominant
+//! dispatch pairs — a compare feeding a conditional branch, and a binary
+//! op followed by an unconditional branch (the classic loop-latch
+//! `i += 1; br header` shape) — are fused into single `LowOp`s after
+//! translation. Fusion uses a *dead-slot* scheme: the fused op replaces
+//! the first instruction and the second stays in place (sequentially
+//! unreachable, but still a valid jump target), so no pc needs
+//! rewriting. Fused ops charge fuel and the opcode histogram per
+//! *micro-op*, keeping accounting identical to the interpreter.
 //!
-//! * **Superinstructions**: the dominant dispatch pairs — a compare
-//!   feeding a conditional branch, and a binary op followed by an
-//!   unconditional branch (the classic loop-latch `i += 1; br header`
-//!   shape) — are fused into single `LowOp`s after translation. Fusion
-//!   uses a *dead-slot* scheme: the fused op replaces the first
-//!   instruction and the second stays in place (sequentially unreachable,
-//!   but still a valid jump target), so no pc needs rewriting. Fused ops
-//!   charge fuel and the opcode histogram per *micro-op*, keeping
-//!   accounting identical to the interpreter.
-//! * **Inline caches**: each indirect call site carries a monomorphic
-//!   cache mapping the last callee address to its `FuncId`, skipping the
-//!   address decode on a hit (function addresses are static for the
-//!   engine's lifetime, so a hit can never go stale).
+//! A translation holds nothing a run writes, so engines on any thread
+//! share it through a `crate::session::ModuleCache` entry; each runs its
+//! own copy. An indirect call decodes its target address each time
+//! (`Vm::resolve`: a range check and a shift).
 //!
 //! Semantics are identical to the reference interpreter (differential
 //! tests in `tests/` run all engines on the whole workload suite) —
@@ -33,7 +32,6 @@
 //! block/edge/call/callsite counts and opcode counts the interpreter
 //! would, so profiles and `--stats` are engine-independent.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use lpat_core::trace;
@@ -170,18 +168,12 @@ pub(crate) enum LowOp {
 #[derive(Clone, Debug)]
 pub(crate) enum Callee {
     Direct(FuncId),
-    /// Indirect call with a monomorphic inline cache:
-    /// `(addr, func_index + 1)`, `(_, 0)` = empty. Function addresses are
-    /// a fixed arithmetic range for the engine's lifetime, so a cached
-    /// mapping can never go stale. `Cell` is sound here: translated code
-    /// is only shared within one (single-threaded) engine.
-    Indirect {
-        s: Slot,
-        ic: Cell<(u32, u32)>,
-    },
+    /// Through the function address in a slot.
+    Indirect(Slot),
 }
 
 /// A translated function.
+#[derive(Clone)]
 pub struct LowFunc {
     pub(crate) n_regs: usize,
     pub(crate) code: Vec<LowOp>,
@@ -475,10 +467,7 @@ fn compile_callee(
             return Ok(Callee::Direct(*f));
         }
     }
-    Ok(Callee::Indirect {
-        s: slot_of(callee)?,
-        ic: Cell::new((0, 0)),
-    })
+    Ok(Callee::Indirect(slot_of(callee)?))
 }
 
 // ----------------------------------------------------------------------
@@ -866,11 +855,11 @@ pub(crate) fn exec_low(
             }
             let target = match callee {
                 Callee::Direct(f) => *f,
-                Callee::Indirect { s, ic } => {
+                Callee::Indirect(s) => {
                     let addr = read(fr, s)?
                         .as_ptr()
                         .ok_or_else(|| ExecError::trap(TrapKind::Invalid, "callee"))?;
-                    vm.resolve_cached(addr, ic)?
+                    vm.resolve(addr)?
                 }
             };
             let argv: Vec<VmValue> = args.iter().map(|s| read(fr, s)).collect::<Result<_, _>>()?;

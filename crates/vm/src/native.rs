@@ -92,10 +92,11 @@ struct NOp {
 /// block that only its last instruction can leave — it ends at a `call`
 /// or `invoke` or at the terminator (and after `u16::MAX` instructions,
 /// the width of [`NOp::len`]).
+#[derive(Clone)]
 struct Region {
     /// Decoded index of its first op.
     first_op: u32,
-    /// Index of its first instruction in [`NatCode::insts`].
+    /// Index of its first instruction in [`NatBody::insts`].
     first_inst: u32,
     len: u32,
 }
@@ -103,6 +104,7 @@ struct Region {
 /// A decoded edge: φ-copies (already sequentialised by the encoder), the
 /// decoded-index branch target, and where a traversal is counted: the
 /// edge's slot in the function's counter slab and the block it enters.
+#[derive(Clone)]
 struct NatEdge {
     copies: Vec<FastCopy>,
     target: u32,
@@ -110,30 +112,60 @@ struct NatEdge {
     to: u32,
 }
 
-/// A decoded call descriptor with its inline cache, and the callee last
-/// found to take this site's argument classes (`index + 1`, 0 = none):
-/// both sides are static, so a native→native call checks them once.
-struct NatCall {
-    desc: FastCall,
-    ic: Cell<(u32, u32)>,
-    native: Cell<u32>,
-}
-
-/// A function's decoded native code plus its side tables.
-pub(crate) struct NatCode {
+/// A function's decoded native code plus its side tables: everything
+/// translation produced and nothing a run writes, so engines on any
+/// thread can share it (`crate::session::ModuleCache`). An engine runs
+/// its own copy, a [`NatCode`].
+#[derive(Clone)]
+pub(crate) struct NatBody {
     ops: Vec<NOp>,
     regions: Vec<Region>,
     /// Every IR instruction the code charges, in code order: the decoded
     /// op its machine sequence begins at, and its opcode index (the
     /// payload of its `ACCT` word).
     insts: Vec<(u32, u8)>,
-    /// Entries into each region since the last drain.
-    entered: Box<[Cell<u64>]>,
     edges: Vec<NatEdge>,
-    calls: Vec<NatCall>,
+    calls: Vec<FastCall>,
     switches: Vec<FastSwitch>,
     n_slots: u32,
     arg_homes: Vec<(Home, Class)>,
+}
+
+/// One engine's copy of a function's machine code: the [`NatBody`] plus
+/// the state that engine's runs write.
+pub(crate) struct NatCode {
+    body: NatBody,
+    /// Entries into each region since the last drain.
+    entered: Box<[Cell<u64>]>,
+    /// Per call descriptor, the callee last found to take the site's
+    /// argument classes (`index + 1`, 0 = none): both sides are static,
+    /// so a native→native call checks them once.
+    native: Box<[Cell<u32>]>,
+}
+
+impl NatCode {
+    /// A fresh copy of `body` for one engine: no region entered, no
+    /// callee checked.
+    pub(crate) fn new(body: NatBody) -> NatCode {
+        NatCode {
+            entered: body.regions.iter().map(|_| Cell::new(0)).collect(),
+            native: body.calls.iter().map(|_| Cell::new(0)).collect(),
+            body,
+        }
+    }
+
+    /// What the engine's copy was made from.
+    pub(crate) fn body(&self) -> &NatBody {
+        &self.body
+    }
+}
+
+impl std::ops::Deref for NatCode {
+    type Target = NatBody;
+
+    fn deref(&self) -> &NatBody {
+        &self.body
+    }
 }
 
 /// What the native translation cache holds for one function.
@@ -148,7 +180,7 @@ pub(crate) enum NativeSlot {
     Refused(String),
 }
 
-impl NatCode {
+impl NatBody {
     /// Region `r`'s instructions: where each begins and its opcode index.
     fn region_insts(&self, r: &Region) -> &[(u32, u8)] {
         &self.insts[r.first_inst as usize..][..r.len as usize]
@@ -156,11 +188,11 @@ impl NatCode {
 }
 
 /// Decode the word buffer into the dense dispatch form. Accounting words
-/// become [`NatCode::insts`] entries, grouped into regions that start at
+/// become [`NatBody::insts`] entries, grouped into regions that start at
 /// each block's first word and after each `CALLD`; branch targets are
 /// remapped from word indices to decoded indices, and each edge gets its
 /// counter slot (a VM-side table: the emitted words do not change).
-fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
+fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatBody {
     let layout = EdgeLayout::new(m.func(fid));
     let mut ops: Vec<NOp> = Vec::with_capacity(ff.words.len());
     let mut word_to_dec: Vec<u32> = Vec::with_capacity(ff.words.len() + 1);
@@ -241,22 +273,12 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatCode {
             to: e.to,
         })
         .collect();
-    let calls = ff
-        .calls
-        .into_iter()
-        .map(|desc| NatCall {
-            desc,
-            ic: Cell::new((0, 0)),
-            native: Cell::new(0),
-        })
-        .collect();
-    NatCode {
+    NatBody {
         ops,
-        entered: regions.iter().map(|_| Cell::new(0)).collect(),
         regions,
         insts,
         edges,
-        calls,
+        calls: ff.calls,
         switches: ff.switches,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
@@ -382,7 +404,7 @@ impl<'m> Vm<'m> {
         match result {
             Ok(nc) => {
                 self.tier_stats.native_translated += 1;
-                self.native_cache[f.index()] = NativeSlot::Code(Rc::new(nc));
+                self.native_cache[f.index()] = NativeSlot::Code(Rc::new(NatCode::new(nc)));
                 true
             }
             Err(e) => {
@@ -423,7 +445,7 @@ impl<'m> Vm<'m> {
             })
     }
 
-    fn translate_native(&self, f: FuncId) -> Result<NatCode, ExecError> {
+    fn translate_native(&self, f: FuncId) -> Result<NatBody, ExecError> {
         let m = self.module();
         let env = FastEnv {
             func_addr: &|f| Memory::func_addr(f.index()),
@@ -550,26 +572,31 @@ fn trap(kind: TrapKind, message: &'static str) -> ExecError {
     ExecError::trap(kind, message)
 }
 
-/// `target`'s machine code when the call at `call` can stay in it: what
+/// `target`'s machine code when the call `desc` can stay in it: what
 /// `native_frame_for` checks on `VmValue`s — machine code, the arity,
 /// each argument's class — checked here on the site's static classes,
-/// once per site and callee (a function's tier never changes). A callee
-/// not yet called has no code, so its first call leaves the burst and
-/// `push_mixed` decides its tier.
+/// once per site and callee (`seen`; a function's tier never changes). A
+/// callee not yet called has no code, so its first call leaves the burst
+/// and `push_mixed` decides its tier.
 #[inline(always)]
-fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCode>> {
+fn native_callee(
+    vm: &Vm<'_>,
+    desc: &FastCall,
+    seen: &Cell<u32>,
+    target: FuncId,
+) -> Option<Rc<NatCode>> {
     let NativeSlot::Code(code) = &vm.native_cache[target.index()] else {
         return None;
     };
     let key = target.index() as u32 + 1;
-    if call.native.get() != key {
-        let args = &call.desc.args;
+    if seen.get() != key {
+        let args = &desc.args;
         if args.len() != code.arg_homes.len()
             || args.iter().zip(&code.arg_homes).any(|(a, p)| a.1 != p.1)
         {
             return None;
         }
-        call.native.set(key);
+        seen.set(key);
     }
     Some(code.clone())
 }
@@ -582,24 +609,20 @@ fn native_callee(vm: &Vm<'_>, call: &NatCall, target: FuncId) -> Option<Rc<NatCo
 fn call_out(
     vm: &mut Vm<'_>,
     fr: &mut NatFrame,
-    call: &NatCall,
+    desc: &FastCall,
     target: FuncId,
 ) -> Result<Option<Flow>, ExecError> {
-    let argv = call
-        .desc
-        .args
-        .iter()
-        .map(|&(s, cl)| value_of(fr.get(s), cl));
+    let argv = desc.args.iter().map(|&(s, cl)| value_of(fr.get(s), cl));
     match vm.enter_call(target, argv.collect())? {
         Entered::External(ret) => {
             let ret = ret.map(|v| (low32(&v), class_of(&v)));
-            resume_native(vm, fr, (call.desc.dst, call.desc.eh), ret)?;
+            resume_native(vm, fr, (desc.dst, desc.eh), ret)?;
             Ok(None)
         }
         // dst/eh ride in the frame's typed pending slot, not the
         // (JIT-shaped) Flow fields.
         Entered::Defined { fixed, extra } => {
-            fr.pending = Some((call.desc.dst, call.desc.eh));
+            fr.pending = Some((desc.dst, desc.eh));
             Ok(Some(Flow::Call {
                 target,
                 args: fixed,
@@ -638,7 +661,7 @@ pub(crate) fn run_native_burst(
                 let [.., TFrame::N(caller), TFrame::N(fr)] = &mut stack[..] else {
                     unreachable!("a native call from a native frame")
                 };
-                let desc = &caller.code.calls[call].desc;
+                let desc = &caller.code.calls[call];
                 for (i, &(s, _)) in desc.args.iter().enumerate() {
                     let (h, _) = fr.code.arg_homes[i];
                     fr.put(h, caller.get(s));
@@ -967,16 +990,17 @@ fn dispatch<const EXACT: bool>(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exi
                     pc = take_nat_edge(vm, fr, &code, e as usize);
                 }
                 enc::CALLD => {
-                    let call = &code.calls[op.imm as usize];
+                    let i = op.imm as usize;
+                    let call = &code.calls[i];
                     if vm.opts.profile {
-                        vm.counters.site(fr.func, call.desc.site as usize);
+                        vm.counters.site(fr.func, call.site as usize);
                     }
-                    let target = match &call.desc.callee {
+                    let target = match &call.callee {
                         FastCallee::Direct(f) => *f,
-                        FastCallee::Indirect(s) => vm.resolve_cached(fr.get(*s), &call.ic)?,
+                        FastCallee::Indirect(s) => vm.resolve(fr.get(*s))?,
                     };
-                    if let Some(callee) = native_callee(vm, call, target) {
-                        return Ok(Exit::Call(target, callee, op.imm as usize));
+                    if let Some(callee) = native_callee(vm, call, &code.native[i], target) {
+                        return Ok(Exit::Call(target, callee, i));
                     }
                     // An external's return may take an invoke's normal edge.
                     fr.pc = pc;
@@ -1087,7 +1111,7 @@ bad:
                 .filter(|&&w| enc::op(w) == enc::ACCT)
                 .map(|&w| enc::idx24(w) as u8)
                 .collect();
-            let code = decode(ff, &m, fid);
+            let code = NatCode::new(decode(ff, &m, fid));
             // The IR's side: every charged instruction in code order, and
             // the ones a region must start at.
             let (mut opcodes, mut starts) = (Vec::new(), Vec::new());

@@ -108,6 +108,16 @@ pub fn module_hash(m: &Module) -> u64 {
     fnv1a64(&lpat_bytecode::write_module(m))
 }
 
+/// A reoptimized module's bytecode, decoded: the hardened bytecode reader
+/// plus a full verify. CRC protects against storage faults, not against a
+/// buggy writer, and a cached module runs with user authority.
+pub(crate) fn read_reopt(name: &str, bytecode: &[u8]) -> Result<Module, String> {
+    let m = lpat_bytecode::read_module(name, bytecode).map_err(|e| e.to_string())?;
+    m.verify()
+        .map_err(|errs| format!("verifier: {}", errs[0]))?;
+    Ok(m)
+}
+
 /// Deterministic file label for trace arguments: the final path component
 /// only — cache directories are run-specific temp paths, but artifact file
 /// names are keyed by content hash and stable across runs.
@@ -432,6 +442,23 @@ impl Store {
         module_hash: u64,
         name: &str,
     ) -> Result<Loaded<Option<Module>>, StoreError> {
+        self.load_reopt_with(module_hash, |bytecode| read_reopt(name, bytecode))
+    }
+
+    /// [`Store::load_reopt`] with the module's bytecode handed to
+    /// `decode` — a [`crate::session::ModuleCache`], which decodes and
+    /// verifies only bytes it has not seen. The file is read and checked
+    /// here either way, so whatever wrote it last is what loads. A
+    /// `decode` error quarantines the file like a bad checksum.
+    ///
+    /// # Errors
+    ///
+    /// Only genuine I/O failures surface.
+    pub fn load_reopt_with<T>(
+        &self,
+        module_hash: u64,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<Loaded<Option<T>>, StoreError> {
         let mut quarantined = Vec::new();
         let value =
             self.read_artifact(&self.reopt_path(module_hash), &mut quarantined, |bytes| {
@@ -439,22 +466,13 @@ impl Store {
                 let found = Cursor::new(payload)
                     .u64("source hash")
                     .map_err(|e| StoreError::ChecksumFail(e.0))?;
-                let bytecode = &payload[8..];
                 if found != module_hash {
                     return Err(StoreError::StaleHash {
                         expected: module_hash,
                         found,
                     });
                 }
-                // The hardened bytecode reader plus a full verify: CRC
-                // protects against storage faults, not against a buggy
-                // writer, and a cached module runs with user authority.
-                lpat_bytecode::read_module(name, bytecode)
-                    .map_err(|e| e.to_string())
-                    .and_then(|m| match m.verify() {
-                        Ok(()) => Ok(m),
-                        Err(errs) => Err(format!("verifier: {}", errs[0])),
-                    })
+                decode(&payload[8..])
                     .map_err(|e| StoreError::ChecksumFail(format!("module payload: {e}")))
             })?;
         Ok(Loaded { value, quarantined })

@@ -30,12 +30,16 @@
 //! in `tests/tiered.rs` pins this across the whole workload suite and
 //! under injected translation faults.
 
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
+
 use lpat_core::trace;
 use lpat_core::{FuncId, Inst};
 
 use crate::error::{ExecError, TrapKind};
 use crate::interp::{Frame, StepResult, Vm};
-use crate::jit::{Flow, JitFrame};
+use crate::jit::{Flow, JitFrame, LowFunc};
+use crate::native::{NatBody, NatCode, NativeSlot};
 use crate::profile::ProfileData;
 use crate::value::VmValue;
 
@@ -46,6 +50,42 @@ pub(crate) enum Tier {
     Interp,
     Jit,
     Native,
+}
+
+/// A function's tier decision with the code it decided on, as any engine
+/// running the same module under the same address layout can take it
+/// over instead of translating again.
+enum Decided {
+    /// Machine code.
+    Native(NatBody),
+    /// The native backend refused the function for `refusal`; its JIT
+    /// code, or `None` when that translation failed too (interpreted).
+    Lower {
+        refusal: String,
+        jit: Option<LowFunc>,
+    },
+}
+
+/// The tier decisions of one module's functions, shared by every engine
+/// that runs the module (a `crate::session::ModuleCache` entry holds
+/// one): filled by whichever engine calls a function first, then copied
+/// by the others at their first call. Translation reads the module and
+/// the global addresses (`FastEnv`, `Vm::const_value`), so the table is
+/// tied to the layout of the first engine that joins it; an engine laid
+/// out otherwise translates for itself.
+pub(crate) struct TierCode {
+    layout: OnceLock<Vec<u32>>,
+    funcs: Box<[OnceLock<Decided>]>,
+}
+
+impl TierCode {
+    /// An empty table for a module of `n_funcs` functions.
+    pub(crate) fn new(n_funcs: usize) -> TierCode {
+        TierCode {
+            layout: OnceLock::new(),
+            funcs: (0..n_funcs).map(|_| OnceLock::new()).collect(),
+        }
+    }
 }
 
 /// How [`Vm::run_function_mixed`] picks a tier per call.
@@ -317,28 +357,46 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
+    /// Take `f`'s tier decisions from `code` (and publish this engine's
+    /// own into it) when this engine's globals are laid out as the
+    /// table's are. Before the first run.
+    pub(crate) fn share_tiers(&mut self, code: &Arc<TierCode>) {
+        let layout = code.layout.get_or_init(|| self.global_addrs.clone());
+        if *layout == self.global_addrs {
+            self.shared_tiers = Some(code.clone());
+        }
+    }
+
     /// `f`'s tier, decided at its first call and kept: machine code when
     /// the native backend accepts it, else the JIT, else — its JIT
-    /// translation faulted — the interpreter.
+    /// translation faulted — the interpreter. A decision already in the
+    /// shared table is copied, not translated again.
     fn tier_of(&mut self, f: FuncId) -> Tier {
         if let Some(tier) = self.tier[f.index()] {
             return tier;
         }
-        // The translators emit the bail instants with the error and keep
-        // the native backend's reason for `Vm::native_refusals`.
-        let tier = if self.native_translate(f) {
-            self.tier_stats.native_promoted += 1;
-            Tier::Native
-        } else {
-            self.tier_stats.native_demoted += 1;
-            if self.ensure_translated(f).is_ok() {
-                self.tier_stats.promoted += 1;
-                Tier::Jit
-            } else {
-                self.tier_stats.demoted += 1;
-                Tier::Interp
+        let shared = self.shared_tiers.clone();
+        let tier = match shared.as_ref().and_then(|c| c.funcs[f.index()].get()) {
+            Some(decided) => self.adopt(f, decided),
+            None => {
+                let tier = self.translate_tier(f);
+                if let Some(code) = &shared {
+                    let _ = code.funcs[f.index()].set(self.decided(f));
+                }
+                tier
             }
         };
+        match tier {
+            Tier::Native => self.tier_stats.native_promoted += 1,
+            Tier::Jit => {
+                self.tier_stats.native_demoted += 1;
+                self.tier_stats.promoted += 1;
+            }
+            Tier::Interp => {
+                self.tier_stats.native_demoted += 1;
+                self.tier_stats.demoted += 1;
+            }
+        }
         if trace::enabled() {
             let name = match tier {
                 Tier::Interp => "interp",
@@ -356,6 +414,52 @@ impl<'m> Vm<'m> {
         }
         self.tier[f.index()] = Some(tier);
         tier
+    }
+
+    /// Translate `f` for its tier: the translators emit the bail instants
+    /// with the error and keep the native backend's reason for
+    /// [`Vm::native_refusals`].
+    fn translate_tier(&mut self, f: FuncId) -> Tier {
+        if self.native_translate(f) {
+            Tier::Native
+        } else if self.ensure_translated(f).is_ok() {
+            Tier::Jit
+        } else {
+            Tier::Interp
+        }
+    }
+
+    /// This engine's decision for `f`, as the shared table keeps it.
+    fn decided(&self, f: FuncId) -> Decided {
+        match &self.native_cache[f.index()] {
+            NativeSlot::Code(code) => Decided::Native(code.body().clone()),
+            NativeSlot::Refused(refusal) => Decided::Lower {
+                refusal: refusal.clone(),
+                jit: self.jit_cache[f.index()].as_deref().cloned(),
+            },
+            NativeSlot::Untried => unreachable!("a decided function was offered to the backend"),
+        }
+    }
+
+    /// Copy a shared decision for `f` into this engine's own slots.
+    fn adopt(&mut self, f: FuncId, decided: &Decided) -> Tier {
+        match decided {
+            Decided::Native(body) => {
+                self.native_cache[f.index()] =
+                    NativeSlot::Code(Rc::new(NatCode::new(body.clone())));
+                Tier::Native
+            }
+            Decided::Lower { refusal, jit } => {
+                self.native_cache[f.index()] = NativeSlot::Refused(refusal.clone());
+                match jit {
+                    Some(lf) => {
+                        self.jit_cache[f.index()] = Some(Rc::new(lf.clone()));
+                        Tier::Jit
+                    }
+                    None => Tier::Interp,
+                }
+            }
+        }
     }
 
     /// Pop and recycle the top frame.

@@ -272,16 +272,25 @@ fn scripted_input(args: &Args) -> Result<Vec<i64>, String> {
 /// session, render its report.
 fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let input = args.positionals().first().ok_or("run: no input file")?;
-    let mut m = load(input)?;
-    // `run -O` optimizes in-process first, so a single traced run covers
-    // the compiler, the VM, the heap, and the store.
-    if args.has("-O") {
-        let cfg = OptConfig {
-            function: true,
-            ..Default::default()
-        };
-        optimize(&mut m, &cfg, false, diag)?;
-    }
+    // The daemon's load path, with a cache of this command's own: the
+    // same key, the same module.
+    let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let modules = session::ModuleCache::new(lpat::serve::MODULE_CACHE_BYTES);
+    let opt = args.has("-O");
+    let shape = format!("{opt}\0{input}");
+    let loaded = modules.load(&shape, &bytes, || {
+        let mut m = load_bytes(input, &bytes)?;
+        // `run -O` optimizes in-process first, so a single traced run
+        // covers the compiler, the VM, the heap, and the store.
+        if opt {
+            let cfg = OptConfig {
+                function: true,
+                ..Default::default()
+            };
+            optimize(&mut m, &cfg, false, diag)?;
+        }
+        Ok::<_, String>(m)
+    })?;
     let cache_dir = cache_dir(args);
     let mut opts = lpat::vm::VmOptions {
         // Persistence implies instrumentation: the profile is exactly
@@ -314,7 +323,8 @@ fn run_program(args: &Args, diag: &mut Diag) -> Result<ExitCode, String> {
     let config = RunConfig { opts, spec };
     let (profile, stats) = (args.has("--profile"), args.has("--stats"));
     let report = session::run(
-        m,
+        loaded,
+        &modules,
         store.as_ref(),
         config,
         || Ok::<(), Infallible>(()),
@@ -751,6 +761,15 @@ fn remote_top(args: &Args) -> Result<ExitCode, String> {
             n("flight_salvaged"),
         );
         println!(
+            "modules  hits {}   misses {}   evictions {}   bytes {}   reopt hits {}   misses {}",
+            n("module_cache_hits"),
+            n("module_cache_misses"),
+            n("module_cache_evictions"),
+            n("module_cache_bytes"),
+            n("cache_hits"),
+            n("cache_misses"),
+        );
+        println!(
             "{:<24} {:>8} {:>8} {:>8} {:>8} {:>10}",
             "histogram", "count", "p50", "p90", "p99", "max"
         );
@@ -874,7 +893,12 @@ fn is_minic(path: &str) -> bool {
 /// Load a module from any of the three on-disk shapes.
 fn load(path: &str) -> Result<Module, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    lpat::serve::server::load_module(module_name(path), &bytes, is_minic(path))
+    load_bytes(path, &bytes)
+}
+
+/// [`load`] on the bytes already read from `path`.
+fn load_bytes(path: &str, bytes: &[u8]) -> Result<Module, String> {
+    lpat::serve::server::load_module(module_name(path), bytes, is_minic(path))
         .map_err(|e| format!("{path}: {e}"))
 }
 

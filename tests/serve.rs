@@ -26,7 +26,7 @@ use std::time::Duration;
 use lpat::core::hash::SplitMix64;
 use lpat::serve::{
     encode_request, Addr, Client, ErrClass, Op, Request, Response, RetryPolicy, Server,
-    ServerConfig, FLAG_MINIC,
+    ServerConfig, FLAG_MINIC, FLAG_OPT,
 };
 
 const ADD_PROG: &str = "\
@@ -1052,4 +1052,160 @@ fn distributed_trace_merges_worker_lanes_and_is_deterministic() {
             "virtual ts {ts}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The module cache: a `Run` payload is loaded, verified, optimized and
+// translated once per daemon, and a reoptimized module is looked up by the
+// bytes of the file the store holds now.
+// ---------------------------------------------------------------------------
+
+const MINIC_PROG: &str = "\
+extern void print_int(int v);
+int tri(int n) { int s; int i; s = 0; i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }
+int main() { int t; t = tri(30); print_int(t); return t % 256; }
+";
+
+/// The daemon's `Stats` counters named `keys`.
+fn stats(c: &mut Client, keys: &[&str]) -> Vec<u64> {
+    let Response::Ok { output, .. } = c.request(&Request::new(Op::Stats)).unwrap() else {
+        panic!("stats failed")
+    };
+    let doc = lpat::core::trace::parse_json(std::str::from_utf8(&output).unwrap()).unwrap();
+    keys.iter()
+        .map(|k| doc.num(k).unwrap_or_else(|| panic!("no {k}")) as u64)
+        .collect()
+}
+
+fn module_cache(c: &mut Client) -> (u64, u64) {
+    let v = stats(c, &["module_cache_misses", "module_cache_hits"]);
+    (v[0], v[1])
+}
+
+/// `(exit, output, insts)` of a successful run.
+fn answer(resp: &Response) -> (i32, Vec<u8>, u64) {
+    match resp {
+        Response::Ok {
+            exit,
+            output,
+            insts,
+            ..
+        } => (*exit, output.clone(), *insts),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+}
+
+#[test]
+fn each_module_shape_is_loaded_once_and_answers_as_the_interpreter_does() {
+    let ir = lpat::asm::parse_module("module", ADD_PROG).unwrap();
+    let bytecode = lpat::bytecode::write_module(&ir);
+    let cases: [(&str, u8, Vec<u8>); 3] = [
+        ("bytecode", 0, bytecode),
+        (
+            "minic -O",
+            FLAG_MINIC | FLAG_OPT,
+            MINIC_PROG.as_bytes().to_vec(),
+        ),
+        ("text", 0, ADD_PROG.as_bytes().to_vec()),
+    ];
+    let h = Server::bind(ServerConfig::default()).unwrap().start();
+    let mut c = connect(h.addr());
+    for (k, (what, flags, payload)) in cases.iter().enumerate() {
+        // The reference: the same module, loaded as the daemon loads it,
+        // on the interpreter.
+        let mut m =
+            lpat::serve::server::load_module("module", payload, flags & FLAG_MINIC != 0).unwrap();
+        if flags & FLAG_OPT != 0 {
+            let cfg = lpat::vm::session::OptConfig {
+                function: true,
+                ..Default::default()
+            };
+            lpat::vm::session::optimize(&mut m, &cfg).unwrap();
+        }
+        let mut vm = lpat::vm::Vm::new(&m, lpat::vm::VmOptions::default()).unwrap();
+        let code = vm.run_main().unwrap();
+        let want = (
+            (code & 0xFF) as i32,
+            vm.output.clone().into_bytes(),
+            vm.insts_executed,
+        );
+
+        let mut req = Request::new(Op::Run);
+        req.flags = *flags;
+        req.module = payload.clone();
+        let k = k as u64;
+        let first = answer(&c.request(&req).unwrap());
+        assert_eq!(module_cache(&mut c), (k + 1, k), "{what}: one miss");
+        let second = answer(&c.request(&req).unwrap());
+        assert_eq!(module_cache(&mut c), (k + 1, k + 1), "{what}: then one hit");
+        assert_eq!(
+            first, want,
+            "{what}: the daemon disagrees with the interpreter"
+        );
+        assert_eq!(
+            second, first,
+            "{what}: a hit answers otherwise than the miss"
+        );
+    }
+    h.stop();
+}
+
+#[test]
+fn the_same_payload_with_and_without_opt_is_two_modules() {
+    let h = Server::bind(ServerConfig::default()).unwrap().start();
+    let mut c = connect(h.addr());
+    for flags in [0, FLAG_OPT, 0, FLAG_OPT] {
+        let mut req = run_request(ADD_PROG);
+        req.flags = flags;
+        assert_eq!(expect_ok(&c.request(&req).unwrap()).0, 42);
+    }
+    assert_eq!(module_cache(&mut c), (2, 2));
+    h.stop();
+}
+
+#[test]
+fn a_run_after_a_reopt_runs_the_module_the_store_holds_now() {
+    let cache = tmp("module-cache-reopt");
+    let _ = std::fs::remove_dir_all(&cache);
+    let h = Server::bind(ServerConfig {
+        cache_dir: Some(cache.clone()),
+        ..Default::default()
+    })
+    .unwrap()
+    .start();
+    let mut c = connect(h.addr());
+    let run = |c: &mut Client| match c.request(&run_request(ADD_PROG)).unwrap() {
+        Response::Ok {
+            exit, cache_hit, ..
+        } => (exit, cache_hit),
+        other => panic!("run answered {other:?}"),
+    };
+    assert_eq!(run(&mut c), (42, false));
+    let mut reopt = run_request(ADD_PROG);
+    reopt.op = Op::Reopt;
+    assert!(matches!(c.request(&reopt).unwrap(), Response::Ok { .. }));
+    // Run → Reopt → Run: the second run is the reoptimized module's.
+    assert_eq!(run(&mut c), (42, true));
+    assert_eq!(run(&mut c), (42, true));
+    // The request door missed once and hit twice; the reopt door missed
+    // on the new file and hit on it after.
+    assert_eq!(module_cache(&mut c), (2, 3));
+
+    // Another handle on the same directory replaces the reoptimized
+    // module: the daemon's next run executes the new file, not the one
+    // it loaded before.
+    let source = lpat::asm::parse_module("module", ADD_PROG).unwrap();
+    let other = lpat::asm::parse_module(
+        "module",
+        "define int @main() {\nentry:\n  %a = add int 40, 3\n  ret int %a\n}\n",
+    )
+    .unwrap();
+    let store = lpat::vm::Store::open(&cache).unwrap();
+    store
+        .save_reopt(lpat::vm::module_hash(&source), &other)
+        .unwrap();
+    assert_eq!(run(&mut c), (43, true));
+    assert_eq!(run(&mut c), (43, true));
+    assert_eq!(module_cache(&mut c), (3, 6));
+    h.stop();
 }
