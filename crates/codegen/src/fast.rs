@@ -138,22 +138,6 @@ impl Class {
         classify_kind(k)
     }
 
-    /// The integer kind for integer classes (including `L64` → `S64`;
-    /// the emulator never reconstructs an `L64` scalar, it only needs the
-    /// kind for 8-byte memory accesses, where `S64`/`U64` are identical).
-    pub fn int_kind(self) -> Option<IntKind> {
-        Some(match self {
-            Class::S8 => IntKind::S8,
-            Class::U8 => IntKind::U8,
-            Class::S16 => IntKind::S16,
-            Class::U16 => IntKind::U16,
-            Class::S32 => IntKind::S32,
-            Class::U32 => IntKind::U32,
-            Class::L64 => IntKind::S64,
-            Class::Bool | Class::Ptr => return None,
-        })
-    }
-
     /// Bit width for shift masking and renormalisation (≤ 32-bit ints).
     fn bits(self) -> Option<u16> {
         Some(match self {

@@ -6,6 +6,12 @@
 //! pointers), globals follow, and the rest is a heap served by a bump
 //! allocator with a first-fit free list. `alloca` storage comes from the
 //! same allocator and is released when its frame returns.
+//!
+//! Every access is tested against one window first (`Memory::in_window`):
+//! at or past the end of the function window and inside the bytes memory
+//! already has. An access in it is plainly data, and nothing more is
+//! checked; every other access takes the out-of-line checks, which trap
+//! or grow memory.
 
 use crate::error::{ExecError, TrapKind};
 use crate::value::VmValue;
@@ -44,6 +50,8 @@ pub struct Memory {
     live: std::collections::HashMap<u32, u32>,
     /// Number of functions (for function-pointer decoding).
     n_funcs: u32,
+    /// End of the function window: the lowest address of the data window.
+    data_lo: u32,
     /// Allocator traffic counters.
     stats: HeapStats,
 }
@@ -52,8 +60,8 @@ impl Memory {
     /// Create a memory with the given byte limit, with the allocation
     /// cursor placed after the function window for `n_funcs` functions.
     pub fn new(limit: u32, n_funcs: u32) -> Memory {
-        let brk = FUNC_BASE + n_funcs * FUNC_STRIDE;
-        let brk = align8(brk);
+        let data_lo = FUNC_BASE + n_funcs * FUNC_STRIDE;
+        let brk = align8(data_lo);
         Memory {
             bytes: vec![0; 4096.min(limit) as usize],
             limit,
@@ -61,6 +69,7 @@ impl Memory {
             free: Vec::new(),
             live: std::collections::HashMap::new(),
             n_funcs,
+            data_lo,
             stats: HeapStats {
                 peak_bytes: brk as u64,
                 ..HeapStats::default()
@@ -190,7 +199,52 @@ impl Memory {
         self.free.len()
     }
 
+    /// Whether `size` bytes at `addr` are plainly data: no byte below the
+    /// end of the function window, none past the bytes memory has. At or
+    /// above that end, these are exactly the accesses the checked path
+    /// passes without growing memory: the window excludes null and every
+    /// function address, its end cannot wrap (it is computed in `usize`),
+    /// and memory never holds more than `limit` bytes.
+    #[inline(always)]
+    pub(crate) fn in_window(&self, addr: u32, size: u32) -> bool {
+        addr >= self.data_lo && addr as usize + size as usize <= self.bytes.len()
+    }
+
+    /// The `N` bytes at `addr` when they are in the window, else `None`:
+    /// the caller takes the checked path ([`Memory::read_bytes`] and the
+    /// loads built on it).
+    #[inline(always)]
+    pub(crate) fn window<const N: usize>(&self, addr: u32) -> Option<&[u8; N]> {
+        if !self.in_window(addr, N as u32) {
+            return None;
+        }
+        self.bytes[addr as usize..].first_chunk()
+    }
+
+    /// [`Memory::window`] for a write.
+    #[inline(always)]
+    pub(crate) fn window_mut<const N: usize>(&mut self, addr: u32) -> Option<&mut [u8; N]> {
+        if !self.in_window(addr, N as u32) {
+            return None;
+        }
+        self.bytes[addr as usize..].first_chunk_mut()
+    }
+
+    #[inline(always)]
     fn check_range(&mut self, addr: u32, size: u32) -> Result<(), ExecError> {
+        if self.in_window(addr, size) {
+            return Ok(());
+        }
+        self.check_range_slow(addr, size)
+    }
+
+    /// Every access outside the window: null, a function address and
+    /// wraparound trap; an end past the bytes memory has grows it, up to
+    /// the limit (`OutOfMemory` beyond). Addresses 1–15 and unaligned
+    /// addresses inside the function window are data.
+    #[cold]
+    #[inline(never)]
+    fn check_range_slow(&mut self, addr: u32, size: u32) -> Result<(), ExecError> {
         if addr == 0 {
             return Err(ExecError::trap(TrapKind::NullAccess, "null dereference"));
         }
@@ -420,5 +474,53 @@ mod tests {
         // come back as a trap, never wrap to address 0 or panic.
         assert!(m.read_cstr(u32::MAX - 2, 64).is_err());
         assert!(m.read_cstr(u32::MAX, 64).is_err());
+    }
+
+    /// The window admits an access only when the checks behind it pass
+    /// it without growing memory, and admits every such access at or
+    /// above `data_lo`: swept around 0, `data_lo`, the current length,
+    /// the limit and `u32::MAX`, at every access width, on a fresh memory
+    /// and on one grown to its limit.
+    #[test]
+    fn the_window_admits_exactly_the_data_the_checks_pass_in_place() {
+        let fresh = || Memory::new(1 << 16, 3);
+        let grown = || {
+            let mut m = Memory::new(1 << 16, 3);
+            m.read_bytes((1 << 16) - 1, 1).unwrap();
+            m
+        };
+        let data_lo = fresh().data_lo;
+        assert_eq!(data_lo, Memory::func_addr(3));
+        for make in [&fresh as &dyn Fn() -> Memory, &grown] {
+            let len = make().bytes.len() as u32;
+            let mut probes = Vec::new();
+            for centre in [0, data_lo, len, 1 << 16, u32::MAX] {
+                for d in -9i64..=9 {
+                    if let Ok(a) = u32::try_from(centre as i64 + d) {
+                        probes.push(a);
+                    }
+                }
+            }
+            for addr in probes {
+                for size in [1, 2, 4, 8] {
+                    let mut m = make();
+                    let admitted = m.in_window(addr, size);
+                    let windowed = match size {
+                        1 => m.window::<1>(addr).is_some(),
+                        2 => m.window::<2>(addr).is_some(),
+                        4 => m.window::<4>(addr).is_some(),
+                        _ => m.window::<8>(addr).is_some(),
+                    };
+                    assert_eq!(windowed, admitted, "{addr:#x}+{size}: one predicate");
+                    let passed = m.check_range_slow(addr, size).is_ok();
+                    let in_place = passed && m.bytes.len() as u32 == len;
+                    assert_eq!(
+                        admitted,
+                        in_place && addr >= data_lo,
+                        "{addr:#x}+{size} (length {len:#x})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -26,10 +26,17 @@
 //!   through `Vm::charge_native`, so `OutOfFuel` traps on exactly the
 //!   interpreter's instruction; a trap in the middle of a region refunds
 //!   the instructions it did not reach (fuel, counts and histogram);
-//! * **memory traps** — loads/stores go through the same [`Memory`]
-//!   access checks (NullAccess / BadAccess / OutOfMemory), at the same
-//!   width (an `L64` load checks all 8 bytes before keeping the low
-//!   word);
+//! * **memory traps** — the decoder turns each `LD`/`ST` class into a
+//!   load or store kind, carried in the op, and a load or store takes one
+//!   of two paths. In [`Memory`]'s window (at or past the end of the
+//!   function window, inside the bytes memory has) it reads or writes the
+//!   bytes in place and sign- or zero-extends them. Anywhere else a cold
+//!   function calls `Memory`'s checked loads and stores, which raise
+//!   NullAccess / BadAccess / OutOfMemory, grow memory, or reach data below
+//!   the window (`TierStats::native_mem_checked` counts these). The fast
+//!   path is exact: it admits only accesses those checks pass without
+//!   growing memory, at the same width (an `L64` load tests all 8 bytes
+//!   before keeping the low word);
 //! * **arithmetic traps** — division/remainder by zero trap with the
 //!   interpreter's messages; signed 32-bit wrapping matches canonical
 //!   `i64` arithmetic bit-for-bit for every exact class;
@@ -238,10 +245,12 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatBody {
         };
         // LUI decodes to LDI-with-full-immediate and each CMPI predicate
         // to one CMPI carrying it in `extra`, as CMP does: one hot-loop
-        // case each.
+        // case each. An LD or ST carries its class's load or store kind.
         let (op, extra) = match op {
             enc::LUI => (enc::LDI, 0),
             enc::CMPI..=enc::CMPI_LAST => (enc::CMPI, (op - enc::CMPI) as u16),
+            enc::LD => (op, Load::of_class(enc::extra(w)) as u16),
+            enc::ST => (op, Store::of_class(enc::extra(w)) as u16),
             _ => (op, enc::extra(w)),
         };
         ops.push(NOp {
@@ -282,6 +291,153 @@ fn decode(ff: FastFunc, m: &Module, fid: FuncId) -> NatBody {
         switches: ff.switches,
         n_slots: ff.n_slots,
         arg_homes: ff.arg_homes,
+    }
+}
+
+// ----------------------------------------------------------------------
+// Memory access kinds
+// ----------------------------------------------------------------------
+
+/// What an `LD` does, decoded once from its class: the bytes it reads and
+/// how they widen to a register.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Load {
+    /// One byte, 0 or 1 by `!= 0`.
+    Bool,
+    S8,
+    U8,
+    S16,
+    U16,
+    /// `int`, `uint` and pointers: four bytes as they are.
+    W32,
+    /// A 64-bit integer's low word: all eight bytes are checked.
+    L64,
+    /// A class no load has: it traps `Invalid` when it runs.
+    Bad,
+}
+
+impl Load {
+    /// The kind of an `LD` of class code `code`.
+    fn of_class(code: u16) -> Load {
+        match Class::from_code(code) {
+            Some(Class::Bool) => Load::Bool,
+            Some(Class::S8) => Load::S8,
+            Some(Class::U8) => Load::U8,
+            Some(Class::S16) => Load::S16,
+            Some(Class::U16) => Load::U16,
+            Some(Class::S32 | Class::U32 | Class::Ptr) => Load::W32,
+            Some(Class::L64) => Load::L64,
+            None => Load::Bad,
+        }
+    }
+
+    /// The kind a decoded `LD` carries in its `extra`.
+    #[inline(always)]
+    fn of_extra(extra: u16) -> Load {
+        const KINDS: [Load; 8] = [
+            Load::Bool,
+            Load::S8,
+            Load::U8,
+            Load::S16,
+            Load::U16,
+            Load::W32,
+            Load::L64,
+            Load::Bad,
+        ];
+        KINDS[(extra as usize).min(7)]
+    }
+
+    /// The register word of an in-window load, `None` outside the window.
+    #[inline(always)]
+    fn read(self, mem: &Memory, addr: u32) -> Option<u32> {
+        Some(match self {
+            Load::Bool => (mem.window::<1>(addr)?[0] != 0) as u32,
+            Load::S8 => mem.window::<1>(addr)?[0] as i8 as u32,
+            Load::U8 => mem.window::<1>(addr)?[0] as u32,
+            Load::S16 => i16::from_le_bytes(*mem.window(addr)?) as u32,
+            Load::U16 => u16::from_le_bytes(*mem.window(addr)?) as u32,
+            Load::W32 => u32::from_le_bytes(*mem.window(addr)?),
+            Load::L64 => u64::from_le_bytes(*mem.window(addr)?) as u32,
+            Load::Bad => return None,
+        })
+    }
+
+    /// The same load through [`Memory`]'s checked API, which traps or
+    /// grows memory outside the window.
+    fn read_checked(self, mem: &mut Memory, addr: u32) -> Result<u32, ExecError> {
+        let v = match self {
+            Load::Bool => mem.load_bool(addr)?,
+            Load::S8 => mem.load_int(addr, IntKind::S8)?,
+            Load::U8 => mem.load_int(addr, IntKind::U8)?,
+            Load::S16 => mem.load_int(addr, IntKind::S16)?,
+            Load::U16 => mem.load_int(addr, IntKind::U16)?,
+            Load::W32 => mem.load_int(addr, IntKind::U32)?,
+            Load::L64 => mem.load_int(addr, IntKind::S64)?,
+            Load::Bad => return Err(trap(TrapKind::Invalid, "bad load class")),
+        };
+        Ok(low32(&v))
+    }
+}
+
+/// What an `ST` does, decoded once from its class: how many low bytes of
+/// the register it writes.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Store {
+    /// One byte, 0 or 1 by `!= 0`.
+    Bool,
+    W8,
+    W16,
+    /// `int`, `uint` and pointers.
+    W32,
+    /// The `L64` view (a 64-bit store needs the high word) or a class no
+    /// store has: it traps `Invalid` when it runs.
+    Bad,
+}
+
+impl Store {
+    /// The kind of an `ST` of class code `code`.
+    fn of_class(code: u16) -> Store {
+        match Class::from_code(code) {
+            Some(Class::Bool) => Store::Bool,
+            Some(Class::S8 | Class::U8) => Store::W8,
+            Some(Class::S16 | Class::U16) => Store::W16,
+            Some(Class::S32 | Class::U32 | Class::Ptr) => Store::W32,
+            Some(Class::L64) | None => Store::Bad,
+        }
+    }
+
+    /// The kind a decoded `ST` carries in its `extra`.
+    #[inline(always)]
+    fn of_extra(extra: u16) -> Store {
+        const KINDS: [Store; 5] = [Store::Bool, Store::W8, Store::W16, Store::W32, Store::Bad];
+        KINDS[(extra as usize).min(4)]
+    }
+
+    /// Write `reg` when the store is in the window; whether it was.
+    #[inline(always)]
+    fn write(self, mem: &mut Memory, addr: u32, reg: u32) -> bool {
+        fn put<const N: usize>(mem: &mut Memory, addr: u32, b: [u8; N]) -> bool {
+            mem.window_mut(addr).map(|w| *w = b).is_some()
+        }
+        match self {
+            Store::Bool => put(mem, addr, [(reg != 0) as u8]),
+            Store::W8 => put(mem, addr, [reg as u8]),
+            Store::W16 => put(mem, addr, (reg as u16).to_le_bytes()),
+            Store::W32 => put(mem, addr, reg.to_le_bytes()),
+            Store::Bad => false,
+        }
+    }
+
+    /// The same store through [`Memory`]'s checked API.
+    fn write_checked(self, mem: &mut Memory, addr: u32, reg: u32) -> Result<(), ExecError> {
+        let w = reg.to_le_bytes();
+        match self {
+            Store::Bool => mem.write_bytes(addr, &[(reg != 0) as u8]),
+            Store::W8 => mem.write_bytes(addr, &w[..1]),
+            Store::W16 => mem.write_bytes(addr, &w[..2]),
+            Store::W32 => mem.write_bytes(addr, &w),
+            Store::Bad => Err(trap(TrapKind::Invalid, "bad store class")),
+        }
     }
 }
 
@@ -572,6 +728,43 @@ fn trap(kind: TrapKind, message: &'static str) -> ExecError {
     ExecError::trap(kind, message)
 }
 
+/// Load a `kind` word from `addr`: in place when the access is in
+/// [`Memory`]'s window, else through the checked path.
+#[inline(always)]
+fn load(vm: &mut Vm<'_>, addr: u32, kind: Load) -> Result<u32, ExecError> {
+    match kind.read(&vm.mem, addr) {
+        Some(v) => Ok(v),
+        None => load_checked(vm, addr, kind),
+    }
+}
+
+/// Store `reg` at `addr` as `kind`: in place when the access is in the
+/// window, else through the checked path.
+#[inline(always)]
+fn store(vm: &mut Vm<'_>, addr: u32, reg: u32, kind: Store) -> Result<(), ExecError> {
+    if kind.write(&mut vm.mem, addr, reg) {
+        return Ok(());
+    }
+    store_checked(vm, addr, reg, kind)
+}
+
+/// A load outside the window: it traps, grows memory, or reads data
+/// below the window (addresses 1–15, unaligned function addresses).
+#[cold]
+#[inline(never)]
+fn load_checked(vm: &mut Vm<'_>, addr: u32, kind: Load) -> Result<u32, ExecError> {
+    vm.tier_stats.native_mem_checked += 1;
+    kind.read_checked(&mut vm.mem, addr)
+}
+
+/// A store outside the window, like [`load_checked`].
+#[cold]
+#[inline(never)]
+fn store_checked(vm: &mut Vm<'_>, addr: u32, reg: u32, kind: Store) -> Result<(), ExecError> {
+    vm.tier_stats.native_mem_checked += 1;
+    kind.write_checked(&mut vm.mem, addr, reg)
+}
+
 /// `target`'s machine code when the call `desc` can stay in it: what
 /// `native_frame_for` checks on `VmValue`s — machine code, the arity,
 /// each argument's class — checked here on the site's static classes,
@@ -754,8 +947,8 @@ pub(crate) fn resume_native(
 
 /// Run the frame's decoded code until a call, return, unwind or trap;
 /// an external's call runs in place. The loop touches only the flat
-/// register file, the frame's slot slab and (for memory ops) the checked
-/// [`Memory`] — this is the dispatch-density win over the `LowFunc` tier.
+/// register file, the frame's slot slab and (for memory ops) [`Memory`]'s
+/// bytes — this is the dispatch-density win over the `LowFunc` tier.
 /// Out of line, so the frame switches in [`run_native_burst`] do not
 /// weigh on its registers.
 #[inline(never)]
@@ -926,27 +1119,8 @@ fn dispatch<const EXACT: bool>(vm: &mut Vm<'_>, fr: &mut NatFrame) -> Result<Exi
                 enc::LDI => fr.regs[a] = op.imm,
                 enc::LDS => fr.regs[a] = fr.slots[op.imm as usize],
                 enc::STS => fr.slots[op.imm as usize] = fr.regs[b],
-                enc::LD => {
-                    let addr = fr.regs[b];
-                    fr.regs[a] = match Class::from_code(op.extra) {
-                        Some(Class::Bool) => low32(&vm.mem.load_bool(addr)?),
-                        Some(Class::Ptr) => low32(&vm.mem.load_ptr(addr)?),
-                        Some(cl) => {
-                            let kind = cl
-                                .int_kind()
-                                .ok_or_else(|| trap(TrapKind::Invalid, "bad load class"))?;
-                            low32(&vm.mem.load_int(addr, kind)?)
-                        }
-                        None => return Err(trap(TrapKind::Invalid, "bad load class")),
-                    };
-                }
-                enc::ST => {
-                    let addr = fr.regs[b];
-                    let cl = Class::from_code(op.extra)
-                        .filter(|c| c.is_exact())
-                        .ok_or_else(|| trap(TrapKind::Invalid, "bad store class"))?;
-                    vm.mem.store(addr, value_of(fr.regs[c], cl))?;
-                }
+                enc::LD => fr.regs[a] = load(vm, fr.regs[b], Load::of_extra(op.extra))?,
+                enc::ST => store(vm, fr.regs[b], fr.regs[c], Store::of_extra(op.extra))?,
                 enc::ALLOC => {
                     let n: u64 = if op.extra & 2 != 0 {
                         1
@@ -1149,5 +1323,97 @@ bad:
         }
         // Three calls and an invoke in @main, none elsewhere.
         assert_eq!(calls, 4);
+    }
+
+    /// Every class word's decoded kind reads and writes as the checked
+    /// class-by-class access did: the same register word from the same
+    /// bytes (sign and zero extension, `bool` as `!= 0`, the low word of
+    /// 64 bits), the same bytes from the same register, and the same
+    /// refusal for a class no access has.
+    #[test]
+    fn each_class_word_decodes_to_a_kind_that_matches_the_checked_access() {
+        let patterns: [[u8; 8]; 4] = [
+            [0x80, 0xff, 0x7f, 0x80, 0x01, 0x02, 0x03, 0x04],
+            [0x02, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff],
+            [0x00; 8],
+            [0xff, 0x7f, 0x34, 0x12, 0x78, 0x56, 0x34, 0x12],
+        ];
+        let regs = [0, 1, 2, 0x80, 0xffff_ff80, 0xffff, 0x1234_5678, u32::MAX];
+        let fresh = || {
+            let mut mem = Memory::new(1 << 16, 2);
+            let addr = mem.alloc(16).unwrap();
+            (mem, addr)
+        };
+        for code in 0..=Class::L64.code() + 1 {
+            let class = Class::from_code(code);
+            for bytes in &patterns {
+                let (mut mem, addr) = fresh();
+                mem.write_bytes(addr, bytes).unwrap();
+                let checked = match class {
+                    Some(Class::Bool) => Some(low32(&mem.load_bool(addr).unwrap())),
+                    Some(Class::Ptr) => Some(low32(&mem.load_ptr(addr).unwrap())),
+                    Some(cl) => {
+                        let kind = IntKind::ALL.into_iter().find(|&k| Class::of_kind(k) == cl);
+                        Some(low32(&mem.load_int(addr, kind.unwrap()).unwrap()))
+                    }
+                    None => None,
+                };
+                // The kind travels in the decoded op's `extra`.
+                let kind = Load::of_extra(Load::of_class(code) as u16);
+                assert_eq!(kind.read(&mem, addr), checked, "LD class {code}");
+                let slow = kind.read_checked(&mut mem, addr);
+                assert_eq!(
+                    slow.as_ref().ok().copied(),
+                    checked,
+                    "LD class {code}, checked"
+                );
+                if checked.is_none() {
+                    assert!(matches!(
+                        slow,
+                        Err(ExecError::Trap {
+                            kind: TrapKind::Invalid,
+                            ..
+                        })
+                    ));
+                }
+            }
+            let exact = class.filter(|c| c.is_exact());
+            let kind = Store::of_extra(Store::of_class(code) as u16);
+            let Some(cl) = exact else {
+                let (mut mem, addr) = fresh();
+                assert!(!kind.write(&mut mem, addr, 1), "ST class {code}");
+                let slow = kind.write_checked(&mut mem, addr, 1);
+                assert!(matches!(
+                    slow,
+                    Err(ExecError::Trap {
+                        kind: TrapKind::Invalid,
+                        ..
+                    })
+                ));
+                continue;
+            };
+            for reg in regs {
+                let (mut want, addr) = fresh();
+                want.store(addr, value_of(reg, cl)).unwrap();
+                let want = want.read_bytes(addr, 8).unwrap().to_vec();
+                let (mut fast, _) = fresh();
+                assert!(
+                    kind.write(&mut fast, addr, reg),
+                    "ST class {code}: in the window"
+                );
+                assert_eq!(
+                    fast.read_bytes(addr, 8).unwrap(),
+                    want,
+                    "ST class {code}, {reg:#x}"
+                );
+                let (mut slow, _) = fresh();
+                kind.write_checked(&mut slow, addr, reg).unwrap();
+                assert_eq!(
+                    slow.read_bytes(addr, 8).unwrap(),
+                    want,
+                    "ST class {code}, checked"
+                );
+            }
+        }
     }
 }

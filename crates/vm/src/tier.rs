@@ -139,6 +139,10 @@ pub struct TierStats {
     /// Calls from machine code into machine code whose return landed in
     /// the caller's registers without leaving the native burst.
     pub native_calls: u64,
+    /// Loads and stores machine code sent to [`crate::mem::Memory`]'s
+    /// checked path: those outside its window, each of which traps, grows
+    /// memory or touches data below the window.
+    pub native_mem_checked: u64,
 }
 
 /// A frame on the mixed call stack: interpreted, translated, or native.
@@ -607,6 +611,10 @@ impl TierStats {
             self.native_translate_ns / 1_000
         ));
         s.push_str(&format!("  native calls    {:>12}\n", self.native_calls));
+        s.push_str(&format!(
+            "  native mem checked {:>9}\n",
+            self.native_mem_checked
+        ));
         s
     }
 }

@@ -664,6 +664,105 @@ h:
     }
 }
 
+/// Loads and stores of every class at the edges of memory's window, the
+/// range machine code reads and writes in place: its first byte, the
+/// last bytes memory has, an access straddling its end (which grows
+/// memory and reads zeros), null, a function address, an unaligned
+/// address inside the function window and addresses 1–15 (both data),
+/// the last bytes under the limit, past the limit, and the top of the
+/// address space. Every engine must agree on the outcome, the trap kind,
+/// the fuel left and the histogram; machine code takes its checked path
+/// for exactly the accesses outside the window.
+#[test]
+fn memory_accesses_at_the_window_edges_match_every_engine() {
+    use lpat::vm::mem::Memory;
+    const LIMIT: u32 = 1 << 16;
+    // (type, stored value, bytes).
+    let classes = [
+        ("bool", "true", 1),
+        ("sbyte", "-3", 1),
+        ("ubyte", "253", 1),
+        ("short", "-3", 2),
+        ("ushort", "65533", 2),
+        ("int", "-3", 4),
+        ("uint", "4294967293", 4),
+        ("int*", "%q", 4),
+        ("long", "-3", 8),
+    ];
+    let program = |ty: &str, val: &str, addr: u32, store: bool| {
+        let st = if store {
+            format!("  store {ty} {val}, {ty}* %a\n")
+        } else {
+            String::new()
+        };
+        parse(&format!(
+            "declare void @print_int(int)
+define internal int @other(int %x) {{
+e:
+  ret int %x
+}}
+define int @main() {{
+e:
+  %q = cast uint 305419896 to int*
+  %a = cast uint {addr} to {ty}*
+{st}  %v = load {ty}* %a
+  %r = cast {ty} %v to int
+  call void @print_int(int %r)
+  ret int 0
+}}"
+        ))
+    };
+    let opts = VmOptions {
+        profile: true,
+        fuel: Some(1_000),
+        mem_limit: LIMIT,
+        ..VmOptions::default()
+    };
+    let mut checked_somewhere = false;
+    for (ty, val, w) in classes {
+        let m = program(ty, val, 0, false);
+        let data_lo = Memory::func_addr(m.num_funcs());
+        let func = Memory::func_addr(1);
+        let len = 4096;
+        // (address, in the window, trap).
+        let cases = [
+            (data_lo, true, None),
+            (len - w, true, None),
+            (len - 1, w == 1, None),
+            (len, false, None),
+            (0, false, Some(TrapKind::NullAccess)),
+            (func, false, Some(TrapKind::BadAccess)),
+            (func + 1, false, None),
+            (1, false, None),
+            (15, false, None),
+            (LIMIT - w, false, None),
+            (LIMIT - 1, false, (w > 1).then_some(TrapKind::OutOfMemory)),
+            (LIMIT, false, Some(TrapKind::OutOfMemory)),
+            (u32::MAX - 15, false, Some(TrapKind::OutOfMemory)),
+            (u32::MAX, false, Some(TrapKind::BadAccess)),
+        ];
+        for (addr, in_window, trap) in cases {
+            for store in [false, true] {
+                let m = program(ty, val, addr, store);
+                let what = format!("{ty} at {addr:#x}, store {store}");
+                let seen = same_in_every_engine_under(&m, opts.clone());
+                assert_eq!(seen.outcome.map(|_| ()), trap.map_or(Ok(()), Err), "{what}");
+                let (_, t, _) = observe_with(&m, "tiered", opts.clone(), None);
+                // A 64-bit store keeps `main` off machine code.
+                let native = !(store && w == 8);
+                assert_eq!(t.native_insts > 0, native, "{what}: {t:?}");
+                let want = usize::from(native && !in_window);
+                assert!(
+                    (want..=2 * want).contains(&(t.native_mem_checked as usize)),
+                    "{what}: {t:?}"
+                );
+                checked_somewhere |= t.native_mem_checked > 0;
+            }
+        }
+    }
+    assert!(checked_somewhere);
+}
+
 /// Machine code shares a register between values that are never live at
 /// once. In `@work`, 24 values plus the loop's two φs are live at `%h`,
 /// and two values dead there — `%t` (`xor 77`), defined before the loop
